@@ -1,13 +1,12 @@
-//! Serial-vs-parallel-vs-batched runtime benchmark; writes
-//! `BENCH_runtime.json`. Set `PLANARTEST_QUICK=1` for CI-sized runs,
-//! `PLANARTEST_THREADS=k` to cap the worker pools.
+//! Runtime benchmark (serial engine, tester, trial sweep, batched
+//! sweep, label-pack kernels); writes `BENCH_runtime.json`. Set
+//! `PLANARTEST_QUICK=1` for CI-sized runs, `PLANARTEST_THREADS=k` to
+//! cap the trial sweep's worker pool.
 //!
-//! With `--check`, exits non-zero when the regression gate fails —
-//! parallel at max threads losing to serial on the largest tester
-//! workload, the instance-multiplexed Monte-Carlo acceptance sweep
-//! dropping below the raised batched-vs-sequential floor
-//! ([`BenchGate::BATCH_SPEEDUP_FLOOR`]), or *any* SWAR kernel row
-//! losing to its scalar reference
+//! With `--check`, exits non-zero when the regression gate fails — the
+//! batched Monte-Carlo acceptance sweep dropping below its
+//! batched-vs-sequential floor ([`BenchGate::BATCH_SPEEDUP_FLOOR`]), or
+//! *any* SWAR label-pack kernel losing to its scalar reference
 //! ([`BenchGate::KERNEL_SPEEDUP_FLOOR`]). This is the CI performance
 //! gate.
 //!
@@ -19,37 +18,21 @@ use planartest_bench::BenchGate;
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let gate = planartest_bench::runtime_bench();
+    let summary = format!(
+        "batched sweep {:.3}x over sequential ({} trials, floor {:.2}), worst kernel `{}` \
+         {:.3}x vs scalar (floor {:.2})",
+        gate.batch_speedup,
+        gate.batch_trials,
+        BenchGate::BATCH_SPEEDUP_FLOOR,
+        gate.min_kernel,
+        gate.min_kernel_speedup,
+        BenchGate::KERNEL_SPEEDUP_FLOOR
+    );
     if check && !gate.pass() {
-        eprintln!(
-            "benchmark gate FAILED: parallel speedup {:.3}x on the largest tester \
-             workload (n={}, must be >= 1.0; vacuous on 1 hardware thread), \
-             batched sweep speedup {:.3}x over sequential ({} trials, must be \
-             >= {:.2}), worst kernel `{}` at {:.3}x vs scalar (every kernel \
-             must be >= {:.2})",
-            gate.speedup,
-            gate.largest_n,
-            gate.batch_speedup,
-            gate.batch_trials,
-            BenchGate::BATCH_SPEEDUP_FLOOR,
-            gate.min_kernel,
-            gate.min_kernel_speedup,
-            BenchGate::KERNEL_SPEEDUP_FLOOR
-        );
+        eprintln!("benchmark gate FAILED: {summary}");
         std::process::exit(1);
     }
     if check {
-        println!(
-            "benchmark gate passed: parallel speedup {:.3}x on n={}, batched sweep \
-             {:.3}x over sequential ({} trials, floor {:.2}), worst kernel `{}` \
-             {:.3}x vs scalar (floor {:.2})",
-            gate.speedup,
-            gate.largest_n,
-            gate.batch_speedup,
-            gate.batch_trials,
-            BenchGate::BATCH_SPEEDUP_FLOOR,
-            gate.min_kernel,
-            gate.min_kernel_speedup,
-            BenchGate::KERNEL_SPEEDUP_FLOOR
-        );
+        println!("benchmark gate passed: {summary}");
     }
 }

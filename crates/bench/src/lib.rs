@@ -74,8 +74,8 @@ fn header(title: &str, columns: &str) {
 ///
 /// The per-family Monte-Carlo sweep is served by
 /// [`PlanarityTester::run_many`]: all seeds of a family ride one
-/// instance-multiplexed pass (shared Stage I, batched Stage-II sample
-/// streams) instead of one full tester run per seed.
+/// batched pass (shared Stage I, per-seed Stage-II sample streams)
+/// instead of one full tester run per seed.
 pub fn e1_correctness() {
     header(
         "E1 Theorem 1 correctness (one-sided error)",
@@ -546,7 +546,6 @@ pub fn e12_bandwidth() {
         for w in [2usize, 4, 8] {
             let sim = SimConfig {
                 max_words_per_message: w,
-                ..SimConfig::default()
             };
             let cfg = practical_cfg(0.1).with_phases(6);
             let out = PlanarityTester::new(cfg)

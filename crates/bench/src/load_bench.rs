@@ -465,7 +465,6 @@ mod sweep {
                         graph: GraphRef::Name(name.to_string()),
                         property,
                         cfg: base.clone().with_seed(0),
-                        backend: planartest_sim::Backend::Auto,
                     });
                 }
                 for (_, result) in service.drain() {

@@ -1,7 +1,8 @@
-//! Runtime benchmark: serial vs parallel engine throughput, tester
-//! n-sweeps, and trial-parallel sweep scaling — written both as a
-//! human-readable table and as machine-readable `BENCH_runtime.json`
-//! so the performance trajectory is tracked from PR to PR.
+//! Runtime benchmark: serial engine throughput, tester n-sweeps,
+//! trial-parallel sweep scaling, batched-vs-sequential Monte-Carlo
+//! sweeps and the label-pack kernels — written both as a human-readable
+//! table and as machine-readable `BENCH_runtime.json` so the performance
+//! trajectory is tracked from PR to PR.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -10,16 +11,13 @@ use planartest_core::stage2::pack;
 use planartest_core::{PlanarityTester, TestOutcome};
 use planartest_graph::generators::planar;
 use planartest_graph::{Graph, NodeId};
-use planartest_sim::runtime::{auto_threads, Backend, TrialRunner};
-use planartest_sim::{
-    Engine, LaneBits, Msg, NodeLogic, Outbox, ParallelEngine, ParallelNodeLogic, SimConfig,
-};
+use planartest_sim::runtime::{auto_threads, TrialRunner};
+use planartest_sim::{Engine, Msg, NodeLogic, Outbox, SimConfig};
 
 use crate::json::Json;
 use crate::quick;
 
-/// The flood workload used for raw engine throughput, expressed both
-/// ways so each engine runs its native logic form.
+/// The flood workload used for raw engine throughput.
 struct FloodLogic {
     seen: Vec<bool>,
 }
@@ -34,24 +32,6 @@ impl NodeLogic for FloodLogic {
     fn round(&mut self, node: NodeId, inbox: &[(NodeId, Msg)], out: &mut Outbox<'_>) {
         if !self.seen[node.index()] && !inbox.is_empty() {
             self.seen[node.index()] = true;
-            out.send_all(Msg::words(&[1]));
-        }
-    }
-}
-
-struct FloodProgram;
-
-impl ParallelNodeLogic for FloodProgram {
-    type State = bool;
-    fn init(&self, node: NodeId, seen: &mut bool, out: &mut Outbox<'_>) {
-        if node.index() == 0 {
-            *seen = true;
-            out.send_all(Msg::words(&[1]));
-        }
-    }
-    fn round(&self, _: NodeId, seen: &mut bool, inbox: &[(NodeId, Msg)], out: &mut Outbox<'_>) {
-        if !*seen && !inbox.is_empty() {
-            *seen = true;
             out.send_all(Msg::words(&[1]));
         }
     }
@@ -77,165 +57,70 @@ fn time_median_reps<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Thread counts to sweep: 1, 2, 4, … up to the hardware (always
-/// includes the hardware count itself).
-fn thread_sweep() -> Vec<usize> {
-    let max = auto_threads();
-    let mut counts = vec![1];
-    let mut t = 2;
-    while t < max {
-        counts.push(t);
-        t *= 2;
-    }
-    if max > 1 {
-        counts.push(max);
-    }
-    counts.dedup();
-    counts
-}
-
 /// Raw engine throughput on a flood over a triangulated grid
-/// (`n = side²`): serial engine vs worker pool at each thread count.
+/// (`n = side²`), median of 11 reps: one flood takes well under a
+/// millisecond, so a single sample is mostly timer and scheduler noise.
 fn engine_throughput(side: usize) -> Json {
     let fam = planar::triangulated_grid(side, side);
     let g = &fam.graph;
-
-    let mut serial_rounds = 0u64;
-    let serial_secs = time_median(|| {
+    let mut rounds = 0u64;
+    let secs = time_median_reps(11, || {
         let mut engine = Engine::new(g, SimConfig::default());
         let mut logic = FloodLogic {
             seen: vec![false; g.n()],
         };
-        serial_rounds = engine.run(&mut logic, 1_000_000).expect("flood").rounds;
+        rounds = engine.run(&mut logic, 1_000_000).expect("flood").rounds;
     });
     println!(
-        "engine flood   n={:<6} serial                 {:>10.1} rounds/s ({serial_rounds} rounds)",
+        "engine flood   n={:<6} {:>10.1} rounds/s ({rounds} rounds)",
         g.n(),
-        serial_rounds as f64 / serial_secs
+        rounds as f64 / secs
     );
-
-    let mut parallel = Vec::new();
-    for threads in thread_sweep() {
-        let mut rounds = 0u64;
-        let secs = time_median(|| {
-            let mut engine = ParallelEngine::new(g, SimConfig::default()).with_threads(threads);
-            let mut states = vec![false; g.n()];
-            rounds = engine
-                .run(&FloodProgram, &mut states, 1_000_000)
-                .expect("flood")
-                .rounds;
-        });
-        assert_eq!(rounds, serial_rounds, "backends must agree on round count");
-        let speedup = serial_secs / secs;
-        println!(
-            "engine flood   n={:<6} parallel(threads={:<2}) {:>10.1} rounds/s (speedup {speedup:.2}x)",
-            g.n(),
-            threads,
-            rounds as f64 / secs
-        );
-        parallel.push(
-            Json::obj()
-                .field("threads", threads)
-                .field("seconds", secs)
-                .field("rounds_per_sec", rounds as f64 / secs)
-                .field("speedup_vs_serial", speedup),
-        );
-    }
-
     Json::obj()
         .field("workload", "flood_triangulated_grid")
         .field("n", g.n())
         .field("m", g.m())
-        .field("rounds", serial_rounds)
-        .field(
-            "serial",
-            Json::obj()
-                .field("seconds", serial_secs)
-                .field("rounds_per_sec", serial_rounds as f64 / serial_secs),
-        )
-        .field("parallel", parallel)
+        .field("rounds", rounds)
+        .field("seconds", secs)
+        .field("rounds_per_sec", rounds as f64 / secs)
 }
 
-/// Measures one tester workload on the three backends; returns the row
-/// plus the parallel-vs-serial speedup. `reps` overrides the default
-/// rep policy (the CI gate keeps 3 reps even in quick mode so one
-/// noisy sample can't flip it).
-fn tester_workload(side: usize, reps: usize) -> (Json, f64) {
+/// One tester workload: median-of-`reps` wall-clock of a full tester
+/// pass on a triangulated grid (`n = side²`).
+fn tester_workload(side: usize, reps: usize) -> Json {
     let fam = planar::triangulated_grid(side, side);
     let g = &fam.graph;
     let cfg = crate::practical_cfg(0.1);
     let mut rounds = 0u64;
-    let serial_secs = time_median_reps(reps, || {
-        let out = PlanarityTester::new(cfg.clone())
-            .with_backend(Backend::Serial)
-            .run(g)
-            .expect("run");
+    let secs = time_median_reps(reps, || {
+        let out = PlanarityTester::new(cfg.clone()).run(g).expect("run");
         assert!(out.accepted());
         rounds = out.rounds();
     });
-    let parallel_secs = time_median_reps(reps, || {
-        let out = PlanarityTester::new(cfg.clone())
-            .with_backend(Backend::Parallel { threads: 0 })
-            .run(g)
-            .expect("run");
-        assert!(out.accepted());
-        assert_eq!(out.rounds(), rounds, "backends must agree");
-    });
-    let auto_secs = time_median(|| {
-        let out = PlanarityTester::new(cfg.clone())
-            .with_backend(Backend::Auto)
-            .run(g)
-            .expect("run");
-        assert!(out.accepted());
-        assert_eq!(out.rounds(), rounds, "backends must agree");
-    });
-    let speedup = serial_secs / parallel_secs;
     println!(
-        "tester sweep   n={:<6} serial {serial_secs:>8.3}s  parallel {parallel_secs:>8.3}s \
-         (speedup {speedup:.2}x)  auto {auto_secs:>8.3}s  ({rounds} rounds)",
+        "tester sweep   n={:<6} {secs:>8.3}s  ({rounds} rounds)",
         g.n()
     );
-    let row = Json::obj()
+    Json::obj()
         .field("n", g.n())
         .field("m", g.m())
         .field("rounds", rounds)
-        .field("serial_seconds", serial_secs)
-        .field("parallel_seconds", parallel_secs)
-        .field("speedup_vs_serial", speedup)
-        .field("auto_seconds", auto_secs);
-    (row, speedup)
+        .field("seconds", secs)
 }
 
-/// Tester wall-clock vs `n`: serial backend vs parallel-at-max-threads
-/// vs the default `Auto` backend. Returns the rows plus the
-/// parallel-vs-serial speedup and size of the gated (largest) instance.
-///
-/// The largest instance — the CI gate — is sized to at least
-/// [`Backend::AUTO_MIN_NODES`] in *both* modes: below that width the
-/// code's own `Auto` calibration says pooled execution loses to serial,
-/// so gating a smaller workload would demand a speedup the design
-/// itself does not promise.
-fn tester_n_sweep() -> (Json, f64, usize) {
+/// Tester wall-clock vs `n` (median of 3 reps per size).
+fn tester_n_sweep() -> Json {
     let sides: Vec<usize> = if quick() {
         vec![8, 16, 48]
     } else {
         vec![16, 32, 64]
     };
-    let gate_side = *sides.last().expect("non-empty sweep");
-    assert!(
-        gate_side * gate_side >= Backend::AUTO_MIN_NODES,
-        "gated workload narrower than the Auto pool threshold"
-    );
-    let mut rows = Vec::new();
-    let (mut largest_speedup, mut largest_n) = (f64::NAN, 0);
-    for side in sides {
-        let reps = if side == gate_side || !quick() { 3 } else { 1 };
-        let (row, speedup) = tester_workload(side, reps);
-        largest_speedup = speedup;
-        largest_n = side * side;
-        rows.push(row);
-    }
-    (Json::Arr(rows), largest_speedup, largest_n)
+    Json::Arr(
+        sides
+            .into_iter()
+            .map(|side| tester_workload(side, 3))
+            .collect(),
+    )
 }
 
 /// Trial-parallel Monte-Carlo sweep (the e1 workload shape): the same
@@ -283,14 +168,14 @@ fn trial_sweep() -> Json {
 
 /// Batched vs sequential Monte-Carlo acceptance sweep: the same seeded
 /// tester instances served one full `run` per seed (the sequential
-/// per-instance path) vs one instance-multiplexed
-/// [`PlanarityTester::run_many`] pass. Per-instance outcomes are
-/// asserted bit-identical; only wall-clock may differ. Returns the row
-/// plus the batched-over-sequential speedup (gated — warm-up pass plus
-/// the median of 5 *paired* ratios even in quick mode, because this
-/// ratio is compared against the raised
-/// [`BenchGate::BATCH_SPEEDUP_FLOOR`], not mere parity, and pairing is
-/// what keeps background load drift from flipping the CI gate).
+/// per-instance path) vs one batched [`PlanarityTester::run_many`]
+/// pass. Per-instance outcomes are asserted bit-identical; only
+/// wall-clock may differ. Returns the row plus the
+/// batched-over-sequential speedup (gated — warm-up pass plus the median
+/// of 5 *paired* ratios even in quick mode, because this ratio is
+/// compared against the raised [`BenchGate::BATCH_SPEEDUP_FLOOR`], not
+/// mere parity, and pairing is what keeps background load drift from
+/// flipping the CI gate).
 fn batch_sweep() -> (Json, f64, usize) {
     let side = if quick() { 16 } else { 32 };
     let trials = 16usize;
@@ -299,7 +184,7 @@ fn batch_sweep() -> (Json, f64, usize) {
     // The paper-faithful configuration (derived Θ(log 1/ε) phase count,
     // not the experiment shortcut): Monte-Carlo trials amplify the
     // tester's one-sided soundness, which is exactly the workload
-    // instance-multiplexing exists for.
+    // batching exists for.
     let eps = 0.2;
     let cfg = planartest_core::TesterConfig::new(eps);
     let seeds: Vec<u64> = (0..trials as u64).collect();
@@ -433,17 +318,14 @@ fn paired_kernel_times(
     )
 }
 
-/// Per-kernel before/after microbenchmarks for the SWAR round kernels:
-/// the stage-2 label digit pack/unpack at each width class, and the
-/// `LaneBits` bulk clear / quiescence scan. "Before" is the portable
-/// scalar reference (the `scalar-kernels` feature path), "after" the
-/// default SWAR dispatch — the same code CI runs the whole suite
-/// against both ways. Returns the rows plus the worst row's
+/// Per-kernel before/after microbenchmarks for the stage-2 label digit
+/// pack/unpack at each width class: "before" is the portable scalar
+/// reference (the core crate's `scalar-kernels` feature path), "after"
+/// the default SWAR dispatch. Each timing is `reps` passes, paired
+/// `pairs` times. Returns the rows plus the worst row's
 /// `(speedup, kernel name)` — the gate's "every SWAR kernel earns its
 /// keep" clause.
-fn kernel_bench() -> (Json, f64, &'static str) {
-    let reps = if quick() { 300 } else { 2_000 };
-    let pairs = if quick() { 5 } else { 9 };
+fn kernel_bench(reps: usize, pairs: usize) -> (Json, f64, &'static str) {
     let mut rows = Vec::new();
     let mut min_speedup = f64::INFINITY;
     let mut min_kernel: &'static str = "none";
@@ -520,73 +402,15 @@ fn kernel_bench() -> (Json, f64, &'static str) {
         );
     }
 
-    // LaneBits bookkeeping over a 64k-lane batch (e.g. B=16 × n=4096):
-    // the per-round wake-flag bulk clear and the quiescence scan.
-    let lanes = 1 << 16;
-    let mut bits = LaneBits::new(lanes);
-    for i in (0..lanes).step_by(97) {
-        bits.set(i);
-    }
-    assert_eq!(bits.any_set_words(), bits.any_set_scalar());
-    let mut bits_w = LaneBits::new(lanes);
-    let (scalar_secs, swar_secs, ratio) = paired_kernel_times(
-        pairs,
-        &mut || {
-            for _ in 0..reps {
-                black_box(&mut bits).clear_all_scalar();
-            }
-        },
-        &mut || {
-            for _ in 0..reps {
-                black_box(&mut bits_w).clear_all_words();
-            }
-        },
-    );
-    push_row(
-        &mut rows,
-        "lanebits_clear_all",
-        scalar_secs / reps as f64,
-        swar_secs / reps as f64,
-        ratio,
-    );
-
-    bits.set(lanes - 1); // worst case: the scan must reach the last word
-    let (scalar_secs, swar_secs, ratio) = paired_kernel_times(
-        pairs,
-        &mut || {
-            for _ in 0..reps {
-                black_box(black_box(&bits).any_set_scalar());
-            }
-        },
-        &mut || {
-            for _ in 0..reps {
-                black_box(black_box(&bits).any_set_words());
-            }
-        },
-    );
-    push_row(
-        &mut rows,
-        "lanebits_any_set",
-        scalar_secs / reps as f64,
-        swar_secs / reps as f64,
-        ratio,
-    );
-
     (Json::Arr(rows), min_speedup, min_kernel)
 }
 
 /// The CI regression gate computed alongside the benchmark document:
-/// the parallel backend at max threads must not lose to serial on the
-/// largest `tester_n_sweep` workload, and the instance-multiplexed
-/// Monte-Carlo sweep must not lose to the sequential-per-instance path.
+/// the batched Monte-Carlo sweep must clear its floor over the
+/// sequential-per-instance path, and no SWAR label-pack kernel may lose
+/// to its scalar reference.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchGate {
-    /// Node count of the gated (largest) tester workload.
-    pub largest_n: usize,
-    /// Serial wall-clock over parallel wall-clock on that workload.
-    pub speedup: f64,
-    /// Worker threads the parallel measurement resolved to.
-    pub max_threads: usize,
     /// Trials in the gated batched acceptance sweep.
     pub batch_trials: usize,
     /// Sequential-per-instance wall-clock over batched wall-clock on
@@ -600,15 +424,14 @@ pub struct BenchGate {
 }
 
 impl BenchGate {
-    /// Floor for the batched-vs-sequential speedup. Raised from parity
-    /// (1.0) after the node-major lane flip: with recycled batch
-    /// scratch (zero per-instance re-zeroing via epoch stamps), the
-    /// SWAR round kernels, and the per-part sample check borrowing the
-    /// root-decoded list instead of re-decoding at every member node,
-    /// the gated 16-trial acceptance sweep measures ≈ 4.6x on one core
-    /// (median of paired ratios; the pre-flip layout measured 3.36x).
-    /// The floor sits at 4.0 — regression margin above the old layout's
-    /// best, noise margin below the new steady state.
+    /// Floor for the batched-vs-sequential speedup. The batched pass
+    /// runs Stage I and the seed-independent Stage-II prefix once, and
+    /// only the per-seed sample streams per seed, back to back on one
+    /// engine that recycles its round buffers; the gated 16-trial
+    /// acceptance sweep measures ≈ 4.4–5.3x on one core (median of
+    /// paired ratios). The floor sits at 4.0 — noise margin below that
+    /// steady state, regression margin above the 3.36x of the first
+    /// batched layout.
     pub const BATCH_SPEEDUP_FLOOR: f64 = 4.0;
 
     /// Floor for every per-kernel SWAR-vs-scalar ratio: a SWAR path
@@ -622,19 +445,15 @@ impl BenchGate {
     /// here, as it should).
     pub const KERNEL_SPEEDUP_FLOOR: f64 = 1.0;
 
-    /// Whether the gate passes: the parallel speedup at or above parity
-    /// and the batch speedup at or above
-    /// [`BATCH_SPEEDUP_FLOOR`](Self::BATCH_SPEEDUP_FLOOR). On a
-    /// single-hardware-thread machine there is no pool to gate — the
-    /// "parallel" run takes the same inline path as serial, so that
-    /// ratio is pure timing noise and its clause is vacuously true. The
-    /// batching clause is *never* vacuous: multiplexing pays off on one
-    /// thread (that is the point — the round-loop fixed cost amortizes,
-    /// no pool required).
+    /// Whether the gate passes: the batch speedup at or above
+    /// [`BATCH_SPEEDUP_FLOOR`](Self::BATCH_SPEEDUP_FLOOR) and every
+    /// kernel at or above
+    /// [`KERNEL_SPEEDUP_FLOOR`](Self::KERNEL_SPEEDUP_FLOOR). Both
+    /// clauses are one-thread measurements, so they hold on any core
+    /// count.
     #[must_use]
     pub fn pass(&self) -> bool {
-        (self.max_threads <= 1 || self.speedup >= 1.0)
-            && self.batch_speedup >= Self::BATCH_SPEEDUP_FLOOR
+        self.batch_speedup >= Self::BATCH_SPEEDUP_FLOOR
             && self.min_kernel_speedup >= Self::KERNEL_SPEEDUP_FLOOR
     }
 }
@@ -643,22 +462,23 @@ impl BenchGate {
 /// CI gate derived from it.
 #[must_use]
 pub fn runtime_bench_document() -> (Json, BenchGate) {
-    println!("\n## runtime benchmark (serial vs parallel vs batched)");
+    println!("\n## runtime benchmark (engine, tester, trials, batched)");
     let side = if quick() { 24 } else { 64 };
-    let (tester_rows, speedup, largest_n) = tester_n_sweep();
+    let tester_rows = tester_n_sweep();
     let (batch_row, batch_speedup, batch_trials) = batch_sweep();
-    let (kernel_rows, min_kernel_speedup, min_kernel) = kernel_bench();
+    let (kernel_rows, min_kernel_speedup, min_kernel) = if quick() {
+        kernel_bench(300, 5)
+    } else {
+        kernel_bench(2_000, 9)
+    };
     let gate = BenchGate {
-        largest_n,
-        speedup,
-        max_threads: auto_threads(),
         batch_trials,
         batch_speedup,
         min_kernel_speedup,
         min_kernel,
     };
     let doc = Json::obj()
-        .field("schema", "planartest-bench/runtime/v2")
+        .field("schema", "planartest-bench/runtime/v3")
         .field("quick_mode", quick())
         .field("hardware_threads", auto_threads())
         .field("engine_throughput", engine_throughput(side))
@@ -669,10 +489,6 @@ pub fn runtime_bench_document() -> (Json, BenchGate) {
         .field(
             "gate",
             Json::obj()
-                .field("workload", "tester_n_sweep_largest")
-                .field("n", gate.largest_n)
-                .field("max_threads", gate.max_threads)
-                .field("parallel_speedup_at_max_threads", gate.speedup)
                 .field("batch_trials", gate.batch_trials)
                 .field("batch_speedup_vs_sequential", gate.batch_speedup)
                 .field("batch_speedup_floor", BenchGate::BATCH_SPEEDUP_FLOOR)
@@ -699,96 +515,53 @@ mod tests {
     use super::*;
 
     #[test]
-    fn thread_sweep_starts_at_one() {
-        let sweep = thread_sweep();
-        assert_eq!(sweep[0], 1);
-        assert!(sweep.iter().all(|&t| t >= 1));
-        assert!(sweep.contains(&auto_threads()) || auto_threads() == 1);
-    }
-
-    #[test]
     fn tester_workload_row_has_required_fields() {
-        // One tiny workload exercises the row builder and all three
-        // backends; the full document (with the gate-sized instance) is
-        // too heavy for a debug-build test and runs for real in CI via
-        // `runtime_bench --check` on the release binary.
-        let (row, speedup) = tester_workload(4, 1);
-        let text = row.pretty();
-        for key in [
-            "rounds",
-            "serial_seconds",
-            "parallel_seconds",
-            "speedup_vs_serial",
-            "auto_seconds",
-        ] {
+        // One tiny workload exercises the row builder; the full document
+        // runs for real in CI via `runtime_bench --check` on the release
+        // binary.
+        let text = tester_workload(4, 1).pretty();
+        for key in ["n", "m", "rounds", "seconds"] {
             assert!(text.contains(key), "missing {key} in {text}");
-        }
-        assert!(speedup.is_finite() && speedup > 0.0);
-    }
-
-    #[test]
-    fn gate_workload_is_wide_enough_for_the_pool() {
-        // Both mode's largest sweep instance must be at least as wide
-        // as the Auto pool threshold — gating a narrower workload would
-        // demand a speedup the backend's own calibration rejects.
-        for largest_side in [48usize, 64] {
-            assert!(largest_side * largest_side >= Backend::AUTO_MIN_NODES);
         }
     }
 
     #[test]
     fn gate_thresholds() {
         let floor = BenchGate::BATCH_SPEEDUP_FLOOR;
-        assert!(
-            floor > 3.36,
-            "the batch gate must stay above the pre-flip ratio"
-        );
-        let gate = |speedup: f64, max_threads: usize, batch_speedup: f64| BenchGate {
-            largest_n: 1,
-            speedup,
-            max_threads,
+        assert_eq!(floor, 4.0);
+        let gate = |batch_speedup: f64, min_kernel_speedup: f64| BenchGate {
             batch_trials: 8,
             batch_speedup,
-            min_kernel_speedup: 1.2,
+            min_kernel_speedup,
             min_kernel: "label_pack_16bit",
         };
-        assert!(gate(1.0, 4, floor).pass());
-        assert!(!gate(0.99, 4, floor).pass());
-        // One hardware thread: no pool to gate, noise must not fail CI.
-        assert!(gate(0.99, 1, floor).pass());
-        // The batching clause is never vacuous — multiplexing must
-        // clear the raised floor even on one thread.
-        assert!(!gate(1.0, 1, floor - 0.01).pass());
-        assert!(!gate(1.0, 1, 1.0).pass());
-        assert!(gate(1.0, 1, floor + 0.5).pass());
+        assert!(gate(floor, 1.2).pass());
+        assert!(gate(floor + 0.5, 1.0).pass());
+        assert!(!gate(floor - 0.01, 1.2).pass());
+        assert!(!gate(1.0, 1.2).pass());
         // Every SWAR kernel must at least match its scalar reference:
         // the historical 0.83x pack regression fails the gate.
-        let slow = BenchGate {
-            min_kernel_speedup: 0.83,
-            ..gate(1.0, 4, floor)
-        };
-        assert!(!slow.pass());
+        assert!(!gate(floor, 0.83).pass());
         assert_eq!(BenchGate::KERNEL_SPEEDUP_FLOOR, 1.0);
     }
 
     #[test]
     fn kernel_rows_have_required_fields() {
-        let (rows, min_speedup, min_kernel) = kernel_bench();
+        // A schema check over one pass per side: the timed workload runs
+        // in `runtime_bench --check` on the release binary.
+        let (rows, min_speedup, min_kernel) = kernel_bench(1, 1);
         let text = rows.pretty();
         for key in [
             "label_pack_4bit",
             "label_pack_16bit",
             "label_pack_32bit",
-            "lanebits_clear_all",
-            "lanebits_any_set",
             "scalar_seconds",
             "swar_seconds",
             "speedup",
         ] {
             assert!(text.contains(key), "missing {key} in {text}");
         }
-        // The minimum is drawn from the rows actually produced (debug
-        // builds don't gate the *value* — CI gates the release run).
+        assert!(!text.contains("lanebits"));
         assert!(min_speedup.is_finite() && min_speedup > 0.0);
         assert!(text.contains(min_kernel));
     }

@@ -3,7 +3,7 @@
 
 use planartest_graph::NodeId;
 use planartest_sim::bfs::distributed_bfs;
-use planartest_sim::EngineCore;
+use planartest_sim::Engine;
 use planartest_sim::Msg;
 
 use crate::comm;
@@ -33,8 +33,8 @@ enum Witness {
     OddCycle,
 }
 
-fn run_hereditary<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+fn run_hereditary(
+    engine: &mut Engine<'_>,
     cfg: &TesterConfig,
     witness: Witness,
 ) -> Result<HereditaryOutcome, CoreError> {
@@ -52,8 +52,8 @@ fn run_hereditary<'g, E: EngineCore<'g>>(
     })
 }
 
-fn detect_in_parts<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+fn detect_in_parts(
+    engine: &mut Engine<'_>,
     cfg: &TesterConfig,
     state: &PartitionState,
     witness: Witness,
@@ -112,8 +112,8 @@ fn detect_in_parts<'g, E: EngineCore<'g>>(
 /// # Errors
 ///
 /// Infrastructure errors only.
-pub fn test_cycle_freeness<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+pub fn test_cycle_freeness(
+    engine: &mut Engine<'_>,
     cfg: &TesterConfig,
 ) -> Result<HereditaryOutcome, CoreError> {
     run_hereditary(engine, cfg, Witness::AnyNonTreeEdge)
@@ -126,8 +126,8 @@ pub fn test_cycle_freeness<'g, E: EngineCore<'g>>(
 /// # Errors
 ///
 /// Infrastructure errors only.
-pub fn test_bipartiteness<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+pub fn test_bipartiteness(
+    engine: &mut Engine<'_>,
     cfg: &TesterConfig,
 ) -> Result<HereditaryOutcome, CoreError> {
     run_hereditary(engine, cfg, Witness::OddCycle)
@@ -137,7 +137,6 @@ pub fn test_bipartiteness<'g, E: EngineCore<'g>>(
 mod tests {
     use super::*;
     use planartest_graph::generators::planar;
-    use planartest_sim::Engine;
     use planartest_sim::SimConfig;
 
     fn cfg() -> TesterConfig {

@@ -7,7 +7,7 @@
 //! bounded by twice the part diameter = `poly(1/ε)`.
 
 use planartest_graph::{EdgeId, Graph};
-use planartest_sim::EngineCore;
+use planartest_sim::Engine;
 
 use crate::config::TesterConfig;
 use crate::error::CoreError;
@@ -51,10 +51,7 @@ impl Spanner {
 /// # Errors
 ///
 /// Infrastructure errors only.
-pub fn build_spanner<'g, E: EngineCore<'g>>(
-    engine: &mut E,
-    cfg: &TesterConfig,
-) -> Result<Spanner, CoreError> {
+pub fn build_spanner(engine: &mut Engine<'_>, cfg: &TesterConfig) -> Result<Spanner, CoreError> {
     let partition = run_partition(engine, cfg)?;
     let g = engine.graph();
     let state = &partition.state;
@@ -82,7 +79,6 @@ pub fn build_spanner<'g, E: EngineCore<'g>>(
 mod tests {
     use super::*;
     use planartest_graph::generators::planar;
-    use planartest_sim::Engine;
     use planartest_sim::SimConfig;
 
     #[test]

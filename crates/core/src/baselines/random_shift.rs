@@ -12,7 +12,7 @@
 
 use planartest_graph::{EdgeId, NodeId};
 use planartest_sim::bfs::distributed_bfs;
-use planartest_sim::EngineCore;
+use planartest_sim::Engine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -57,8 +57,8 @@ impl RandomShiftConfig {
 /// # Errors
 ///
 /// Infrastructure errors only.
-pub fn random_shift_partition<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+pub fn random_shift_partition(
+    engine: &mut Engine<'_>,
     cfg: &RandomShiftConfig,
 ) -> Result<PartitionState, CoreError> {
     let g = engine.graph();
@@ -122,8 +122,8 @@ pub fn random_shift_partition<'g, E: EngineCore<'g>>(
 /// # Errors
 ///
 /// Infrastructure errors only.
-pub fn shift_spanner<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+pub fn shift_spanner(
+    engine: &mut Engine<'_>,
     cfg: &RandomShiftConfig,
 ) -> Result<Vec<EdgeId>, CoreError> {
     let state = random_shift_partition(engine, cfg)?;
@@ -152,7 +152,6 @@ fn shift_rng(seed: u64, node: u64) -> StdRng {
 mod tests {
     use super::*;
     use planartest_graph::generators::planar;
-    use planartest_sim::Engine;
     use planartest_sim::SimConfig;
 
     #[test]

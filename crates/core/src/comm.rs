@@ -8,30 +8,26 @@
 //! * [`census`] — a capped, streaming convergecast of `(key, value)` items
 //!   up part trees (the paper's "at most `3α+1` distinct root ids, else
 //!   overflow" aggregation from §2.1.5);
-//! * [`stream_broadcast_batch`] / [`up_stream_batch`] — pipelined
-//!   multi-message movement down/up part trees (used for candidate
-//!   lists, labels and sampled edges, which exceed one message of
-//!   bandwidth), serving any number of independent instances through
-//!   the instance-multiplexed executor (a batch of one is a plain
-//!   single run).
+//! * [`stream_broadcast`] / [`up_stream`] — pipelined multi-message
+//!   movement down/up part trees (used for candidate lists, labels and
+//!   sampled edges, which exceed one message of bandwidth).
 
 use std::collections::VecDeque;
 
 use planartest_graph::NodeId;
 use planartest_sim::tree::TreeTopology;
-use planartest_sim::EngineCore;
+use planartest_sim::Engine;
 use planartest_sim::{Msg, NodeLogic, Outbox, RunReport, SimError};
 
 /// One round in which every node sends `msg_for(v, w)` to each neighbour
 /// `w` (skipping `None`s); returns what each node received as
 /// `(from, msg)` pairs sorted by sender.
-pub fn exchange<'g, E, F>(
-    engine: &mut E,
+pub fn exchange<F>(
+    engine: &mut Engine<'_>,
     mut msg_for: F,
     max_rounds: u64,
 ) -> Result<Vec<Vec<(NodeId, Msg)>>, SimError>
 where
-    E: EngineCore<'g>,
     F: FnMut(NodeId, NodeId) -> Option<Msg>,
 {
     struct Logic<'f, F> {
@@ -60,7 +56,7 @@ where
         msg_for: &mut msg_for,
         received: vec![Vec::new(); n],
     };
-    engine.run_logic(&mut logic, max_rounds)?;
+    engine.run(&mut logic, max_rounds)?;
     for r in &mut logic.received {
         r.sort_by_key(|&(from, _)| from);
     }
@@ -75,14 +71,8 @@ fn engine_neighbors(out: &Outbox<'_>, node: NodeId) -> Vec<NodeId> {
         .collect()
 }
 
-/// One instance's result in a [`stream_broadcast_batch`]: the messages
-/// received per node, plus the instance's own [`RunReport`].
-pub type BroadcastLane = (Vec<Vec<Msg>>, RunReport);
-
-/// One instance's result in an [`up_stream_batch`]: the
-/// `(relay, message)` lists collected per node, plus the instance's own
-/// [`RunReport`].
-pub type UpStreamLane = (Vec<Vec<(NodeId, Msg)>>, RunReport);
+/// What an [`up_stream`] collected: per node, `(relay, message)` pairs.
+pub type Collected = Vec<Vec<(NodeId, Msg)>>;
 
 /// How [`census`] merges two values of the same key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,8 +200,8 @@ impl NodeLogic for CensusLogic<'_> {
 /// # Errors
 ///
 /// Propagates engine [`SimError`]s.
-pub fn census<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+pub fn census(
+    engine: &mut Engine<'_>,
     tree: &TreeTopology,
     local_items: &[Vec<(u32, u64)>],
     cap: usize,
@@ -237,7 +227,7 @@ pub fn census<'g, E: EngineCore<'g>>(
             logic.overflow[v] = true;
         }
     }
-    engine.run_logic(&mut logic, max_rounds)?;
+    engine.run(&mut logic, max_rounds)?;
     Ok(logic.result)
 }
 
@@ -280,47 +270,35 @@ impl NodeLogic for StreamBroadcastLogic<'_> {
     }
 }
 
-/// Batched pipelined multi-message broadcast: per instance, each root's
-/// message list flows down its tree in FIFO order, one message per edge
-/// per round; every node receives its root's list (roots' own payloads
-/// are *not* echoed back to themselves). The instances execute through
-/// the instance-multiplexed executor
-/// ([`EngineCore::run_logic_batch`]); each returned [`RunReport`] is
-/// bit-for-bit what that instance's sequential run would report.
+/// Pipelined multi-message broadcast: each root's message list flows
+/// down its tree in FIFO order, one message per edge per round; every
+/// node receives its root's list (roots' own payloads are *not* echoed
+/// back to themselves). Returns the messages received per node and the
+/// run's [`RunReport`].
 ///
-/// Cost per instance: `height + k` rounds for `k` messages.
+/// Cost: `height + k` rounds for `k` messages.
 ///
 /// # Errors
 ///
-/// Propagates the first instance's engine [`SimError`] (instances are
-/// independent; an error is a protocol/infrastructure bug, not data).
-pub fn stream_broadcast_batch<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+/// Propagates engine [`SimError`]s.
+pub fn stream_broadcast(
+    engine: &mut Engine<'_>,
     tree: &TreeTopology,
-    payloads: Vec<Vec<Vec<Msg>>>,
+    payload: Vec<Vec<Msg>>,
     max_rounds: u64,
-) -> Result<Vec<BroadcastLane>, SimError> {
+) -> Result<(Vec<Vec<Msg>>, RunReport), SimError> {
+    debug_assert!(payload
+        .iter()
+        .enumerate()
+        .all(|(v, p)| p.is_empty() || tree.is_root(NodeId::new(v))));
     let n = engine.graph().n();
-    let mut logics: Vec<StreamBroadcastLogic<'_>> = payloads
-        .into_iter()
-        .map(|payload| {
-            debug_assert!(payload
-                .iter()
-                .enumerate()
-                .all(|(v, p)| p.is_empty() || tree.is_root(NodeId::new(v))));
-            StreamBroadcastLogic {
-                tree,
-                queue: payload.into_iter().map(VecDeque::from).collect(),
-                received: vec![Vec::new(); n],
-            }
-        })
-        .collect();
-    let results = engine.run_logic_batch(&mut logics, max_rounds);
-    results
-        .into_iter()
-        .zip(logics)
-        .map(|(result, logic)| result.map(|report| (logic.received, report)))
-        .collect()
+    let mut logic = StreamBroadcastLogic {
+        tree,
+        queue: payload.into_iter().map(VecDeque::from).collect(),
+        received: vec![Vec::new(); n],
+    };
+    let report = engine.run(&mut logic, max_rounds)?;
+    Ok((logic.received, report))
 }
 
 struct UpStreamLogic<'t> {
@@ -373,53 +351,41 @@ impl NodeLogic for UpStreamLogic<'_> {
     }
 }
 
-/// Batched up-stream collection: per instance, every node's message
-/// list moves up its part tree to the root (FIFO, one message per edge
-/// per round, store-and-forward through internal nodes). Returns, per
-/// instance, the collected `(origin-or-relay, msg)` list at every root
-/// — senders along the path are the *relaying* children, so protocols
-/// that need origins must encode them in the payload — and the
-/// instance's own [`RunReport`].
+/// Up-stream collection: every node's message list moves up its part
+/// tree to the root (FIFO, one message per edge per round,
+/// store-and-forward through internal nodes). Returns the collected
+/// `(origin-or-relay, msg)` list at every root — senders along the path
+/// are the *relaying* children, so protocols that need origins must
+/// encode them in the payload — and the run's [`RunReport`].
 ///
-/// This is the Stage-II hot path for serving many Monte-Carlo seeds at
-/// once: the per-seed sample streams are the only seed-dependent engine
-/// runs of the tester, and here they ride one multiplexed executor
-/// ([`EngineCore::run_logic_batch`]).
+/// This is the Stage-II hot path for Monte-Carlo seeds: the per-seed
+/// sample streams are the only seed-dependent engine runs of the tester.
 ///
-/// Cost per instance: `O(height + total items through the busiest
-/// edge)` rounds.
+/// Cost: `O(height + total items through the busiest edge)` rounds.
 ///
 /// # Errors
 ///
-/// Propagates the first instance's engine [`SimError`].
-pub fn up_stream_batch<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+/// Propagates engine [`SimError`]s.
+pub fn up_stream(
+    engine: &mut Engine<'_>,
     tree: &TreeTopology,
-    items: Vec<Vec<Vec<Msg>>>,
+    items: Vec<Vec<Msg>>,
     max_rounds: u64,
-) -> Result<Vec<UpStreamLane>, SimError> {
+) -> Result<(Collected, RunReport), SimError> {
     let n = engine.graph().n();
-    let mut logics: Vec<UpStreamLogic<'_>> = items
-        .into_iter()
-        .map(|item| UpStreamLogic {
-            tree,
-            queue: item.into_iter().map(VecDeque::from).collect(),
-            collected: vec![Vec::new(); n],
-        })
-        .collect();
-    let results = engine.run_logic_batch(&mut logics, max_rounds);
-    results
-        .into_iter()
-        .zip(logics)
-        .map(|(result, logic)| result.map(|report| (logic.collected, report)))
-        .collect()
+    let mut logic = UpStreamLogic {
+        tree,
+        queue: items.into_iter().map(VecDeque::from).collect(),
+        collected: vec![Vec::new(); n],
+    };
+    let report = engine.run(&mut logic, max_rounds)?;
+    Ok((logic.collected, report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use planartest_graph::Graph;
-    use planartest_sim::Engine;
     use planartest_sim::SimConfig;
 
     /// Path 0-1-2-3-4 rooted at 0; separate root 5 attached to 4? No — 5
@@ -529,8 +495,7 @@ mod tests {
         let mut engine = Engine::new(&g, SimConfig::default());
         let mut payload = vec![Vec::new(); 6];
         payload[0] = vec![Msg::words(&[1]), Msg::words(&[2]), Msg::words(&[3])];
-        let lanes = stream_broadcast_batch(&mut engine, &tree, vec![payload], 1000).unwrap();
-        let (got, report) = &lanes[0];
+        let (got, report) = stream_broadcast(&mut engine, &tree, payload, 1000).unwrap();
         for (v, msgs) in got.iter().enumerate().take(5).skip(1) {
             let words: Vec<u64> = msgs.iter().map(|m| m.word(0)).collect();
             assert_eq!(words, vec![1, 2, 3], "node {v}");
@@ -548,17 +513,18 @@ mod tests {
         let items: Vec<Vec<Msg>> = (0..6)
             .map(|v| vec![Msg::words(&[v as u64]), Msg::words(&[100 + v as u64])])
             .collect();
-        // Two lanes with distinct payloads: each collects only its own.
+        // A second run on the same engine collects only its own items.
         let shifted: Vec<Vec<Msg>> = (0..6)
             .map(|v| vec![Msg::words(&[200 + v as u64])])
             .collect();
-        let lanes = up_stream_batch(&mut engine, &tree, vec![items, shifted], 1000).unwrap();
-        let mut words: Vec<u64> = lanes[0].0[0].iter().map(|(_, m)| m.word(0)).collect();
+        let (first, _) = up_stream(&mut engine, &tree, items, 1000).unwrap();
+        let (second, _) = up_stream(&mut engine, &tree, shifted, 1000).unwrap();
+        let mut words: Vec<u64> = first[0].iter().map(|(_, m)| m.word(0)).collect();
         words.sort_unstable();
         assert_eq!(words, vec![0, 1, 2, 3, 4, 100, 101, 102, 103, 104]);
-        let w5: Vec<u64> = lanes[0].0[5].iter().map(|(_, m)| m.word(0)).collect();
+        let w5: Vec<u64> = first[5].iter().map(|(_, m)| m.word(0)).collect();
         assert_eq!(w5, vec![5, 105]);
-        let mut words2: Vec<u64> = lanes[1].0[0].iter().map(|(_, m)| m.word(0)).collect();
+        let mut words2: Vec<u64> = second[0].iter().map(|(_, m)| m.word(0)).collect();
         words2.sort_unstable();
         assert_eq!(words2, vec![200, 201, 202, 203, 204]);
     }

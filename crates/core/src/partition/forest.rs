@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use planartest_graph::NodeId;
 use planartest_sim::tree::TreeTopology;
-use planartest_sim::EngineCore;
+use planartest_sim::Engine;
 use planartest_sim::Msg;
 
 use crate::comm::{self, MergeOp};
@@ -58,8 +58,8 @@ struct RootScratch {
     cand_deact: HashMap<u32, u32>,
 }
 
-pub(crate) fn run_forest_decomposition<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+pub(crate) fn run_forest_decomposition(
+    engine: &mut Engine<'_>,
     cfg: &TesterConfig,
     state: &PartitionState,
     tree: &TreeTopology,
@@ -256,7 +256,6 @@ mod tests {
     use super::*;
     use planartest_graph::generators::{nonplanar, planar};
     use planartest_graph::Graph;
-    use planartest_sim::Engine;
     use planartest_sim::SimConfig;
 
     fn peel_graph(g: &Graph, cfg: &TesterConfig) -> PeelOutcome {

@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 use planartest_graph::NodeId;
 use planartest_sim::tree::{broadcast, convergecast};
-use planartest_sim::EngineCore;
+use planartest_sim::Engine;
 use planartest_sim::Msg;
 
 use crate::comm;
@@ -28,8 +28,8 @@ pub(crate) enum Selection {
 const NONE_SENTINEL: u64 = u64::MAX;
 
 /// Executes the merging step, updating `state` in place.
-pub(crate) fn run_merge<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+pub(crate) fn run_merge(
+    engine: &mut Engine<'_>,
     cfg: &TesterConfig,
     state: &mut PartitionState,
     peel: &PeelOutcome,
@@ -210,7 +210,6 @@ pub(crate) fn run_merge<'g, E: EngineCore<'g>>(
 mod tests {
     use super::*;
     use planartest_graph::generators::planar;
-    use planartest_sim::Engine;
     use planartest_sim::SimConfig;
 
     /// Run one full phase (peel + merge) on a small graph and check the

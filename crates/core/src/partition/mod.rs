@@ -26,7 +26,7 @@ pub mod randomized;
 
 use planartest_graph::{Graph, NodeId};
 use planartest_sim::tree::TreeTopology;
-use planartest_sim::EngineCore;
+use planartest_sim::Engine;
 use planartest_sim::Msg;
 
 use crate::comm;
@@ -141,10 +141,7 @@ impl Partition {
 ///
 /// Returns infrastructure errors only; rejection is reported in the
 /// returned [`Partition`].
-pub fn run_partition<'g, E: EngineCore<'g>>(
-    engine: &mut E,
-    cfg: &TesterConfig,
-) -> Result<Partition, CoreError> {
+pub fn run_partition(engine: &mut Engine<'_>, cfg: &TesterConfig) -> Result<Partition, CoreError> {
     let g = engine.graph();
     let mut state = PartitionState::singletons(g);
     let mut rejected: Vec<NodeId> = Vec::new();
@@ -210,8 +207,8 @@ pub fn run_partition<'g, E: EngineCore<'g>>(
 }
 
 /// One exchange round: every node learns `(neighbour, neighbour's root)`.
-pub(crate) fn exchange_roots<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+pub(crate) fn exchange_roots(
+    engine: &mut Engine<'_>,
     state: &PartitionState,
     max_rounds: u64,
 ) -> Result<Vec<Vec<(NodeId, u32)>>, CoreError> {
@@ -242,7 +239,6 @@ fn has_boundary(state: &PartitionState, neighbor_roots: &[Vec<(NodeId, u32)>]) -
 mod tests {
     use super::*;
     use planartest_graph::generators::planar;
-    use planartest_sim::Engine;
     use planartest_sim::SimConfig;
 
     #[test]

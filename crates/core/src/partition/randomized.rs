@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 use planartest_graph::NodeId;
 use planartest_sim::tree::{broadcast, convergecast};
-use planartest_sim::EngineCore;
+use planartest_sim::Engine;
 use planartest_sim::Msg;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -82,8 +82,8 @@ impl RandomPartitionConfig {
 /// # Errors
 ///
 /// Infrastructure errors only.
-pub fn run_randomized_partition<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+pub fn run_randomized_partition(
+    engine: &mut Engine<'_>,
     cfg: &RandomPartitionConfig,
 ) -> Result<Partition, CoreError> {
     let g = engine.graph();
@@ -245,7 +245,6 @@ fn node_rng(seed: u64, phase: u64, trial: u64, node: NodeId) -> StdRng {
 mod tests {
     use super::*;
     use planartest_graph::generators::planar;
-    use planartest_sim::Engine;
     use planartest_sim::SimConfig;
 
     #[test]

@@ -1,36 +1,21 @@
 //! Message-level protocols specific to Stage II: pipelined label
 //! distribution down BFS trees and label exchange across non-tree edges.
-//!
-//! Both protocols are **batch-native**: the `_batch` entry points drive
-//! any number of independent instances (each with its own tree /
-//! digit assignment / edge assignment) in lockstep through
-//! [`EngineCore::run_logic_batch`], returning per-instance results and
-//! [`RunReport`]s that are bit-for-bit identical to running the
-//! instances sequentially. The single-instance wrappers are batches of
-//! one — every tester run exercises the multiplexed path.
 
 use std::collections::HashMap;
 
 use planartest_graph::{EdgeId, Graph, NodeId};
 use planartest_sim::tree::TreeTopology;
-use planartest_sim::EngineCore;
-use planartest_sim::{Msg, NodeLogic, Outbox, RunReport, SimError};
+use planartest_sim::Engine;
+use planartest_sim::{Msg, NodeLogic, Outbox, SimError};
 
 use crate::stage2::labels::Label;
 
 const TAG_DIGIT: u64 = 0;
 const TAG_END: u64 = 1;
 
-/// One label-distribution instance: a rooted forest plus each node's
-/// child-digit assignment (`digit_of[parent][child] = digit`).
-pub(crate) struct LabelSpec<'t> {
-    pub tree: &'t TreeTopology,
-    pub digit_of: &'t [HashMap<u32, u32>],
-}
-
-/// The per-instance logic behind [`distribute_labels_batch`]: each
-/// node's label is its parent's label plus its own child digit, fully
-/// pipelined in `O(depth + max label length)` rounds.
+/// The logic behind [`distribute_labels`]: each node's label is its
+/// parent's label plus its own child digit, fully pipelined in
+/// `O(depth + max label length)` rounds.
 struct LabelLogic<'t> {
     tree: &'t TreeTopology,
     digit_of: &'t [HashMap<u32, u32>],
@@ -91,54 +76,27 @@ impl NodeLogic for LabelLogic<'_> {
     }
 }
 
-/// Distributes vertex labels down every part tree for each instance of
-/// the batch, in lockstep. Returns per instance the node labels and the
-/// instance's own [`RunReport`].
-pub(crate) fn distribute_labels_batch<'g, E: EngineCore<'g>>(
-    engine: &mut E,
-    specs: &[LabelSpec<'_>],
-    max_rounds: u64,
-) -> Result<Vec<(Vec<Label>, RunReport)>, SimError> {
-    let n = engine.graph().n();
-    let mut logics: Vec<LabelLogic<'_>> = specs
-        .iter()
-        .map(|s| LabelLogic {
-            tree: s.tree,
-            digit_of: s.digit_of,
-            label: vec![Vec::new(); n],
-            end_pending: vec![false; n],
-        })
-        .collect();
-    let results = engine.run_logic_batch(&mut logics, max_rounds);
-    results
-        .into_iter()
-        .zip(logics)
-        .map(|(result, logic)| {
-            result.map(|report| (logic.label.into_iter().map(Label).collect(), report))
-        })
-        .collect()
-}
-
-/// Single-instance [`distribute_labels_batch`] (a batch of one).
-pub(crate) fn distribute_labels<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+/// Distributes vertex labels down every part tree, given each node's
+/// child-digit assignment (`digit_of[parent][child] = digit`).
+pub(crate) fn distribute_labels(
+    engine: &mut Engine<'_>,
     tree: &TreeTopology,
     digit_of: &[HashMap<u32, u32>],
     max_rounds: u64,
 ) -> Result<Vec<Label>, SimError> {
-    let mut out = distribute_labels_batch(engine, &[LabelSpec { tree, digit_of }], max_rounds)?;
-    Ok(out.pop().expect("one instance").0)
+    let n = engine.graph().n();
+    let mut logic = LabelLogic {
+        tree,
+        digit_of,
+        label: vec![Vec::new(); n],
+        end_pending: vec![false; n],
+    };
+    engine.run(&mut logic, max_rounds)?;
+    Ok(logic.label.into_iter().map(Label).collect())
 }
 
-/// One label-exchange instance: the non-tree edges assigned to each
-/// node plus every node's label.
-pub(crate) struct ExchangeSpec<'t> {
-    pub assigned: &'t [Vec<EdgeId>],
-    pub node_labels: &'t [Label],
-}
-
-/// The per-instance logic behind [`exchange_edge_labels_batch`]:
-/// streams framed label words over bandwidth-sized chunks.
+/// The logic behind [`exchange_edge_labels`]: streams framed label
+/// words over bandwidth-sized chunks.
 struct StreamLogic {
     /// Per node: remaining (target, words) channels.
     sendq: Vec<Vec<(NodeId, Vec<u64>)>>,
@@ -189,98 +147,56 @@ impl NodeLogic for StreamLogic {
     }
 }
 
-/// One instance's result in an [`exchange_edge_labels_batch`]: the
-/// other-endpoint label digits per node (in `assigned[node]` order),
-/// plus the instance's own [`RunReport`].
-pub(crate) type ExchangeLane = (Vec<Vec<Vec<u32>>>, RunReport);
-
-/// Streams, for every assigned non-tree edge of every instance, the
-/// non-owner endpoint's label to the owner — all instances in lockstep.
-/// Returns, per instance, the other-endpoint label words per node (in
-/// `assigned[node]` order) and the instance's own [`RunReport`].
-pub(crate) fn exchange_edge_labels_batch<'g, E: EngineCore<'g>>(
-    engine: &mut E,
-    g: &Graph,
-    specs: &[ExchangeSpec<'_>],
-    max_rounds: u64,
-) -> Result<Vec<ExchangeLane>, SimError> {
-    let n = g.n();
-    let chunk = engine.config().max_words_per_message;
-    let mut logics: Vec<StreamLogic> = specs
-        .iter()
-        .map(|spec| {
-            // Channels: (sender w, receiver v=owner, framed words of w's
-            // label).
-            let mut outgoing: Vec<Vec<(NodeId, Vec<u64>)>> = vec![Vec::new(); n];
-            for (v, edges) in spec.assigned.iter().enumerate() {
-                for &e in edges {
-                    let w = g.other_endpoint(e, NodeId::new(v));
-                    // Digits packed several to a word (`pack_label`)
-                    // rather than one per word: same O(log n)-bit
-                    // messages, a fraction of the message count.
-                    let mut words = Vec::new();
-                    crate::stage2::labels::pack_label(&spec.node_labels[w.index()].0, &mut words);
-                    outgoing[w.index()].push((NodeId::new(v), words));
-                }
-            }
-            StreamLogic {
-                sendq: outgoing,
-                cursor: vec![0; n],
-                chunk,
-                received: vec![HashMap::new(); n],
-            }
-        })
-        .collect();
-    let results = engine.run_logic_batch(&mut logics, max_rounds);
-    results
-        .into_iter()
-        .zip(logics)
-        .zip(specs)
-        .map(|((result, logic), spec)| {
-            result.map(|report| {
-                let mut out = vec![Vec::new(); n];
-                for (v, edges) in spec.assigned.iter().enumerate() {
-                    for &e in edges {
-                        let w = g.other_endpoint(e, NodeId::new(v));
-                        let words = logic.received[v]
-                            .get(&w.raw())
-                            .unwrap_or_else(|| panic!("missing label stream {w:?} -> n{v}"));
-                        let (digits, used) = crate::stage2::labels::unpack_label(words);
-                        assert_eq!(words.len(), used, "label stream framing corrupted");
-                        out[v].push(digits);
-                    }
-                }
-                (out, report)
-            })
-        })
-        .collect()
-}
-
-/// Single-instance [`exchange_edge_labels_batch`] (a batch of one).
-pub(crate) fn exchange_edge_labels<'g, E: EngineCore<'g>>(
-    engine: &mut E,
+/// Streams, for every assigned non-tree edge, the non-owner endpoint's
+/// label to the owner. Returns the other-endpoint label digits per node,
+/// in `assigned[node]` order.
+pub(crate) fn exchange_edge_labels(
+    engine: &mut Engine<'_>,
     g: &Graph,
     assigned: &[Vec<EdgeId>],
     node_labels: &[Label],
     max_rounds: u64,
 ) -> Result<Vec<Vec<Vec<u32>>>, SimError> {
-    let mut out = exchange_edge_labels_batch(
-        engine,
-        g,
-        &[ExchangeSpec {
-            assigned,
-            node_labels,
-        }],
-        max_rounds,
-    )?;
-    Ok(out.pop().expect("one instance").0)
+    let n = g.n();
+    // Channels: (sender w, receiver v=owner, framed words of w's label).
+    let mut sendq: Vec<Vec<(NodeId, Vec<u64>)>> = vec![Vec::new(); n];
+    for (v, edges) in assigned.iter().enumerate() {
+        for &e in edges {
+            let w = g.other_endpoint(e, NodeId::new(v));
+            // Digits packed several to a word (`pack_label`) rather than
+            // one per word: same O(log n)-bit messages, a fraction of the
+            // message count.
+            let mut words = Vec::new();
+            crate::stage2::labels::pack_label(&node_labels[w.index()].0, &mut words);
+            sendq[w.index()].push((NodeId::new(v), words));
+        }
+    }
+    let mut logic = StreamLogic {
+        sendq,
+        cursor: vec![0; n],
+        chunk: engine.config().max_words_per_message,
+        received: vec![HashMap::new(); n],
+    };
+    engine.run(&mut logic, max_rounds)?;
+    let mut out = vec![Vec::new(); n];
+    for (v, edges) in assigned.iter().enumerate() {
+        for &e in edges {
+            let w = g.other_endpoint(e, NodeId::new(v));
+            let words = logic.received[v]
+                .get(&w.raw())
+                .unwrap_or_else(|| panic!("missing label stream {w:?} -> n{v}"));
+            let (digits, used) = crate::stage2::labels::unpack_label(words);
+            assert_eq!(words.len(), used, "label stream framing corrupted");
+            out[v].push(digits);
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use planartest_graph::Graph;
-    use planartest_sim::Engine;
     use planartest_sim::SimConfig;
 
     #[test]
@@ -338,8 +254,8 @@ mod tests {
     #[test]
     fn batched_label_instances_match_sequential_runs() {
         // Two instances over the same graph with different trees and
-        // digit assignments: the batch must reproduce each sequential
-        // run bit for bit.
+        // digit assignments, run back to back on one engine: each must
+        // reproduce its run on a fresh engine bit for bit.
         let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
         let tree_a = TreeTopology::from_parents(
             &g,
@@ -371,37 +287,19 @@ mod tests {
         let digit_a = digits(&[(0, 1, 1), (0, 3, 2), (1, 2, 1)]);
         let digit_b = digits(&[(2, 1, 2), (2, 3, 1), (1, 0, 1)]);
 
-        let mut seq = Vec::new();
+        let mut batch = Engine::new(&g, SimConfig::default());
+        let mut total = planartest_sim::SimStats::default();
         for (tree, digit_of) in [(&tree_a, &digit_a), (&tree_b, &digit_b)] {
-            let mut engine = Engine::new(&g, SimConfig::default());
-            let labels = distribute_labels(&mut engine, tree, digit_of, 1000).unwrap();
-            seq.push((labels, *engine.stats()));
+            let mut fresh = Engine::new(&g, SimConfig::default());
+            let want = distribute_labels(&mut fresh, tree, digit_of, 1000).unwrap();
+            total.merge(fresh.stats());
+            assert_eq!(
+                distribute_labels(&mut batch, tree, digit_of, 1000).unwrap(),
+                want
+            );
         }
-
-        let mut engine = Engine::new(&g, SimConfig::default());
-        let batched = distribute_labels_batch(
-            &mut engine,
-            &[
-                LabelSpec {
-                    tree: &tree_a,
-                    digit_of: &digit_a,
-                },
-                LabelSpec {
-                    tree: &tree_b,
-                    digit_of: &digit_b,
-                },
-            ],
-            1000,
-        )
-        .unwrap();
-        for ((labels, report), (want_labels, want_stats)) in batched.iter().zip(&seq) {
-            assert_eq!(labels, want_labels);
-            assert_eq!(report.rounds, want_stats.rounds);
-            assert_eq!(report.messages, want_stats.messages);
-            assert_eq!(report.words, want_stats.words);
-        }
-        // The engine absorbed both instances as separate runs.
-        assert_eq!(engine.stats().runs, 2);
+        assert_eq!(*batch.stats(), total);
+        assert_eq!(batch.stats().runs, 2);
     }
 
     #[test]
@@ -426,7 +324,8 @@ mod tests {
     #[test]
     fn batched_exchange_instances_stay_independent() {
         // Same cycle, two instances assigning *different* non-tree edges
-        // with different labels: each lane must see only its own data.
+        // with different labels, back to back on one engine: each must
+        // see only its own data.
         let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
         let labels_a = vec![
             Label(vec![]),
@@ -447,23 +346,10 @@ mod tests {
         let mut assigned_b: Vec<Vec<EdgeId>> = vec![Vec::new(); 4];
         assigned_b[1].push(e01);
         let mut engine = Engine::new(&g, SimConfig::default());
-        let got = exchange_edge_labels_batch(
-            &mut engine,
-            &g,
-            &[
-                ExchangeSpec {
-                    assigned: &assigned_a,
-                    node_labels: &labels_a,
-                },
-                ExchangeSpec {
-                    assigned: &assigned_b,
-                    node_labels: &labels_b,
-                },
-            ],
-            1000,
-        )
-        .unwrap();
-        assert_eq!(got[0].0[2], vec![vec![2u32]]);
-        assert_eq!(got[1].0[1], vec![vec![9u32]]);
+        let got_a = exchange_edge_labels(&mut engine, &g, &assigned_a, &labels_a, 1000).unwrap();
+        let got_b = exchange_edge_labels(&mut engine, &g, &assigned_b, &labels_b, 1000).unwrap();
+        assert_eq!(got_a[2], vec![vec![2u32]]);
+        assert_eq!(got_b[1], vec![vec![9u32]]);
+        assert!(got_a[1].is_empty() && got_b[2].is_empty());
     }
 }

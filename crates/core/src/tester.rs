@@ -1,7 +1,7 @@
 //! The full planarity tester (Theorem 1): Stage I then Stage II.
 
 use planartest_graph::{Graph, NodeId};
-use planartest_sim::{Backend, Engine, EngineCore, ParallelEngine, SimConfig, SimStats};
+use planartest_sim::{Backend, Engine, SimConfig, SimStats};
 
 use crate::config::TesterConfig;
 use crate::error::CoreError;
@@ -100,12 +100,11 @@ impl PlanarityTester {
         self
     }
 
-    /// Selects the execution backend (serial or worker-pool). Both
-    /// produce identical outcomes for the same seed; see
-    /// [`planartest_sim::runtime`].
+    /// A no-op kept for compatibility: every tester pass runs on the one
+    /// serial engine whatever `backend` names (see
+    /// [`planartest_sim::runtime`]).
     #[must_use]
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.sim.backend = backend;
+    pub fn with_backend(self, _backend: Backend) -> Self {
         self
     }
 
@@ -130,47 +129,30 @@ impl PlanarityTester {
     }
 
     /// Serves a whole batch of Monte-Carlo queries on `g` — one
-    /// independent tester instance per seed — through a single
-    /// instance-multiplexed pass.
+    /// independent tester instance per seed — through a single pass on
+    /// one engine.
     ///
     /// The Stage-I partition and the seed-independent Stage-II prefix
     /// (BFS trees, counting, embedding, label distribution/exchange)
     /// run **once**; every instance is credited their full round cost.
-    /// The seed-dependent Stage-II sample streams execute as lockstep
-    /// lanes of the batch engine
-    /// ([`planartest_sim::runtime::batch`]). Each returned
-    /// [`TestOutcome`] — verdict, witnesses *and* statistics — is
-    /// bit-for-bit identical to what [`PlanarityTester::run`] with that
-    /// seed produces; only the wall-clock collapses.
+    /// Only the seed-dependent Stage-II sample streams run per seed,
+    /// back to back on the same engine. Each returned [`TestOutcome`] —
+    /// verdict, witnesses *and* statistics — is bit-for-bit identical to
+    /// what [`PlanarityTester::run`] with that seed produces; only the
+    /// wall-clock collapses.
     ///
     /// # Errors
     ///
     /// Infrastructure errors only; fails fast if any instance errs
     /// (e.g. a `1/poly(n)` sample overflow — rerun with other seeds).
     pub fn run_many(&self, g: &Graph, seeds: &[u64]) -> Result<Vec<TestOutcome>, CoreError> {
-        match self.sim.backend {
-            Backend::Serial => self.run_many_on(&mut Engine::new(g, self.sim), seeds),
-            // `Auto` rides the parallel engine, which resolves the
-            // worker count per run from the backend's work threshold.
-            Backend::Parallel { .. } | Backend::Auto => {
-                self.run_many_on(&mut ParallelEngine::new(g, self.sim), seeds)
-            }
-        }
-    }
-
-    /// Runs the two stages for every seed on an already-constructed
-    /// engine (any backend).
-    fn run_many_on<'g, E: EngineCore<'g>>(
-        &self,
-        engine: &mut E,
-        seeds: &[u64],
-    ) -> Result<Vec<TestOutcome>, CoreError> {
         if seeds.is_empty() {
             return Ok(Vec::new());
         }
+        let mut engine = Engine::new(g, self.sim);
         // Stage I is deterministic and seed-independent: one run serves
         // the whole batch, each instance paying its cost in full.
-        let partition = partition::run_partition(engine, &self.cfg)?;
+        let partition = partition::run_partition(&mut engine, &self.cfg)?;
         let stage1_stats = *engine.stats();
         let stage1_rejections: Vec<(NodeId, RejectReason)> = partition
             .rejected
@@ -191,7 +173,7 @@ impl PlanarityTester {
                 })
                 .collect());
         }
-        let batch = stage2::run_stage2_many(engine, &self.cfg, seeds, &partition.state)?;
+        let batch = stage2::run_stage2_many(&mut engine, &self.cfg, seeds, &partition.state)?;
         Ok(batch
             .outcomes
             .into_iter()
@@ -310,6 +292,8 @@ mod tests {
 
     #[test]
     fn parallel_backend_matches_serial() {
+        // `with_backend` is a compatibility no-op: naming the retired
+        // worker pool must not change a single bit of the outcome.
         let mut rng = StdRng::seed_from_u64(9);
         let graphs = vec![
             planar::triangulated_grid(6, 6).graph,

@@ -49,7 +49,6 @@ fn insufficient_bandwidth_is_loud() {
     let err = PlanarityTester::new(cfg)
         .with_sim_config(SimConfig {
             max_words_per_message: 1,
-            ..SimConfig::default()
         })
         .run(&fam.graph)
         .expect_err("1-word bandwidth cannot carry BFS offers");

@@ -22,7 +22,8 @@
 //!
 //! `query` flags: `--spec SPEC` or `--graph-file PATH` (edge list),
 //! `--property P`, `--epsilon E`, `--seed S`, `--phases T`,
-//! `--backend B` (`serial|parallel[:k]|auto`), `--embedding strict|paper`.
+//! `--backend B` (`serial|parallel[:k]|auto`; validated, no effect — every
+//! pass runs on the one serial engine), `--embedding strict|paper`.
 
 use std::process::ExitCode;
 use std::time::Duration;

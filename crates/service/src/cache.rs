@@ -19,9 +19,8 @@
 //!
 //! Exact per-seed entries (accept *or* reject) always replay
 //! bit-identically — verdict, witnesses, and the full statistics ledger
-//! are the stored engine pass's. The execution backend is deliberately
-//! absent from the key: backends are bit-for-bit equivalent, so a
-//! serially-computed entry may serve a parallel query and vice versa.
+//! are the stored engine pass's. The wire `backend` field has no effect
+//! on a pass, so it is absent from the key.
 //!
 //! # Bounded accept stripes
 //!

@@ -2,7 +2,7 @@
 //!
 //! A *group* is the scheduler's unit of engine work — every pending
 //! query that shares a `(graph, config, property)` cache key rides one
-//! instance-multiplexed engine pass. Groups are mutually independent
+//! batched engine pass. Groups are mutually independent
 //! (distinct keys, disjoint outputs) and [`execute_groups`] fans them
 //! across a [`TrialRunner`] pool: group execution is **pure** — it
 //! reads the resident CSR through an immutable registry borrow and
@@ -19,9 +19,7 @@
 use planartest_core::applications::{test_bipartiteness, test_cycle_freeness, HereditaryOutcome};
 use planartest_core::{CoreError, PlanarityTester, TesterConfig};
 use planartest_graph::Graph;
-use planartest_sim::{
-    Backend, Engine, EngineCore, ParallelEngine, SimConfig, SimStats, TrialRunner,
-};
+use planartest_sim::{Engine, SimConfig, SimStats, TrialRunner};
 
 use crate::cache::CacheKey;
 use crate::query::{GraphRef, Outcome, Property};
@@ -38,9 +36,6 @@ pub(crate) struct Group {
     pub key: CacheKey,
     /// The first member's full config (fingerprint-equal for all).
     pub cfg: TesterConfig,
-    /// The first member's backend (a wall-clock choice only — outcomes
-    /// are backend-invariant).
-    pub backend: Backend,
     /// Distinct seed lanes in first-seen order (seed-independent
     /// properties collapse onto lane 0).
     pub seeds: Vec<u64>,
@@ -97,7 +92,6 @@ fn run_group_pass(registry: &GraphRegistry, group: &Group, clock: &Clock) -> Gro
     let started = clock.now_micros();
     let by_seed: Result<Vec<(u64, Outcome)>, CoreError> = match group.key.property {
         Property::Planarity => PlanarityTester::new(group.cfg.clone())
-            .with_backend(group.backend)
             .run_many(graph, &group.seeds)
             .map(|outs| {
                 group
@@ -108,7 +102,7 @@ fn run_group_pass(registry: &GraphRegistry, group: &Group, clock: &Clock) -> Gro
                     .collect()
             }),
         Property::CycleFreeness | Property::Bipartiteness => {
-            run_hereditary(graph, &group.cfg, group.key.property, group.backend)
+            run_hereditary(graph, &group.cfg, group.key.property)
                 .map(|(outcome, stats)| vec![(0, Outcome::Hereditary { outcome, stats })])
         }
     };
@@ -118,39 +112,18 @@ fn run_group_pass(registry: &GraphRegistry, group: &Group, clock: &Clock) -> Gro
     }
 }
 
-/// Runs a Corollary 16 tester on the requested backend, returning the
-/// outcome plus the pass's statistics (accounted via
-/// [`SimStats::delta_since`] so engine reuse cannot double-charge).
+/// Runs a Corollary 16 tester on a fresh engine, returning the outcome
+/// plus the pass's statistics.
 fn run_hereditary(
     graph: &Graph,
     cfg: &TesterConfig,
     property: Property,
-    backend: Backend,
 ) -> Result<(HereditaryOutcome, SimStats), CoreError> {
-    let sim = SimConfig::default().with_backend(backend);
-    match backend {
-        Backend::Serial => {
-            let mut engine = Engine::new(graph, sim);
-            run_hereditary_on(&mut engine, cfg, property)
-        }
-        Backend::Parallel { .. } | Backend::Auto => {
-            let mut engine = ParallelEngine::new(graph, sim);
-            run_hereditary_on(&mut engine, cfg, property)
-        }
-    }
-}
-
-fn run_hereditary_on<'g, E: EngineCore<'g>>(
-    engine: &mut E,
-    cfg: &TesterConfig,
-    property: Property,
-) -> Result<(HereditaryOutcome, SimStats), CoreError> {
-    let baseline = *engine.stats();
+    let mut engine = Engine::new(graph, SimConfig::default());
     let outcome = match property {
-        Property::CycleFreeness => test_cycle_freeness(engine, cfg)?,
-        Property::Bipartiteness => test_bipartiteness(engine, cfg)?,
+        Property::CycleFreeness => test_cycle_freeness(&mut engine, cfg)?,
+        Property::Bipartiteness => test_bipartiteness(&mut engine, cfg)?,
         Property::Planarity => unreachable!("planarity rides run_many"),
     };
-    let stats = engine.stats().delta_since(&baseline);
-    Ok((outcome, stats))
+    Ok((outcome, *engine.stats()))
 }

@@ -1,10 +1,10 @@
 //! Query service layer for the planarity tester: ingest graphs once,
 //! serve many property-testing queries cheaply.
 //!
-//! PRs 1–3 built an engine fit for heavy traffic — a parallel
-//! deterministic CONGEST runtime, flat CSR/arena memory, and
-//! instance-multiplexed batching — but every caller still paid full
-//! graph construction and Stage-I partition cost per query. This crate
+//! The engine underneath is fit for heavy traffic — a deterministic
+//! CONGEST runtime, flat CSR/arena memory, and batched Monte-Carlo
+//! passes — but on its own every caller would still pay full graph
+//! construction and Stage-I partition cost per query. This crate
 //! is the front door that amortizes all of it:
 //!
 //! * [`registry::GraphRegistry`] — ingests graphs (edge lists via

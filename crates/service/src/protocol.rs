@@ -16,7 +16,7 @@
 //! | op | fields | effect |
 //! |----|--------|--------|
 //! | `ingest` | `name`, and `edge_list` *or* `spec`; `to_disk?` | register a graph, build + fingerprint once (`to_disk` streams it straight to the `--state-dir` CSR spill, registered mapped) |
-//! | `query` | `graph` (name) or `fingerprint`, `property?`, `epsilon?`, `seed?`, `phases?`, `backend?`, `embedding?` | test one property, cache-aware |
+//! | `query` | `graph` (name) or `fingerprint`, `property?`, `epsilon?`, `seed?`, `phases?`, `backend?` (validated, no effect), `embedding?` | test one property, cache-aware |
 //! | `batch` | `queries`: array of query objects | coalesced drain: same-graph queries share engine passes |
 //! | `stats` | — | registry/cache/scheduler counters, queue depth, outbound shed/loss ledgers, uptime, wake reasons |
 //! | `metrics` | — | full telemetry snapshot: latency histograms per `(property, cache, route)`, stage timings, cycle accounting |
@@ -123,19 +123,18 @@ pub fn parse_query(req: &Value) -> Result<Query, String> {
         Some(Some("paper")) => cfg = cfg.with_embedding(EmbeddingMode::Demoucron),
         Some(_) => return Err("`embedding` must be `strict` or `paper`".to_string()),
     }
-    let backend = match req.get("backend") {
-        None => Backend::Auto,
-        Some(b) => b
-            .as_str()
+    // `backend` is a no-op kept for compatibility: every pass runs on
+    // the one serial engine. It is still validated, so a typo fails loudly.
+    if let Some(b) = req.get("backend") {
+        b.as_str()
             .ok_or_else(|| "`backend` must be a string".to_string())?
             .parse::<Backend>()
-            .map_err(|e| e.to_string())?,
-    };
+            .map_err(|e| e.to_string())?;
+    }
     Ok(Query {
         graph,
         property,
         cfg,
-        backend,
     })
 }
 
@@ -559,6 +558,61 @@ mod tests {
         for resp in responses {
             assert_eq!(resp.get("coalesced").unwrap().as_u64(), Some(3));
         }
+        assert_eq!(s.engine_passes(), 1);
+    }
+
+    #[test]
+    fn backend_field_is_validated_then_ignored() {
+        let mut s = Service::new();
+        ingest(&mut s, "p", "tri_grid(5,5)");
+        let query = |backend: Option<&str>| {
+            let q = Value::obj()
+                .field("graph", "p")
+                .field("epsilon", 0.2)
+                .field("phases", 5u64)
+                .field("seed", 3u64);
+            match backend {
+                Some(b) => q.field("backend", b),
+                None => q,
+            }
+        };
+        let queries: Vec<Value> = [Some("serial"), Some("parallel:4"), Some("auto"), None]
+            .into_iter()
+            .map(query)
+            .collect();
+        let r = handle_request(
+            &mut s,
+            &Value::obj().field("op", "batch").field("queries", queries),
+        );
+        let responses = r.get("responses").unwrap().as_arr().unwrap();
+        assert_eq!(responses.len(), 4);
+        let outcome = |resp: &Value| -> Vec<String> {
+            [
+                "ok",
+                "verdict",
+                "graph",
+                "seed",
+                "cache",
+                "rounds",
+                "messages",
+                "words",
+                "coalesced",
+            ]
+            .iter()
+            .map(|k| resp.get(k).expect(k).to_string())
+            .collect()
+        };
+        for resp in responses {
+            assert_eq!(outcome(resp), outcome(&responses[0]));
+        }
+        assert_eq!(s.engine_passes(), 1);
+
+        let warp = handle_line(
+            &mut s,
+            &query(Some("warp")).field("op", "query").to_string(),
+        );
+        assert_eq!(warp.get("ok").unwrap().as_bool(), Some(false));
+        assert!(warp.get("error").unwrap().to_string().contains("backend"));
         assert_eq!(s.engine_passes(), 1);
     }
 

@@ -7,7 +7,7 @@ use planartest_core::applications::HereditaryOutcome;
 use planartest_core::{TestOutcome, TesterConfig};
 use planartest_graph::fingerprint::Fingerprint;
 use planartest_graph::NodeId;
-use planartest_sim::{Backend, SimStats};
+use planartest_sim::SimStats;
 
 /// Which property a query tests. All three ride the same Stage-I
 /// partition machinery (planarity is Theorem 1; cycle-freeness and
@@ -104,22 +104,16 @@ pub struct Query {
     /// Full tester configuration (ε, constants, embedding mode — and the
     /// seed, which is the Monte-Carlo axis of the cache).
     pub cfg: TesterConfig,
-    /// Execution backend. Deliberately **not** part of the cache key:
-    /// backends are bit-for-bit equivalent (the runtime's determinism
-    /// guarantee), so a result computed serially may legitimately serve
-    /// a parallel query and vice versa.
-    pub backend: Backend,
 }
 
 impl Query {
-    /// A planarity query with default backend selection.
+    /// A planarity query.
     #[must_use]
     pub fn planarity(graph: GraphRef, cfg: TesterConfig) -> Self {
         Query {
             graph,
             property: Property::Planarity,
             cfg,
-            backend: Backend::Auto,
         }
     }
 
@@ -127,13 +121,6 @@ impl Query {
     #[must_use]
     pub fn with_property(mut self, property: Property) -> Self {
         self.property = property;
-        self
-    }
-
-    /// Replaces the backend.
-    #[must_use]
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
         self
     }
 }
@@ -277,10 +264,8 @@ mod tests {
     #[test]
     fn query_builders() {
         let q = Query::planarity(GraphRef::Name("g".into()), TesterConfig::new(0.1))
-            .with_property(Property::Bipartiteness)
-            .with_backend(Backend::Serial);
+            .with_property(Property::Bipartiteness);
         assert_eq!(q.property, Property::Bipartiteness);
-        assert_eq!(q.backend, Backend::Serial);
         assert_eq!(GraphRef::Name("g".into()).to_string(), "g");
     }
 }

@@ -9,7 +9,7 @@
 //!    immediately;
 //! 2. **group** — bucket the misses by `(graph, config, property)`
 //!    key, first-seen order;
-//! 3. **execute** — run each group through **one** instance-multiplexed
+//! 3. **execute** — run each group through **one** batched
 //!    [`PlanarityTester::run_many`](planartest_core::PlanarityTester::run_many)
 //!    pass, independent groups fanned across a
 //!    [`TrialRunner`] pool (the `exec` module) — pure, so parallel and
@@ -716,7 +716,6 @@ pub(crate) fn group_misses(misses: Vec<(usize, Resolved)>) -> Vec<Group> {
                 groups.push(Group {
                     key: resolved.key,
                     cfg: resolved.query.cfg.clone(),
-                    backend: resolved.query.backend,
                     seeds: Vec::new(),
                     members: Vec::new(),
                 });

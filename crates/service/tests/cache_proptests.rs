@@ -1,12 +1,12 @@
 //! Cache-correctness properties: cached and uncached paths must be
-//! bit-identical, across every execution backend — and a cached reject
-//! must replay its witness without re-running the partition.
+//! bit-identical — and a cached reject must replay its witness without
+//! re-running the partition.
 
 use planartest_core::applications::{test_bipartiteness, test_cycle_freeness};
 use planartest_core::{PlanarityTester, TesterConfig};
 use planartest_graph::generators::spec;
 use planartest_service::{CacheStatus, GraphRef, Outcome, Property, Query, Service};
-use planartest_sim::{Backend, Engine, SimConfig, SimStats};
+use planartest_sim::{Engine, SimConfig, SimStats};
 use proptest::prelude::*;
 
 /// The corpus the properties draw from: planar, certified-far, and
@@ -24,12 +24,6 @@ const SPECS: &[&str] = &[
 
 const EPSILONS: &[f64] = &[0.05, 0.1, 0.25];
 
-const BACKENDS: &[Backend] = &[
-    Backend::Serial,
-    Backend::Parallel { threads: 2 },
-    Backend::Auto,
-];
-
 const PROPERTIES: &[Property] = &[
     Property::Planarity,
     Property::CycleFreeness,
@@ -40,17 +34,13 @@ fn cfg(eps: f64, seed: u64) -> TesterConfig {
     TesterConfig::new(eps).with_phases(4).with_seed(seed)
 }
 
-/// Reference run with no service in the loop (the "uncached path"),
-/// pinned to the serial engine.
+/// Reference run with no service in the loop (the "uncached path").
 fn direct(spec_text: &str, cfg: &TesterConfig, property: Property) -> Outcome {
     let graph = spec::parse(spec_text).expect("corpus spec").graph;
     match property {
-        Property::Planarity => Outcome::Planarity(
-            PlanarityTester::new(cfg.clone())
-                .with_backend(Backend::Serial)
-                .run(&graph)
-                .expect("run"),
-        ),
+        Property::Planarity => {
+            Outcome::Planarity(PlanarityTester::new(cfg.clone()).run(&graph).expect("run"))
+        }
         Property::CycleFreeness | Property::Bipartiteness => {
             let mut engine = Engine::new(&graph, SimConfig::default());
             let baseline = *engine.stats();
@@ -98,16 +88,14 @@ fn assert_outcomes_identical(a: &Outcome, b: &Outcome, context: &str) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Cached and uncached paths return bit-identical outcomes, with the
-    /// cold pass and the warm replay on independently chosen backends.
+    /// Cached and uncached paths return bit-identical outcomes, for the
+    /// cold pass and the warm replay alike.
     #[test]
-    fn cached_equals_uncached_across_backends(
+    fn cached_equals_uncached(
         spec_idx in 0..SPECS.len(),
         eps_idx in 0..EPSILONS.len(),
         seed in 0u64..1_000,
         prop_idx in 0..PROPERTIES.len(),
-        cold_backend in 0..BACKENDS.len(),
-        warm_backend in 0..BACKENDS.len(),
     ) {
         let spec_text = SPECS[spec_idx];
         let property = PROPERTIES[prop_idx];
@@ -116,29 +104,24 @@ proptest! {
 
         let mut service = Service::new();
         service.registry_mut().ingest_spec("g", spec_text).unwrap();
-        let query = |backend: Backend| {
-            Query::planarity(GraphRef::Name("g".into()), cfg.clone())
-                .with_property(property)
-                .with_backend(backend)
-        };
+        let query =
+            || Query::planarity(GraphRef::Name("g".into()), cfg.clone()).with_property(property);
 
-        let cold = service.query(query(BACKENDS[cold_backend])).unwrap();
+        let cold = service.query(query()).unwrap();
         prop_assert_eq!(cold.cache, CacheStatus::Cold);
         assert_outcomes_identical(
             &cold.outcome,
             &reference,
-            &format!("cold {spec_text} {property} backend {cold_backend}"),
+            &format!("cold {spec_text} {property}"),
         );
         prop_assert_eq!(service.engine_passes(), 1);
 
-        // Warm replay: possibly a different backend — the cache key
-        // ignores backends because outcomes are backend-invariant.
-        let warm = service.query(query(BACKENDS[warm_backend])).unwrap();
+        let warm = service.query(query()).unwrap();
         prop_assert_eq!(warm.cache, CacheStatus::Warm);
         assert_outcomes_identical(
             &warm.outcome,
             &reference,
-            &format!("warm {spec_text} {property} backend {warm_backend}"),
+            &format!("warm {spec_text} {property}"),
         );
         prop_assert_eq!(service.engine_passes(), 1, "warm hits must not run engines");
     }
@@ -150,20 +133,16 @@ proptest! {
         spec_idx in 0..SPECS.len(),
         eps_idx in 0..EPSILONS.len(),
         base_seed in 0u64..1_000,
-        backend in 0..BACKENDS.len(),
     ) {
         let spec_text = SPECS[spec_idx];
         let mut service = Service::new();
         service.registry_mut().ingest_spec("g", spec_text).unwrap();
         let seeds: Vec<u64> = (base_seed..base_seed + 3).collect();
         for &seed in &seeds {
-            service.submit(
-                Query::planarity(
-                    GraphRef::Name("g".into()),
-                    cfg(EPSILONS[eps_idx], seed),
-                )
-                .with_backend(BACKENDS[backend]),
-            );
+            service.submit(Query::planarity(
+                GraphRef::Name("g".into()),
+                cfg(EPSILONS[eps_idx], seed),
+            ));
         }
         let drained = service.drain();
         prop_assert_eq!(service.engine_passes(), 1, "one pass for the group");
@@ -201,17 +180,13 @@ proptest! {
         far_idx in 0..3usize,
         seed_a in 0u64..500,
         seed_offset in 1u64..500,
-        backend in 0..BACKENDS.len(),
     ) {
         // Certified-far corpus members: every seed rejects.
         let spec_text = ["k5_chain(4)", "complete(8)", "planar_plus_chords(16, 10, seed=2)"][far_idx];
         let seed_b = seed_a + seed_offset;
         let mut service = Service::new();
         service.registry_mut().ingest_spec("far", spec_text).unwrap();
-        let query = |seed: u64| {
-            Query::planarity(GraphRef::Name("far".into()), cfg(0.05, seed))
-                .with_backend(BACKENDS[backend])
-        };
+        let query = |seed: u64| Query::planarity(GraphRef::Name("far".into()), cfg(0.05, seed));
 
         let first = service.query(query(seed_a)).unwrap();
         prop_assert!(!first.outcome.accepted(), "{} must reject", spec_text);

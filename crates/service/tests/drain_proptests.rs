@@ -2,7 +2,7 @@
 //! execute on a parallel worker pool must be **bit-for-bit** equal to
 //! the sequential drain — same verdicts, witnesses, statistics
 //! ledgers, cache provenance, coalescing counts and telemetry — across
-//! Serial/Parallel/Auto engine backends and mixed properties.
+//! mixed properties.
 //!
 //! This is the contract that lets the concurrent server fan groups out
 //! (`exec::execute_groups`) without the results depending on pool
@@ -11,7 +11,6 @@
 
 use planartest_core::TesterConfig;
 use planartest_service::{DrainedQuery, GraphRef, Property, Query, Service};
-use planartest_sim::Backend;
 use proptest::prelude::*;
 
 /// The corpus: two planar families, a certified-far family, and an
@@ -24,12 +23,6 @@ const SPECS: &[&str] = &[
 ];
 
 const EPSILONS: &[f64] = &[0.1, 0.25];
-
-const BACKENDS: &[Backend] = &[
-    Backend::Serial,
-    Backend::Parallel { threads: 2 },
-    Backend::Auto,
-];
 
 const PROPERTIES: &[Property] = &[
     Property::Planarity,
@@ -46,7 +39,6 @@ struct Spec {
     eps_idx: usize,
     seed: u64,
     property_idx: usize,
-    backend_idx: usize,
 }
 
 fn spec_strategy() -> impl Strategy<Value = Spec> {
@@ -55,17 +47,13 @@ fn spec_strategy() -> impl Strategy<Value = Spec> {
         0..EPSILONS.len(),
         0u64..4,
         0..PROPERTIES.len(),
-        0..BACKENDS.len(),
     )
-        .prop_map(
-            |(graph_idx, eps_idx, seed, property_idx, backend_idx)| Spec {
-                graph_idx,
-                eps_idx,
-                seed,
-                property_idx,
-                backend_idx,
-            },
-        )
+        .prop_map(|(graph_idx, eps_idx, seed, property_idx)| Spec {
+            graph_idx,
+            eps_idx,
+            seed,
+            property_idx,
+        })
 }
 
 fn build_query(spec: &Spec) -> Query {
@@ -81,7 +69,6 @@ fn build_query(spec: &Spec) -> Query {
             .with_seed(spec.seed),
     )
     .with_property(PROPERTIES[spec.property_idx])
-    .with_backend(BACKENDS[spec.backend_idx])
 }
 
 /// Runs the whole workload through a fresh service with the given

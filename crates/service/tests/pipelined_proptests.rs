@@ -29,7 +29,6 @@ use planartest_service::wire::Value;
 use planartest_service::{
     protocol, ConnectionId, GraphRef, Property, Query, ServeOptions, Server, Service, Submission,
 };
-use planartest_sim::Backend;
 use proptest::prelude::*;
 
 /// The ingested corpus: two accepting planar families, one certified-
@@ -166,7 +165,7 @@ fn render_op(op: &Op) -> Value {
 }
 
 /// The `Service`-API form of one query (must parse-match `render_op`:
-/// same config, same `Auto` backend default as the wire path).
+/// same config as the wire path).
 fn build_query(graph: usize, eps: usize, seed: u64, property: Property) -> Query {
     Query::planarity(
         GraphRef::Name(graph_name(graph)),
@@ -175,7 +174,6 @@ fn build_query(graph: usize, eps: usize, seed: u64, property: Property) -> Query
             .with_seed(seed),
     )
     .with_property(property)
-    .with_backend(Backend::Auto)
 }
 
 fn ingested_service() -> Service {

@@ -5,18 +5,10 @@
 //! parent, and propagates offers. A membership filter restricts which
 //! offers a node may accept — Stage II uses it to keep each part's BFS
 //! inside the part.
-//!
-//! The protocol is expressed as a [`ParallelNodeLogic`]: each node's
-//! join state is node-local, so on a parallel backend the offer waves —
-//! the `O(depth)`-round bulk of Stage II's preprocessing — fan out
-//! across the worker pool. On a serial backend the same code runs on
-//! one thread with identical results (see the
-//! [runtime docs](crate::runtime)).
 
 use planartest_graph::{Graph, NodeId};
 
-use crate::engine::{Msg, Outbox, SimError};
-use crate::runtime::{EngineCore, ParallelNodeLogic};
+use crate::engine::{Engine, Msg, NodeLogic, Outbox, SimError};
 use crate::tree::TreeTopology;
 
 const TAG_OFFER: u64 = 0;
@@ -50,21 +42,19 @@ impl DistBfs {
 /// Runs a synchronous multi-root BFS; `allow(node, root)` gates which tree
 /// a node may join (use `|_, _| true` for an unrestricted BFS).
 ///
-/// Takes `2·depth + O(1)` rounds (offers + accepts). Runs node-parallel
-/// on a [`Backend::Parallel`](crate::runtime::Backend) engine.
+/// Takes `2·depth + O(1)` rounds (offers + accepts).
 ///
 /// # Errors
 ///
 /// Propagates engine [`SimError`]s.
-pub fn distributed_bfs<'g, E, F>(
-    engine: &mut E,
+pub fn distributed_bfs<F>(
+    engine: &mut Engine<'_>,
     roots: &[NodeId],
     allow: F,
     max_rounds: u64,
 ) -> Result<DistBfs, SimError>
 where
-    E: EngineCore<'g>,
-    F: Fn(NodeId, NodeId) -> bool + Sync,
+    F: Fn(NodeId, NodeId) -> bool,
 {
     let g = engine.graph();
     let n = g.n();
@@ -72,65 +62,50 @@ where
     for &r in roots {
         is_root[r.index()] = true;
     }
-    let logic = BfsLogic { g, is_root, allow };
-    let mut states = vec![BfsNodeState::default(); n];
-    engine.run_program(&logic, &mut states, max_rounds)?;
-    let mut out = DistBfs {
-        root_of: Vec::with_capacity(n),
-        parent: Vec::with_capacity(n),
-        children: Vec::with_capacity(n),
-        level: Vec::with_capacity(n),
+    let mut logic = BfsLogic {
+        g,
+        is_root,
+        allow,
+        bfs: DistBfs {
+            root_of: vec![None; n],
+            parent: vec![None; n],
+            children: vec![Vec::new(); n],
+            level: vec![None; n],
+        },
     };
-    for mut s in states {
-        s.children.sort_unstable();
-        out.root_of.push(s.root_of);
-        out.parent.push(s.parent);
-        out.children.push(s.children);
-        out.level.push(s.level);
+    engine.run(&mut logic, max_rounds)?;
+    let mut bfs = logic.bfs;
+    for c in &mut bfs.children {
+        c.sort_unstable();
     }
-    Ok(out)
-}
-
-/// One node's BFS join state.
-#[derive(Debug, Clone, Default)]
-struct BfsNodeState {
-    root_of: Option<NodeId>,
-    parent: Option<NodeId>,
-    children: Vec<NodeId>,
-    level: Option<u32>,
+    Ok(bfs)
 }
 
 struct BfsLogic<'g, F> {
     g: &'g Graph,
     is_root: Vec<bool>,
     allow: F,
+    bfs: DistBfs,
 }
 
-impl<F: Fn(NodeId, NodeId) -> bool + Sync> ParallelNodeLogic for BfsLogic<'_, F> {
-    type State = BfsNodeState;
-
-    fn init(&self, node: NodeId, state: &mut BfsNodeState, out: &mut Outbox<'_>) {
+impl<F: Fn(NodeId, NodeId) -> bool> NodeLogic for BfsLogic<'_, F> {
+    fn init(&mut self, node: NodeId, out: &mut Outbox<'_>) {
         if self.is_root[node.index()] {
-            state.root_of = Some(node);
-            state.level = Some(0);
+            self.bfs.root_of[node.index()] = Some(node);
+            self.bfs.level[node.index()] = Some(0);
             out.send_all(Msg::words(&[TAG_OFFER, node.raw() as u64, 0]));
         }
     }
 
-    fn round(
-        &self,
-        node: NodeId,
-        state: &mut BfsNodeState,
-        inbox: &[(NodeId, Msg)],
-        out: &mut Outbox<'_>,
-    ) {
+    fn round(&mut self, node: NodeId, inbox: &[(NodeId, Msg)], out: &mut Outbox<'_>) {
+        let v = node.index();
         // Record accepts (children) regardless of our own join state.
         for (from, msg) in inbox {
             if msg.word(0) == TAG_ACCEPT {
-                state.children.push(*from);
+                self.bfs.children[v].push(*from);
             }
         }
-        if state.root_of.is_some() {
+        if self.bfs.root_of[v].is_some() {
             return; // already in a tree: ignore further offers
         }
         // Collect admissible offers and pick deterministically.
@@ -151,13 +126,12 @@ impl<F: Fn(NodeId, NodeId) -> bool + Sync> ParallelNodeLogic for BfsLogic<'_, F>
         }
         if let Some((root, sender, level)) = best {
             let parent = NodeId::from(sender);
-            state.root_of = Some(NodeId::from(root));
-            state.parent = Some(parent);
-            state.level = Some(level + 1);
+            self.bfs.root_of[v] = Some(NodeId::from(root));
+            self.bfs.parent[v] = Some(parent);
+            self.bfs.level[v] = Some(level + 1);
             out.send(parent, Msg::words(&[TAG_ACCEPT]));
             let offer = Msg::words(&[TAG_OFFER, root as u64, (level + 1) as u64]);
-            let neighbors: Vec<NodeId> = self.g.neighbors(node).iter().map(|&(w, _)| w).collect();
-            for w in neighbors {
+            for &(w, _) in self.g.neighbors(node) {
                 if w != parent {
                     out.send(w, offer.clone());
                 }
@@ -169,8 +143,7 @@ impl<F: Fn(NodeId, NodeId) -> bool + Sync> ParallelNodeLogic for BfsLogic<'_, F>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, SimConfig};
-    use crate::runtime::{Backend, ParallelEngine};
+    use crate::engine::SimConfig;
 
     #[test]
     fn single_root_levels() {
@@ -259,47 +232,5 @@ mod tests {
         let rounds = engine.stats().rounds;
         assert!(rounds >= (n - 1) as u64, "rounds {rounds}");
         assert!(rounds <= 2 * n as u64, "rounds {rounds}");
-    }
-
-    #[test]
-    fn parallel_backend_matches_serial() {
-        let g = Graph::from_edges(
-            9,
-            [
-                (0, 1),
-                (1, 2),
-                (2, 3),
-                (3, 4),
-                (4, 5),
-                (5, 6),
-                (6, 7),
-                (7, 8),
-                (8, 0),
-                (2, 6),
-            ],
-        )
-        .unwrap();
-        let run_with = |threads: usize| {
-            let cfg = SimConfig::default().with_backend(Backend::Parallel { threads });
-            let mut engine = ParallelEngine::new(&g, cfg);
-            let bfs = distributed_bfs(
-                &mut engine,
-                &[NodeId::new(0), NodeId::new(4)],
-                |_, _| true,
-                100,
-            )
-            .unwrap();
-            (
-                bfs.root_of,
-                bfs.parent,
-                bfs.children,
-                bfs.level,
-                *engine.stats(),
-            )
-        };
-        let serial = run_with(1);
-        for threads in [2, 4] {
-            assert_eq!(run_with(threads), serial, "threads={threads}");
-        }
     }
 }

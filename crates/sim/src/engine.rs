@@ -5,6 +5,7 @@ use std::fmt;
 use planartest_graph::{Graph, NodeId};
 
 use crate::runtime::lanes::LaneBits;
+use crate::runtime::mailbox::{Mailboxes, Staged};
 use crate::stats::SimStats;
 
 /// Payload words a [`Msg`] stores inline, without touching the heap.
@@ -155,28 +156,13 @@ pub struct SimConfig {
     /// Bandwidth: maximum payload words per message (per edge per round).
     /// The default of 4 models a constant number of `O(log n)`-bit fields.
     pub max_words_per_message: usize,
-    /// Which execution backend drives the rounds (see
-    /// [`Backend`](crate::runtime::Backend)). The serial and parallel
-    /// backends are bit-for-bit equivalent; the choice only affects
-    /// wall-clock time.
-    pub backend: crate::runtime::Backend,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             max_words_per_message: 4,
-            backend: crate::runtime::Backend::Auto,
         }
-    }
-}
-
-impl SimConfig {
-    /// Returns the configuration with `backend` selected.
-    #[must_use]
-    pub fn with_backend(mut self, backend: crate::runtime::Backend) -> Self {
-        self.backend = backend;
-        self
     }
 }
 
@@ -243,12 +229,7 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Report of a single [`Engine::run`].
-///
-/// Equality compares the CONGEST-semantic fields (`rounds`, `messages`,
-/// `words`) only: `backend` is wall-clock telemetry, and the
-/// serial/parallel determinism guarantee is exactly that reports from
-/// different backends are equal.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunReport {
     /// Rounds executed (the last round in which any message was delivered
     /// or any node was woken).
@@ -257,36 +238,14 @@ pub struct RunReport {
     pub messages: u64,
     /// Total payload words delivered.
     pub words: u64,
-    /// The backend that executed this run, with `Auto` resolved to the
-    /// concrete choice it made (telemetry; excluded from equality).
-    pub backend: crate::runtime::Backend,
 }
-
-impl Default for RunReport {
-    fn default() -> Self {
-        RunReport {
-            rounds: 0,
-            messages: 0,
-            words: 0,
-            backend: crate::runtime::Backend::Serial,
-        }
-    }
-}
-
-impl PartialEq for RunReport {
-    fn eq(&self, other: &Self) -> bool {
-        self.rounds == other.rounds && self.messages == other.messages && self.words == other.words
-    }
-}
-
-impl Eq for RunReport {}
 
 /// Per-node protocol logic, driven synchronously by the [`Engine`].
 ///
 /// The engine calls [`init`](NodeLogic::init) for every node before round
 /// 1, then, in each round, [`round`](NodeLogic::round) for every node that
-/// received a message or requested a wake-up. Local computation is free
-/// (CONGEST); only messages cost rounds.
+/// received a message or requested a wake-up, in ascending node order.
+/// Local computation is free (CONGEST); only messages cost rounds.
 pub trait NodeLogic {
     /// Round-0 hook: seed initial messages/wake-ups.
     fn init(&mut self, node: NodeId, out: &mut Outbox<'_>);
@@ -296,42 +255,25 @@ pub trait NodeLogic {
     fn round(&mut self, node: NodeId, inbox: &[(NodeId, Msg)], out: &mut Outbox<'_>);
 }
 
-/// Lane geometry of one [`Outbox`]: how this instance's *local* node and
-/// edge state maps into the (possibly shared, node-major) batch arrays.
-///
-/// Node-major batching ([`crate::runtime::batch`]) stores instance `i`'s
-/// node `v` at the virtual lane `v·B + i` and its edge-direction slot
-/// `s` at `s·owned + slot` in the owning worker's stamp stripe; a
-/// single-instance run is the degenerate stride-1 geometry. The `stamp`
-/// field carries the pre-computed "sent this round" epoch value, which
-/// lets recycled executors skip re-zeroing `edge_stamp` between
-/// instances: a fresh epoch base makes every stale stamp unequal by
-/// construction.
-#[derive(Clone, Copy)]
-pub(crate) struct LaneCtx {
-    /// Local node `v` lives at virtual lane `v·lane_stride + lane_off`.
-    pub lane_stride: usize,
-    /// See [`lane_stride`](LaneCtx::lane_stride).
-    pub lane_off: usize,
-    /// Edge slot `s` stamps at `s·stamp_stride + stamp_off`.
-    pub stamp_stride: usize,
-    /// See [`stamp_stride`](LaneCtx::stamp_stride).
-    pub stamp_off: usize,
-    /// The epoch value marking "sent this round" (base + round + 1).
-    pub stamp: u64,
-}
-
-impl LaneCtx {
-    /// The single-instance geometry: identity lanes, stamp epoch `stamp`.
-    pub(crate) fn solo(stamp: u64) -> Self {
-        LaneCtx {
-            lane_stride: 1,
-            lane_off: 0,
-            stamp_stride: 1,
-            stamp_off: 0,
-            stamp,
-        }
-    }
+/// The send side of one run: everything [`Outbox`] writes. Owned by the
+/// [`Engine`] and recycled across runs.
+#[derive(Debug)]
+struct Sends {
+    /// `edge_stamp[2e + dir]` = epoch of the last send on that edge
+    /// direction (see [`Sends::epoch`]).
+    edge_stamp: Vec<u64>,
+    /// The current run's epoch base: round `r` stamps `epoch + r + 1`.
+    /// Every run advances it past all the stamps it wrote, so a stale
+    /// stamp never equals a fresh one and `edge_stamp` is never
+    /// re-zeroed between runs.
+    epoch: u64,
+    /// Sends staged this round, delivered next round.
+    staged: Vec<Staged>,
+    /// Wake-up requests this round, deduplicated by `woken`.
+    wake: Vec<NodeId>,
+    woken: LaneBits,
+    /// The first CONGEST violation of the current sweep.
+    error: Option<SimError>,
 }
 
 /// Per-call send interface handed to [`NodeLogic`] methods.
@@ -343,46 +285,20 @@ pub struct Outbox<'a> {
     g: &'a Graph,
     limit: usize,
     round: u64,
-    /// Lane geometry: maps local node/edge state into the shared batch
-    /// arrays (identity for single-instance runs).
-    lane: LaneCtx,
-    staged: &'a mut Vec<(NodeId, NodeId, Msg)>,
-    /// `edge_stamp[slot·stride + off] = epoch` of the last send on that
-    /// direction (see [`LaneCtx`]).
-    edge_stamp: &'a mut [u64],
-    wake: &'a mut Vec<NodeId>,
-    woken: &'a mut LaneBits,
-    error: &'a mut Option<SimError>,
+    /// The epoch value marking "sent this round".
+    stamp: u64,
+    sends: &'a mut Sends,
 }
 
 impl<'a> Outbox<'a> {
-    /// Assembles an outbox over caller-owned buffers (used by the serial
-    /// loop, the parallel runtime's per-worker scratch, and the batch
-    /// executor's per-instance lanes).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn assemble(
-        src: NodeId,
-        g: &'a Graph,
-        limit: usize,
-        round: u64,
-        lane: LaneCtx,
-        staged: &'a mut Vec<(NodeId, NodeId, Msg)>,
-        edge_stamp: &'a mut [u64],
-        wake: &'a mut Vec<NodeId>,
-        woken: &'a mut LaneBits,
-        error: &'a mut Option<SimError>,
-    ) -> Self {
+    fn new(src: NodeId, g: &'a Graph, limit: usize, round: u64, sends: &'a mut Sends) -> Self {
         Outbox {
             src,
             g,
             limit,
             round,
-            lane,
-            staged,
-            edge_stamp,
-            wake,
-            woken,
-            error,
+            stamp: sends.epoch + round + 1,
+            sends,
         }
     }
 
@@ -392,27 +308,22 @@ impl<'a> Outbox<'a> {
     /// [`Outbox::send_all`].
     fn stage_on_edge(&mut self, to: NodeId, e: planartest_graph::EdgeId, msg: Msg) {
         let (u, _) = self.g.endpoints(e);
-        let dir = usize::from(self.src != u);
-        let slot = (2 * e.index() + dir) * self.lane.stamp_stride + self.lane.stamp_off;
-        if self.edge_stamp[slot] == self.lane.stamp {
-            *self.error = Some(SimError::DuplicateMessage { from: self.src, to });
+        let slot = 2 * e.index() + usize::from(self.src != u);
+        if self.sends.edge_stamp[slot] == self.stamp {
+            self.sends.error = Some(SimError::DuplicateMessage { from: self.src, to });
             return;
         }
-        self.edge_stamp[slot] = self.lane.stamp;
-        self.staged.push((
-            self.src,
-            NodeId::new(to.index() * self.lane.lane_stride + self.lane.lane_off),
-            msg,
-        ));
+        self.sends.edge_stamp[slot] = self.stamp;
+        self.sends.staged.push((self.src, to, msg));
     }
 
     /// Sends `msg` to neighbour `to`, to be delivered next round.
     pub fn send(&mut self, to: NodeId, msg: Msg) {
-        if self.error.is_some() {
+        if self.sends.error.is_some() {
             return;
         }
         if msg.len() > self.limit {
-            *self.error = Some(SimError::MessageTooLarge {
+            self.sends.error = Some(SimError::MessageTooLarge {
                 from: self.src,
                 to,
                 words: msg.len(),
@@ -421,7 +332,7 @@ impl<'a> Outbox<'a> {
             return;
         }
         let Some(e) = self.g.edge_between(self.src, to) else {
-            *self.error = Some(SimError::NotANeighbor { from: self.src, to });
+            self.sends.error = Some(SimError::NotANeighbor { from: self.src, to });
             return;
         };
         self.stage_on_edge(to, e, msg);
@@ -433,28 +344,27 @@ impl<'a> Outbox<'a> {
     /// and no per-neighbour edge lookup (the slice already carries the
     /// edge ids). This is the hottest primitive in flood workloads.
     pub fn send_all(&mut self, msg: Msg) {
-        if self.error.is_some() {
+        if self.sends.error.is_some() {
             return;
         }
         let g = self.g;
-        let deg = g.neighbors(self.src).len();
-        if deg == 0 {
+        let neighbors = g.neighbors(self.src);
+        let Some(&(first, _)) = neighbors.first() else {
             return;
-        }
+        };
         if msg.len() > self.limit {
             // Same error a `send` loop would raise on the first neighbour.
-            *self.error = Some(SimError::MessageTooLarge {
+            self.sends.error = Some(SimError::MessageTooLarge {
                 from: self.src,
-                to: g.neighbors(self.src)[0].0,
+                to: first,
                 words: msg.len(),
                 limit: self.limit,
             });
             return;
         }
-        for i in 0..deg {
-            let (w, e) = g.neighbors(self.src)[i];
+        for &(w, e) in neighbors {
             self.stage_on_edge(w, e, msg.clone());
-            if self.error.is_some() {
+            if self.sends.error.is_some() {
                 return;
             }
         }
@@ -464,11 +374,9 @@ impl<'a> Outbox<'a> {
     /// incoming messages (models an internal timer; costs a round only if
     /// nothing else is happening — it never creates messages).
     pub fn wake(&mut self) {
-        if !self.woken.get(self.src.index()) {
-            self.woken.set(self.src.index());
-            self.wake.push(NodeId::new(
-                self.src.index() * self.lane.lane_stride + self.lane.lane_off,
-            ));
+        if !self.sends.woken.get(self.src.index()) {
+            self.sends.woken.set(self.src.index());
+            self.sends.wake.push(self.src);
         }
     }
 
@@ -491,11 +399,22 @@ impl<'a> Outbox<'a> {
 /// The simulator: owns the cumulative [`SimStats`] across many runs, so a
 /// multi-phase algorithm (like the paper's tester) can account its total
 /// round complexity by sequencing `run` calls on one engine.
+///
+/// The engine also owns its round buffers — edge stamps, wake flags, the
+/// staged and active lists and the mailbox arena — and recycles them
+/// across runs. A batch of independent protocol instances (the tester's
+/// per-seed sample streams) is therefore just consecutive `run` calls on
+/// one engine: the buffers are allocated once, and each run reports
+/// exactly what it would on a fresh engine.
 #[derive(Debug)]
 pub struct Engine<'g> {
     g: &'g Graph,
     cfg: SimConfig,
     stats: SimStats,
+    sends: Sends,
+    /// This round's active nodes, in ascending order.
+    active: Vec<NodeId>,
+    boxes: Mailboxes,
 }
 
 impl<'g> Engine<'g> {
@@ -505,6 +424,16 @@ impl<'g> Engine<'g> {
             g,
             cfg,
             stats: SimStats::default(),
+            sends: Sends {
+                edge_stamp: vec![0; 2 * g.m()],
+                epoch: 0,
+                staged: Vec::new(),
+                wake: Vec::new(),
+                woken: LaneBits::new(g.n()),
+                error: None,
+            },
+            active: Vec::new(),
+            boxes: Mailboxes::new(g.n()),
         }
     }
 
@@ -518,7 +447,8 @@ impl<'g> Engine<'g> {
         self.cfg
     }
 
-    /// Cumulative statistics over all runs (plus charged rounds).
+    /// Cumulative statistics over all successful runs (plus charged
+    /// rounds).
     pub fn stats(&self) -> &SimStats {
         &self.stats
     }
@@ -529,178 +459,87 @@ impl<'g> Engine<'g> {
         self.stats.charged_rounds += rounds;
     }
 
-    /// Folds one run's report into the cumulative statistics.
-    pub(crate) fn absorb(&mut self, report: RunReport) {
-        self.stats.absorb(report);
-    }
-
-    /// Runs `logic` to quiescence (no staged messages and no wake-ups).
+    /// Runs `logic` to quiescence (no staged messages and no wake-ups)
+    /// and folds its report into [`stats`](Engine::stats).
     ///
     /// # Errors
     ///
     /// Returns a [`SimError`] if the protocol violates the CONGEST
-    /// constraints or fails to quiesce within `max_rounds`.
+    /// constraints or fails to quiesce within `max_rounds`. A failed run
+    /// leaves the statistics untouched and the engine ready for the next
+    /// run.
     pub fn run<L: NodeLogic>(
         &mut self,
         logic: &mut L,
         max_rounds: u64,
     ) -> Result<RunReport, SimError> {
-        let report = run_serial(self.g, self.cfg, logic, max_rounds)?;
+        debug_assert!(
+            self.sends.staged.is_empty() && !self.sends.woken.any_set(),
+            "every run must start from clean buffers"
+        );
+        let mut report = RunReport::default();
+        let result = self.rounds(logic, max_rounds, &mut report);
+        self.sends.epoch += report.rounds + 2;
+        if let Err(e) = result {
+            // Drop the undelivered sends and pending wake-ups, so the
+            // next run starts from clean buffers.
+            self.sends.staged.clear();
+            for v in self.sends.wake.drain(..) {
+                self.sends.woken.clear(v.index());
+            }
+            return Err(e);
+        }
         self.stats.absorb(report);
         Ok(report)
     }
-}
 
-/// The reference serial round loop, shared by [`Engine::run`] and the
-/// parallel runtime's sequential fallback for aggregate-state logic.
-///
-/// Delivery, activation and wake semantics live in
-/// [`Mailboxes`](crate::runtime::mailbox::Mailboxes) and
-/// [`finish_active`](crate::runtime::parallel::finish_active) — the
-/// same primitives the parallel executor runs on — so the CONGEST
-/// semantics exist exactly once and the serial/parallel bit-for-bit
-/// equivalence is structural, not a matter of keeping two hand-written
-/// loops in sync.
-pub(crate) fn run_serial<L: NodeLogic>(
-    g: &Graph,
-    cfg: SimConfig,
-    logic: &mut L,
-    max_rounds: u64,
-) -> Result<RunReport, SimError> {
-    let mut staged: Vec<(NodeId, NodeId, Msg)> = Vec::new();
-    // `edge_stamp[2e + dir] = round + 1` of the last send; 0 = never.
-    let mut edge_stamp = vec![0u64; 2 * g.m()];
-    let mut wake: Vec<NodeId> = Vec::new();
-    let mut woken = LaneBits::new(g.n());
-    let mut active: Vec<NodeId> = Vec::new();
-    let mut boxes = crate::runtime::mailbox::Mailboxes::new(g.n());
-    let mut stamp_base = 0;
-    run_serial_recycled(
-        g,
-        cfg,
-        logic,
-        max_rounds,
-        &mut edge_stamp,
-        &mut woken,
-        &mut staged,
-        &mut wake,
-        &mut active,
-        &mut boxes,
-        &mut stamp_base,
-    )
-}
-
-/// The reference round loop over caller-owned buffers: the batch
-/// executor's consecutive path ([`crate::runtime::batch`]) re-enters it
-/// with one set of recycled arenas per batch, so a batch of one is
-/// *structurally* the same run as [`Engine::run`] — not a copy kept in
-/// sync.
-///
-/// `stamp_base` is the edge-stamp epoch base: this run marks "sent in
-/// round `r`" as `stamp_base + r + 1` and advances the base past every
-/// stamp it wrote before returning. Recycling callers therefore never
-/// re-zero `edge_stamp` between instances — stale stamps from earlier
-/// runs compare unequal to every new epoch by construction. The vectors
-/// and wake flags must arrive empty/clear; this function restores that
-/// state on **every** exit path (including CONGEST violations and
-/// round-budget exhaustion), so consecutive recycled runs need no
-/// inter-instance scrubbing at all.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_serial_recycled<L: NodeLogic>(
-    g: &Graph,
-    cfg: SimConfig,
-    logic: &mut L,
-    max_rounds: u64,
-    edge_stamp: &mut [u64],
-    woken: &mut LaneBits,
-    staged: &mut Vec<(NodeId, NodeId, Msg)>,
-    wake: &mut Vec<NodeId>,
-    active: &mut Vec<NodeId>,
-    boxes: &mut crate::runtime::mailbox::Mailboxes,
-    stamp_base: &mut u64,
-) -> Result<RunReport, SimError> {
-    let limit = cfg.max_words_per_message;
-    let base = *stamp_base;
-    let mut error: Option<SimError> = None;
-    let mut report = RunReport::default();
-
-    // Restores the buffers' reset invariant after an aborted run: drop
-    // the undelivered sends and clear the pending wake flags (lane id =
-    // node id under the solo geometry).
-    let abort = |staged: &mut Vec<(NodeId, NodeId, Msg)>,
-                 wake: &mut Vec<NodeId>,
-                 woken: &mut LaneBits,
-                 stamp_base: &mut u64,
-                 round: u64,
-                 e: SimError| {
-        staged.clear();
-        for v in wake.drain(..) {
-            woken.clear(v.index());
-        }
-        *stamp_base = base + round + 2;
-        Err(e)
-    };
-
-    // Round 0: init.
-    for v in g.nodes() {
-        let mut out = Outbox::assemble(
-            v,
-            g,
-            limit,
-            0,
-            LaneCtx::solo(base + 1),
-            staged,
-            edge_stamp,
-            wake,
-            woken,
-            &mut error,
-        );
-        logic.init(v, &mut out);
-        if let Some(e) = error {
-            return abort(staged, wake, woken, stamp_base, 0, e);
-        }
-    }
-
-    let mut round: u64 = 0;
-    while !staged.is_empty() || !wake.is_empty() {
-        round += 1;
-        if round > max_rounds {
-            return abort(
-                staged,
-                wake,
-                woken,
-                stamp_base,
-                round,
-                SimError::RoundLimitExceeded { limit: max_rounds },
-            );
-        }
-        // `active` is recycled across rounds: cleared, never
-        // re-allocated at steady state.
-        active.clear();
-        boxes.deliver(staged, woken, active, &mut report);
-        crate::runtime::parallel::finish_active(active, wake, woken);
-        for &v in active.iter() {
-            let mut out = Outbox::assemble(
-                v,
-                g,
-                limit,
-                round,
-                LaneCtx::solo(base + round + 1),
-                staged,
-                edge_stamp,
-                wake,
-                woken,
-                &mut error,
-            );
-            logic.round(v, boxes.inbox(v), &mut out);
-            if let Some(e) = error {
-                return abort(staged, wake, woken, stamp_base, round, e);
+    /// The round loop behind [`Engine::run`]; `report.rounds` tracks the
+    /// current round on every exit path.
+    fn rounds<L: NodeLogic>(
+        &mut self,
+        logic: &mut L,
+        max_rounds: u64,
+        report: &mut RunReport,
+    ) -> Result<(), SimError> {
+        let g = self.g;
+        let limit = self.cfg.max_words_per_message;
+        for v in g.nodes() {
+            logic.init(v, &mut Outbox::new(v, g, limit, 0, &mut self.sends));
+            if let Some(e) = self.sends.error.take() {
+                return Err(e);
             }
         }
+        while !self.sends.staged.is_empty() || !self.sends.wake.is_empty() {
+            let round = report.rounds + 1;
+            report.rounds = round;
+            if round > max_rounds {
+                return Err(SimError::RoundLimitExceeded { limit: max_rounds });
+            }
+            // Message-activated nodes, then the woken ones, swept in
+            // ascending node order.
+            self.active.clear();
+            self.boxes.deliver(
+                &mut self.sends.staged,
+                &self.sends.woken,
+                &mut self.active,
+                report,
+            );
+            self.active.append(&mut self.sends.wake);
+            self.active.sort_unstable();
+            self.active.dedup();
+            for &v in &self.active {
+                self.sends.woken.clear(v.index());
+            }
+            for &v in &self.active {
+                let mut out = Outbox::new(v, g, limit, round, &mut self.sends);
+                logic.round(v, self.boxes.inbox(v), &mut out);
+                if let Some(e) = self.sends.error.take() {
+                    return Err(e);
+                }
+            }
+        }
+        Ok(())
     }
-    *stamp_base = base + round + 2;
-    report.rounds = round;
-    Ok(report)
 }
 
 #[cfg(test)]
@@ -759,7 +598,6 @@ mod tests {
             &g,
             SimConfig {
                 max_words_per_message: 4,
-                ..SimConfig::default()
             },
         );
         let err = engine.run(&mut SendTooBig, 10).unwrap_err();
@@ -916,6 +754,119 @@ mod tests {
         engine.charge_rounds(17);
         assert_eq!(engine.stats().charged_rounds, 17);
         assert_eq!(engine.stats().total_rounds(), 17);
+    }
+
+    /// How a [`Faulty`] run ends.
+    #[derive(Clone, Copy, Debug)]
+    enum Fault {
+        Duplicate,
+        TooLarge,
+        Stranger,
+        /// Never quiesces: hits the round limit with wake-ups pending.
+        Endless,
+    }
+
+    /// Floods and wakes every node each round, so an aborted run leaves
+    /// staged sends, pending wake-ups and fresh edge stamps behind; node 2
+    /// commits the fault in round 2, after nodes 0 and 1 have sent.
+    struct Faulty(Fault);
+    impl NodeLogic for Faulty {
+        fn init(&mut self, _: NodeId, out: &mut Outbox<'_>) {
+            out.send_all(Msg::words(&[1]));
+            out.wake();
+        }
+        fn round(&mut self, node: NodeId, _: &[(NodeId, Msg)], out: &mut Outbox<'_>) {
+            out.send_all(Msg::words(&[2]));
+            out.wake();
+            if node.index() == 2 && out.round() == 2 {
+                match self.0 {
+                    Fault::Duplicate => out.send(NodeId::new(1), Msg::ping()),
+                    Fault::TooLarge => out.send(NodeId::new(3), Msg::words(&[0; 9])),
+                    Fault::Stranger => out.send(NodeId::new(0), Msg::ping()),
+                    Fault::Endless => {}
+                }
+            }
+        }
+    }
+
+    /// A seeded gossip with sends, wake-ups and a per-node delivery log —
+    /// the run that must not notice what came before it.
+    struct Gossip {
+        seed: u64,
+        acts: Vec<u32>,
+        log: Vec<(usize, NodeId, Msg)>,
+    }
+    impl Gossip {
+        fn new(seed: u64, n: usize) -> Self {
+            Gossip {
+                seed,
+                acts: vec![0; n],
+                log: Vec::new(),
+            }
+        }
+        fn act(&mut self, node: NodeId, out: &mut Outbox<'_>) {
+            let v = node.index();
+            let r = (self.seed + 7 * v as u64 + 3 * u64::from(self.acts[v])) % 5;
+            for &(w, _) in out.graph().neighbors(node) {
+                if (r + w.index() as u64).is_multiple_of(2) {
+                    out.send(w, Msg::words(&[r, v as u64]));
+                }
+            }
+            if r == 1 {
+                out.wake();
+            }
+        }
+    }
+    impl NodeLogic for Gossip {
+        fn init(&mut self, node: NodeId, out: &mut Outbox<'_>) {
+            self.act(node, out);
+        }
+        fn round(&mut self, node: NodeId, inbox: &[(NodeId, Msg)], out: &mut Outbox<'_>) {
+            let v = node.index();
+            self.log
+                .extend(inbox.iter().map(|(from, m)| (v, *from, m.clone())));
+            self.acts[v] += 1;
+            if self.acts[v] < 4 {
+                self.act(node, out);
+            }
+        }
+    }
+
+    #[test]
+    fn aborted_runs_leave_no_trace_on_the_next_run() {
+        let g = path4();
+        let mut shared = Engine::new(&g, SimConfig::default());
+        for (k, fault) in [
+            Fault::Duplicate,
+            Fault::TooLarge,
+            Fault::Stranger,
+            Fault::Endless,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let err = shared.run(&mut Faulty(fault), 6).unwrap_err();
+            let expected = match fault {
+                Fault::Duplicate => matches!(err, SimError::DuplicateMessage { .. }),
+                Fault::TooLarge => matches!(err, SimError::MessageTooLarge { .. }),
+                Fault::Stranger => matches!(err, SimError::NotANeighbor { .. }),
+                Fault::Endless => err == SimError::RoundLimitExceeded { limit: 6 },
+            };
+            assert!(expected, "{fault:?}: {err}");
+
+            let seed = k as u64;
+            let mut fresh = Engine::new(&g, SimConfig::default());
+            let mut reference = Gossip::new(seed, g.n());
+            let want = fresh.run(&mut reference, 100).unwrap();
+            let mut after = Gossip::new(seed, g.n());
+            let got = shared.run(&mut after, 100).unwrap();
+            assert_eq!(got, want, "{fault:?}");
+            assert!(want.messages > 0 && want.rounds > 1);
+            assert_eq!(after.log, reference.log, "{fault:?}");
+            assert_eq!(after.acts, reference.acts, "{fault:?}");
+        }
+        // Failed runs are never absorbed: only the four clean runs count.
+        assert_eq!(shared.stats().runs, 4);
     }
 
     #[test]

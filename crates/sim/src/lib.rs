@@ -17,7 +17,8 @@
 //!
 //! On top of the engine, [`tree`] provides broadcast/convergecast over
 //! forests and [`bfs`] grows BFS trees distributedly — the workhorses of
-//! the paper's Stage I and Stage II.
+//! the paper's Stage I and Stage II. Every run executes on one thread;
+//! [`TrialRunner`] fans independent runs across cores (see [`runtime`]).
 //!
 //! # Example
 //!
@@ -66,8 +67,5 @@ pub mod tree;
 pub use crate::engine::{
     Engine, Msg, NodeLogic, Outbox, RunReport, SimConfig, SimError, MSG_INLINE_WORDS,
 };
-pub use crate::runtime::{
-    run_batch, Backend, BatchEngine, EngineCore, LaneBits, ParallelEngine, ParallelNodeLogic,
-    TrialRunner,
-};
+pub use crate::runtime::{Backend, ParallelEngine, TrialRunner};
 pub use crate::stats::{PassRollup, SimStats};

@@ -4,12 +4,11 @@
 //! flat `Vec<(src, Msg)>` grouped by destination — plus a per-node
 //! `[start, end)` range table. Delivery is a two-pass counting sort of
 //! the staged sends (which arrive in the documented stable `(src, dst)`
-//! order: ascending active-node order, emission order within a node —
-//! exactly what the serial engine produces):
+//! order: ascending active-node order, emission order within a node):
 //!
 //! 1. count messages per destination, recording first-touch activations
 //!    (a destination's first message activates it unless it is already
-//!    wake-flagged — the serial engine's rule);
+//!    wake-flagged);
 //! 2. prefix-sum the counts into arena ranges and place each send at its
 //!    destination's cursor, preserving staged order within a
 //!    destination.
@@ -18,8 +17,7 @@
 //! `Vec`, no take/recycle churn, and because the arena and the range
 //! table are recycled across rounds, steady-state delivery allocates
 //! nothing. The counting sort is stable, so the per-destination message
-//! order (and with it the serial/parallel bit-for-bit equivalence) is
-//! identical to the historical nested-`Vec` layout.
+//! order is identical to the historical nested-`Vec` layout.
 
 use planartest_graph::NodeId;
 
@@ -29,16 +27,13 @@ use crate::runtime::lanes::LaneBits;
 /// One staged send: `(src, dst, payload)`.
 pub type Staged = (NodeId, NodeId, Msg);
 
-/// A node's inbox location in the delivery arena: `[start, end)`.
-pub type InboxRange = (u32, u32);
-
 /// The flat arena mailbox grid of one engine run.
 #[derive(Debug)]
 pub struct Mailboxes {
     /// This round's delivered `(src, msg)` pairs, grouped by destination.
     arena: Vec<(NodeId, Msg)>,
     /// `ranges[v]` = `v`'s `[start, end)` slice of `arena` this round.
-    ranges: Vec<InboxRange>,
+    ranges: Vec<(u32, u32)>,
     /// Destinations with a non-empty range this round (cheap reset).
     touched: Vec<NodeId>,
 }
@@ -57,41 +52,14 @@ impl Mailboxes {
     /// Delivers the staged sends of the previous round into the arena,
     /// recording message/word counts in `report` and appending every
     /// node that just became active (first message, not already
-    /// wake-flagged) to `active` — exactly the serial engine's delivery
-    /// semantics. The previous round's inboxes are discarded.
+    /// wake-flagged) to `active`. The previous round's inboxes are
+    /// discarded.
     pub fn deliver(
         &mut self,
         staged: &mut Vec<Staged>,
         woken: &LaneBits,
         active: &mut Vec<NodeId>,
         report: &mut RunReport,
-    ) {
-        // The degenerate one-instance batch: every destination is lane 0
-        // of its node stripe, all counts land in the single report.
-        self.deliver_lanes(staged, woken, active, std::slice::from_mut(report), 1);
-    }
-
-    /// Lane-aware [`deliver`](Mailboxes::deliver) for node-major batched
-    /// execution: with `lanes` instances multiplexed, instance `i`'s node
-    /// `v` is the virtual destination `v·lanes + i`, so each message's
-    /// counts are attributed to `reports[dst % lanes]`.
-    ///
-    /// This is the delivery primitive behind instance-multiplexed
-    /// execution ([`crate::runtime::batch`]): one node's `lanes` instance
-    /// slots occupy one contiguous stripe of the range table and the
-    /// `woken` bitset (the layout the SWAR kernels and sharding want),
-    /// while the same stable counting sort still keys by `(node,
-    /// instance)` — a lane only ever receives from its own instance, and
-    /// only within-destination order is observable, so re-keying changes
-    /// no delivered sequence. Activation, ordering and arena recycling
-    /// semantics are identical to `deliver`.
-    pub fn deliver_lanes(
-        &mut self,
-        staged: &mut Vec<Staged>,
-        woken: &LaneBits,
-        active: &mut Vec<NodeId>,
-        reports: &mut [RunReport],
-        lanes: usize,
     ) {
         for v in self.touched.drain(..) {
             self.ranges[v.index()] = (0, 0);
@@ -100,7 +68,6 @@ impl Mailboxes {
         // Pass 1: count per destination (`end` temporarily holds the
         // count), recording activations in first-message order.
         for &(_, dst, ref msg) in staged.iter() {
-            let report = &mut reports[dst.index() % lanes];
             report.messages += 1;
             report.words += msg.len() as u64;
             let r = &mut self.ranges[dst.index()];
@@ -140,21 +107,6 @@ impl Mailboxes {
     pub fn inbox(&self, v: NodeId) -> &[(NodeId, Msg)] {
         let (start, end) = self.ranges[v.index()];
         &self.arena[start as usize..end as usize]
-    }
-
-    /// Node `v`'s `[start, end)` arena range (for executors that ship
-    /// ranges across threads instead of borrowing slices).
-    #[inline]
-    #[must_use]
-    pub fn range(&self, v: NodeId) -> InboxRange {
-        self.ranges[v.index()]
-    }
-
-    /// The whole delivery arena of the current round.
-    #[inline]
-    #[must_use]
-    pub fn arena(&self) -> &[(NodeId, Msg)] {
-        &self.arena
     }
 }
 
@@ -226,8 +178,6 @@ mod tests {
             boxes.inbox(node(1)),
             &[(node(0), Msg::words(&[20])), (node(2), Msg::words(&[21]))]
         );
-        let (s, e) = boxes.range(node(3));
-        assert_eq!(&boxes.arena()[s as usize..e as usize], boxes.inbox(node(3)));
     }
 
     #[test]
@@ -241,7 +191,8 @@ mod tests {
             let mut report = RunReport::default();
             boxes.deliver(&mut staged, &woken, &mut active, &mut report);
             assert_eq!(boxes.inbox(node(2)), &[(node(0), Msg::words(&[round]))]);
-            ptrs.push(boxes.arena().as_ptr() as usize);
+            // The round's only inbox starts the arena.
+            ptrs.push(boxes.inbox(node(2)).as_ptr() as usize);
             // The previous round's inbox is gone.
             assert!(boxes.inbox(node(0)).is_empty());
         }

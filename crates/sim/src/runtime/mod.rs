@@ -1,178 +1,56 @@
-//! Execution backends for the CONGEST engine.
+//! The engine's round machinery, and parallelism across trials.
 //!
-//! The round-synchronous CONGEST model is embarrassingly parallel along
-//! two independent axes, and this module exploits both:
+//! Every simulation runs on the one serial round loop of
+//! [`Engine`]: rounds are counted bit-identically however they are
+//! executed, so threads inside one run could only save wall time, and
+//! measured on the benches they lost it. Parallelism lives where the work
+//! is independent: [`TrialRunner`] fans whole seeded simulations (and the
+//! service's engine groups) across cores.
 //!
-//! * **within a round** — every node's `round` hook depends only on the
-//!   messages delivered *this* round and on the node's own state, so the
-//!   per-round node sweep can fan out across a worker pool
-//!   ([`ParallelEngine`], [`ParallelNodeLogic`]);
-//! * **across trials** — Monte-Carlo acceptance sweeps and ε/n sweeps
-//!   run independent seeded simulations, fanned across cores by
-//!   [`TrialRunner`].
+//! * [`mailbox`] — the flat-arena inboxes and their stable delivery;
+//! * [`lanes`] — the wake-flag bitset;
+//! * [`trials`] — the deterministic fan-out over independent trials.
 //!
-//! # Determinism guarantee
-//!
-//! The parallel backend is **bit-for-bit equivalent** to the serial
-//! [`Engine`](crate::Engine): for the same graph, logic and seed it
-//! produces the same [`RunReport`], the same
-//! [`SimStats`], the same per-round message sequences
-//! (delivered in the same stable `(src, dst)` order) and the same final
-//! node states, regardless of worker count or scheduling. This holds
-//! because each round's sends are collected into per-worker buffers and
-//! merged in active-node order — exactly the order the serial loop
-//! produces — before the next round's stable flat-arena mailbox
-//! delivery (see [`mailbox`]). The `runtime_equivalence` proptest suite
-//! enforces the guarantee on random graphs and protocols.
-//!
-//! One scoping note: the guarantee as stated is for runs that end in
-//! `Ok`. A run that ends in a [`SimError`] returns the
-//! *same error value* on every backend (the one the serial engine hits
-//! first), but caller-owned node states may reflect different partial
-//! progress past the failing node — the serial loop aborts mid-round
-//! while pool workers finish their chunks before the error is
-//! collected. Error-path states are protocol-bug debris either way;
-//! don't interpret them.
-//!
-//! # Why a second logic trait?
-//!
-//! [`NodeLogic`] hands every node the *same* `&mut
-//! self`, which is inherently sequential: the borrow checker is right
-//! that concurrent `round` calls on one aggregate object would race.
-//! [`ParallelNodeLogic`] splits the protocol into an immutable shared
-//! part (`&self`: the graph, parameters, lookup tables) and an owned
-//! per-node [`State`](ParallelNodeLogic::State), which is what makes the
-//! node sweep safely — and deterministically — parallel. Aggregate-state
-//! [`NodeLogic`] protocols still run on any backend
-//! through [`EngineCore::run_logic`]; they just stay on one thread.
+//! [`Backend`] and [`ParallelEngine`] are compatibility names from the
+//! retired worker-pool runtime, kept so existing callers still build.
 
-pub mod batch;
 pub mod lanes;
 pub mod mailbox;
-pub mod parallel;
 pub mod trials;
 
-pub use batch::{run_batch, BatchEngine};
-pub use lanes::LaneBits;
-pub use parallel::{ParallelEngine, ParallelNodeLogic};
 pub use trials::TrialRunner;
 
-use planartest_graph::Graph;
+use crate::Engine;
 
-use crate::engine::{NodeLogic, RunReport, SimConfig, SimError};
-use crate::stats::SimStats;
+/// Compatibility alias for the retired worker-pool engine: every run now
+/// executes on the serial [`Engine`].
+pub type ParallelEngine<'g> = Engine<'g>;
 
-/// Which execution backend drives a simulation's rounds.
+/// The execution backend a caller asked for — a compatibility name.
 ///
-/// All backends implement identical CONGEST semantics; the choice only
-/// affects wall-clock time (see the [module docs](self) for the
-/// determinism guarantee).
+/// Every variant runs on the one serial [`Engine`]; the choice changes
+/// nothing, neither results nor wall time. The type stays so the service
+/// can keep validating the wire and CLI `backend` field, and so existing
+/// callers still build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// Single-threaded reference engine.
+    /// The serial engine.
     Serial,
-    /// Worker-pool engine: per-node `round` calls fan out across
-    /// `threads` OS threads (`0` = one per available core, overridden
-    /// by the `PLANARTEST_THREADS` environment variable when set).
+    /// Formerly the worker-pool engine; now the serial engine.
     Parallel {
-        /// Worker count; `0` picks the hardware parallelism.
+        /// Ignored.
         threads: usize,
     },
-    /// Per-run choice between the two: a run stays serial unless the
-    /// network is at least [`Backend::AUTO_MIN_NODES`] wide *and* the
-    /// `n × max_rounds` work product reaches
-    /// [`Backend::AUTO_WORK_THRESHOLD`] (small or short runs lose to
-    /// worker-pool coordination overhead — see `BENCH_runtime.json`);
-    /// otherwise it fans out across the hardware. The resolved choice
-    /// is recorded per run in
-    /// [`RunReport::backend`](crate::RunReport::backend).
+    /// Formerly a per-run choice between the two; now the serial engine.
     #[default]
     Auto,
 }
 
 impl Backend {
-    /// `Auto` work threshold: runs with `n × max_rounds` below this stay
-    /// serial — a round budget too short to amortize spinning up the
-    /// pool, no matter how wide the network.
-    pub const AUTO_WORK_THRESHOLD: u64 = 1 << 22;
-
-    /// `Auto` width threshold: networks narrower than this stay serial
-    /// regardless of the round budget. The pool's win is per-round (the
-    /// node sweep divides across workers, the channel barrier does
-    /// not), so a small `n` loses at *every* round count — and round
-    /// budgets are routinely loose upper bounds (the tester passes
-    /// `max_rounds` in the hundreds of millions), so the work product
-    /// alone must never be allowed to force a tiny graph onto the pool.
-    /// Calibrated from `BENCH_runtime.json`, where pooled execution
-    /// loses on small instances.
-    pub const AUTO_MIN_NODES: usize = 1 << 11;
-
-    /// The number of worker threads this backend resolves to (≥ 1)
-    /// independent of any workload (`Auto` resolves to the hardware
-    /// parallelism — its ceiling; use [`Backend::threads_for`] for the
-    /// per-run decision).
+    /// The worker threads one run uses: always 1.
     #[must_use]
-    pub fn effective_threads(self) -> usize {
-        match self {
-            Backend::Serial => 1,
-            Backend::Parallel { threads: 0 } | Backend::Auto => auto_threads(),
-            Backend::Parallel { threads } => threads.max(1),
-        }
-    }
-
-    /// The worker count for one run over `n` nodes with a round budget
-    /// of `max_rounds` — this is where `Auto` applies its thresholds.
-    #[must_use]
-    pub fn threads_for(self, n: usize, max_rounds: u64) -> usize {
-        match self {
-            Backend::Auto => {
-                let too_narrow = n < Backend::AUTO_MIN_NODES;
-                let too_short =
-                    (n as u64).saturating_mul(max_rounds) < Backend::AUTO_WORK_THRESHOLD;
-                if too_narrow || too_short {
-                    1
-                } else {
-                    auto_threads()
-                }
-            }
-            other => other.effective_threads(),
-        }
-    }
-
-    /// The worker count for one *batched* run of `instances` lockstep
-    /// protocol instances over an `n`-node network
-    /// (see [`batch`]).
-    ///
-    /// Batching changes the `Auto` arithmetic: the unit of parallel work
-    /// is a whole instance (never split across workers), and every
-    /// barrier carries the combined `instances × n` width of the batch.
-    /// `Auto` therefore picks **batched-parallel** when that combined
-    /// width reaches [`Backend::AUTO_MIN_NODES`] *and* the combined work
-    /// product `instances × n × max_rounds` reaches
-    /// [`Backend::AUTO_WORK_THRESHOLD`] — so many small instances
-    /// together can justify a pool that each alone would not. The count
-    /// is capped at `instances` (extra workers would idle), and a batch
-    /// of one degrades to the single-run rule
-    /// ([`Backend::threads_for`]).
-    #[must_use]
-    pub fn threads_for_batch(self, instances: usize, n: usize, max_rounds: u64) -> usize {
-        if instances <= 1 {
-            return self.threads_for(n, max_rounds);
-        }
-        match self {
-            Backend::Auto => {
-                let width = instances.saturating_mul(n);
-                let too_narrow = width < Backend::AUTO_MIN_NODES;
-                let too_short =
-                    (width as u64).saturating_mul(max_rounds) < Backend::AUTO_WORK_THRESHOLD;
-                if too_narrow || too_short {
-                    1
-                } else {
-                    auto_threads().min(instances)
-                }
-            }
-            other => other.effective_threads().min(instances),
-        }
+    pub fn threads_for(self, _n: usize, _max_rounds: u64) -> usize {
+        1
     }
 }
 
@@ -191,9 +69,8 @@ impl std::error::Error for ParseBackendError {}
 impl std::str::FromStr for Backend {
     type Err = ParseBackendError;
 
-    /// Parses the textual backend form used by the service CLI and wire
-    /// protocol: `serial`, `auto`, `parallel` (all cores) or
-    /// `parallel:<threads>`.
+    /// Parses the textual backend form the service CLI and wire protocol
+    /// accept: `serial`, `auto`, `parallel` or `parallel:<threads>`.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim() {
             "serial" => Ok(Backend::Serial),
@@ -211,9 +88,9 @@ impl std::str::FromStr for Backend {
 }
 
 /// Hardware parallelism, overridden by `PLANARTEST_THREADS` when it
-/// holds a positive integer (the override may exceed the core count —
-/// deliberately, so worker-pool paths can be exercised on small
-/// machines; unparsable values fall back to the hardware count).
+/// holds a positive integer (the override may exceed the core count;
+/// unparsable values fall back to the hardware count). Sizes
+/// [`TrialRunner::auto`].
 #[must_use]
 pub fn auto_threads() -> usize {
     std::env::var("PLANARTEST_THREADS")
@@ -225,194 +102,22 @@ pub fn auto_threads() -> usize {
         })
 }
 
-/// The engine interface the protocol drivers program against.
-///
-/// Implemented by the serial [`Engine`](crate::Engine) and by
-/// [`ParallelEngine`]; drivers written against `EngineCore` (the
-/// partition, Stage II, the applications, the baselines) run unchanged
-/// on either backend. The lifetime `'g` is the graph borrow — logic
-/// structs routinely hold `engine.graph()` across a `run_*` call, so the
-/// trait preserves the graph's independence from `&self`.
-pub trait EngineCore<'g> {
-    /// The simulated network.
-    fn graph(&self) -> &'g Graph;
-
-    /// The network configuration.
-    fn config(&self) -> SimConfig;
-
-    /// Cumulative statistics over all runs (plus charged rounds).
-    fn stats(&self) -> &SimStats;
-
-    /// Adds explicitly charged rounds (substituted subroutines whose
-    /// cost is taken from their paper's bound).
-    fn charge_rounds(&mut self, rounds: u64);
-
-    /// Runs aggregate-state [`NodeLogic`] to quiescence.
-    ///
-    /// Always executes on one thread (see the [module docs](self)); the
-    /// result is identical on every backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] on CONGEST violations or round-budget
-    /// exhaustion.
-    fn run_logic<L: NodeLogic>(
-        &mut self,
-        logic: &mut L,
-        max_rounds: u64,
-    ) -> Result<RunReport, SimError>;
-
-    /// Runs a batch of independent [`NodeLogic`] instances to quiescence
-    /// in lockstep — one shared round loop over per-instance mailbox
-    /// lanes (see [`batch`]) — returning one result per instance,
-    /// bit-for-bit identical to that many sequential
-    /// [`run_logic`](EngineCore::run_logic) calls. Successful instances'
-    /// reports are folded into [`stats`](EngineCore::stats) (one run
-    /// each).
-    ///
-    /// Instance-level parallelism is backend-dependent: the serial
-    /// engine steps the batch on one thread; the parallel engine fans
-    /// whole instances across workers. `L: Send` is required because
-    /// instances may migrate to worker threads (each stays on one
-    /// thread for its entire run).
-    fn run_logic_batch<L: NodeLogic + Send>(
-        &mut self,
-        logics: &mut [L],
-        max_rounds: u64,
-    ) -> Vec<Result<RunReport, SimError>>;
-
-    /// Runs per-node-state [`ParallelNodeLogic`] to quiescence, in
-    /// parallel when the backend allows it.
-    ///
-    /// `states[v]` is node `v`'s state; the slice length must equal the
-    /// graph's node count.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] on CONGEST violations or round-budget
-    /// exhaustion.
-    fn run_program<P: ParallelNodeLogic>(
-        &mut self,
-        program: &P,
-        states: &mut [P::State],
-        max_rounds: u64,
-    ) -> Result<RunReport, SimError>;
-}
-
-impl<'g> EngineCore<'g> for crate::Engine<'g> {
-    fn graph(&self) -> &'g Graph {
-        crate::Engine::graph(self)
-    }
-
-    fn config(&self) -> SimConfig {
-        crate::Engine::config(self)
-    }
-
-    fn stats(&self) -> &SimStats {
-        crate::Engine::stats(self)
-    }
-
-    fn charge_rounds(&mut self, rounds: u64) {
-        crate::Engine::charge_rounds(self, rounds);
-    }
-
-    fn run_logic<L: NodeLogic>(
-        &mut self,
-        logic: &mut L,
-        max_rounds: u64,
-    ) -> Result<RunReport, SimError> {
-        self.run(logic, max_rounds)
-    }
-
-    fn run_logic_batch<L: NodeLogic + Send>(
-        &mut self,
-        logics: &mut [L],
-        max_rounds: u64,
-    ) -> Vec<Result<RunReport, SimError>> {
-        // The serial engine steps the whole batch on one thread.
-        let results = batch::execute_batch(self.graph(), self.config(), logics, max_rounds, 1);
-        for report in results.iter().flatten() {
-            self.absorb(*report);
-        }
-        results
-    }
-
-    fn run_program<P: ParallelNodeLogic>(
-        &mut self,
-        program: &P,
-        states: &mut [P::State],
-        max_rounds: u64,
-    ) -> Result<RunReport, SimError> {
-        // The serial engine always executes programs on one thread.
-        let report =
-            parallel::execute(self.graph(), self.config(), program, states, max_rounds, 1)?;
-        self.absorb(report);
-        Ok(report)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn backend_thread_resolution() {
-        assert_eq!(Backend::Serial.effective_threads(), 1);
-        assert_eq!(Backend::Parallel { threads: 3 }.effective_threads(), 3);
-        assert!(Backend::Parallel { threads: 0 }.effective_threads() >= 1);
         assert_eq!(Backend::default(), Backend::Auto);
-    }
-
-    #[test]
-    fn auto_backend_applies_work_threshold() {
-        // Tiny run: stays serial.
-        assert_eq!(Backend::Auto.threads_for(100, 10), 1);
-        // Small graph stays serial even under the tester's default
-        // loose round budget (the budget is a bound, not the work).
-        assert_eq!(Backend::Auto.threads_for(64, 100_000_000), 1);
-        assert_eq!(
-            Backend::Auto.threads_for(Backend::AUTO_MIN_NODES - 1, u64::MAX),
-            1
-        );
-        // Wide graph with a trivial budget: nothing to amortize.
-        assert_eq!(Backend::Auto.threads_for(1 << 20, 2), 1);
-        // Wide *and* long: fans out to the hardware.
-        assert_eq!(Backend::Auto.threads_for(1 << 20, 1 << 20), auto_threads());
-        assert_eq!(
-            Backend::Auto.threads_for(Backend::AUTO_MIN_NODES, 100_000_000),
-            auto_threads()
-        );
-        // Fixed backends ignore the workload.
-        assert_eq!(Backend::Serial.threads_for(1 << 20, 1 << 20), 1);
-        assert_eq!(Backend::Parallel { threads: 3 }.threads_for(2, 1), 3);
-        assert!(Backend::Auto.effective_threads() >= 1);
-    }
-
-    #[test]
-    fn auto_backend_batch_thresholds_use_combined_width() {
-        // One instance degrades to the single-run rule.
-        assert_eq!(
-            Backend::Auto.threads_for_batch(1, 64, 100_000_000),
-            Backend::Auto.threads_for(64, 100_000_000)
-        );
-        // Many narrow instances together clear the width threshold that
-        // each alone misses.
-        let b = Backend::AUTO_MIN_NODES / 64;
-        assert_eq!(Backend::Auto.threads_for(64, 100_000_000), 1);
-        assert_eq!(
-            Backend::Auto.threads_for_batch(b, 64, 100_000_000),
-            auto_threads().min(b)
-        );
-        // A batch still too narrow or too short stays serial.
-        assert_eq!(Backend::Auto.threads_for_batch(2, 64, 100_000_000), 1);
-        assert_eq!(Backend::Auto.threads_for_batch(1 << 12, 1 << 12, 2), 1);
-        // Fixed backends cap at the instance count (whole instances are
-        // the unit of work).
-        assert_eq!(
-            Backend::Parallel { threads: 8 }.threads_for_batch(3, 2, 1),
-            3
-        );
-        assert_eq!(Backend::Serial.threads_for_batch(5, 1 << 20, 1 << 20), 1);
+        for backend in [
+            Backend::Serial,
+            Backend::Parallel { threads: 0 },
+            Backend::Parallel { threads: 8 },
+            Backend::Auto,
+        ] {
+            assert_eq!(backend.threads_for(1 << 20, u64::MAX), 1);
+        }
+        assert!(auto_threads() >= 1);
     }
 
     #[test]

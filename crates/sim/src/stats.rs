@@ -111,13 +111,11 @@ mod tests {
             rounds: 10,
             messages: 5,
             words: 9,
-            ..RunReport::default()
         });
         s.absorb(RunReport {
             rounds: 3,
             messages: 1,
             words: 1,
-            ..RunReport::default()
         });
         s.charged_rounds = 7;
         assert_eq!(s.rounds, 13);

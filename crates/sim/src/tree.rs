@@ -9,8 +9,7 @@ use std::fmt;
 
 use planartest_graph::{Graph, NodeId};
 
-use crate::engine::{Msg, NodeLogic, Outbox, SimError};
-use crate::runtime::EngineCore;
+use crate::engine::{Engine, Msg, NodeLogic, Outbox, SimError};
 
 /// A rooted forest over the nodes of a graph, where every parent link is a
 /// graph edge. Nodes with no parent are roots (isolated nodes are trivial
@@ -201,14 +200,13 @@ impl<F: FnMut(NodeId) -> Option<Msg>> NodeLogic for BroadcastLogic<'_, F> {
 /// # Errors
 ///
 /// Propagates engine [`SimError`]s (e.g. payload over bandwidth).
-pub fn broadcast<'g, E, F>(
-    engine: &mut E,
+pub fn broadcast<F>(
+    engine: &mut Engine<'_>,
     tree: &TreeTopology,
     payload: F,
     max_rounds: u64,
 ) -> Result<Vec<Option<Msg>>, SimError>
 where
-    E: EngineCore<'g>,
     F: FnMut(NodeId) -> Option<Msg>,
 {
     let n = engine.graph().n();
@@ -217,7 +215,7 @@ where
         payload,
         received: vec![None; n],
     };
-    engine.run_logic(&mut logic, max_rounds)?;
+    engine.run(&mut logic, max_rounds)?;
     Ok(logic.received)
 }
 
@@ -269,14 +267,13 @@ impl<F: FnMut(NodeId, &[(NodeId, Msg)]) -> Msg> NodeLogic for ConvergecastLogic<
 /// # Errors
 ///
 /// Propagates engine [`SimError`]s.
-pub fn convergecast<'g, E, F>(
-    engine: &mut E,
+pub fn convergecast<F>(
+    engine: &mut Engine<'_>,
     tree: &TreeTopology,
     combine: F,
     max_rounds: u64,
 ) -> Result<Vec<Option<Msg>>, SimError>
 where
-    E: EngineCore<'g>,
     F: FnMut(NodeId, &[(NodeId, Msg)]) -> Msg,
 {
     let n = engine.graph().n();
@@ -287,14 +284,14 @@ where
         gathered: vec![Vec::new(); n],
         result: vec![None; n],
     };
-    engine.run_logic(&mut logic, max_rounds)?;
+    engine.run(&mut logic, max_rounds)?;
     Ok(logic.result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, SimConfig};
+    use crate::engine::SimConfig;
 
     /// A path 0-1-2-3-4 rooted at 0 plus an isolated root 5.
     fn setup() -> (Graph, TreeTopology) {
@@ -418,7 +415,6 @@ mod tests {
             &g,
             SimConfig {
                 max_words_per_message: 2,
-                ..SimConfig::default()
             },
         );
         let err = broadcast(&mut engine, &tree, |_| Some(Msg::words(&[0; 3])), 100).unwrap_err();

@@ -1,16 +1,17 @@
-//! Layout-equivalence golden pin: `run_batch` reports must stay
-//! bit-identical across the instance-major → node-major lane flip.
+//! Golden pin: per-instance batch reports must stay bit-identical to
+//! the ones the original batch executor produced.
 //!
 //! The `GOLDEN` table below was captured from the **instance-major**
-//! (`lane = i·n + v`) batch executor before the node-major (`v·B + i`)
-//! refactor, by running `cargo test -p planartest-sim --test
-//! layout_golden -- --nocapture` with `PRINT_GOLDEN` temporarily
-//! enabled. Any layout change that perturbs per-instance rounds,
-//! message counts or word counts — on any thread count 1–8, at any
-//! batch width B ∈ {1, 3, 16} — fails this test.
+//! (`lane = i·n + v`) batch executor of an earlier runtime, by running
+//! `cargo test -p planartest-sim --test layout_golden -- --nocapture`
+//! with `PRINT_GOLDEN` set. A batch is now `B` consecutive runs on one
+//! [`Engine`](planartest_sim::Engine), which recycles its round buffers
+//! between runs; any change that perturbs per-instance rounds, message
+//! counts or word counts — at any batch width B ∈ {1, 3, 16} — fails
+//! this test.
 
 use planartest_graph::{Graph, GraphBuilder, NodeId};
-use planartest_sim::{Msg, NodeLogic, Outbox, SimConfig, SimError};
+use planartest_sim::{Engine, Msg, NodeLogic, Outbox, SimConfig};
 use proptest::prelude::*;
 
 /// SplitMix64 step — the deterministic per-(seed, node, activation)
@@ -162,30 +163,25 @@ const GOLDEN_G1_B16: &[(u64, u64, u64)] = &[
     (4, 31, 42),
 ];
 
-fn run_case(g: &Graph, b: usize, threads: usize) -> Vec<(u64, u64, u64)> {
-    let mut logics: Vec<Gossip> = (0..b as u64).map(|s| Gossip::new(s, g.n())).collect();
-    let cfg = SimConfig::default();
-    let results: Vec<Result<planartest_sim::RunReport, SimError>> = if threads == 0 {
-        planartest_sim::run_batch(g, cfg, &mut logics, 10_000)
-    } else {
-        let mut engine = planartest_sim::BatchEngine::new(g, cfg).with_threads(threads);
-        engine.run(&mut logics, 10_000)
-    };
-    results
-        .into_iter()
-        .map(|r| {
-            let rep = r.expect("gossip never violates CONGEST");
+/// Per-instance reports of `B` instances run back to back on one engine.
+fn batch_reports(g: &Graph, b: usize, seed_base: u64) -> Vec<(u64, u64, u64)> {
+    let mut engine = Engine::new(g, SimConfig::default());
+    (0..b as u64)
+        .map(|s| {
+            let rep = engine
+                .run(&mut Gossip::new(seed_base + s, g.n()), 10_000)
+                .expect("gossip never violates CONGEST");
             (rep.rounds, rep.messages, rep.words)
         })
         .collect()
 }
 
-/// Full per-instance reports of `b` sequential reference-engine runs —
-/// the layout-independent ground truth.
+/// Full per-instance reports of `b` runs, each on a fresh engine — the
+/// ground truth.
 fn run_sequential(g: &Graph, b: usize, seed_base: u64) -> Vec<(u64, u64, u64)> {
     (0..b as u64)
         .map(|s| {
-            let mut engine = planartest_sim::Engine::new(g, SimConfig::default());
+            let mut engine = Engine::new(g, SimConfig::default());
             let mut logic = Gossip::new(seed_base + s, g.n());
             let rep = engine
                 .run(&mut logic, 10_000)
@@ -215,43 +211,16 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Layout-equivalence property: on random graphs, the node-major
-    /// batch executor's per-instance reports are bit-identical to `B`
-    /// sequential reference runs, for every B ∈ {1, 3, 16} and every
-    /// worker count 1–8 (plus the backend-resolved entry point).
+    /// On random graphs, a batch's per-instance reports on one shared
+    /// engine are bit-identical to `B` runs on fresh engines, for every
+    /// B ∈ {1, 3, 16}.
     #[test]
-    fn node_major_batches_match_sequential_runs(
+    fn batches_match_sequential_runs(
         g in arb_graph(),
         seed_base in 0u64..1_000_000,
     ) {
         for b in [1usize, 3, 16] {
-            let expected = run_sequential(&g, b, seed_base);
-            for threads in 1..=8usize {
-                let mut logics: Vec<Gossip> =
-                    (0..b as u64).map(|s| Gossip::new(seed_base + s, g.n())).collect();
-                let mut engine =
-                    planartest_sim::BatchEngine::new(&g, SimConfig::default()).with_threads(threads);
-                let got: Vec<(u64, u64, u64)> = engine
-                    .run(&mut logics, 10_000)
-                    .into_iter()
-                    .map(|r| {
-                        let rep = r.expect("gossip never violates CONGEST");
-                        (rep.rounds, rep.messages, rep.words)
-                    })
-                    .collect();
-                prop_assert_eq!(&got, &expected, "B={} threads={}", b, threads);
-            }
-            let mut logics: Vec<Gossip> =
-                (0..b as u64).map(|s| Gossip::new(seed_base + s, g.n())).collect();
-            let got: Vec<(u64, u64, u64)> =
-                planartest_sim::run_batch(&g, SimConfig::default(), &mut logics, 10_000)
-                    .into_iter()
-                    .map(|r| {
-                        let rep = r.expect("gossip never violates CONGEST");
-                        (rep.rounds, rep.messages, rep.words)
-                    })
-                    .collect();
-            prop_assert_eq!(&got, &expected, "B={} auto", b);
+            prop_assert_eq!(batch_reports(&g, b, seed_base), run_sequential(&g, b, seed_base), "B={}", b);
         }
     }
 }
@@ -261,28 +230,19 @@ fn batch_reports_match_the_pinned_instance_major_golden() {
     let graphs = graphs();
     let print = std::env::var("PRINT_GOLDEN").is_ok();
     for &(gi, b, golden) in GOLDEN {
-        let g = &graphs[gi];
-        for threads in 1..=8usize {
-            let got = run_case(g, b, threads);
-            if print && threads == 1 {
-                let rows: Vec<String> = got
-                    .iter()
-                    .map(|(r, m, w)| format!("({r}, {m}, {w})"))
-                    .collect();
-                println!("GOLDEN_G{gi}_B{b}: &[{}]", rows.join(", "));
-            }
-            if !print {
-                assert_eq!(
-                    got,
-                    golden.to_vec(),
-                    "graph {gi} B={b} threads={threads} diverged from the \
-                     pinned instance-major reports"
-                );
-            }
-        }
-        // The backend-resolved entry point observes the same batch.
-        if !print {
-            assert_eq!(run_case(g, b, 0), golden.to_vec(), "graph {gi} B={b} auto");
+        let got = batch_reports(&graphs[gi], b, 0);
+        if print {
+            let rows: Vec<String> = got
+                .iter()
+                .map(|(r, m, w)| format!("({r}, {m}, {w})"))
+                .collect();
+            println!("GOLDEN_G{gi}_B{b}: &[{}]", rows.join(", "));
+        } else {
+            assert_eq!(
+                got,
+                golden.to_vec(),
+                "graph {gi} B={b} diverged from the pinned instance-major reports"
+            );
         }
     }
 }

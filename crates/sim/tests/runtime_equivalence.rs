@@ -1,20 +1,16 @@
-//! Equivalence property tests: the parallel runtime is bit-for-bit
-//! identical to the serial reference engine.
+//! Equivalence property tests: a batch — independent protocol instances
+//! run back to back on one [`Engine`], which recycles its round buffers
+//! between runs — is bit-for-bit the same as running each instance on a
+//! fresh engine.
 //!
 //! A seeded "chaos" protocol — random fan-out, random payload sizes,
-//! random wake-ups, occasional deliberate CONGEST violations — is
-//! expressed twice over shared step functions: once as aggregate-state
-//! [`NodeLogic`] for the serial [`Engine`], once as per-node-state
-//! [`ParallelNodeLogic`] for the [`ParallelEngine`]. For every random
-//! graph and seed, every backend and thread count must produce the same
-//! run result (report *or* error), the same cumulative stats, the same
-//! per-node delivery logs (order included) and the same final states.
+//! random wake-ups, occasional deliberate CONGEST violations — drives
+//! both. For every random graph and seed set, each instance must produce
+//! the same run result (report *or* error), and successful instances the
+//! same per-node delivery logs (order included) and final states.
 
 use planartest_graph::{Graph, GraphBuilder, NodeId};
-use planartest_sim::{
-    run_batch, BatchEngine, Engine, Msg, NodeLogic, Outbox, ParallelEngine, ParallelNodeLogic,
-    RunReport, SimConfig, SimError, SimStats,
-};
+use planartest_sim::{Engine, Msg, NodeLogic, Outbox, RunReport, SimConfig, SimError, SimStats};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,8 +65,8 @@ impl Chaos {
         inbox: &[(NodeId, Msg)],
         out: &mut Outbox<'_>,
     ) {
-        // Fold the inbox in delivery order: any reordering between
-        // backends changes the digest.
+        // Fold the inbox in delivery order: any reordering changes the
+        // digest.
         for (from, msg) in inbox {
             state.digest = mix(state.digest ^ mix(from.raw() as u64));
             for &w in msg.as_words() {
@@ -119,7 +115,7 @@ impl Chaos {
     }
 }
 
-/// Aggregate-state expression for the serial engine.
+/// The protocol over all nodes' states.
 struct ChaosLogic {
     chaos: Chaos,
     states: Vec<ChaosState>,
@@ -138,23 +134,6 @@ impl NodeLogic for ChaosLogic {
     }
 }
 
-/// Per-node-state expression for the parallel engine.
-impl ParallelNodeLogic for Chaos {
-    type State = ChaosState;
-    fn init(&self, node: NodeId, state: &mut ChaosState, out: &mut Outbox<'_>) {
-        self.step_init(node, state, out);
-    }
-    fn round(
-        &self,
-        node: NodeId,
-        state: &mut ChaosState,
-        inbox: &[(NodeId, Msg)],
-        out: &mut Outbox<'_>,
-    ) {
-        self.step_round(node, state, inbox, out);
-    }
-}
-
 type Observation = (Result<RunReport, SimError>, SimStats, Vec<ChaosState>);
 
 fn run_serial(g: &Graph, chaos: &Chaos, max_rounds: u64) -> Observation {
@@ -167,58 +146,9 @@ fn run_serial(g: &Graph, chaos: &Chaos, max_rounds: u64) -> Observation {
     (result, *engine.stats(), logic.states)
 }
 
-fn run_parallel(g: &Graph, chaos: &Chaos, max_rounds: u64, threads: usize) -> Observation {
-    let mut engine = ParallelEngine::new(g, SimConfig::default()).with_threads(threads);
-    let mut states = vec![ChaosState::default(); g.n()];
-    let result = engine.run(chaos, &mut states, max_rounds);
-    (result, *engine.stats(), states)
-}
-
-/// Core assertion: every backend observes the same run.
-fn assert_equivalent(g: &Graph, seed: u64, violations: bool) {
-    let chaos = Chaos {
-        seed,
-        budget: 6,
-        violations,
-    };
-    let max_rounds = 400;
-    let serial = run_serial(g, &chaos, max_rounds);
-    for threads in [1usize, 2, 3, 8] {
-        let par = run_parallel(g, &chaos, max_rounds, threads);
-        check_against_serial(&serial, &par, threads, seed);
-    }
-    // The default `Auto` backend resolves its own worker count per run;
-    // whatever it picks must observe the same run.
-    let auto = {
-        let mut engine = ParallelEngine::new(g, SimConfig::default());
-        let mut states = vec![ChaosState::default(); g.n()];
-        let result = engine.run(&chaos, &mut states, max_rounds);
-        (result, *engine.stats(), states)
-    };
-    check_against_serial(&serial, &auto, usize::MAX, seed);
-}
-
-fn check_against_serial(serial: &Observation, par: &Observation, threads: usize, seed: u64) {
-    {
-        match (&serial.0, &par.0) {
-            (Ok(_), Ok(_)) => {
-                assert_eq!(par, serial, "threads={threads} seed={seed}");
-            }
-            // On errors the runs abort at different completion points by
-            // design (the serial loop stops mid-round); the *error* and
-            // the message accounting up to the failing round must agree.
-            (Err(se), Err(pe)) => {
-                assert_eq!(pe, se, "threads={threads} seed={seed}");
-            }
-            (s, p) => panic!("verdict diverged (threads={threads} seed={seed}): {s:?} vs {p:?}"),
-        }
-    }
-}
-
-/// Batch-executor assertion: `run_batch` over one instance per seed —
-/// on the serial path and across pooled worker counts — must yield
-/// per-instance reports, errors and final states bit-identical to that
-/// many sequential [`Engine`] runs.
+/// Batch assertion: one instance per seed, run back to back on one
+/// shared engine, must yield per-instance reports, errors and final
+/// states bit-identical to that many runs on fresh engines.
 fn assert_batch_equivalent(g: &Graph, seeds: &[u64], violations: bool) {
     let max_rounds = 400;
     let chaoses: Vec<Chaos> = seeds
@@ -234,44 +164,36 @@ fn assert_batch_equivalent(g: &Graph, seeds: &[u64], violations: bool) {
         .map(|c| run_serial(g, c, max_rounds))
         .collect();
 
-    let make_logics = || -> Vec<ChaosLogic> {
-        chaoses
-            .iter()
-            .map(|c| ChaosLogic {
-                chaos: c.clone(),
-                states: vec![ChaosState::default(); g.n()],
-            })
-            .collect()
-    };
-    let check = |results: &[Result<RunReport, SimError>], logics: &[ChaosLogic], tag: &str| {
-        assert_eq!(results.len(), seeds.len());
-        for (k, (result, logic)) in results.iter().zip(logics).enumerate() {
-            match (&sequential[k].0, result) {
-                (Ok(sr), Ok(br)) => {
-                    assert_eq!(br, sr, "{tag} instance {k}");
-                    assert_eq!(logic.states, sequential[k].2, "{tag} instance {k}");
-                }
-                // Error-path states are protocol-bug debris on every
-                // backend; only the error value must agree.
-                (Err(se), Err(be)) => assert_eq!(be, se, "{tag} instance {k}"),
-                (s, b) => panic!("verdict diverged ({tag} instance {k}): {s:?} vs {b:?}"),
+    let mut logics: Vec<ChaosLogic> = chaoses
+        .iter()
+        .map(|c| ChaosLogic {
+            chaos: c.clone(),
+            states: vec![ChaosState::default(); g.n()],
+        })
+        .collect();
+    let mut batch = Engine::new(g, SimConfig::default());
+    let results: Vec<Result<RunReport, SimError>> = logics
+        .iter_mut()
+        .map(|logic| batch.run(logic, max_rounds))
+        .collect();
+    for (k, (result, logic)) in results.iter().zip(&logics).enumerate() {
+        match (&sequential[k].0, result) {
+            (Ok(sr), Ok(br)) => {
+                assert_eq!(br, sr, "instance {k}");
+                assert_eq!(logic.states, sequential[k].2, "instance {k}");
             }
+            // Error-path states are protocol-bug debris; only the error
+            // value must agree.
+            (Err(se), Err(be)) => assert_eq!(be, se, "instance {k}"),
+            (s, b) => panic!("verdict diverged (instance {k}): {s:?} vs {b:?}"),
         }
-    };
-
-    for threads in [1usize, 2, 3, 8] {
-        let mut logics = make_logics();
-        let mut batch = BatchEngine::new(g, SimConfig::default()).with_threads(threads);
-        let results = batch.run(&mut logics, max_rounds);
-        check(&results, &logics, &format!("threads={threads}"));
-        // Cumulative stats absorb exactly the successful instances.
-        let expect_runs = results.iter().filter(|r| r.is_ok()).count() as u64;
-        assert_eq!(batch.stats().runs, expect_runs);
     }
-    // The backend-resolved entry point must observe the same batch.
-    let mut logics = make_logics();
-    let results = run_batch(g, SimConfig::default(), &mut logics, max_rounds);
-    check(&results, &logics, "auto");
+    // Cumulative stats absorb exactly the successful instances.
+    let mut expected = SimStats::default();
+    for (_, stats, _) in &sequential {
+        expected.merge(stats);
+    }
+    assert_eq!(*batch.stats(), expected);
 }
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -294,21 +216,8 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(60))]
 
-    /// Arbitrary multigraph-free random graphs, well-behaved protocol.
-    #[test]
-    fn equivalent_on_random_graphs(g in arb_graph(), seed in 0u64..1_000_000) {
-        assert_equivalent(&g, seed, false);
-    }
-
-    /// Same, with deliberate CONGEST violations mixed in: the reported
-    /// error must be the one the serial engine reports.
-    #[test]
-    fn equivalent_under_violations(g in arb_graph(), seed in 0u64..1_000_000) {
-        assert_equivalent(&g, seed, true);
-    }
-
-    /// Batched instances (one per seed) match that many sequential runs
-    /// bit for bit, on the serial and pooled batch paths alike.
+    /// Batched instances (one per seed) match that many fresh-engine
+    /// runs bit for bit.
     #[test]
     fn batch_equivalent_on_random_graphs(
         g in arb_graph(),
@@ -338,7 +247,7 @@ proptest! {
             2 => planartest_graph::generators::nonplanar::gnp(30, 0.15, &mut rng).graph,
             _ => planartest_graph::generators::planar::random_tree(25, &mut rng).graph,
         };
-        assert_equivalent(&g, seed, false);
+        assert_batch_equivalent(&g, &[seed, seed + 1, seed + 2], false);
     }
 }
 
@@ -346,16 +255,12 @@ proptest! {
 #[test]
 fn equivalent_on_deep_path() {
     let g = Graph::from_edges(120, (0..119).map(|i| (i, i + 1))).unwrap();
-    for seed in 0..8u64 {
-        assert_equivalent(&g, seed, false);
-    }
+    assert_batch_equivalent(&g, &(0..8).collect::<Vec<u64>>(), false);
 }
 
 /// Disconnected graphs exercise never-active nodes.
 #[test]
 fn equivalent_on_disconnected() {
     let g = Graph::from_edges(20, [(0, 1), (2, 3), (5, 6), (6, 7), (10, 11)]).unwrap();
-    for seed in 0..8u64 {
-        assert_equivalent(&g, seed, true);
-    }
+    assert_batch_equivalent(&g, &(0..8).collect::<Vec<u64>>(), true);
 }
