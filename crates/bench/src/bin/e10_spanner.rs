@@ -1,4 +1,4 @@
-//! Regenerates the e10 table of `EXPERIMENTS.md`.
+//! Prints the e10 experiment table.
 fn main() {
     planartest_bench::e10_spanner();
 }

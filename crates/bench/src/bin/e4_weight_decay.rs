@@ -1,4 +1,4 @@
-//! Regenerates the e4 table of `EXPERIMENTS.md`.
+//! Prints the e4 experiment table.
 fn main() {
     planartest_bench::e4_weight_decay();
 }

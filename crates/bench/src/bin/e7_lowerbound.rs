@@ -1,4 +1,4 @@
-//! Regenerates the e7 table of `EXPERIMENTS.md`.
+//! Prints the e7 experiment table.
 fn main() {
     planartest_bench::e7_lowerbound();
 }

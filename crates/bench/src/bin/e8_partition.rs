@@ -1,4 +1,4 @@
-//! Regenerates the e8 table of `EXPERIMENTS.md`.
+//! Prints the e8 experiment table.
 fn main() {
     planartest_bench::e8_partition();
 }

@@ -1,4 +1,4 @@
-//! Regenerates the e9 table of `EXPERIMENTS.md`.
+//! Prints the e9 experiment table.
 fn main() {
     planartest_bench::e9_hereditary();
 }

@@ -1,5 +1,5 @@
-//! Experiment harness for `EXPERIMENTS.md`: workload construction,
-//! sweeps, and the table printers behind the `e1`–`e13` binaries.
+//! Experiment harness: workload construction, sweeps, and the table
+//! printers behind the `e1`–`e13` binaries.
 //!
 //! Every experiment is a plain function so the `all_experiments` binary
 //! (and tests) can run them programmatically; binaries are thin wrappers.

@@ -11,8 +11,8 @@ pub enum EmbeddingMode {
     /// non-planar, hand out a best-effort ordering and let the
     /// violation-detection step do the rejecting. **Not one-sided**: our
     /// reproduction refutes Claim 10 (planar graphs can carry violating
-    /// labellings — see `EXPERIMENTS.md` E6), so this mode can reject
-    /// planar inputs. Kept for measuring the paper's mechanism.
+    /// labellings — see `tests/claim10_refutation.rs`), so this mode can
+    /// reject planar inputs. Kept for measuring the paper's mechanism.
     Demoucron,
     /// The sound default: a part that the embedder proves non-planar makes
     /// its root reject (the paper's "this constitutes evidence that `Gj`

@@ -257,11 +257,11 @@ mod tests {
 
     /// **Claim 10 refutation.** The paper asserts that a planar part with
     /// an embedding-consistent labelling has no violating edges. Our
-    /// reproduction found a 7-node planar counterexample (see
-    /// `EXPERIMENTS.md` E6): with BFS parent 1 for the vertex stacked
-    /// into face {1,2,5}, the pairs (6,2)×(1,5) and (6,5)×(1,2) cannot
-    /// both be non-interleaving — one needs ℓ(5)<ℓ(2), the other the
-    /// reverse — so *every* labelling of this planar graph has a
+    /// reproduction found a 7-node planar counterexample (pinned by
+    /// `tests/claim10_refutation.rs`): with BFS parent 1 for the vertex
+    /// stacked into face {1,2,5}, the pairs (6,2)×(1,5) and (6,5)×(1,2)
+    /// cannot both be non-interleaving — one needs ℓ(5)<ℓ(2), the other
+    /// the reverse — so *every* labelling of this planar graph has a
     /// violating edge. This matches book-embedding theory: the label
     /// order is a 2-page spine, which non-subhamiltonian planar graphs
     /// lack. The sound tester modes therefore reject on certified

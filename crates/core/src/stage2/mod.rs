@@ -70,7 +70,7 @@ pub struct Stage2Outcome {
     /// [`EmbeddingMode::Demoucron`] mode these also reject; in the sound
     /// modes they are telemetry only, because our reproduction shows
     /// planar graphs can carry violating labellings (Claim 10 refutation,
-    /// `EXPERIMENTS.md` E6).
+    /// `tests/claim10_refutation.rs`).
     pub violation_witnesses: Vec<NodeId>,
     /// Per-part reports.
     pub parts: Vec<PartReport>,

@@ -49,7 +49,7 @@ pub struct TestOutcome {
     pub parts: Vec<PartReport>,
     /// Nodes that witnessed a Definition 7 violation (telemetry in the
     /// sound modes; rejection evidence only in the paper-faithful mode —
-    /// see the Claim 10 refutation in `EXPERIMENTS.md`).
+    /// see the Claim 10 refutation in `tests/claim10_refutation.rs`).
     pub violation_witnesses: Vec<NodeId>,
 }
 

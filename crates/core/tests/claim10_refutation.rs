@@ -2,8 +2,9 @@
 //! of Levi-Medina-Ron (PODC 2018) is false as stated. A 7-node planar
 //! graph admits a BFS tree under which *every* embedding-derived
 //! labelling contains a violating (Definition 7) edge pair, so the
-//! paper-faithful Stage II can reject planar inputs. See EXPERIMENTS.md
-//! E6 for the analysis and the sound fix used by the default tester.
+//! paper-faithful Stage II can reject planar inputs. The `e6_violations`
+//! bench binary measures the violation counts at scale; the sound fix
+//! the default tester uses is `EmbeddingMode::DemoucronStrict`.
 
 use planartest_core::oracle::{count_violating_edges, non_tree_intervals};
 use planartest_core::{EmbeddingMode, PlanarityTester, TesterConfig};

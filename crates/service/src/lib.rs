@@ -38,11 +38,13 @@
 //! * [`scheduler::Server`] — the concurrent form: a dedicated thread
 //!   owns the service and drains a shared submission queue on
 //!   queue-depth or linger-timer wakeups, so *independent clients'*
-//!   same-graph queries coalesce automatically. The server cycle is
-//!   *pipelined*: warm/certificate hits are answered at resolve time
-//!   (ahead of the execute barrier), next-cycle arrivals resolve while
-//!   the engine runs, and graceful shutdown (stdin EOF, SIGTERM)
-//!   flushes everything pending first.
+//!   same-graph queries coalesce automatically. One dispatch path runs
+//!   at each cycle's start and, behind an overlap gate (in-flight keys,
+//!   connections waiting behind their own control op), while the
+//!   engine runs; hits are answered at resolve time. Per-connection
+//!   order is exact; cross-connection order around a held control op
+//!   is not replayed. Graceful shutdown (stdin EOF, SIGTERM) flushes
+//!   everything pending first.
 //! * [`transport`] — how requests arrive: stdio, unix-socket and TCP
 //!   listeners all frame LDJSON requests
 //!   ([`wire::FrameReader`]) into that one queue, tagged with a

@@ -20,35 +20,35 @@
 //!
 //! [`Service::drain`] is the synchronous, caller-driven form of that
 //! pipeline (one cycle, responses returned). [`Server`] is the
-//! concurrent form: a dedicated thread owns the service and runs a
-//! *pipelined* version of the same cycle against the shared
-//! [`SubmissionQueue`] that every transport
-//! ([`crate::transport`]) feeds, waking on queue depth, a control op,
-//! or a configurable linger timer — so *independent clients'*
-//! same-graph queries coalesce into shared engine passes without any
-//! client knowing about the others. The pipelined loop differs from
-//! the synchronous drain in wall-clock shape only, never in results:
+//! concurrent form: a dedicated thread owns the service and runs the
+//! same cycle against the shared [`SubmissionQueue`] that every
+//! transport ([`crate::transport`]) feeds, waking on queue depth, a
+//! control op, or a configurable linger timer — so *independent
+//! clients'* same-graph queries coalesce into shared engine passes
+//! without any client knowing about the others.
 //!
-//! - **writes are off the critical path** — responses go to bounded
-//!   per-connection outbound queues drained by dedicated writer
-//!   threads ([`Connections`]), so one stalled client cannot block
-//!   the cycle;
-//! - **hits take a fast path** — warm-cache and certificate answers
-//!   are enqueued to their connection's writer at resolve time,
-//!   before the cycle's execute barrier;
-//! - **cycles overlap** — while the group-execution pool runs cycle
-//!   N's engine passes, the drain thread resolves cycle N+1's
-//!   arrivals against the cache (deferring anything that touches an
-//!   in-flight group or needs mutable service state).
-//!
-//! Responses are still routed back per-connection in submission order
-//! (a sequencing router re-orders out-of-order fulfilments), and a
-//! shutdown request (stdin EOF, SIGTERM) flushes everything pending —
-//! including the outbound writer queues — before the loop exits.
+//! Every server request goes through one stage-1 function, `dispatch`,
+//! which resolves a `query` or `batch` submission into a `Cycle` and
+//! hands control ops back to its caller. It runs **at the start of a
+//! cycle with no gate** (control ops answered in place, in arrival
+//! order, so an `ingest` is visible to every query behind it), and
+//! **during the overlap window with an `Overlap` gate**: while the pool
+//! runs the cycle's engine passes, arrivals resolve into the *next*
+//! cycle, except in-flight keys and connections waiting behind their
+//! own control op, which are held and dispatched again next cycle.
+//! Hits and errors are answered at once (the fast path), through
+//! bounded per-connection writer queues ([`Connections`]), so one
+//! stalled client cannot block the cycle. Per-connection order is
+//! exact (router tokens are assigned at arrival); cross-connection
+//! order around a held control op is not replayed — concurrent clients
+//! race those orderings anyway. A shutdown request (stdin EOF, SIGTERM)
+//! flushes everything pending, writer queues included, before the
+//! loop exits.
 
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::SocketAddr;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 use std::thread;
@@ -62,7 +62,7 @@ use crate::exec::{execute_groups, Group, GroupPass};
 use crate::persist::{CertificateLog, CertificateRecord};
 use crate::pipeline::{ResponseRouter, Token};
 use crate::protocol;
-use crate::query::{CacheStatus, Outcome, Property, Query, QueryId, QueryResponse};
+use crate::query::{CacheStatus, Outcome, Query, QueryId, QueryResponse};
 use crate::registry::GraphRegistry;
 use crate::telemetry::{Clock, Route, StageTimes, Telemetry, WakeReason, WAKE_REASONS};
 use crate::transport::{
@@ -161,12 +161,148 @@ pub(crate) struct Resolved {
     pub(crate) stages: StageTimes,
 }
 
-/// What the resolve stage decided for one query.
-pub(crate) enum Resolution {
-    /// Answered without engine work (cache hit or resolution failure).
-    Done(Result<QueryResponse, ServiceError>),
-    /// Needs an engine pass; goes to the group stage.
-    Miss(Resolved),
+/// One cycle's resolve-stage output: a response slot per resolved
+/// query, the misses bound for the group stage, and — on the server
+/// path — the response lines still owed once those misses' passes are
+/// applied.
+#[derive(Default)]
+struct Cycle {
+    /// Filled at resolve time on a hit or a resolution failure, and by
+    /// `apply_group` on a miss.
+    slots: Vec<Option<DrainedQuery>>,
+    misses: Vec<(usize, Resolved)>,
+    owed: Vec<Owed>,
+}
+
+/// A response line waiting on the execute barrier: its router token
+/// and the slots it renders — one for a `query` op, one per member for
+/// a `batch` op.
+struct Owed {
+    token: Token,
+    slots: Range<usize>,
+    batch: bool,
+}
+
+impl Cycle {
+    /// Renders a line from its (answered) slots: one response, or a
+    /// batch re-assembled into a single `{"responses": [...]}` line.
+    fn render(&self, line: &Owed) -> Value {
+        let mut values = self.slots[line.slots.clone()].iter().map(|slot| {
+            match &slot.as_ref().expect("every cycle slot answered").1 {
+                Ok(response) => protocol::response_value(response),
+                Err(e) => protocol::error_value(e),
+            }
+        });
+        if line.batch {
+            Value::obj()
+                .field("ok", true)
+                .field("responses", values.collect::<Vec<Value>>())
+        } else {
+            values.next().expect("a query line has one slot")
+        }
+    }
+}
+
+/// Stage 1's split borrow of a [`Service`]: everything resolving a
+/// query touches, borrowed field by field, so the drain thread can keep
+/// resolving while the execute stage holds the registry and runner.
+struct Resolver<'a> {
+    registry: &'a GraphRegistry,
+    runner: &'a TrialRunner,
+    cache: &'a mut ResultCache,
+    telemetry: &'a Telemetry,
+    queries_served: &'a mut u64,
+    next_id: &'a mut QueryId,
+}
+
+impl Resolver<'_> {
+    fn next_id(&mut self) -> QueryId {
+        let id = *self.next_id;
+        *self.next_id += 1;
+        id
+    }
+
+    /// Stage 1 for one query: registry resolution + cache lookup into a
+    /// new slot of `cycle`. A hit or a resolution failure fills the
+    /// slot; a miss leaves it empty and joins the cycle's misses.
+    ///
+    /// Stage spans stay contiguous by construction: the queue span ends
+    /// on the single stamp taken at entry, and the resolve span ends on
+    /// the single stamp taken when the walk finishes — so
+    /// `queue + resolve (+ execute + respond)` sums *exactly* to
+    /// end-to-end on the service clock.
+    fn resolve(
+        &mut self,
+        cycle: &mut Cycle,
+        id: QueryId,
+        query: Query,
+        submitted_micros: u64,
+        conn: Option<ConnectionId>,
+        route: Route,
+    ) {
+        *self.queries_served += 1;
+        let telemetry = self.telemetry;
+        let resolve_start = telemetry.now_micros();
+        let mut stages = StageTimes {
+            submitted_micros,
+            queue_micros: resolve_start.saturating_sub(submitted_micros),
+            ..StageTimes::default()
+        };
+        let close = |stages: &mut StageTimes| {
+            stages.resolve_micros = telemetry.now_micros().saturating_sub(resolve_start);
+        };
+        let key = match cache_key(self.registry, &query) {
+            Ok(key) => key,
+            Err(err) => {
+                close(&mut stages);
+                telemetry.record_failed_query(stages);
+                cycle.slots.push(Some((id, Err(err))));
+                return;
+            }
+        };
+        let seed = query.cfg.seed;
+        let hit = self.cache.lookup(&key, seed);
+        close(&mut stages);
+        let Some((outcome, status, stored_seed)) = hit else {
+            let resolved = Resolved {
+                id,
+                key,
+                seed,
+                query,
+                conn,
+                stages,
+            };
+            cycle.misses.push((cycle.slots.len(), resolved));
+            cycle.slots.push(None);
+            return;
+        };
+        telemetry.record_query(conn, id, query.property, status, route, stages, 0, 0);
+        cycle.slots.push(Some((
+            id,
+            Ok(QueryResponse {
+                id,
+                graph: key.graph,
+                property: query.property,
+                seed: stored_seed,
+                outcome,
+                cache: status,
+                coalesced: 0,
+                engine_micros: 0,
+                attributed_micros: 0,
+                stages,
+            }),
+        )));
+    }
+}
+
+/// The cache key `query` resolves to.
+fn cache_key(registry: &GraphRegistry, query: &Query) -> Result<CacheKey, ServiceError> {
+    let entry = registry.resolve(&query.graph)?;
+    Ok(CacheKey {
+        graph: entry.fingerprint,
+        config: query.cfg.fingerprint(),
+        property: query.property,
+    })
 }
 
 /// The long-running query service (see the crate-level docs for the
@@ -418,7 +554,7 @@ impl Service {
     /// id. The submit stamp taken here is the origin of the query's
     /// queue-wait stage span.
     pub fn submit(&mut self, query: Query) -> QueryId {
-        let id = self.next_query_id();
+        let id = self.resolver().next_id();
         let at = self.telemetry.now_micros();
         self.queue.push((id, query, at));
         id
@@ -428,12 +564,6 @@ impl Service {
     #[must_use]
     pub fn pending(&self) -> usize {
         self.queue.len()
-    }
-
-    fn next_query_id(&mut self) -> QueryId {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
     }
 
     /// Serves one query immediately (a drain of one). Queries already
@@ -463,68 +593,47 @@ impl Service {
     /// shared the pass).
     pub fn drain(&mut self) -> Vec<DrainedQuery> {
         let pending = std::mem::take(&mut self.queue);
-        let mut results: Vec<Option<DrainedQuery>> = Vec::new();
-        results.resize_with(pending.len(), || None);
 
         // Stage 1: resolve (cache hits answered in place).
-        let mut misses: Vec<(usize, Resolved)> = Vec::new();
-        for (slot, (id, query, at)) in pending.into_iter().enumerate() {
-            match self.resolve_one(id, query, at, None, Route::Cycle) {
-                Resolution::Done(result) => results[slot] = Some((id, result)),
-                Resolution::Miss(resolved) => misses.push((slot, resolved)),
-            }
+        let mut cycle = Cycle::default();
+        let mut resolver = self.resolver();
+        for (id, query, at) in pending {
+            resolver.resolve(&mut cycle, id, query, at, None, Route::Cycle);
         }
 
         // Stage 2: group. Stage 3: execute (pure, possibly parallel).
-        let groups = group_misses(misses);
+        let groups = group_misses(std::mem::take(&mut cycle.misses));
         let clock = self.telemetry.clock();
         let passes = execute_groups(&self.registry, &groups, &self.runner, &clock);
 
         // Stage 4: respond (ordered state, sequential in group order).
         for (group, pass) in groups.into_iter().zip(passes) {
-            self.apply_group(group, pass, &mut results);
+            self.apply_group(group, pass, &mut cycle.slots);
         }
 
-        results
+        cycle
+            .slots
             .into_iter()
             .map(|r| r.expect("every pending query answered"))
             .collect()
     }
 
-    /// Stage 1 for one query: registry resolution + cache lookup. See
-    /// [`resolve_query`] (the pipelined drain loop calls the free form
-    /// with split field borrows while the execute stage holds the
-    /// registry).
-    pub(crate) fn resolve_one(
-        &mut self,
-        id: QueryId,
-        query: Query,
-        submitted_micros: u64,
-        conn: Option<ConnectionId>,
-        route: Route,
-    ) -> Resolution {
-        resolve_query(
-            &self.registry,
-            &mut self.cache,
-            &self.telemetry,
-            &mut self.queries_served,
-            id,
-            query,
-            submitted_micros,
-            conn,
-            route,
-        )
+    /// Splits out the fields stage 1 touches (see [`Resolver`]).
+    fn resolver(&mut self) -> Resolver<'_> {
+        Resolver {
+            registry: &self.registry,
+            runner: &self.runner,
+            cache: &mut self.cache,
+            telemetry: &self.telemetry,
+            queries_served: &mut self.queries_served,
+            next_id: &mut self.next_id,
+        }
     }
 
     /// Stage 4 for one group: bump the pass counter, record outcomes in
     /// the cache, and fill the members' response slots with per-query
     /// latency attribution.
-    pub(crate) fn apply_group(
-        &mut self,
-        group: Group,
-        pass: GroupPass,
-        results: &mut [Option<DrainedQuery>],
-    ) {
+    fn apply_group(&mut self, group: Group, pass: GroupPass, results: &mut [Option<DrainedQuery>]) {
         self.engine_passes += 1;
         // One stamp closes every member's execute span (resolve end →
         // the group's pass applied here); one more, after the cache
@@ -624,104 +733,22 @@ impl Service {
     }
 }
 
-/// Stage 1 for one query, in free form: registry resolution + cache
-/// lookup against explicitly-borrowed service fields, so the pipelined
-/// drain loop can resolve cycle N+1's arrivals while the execute stage
-/// holds shared borrows of the registry and runner.
-///
-/// Stage spans stay contiguous by construction: the queue span ends
-/// on the single stamp taken at entry, and the resolve span ends on
-/// the single stamp taken when the walk finishes — so
-/// `queue + resolve (+ execute + respond)` sums *exactly* to
-/// end-to-end on the service clock.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn resolve_query(
-    registry: &GraphRegistry,
-    cache: &mut ResultCache,
-    telemetry: &Telemetry,
-    queries_served: &mut u64,
-    id: QueryId,
-    query: Query,
-    submitted_micros: u64,
-    conn: Option<ConnectionId>,
-    route: Route,
-) -> Resolution {
-    *queries_served += 1;
-    let resolve_start = telemetry.now_micros();
-    let mut stages = StageTimes {
-        submitted_micros,
-        queue_micros: resolve_start.saturating_sub(submitted_micros),
-        ..StageTimes::default()
-    };
-    let close = |stages: &mut StageTimes, telemetry: &Telemetry| {
-        stages.resolve_micros = telemetry.now_micros().saturating_sub(resolve_start);
-    };
-    let entry = match registry.resolve(&query.graph) {
-        Ok(e) => e,
-        Err(err) => {
-            close(&mut stages, telemetry);
-            telemetry.record_failed_query(stages);
-            return Resolution::Done(Err(err));
-        }
-    };
-    let key = CacheKey {
-        graph: entry.fingerprint,
-        config: query.cfg.fingerprint(),
-        property: query.property,
-    };
-    let seed = query.cfg.seed;
-    if let Some((outcome, status, stored_seed)) = cache.lookup(&key, seed) {
-        close(&mut stages, telemetry);
-        telemetry.record_query(conn, id, query.property, status, route, stages, 0, 0);
-        return Resolution::Done(Ok(QueryResponse {
-            id,
-            graph: key.graph,
-            property: query.property,
-            seed: stored_seed,
-            outcome,
-            cache: status,
-            coalesced: 0,
-            engine_micros: 0,
-            attributed_micros: 0,
-            stages,
-        }));
-    }
-    close(&mut stages, telemetry);
-    Resolution::Miss(Resolved {
-        id,
-        key,
-        seed,
-        query,
-        conn,
-        stages,
-    })
-}
-
 /// Stage 2: bucket resolve-stage misses into engine groups by cache
 /// key, preserving first-seen order of both groups and members, and
 /// collect each group's distinct seed lanes.
-pub(crate) fn group_misses(misses: Vec<(usize, Resolved)>) -> Vec<Group> {
-    let mut index: HashMap<(u128, u128, Property), usize> = HashMap::new();
+fn group_misses(misses: Vec<(usize, Resolved)>) -> Vec<Group> {
+    let mut index: HashMap<CacheKey, usize> = HashMap::new();
     let mut groups: Vec<Group> = Vec::new();
     for (slot, resolved) in misses {
-        let gk = (
-            resolved.key.graph.0,
-            resolved.key.config.0,
-            resolved.key.property,
-        );
-        let g = match index.get(&gk) {
-            Some(&g) => g,
-            None => {
-                index.insert(gk, groups.len());
-                groups.push(Group {
-                    key: resolved.key,
-                    cfg: resolved.query.cfg.clone(),
-                    seeds: Vec::new(),
-                    members: Vec::new(),
-                });
-                groups.len() - 1
-            }
-        };
+        let g = *index.entry(resolved.key).or_insert_with(|| {
+            groups.push(Group {
+                key: resolved.key,
+                cfg: resolved.query.cfg.clone(),
+                seeds: Vec::new(),
+                members: Vec::new(),
+            });
+            groups.len() - 1
+        });
         let group = &mut groups[g];
         let lane = group.lane(&resolved);
         if !group.seeds.contains(&lane) {
@@ -881,164 +908,119 @@ impl Server {
     }
 }
 
-/// A response owed from an earlier cycle, carried into the next one by
-/// the pipelined drain loop. Its router token was assigned at arrival,
-/// so delivery order per connection is preserved no matter how many
-/// cycles it rides.
-enum Pending {
-    /// A submission that arrived during overlap but could not be
-    /// resolved early (control op, connection behind a control op, or
-    /// a cache key with an in-flight engine group): replayed through
-    /// the full dispatch next cycle.
-    Raw(Token, Submission),
-    /// A query resolved to a cache miss during overlap: goes straight
-    /// to the group stage next cycle. Boxed to keep the carried-raw
-    /// variant (the common case) small.
-    Miss(Token, Box<Resolved>),
-    /// A `batch` op resolved member-by-member during overlap with at
-    /// least one miss: hits keep their already-recorded responses
-    /// (re-resolving would double-count telemetry), misses go to the
-    /// group stage next cycle.
-    Batch(Token, Vec<BatchMember>),
+/// The overlap window's gate on [`dispatch`]: what waits for the next
+/// cycle instead of resolving against a cache the running passes have
+/// not updated yet.
+struct Overlap {
+    /// The running groups' keys: a query on one may be answered by its
+    /// pass, so it is held (without holding anything behind it).
+    in_flight: HashSet<CacheKey>,
+    /// Connections behind their own control op: all they send is held,
+    /// so same-connection effects (ingest-then-query) replay in order.
+    blocked: HashSet<ConnectionId>,
 }
 
-/// One member of an overlap-resolved `batch` op.
-enum BatchMember {
-    /// Resolved at overlap time (hit or error), response in hand.
-    Done(DrainedQuery),
-    /// A cache miss: rides the next cycle's group stage.
-    Miss(Resolved),
-}
-
-/// A response the pipelined loop owes after the execute barrier (the
-/// fast path never creates one of these).
-enum Deferred {
-    /// One query miss: its response lives in the flat slot.
-    Single(Token, usize),
-    /// A `batch` op with at least one miss: one slot per member,
-    /// re-assembled into a single `{"responses": [...]}` line.
-    Batch(Token, Vec<usize>),
-}
-
-fn render_result(result: Result<QueryResponse, ServiceError>) -> Value {
-    match result {
-        Ok(response) => protocol::response_value(&response),
-        Err(e) => protocol::error_value(&e),
+impl Overlap {
+    fn in_flight(&self, registry: &GraphRegistry, query: &Query) -> bool {
+        cache_key(registry, query).is_ok_and(|key| self.in_flight.contains(&key))
     }
 }
 
-fn take_slot(flat: &mut [Option<DrainedQuery>], slot: usize) -> Value {
-    render_result(flat[slot].take().expect("every cycle slot answered").1)
-}
-
-fn render_batch(slots: &[usize], flat: &mut [Option<DrainedQuery>]) -> Value {
-    Value::obj().field("ok", true).field(
-        "responses",
-        slots
-            .iter()
-            .map(|&s| take_slot(flat, s))
-            .collect::<Vec<Value>>(),
-    )
-}
-
-/// Phase 1 of the pipelined cycle, for one submission: dispatch it
-/// exactly like [`process_cycle`] would, but fulfil everything that
-/// does not need the execute barrier — hits, control answers, errors —
-/// through the router *immediately* (the hit fast path).
-#[allow(clippy::too_many_arguments)]
-fn dispatch_submission(
-    service: &mut Service,
+/// Stage 1 for one submission, at a cycle's start (no gate) or in the
+/// overlap window (an [`Overlap`] gate). A `query` or `batch` op
+/// resolves into slots of `cycle`; its line goes out at once when no
+/// slot missed (the fast path), else it is owed until the execute
+/// barrier. Returns what it did not dispatch: a control op, which the
+/// caller answers with the whole service, or — under a gate — a held
+/// submission (a control op there also blocks its connection).
+fn dispatch(
+    resolver: &mut Resolver<'_>,
+    cycle: &mut Cycle,
     router: &mut ResponseRouter,
     connections: &Connections,
     token: Token,
     sub: Submission,
-    flat: &mut Vec<Option<DrainedQuery>>,
-    misses: &mut Vec<(usize, Resolved)>,
-    deferred: &mut Vec<Deferred>,
-) {
-    let (conn, at) = (sub.conn, sub.at_micros);
-    match sub.request {
-        Err(message) => router.fulfill(token, &protocol::error_value(&message), connections),
+    gate: Option<&mut Overlap>,
+) -> Option<Submission> {
+    if gate.as_ref().is_some_and(|g| g.blocked.contains(&sub.conn)) {
+        return Some(sub);
+    }
+    let parsed = match &sub.request {
+        Err(message) => Err(message.clone()),
         Ok(req) => match req.get("op").and_then(Value::as_str) {
-            Some("query") => match protocol::parse_query(&req) {
-                Ok(q) => {
-                    let id = service.next_query_id();
-                    match service.resolve_one(id, q, at, Some(conn), Route::Fast) {
-                        Resolution::Done(result) => {
-                            router.fulfill(token, &render_result(result), connections);
-                        }
-                        Resolution::Miss(resolved) => {
-                            let slot = flat.len();
-                            flat.push(None);
-                            misses.push((slot, resolved));
-                            deferred.push(Deferred::Single(token, slot));
-                        }
-                    }
+            Some("query") => protocol::parse_query(req).map(|q| (vec![q], false)),
+            Some("batch") => protocol::parse_batch(req).map(|qs| (qs, true)),
+            _ => {
+                if let Some(gate) = gate {
+                    gate.blocked.insert(sub.conn);
                 }
-                Err(e) => router.fulfill(token, &protocol::error_value(&e), connections),
-            },
-            Some("batch") => match protocol::parse_batch(&req) {
-                Ok(queries) => {
-                    let mut slots = Vec::with_capacity(queries.len());
-                    let mut all_done = true;
-                    for q in queries {
-                        let id = service.next_query_id();
-                        let slot = flat.len();
-                        match service.resolve_one(id, q, at, Some(conn), Route::Fast) {
-                            Resolution::Done(result) => flat.push(Some((id, result))),
-                            Resolution::Miss(resolved) => {
-                                flat.push(None);
-                                misses.push((slot, resolved));
-                                all_done = false;
-                            }
-                        }
-                        slots.push(slot);
-                    }
-                    if all_done {
-                        router.fulfill(token, &render_batch(&slots, flat), connections);
-                    } else {
-                        deferred.push(Deferred::Batch(token, slots));
-                    }
-                }
-                Err(e) => router.fulfill(token, &protocol::error_value(&e), connections),
-            },
-            // Control ops (ingest/stats/families) and unknown ops:
-            // handled in place, in arrival order, answered immediately.
-            _ => router.fulfill(token, &protocol::handle_request(service, &req), connections),
+                return Some(sub);
+            }
         },
+    };
+    let (queries, batch) = match parsed {
+        Ok(parsed) => parsed,
+        Err(message) => {
+            router.fulfill(token, &protocol::error_value(message), connections);
+            return None;
+        }
+    };
+    if gate.is_some_and(|g| queries.iter().any(|q| g.in_flight(resolver.registry, q))) {
+        return Some(sub);
+    }
+    let start = cycle.slots.len();
+    for query in queries {
+        let id = resolver.next_id();
+        resolver.resolve(cycle, id, query, sub.at_micros, Some(sub.conn), Route::Fast);
+    }
+    let line = Owed {
+        token,
+        slots: start..cycle.slots.len(),
+        batch,
+    };
+    if cycle.slots[start..].iter().all(Option::is_some) {
+        router.fulfill(token, &cycle.render(&line), connections);
+        cycle.slots.truncate(start);
+    } else {
+        cycle.owed.push(line);
+    }
+    None
+}
+
+/// The drain thread's state from one cycle to the next.
+#[derive(Default)]
+struct Pipeline {
+    router: ResponseRouter,
+    /// The next cycle, begun by overlap-window arrivals that resolved
+    /// with a cache miss.
+    next: Cycle,
+    /// Submissions the overlap gate held back, with the router tokens
+    /// they were given on arrival.
+    held: Vec<(Token, Submission)>,
+}
+
+impl Pipeline {
+    /// Whether no work is carried into the next cycle.
+    fn is_idle(&self) -> bool {
+        self.next.owed.is_empty() && self.held.is_empty()
     }
 }
 
-/// The background drain loop: pipelined cycles until shutdown, then a
-/// full flush of the per-connection outbound writer queues.
-///
-/// Each iteration: resolve carried work plus (when nothing is carried)
-/// one `wait_cycle` batch, answering hits and control ops at resolve
-/// time; then, while the group-execution pool runs the cycle's engine
-/// passes, keep resolving newly-arrived submissions against the cache
-/// (`wait_overlap`). A control op defers itself *and everything behind
-/// it on its own connection* to the next cycle, so the per-connection
-/// semantics of the synchronous cycle (an `ingest` is visible to every
-/// query behind it on that connection) are preserved exactly; queries
-/// whose cache key has an in-flight engine group defer without
-/// blocking anyone. Deferred work is carried into the next iteration
-/// with its delivery order pinned by the router tokens assigned at
-/// arrival.
+/// The background drain loop: waits for a cycle, runs it, and repeats
+/// until shutdown, then flushes the per-connection outbound writer
+/// queues. It only waits when nothing is carried: carried work must
+/// reach the engine before anything newer is dispatched.
 fn drain_loop(
     mut service: Service,
     queue: &SubmissionQueue,
     connections: &Connections,
     opts: ServeOptions,
 ) -> Service {
-    let mut router = ResponseRouter::default();
-    let mut carry: Vec<Pending> = Vec::new();
+    let mut pipe = Pipeline::default();
     loop {
-        // Fresh submissions only when no carried work is waiting: a
-        // carried miss must reach the engine before anything newer on
-        // its connection is dispatched.
-        let fresh = if carry.is_empty() {
+        let fresh = if pipe.is_idle() {
             match queue.wait_cycle(opts.linger, opts.wake_depth) {
-                Some(cycle) => Some(cycle),
+                Some(fresh) => Some(fresh),
                 None => break,
             }
         } else {
@@ -1049,248 +1031,7 @@ fn drain_loop(
             // casualties, not mid-flight losses.
             connections.begin_shutdown_flush();
         }
-
-        // Phase 1: resolve in arrival order — carried items first
-        // (their router tokens predate every fresh submission).
-        let mut flat: Vec<Option<DrainedQuery>> = Vec::new();
-        let mut misses: Vec<(usize, Resolved)> = Vec::new();
-        let mut deferred: Vec<Deferred> = Vec::new();
-        for pending in std::mem::take(&mut carry) {
-            match pending {
-                Pending::Raw(token, sub) => dispatch_submission(
-                    &mut service,
-                    &mut router,
-                    connections,
-                    token,
-                    sub,
-                    &mut flat,
-                    &mut misses,
-                    &mut deferred,
-                ),
-                Pending::Miss(token, resolved) => {
-                    let slot = flat.len();
-                    flat.push(None);
-                    misses.push((slot, *resolved));
-                    deferred.push(Deferred::Single(token, slot));
-                }
-                Pending::Batch(token, members) => {
-                    let mut slots = Vec::with_capacity(members.len());
-                    for member in members {
-                        let slot = flat.len();
-                        match member {
-                            BatchMember::Done(drained) => flat.push(Some(drained)),
-                            BatchMember::Miss(resolved) => {
-                                flat.push(None);
-                                misses.push((slot, resolved));
-                            }
-                        }
-                        slots.push(slot);
-                    }
-                    deferred.push(Deferred::Batch(token, slots));
-                }
-            }
-        }
-        let recorded = fresh.as_ref().map(|(subs, reason)| (*reason, subs.len()));
-        if let Some((submissions, _)) = fresh {
-            for sub in submissions {
-                let token = router.admit(sub.conn);
-                dispatch_submission(
-                    &mut service,
-                    &mut router,
-                    connections,
-                    token,
-                    sub,
-                    &mut flat,
-                    &mut misses,
-                    &mut deferred,
-                );
-            }
-        }
-
-        // Phase 2: group. (Overlap batches were already recorded as
-        // `pipeline` wakes when they were collected.)
-        let groups = group_misses(misses);
-        if let Some((reason, width)) = recorded {
-            service.telemetry.record_cycle(reason, width, groups.len());
-        }
-        if groups.is_empty() {
-            debug_assert!(deferred.is_empty(), "no groups, nothing can be deferred");
-            continue;
-        }
-
-        // Phase 3: execute on a scoped thread while this thread keeps
-        // resolving next-cycle arrivals against the cache. The borrows
-        // split by field: the execute stage is pure over `registry` +
-        // `runner`, the overlap walk mutates `cache` / the id counters.
-        let in_flight: HashSet<(u128, u128, Property)> = groups
-            .iter()
-            .map(|g| (g.key.graph.0, g.key.config.0, g.key.property))
-            .collect();
-        queue.pipeline_begin();
-        let registry = &service.registry;
-        let runner = &service.runner;
-        let telemetry = &service.telemetry;
-        let cache = &mut service.cache;
-        let queries_served = &mut service.queries_served;
-        let next_id = &mut service.next_id;
-        let passes = thread::scope(|scope| {
-            let clock = telemetry.clock();
-            let exec = scope.spawn({
-                let groups = &groups;
-                move || {
-                    let passes = execute_groups(registry, groups, runner, &clock);
-                    queue.pipeline_done();
-                    passes
-                }
-            });
-            // A deferral is a *per-connection* barrier: a control op
-            // (ingest, stats, …) defers itself and everything behind
-            // it on its own connection, so same-connection effects
-            // (ingest-then-query) replay in arrival order next cycle —
-            // while every other connection keeps flowing through the
-            // fast path. Cross-connection arrival order around a
-            // pending control op is not preserved; concurrent clients
-            // race those orderings anyway.
-            //
-            // What each overlap arrival may do, decided before any
-            // state moves:
-            enum EarlyAction {
-                /// Syntactic failure (bad frame, bad fields): the
-                /// answer depends on no service state — fulfil now.
-                Error(String),
-                /// A plain query with no in-flight engine group on its
-                /// key: resolve against the cache now.
-                Query(Box<Query>),
-                /// A batch whose members all avoid in-flight keys:
-                /// resolve member-by-member now.
-                Batch(Vec<Query>),
-                /// A query touching an in-flight key: the running pass
-                /// may be its answer, so it re-resolves next cycle
-                /// (no barrier — later queries depend on nothing it
-                /// does).
-                Defer,
-                /// A control op: defer it and barrier its connection.
-                Block,
-            }
-            let key_in_flight = |q: &Query| {
-                registry.resolve(&q.graph).is_ok_and(|entry| {
-                    in_flight.contains(&(entry.fingerprint.0, q.cfg.fingerprint().0, q.property))
-                })
-            };
-            let mut blocked: HashSet<ConnectionId> = HashSet::new();
-            while let Some(batch) = queue.wait_overlap() {
-                telemetry.record_cycle(WakeReason::Pipeline, batch.len(), 0);
-                for sub in batch {
-                    let (conn, at_micros) = (sub.conn, sub.at_micros);
-                    let token = router.admit(conn);
-                    let action = if blocked.contains(&conn) {
-                        EarlyAction::Defer
-                    } else {
-                        match &sub.request {
-                            Err(message) => EarlyAction::Error(message.clone()),
-                            Ok(req) => match req.get("op").and_then(Value::as_str) {
-                                Some("query") => match protocol::parse_query(req) {
-                                    Ok(q) if key_in_flight(&q) => EarlyAction::Defer,
-                                    Ok(q) => EarlyAction::Query(Box::new(q)),
-                                    Err(e) => EarlyAction::Error(e),
-                                },
-                                Some("batch") => match protocol::parse_batch(req) {
-                                    Ok(qs) if qs.iter().any(&key_in_flight) => EarlyAction::Defer,
-                                    Ok(qs) => EarlyAction::Batch(qs),
-                                    Err(e) => EarlyAction::Error(e),
-                                },
-                                _ => EarlyAction::Block,
-                            },
-                        }
-                    };
-                    let mut resolve_early = |q: Query| {
-                        let id = *next_id;
-                        *next_id += 1;
-                        let resolution = resolve_query(
-                            registry,
-                            cache,
-                            telemetry,
-                            queries_served,
-                            id,
-                            q,
-                            at_micros,
-                            Some(conn),
-                            Route::Fast,
-                        );
-                        (id, resolution)
-                    };
-                    match action {
-                        EarlyAction::Error(message) => {
-                            router.fulfill(token, &protocol::error_value(&message), connections);
-                        }
-                        EarlyAction::Query(q) => match resolve_early(*q) {
-                            (_, Resolution::Done(result)) => {
-                                router.fulfill(token, &render_result(result), connections);
-                            }
-                            (_, Resolution::Miss(resolved)) => {
-                                carry.push(Pending::Miss(token, Box::new(resolved)));
-                            }
-                        },
-                        EarlyAction::Batch(qs) => {
-                            let mut members = Vec::with_capacity(qs.len());
-                            let mut any_miss = false;
-                            for q in qs {
-                                members.push(match resolve_early(q) {
-                                    (id, Resolution::Done(result)) => {
-                                        BatchMember::Done((id, result))
-                                    }
-                                    (_, Resolution::Miss(resolved)) => {
-                                        any_miss = true;
-                                        BatchMember::Miss(resolved)
-                                    }
-                                });
-                            }
-                            if any_miss {
-                                carry.push(Pending::Batch(token, members));
-                            } else {
-                                let responses: Vec<Value> = members
-                                    .into_iter()
-                                    .map(|m| match m {
-                                        BatchMember::Done((_, result)) => render_result(result),
-                                        BatchMember::Miss(_) => unreachable!("no member missed"),
-                                    })
-                                    .collect();
-                                router.fulfill(
-                                    token,
-                                    &Value::obj().field("ok", true).field("responses", responses),
-                                    connections,
-                                );
-                            }
-                        }
-                        EarlyAction::Defer => carry.push(Pending::Raw(token, sub)),
-                        EarlyAction::Block => {
-                            blocked.insert(conn);
-                            carry.push(Pending::Raw(token, sub));
-                        }
-                    }
-                }
-            }
-            exec.join().expect("group execution thread panicked")
-        });
-
-        // Phase 4: respond — apply passes in group order, then fulfil
-        // the deferred responses (the router restores per-connection
-        // submission order around anything answered early).
-        for (group, pass) in groups.into_iter().zip(passes) {
-            service.apply_group(group, pass, &mut flat);
-        }
-        for d in deferred {
-            match d {
-                Deferred::Single(token, slot) => {
-                    let value = take_slot(&mut flat, slot);
-                    router.fulfill(token, &value, connections);
-                }
-                Deferred::Batch(token, slots) => {
-                    let value = render_batch(&slots, &mut flat);
-                    router.fulfill(token, &value, connections);
-                }
-            }
-        }
+        run_cycle(&mut service, queue, connections, &mut pipe, fresh);
     }
     // Graceful shutdown: every computed response is already enqueued;
     // wait for the writers to put them on the wire (stuck connections
@@ -1299,126 +1040,96 @@ fn drain_loop(
     service
 }
 
-/// What one submission is waiting on after the resolve walk (the
-/// synchronous [`process_cycle`] reference path).
-#[cfg_attr(not(test), allow(dead_code))]
-enum Plan {
-    /// Fully answered during the walk (control op, parse error, …).
-    Ready(Value),
-    /// One query: its response lives in the flat slot.
-    Single(usize),
-    /// A `batch` op: one slot per member, responses re-assembled into
-    /// a single `{"responses": [...]}` line.
-    Batch(Vec<usize>),
-}
-
-/// Runs one scheduler cycle over connection-tagged submissions:
-/// resolve (walking in arrival order, so an `ingest` is visible to
-/// every query behind it — including queries from other connections in
-/// the same cycle), group, execute, respond. Returns one response per
-/// submission, in arrival order, ready for per-connection routing.
-/// `reason` is why this cycle fired; it lands in the wake-reason
-/// counters along with the cycle's width and group fan-out.
-///
-/// This is the *synchronous reference* for the pipelined
-/// [`drain_loop`]: the pipelined form must be per-connection
-/// bit-for-bit equivalent to routing these responses in order (the
-/// drain-equivalence proptests hold both to it).
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn process_cycle(
+/// One server cycle over the carried work plus a `wait_cycle` batch
+/// (`fresh`, with the reason it fired): dispatch the held, then the
+/// fresh submissions with no gate, into the cycle the last overlap
+/// window began; group its misses; execute the groups on a scoped
+/// thread while this thread dispatches overlap arrivals, gated, into
+/// the next cycle (the execute stage only reads the registry and
+/// runner, the [`Resolver`] writes the cache and counters); then apply
+/// the passes in group order and fulfil the owed lines.
+fn run_cycle(
     service: &mut Service,
-    submissions: Vec<Submission>,
-    reason: WakeReason,
-) -> Vec<(ConnectionId, Value)> {
-    let width = submissions.len();
-    let mut plans: Vec<(ConnectionId, Plan)> = Vec::with_capacity(submissions.len());
-    let mut flat: Vec<Option<DrainedQuery>> = Vec::new();
-    let mut misses: Vec<(usize, Resolved)> = Vec::new();
+    queue: &SubmissionQueue,
+    connections: &Connections,
+    pipe: &mut Pipeline,
+    fresh: Option<(Vec<Submission>, WakeReason)>,
+) {
+    let Pipeline { router, next, held } = pipe;
+    let mut cycle = std::mem::take(next);
+    let recorded = fresh.as_ref().map(|(subs, reason)| (*reason, subs.len()));
+    // Held submissions first: their tokens predate every fresh one.
+    let mut arrivals = std::mem::take(held);
+    for sub in fresh.into_iter().flat_map(|(subs, _)| subs) {
+        arrivals.push((router.admit(sub.conn), sub));
+    }
+    for (token, sub) in arrivals {
+        let resolver = &mut service.resolver();
+        let control = dispatch(resolver, &mut cycle, router, connections, token, sub, None);
+        if let Some(req) = control.and_then(|sub| sub.request.ok()) {
+            router.fulfill(token, &protocol::handle_request(service, &req), connections);
+        }
+    }
 
-    fn add_query(
-        service: &mut Service,
-        query: Query,
-        at_micros: u64,
-        conn: ConnectionId,
-        flat: &mut Vec<Option<DrainedQuery>>,
-        misses: &mut Vec<(usize, Resolved)>,
-    ) -> usize {
-        let id = service.next_query_id();
-        let slot = flat.len();
-        match service.resolve_one(id, query, at_micros, Some(conn), Route::Cycle) {
-            Resolution::Done(result) => flat.push(Some((id, result))),
-            Resolution::Miss(resolved) => {
-                flat.push(None);
-                misses.push((slot, resolved));
+    // Overlap batches are recorded as `pipeline` wakes when collected.
+    let groups = group_misses(std::mem::take(&mut cycle.misses));
+    if let Some((reason, width)) = recorded {
+        service.telemetry.record_cycle(reason, width, groups.len());
+    }
+    if groups.is_empty() {
+        debug_assert!(cycle.owed.is_empty(), "no groups, no owed lines");
+        return;
+    }
+
+    let mut gate = Overlap {
+        in_flight: groups.iter().map(|g| g.key).collect(),
+        blocked: HashSet::new(),
+    };
+    queue.pipeline_begin();
+    let mut resolver = service.resolver();
+    let (registry, runner) = (resolver.registry, resolver.runner);
+    let clock = resolver.telemetry.clock();
+    let passes = thread::scope(|scope| {
+        let exec = scope.spawn({
+            let groups = &groups;
+            move || {
+                let passes = execute_groups(registry, groups, runner, &clock);
+                queue.pipeline_done();
+                passes
+            }
+        });
+        while let Some(batch) = queue.wait_overlap() {
+            resolver
+                .telemetry
+                .record_cycle(WakeReason::Pipeline, batch.len(), 0);
+            for sub in batch {
+                let token = router.admit(sub.conn);
+                let gate = Some(&mut gate);
+                if let Some(sub) =
+                    dispatch(&mut resolver, next, router, connections, token, sub, gate)
+                {
+                    held.push((token, sub));
+                }
             }
         }
-        slot
-    }
+        exec.join().expect("group execution thread panicked")
+    });
 
-    for sub in submissions {
-        let (conn, at) = (sub.conn, sub.at_micros);
-        let plan = match sub.request {
-            Err(message) => Plan::Ready(protocol::error_value(&message)),
-            Ok(req) => match req.get("op").and_then(Value::as_str) {
-                Some("query") => match protocol::parse_query(&req) {
-                    Ok(q) => Plan::Single(add_query(service, q, at, conn, &mut flat, &mut misses)),
-                    Err(e) => Plan::Ready(protocol::error_value(&e)),
-                },
-                Some("batch") => match protocol::parse_batch(&req) {
-                    Ok(queries) => Plan::Batch(
-                        queries
-                            .into_iter()
-                            .map(|q| add_query(service, q, at, conn, &mut flat, &mut misses))
-                            .collect(),
-                    ),
-                    Err(e) => Plan::Ready(protocol::error_value(&e)),
-                },
-                // Control ops (ingest/stats/families) and unknown ops:
-                // handled in place, in arrival order.
-                _ => Plan::Ready(protocol::handle_request(service, &req)),
-            },
-        };
-        plans.push((conn, plan));
-    }
-
-    let groups = group_misses(misses);
-    service.telemetry.record_cycle(reason, width, groups.len());
-    let clock = service.telemetry.clock();
-    let passes = execute_groups(&service.registry, &groups, &service.runner, &clock);
     for (group, pass) in groups.into_iter().zip(passes) {
-        service.apply_group(group, pass, &mut flat);
+        service.apply_group(group, pass, &mut cycle.slots);
     }
-
-    let render = |slot: &mut Option<DrainedQuery>| -> Value {
-        match slot.take().expect("every cycle slot answered").1 {
-            Ok(response) => protocol::response_value(&response),
-            Err(e) => protocol::error_value(&e),
-        }
-    };
-    plans
-        .into_iter()
-        .map(|(conn, plan)| {
-            let value = match plan {
-                Plan::Ready(v) => v,
-                Plan::Single(slot) => render(&mut flat[slot]),
-                Plan::Batch(slots) => Value::obj().field("ok", true).field(
-                    "responses",
-                    slots
-                        .into_iter()
-                        .map(|s| render(&mut flat[s]))
-                        .collect::<Vec<Value>>(),
-                ),
-            };
-            (conn, value)
-        })
-        .collect()
+    for line in &cycle.owed {
+        router.fulfill(line.token, &cycle.render(line), connections);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::GraphRef;
+    use crate::query::{GraphRef, Property};
     use planartest_core::{PlanarityTester, TesterConfig};
+    use std::io::Write;
+    use std::sync::Mutex;
 
     fn cfg(eps: f64) -> TesterConfig {
         TesterConfig::new(eps).with_phases(5)
@@ -1428,6 +1139,79 @@ mod tests {
         let mut s = Service::new();
         s.registry_mut().ingest_spec(name, spec).unwrap();
         s
+    }
+
+    /// An in-process transport endpoint: a shared byte sink a
+    /// connection's writer thread flushes response lines into.
+    #[derive(Clone, Default)]
+    struct Sink(Arc<Mutex<Vec<u8>>>);
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Sink {
+        fn responses(&self) -> Vec<Value> {
+            String::from_utf8(self.0.lock().unwrap().clone())
+                .unwrap()
+                .lines()
+                .map(|l| Value::parse(l).unwrap())
+                .collect()
+        }
+    }
+
+    /// A `query` op on graph `graph` at `epsilon` 0.2, 5 phases.
+    fn query_op(graph: &str, seed: u64) -> Result<Value, String> {
+        Ok(Value::obj()
+            .field("op", "query")
+            .field("graph", graph)
+            .field("epsilon", 0.2)
+            .field("phases", 5u64)
+            .field("seed", seed))
+    }
+
+    /// Drives `run_cycle` the way `drain_loop` does, on a private queue
+    /// and connection table with one in-process sink per connection
+    /// (ids `0..conns`). The first cycle takes `first`, fired by
+    /// `reason`; `queued` is already in the queue when it starts, so it
+    /// arrives in that cycle's overlap window — or, if the pass wins
+    /// the race, in the next cycle. Cycles run until nothing is left.
+    /// Returns each connection's response lines.
+    fn serve_cycles(
+        service: &mut Service,
+        conns: usize,
+        first: Vec<Submission>,
+        reason: WakeReason,
+        queued: Vec<Submission>,
+    ) -> Vec<Vec<Value>> {
+        let queue = SubmissionQueue::new();
+        for sub in queued {
+            queue.push(sub);
+        }
+        let connections = Connections::new();
+        let sinks: Vec<Sink> = (0..conns).map(|_| Sink::default()).collect();
+        for (id, sink) in (0..).zip(&sinks) {
+            assert_eq!(connections.register(Box::new(sink.clone())), id);
+        }
+        let mut pipe = Pipeline::default();
+        let mut fresh = Some((first, reason));
+        loop {
+            run_cycle(service, &queue, &connections, &mut pipe, fresh);
+            fresh = if !pipe.is_idle() {
+                None
+            } else if queue.depth() > 0 {
+                queue.wait_cycle(Duration::ZERO, usize::MAX)
+            } else {
+                break;
+            };
+        }
+        connections.finish_shutdown_flush();
+        sinks.iter().map(Sink::responses).collect()
     }
 
     #[test]
@@ -1724,68 +1508,60 @@ mod tests {
 
     #[test]
     fn cycle_routes_responses_per_connection_in_submission_order() {
-        use crate::transport::Submission;
         let mut s = service_with("p", "tri_grid(4,4)");
-        let req = |seed: u64| {
-            Ok(Value::obj()
-                .field("op", "query")
-                .field("graph", "p")
-                .field("epsilon", 0.2)
-                .field("phases", 5u64)
-                .field("seed", seed))
-        };
         // Two connections interleaved, plus a control op and a garbage
         // frame mid-cycle.
         let subs = vec![
-            Submission::new(1, req(1)),
-            Submission::new(2, req(2)),
-            Submission::new(1, Err("frame exceeds the 16-byte limit".into())),
-            Submission::new(2, Ok(Value::obj().field("op", "stats"))),
-            Submission::new(1, req(3)),
+            Submission::new(0, query_op("p", 1)),
+            Submission::new(1, query_op("p", 2)),
+            Submission::new(0, Err("frame exceeds the 16-byte limit".into())),
+            Submission::new(1, Ok(Value::obj().field("op", "stats"))),
+            Submission::new(0, query_op("p", 3)),
         ];
-        let responses = process_cycle(&mut s, subs, WakeReason::Control);
-        assert_eq!(responses.len(), 5);
-        let conns: Vec<ConnectionId> = responses.iter().map(|(c, _)| *c).collect();
-        assert_eq!(conns, vec![1, 2, 1, 2, 1], "arrival order preserved");
+        let responses = serve_cycles(&mut s, 2, subs, WakeReason::Control, Vec::new());
+        assert_eq!(responses.iter().map(Vec::len).sum::<usize>(), 5);
+        let seeds = |conn: usize| -> Vec<Option<u64>> {
+            responses[conn]
+                .iter()
+                .map(|v| v.get("seed").and_then(Value::as_u64))
+                .collect()
+        };
+        assert_eq!(
+            seeds(0),
+            [Some(1), None, Some(3)],
+            "arrival order preserved"
+        );
+        assert_eq!(seeds(1), [Some(2), None], "arrival order preserved");
         // The three same-key queries coalesced into one pass...
         assert_eq!(s.engine_passes(), 1);
-        for i in [0usize, 1, 4] {
-            let v = &responses[i].1;
+        for v in [&responses[0][0], &responses[1][0], &responses[0][2]] {
             assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
             assert_eq!(v.get("coalesced").unwrap().as_u64(), Some(3));
         }
         // ...the garbage frame answered in-band on its connection...
-        assert_eq!(responses[2].1.get("ok").unwrap().as_bool(), Some(false));
+        assert_eq!(responses[0][1].get("ok").unwrap().as_bool(), Some(false));
         // ...and the control op answered in place.
-        assert_eq!(responses[3].1.get("ok").unwrap().as_bool(), Some(true));
-        assert!(responses[3].1.get("graphs").is_some());
+        assert_eq!(responses[1][1].get("ok").unwrap().as_bool(), Some(true));
+        assert!(responses[1][1].get("graphs").is_some());
     }
 
     #[test]
     fn cycle_ingest_is_visible_to_later_queries_in_the_same_cycle() {
-        use crate::transport::Submission;
         let mut s = Service::new();
         let subs = vec![
             Submission::new(
-                7,
+                0,
                 Ok(Value::obj()
                     .field("op", "ingest")
                     .field("name", "g")
                     .field("spec", "tri_grid(4,4)")),
             ),
-            Submission::new(
-                8,
-                Ok(Value::obj()
-                    .field("op", "query")
-                    .field("graph", "g")
-                    .field("epsilon", 0.2)
-                    .field("phases", 5u64)),
-            ),
+            Submission::new(1, query_op("g", 0)),
         ];
-        let responses = process_cycle(&mut s, subs, WakeReason::Control);
-        assert_eq!(responses[0].1.get("ok").unwrap().as_bool(), Some(true));
+        let responses = serve_cycles(&mut s, 2, subs, WakeReason::Control, Vec::new());
+        assert_eq!(responses[0][0].get("ok").unwrap().as_bool(), Some(true));
         assert_eq!(
-            responses[1].1.get("verdict").unwrap().as_str(),
+            responses[1][0].get("verdict").unwrap().as_str(),
             Some("accept"),
             "query resolved against the ingest earlier in the cycle"
         );
@@ -1793,41 +1569,63 @@ mod tests {
 
     #[test]
     fn cycle_batch_op_reassembles_and_coalesces_across_connections() {
-        use crate::transport::Submission;
         let mut s = service_with("p", "tri_grid(4,4)");
-        let member = |seed: u64| {
-            Value::obj()
-                .field("graph", "p")
-                .field("epsilon", 0.2)
-                .field("phases", 5u64)
-                .field("seed", seed)
-        };
+        let member = |seed: u64| query_op("p", seed).unwrap();
         let subs = vec![
             Submission::new(
-                1,
+                0,
                 Ok(Value::obj()
                     .field("op", "batch")
                     .field("queries", vec![member(1), member(2)])),
             ),
-            Submission::new(
-                2,
-                Ok(Value::obj()
-                    .field("op", "query")
-                    .field("graph", "p")
-                    .field("epsilon", 0.2)
-                    .field("phases", 5u64)
-                    .field("seed", 3u64)),
-            ),
+            Submission::new(1, query_op("p", 3)),
         ];
-        let responses = process_cycle(&mut s, subs, WakeReason::Depth);
+        let responses = serve_cycles(&mut s, 2, subs, WakeReason::Depth, Vec::new());
         // One pass serves the batch *and* the other connection's query.
         assert_eq!(s.engine_passes(), 1);
-        let batch = responses[0].1.get("responses").unwrap().as_arr().unwrap();
+        let batch = responses[0][0].get("responses").unwrap().as_arr().unwrap();
         assert_eq!(batch.len(), 2);
         for member in batch {
             assert_eq!(member.get("coalesced").unwrap().as_u64(), Some(3));
         }
-        assert_eq!(responses[1].1.get("coalesced").unwrap().as_u64(), Some(3));
+        assert_eq!(responses[1][0].get("coalesced").unwrap().as_u64(), Some(3));
+    }
+
+    #[test]
+    fn overlap_defers_in_flight_keys_and_holds_a_connection_behind_its_control_op() {
+        let mut s = service_with("p", "tri_grid(16,16)");
+        let first = vec![Submission::new(0, query_op("p", 1))];
+        // Queued while the cold pass runs: connection 1's identical
+        // query (its key is in flight), then connection 0's ingest and a
+        // query that only resolves after it.
+        let queued = vec![
+            Submission::new(1, query_op("p", 1)),
+            Submission::new(
+                0,
+                Ok(Value::obj()
+                    .field("op", "ingest")
+                    .field("name", "q")
+                    .field("spec", "tri_grid(4,4)")),
+            ),
+            Submission::new(0, query_op("q", 1)),
+        ];
+        let responses = serve_cycles(&mut s, 2, first, WakeReason::Depth, queued);
+        let field = |conn: usize, line: usize, name: &str| {
+            responses[conn][line].get(name).and_then(Value::as_str)
+        };
+        assert_eq!(responses[0].len(), 3);
+        assert_eq!(field(0, 0, "cache"), Some("cold"));
+        assert_eq!(
+            field(1, 0, "cache"),
+            Some("warm"),
+            "the in-flight pass answers the identical query"
+        );
+        assert_eq!(
+            field(0, 2, "verdict"),
+            Some("accept"),
+            "the query behind the ingest resolved after it"
+        );
+        assert_eq!(s.engine_passes(), 2);
     }
 
     #[test]
@@ -1844,39 +1642,18 @@ mod tests {
         );
         // An in-process transport: a shared Vec sink captures the
         // routed response bytes.
-        use std::io::Write;
-        use std::sync::Mutex;
-        #[derive(Clone, Default)]
-        struct Sink(Arc<Mutex<Vec<u8>>>);
-        impl Write for Sink {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
         let sink = Sink::default();
         let conn = server.connections().register(Box::new(sink.clone()));
         let queue = server.submission_queue();
-        queue.push(crate::transport::Submission::new(
-            conn,
-            Ok(Value::obj()
-                .field("op", "query")
-                .field("graph", "p")
-                .field("epsilon", 0.2)
-                .field("phases", 5u64)
-                .field("seed", 1u64)),
-        ));
+        queue.push(Submission::new(conn, query_op("p", 1)));
         // The cycle is lingering (1h); shutdown must flush it.
         server.request_shutdown();
         let service = server.join();
         assert_eq!(service.engine_passes(), 1, "pending query was flushed");
         assert_eq!(service.stats().queries_served, 1);
-        let bytes = sink.0.lock().unwrap().clone();
-        let line = String::from_utf8(bytes).unwrap();
-        let response = Value::parse(line.trim()).unwrap();
+        let responses = sink.responses();
+        assert_eq!(responses.len(), 1);
+        let response = &responses[0];
         assert_eq!(response.get("verdict").unwrap().as_str(), Some("accept"));
         assert_eq!(response.get("cache").unwrap().as_str(), Some("cold"));
     }
