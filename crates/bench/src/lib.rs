@@ -1,5 +1,5 @@
 //! Experiment harness: workload construction, sweeps, and the table
-//! printers behind the `e1`–`e13` binaries.
+//! printers behind the `e1`–`e12` binaries.
 //!
 //! Every experiment is a plain function so the `all_experiments` binary
 //! (and tests) can run them programmatically; binaries are thin wrappers.
@@ -8,9 +8,10 @@
 //!
 //! Three experiments double as CI performance gates, each writing a
 //! machine-readable artifact: [`runtime_bench`] (`BENCH_runtime.json`,
-//! engine/tester/batching/kernel speedups), [`service_load`]
-//! (`BENCH_service.json`, the query service's cold/warm latency and
-//! coalescing throughput) and [`persist_bench`] (`BENCH_persist.json`,
+//! engine/tester/batching/kernel speedups), [`load_bench`]
+//! (`BENCH_load.json`, the serving bench: closed-loop cold/warm
+//! latency, coalescing and trace overhead, then an open-loop saturation
+//! sweep) and [`persist_bench`] (`BENCH_persist.json`,
 //! certificate-replay speedup, out-of-core streaming ingest and
 //! mapped-vs-resident tier parity). Their `--check` binaries fail the
 //! build on regression.
@@ -33,7 +34,6 @@ pub mod json;
 mod load_bench;
 mod persist_bench;
 mod runtime_bench;
-mod service_load;
 
 pub use load_bench::{
     build_workload, load_bench, load_bench_document, Arrival, LoadGate, OpKind, Workload,
@@ -41,7 +41,6 @@ pub use load_bench::{
 };
 pub use persist_bench::{persist_bench, persist_bench_document, PersistGate};
 pub use runtime_bench::{runtime_bench, runtime_bench_document, BenchGate};
-pub use service_load::{service_load, service_load_document, ServiceGate};
 
 /// Whether quick (CI-sized) sweeps were requested.
 pub fn quick() -> bool {

@@ -1,13 +1,20 @@
-//! E15 — open-loop mixed-workload load harness with saturation sweep,
-//! written both as tables and as machine-readable `BENCH_load.json`.
+//! E15 — the serving bench, written both as tables and as the one
+//! machine-readable `BENCH_load.json`.
 //!
-//! Everything before this bench was **closed-loop**: the next request
-//! waited for the last response, so the system could never be offered
-//! more work than it finished and queueing collapse was structurally
-//! invisible. This harness is **open-loop**: requests are sent on a
-//! pre-computed arrival schedule regardless of responses, exactly the
-//! way independent users behave, so offered load can exceed capacity
-//! and the collapse becomes measurable.
+//! The **closed loop** section waits for each answer before the next
+//! query, isolating the one-sided cache and the coalescing scheduler
+//! from queueing: cold vs warm replay of a planar / certified-far
+//! corpus (a reject replays as a certificate, with no engine pass), a
+//! 16-seed fan-out served serially vs coalesced into one `run_many`
+//! pass, a [`CONNECTIONS`]-client unix-socket burst coalesced across
+//! clients, and the cold path with vs without the `--trace` writer
+//! (whose log is left behind as the `BENCH_trace.ldjson` artifact).
+//!
+//! The **open loop** sweep sends requests on a pre-computed arrival
+//! schedule regardless of responses, exactly the way independent users
+//! behave, so offered load can exceed capacity and queueing collapse —
+//! invisible to a closed loop, which self-throttles — becomes
+//! measurable.
 //!
 //! Per sweep rate, against a fresh in-process [`Server`]:
 //!
@@ -47,14 +54,8 @@
 //! where one unread socket buffer stalled the drain cycle for
 //! everyone.
 //!
-//! The `--check` gate ([`LoadGate`]): a knee was found above the
-//! lowest rate and at or above the [`LoadGate::KNEE_FLOOR_QPS`]
-//! ratchet, p99 at the highest sub-knee rate meets the
-//! [`LoadGate::P99_SLO_MICROS`] SLO, the warm-hit p99 there meets the
-//! (much tighter) [`LoadGate::WARM_P99_CEIL_MICROS`] fast-path
-//! ceiling, no response was lost mid-flight, the double-run digests
-//! matched, and the slow-reader scenario left healthy connections
-//! within [`LoadGate::FAIRNESS_FACTOR`]× of their all-healthy p99.
+//! The `--check` gate is [`LoadGate`]; [`LoadGate::clauses`] lists
+//! every clause.
 
 use crate::json::Json;
 use crate::quick;
@@ -63,8 +64,12 @@ use crate::quick;
 /// determinism section proves a re-run under it is bit-identical.
 pub const LOAD_SEED: u64 = 0x0b5e_55ed;
 
-/// Concurrent unix-socket client connections per rate point.
+/// Concurrent unix-socket client connections per rate point (and the
+/// closed-loop burst's client count).
 pub const CONNECTIONS: usize = 4;
+
+/// The `BENCH_load.json` schema tag.
+const SCHEMA: &str = "planartest-bench/load/v3";
 
 /// Knee criterion: the first rate whose achieved throughput drops
 /// below this fraction of the realized offered rate is saturated.
@@ -137,7 +142,21 @@ fn corpus() -> Vec<(&'static str, String, bool)> {
     }
 }
 
-/// Distance parameters the warm pool covers.
+/// The closed-loop corpus: planar (accepts, cached per seed),
+/// certified-far (rejects, cached as permanent certificates), and a
+/// denser planar instance — all ingested once, resident thereafter.
+fn closed_loop_corpus() -> Vec<(&'static str, String, bool)> {
+    let side = if quick() { 14 } else { 24 };
+    let tiles = if quick() { 16 } else { 40 };
+    let n = if quick() { 150 } else { 400 };
+    vec![
+        ("tri", format!("tri_grid({side},{side})"), true),
+        ("far", format!("k5_chain({tiles})"), false),
+        ("rp", format!("random_planar({n}, 0.7, seed=3)"), true),
+    ]
+}
+
+/// Distance parameters the warm pool and the closed-loop mix cover.
 const EPSILONS: [f64; 2] = [0.1, 0.2];
 /// Phase count for every query (practical regime, see E4).
 const PHASES: u64 = 6;
@@ -297,6 +316,18 @@ pub struct LoadGate {
     /// Client-side p99 (µs) of the *same* connections when one peer
     /// connection is throttled to ~1 byte/ms.
     pub slow_reader_healthy_p99_micros: u64,
+    /// Closed loop: cold p50 over warm p50.
+    pub warm_p50_speedup: f64,
+    /// Closed loop: serial wall over coalesced wall on the same-graph
+    /// fan-out.
+    pub coalesced_speedup: f64,
+    /// Closed loop: per-client-serial wall over cross-client coalesced
+    /// wall on the unix-socket burst.
+    pub burst_speedup: f64,
+    /// Closed loop: trace-enabled throughput over metrics-only
+    /// throughput on the cold serving path (best of three interleaved
+    /// repetitions each).
+    pub trace_overhead: f64,
 }
 
 impl LoadGate {
@@ -337,6 +368,14 @@ impl LoadGate {
     /// runs measured factors 1.0–1.8 against ≈70–140 ms baselines).
     pub const FAIRNESS_SLACK_MICROS: u64 = 25_000;
 
+    /// Minimum cold-p50 / warm-p50 ratio: a cache hit must be at least
+    /// an order of magnitude cheaper than an engine pass.
+    pub const WARM_SPEEDUP_FLOOR: f64 = 10.0;
+
+    /// Minimum traced/plain throughput ratio: the `--trace` event log
+    /// may cost at most 5% of cold-path serving throughput.
+    pub const TRACE_OVERHEAD_FLOOR: f64 = 0.95;
+
     /// Whether the slow-reader scenario left healthy connections
     /// inside the fairness envelope.
     #[must_use]
@@ -345,25 +384,57 @@ impl LoadGate {
             <= Self::FAIRNESS_FACTOR * self.all_healthy_p99_micros + Self::FAIRNESS_SLACK_MICROS
     }
 
-    /// Whether the gate passes: knee found (with at least one healthy
-    /// rate below it) at or above the capacity floor, the sub-knee
-    /// p99 meets the SLO and its warm-hit slice meets the fast-path
-    /// ceiling, the sweep was reproducible, no response went missing
-    /// mid-flight, and a slow reader hurt only itself.
+    /// Every clause as `(name, held)`, named after its field in the
+    /// `gate` section of `BENCH_load.json`: warm replay ≥ 10× cheaper
+    /// at the median; coalescing and the cross-client burst at least
+    /// even with serial drains (the shared Stage-I pass is the win, so
+    /// neither needs a second core); tracing within its 5% budget; a
+    /// knee found (with at least one healthy rate below it) at or above
+    /// the capacity floor; the sub-knee p99 within the SLO and its
+    /// warm-hit slice within the fast-path ceiling; a reproducible
+    /// sweep; no response lost mid-flight; a slow reader that hurt
+    /// only itself.
+    #[must_use]
+    pub fn clauses(&self) -> [(&'static str, bool); 11] {
+        [
+            (
+                "warm_p50_speedup",
+                self.warm_p50_speedup >= Self::WARM_SPEEDUP_FLOOR,
+            ),
+            ("coalesced_speedup", self.coalesced_speedup >= 1.0),
+            ("burst_speedup", self.burst_speedup >= 1.0),
+            (
+                "trace_overhead",
+                self.trace_overhead >= Self::TRACE_OVERHEAD_FLOOR,
+            ),
+            ("knee_detected", self.knee_detected),
+            (
+                "knee_offered_qps",
+                self.knee_offered_qps >= Self::KNEE_FLOOR_QPS,
+            ),
+            (
+                "sub_knee_p99_micros",
+                self.sub_knee_p99_micros <= Self::P99_SLO_MICROS,
+            ),
+            (
+                "warm_p99_micros",
+                self.warm_p99_micros <= Self::WARM_P99_CEIL_MICROS,
+            ),
+            ("deterministic", self.deterministic),
+            ("responses_lost", self.responses_lost == 0),
+            ("fairness_pass", self.fairness_ok()),
+        ]
+    }
+
+    /// Whether every clause holds.
     #[must_use]
     pub fn pass(&self) -> bool {
-        self.knee_detected
-            && self.knee_offered_qps >= Self::KNEE_FLOOR_QPS
-            && self.sub_knee_p99_micros <= Self::P99_SLO_MICROS
-            && self.warm_p99_micros <= Self::WARM_P99_CEIL_MICROS
-            && self.deterministic
-            && self.responses_lost == 0
-            && self.fairness_ok()
+        self.clauses().iter().all(|&(_, held)| held)
     }
 }
 
 #[cfg(unix)]
-mod sweep {
+mod serving {
     use std::io::{BufRead, BufReader, Read, Write};
     use std::os::unix::net::UnixStream;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -372,12 +443,13 @@ mod sweep {
     use planartest_core::TesterConfig;
     use planartest_service::wire::Value;
     use planartest_service::{
-        CacheStatus, GraphRef, Histogram, Property, Query, ServeOptions, Server, Service, Telemetry,
+        CacheStatus, GraphRef, Histogram, Outcome, Property, Query, ServeOptions, Server, Service,
+        Telemetry,
     };
 
     use super::{
-        build_workload, corpus, warm_seeds, Json, LoadGate, OpKind, CONNECTIONS, EPSILONS,
-        KNEE_FRACTION, LOAD_SEED, PHASES,
+        build_workload, closed_loop_corpus, corpus, warm_seeds, Arrival, Json, LoadGate, OpKind,
+        CONNECTIONS, EPSILONS, KNEE_FRACTION, LOAD_SEED, PHASES, SCHEMA,
     };
     use crate::quick;
 
@@ -389,11 +461,8 @@ mod sweep {
         pub queries: usize,
         pub achieved_qps: f64,
         pub wall_secs: f64,
-        pub p50_micros: u64,
-        pub p99_micros: u64,
-        pub p999_micros: u64,
-        pub mean_micros: f64,
-        pub latency_count: u64,
+        /// End-to-end latency over the measured window.
+        pub latency: Histogram,
         /// Warm-hit (warm + certificate) p99 — the fast-path slice of
         /// the same telemetry window.
         pub warm_p99_micros: u64,
@@ -506,11 +575,6 @@ mod sweep {
         merged
     }
 
-    /// All cells merged (the end-to-end distribution).
-    fn merged_latency(telemetry: &Telemetry, baseline: &[Histogram; 9]) -> Histogram {
-        merged_latency_where(telemetry, baseline, |_| true)
-    }
-
     /// Exact percentile over raw client-side samples.
     fn percentile(mut samples: Vec<u64>, q: f64) -> u64 {
         if samples.is_empty() {
@@ -578,34 +642,30 @@ mod sweep {
         }
     }
 
-    /// Drives one rate point end to end against a fresh server.
-    pub(super) fn run_rate(rate: f64, socket_tag: usize, opts: RunOpts) -> RateOutcome {
-        let horizon = opts
-            .horizon_micros
-            .unwrap_or_else(|| horizon_micros_for(rate));
-        let workload = build_workload(LOAD_SEED ^ rate.to_bits(), rate, horizon);
+    /// What the clients of one served run saw.
+    struct Served {
+        /// The service, handed back by the server's shutdown.
+        service: Service,
+        /// Per connection, in submission order (empty when throttled):
+        /// the responses, and their receipt minus *scheduled* send (µs).
+        responses: Vec<Vec<Value>>,
+        latencies: Vec<Vec<u64>>,
+        /// Until the last healthy client read its last response.
+        wall_secs: f64,
+    }
 
-        let mut service = Service::new().with_group_threads(0);
-        for (name, spec_text, _) in corpus() {
-            service
-                .registry_mut()
-                .ingest_spec(name, &spec_text)
-                .expect("corpus spec");
-        }
-        warm_cache(&mut service);
-        let telemetry = service.telemetry();
-        let baseline = latency_baseline(&telemetry);
-        let passes_before = service.engine_passes();
-        let equeries_before = engine_queries(&telemetry);
-        let cycles_before = telemetry.cycles();
-
-        let server = Server::start(
-            service,
-            ServeOptions {
-                outbound_depth: opts.outbound_depth,
-                ..ServeOptions::default()
-            },
-        );
+    /// Boots `service` behind a [`Server`] on a fresh unix socket,
+    /// drives one client per `per_conn` entry open-loop (each line sent
+    /// at its scheduled instant, responses read concurrently), then
+    /// shuts the server down.
+    fn serve(
+        service: Service,
+        opts: ServeOptions,
+        socket_tag: usize,
+        per_conn: &[Vec<Arrival>],
+        slow_conn: Option<usize>,
+    ) -> Served {
+        let server = Server::start(service, opts);
         let socket = std::env::temp_dir().join(format!(
             "planartest-e15-{}-{socket_tag}.sock",
             std::process::id()
@@ -617,18 +677,17 @@ mod sweep {
         // connection still has responses queued at shutdown, and
         // closing its socket early would turn those into *mid-flight*
         // losses instead of shutdown-flush ones.
-        let streams: Vec<UnixStream> = workload
-            .per_conn
+        let streams: Vec<UnixStream> = per_conn
             .iter()
             .map(|_| UnixStream::connect(&socket).expect("connect load client"))
             .collect();
         let stop_slow = AtomicBool::new(false);
         let started = Instant::now();
-        type ClientResult = (Vec<String>, Vec<u64>, Instant);
-        let per_conn: Vec<ClientResult> = std::thread::scope(|scope| {
+        type ClientResult = (Vec<Value>, Vec<u64>, Instant);
+        let clients: Vec<ClientResult> = std::thread::scope(|scope| {
             let mut handles: Vec<Option<std::thread::ScopedJoinHandle<'_, ClientResult>>> =
                 Vec::new();
-            for (ci, arrivals) in workload.per_conn.iter().enumerate() {
+            for (ci, arrivals) in per_conn.iter().enumerate() {
                 // Open-loop writer: send at the scheduled instant,
                 // never waiting for responses; when behind schedule,
                 // send immediately (standard open-loop catch-up — the
@@ -647,7 +706,7 @@ mod sweep {
                             .expect("send load request");
                     }
                 });
-                if opts.slow_conn == Some(ci) {
+                if slow_conn == Some(ci) {
                     // Pathological reader: ~1 byte/ms, never a full
                     // response. Its outbound queue fills and sheds;
                     // the fairness gate checks nobody else noticed.
@@ -674,7 +733,7 @@ mod sweep {
                     let reader = BufReader::new(streams[ci].try_clone().expect("clone stream"));
                     handles.push(Some(scope.spawn(move || {
                         let mut reader = reader;
-                        let mut digests = Vec::with_capacity(arrivals.len());
+                        let mut responses = Vec::with_capacity(arrivals.len());
                         let mut latencies = Vec::with_capacity(arrivals.len());
                         let mut line = String::new();
                         for a in arrivals {
@@ -684,10 +743,9 @@ mod sweep {
                             let recv =
                                 u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
                             latencies.push(recv.saturating_sub(a.at_micros));
-                            let v = Value::parse(line.trim()).expect("response parses");
-                            digests.push(digest(a.kind, &v));
+                            responses.push(Value::parse(line.trim()).expect("response parses"));
                         }
-                        (digests, latencies, Instant::now())
+                        (responses, latencies, Instant::now())
                     })));
                 }
             }
@@ -696,7 +754,7 @@ mod sweep {
             // the entire measured window.
             let mut results: Vec<Option<ClientResult>> = (0..handles.len()).map(|_| None).collect();
             for ci in 0..handles.len() {
-                if opts.slow_conn == Some(ci) {
+                if slow_conn == Some(ci) {
                     continue;
                 }
                 results[ci] = Some(
@@ -708,7 +766,7 @@ mod sweep {
                 );
             }
             stop_slow.store(true, Ordering::Relaxed);
-            if let Some(ci) = opts.slow_conn {
+            if let Some(ci) = slow_conn {
                 results[ci] = Some(
                     handles[ci]
                         .take()
@@ -722,7 +780,7 @@ mod sweep {
                 .map(|r| r.expect("client joined"))
                 .collect()
         });
-        let wall_secs = per_conn
+        let wall_secs = clients
             .iter()
             .map(|(_, _, done)| done.duration_since(started).as_secs_f64())
             .fold(0.0f64, f64::max);
@@ -731,30 +789,64 @@ mod sweep {
         let service = server.join();
         drop(streams);
         let _ = std::fs::remove_file(&socket);
+        let (responses, latencies) = clients.into_iter().map(|(r, l, _)| (r, l)).unzip();
+        Served {
+            service,
+            responses,
+            latencies,
+            wall_secs,
+        }
+    }
 
+    /// Drives one rate point end to end against a fresh server.
+    pub(super) fn run_rate(rate: f64, socket_tag: usize, opts: RunOpts) -> RateOutcome {
+        let horizon = opts
+            .horizon_micros
+            .unwrap_or_else(|| horizon_micros_for(rate));
+        let workload = build_workload(LOAD_SEED ^ rate.to_bits(), rate, horizon);
+
+        let mut service = Service::new().with_group_threads(0);
+        for (name, spec_text, _) in corpus() {
+            service
+                .registry_mut()
+                .ingest_spec(name, &spec_text)
+                .expect("corpus spec");
+        }
+        warm_cache(&mut service);
+        let telemetry = service.telemetry();
+        let baseline = latency_baseline(&telemetry);
+        let passes_before = service.engine_passes();
+        let equeries_before = engine_queries(&telemetry);
+        let cycles_before = telemetry.cycles();
+
+        let served = serve(
+            service,
+            ServeOptions {
+                outbound_depth: opts.outbound_depth,
+                ..ServeOptions::default()
+            },
+            socket_tag,
+            &workload.per_conn,
+            opts.slow_conn,
+        );
+        let service = served.service;
         let stats = service.stats();
-        let latency = merged_latency(&telemetry, &baseline);
         let warm = merged_latency_where(&telemetry, &baseline, |s| s != CacheStatus::Cold);
         let passes = service.engine_passes() - passes_before;
         let equeries = engine_queries(&telemetry) - equeries_before;
         let realized =
             workload.requests as f64 / (workload.last_arrival_micros.max(1) as f64 / 1_000_000.0);
-        let client_latencies: Vec<Vec<u64>> = per_conn.iter().map(|(_, l, _)| l.clone()).collect();
         RateOutcome {
             offered_qps: rate,
             realized_offered_qps: realized,
             requests: workload.requests,
             queries: workload.queries,
-            achieved_qps: workload.requests as f64 / wall_secs.max(1e-9),
-            wall_secs,
-            p50_micros: latency.value_at_quantile(0.50),
-            p99_micros: latency.value_at_quantile(0.99),
-            p999_micros: latency.value_at_quantile(0.999),
-            mean_micros: latency.mean(),
-            latency_count: latency.count(),
+            achieved_qps: workload.requests as f64 / served.wall_secs.max(1e-9),
+            wall_secs: served.wall_secs,
+            latency: merged_latency_where(&telemetry, &baseline, |_| true),
             warm_p99_micros: warm.value_at_quantile(0.99),
             client_p99_micros: percentile(
-                client_latencies.iter().flatten().copied().collect(),
+                served.latencies.iter().flatten().copied().collect(),
                 0.99,
             ),
             queue_depth_hwm: stats.queue_depth_hwm,
@@ -770,8 +862,18 @@ mod sweep {
                 equeries as f64 / passes as f64
             },
             drain_cycles: telemetry.cycles() - cycles_before,
-            client_latencies,
-            digests: per_conn.into_iter().map(|(d, _, _)| d).collect(),
+            client_latencies: served.latencies,
+            digests: served
+                .responses
+                .iter()
+                .zip(&workload.per_conn)
+                .map(|(rs, arrivals)| {
+                    rs.iter()
+                        .zip(arrivals)
+                        .map(|(v, a)| digest(a.kind, v))
+                        .collect()
+                })
+                .collect(),
         }
     }
 
@@ -830,19 +932,37 @@ mod sweep {
         o.achieved_qps < KNEE_FRACTION * o.realized_offered_qps
     }
 
+    /// The artifact rows of a corpus.
+    fn corpus_rows(corpus: Vec<(&'static str, String, bool)>) -> Vec<Json> {
+        corpus
+            .into_iter()
+            .map(|(name, spec_text, planar)| {
+                Json::obj()
+                    .field("name", name)
+                    .field("spec", spec_text.as_str())
+                    .field("planar", planar)
+            })
+            .collect()
+    }
+
+    /// The quantile fields every latency row carries.
+    fn latency_fields(row: Json, latency: &Histogram) -> Json {
+        row.field("p50_micros", latency.value_at_quantile(0.50))
+            .field("p99_micros", latency.value_at_quantile(0.99))
+            .field("p999_micros", latency.value_at_quantile(0.999))
+            .field("mean_micros", latency.mean())
+            .field("latency_count", latency.count())
+    }
+
     fn rate_row(o: &RateOutcome) -> Json {
-        Json::obj()
+        let row = Json::obj()
             .field("offered_qps", o.offered_qps)
             .field("realized_offered_qps", o.realized_offered_qps)
             .field("achieved_qps", o.achieved_qps)
             .field("requests", o.requests)
             .field("queries", o.queries)
-            .field("wall_seconds", o.wall_secs)
-            .field("p50_micros", o.p50_micros)
-            .field("p99_micros", o.p99_micros)
-            .field("p999_micros", o.p999_micros)
-            .field("mean_micros", o.mean_micros)
-            .field("latency_count", o.latency_count)
+            .field("wall_seconds", o.wall_secs);
+        latency_fields(row, &o.latency)
             .field("warm_p99_micros", o.warm_p99_micros)
             .field("client_p99_micros", o.client_p99_micros)
             .field("queue_depth_hwm", o.queue_depth_hwm)
@@ -857,7 +977,334 @@ mod sweep {
             .field("saturated", saturated(o))
     }
 
+    /// A service with the closed-loop corpus ingested.
+    fn closed_loop_service() -> Service {
+        let mut service = Service::new();
+        for (name, spec_text, _) in closed_loop_corpus() {
+            service
+                .registry_mut()
+                .ingest_spec(name, &spec_text)
+                .expect("corpus spec");
+        }
+        service
+    }
+
+    /// The closed-loop mix: per corpus graph, every warm-pool
+    /// `(epsilon, seed)` planarity query plus the two seed-free
+    /// Corollary 16 properties (one cache stripe each).
+    fn closed_loop_queries() -> Vec<Query> {
+        let seeds = if quick() { 4u64 } else { 8 };
+        let mut queries = Vec::new();
+        for (name, _, _) in closed_loop_corpus() {
+            let graph = || GraphRef::Name(name.to_string());
+            for eps in EPSILONS {
+                for seed in 0..seeds {
+                    let cfg = TesterConfig::new(eps).with_phases(8).with_seed(seed);
+                    queries.push(Query::planarity(graph(), cfg));
+                }
+            }
+            for property in [Property::CycleFreeness, Property::Bipartiteness] {
+                let cfg = TesterConfig::new(0.1).with_phases(8);
+                queries.push(Query::planarity(graph(), cfg).with_property(property));
+            }
+        }
+        queries
+    }
+
+    /// Issues each query alone, timing each one. With `expect` (the
+    /// warm replay) every verdict must match and no query may reach
+    /// the engine. Returns the latencies, the wall time and the
+    /// verdicts.
+    fn timed_pass(
+        service: &mut Service,
+        queries: &[Query],
+        expect: Option<&[bool]>,
+    ) -> (Histogram, f64, Vec<bool>) {
+        let mut latency = Histogram::new();
+        let mut verdicts = Vec::with_capacity(queries.len());
+        let started = Instant::now();
+        for (i, q) in queries.iter().enumerate() {
+            let one = Instant::now();
+            let r = service.query(q.clone()).expect("query");
+            latency.record(u64::try_from(one.elapsed().as_micros()).unwrap_or(u64::MAX));
+            verdicts.push(r.outcome.accepted());
+            if let Some(expect) = expect {
+                assert_eq!(
+                    verdicts[i], expect[i],
+                    "cache replay changed a verdict (query {i})"
+                );
+                assert_ne!(r.cache, CacheStatus::Cold, "warm pass hit the engine");
+            }
+        }
+        (latency, started.elapsed().as_secs_f64(), verdicts)
+    }
+
+    fn pass_row(label: &str, latency: &Histogram, wall_secs: f64) -> Json {
+        let qps = latency.count() as f64 / wall_secs;
+        println!(
+            "{label:<5} {:>5} queries {qps:>10.1} q/s   p50 {:>8}us  p99 {:>8}us",
+            latency.count(),
+            latency.value_at_quantile(0.50),
+            latency.value_at_quantile(0.99),
+        );
+        let row = Json::obj()
+            .field("wall_seconds", wall_secs)
+            .field("throughput_qps", qps);
+        latency_fields(row, latency)
+    }
+
+    /// Serves `queries` one `Service::query` — one drain, one engine
+    /// pass — each; returns the outcomes and the wall time.
+    fn serial(service: &mut Service, queries: &[Query]) -> (Vec<Outcome>, f64) {
+        let started = Instant::now();
+        let outcomes = queries
+            .iter()
+            .map(|q| service.query(q.clone()).expect("query").outcome)
+            .collect();
+        (outcomes, started.elapsed().as_secs_f64())
+    }
+
+    /// A serial-vs-coalesced row and its speedup.
+    fn speedup_row(
+        workload: &str,
+        queries: usize,
+        serial_secs: f64,
+        coalesced_secs: f64,
+    ) -> (Json, f64) {
+        let serial_qps = queries as f64 / serial_secs;
+        let coalesced_qps = queries as f64 / coalesced_secs;
+        let speedup = serial_secs / coalesced_secs;
+        println!(
+            "{workload:<32} {queries:>3} queries  serial {serial_qps:>8.1} q/s   \
+             coalesced {coalesced_qps:>8.1} q/s   speedup {speedup:.2}x",
+        );
+        let row = Json::obj()
+            .field("workload", workload)
+            .field("queries", queries)
+            .field("serial_seconds", serial_secs)
+            .field("serial_qps", serial_qps)
+            .field("coalesced_seconds", coalesced_secs)
+            .field("coalesced_qps", coalesced_qps)
+            .field("speedup_vs_serial", speedup);
+        (row, speedup)
+    }
+
+    /// One graph's 16-seed Monte-Carlo fan-out, one query per drain vs
+    /// one drain: the coalesced drain must ride one engine pass and
+    /// reproduce every serial verdict and `SimStats`.
+    fn coalesce(service: &mut Service) -> (Json, f64) {
+        let queries: Vec<Query> = (0..16)
+            .map(|seed| {
+                let cfg = TesterConfig::new(0.2).with_seed(seed);
+                Query::planarity(GraphRef::Name("tri".into()), cfg)
+            })
+            .collect();
+        service.clear_cache();
+        let (serial, serial_secs) = serial(service, &queries);
+
+        service.clear_cache();
+        let passes_before = service.engine_passes();
+        let started = Instant::now();
+        for q in &queries {
+            service.submit(q.clone());
+        }
+        let drained = service.drain();
+        let coalesced_secs = started.elapsed().as_secs_f64();
+        assert_eq!(
+            service.engine_passes() - passes_before,
+            1,
+            "coalesced sweep must ride one engine pass"
+        );
+        for ((_, result), solo) in drained.iter().zip(&serial) {
+            let outcome = &result.as_ref().expect("drained").outcome;
+            assert_eq!(
+                outcome.accepted(),
+                solo.accepted(),
+                "coalesced verdict diverged"
+            );
+            assert_eq!(outcome.stats(), solo.stats(), "coalesced stats diverged");
+        }
+        speedup_row(
+            "same_graph_monte_carlo_fanout",
+            queries.len(),
+            serial_secs,
+            coalesced_secs,
+        )
+    }
+
+    /// [`CONNECTIONS`] clients each send their own seed range of one
+    /// graph's sweep at once, against a server whose cycle fires
+    /// exactly when the last query lands (`wake_depth` = all of them,
+    /// 30 s linger); the baseline serves the same queries one drain
+    /// each. The server must coalesce across clients into one engine
+    /// pass and answer every query with the baseline's verdict, rounds
+    /// and words.
+    fn burst() -> (Json, f64) {
+        let per_client = if quick() { 4u64 } else { 8 };
+        let total = CONNECTIONS as u64 * per_client;
+        let cfg = TesterConfig::new(0.2).with_phases(8);
+        let queries: Vec<Query> = (0..total)
+            .map(|seed| Query::planarity(GraphRef::Name("tri".into()), cfg.clone().with_seed(seed)))
+            .collect();
+        let (serial, serial_secs) = serial(&mut closed_loop_service(), &queries);
+
+        let arrivals: Vec<Arrival> = (0..total)
+            .map(|seed| Arrival {
+                at_micros: 0,
+                kind: OpKind::Query,
+                line: format!(
+                    "{{\"op\":\"query\",\"graph\":\"tri\",\"epsilon\":0.2,\"phases\":8,\
+                     \"seed\":{seed}}}\n"
+                ),
+            })
+            .collect();
+        let per_conn: Vec<Vec<Arrival>> = arrivals
+            .chunks(per_client as usize)
+            .map(<[_]>::to_vec)
+            .collect();
+        let opts = ServeOptions {
+            linger: Duration::from_secs(30),
+            wake_depth: total as usize,
+            ..ServeOptions::default()
+        };
+        let served = serve(
+            closed_loop_service().with_group_threads(0),
+            opts,
+            900,
+            &per_conn,
+            None,
+        );
+        assert_eq!(
+            served.service.engine_passes(),
+            1,
+            "cross-client fan-out must ride one engine pass"
+        );
+        // Client-major order is seed order, the baseline's order.
+        for (v, reference) in served.responses.iter().flatten().zip(&serial) {
+            let field = |key| v.get(key).and_then(Value::as_u64);
+            let accepted = v.get("verdict").and_then(Value::as_str) == Some("accept");
+            let stats = reference.stats();
+            assert_eq!(
+                (accepted, field("rounds"), field("words")),
+                (
+                    reference.accepted(),
+                    Some(stats.total_rounds()),
+                    Some(stats.words)
+                ),
+                "burst verdict, rounds or words diverged from sequential"
+            );
+        }
+        speedup_row(
+            "cross_client_unix_socket_fanout",
+            queries.len(),
+            serial_secs,
+            served.wall_secs,
+        )
+    }
+
+    /// The traced run's event log, kept as the CI artifact.
+    const TRACE_PATH: &str = "BENCH_trace.ldjson";
+
+    /// The closed-loop mix served cold (cache cleared before every
+    /// repetition), metrics-only vs with the `--trace` writer: per-query
+    /// records must amortize against real engine work, the traffic a
+    /// traced deployment serves. The arms are interleaved and each
+    /// reports its best repetition — the workload is deterministic, so
+    /// the fastest run is the least perturbed, and pairing the arms in
+    /// time keeps ambient drift from biasing the traced/plain ratio.
+    fn trace_overhead(queries: &[Query]) -> (Json, f64) {
+        const REPS: usize = 3;
+        let one_rep = |service: &mut Service| -> f64 {
+            service.clear_cache();
+            let started = Instant::now();
+            for q in queries {
+                service.query(q.clone()).expect("overhead query");
+            }
+            queries.len() as f64 / started.elapsed().as_secs_f64()
+        };
+        let mut plain = closed_loop_service();
+        let mut traced = closed_loop_service();
+        let file = std::fs::File::create(TRACE_PATH).expect("create BENCH_trace.ldjson");
+        traced
+            .telemetry()
+            .set_trace_writer(Box::new(std::io::BufWriter::new(file)));
+        let (mut plain_qps, mut traced_qps) = (0.0f64, 0.0f64);
+        for _ in 0..REPS {
+            plain_qps = plain_qps.max(one_rep(&mut plain));
+            traced_qps = traced_qps.max(one_rep(&mut traced));
+        }
+        drop(traced); // flushes the BufWriter, completing the artifact
+
+        let ratio = traced_qps / plain_qps;
+        println!(
+            "trace overhead {:>3} queries  plain {plain_qps:>8.1} q/s   traced {traced_qps:>8.1} q/s   \
+             ratio {ratio:.3}",
+            queries.len(),
+        );
+        let row = Json::obj()
+            .field("workload", "cold_path_trace_overhead")
+            .field("repetitions", REPS)
+            .field("queries_per_repetition", queries.len())
+            .field("plain_qps", plain_qps)
+            .field("traced_qps", traced_qps)
+            .field("throughput_ratio", ratio)
+            .field("trace_path", TRACE_PATH);
+        (row, ratio)
+    }
+
+    /// The closed-loop section and its four gated ratios: warm p50
+    /// speedup, coalesced speedup, burst speedup, trace overhead.
+    fn closed_loop() -> (Json, [f64; 4]) {
+        println!("\n## closed loop (cold vs warm, coalesced fan-out, burst, trace overhead)");
+        let mut service = closed_loop_service();
+        let queries = closed_loop_queries();
+        let (cold, cold_wall, verdicts) = timed_pass(&mut service, &queries, None);
+        let passes_after_cold = service.engine_passes();
+        let (warm, warm_wall, _) = timed_pass(&mut service, &queries, Some(&verdicts));
+        assert_eq!(
+            service.engine_passes(),
+            passes_after_cold,
+            "warm pass must be engine-free"
+        );
+        let cold_row = pass_row("cold", &cold, cold_wall);
+        let warm_row = pass_row("warm", &warm, warm_wall);
+        let stats = service.stats();
+
+        let (coalesce_row, coalesced_speedup) = coalesce(&mut service);
+        let (burst_row, burst_speedup) = burst();
+        let (trace_row, trace_overhead) = trace_overhead(&queries);
+
+        let (cold_p50, warm_p50) = (cold.value_at_quantile(0.50), warm.value_at_quantile(0.50));
+        let warm_p50_speedup = cold_p50 as f64 / warm_p50.max(1) as f64;
+        println!("warm p50 speedup {warm_p50_speedup:.1}x (cold {cold_p50}us / warm {warm_p50}us)");
+        let doc = Json::obj()
+            .field("corpus", corpus_rows(closed_loop_corpus()))
+            .field("cold", cold_row)
+            .field("warm", warm_row)
+            .field(
+                "cache",
+                Json::obj()
+                    .field("warm_hits", stats.cache.warm_hits)
+                    .field("certificate_hits", stats.cache.certificate_hits)
+                    .field("misses", stats.cache.misses),
+            )
+            .field("coalesce", coalesce_row)
+            .field("burst", burst_row)
+            .field("trace_overhead", trace_row);
+        (
+            doc,
+            [
+                warm_p50_speedup,
+                coalesced_speedup,
+                burst_speedup,
+                trace_overhead,
+            ],
+        )
+    }
+
     pub(super) fn document() -> (Json, LoadGate) {
+        let (closed_loop, [warm_p50_speedup, coalesced_speedup, burst_speedup, trace_overhead]) =
+            closed_loop();
         println!("\n## open-loop load sweep (Poisson arrivals, Zipf popularity, mixed ops)");
         let mut rates: Vec<f64> = if quick() {
             vec![400.0, 1_600.0, 6_400.0, 25_600.0]
@@ -879,8 +1326,8 @@ mod sweep {
                  warm-p99 {:>7}us  hwm {:>5}  coalesce {:>5.1}x{}",
                 o.realized_offered_qps,
                 o.achieved_qps,
-                o.p50_micros,
-                o.p99_micros,
+                o.latency.value_at_quantile(0.50),
+                o.latency.value_at_quantile(0.99),
                 o.warm_p99_micros,
                 o.queue_depth_hwm,
                 o.coalesce_ratio,
@@ -935,12 +1382,16 @@ mod sweep {
             knee_detected: sub_knee.is_some(),
             knee_offered_qps: knee_idx.map_or(0.0, |k| outcomes[k].realized_offered_qps),
             sub_knee_offered_qps: sub_knee.map_or(0.0, |o| o.realized_offered_qps),
-            sub_knee_p99_micros: sub_knee.map_or(u64::MAX, |o| o.p99_micros),
+            sub_knee_p99_micros: sub_knee.map_or(u64::MAX, |o| o.latency.value_at_quantile(0.99)),
             warm_p99_micros: sub_knee.map_or(u64::MAX, |o| o.warm_p99_micros),
             deterministic,
             responses_lost,
             all_healthy_p99_micros: fairness.all_healthy_p99_micros,
             slow_reader_healthy_p99_micros: fairness.slow_reader_healthy_p99_micros,
+            warm_p50_speedup,
+            coalesced_speedup,
+            burst_speedup,
+            trace_overhead,
         };
         if let (Some(k), Some(s)) = (knee_idx, sub_knee) {
             println!(
@@ -949,26 +1400,18 @@ mod sweep {
                 outcomes[k].realized_offered_qps,
                 outcomes[k].achieved_qps,
                 s.realized_offered_qps,
-                s.p99_micros,
+                gate.sub_knee_p99_micros,
                 s.warm_p99_micros,
             );
         }
 
-        let corpus_rows: Vec<Json> = corpus()
-            .into_iter()
-            .map(|(name, spec_text, planar)| {
-                Json::obj()
-                    .field("name", name)
-                    .field("spec", spec_text.as_str())
-                    .field("planar", planar)
-            })
-            .collect();
         let doc = Json::obj()
-            .field("schema", "planartest-bench/load/v2")
+            .field("schema", SCHEMA)
             .field("quick_mode", quick())
+            .field("closed_loop", closed_loop)
             .field("seed", LOAD_SEED)
             .field("connections", CONNECTIONS as u64)
-            .field("corpus", corpus_rows)
+            .field("corpus", corpus_rows(corpus()))
             .field(
                 "mix",
                 Json::obj()
@@ -1016,6 +1459,14 @@ mod sweep {
             .field(
                 "gate",
                 Json::obj()
+                    .field("warm_p50_speedup", gate.warm_p50_speedup)
+                    .field("warm_p50_speedup_floor", LoadGate::WARM_SPEEDUP_FLOOR)
+                    .field("coalesced_speedup", gate.coalesced_speedup)
+                    .field("coalesced_speedup_floor", 1.0)
+                    .field("burst_speedup", gate.burst_speedup)
+                    .field("burst_speedup_floor", 1.0)
+                    .field("trace_overhead", gate.trace_overhead)
+                    .field("trace_overhead_floor", LoadGate::TRACE_OVERHEAD_FLOOR)
                     .field("knee_detected", gate.knee_detected)
                     .field("knee_offered_qps", gate.knee_offered_qps)
                     .field("knee_floor_qps", LoadGate::KNEE_FLOOR_QPS)
@@ -1036,7 +1487,7 @@ mod sweep {
 #[cfg(unix)]
 #[must_use]
 pub fn load_bench_document() -> (Json, LoadGate) {
-    sweep::document()
+    serving::document()
 }
 
 /// Non-unix hosts have no unix sockets; the sweep is skipped and the
@@ -1046,9 +1497,7 @@ pub fn load_bench_document() -> (Json, LoadGate) {
 pub fn load_bench_document() -> (Json, LoadGate) {
     println!("load sweep skipped (no unix sockets on this platform)");
     (
-        Json::obj()
-            .field("schema", "planartest-bench/load/v2")
-            .field("skipped", true),
+        Json::obj().field("schema", SCHEMA).field("skipped", true),
         LoadGate {
             knee_detected: true,
             knee_offered_qps: LoadGate::KNEE_FLOOR_QPS,
@@ -1059,6 +1508,10 @@ pub fn load_bench_document() -> (Json, LoadGate) {
             responses_lost: 0,
             all_healthy_p99_micros: 0,
             slow_reader_healthy_p99_micros: 0,
+            warm_p50_speedup: LoadGate::WARM_SPEEDUP_FLOOR,
+            coalesced_speedup: 1.0,
+            burst_speedup: 1.0,
+            trace_overhead: LoadGate::TRACE_OVERHEAD_FLOOR,
         },
     )
 }
@@ -1117,9 +1570,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn gate_thresholds() {
-        let base = LoadGate {
+    /// A gate with every bound exactly at its limit.
+    fn gate_at_limits() -> LoadGate {
+        LoadGate {
             knee_detected: true,
             knee_offered_qps: LoadGate::KNEE_FLOOR_QPS,
             sub_knee_offered_qps: 1000.0,
@@ -1130,7 +1583,16 @@ mod tests {
             all_healthy_p99_micros: 1_000,
             slow_reader_healthy_p99_micros: LoadGate::FAIRNESS_FACTOR * 1_000
                 + LoadGate::FAIRNESS_SLACK_MICROS,
-        };
+            warm_p50_speedup: LoadGate::WARM_SPEEDUP_FLOOR,
+            coalesced_speedup: 1.0,
+            burst_speedup: 1.0,
+            trace_overhead: LoadGate::TRACE_OVERHEAD_FLOOR,
+        }
+    }
+
+    #[test]
+    fn gate_thresholds() {
+        let base = gate_at_limits();
         assert!(base.pass(), "every bound exactly at its limit passes");
         assert!(!LoadGate {
             knee_detected: false,
@@ -1170,10 +1632,50 @@ mod tests {
     }
 
     #[test]
+    fn closed_loop_gate_thresholds() {
+        let base = gate_at_limits();
+        assert!(base.pass(), "every bound exactly at its limit passes");
+        assert!(!LoadGate {
+            warm_p50_speedup: 9.9,
+            ..base
+        }
+        .pass());
+        assert!(!LoadGate {
+            coalesced_speedup: 0.99,
+            ..base
+        }
+        .pass());
+        assert!(!LoadGate {
+            burst_speedup: 0.99,
+            ..base
+        }
+        .pass());
+        assert!(!LoadGate {
+            trace_overhead: 0.94,
+            ..base
+        }
+        .pass());
+        assert!(LoadGate {
+            warm_p50_speedup: 500.0,
+            coalesced_speedup: 3.0,
+            burst_speedup: 2.5,
+            trace_overhead: 1.02,
+            ..base
+        }
+        .pass());
+    }
+
+    #[test]
     fn corpus_specs_parse() {
-        for (_, spec_text, planar) in corpus() {
-            let parsed = planartest_graph::generators::spec::parse(&spec_text).expect("spec");
-            let _ = (parsed, planar);
+        for (_, spec_text, _) in corpus() {
+            planartest_graph::generators::spec::parse(&spec_text).expect("spec");
+        }
+    }
+
+    #[test]
+    fn closed_loop_corpus_specs_parse() {
+        for (_, spec_text, _) in closed_loop_corpus() {
+            planartest_graph::generators::spec::parse(&spec_text).expect("closed-loop spec");
         }
     }
 }

@@ -21,7 +21,7 @@
 //!   query mix — the engine cannot tell the tiers apart.
 //!
 //! The `--check` binary turns [`PersistGate::pass`] into an exit code
-//! for CI, the same contract as `runtime_bench` and `service_load`.
+//! for CI, the same contract as `runtime_bench` and `load_bench`.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;

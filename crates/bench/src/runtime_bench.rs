@@ -320,8 +320,8 @@ fn paired_kernel_times(
 
 /// Per-kernel before/after microbenchmarks for the stage-2 label digit
 /// pack/unpack at each width class: "before" is the portable scalar
-/// reference (the core crate's `scalar-kernels` feature path), "after"
-/// the default SWAR dispatch. Each timing is `reps` passes, paired
+/// reference (the proptest oracle), "after" the SWAR kernels the label
+/// codec runs on. Each timing is `reps` passes, paired
 /// `pairs` times. Returns the rows plus the worst row's
 /// `(speedup, kernel name)` — the gate's "every SWAR kernel earns its
 /// keep" clause.

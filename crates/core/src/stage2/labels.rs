@@ -87,27 +87,17 @@ impl LabeledEdge {
 /// message by an order of magnitude. The sample-interval streams —
 /// the tester's dominant message volume — ride this encoding.
 ///
-/// The digit transpose dispatches to the SWAR kernels in
-/// [`super::pack`] (pairwise in-register packing), or to the scalar
-/// reference under the `scalar-kernels` feature.
+/// The digit transpose runs on the SWAR kernels in [`super::pack`]
+/// (pairwise in-register packing).
 pub(crate) fn pack_label(digits: &[u32], out: &mut Vec<u64>) {
-    #[cfg(not(feature = "scalar-kernels"))]
-    {
-        let (width, bits, per) = pack::width_class_swar(digits);
-        out.push(((digits.len() as u64) << 2) | width);
-        pack::pack_swar(digits, bits, per, out);
-    }
-    #[cfg(feature = "scalar-kernels")]
-    {
-        let (width, bits, per) = pack::width_class_scalar(digits);
-        out.push(((digits.len() as u64) << 2) | width);
-        pack::pack_scalar(digits, bits, per, out);
-    }
+    let (width, bits, per) = pack::width_class_swar(digits);
+    out.push(((digits.len() as u64) << 2) | width);
+    pack::pack_swar(digits, bits, per, out);
 }
 
 /// Decodes one packed label starting at `words[0]`; returns the digits
 /// and the number of words consumed (header + packed digits). Inverse
-/// of [`pack_label`], with the same kernel dispatch.
+/// of [`pack_label`], on the same kernels.
 pub(crate) fn unpack_label(words: &[u64]) -> (Vec<u32>, usize) {
     let header = words[0];
     let len = (header >> 2) as usize;
@@ -118,10 +108,7 @@ pub(crate) fn unpack_label(words: &[u64]) -> (Vec<u32>, usize) {
         other => unreachable!("unknown label width class {other}"),
     };
     let mut digits = Vec::with_capacity(len);
-    #[cfg(not(feature = "scalar-kernels"))]
     pack::unpack_swar(&words[1..], len, bits, per, &mut digits);
-    #[cfg(feature = "scalar-kernels")]
-    pack::unpack_scalar(&words[1..], len, bits, per, &mut digits);
     (digits, 1 + len.div_ceil(per))
 }
 

@@ -19,12 +19,10 @@
 //! * **scalar** (`*_scalar`): the historical one-digit-at-a-time
 //!   shift/or loops, kept as the executable reference.
 //!
-//! Both paths are always compiled; the default dispatch (in
-//! `labels.rs`) picks SWAR and the `scalar-kernels` feature flips it to
-//! the reference so CI can run the whole suite against either. The
-//! `swar_matches_scalar_*` proptests below pin the equivalence for all
-//! three width classes, including ragged tails that don't fill a word
-//! or a pair.
+//! The label codec (in `labels.rs`) runs on SWAR; the scalar path is
+//! the oracle the `swar_matches_scalar_*` proptests below pin it to,
+//! for all three width classes, including ragged tails that don't fill
+//! a word or a pair, and the baseline `runtime_bench` times it against.
 
 /// Digit geometry of one width class: `(class_tag, bits_per_digit,
 /// digits_per_word)`.

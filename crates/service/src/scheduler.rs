@@ -1047,7 +1047,10 @@ fn drain_loop(
 /// thread while this thread dispatches overlap arrivals, gated, into
 /// the next cycle (the execute stage only reads the registry and
 /// runner, the [`Resolver`] writes the cache and counters); then apply
-/// the passes in group order and fulfil the owed lines.
+/// the passes in group order and fulfil the owed lines. Every cycle
+/// records its group count once; one of carried work alone records as
+/// a `pipeline` wake of width 0, since the overlap window counted its
+/// submissions when it collected them.
 fn run_cycle(
     service: &mut Service,
     queue: &SubmissionQueue,
@@ -1057,7 +1060,11 @@ fn run_cycle(
 ) {
     let Pipeline { router, next, held } = pipe;
     let mut cycle = std::mem::take(next);
-    let recorded = fresh.as_ref().map(|(subs, reason)| (*reason, subs.len()));
+    let (reason, width) = fresh
+        .as_ref()
+        .map_or((WakeReason::Pipeline, 0), |(subs, reason)| {
+            (*reason, subs.len())
+        });
     // Held submissions first: their tokens predate every fresh one.
     let mut arrivals = std::mem::take(held);
     for sub in fresh.into_iter().flat_map(|(subs, _)| subs) {
@@ -1073,9 +1080,7 @@ fn run_cycle(
 
     // Overlap batches are recorded as `pipeline` wakes when collected.
     let groups = group_misses(std::mem::take(&mut cycle.misses));
-    if let Some((reason, width)) = recorded {
-        service.telemetry.record_cycle(reason, width, groups.len());
-    }
+    service.telemetry.record_cycle(reason, width, groups.len());
     if groups.is_empty() {
         debug_assert!(cycle.owed.is_empty(), "no groups, no owed lines");
         return;
@@ -1626,6 +1631,33 @@ mod tests {
             "the query behind the ingest resolved after it"
         );
         assert_eq!(s.engine_passes(), 2);
+    }
+
+    #[test]
+    fn a_cycle_of_carried_work_alone_records_its_groups() {
+        let mut s = service_with("p", "tri_grid(4,4)");
+        let connections = Connections::new();
+        let conn = connections.register(Box::new(Sink::default()));
+        let mut pipe = Pipeline::default();
+        let token = pipe.router.admit(conn);
+        pipe.held
+            .push((token, Submission::new(conn, query_op("p", 1))));
+        run_cycle(
+            &mut s,
+            &SubmissionQueue::new(),
+            &connections,
+            &mut pipe,
+            None,
+        );
+        connections.finish_shutdown_flush();
+        assert_eq!(s.engine_passes(), 1);
+        let metrics = s.telemetry().metrics_value();
+        let groups = metrics.get("cycles").and_then(|c| c.get("groups"));
+        assert_eq!(
+            groups.and_then(|g| g.get("sum")).and_then(Value::as_u64),
+            Some(1)
+        );
+        assert_eq!(s.telemetry().wake_counts(), [0, 0, 0, 0, 1]);
     }
 
     #[test]

@@ -444,9 +444,13 @@ pub enum WakeReason {
     Control,
     /// Shutdown flush.
     Shutdown,
-    /// Submissions collected *during* an overlapped engine pass (the
-    /// pipelined drain loop resolving cycle N+1 under cycle N's
-    /// execute stage).
+    /// The pipelined drain loop's own work, of two kinds: each batch
+    /// collected *during* an overlapped engine pass (cycle N+1
+    /// resolving under cycle N's execute stage; width = its
+    /// submissions, 0 groups), and each cycle that runs only carried
+    /// work — held submissions and overlap-window misses (width 0,
+    /// since those submissions were counted on collection; groups = its
+    /// engine groups).
     Pipeline,
 }
 
@@ -516,8 +520,8 @@ struct Metrics {
     stage_resolve: Histogram,
     stage_execute: Histogram,
     stage_respond: Histogram,
-    /// Per-connection response write time (the respond half the drain
-    /// loop spends inside `Connections::send`).
+    /// Per-connection response write time (spent by each
+    /// connection's writer thread, after the response is enqueued).
     write: Histogram,
     /// End-to-end latency per `(property, cache outcome, route)`:
     /// cold engine passes vs. certificate replays vs. warm accepts,
@@ -525,7 +529,8 @@ struct Metrics {
     latency: BTreeMap<(Property, CacheStatus, Route), Histogram>,
     /// Wake reason counts, indexed by [`WakeReason::slot`].
     wake: [u64; WAKE_REASONS],
-    /// Drain cycles executed (lib `drain()` and server cycles alike).
+    /// Drain-loop records: server cycles plus overlap-window batches
+    /// (the library `drain()` records none).
     cycles: u64,
     /// Submissions (or pending queries) per cycle.
     cycle_width: Histogram,
@@ -759,23 +764,6 @@ impl Telemetry {
             }
         }
         merged
-    }
-
-    /// The end-to-end latency histogram for one `(property, cache,
-    /// route)` cell, if any query landed there.
-    #[must_use]
-    pub fn latency_histogram_for(
-        &self,
-        property: Property,
-        cache: CacheStatus,
-        route: Route,
-    ) -> Option<Histogram> {
-        self.inner
-            .lock()
-            .expect("telemetry lock")
-            .latency
-            .get(&(property, cache, route))
-            .cloned()
     }
 
     /// The full `metrics` snapshot (the JSON wire op's body; the

@@ -32,7 +32,8 @@
 //! End-of-life: read-side EOF never tears down a connection's write
 //! half — a client may close its sending side and still collect its
 //! answers (`printf '…' | nc -U sock`, or the stdio pipe itself). A
-//! connection is dropped when a *write* to it fails; EOF on *stdin*
+//! connection's outbound queue goes dead when a *write* to it fails
+//! (later responses to it are counted as losses); EOF on *stdin*
 //! additionally requests a graceful shutdown of the whole server (the
 //! drain loop flushes every pending query before exiting), which is
 //! also what the CLI's SIGTERM handler triggers. The shutdown flush
@@ -307,8 +308,6 @@ impl SubmissionQueue {
     }
 }
 
-type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
-
 /// One connection's bounded outbound queue, drained by its dedicated
 /// writer thread.
 #[derive(Default)]
@@ -387,13 +386,13 @@ impl OutboundTotals {
 /// Per-connection response order is exactly submission order (one
 /// queue, one writer). A full queue sheds the newest response for
 /// that connection (`responses_shed`); a failed write (client went
-/// away) drops the connection and is tallied per connection in the
-/// response-loss counters, so "how many answers never reached a
-/// client" is answerable from the `stats` op after the fact —
-/// mid-flight losses and shutdown-flush losses on separate ledgers.
+/// away) marks the connection's queue dead, and every response it
+/// loses is tallied per connection in the response-loss counters, so
+/// "how many answers never reached a client" is answerable from the
+/// `stats` op after the fact — mid-flight losses and shutdown-flush
+/// losses on separate ledgers.
 #[derive(Default)]
 pub struct Connections {
-    writers: Mutex<HashMap<ConnectionId, SharedWriter>>,
     outbounds: Mutex<HashMap<ConnectionId, Arc<Outbound>>>,
     writer_threads: Mutex<Vec<thread::JoinHandle<()>>>,
     /// Force-close hooks (socket `shutdown(Both)`) used to unstick
@@ -447,12 +446,7 @@ impl Connections {
     /// outbound queue.
     pub fn register(&self, writer: Box<dyn Write + Send>) -> ConnectionId {
         let conn = self.next.fetch_add(1, Ordering::SeqCst);
-        let writer: SharedWriter = Arc::new(Mutex::new(writer));
         let outbound = Arc::new(Outbound::default());
-        self.writers
-            .lock()
-            .expect("connections lock")
-            .insert(conn, Arc::clone(&writer));
         self.outbounds
             .lock()
             .expect("outbounds lock")
@@ -460,7 +454,7 @@ impl Connections {
         let totals = Arc::clone(&self.totals);
         let handle = thread::Builder::new()
             .name(format!("planartest-writer-{conn}"))
-            .spawn(move || writer_loop(conn, &outbound, &writer, &totals))
+            .spawn(move || writer_loop(conn, &outbound, writer, &totals))
             .expect("spawn outbound writer");
         self.writer_threads
             .lock()
@@ -480,11 +474,10 @@ impl Connections {
     }
 
     /// Drops a connection (its reader saw EOF or an error). Responses
-    /// already computed for it are discarded at write time; responses
+    /// computed for it afterwards are counted as losses; responses
     /// already queued outbound are still written by the writer thread
     /// before it exits.
     pub fn deregister(&self, conn: ConnectionId) {
-        self.writers.lock().expect("connections lock").remove(&conn);
         let outbound = self.outbounds.lock().expect("outbounds lock").remove(&conn);
         if let Some(outbound) = outbound {
             outbound.state.lock().expect("outbound lock").closed = true;
@@ -496,39 +489,13 @@ impl Connections {
     /// Number of live connections.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.writers.lock().expect("connections lock").len()
+        self.outbounds.lock().expect("outbounds lock").len()
     }
 
     /// Whether no connection is live.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Writes one response line to `conn` synchronously, bypassing the
-    /// outbound queue (embedders driving [`Connections`] directly;
-    /// the server's drain loop uses the queued `enqueue` path).
-    /// Returns whether the write succeeded; on failure the connection
-    /// is dropped.
-    pub fn send(&self, conn: ConnectionId, line: &str) -> bool {
-        let writer = self
-            .writers
-            .lock()
-            .expect("connections lock")
-            .get(&conn)
-            .cloned();
-        let Some(writer) = writer else {
-            self.totals.record_losses(conn, 1);
-            return false;
-        };
-        let mut w = writer.lock().expect("writer lock");
-        let ok = writeln!(w, "{line}").and_then(|()| w.flush()).is_ok();
-        drop(w);
-        if !ok {
-            self.deregister(conn);
-            self.totals.record_losses(conn, 1);
-        }
-        ok
     }
 
     /// Hands one response line to `conn`'s writer thread, releasing
@@ -728,7 +695,7 @@ impl Connections {
 fn writer_loop(
     conn: ConnectionId,
     outbound: &Outbound,
-    writer: &SharedWriter,
+    mut writer: Box<dyn Write + Send>,
     totals: &OutboundTotals,
 ) {
     loop {
@@ -753,14 +720,14 @@ fn writer_loop(
         let started_micros = telemetry.as_ref().map(|t| t.now_micros());
         let started = Instant::now();
         let ok = {
-            let mut w = writer.lock().expect("writer lock");
             let mut payload = String::with_capacity(batch.iter().map(|l| l.len() + 1).sum());
             for line in &batch {
                 payload.push_str(line);
                 payload.push('\n');
             }
-            w.write_all(payload.as_bytes())
-                .and_then(|()| w.flush())
+            writer
+                .write_all(payload.as_bytes())
+                .and_then(|()| writer.flush())
                 .is_ok()
         };
         let took_micros = match (&telemetry, started_micros) {
@@ -1207,20 +1174,31 @@ mod tests {
             }
         }
         let conns = Connections::new();
-        let ok = conns.register(Box::new(io::sink()));
+        let sink: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
+        let ok = conns.register(Box::new(SharedSink(Arc::clone(&sink))));
         let broken = conns.register(Box::new(FailingWriter));
         assert_eq!(conns.lost_responses(), 0);
-        assert!(conns.send(ok, "delivered"));
-        assert!(!conns.send(broken, "first loss drops the connection"));
-        assert!(!conns.send(broken, "second loss hits a gone connection"));
-        assert!(!conns.send(777, "never-registered target"));
+        assert!(conns.enqueue(ok, "delivered"));
+        assert!(conns.enqueue(broken, "the first loss kills the queue"));
+        // The writer thread fails the write, then marks the queue dead.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while conns.lost_responses() == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the failed write was never counted"
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+        assert!(!conns.enqueue(broken, "the second loss hits a dead queue"));
+        assert!(!conns.enqueue(777, "never-registered target"));
+        assert_eq!(await_lines(&sink, 1), "delivered\n");
         assert_eq!(conns.lost_responses(), 3);
         assert_eq!(
             conns.lost_by_connection(),
             vec![(broken, 2), (777, 1)],
             "losses are attributed to the addressed connection"
         );
-        assert_eq!(conns.len(), 1, "the broken connection was dropped");
+        conns.finish_shutdown_flush();
     }
 
     #[test]
@@ -1231,16 +1209,18 @@ mod tests {
         let b = conns.register(Box::new(io::sink()));
         assert_ne!(a, b);
         assert_eq!(conns.len(), 2);
-        assert!(conns.send(a, "hello"));
-        assert_eq!(sink_contents(&sink), "hello\n");
+        assert!(conns.enqueue(a, "hello"));
+        assert_eq!(await_lines(&sink, 1), "hello\n");
         conns.deregister(b);
         assert!(
-            !conns.send(b, "gone"),
+            !conns.enqueue(b, "gone"),
             "dropped connections are unreachable"
         );
+        assert_eq!(conns.lost_by_connection(), vec![(b, 1)]);
         assert_eq!(conns.len(), 1);
         assert!(!conns.is_empty());
         assert!(format!("{conns:?}").contains("live"));
+        conns.finish_shutdown_flush();
     }
 
     #[test]
@@ -1255,7 +1235,7 @@ mod tests {
         assert_eq!(conns.lost_responses(), 0);
         assert_eq!(conns.shed_responses(), 0);
         assert!(conns.outbound_depth_hwm() >= 1);
-        // Unknown targets are mid-flight losses, exactly like `send`.
+        // Unknown targets are mid-flight losses.
         assert!(!conns.enqueue(777, "never-registered"));
         assert_eq!(conns.lost_responses(), 1);
     }
