@@ -21,9 +21,8 @@ use planartest_core::baselines::{random_shift_partition, shift_spanner, RandomSh
 use planartest_core::oracle;
 use planartest_core::partition::randomized::{run_randomized_partition, RandomPartitionConfig};
 use planartest_core::partition::run_partition;
-use planartest_core::{EmbeddingMode, PlanarityTester, TesterConfig};
+use planartest_core::{PlanarityTester, TesterConfig};
 use planartest_embed::demoucron::check_planarity;
-use planartest_embed::hints;
 use planartest_graph::generators::{nonplanar, planar, Certified};
 use planartest_graph::{Graph, NodeId};
 use planartest_sim::{Engine, SimConfig, TrialRunner};
@@ -144,11 +143,9 @@ pub fn e2_rounds_vs_n() {
     let rows = TrialRunner::auto().map(sizes, |n| {
         let side = isqrt(n);
         let fam = planar::triangulated_grid(side, side);
-        let rot =
-            hints::rotation_from_coordinates(&fam.graph, &hints::grid_coordinates(side, side))
-                .expect("grid coordinates");
-        let cfg = practical_cfg(0.1).with_embedding(EmbeddingMode::Hint(rot));
-        let out = PlanarityTester::new(cfg).run(&fam.graph).expect("run");
+        let out = PlanarityTester::new(practical_cfg(0.1))
+            .run(&fam.graph)
+            .expect("run");
         (fam.graph.n(), fam.graph.m(), out.rounds())
     });
     for (n, m, rounds) in rows {
@@ -175,12 +172,7 @@ pub fn e3_rounds_vs_eps() {
     let rows = TrialRunner::auto().map(vec![0.4, 0.3, 0.2, 0.1, 0.05], |eps| {
         let cfg = TesterConfig::new(eps); // derived (paper) phase count
         let phases = cfg.phases(fam.graph.n());
-        let rot =
-            hints::rotation_from_coordinates(&fam.graph, &hints::grid_coordinates(side, side))
-                .expect("grid");
-        let cfg = cfg
-            .with_phases(phases.min(24))
-            .with_embedding(EmbeddingMode::Hint(rot));
+        let cfg = cfg.with_phases(phases.min(24));
         let mut engine = Engine::new(&fam.graph, SimConfig::default());
         let p = run_partition(&mut engine, &cfg).expect("partition");
         let cut = p.state.cut_weight(&fam.graph) as f64 / fam.graph.m() as f64;

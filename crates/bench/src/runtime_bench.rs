@@ -1,14 +1,16 @@
 //! Runtime benchmark: serial engine throughput, tester n-sweeps,
 //! trial-parallel sweep scaling, batched-vs-sequential Monte-Carlo
-//! sweeps and the label-pack kernels — written both as a human-readable
-//! table and as machine-readable `BENCH_runtime.json` so the performance
-//! trajectory is tracked from PR to PR.
+//! sweeps, the label-pack kernels and the two planar embedders — written
+//! both as a human-readable table and as machine-readable
+//! `BENCH_runtime.json` so the performance trajectory is tracked from PR
+//! to PR.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use planartest_core::stage2::pack;
 use planartest_core::{PlanarityTester, TestOutcome};
+use planartest_embed::{check_planarity, demoucron};
 use planartest_graph::generators::planar;
 use planartest_graph::{Graph, NodeId};
 use planartest_sim::runtime::{auto_threads, TrialRunner};
@@ -278,42 +280,42 @@ fn kernel_row(name: &str, scalar_secs: f64, swar_secs: f64, speedup: f64) -> Jso
         .field("speedup", speedup)
 }
 
-/// Paired before/after kernel measurement: after a warm-up pair, each
-/// of `pairs` reps times scalar then SWAR back to back and the gated
+/// Paired before/after measurement: after a warm-up pair, each of
+/// `pairs` reps times `before` then `after` back to back and the gated
 /// speedup is the **median of the per-pair ratios**. Pairing is what
 /// makes a 1.0 floor holdable: machine-wide drift (thermal ramp,
 /// frequency scaling, a CI neighbour) hits both sides of a pair about
 /// equally and cancels in its ratio, where a ratio of two
 /// independently-taken medians inherits the drift between them as
-/// bias. Returns `(scalar_median, swar_median, ratio_median)`.
-fn paired_kernel_times(
+/// bias. Returns `(before_median, after_median, ratio_median)`.
+fn paired_times(
     pairs: usize,
-    scalar: &mut dyn FnMut(),
-    swar: &mut dyn FnMut(),
+    before: &mut dyn FnMut(),
+    after: &mut dyn FnMut(),
 ) -> (f64, f64, f64) {
     fn time_one(f: &mut dyn FnMut()) -> f64 {
         let start = Instant::now();
         f();
         start.elapsed().as_secs_f64()
     }
-    scalar();
-    swar();
-    let mut scalar_times = Vec::with_capacity(pairs);
-    let mut swar_times = Vec::with_capacity(pairs);
+    before();
+    after();
+    let mut before_times = Vec::with_capacity(pairs);
+    let mut after_times = Vec::with_capacity(pairs);
     let mut ratios = Vec::with_capacity(pairs);
     for _ in 0..pairs {
-        let s = time_one(scalar);
-        let w = time_one(swar);
-        scalar_times.push(s);
-        swar_times.push(w);
-        ratios.push(s / w);
+        let b = time_one(before);
+        let a = time_one(after);
+        before_times.push(b);
+        after_times.push(a);
+        ratios.push(b / a);
     }
-    scalar_times.sort_by(f64::total_cmp);
-    swar_times.sort_by(f64::total_cmp);
+    before_times.sort_by(f64::total_cmp);
+    after_times.sort_by(f64::total_cmp);
     ratios.sort_by(f64::total_cmp);
     (
-        scalar_times[pairs / 2],
-        swar_times[pairs / 2],
+        before_times[pairs / 2],
+        after_times[pairs / 2],
         ratios[pairs / 2],
     )
 }
@@ -378,7 +380,7 @@ fn kernel_bench(reps: usize, pairs: usize) -> (Json, f64, &'static str) {
         );
         // Separate buffers per side: the paired closures live at once.
         let (mut words_w, mut digits_w) = (Vec::new(), Vec::new());
-        let (scalar_secs, swar_secs, ratio) = paired_kernel_times(
+        let (scalar_secs, swar_secs, ratio) = paired_times(
             pairs,
             &mut || {
                 for _ in 0..reps {
@@ -405,10 +407,49 @@ fn kernel_bench(reps: usize, pairs: usize) -> (Json, f64, &'static str) {
     (Json::Arr(rows), min_speedup, min_kernel)
 }
 
+/// The quadratic Demoucron oracle against the linear-time left-right
+/// embedder Stage II runs, on one triangulated grid (`n = side²`): paired
+/// one-thread medians over `pairs` pairs, both embedders first asserted
+/// to call the grid planar. Returns the row plus the median per-pair
+/// Demoucron/left-right ratio (gated by
+/// [`BenchGate::EMBED_SPEEDUP_FLOOR`]).
+fn embed_bench(side: usize, pairs: usize) -> (Json, f64) {
+    let fam = planar::triangulated_grid(side, side);
+    let g = &fam.graph;
+    assert!(
+        demoucron::check_planarity(g).is_planar() && check_planarity(g).is_planar(),
+        "both embedders must embed the grid before timing"
+    );
+    let (demoucron_secs, left_right_secs, speedup) = paired_times(
+        pairs,
+        &mut || {
+            black_box(demoucron::check_planarity(g));
+        },
+        &mut || {
+            black_box(check_planarity(g));
+        },
+    );
+    println!(
+        "embedder       n={:<6} demoucron {demoucron_secs:>10.6}s  left-right \
+         {left_right_secs:>10.6}s  speedup {speedup:.1}x",
+        g.n()
+    );
+    let row = Json::obj()
+        .field("workload", "embed_triangulated_grid")
+        .field("n", g.n())
+        .field("m", g.m())
+        .field("pairs", pairs)
+        .field("demoucron_seconds", demoucron_secs)
+        .field("left_right_seconds", left_right_secs)
+        .field("speedup", speedup);
+    (row, speedup)
+}
+
 /// The CI regression gate computed alongside the benchmark document:
 /// the batched Monte-Carlo sweep must clear its floor over the
-/// sequential-per-instance path, and no SWAR label-pack kernel may lose
-/// to its scalar reference.
+/// sequential-per-instance path, no SWAR label-pack kernel may lose to
+/// its scalar reference, and the left-right embedder must clear its
+/// floor over Demoucron.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchGate {
     /// Trials in the gated batched acceptance sweep.
@@ -421,6 +462,9 @@ pub struct BenchGate {
     pub min_kernel_speedup: f64,
     /// Which kernel posted that worst ratio.
     pub min_kernel: &'static str,
+    /// Demoucron wall-clock over left-right wall-clock on the embed
+    /// bench's grid (median of paired ratios).
+    pub embed_speedup: f64,
 }
 
 impl BenchGate {
@@ -445,16 +489,26 @@ impl BenchGate {
     /// here, as it should).
     pub const KERNEL_SPEEDUP_FLOOR: f64 = 1.0;
 
+    /// Floor for the left-right embedder over Demoucron on the embed
+    /// bench's grid. Demoucron is quadratic and left-right linear, so
+    /// the ratio grows with the grid: already two orders of magnitude
+    /// at `tri_grid(24,24)`. A floor of 10 only fails if the linear
+    /// embedder has lost its complexity.
+    pub const EMBED_SPEEDUP_FLOOR: f64 = 10.0;
+
     /// Whether the gate passes: the batch speedup at or above
-    /// [`BATCH_SPEEDUP_FLOOR`](Self::BATCH_SPEEDUP_FLOOR) and every
+    /// [`BATCH_SPEEDUP_FLOOR`](Self::BATCH_SPEEDUP_FLOOR), every
     /// kernel at or above
-    /// [`KERNEL_SPEEDUP_FLOOR`](Self::KERNEL_SPEEDUP_FLOOR). Both
-    /// clauses are one-thread measurements, so they hold on any core
+    /// [`KERNEL_SPEEDUP_FLOOR`](Self::KERNEL_SPEEDUP_FLOOR) and the
+    /// embedder at or above
+    /// [`EMBED_SPEEDUP_FLOOR`](Self::EMBED_SPEEDUP_FLOOR). Every clause
+    /// is a one-thread measurement, so the gate holds on any core
     /// count.
     #[must_use]
     pub fn pass(&self) -> bool {
         self.batch_speedup >= Self::BATCH_SPEEDUP_FLOOR
             && self.min_kernel_speedup >= Self::KERNEL_SPEEDUP_FLOOR
+            && self.embed_speedup >= Self::EMBED_SPEEDUP_FLOOR
     }
 }
 
@@ -471,18 +525,21 @@ pub fn runtime_bench_document() -> (Json, BenchGate) {
     } else {
         kernel_bench(2_000, 9)
     };
+    let (embed_row, embed_speedup) = embed_bench(if quick() { 24 } else { 48 }, 7);
     let gate = BenchGate {
         batch_trials,
         batch_speedup,
         min_kernel_speedup,
         min_kernel,
+        embed_speedup,
     };
     let doc = Json::obj()
-        .field("schema", "planartest-bench/runtime/v3")
+        .field("schema", "planartest-bench/runtime/v4")
         .field("quick_mode", quick())
         .field("hardware_threads", auto_threads())
         .field("engine_throughput", engine_throughput(side))
         .field("kernel_bench", kernel_rows)
+        .field("embed_bench", embed_row)
         .field("tester_n_sweep", tester_rows)
         .field("trial_sweep", trial_sweep())
         .field("batch_sweep", batch_row)
@@ -495,6 +552,8 @@ pub fn runtime_bench_document() -> (Json, BenchGate) {
                 .field("min_kernel_speedup", gate.min_kernel_speedup)
                 .field("min_kernel", gate.min_kernel)
                 .field("kernel_speedup_floor", BenchGate::KERNEL_SPEEDUP_FLOOR)
+                .field("embed_speedup", gate.embed_speedup)
+                .field("embed_speedup_floor", BenchGate::EMBED_SPEEDUP_FLOOR)
                 .field("pass", gate.pass()),
         );
     (doc, gate)
@@ -529,20 +588,42 @@ mod tests {
     fn gate_thresholds() {
         let floor = BenchGate::BATCH_SPEEDUP_FLOOR;
         assert_eq!(floor, 4.0);
-        let gate = |batch_speedup: f64, min_kernel_speedup: f64| BenchGate {
+        let gate = |batch_speedup: f64, min_kernel_speedup: f64, embed_speedup: f64| BenchGate {
             batch_trials: 8,
             batch_speedup,
             min_kernel_speedup,
             min_kernel: "label_pack_16bit",
+            embed_speedup,
         };
-        assert!(gate(floor, 1.2).pass());
-        assert!(gate(floor + 0.5, 1.0).pass());
-        assert!(!gate(floor - 0.01, 1.2).pass());
-        assert!(!gate(1.0, 1.2).pass());
+        assert!(gate(floor, 1.2, 50.0).pass());
+        assert!(gate(floor + 0.5, 1.0, 50.0).pass());
+        assert!(!gate(floor - 0.01, 1.2, 50.0).pass());
+        assert!(!gate(1.0, 1.2, 50.0).pass());
         // Every SWAR kernel must at least match its scalar reference:
         // the historical 0.83x pack regression fails the gate.
-        assert!(!gate(floor, 0.83).pass());
+        assert!(!gate(floor, 0.83, 50.0).pass());
         assert_eq!(BenchGate::KERNEL_SPEEDUP_FLOOR, 1.0);
+        // The linear embedder must stay an order of magnitude ahead.
+        assert_eq!(BenchGate::EMBED_SPEEDUP_FLOOR, 10.0);
+        assert!(gate(floor, 1.2, 10.0).pass());
+        assert!(!gate(floor, 1.2, 9.9).pass());
+    }
+
+    #[test]
+    fn embed_row_has_required_fields() {
+        // A schema check over one pair on a tiny grid: the timed
+        // workload runs in `runtime_bench --check` on the release binary.
+        let (row, speedup) = embed_bench(4, 1);
+        let text = row.pretty();
+        for key in [
+            "embed_triangulated_grid",
+            "demoucron_seconds",
+            "left_right_seconds",
+            "speedup",
+        ] {
+            assert!(text.contains(key), "missing {key} in {text}");
+        }
+        assert!(speedup.is_finite() && speedup > 0.0);
     }
 
     #[test]

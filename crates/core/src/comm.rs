@@ -234,6 +234,7 @@ pub fn census(
 struct StreamBroadcastLogic<'t> {
     tree: &'t TreeTopology,
     queue: Vec<VecDeque<Msg>>,
+    /// Per-node copies of every delivery, or empty when not recording.
     received: Vec<Vec<Msg>>,
 }
 
@@ -263,7 +264,9 @@ impl NodeLogic for StreamBroadcastLogic<'_> {
     fn round(&mut self, node: NodeId, inbox: &[(NodeId, Msg)], out: &mut Outbox<'_>) {
         let v = node.index();
         for (_, msg) in inbox {
-            self.received[v].push(msg.clone());
+            if let Some(received) = self.received.get_mut(v) {
+                received.push(msg.clone());
+            }
             self.queue[v].push_back(msg.clone());
         }
         self.pump(node, out);
@@ -273,8 +276,11 @@ impl NodeLogic for StreamBroadcastLogic<'_> {
 /// Pipelined multi-message broadcast: each root's message list flows
 /// down its tree in FIFO order, one message per edge per round; every
 /// node receives its root's list (roots' own payloads are *not* echoed
-/// back to themselves). Returns the messages received per node and the
-/// run's [`RunReport`].
+/// back to themselves). Returns the run's [`RunReport`] and, if
+/// `record` is set, the messages received per node (otherwise an empty
+/// list: a copy of every delivery at every node roughly doubles the
+/// cost of a long broadcast, and Stage II only reads them in its
+/// debug-build self-check).
 ///
 /// Cost: `height + k` rounds for `k` messages.
 ///
@@ -286,6 +292,7 @@ pub fn stream_broadcast(
     tree: &TreeTopology,
     payload: Vec<Vec<Msg>>,
     max_rounds: u64,
+    record: bool,
 ) -> Result<(Vec<Vec<Msg>>, RunReport), SimError> {
     debug_assert!(payload
         .iter()
@@ -295,7 +302,7 @@ pub fn stream_broadcast(
     let mut logic = StreamBroadcastLogic {
         tree,
         queue: payload.into_iter().map(VecDeque::from).collect(),
-        received: vec![Vec::new(); n],
+        received: vec![Vec::new(); if record { n } else { 0 }],
     };
     let report = engine.run(&mut logic, max_rounds)?;
     Ok((logic.received, report))
@@ -495,7 +502,8 @@ mod tests {
         let mut engine = Engine::new(&g, SimConfig::default());
         let mut payload = vec![Vec::new(); 6];
         payload[0] = vec![Msg::words(&[1]), Msg::words(&[2]), Msg::words(&[3])];
-        let (got, report) = stream_broadcast(&mut engine, &tree, payload, 1000).unwrap();
+        let (got, report) =
+            stream_broadcast(&mut engine, &tree, payload.clone(), 1000, true).unwrap();
         for (v, msgs) in got.iter().enumerate().take(5).skip(1) {
             let words: Vec<u64> = msgs.iter().map(|m| m.word(0)).collect();
             assert_eq!(words, vec![1, 2, 3], "node {v}");
@@ -504,6 +512,11 @@ mod tests {
         // Pipelined: depth 4 + 3 messages - 1 = 6-ish rounds, not 12.
         assert!(report.rounds <= 8, "rounds {}", report.rounds);
         assert_eq!(engine.stats().rounds, report.rounds);
+        // Not recording keeps nothing and changes nothing on the wire.
+        let (none, unrecorded) =
+            stream_broadcast(&mut engine, &tree, payload, 1000, false).unwrap();
+        assert!(none.is_empty());
+        assert_eq!(unrecorded, report);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! (Cole–Vishkin colouring of `F_i`, marking, subtree levelling and the
 //! contraction surgery of Lemma 6) is computed from root-local knowledge
 //! and *charged* rounds according to the paper's own cost accounting
-//! (`O(1)` `F_i`-hops, each `2·depth + 2` rounds) — see `DESIGN.md` §3.
+//! (`O(1)` `F_i`-hops, each `2·depth + 2` rounds) — see "Round /
+//! bandwidth budget per protocol" in `docs/ARCHITECTURE.md`.
 
 pub(crate) mod aux;
 mod forest;

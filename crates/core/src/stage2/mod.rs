@@ -6,8 +6,9 @@
 //! 2. count `n(Gj)`, `m(Gj)` and the non-tree edges (convergecast +
 //!    broadcast, message-level); reject if `m > 3n − 6`;
 //! 3. compute a combinatorial embedding (the Ghaffari–Haeupler
-//!    substitution: Demoucron at the root or a verified hint, with the
-//!    rounds charged per \[22\]'s bound — `DESIGN.md` §3);
+//!    substitution: the linear-time left-right embedder at the root, with
+//!    the rounds charged per \[22\]'s bound — "Round / bandwidth budget
+//!    per protocol" in `docs/ARCHITECTURE.md`);
 //! 4. derive edge labels from the embedding and distribute vertex labels
 //!    down the tree (message-level, pipelined — labels are `Θ(depth)`
 //!    words long);
@@ -24,8 +25,7 @@ mod protocols;
 
 use std::collections::HashMap;
 
-use planartest_embed::demoucron::{check_planarity, PlanarityCheck};
-use planartest_embed::RotationSystem;
+use planartest_embed::{check_planarity, PlanarityCheck, RotationSystem};
 use planartest_graph::{EdgeId, Graph, NodeId};
 use planartest_sim::bfs::distributed_bfs;
 use planartest_sim::tree::{broadcast, convergecast};
@@ -67,8 +67,8 @@ pub struct Stage2Outcome {
     /// Nodes that rejected, with reasons.
     pub rejections: Vec<(NodeId, RejectReason)>,
     /// Nodes that observed a Definition 7 violation. In the paper-faithful
-    /// [`EmbeddingMode::Demoucron`] mode these also reject; in the sound
-    /// modes they are telemetry only, because our reproduction shows
+    /// [`EmbeddingMode::Paper`] mode these also reject; in the strict
+    /// mode they are telemetry only, because our reproduction shows
     /// planar graphs can carry violating labellings (Claim 10 refutation,
     /// `tests/claim10_refutation.rs`).
     pub violation_witnesses: Vec<NodeId>,
@@ -221,9 +221,9 @@ pub fn run_stage2_many(
         let depth = part.iter().map(|&v| levels[v.index()]).max().unwrap_or(0);
         let diameter_bound = 2 * depth + 1;
         engine.charge_rounds(diameter_bound * diameter_bound.min(log_n).max(1));
-        let (rot, planar) = embed_part(cfg, g, &sub, &orig);
-        if !planar && !matches!(cfg.embedding, EmbeddingMode::Demoucron) {
-            // Sound modes: the certified non-planarity of the part is the
+        let (rot, planar) = embed_part(&sub);
+        if !planar && cfg.embedding == EmbeddingMode::Strict {
+            // Strict mode: the certified non-planarity of the part is the
             // rejection evidence (it exists whenever the part is far).
             rejections.push((r, RejectReason::EmbeddingFailed));
         }
@@ -364,11 +364,13 @@ pub fn run_stage2_many(
     }
     let received = all_down_payloads
         .into_iter()
-        .map(|p| crate::comm::stream_broadcast(engine, &tree, p, max_rounds))
+        .map(|p| {
+            crate::comm::stream_broadcast(engine, &tree, p, max_rounds, cfg!(debug_assertions))
+        })
         .collect::<Result<Vec<_>, _>>()?;
 
     // Local violation checks, per instance.
-    let paper_mode = matches!(cfg.embedding, EmbeddingMode::Demoucron);
+    let paper_mode = cfg.embedding == EmbeddingMode::Paper;
     let mut outcomes = Vec::with_capacity(seeds.len());
     let mut stats = Vec::with_capacity(seeds.len());
     for (k, ((_, up_report), (_received_k, down_report))) in
@@ -457,52 +459,12 @@ fn assign_non_tree_edges(
     assigned
 }
 
-/// Obtains a rotation for one part: `(rotation, verified planar)`.
-///
-/// `orig` maps sub-graph node ids back to whole-graph ids (for hints).
-fn embed_part(
-    cfg: &TesterConfig,
-    g: &Graph,
-    sub: &Graph,
-    orig: &[NodeId],
-) -> (RotationSystem, bool) {
-    match &cfg.embedding {
-        EmbeddingMode::Hint(hint) => {
-            // Restrict the whole-graph rotation to the part: planar
-            // embeddings stay planar under edge/vertex deletion.
-            let mut new_of = vec![usize::MAX; g.n()];
-            for (nv, &ov) in orig.iter().enumerate() {
-                new_of[ov.index()] = nv;
-            }
-            let mut orders = Vec::with_capacity(sub.n());
-            for v in sub.nodes() {
-                let ov = orig[v.index()];
-                let mut ord = Vec::new();
-                for &e in hint.order_at(ov) {
-                    let ow = g.other_endpoint(e, ov);
-                    let nw = new_of[ow.index()];
-                    if nw != usize::MAX {
-                        if let Some(se) = sub.edge_between(v, NodeId::new(nw)) {
-                            ord.push(se);
-                        }
-                    }
-                }
-                orders.push(ord);
-            }
-            match RotationSystem::new(sub, orders) {
-                Ok(rot) if rot.is_planar_embedding(sub) => (rot, true),
-                // Hint did not verify: fall back to the certified embedder
-                // so soundness is preserved.
-                _ => match check_planarity(sub) {
-                    PlanarityCheck::Planar(rot) => (rot, true),
-                    PlanarityCheck::NonPlanar => (RotationSystem::from_adjacency(sub), false),
-                },
-            }
-        }
-        EmbeddingMode::Demoucron | EmbeddingMode::DemoucronStrict => match check_planarity(sub) {
-            PlanarityCheck::Planar(rot) => (rot, true),
-            PlanarityCheck::NonPlanar => (RotationSystem::from_adjacency(sub), false),
-        },
+/// Obtains a rotation for one part: `(rotation, verified planar)`. A
+/// non-planar part gets its adjacency order as a best-effort rotation.
+fn embed_part(sub: &Graph) -> (RotationSystem, bool) {
+    match check_planarity(sub) {
+        PlanarityCheck::Planar(rot) => (rot, true),
+        PlanarityCheck::NonPlanar => (RotationSystem::from_adjacency(sub), false),
     }
 }
 
@@ -636,7 +598,7 @@ mod tests {
             .any(|&(_, r)| r == RejectReason::EmbeddingFailed));
         assert!(!out.violation_witnesses.is_empty(), "Claim 8 direction");
 
-        let paper = TesterConfig::new(0.2).with_embedding(EmbeddingMode::Demoucron);
+        let paper = TesterConfig::new(0.2).with_embedding(EmbeddingMode::Paper);
         let out = stage2_singleton_partition(&g, &paper);
         assert!(out
             .rejections
@@ -658,7 +620,7 @@ mod tests {
     #[test]
     fn strict_mode_rejects_at_embedding() {
         let g = nonplanar::complete_bipartite(3, 3).graph;
-        let cfg = TesterConfig::new(0.2).with_embedding(EmbeddingMode::DemoucronStrict);
+        let cfg = TesterConfig::new(0.2).with_embedding(EmbeddingMode::Strict);
         let out = stage2_singleton_partition(&g, &cfg);
         assert!(out
             .rejections

@@ -4,7 +4,7 @@
 //! labelling contains a violating (Definition 7) edge pair, so the
 //! paper-faithful Stage II can reject planar inputs. The `e6_violations`
 //! bench binary measures the violation counts at scale; the sound fix
-//! the default tester uses is `EmbeddingMode::DemoucronStrict`.
+//! the default tester uses is `EmbeddingMode::Strict`.
 
 use planartest_core::oracle::{count_violating_edges, non_tree_intervals};
 use planartest_core::{EmbeddingMode, PlanarityTester, TesterConfig};
@@ -79,7 +79,7 @@ fn paper_mode_can_reject_the_planar_counterexample() {
     let g = counterexample();
     let cfg = TesterConfig::new(0.05)
         .with_phases(4)
-        .with_embedding(EmbeddingMode::Demoucron);
+        .with_embedding(EmbeddingMode::Paper);
     let out = PlanarityTester::new(cfg).run(&g).expect("tester runs");
     // Whether it rejects depends on which part the partition formed and
     // what got sampled; across seeds at least one rejection must appear.
@@ -88,7 +88,7 @@ fn paper_mode_can_reject_the_planar_counterexample() {
         let cfg = TesterConfig::new(0.05)
             .with_phases(4)
             .with_seed(seed)
-            .with_embedding(EmbeddingMode::Demoucron);
+            .with_embedding(EmbeddingMode::Paper);
         if !PlanarityTester::new(cfg).run(&g).expect("runs").accepted() {
             any_reject = true;
         }

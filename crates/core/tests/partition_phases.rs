@@ -62,8 +62,9 @@ fn randomized_partition_invariants_over_seeds() {
 /// and both scale with part depth. (On planar inputs the peeling
 /// quiesces in one or two super-rounds — every low-degree part
 /// deactivates immediately — so the *charged* merging hops can dominate;
-/// on dense inputs the simulated peeling dominates instead. DESIGN.md §2
-/// documents this split.)
+/// on dense inputs the simulated peeling dominates instead. "Round /
+/// bandwidth budget per protocol" in `docs/ARCHITECTURE.md` documents
+/// this split.)
 #[test]
 fn round_accounting_accrues_on_both_sides() {
     let g = planar::triangulated_grid(12, 12).graph;

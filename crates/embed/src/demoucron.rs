@@ -10,8 +10,9 @@
 //! face makes the greedy choice safe (classic Demoucron invariant).
 //!
 //! Complexity is `O(n·m)`-ish — quadratic, certificate-producing and easy
-//! to audit, which is what the tester needs from its embedding substrate
-//! (see `DESIGN.md` §3 for why this substitutes for Ghaffari–Haeupler).
+//! to audit. Stage II embeds with the linear-time
+//! [`left_right`](crate::left_right) test instead; this module is the
+//! independent oracle that one is checked against.
 
 use std::collections::HashMap;
 
@@ -19,30 +20,7 @@ use planartest_graph::algo::biconnected::Blocks;
 use planartest_graph::{EdgeId, Graph, NodeId};
 
 use crate::rotation::RotationSystem;
-
-/// Result of a planarity check.
-#[derive(Debug, Clone)]
-pub enum PlanarityCheck {
-    /// The graph is planar; a verified planar rotation system is attached.
-    Planar(RotationSystem),
-    /// The graph is not planar.
-    NonPlanar,
-}
-
-impl PlanarityCheck {
-    /// Whether the check found the graph planar.
-    pub fn is_planar(&self) -> bool {
-        matches!(self, PlanarityCheck::Planar(_))
-    }
-
-    /// Extracts the rotation system, if planar.
-    pub fn into_rotation(self) -> Option<RotationSystem> {
-        match self {
-            PlanarityCheck::Planar(r) => Some(r),
-            PlanarityCheck::NonPlanar => None,
-        }
-    }
-}
+pub use crate::PlanarityCheck;
 
 /// Tests planarity and, when planar, produces a combinatorial embedding.
 ///
@@ -510,20 +488,42 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// A planarity test and embedder.
+    type Embedder = fn(&Graph) -> PlanarityCheck;
+
+    /// Every case runs both embedders: this one and the left-right
+    /// embedder it is the oracle for.
+    const EMBEDDERS: [(&str, Embedder); 2] = [
+        ("demoucron", check_planarity),
+        ("left-right", crate::left_right::check_planarity),
+    ];
+
     fn assert_planar(g: &Graph) {
-        match check_planarity(g) {
-            PlanarityCheck::Planar(rot) => {
-                assert!(rot.is_planar_embedding(g), "returned rotation must verify");
+        for (name, check) in EMBEDDERS {
+            match check(g) {
+                PlanarityCheck::Planar(rot) => {
+                    assert!(rot.is_planar_embedding(g), "{name}: rotation must verify");
+                }
+                PlanarityCheck::NonPlanar => panic!("{name}: graph wrongly declared non-planar"),
             }
-            PlanarityCheck::NonPlanar => panic!("graph wrongly declared non-planar"),
         }
+    }
+
+    /// Both embedders' verdict; they must agree.
+    fn is_planar(g: &Graph) -> bool {
+        let [(_, oracle), (name, subject)] = EMBEDDERS;
+        let verdict = oracle(g).is_planar();
+        assert_eq!(subject(g).is_planar(), verdict, "{name} disagrees");
+        verdict
     }
 
     #[test]
     fn small_planar_graphs() {
         assert_planar(&Graph::empty(0));
+        assert_planar(&Graph::empty(1));
         assert_planar(&Graph::empty(5));
         assert_planar(&Graph::from_edges(2, [(0, 1)]).unwrap());
+        assert_planar(&Graph::from_edges(5, [(1, 3)]).unwrap());
         assert_planar(&Graph::from_edges(3, [(0, 1), (1, 2), (0, 2)]).unwrap());
         assert_planar(
             &Graph::from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]).unwrap(),

@@ -168,27 +168,6 @@ impl RotationSystem {
         &self.order[v.index()]
     }
 
-    /// Stable 128-bit content fingerprint of the rotation system (the
-    /// per-vertex circular orders, length-prefixed per vertex).
-    ///
-    /// Two rotation systems fingerprint equal iff they order every
-    /// vertex's incident edges identically — the identity the query
-    /// service's result cache needs when a tester configuration embeds
-    /// via a hint (`planartest-core`'s `EmbeddingMode::Hint`): different
-    /// hints can change Stage-II outcomes, so they must key differently.
-    #[must_use]
-    pub fn fingerprint(&self) -> planartest_graph::fingerprint::Fingerprint {
-        let mut d = planartest_graph::fingerprint::Digest::new();
-        d.word(self.order.len() as u64);
-        for ord in &self.order {
-            d.word(ord.len() as u64);
-            for &e in ord {
-                d.word(u64::from(e.raw()));
-            }
-        }
-        d.finish()
-    }
-
     /// Position of edge `e` within the circular order at its endpoint `v`.
     ///
     /// # Panics

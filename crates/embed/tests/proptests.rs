@@ -1,13 +1,22 @@
-//! Property-based tests for the embedding substrate.
+//! Property-based tests for the embedding substrate. Where a property is
+//! about the embedders, both run it: the left-right embedder Stage II
+//! uses and the Demoucron oracle.
 
-use planartest_embed::demoucron::{check_planarity, is_planar, PlanarityCheck};
-use planartest_embed::hints::{grid_coordinates, rotation_from_coordinates};
-use planartest_embed::RotationSystem;
+use planartest_embed::{demoucron, left_right, PlanarityCheck, RotationSystem};
 use planartest_graph::generators::{nonplanar, planar};
 use planartest_graph::{Graph, GraphBuilder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// A planarity test and embedder.
+type Embedder = fn(&Graph) -> PlanarityCheck;
+
+/// Both embedders, named for assertion messages.
+const EMBEDDERS: [(&str, Embedder); 2] = [
+    ("left-right", left_right::check_planarity),
+    ("demoucron", demoucron::check_planarity),
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -18,58 +27,68 @@ proptest! {
     fn edge_deletion_preserves_planarity(seed in 0u64..5000, n in 4usize..50, victim in 0usize..200) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = planar::apollonian(n.max(3), &mut rng).graph;
-        prop_assert!(is_planar(&g));
+        prop_assert!(demoucron::is_planar(&g));
         let victim = victim % g.m();
         let (h, _) = g.edge_subgraph(|e| e.index() != victim);
-        prop_assert!(is_planar(&h), "deleting an edge broke planarity?!");
+        prop_assert!(demoucron::is_planar(&h), "deleting an edge broke planarity?!");
     }
 
-    /// Every embedding Demoucron returns verifies via the Euler formula,
-    /// and its face count is exactly m - n + 1 + c (c components).
+    /// Every embedding either embedder returns verifies via the Euler
+    /// formula, and its face count is exactly m - n + 1 + c (c
+    /// components).
     #[test]
     fn returned_embeddings_verify(seed in 0u64..5000, keep in 0.3f64..1.0) {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = planar::random_planar(40, keep, &mut rng).graph;
-        match check_planarity(&g) {
-            PlanarityCheck::Planar(rot) => {
-                prop_assert!(rot.is_planar_embedding(&g));
-                let comps = planartest_graph::algo::components::Components::build(&g);
-                // Components with edges contribute faces; edgeless ones
-                // contribute none to the trace.
-                let mut expected = 0i64;
-                let mut m_c = vec![0i64; comps.count()];
-                let mut n_c = vec![0i64; comps.count()];
-                for (u, _) in g.edges() { m_c[comps.component_of(u)] += 1; }
-                for v in g.nodes() { n_c[comps.component_of(v)] += 1; }
-                for c in 0..comps.count() {
-                    if m_c[c] > 0 {
-                        expected += m_c[c] - n_c[c] + 2;
+        for (name, check_planarity) in EMBEDDERS {
+            match check_planarity(&g) {
+                PlanarityCheck::Planar(rot) => {
+                    prop_assert!(rot.is_planar_embedding(&g), "{}", name);
+                    let comps = planartest_graph::algo::components::Components::build(&g);
+                    // Components with edges contribute faces; edgeless ones
+                    // contribute none to the trace.
+                    let mut expected = 0i64;
+                    let mut m_c = vec![0i64; comps.count()];
+                    let mut n_c = vec![0i64; comps.count()];
+                    for (u, _) in g.edges() { m_c[comps.component_of(u)] += 1; }
+                    for v in g.nodes() { n_c[comps.component_of(v)] += 1; }
+                    for c in 0..comps.count() {
+                        if m_c[c] > 0 {
+                            expected += m_c[c] - n_c[c] + 2;
+                        }
                     }
+                    prop_assert_eq!(rot.trace_faces(&g).len() as i64, expected, "{}", name);
                 }
-                prop_assert_eq!(rot.trace_faces(&g).len() as i64, expected);
+                PlanarityCheck::NonPlanar => {
+                    prop_assert!(false, "{}: random planar subgraph rejected", name)
+                }
             }
-            PlanarityCheck::NonPlanar => prop_assert!(false, "random planar subgraph rejected"),
         }
     }
 
     /// Adding enough random chords to a maximal planar graph always makes
-    /// Demoucron reject (Euler bound kicks in at k >= 1 over the maximum,
-    /// but even for small k the embedder itself must find the fragment
+    /// both embedders reject (Euler bound kicks in at k >= 1 over the
+    /// maximum, but even for small k the embedder itself must find the
     /// obstruction).
     #[test]
     fn supergraphs_of_maximal_planar_reject(seed in 0u64..5000, k in 1usize..10) {
         let mut rng = StdRng::seed_from_u64(seed);
         let c = nonplanar::planar_plus_chords(30, k, &mut rng);
-        prop_assert!(!is_planar(&c.graph), "maximal planar + chord must be non-planar");
+        for (name, check_planarity) in EMBEDDERS {
+            prop_assert!(
+                !check_planarity(&c.graph).is_planar(),
+                "{}: maximal planar + chord must be non-planar", name
+            );
+        }
     }
 
-    /// Coordinate-derived rotations on (planarly drawn) grids always
-    /// verify; corrupting the rotation at one vertex is either caught by
-    /// validation or changes the genus/face structure, never panics.
+    /// Left-right rotations of grids always verify; corrupting the
+    /// rotation at one vertex is either caught by validation or changes
+    /// the genus/face structure, never panics.
     #[test]
     fn rotation_corruption_is_detected_or_benign(rows in 2usize..6, cols in 2usize..6, swap in 0usize..100) {
         let g = planar::grid(rows, cols).graph;
-        let rot = rotation_from_coordinates(&g, &grid_coordinates(rows, cols)).expect("grid");
+        let rot = left_right::check_planarity(&g).into_rotation().expect("grid");
         prop_assert!(rot.is_planar_embedding(&g));
         // Swap two entries in one vertex's order.
         let v = planartest_graph::NodeId::new(swap % g.n());
@@ -93,8 +112,6 @@ proptest! {
 #[test]
 fn known_minor_obstructions() {
     // K5 and K3,3 and one subdivision each.
-    assert!(!is_planar(&nonplanar::complete(5).graph));
-    assert!(!is_planar(&nonplanar::complete_bipartite(3, 3).graph));
     let k5 = nonplanar::complete(5).graph;
     let mut b = GraphBuilder::new(5 + k5.m());
     for (i, (u, v)) in k5.edges().enumerate() {
@@ -102,5 +119,15 @@ fn known_minor_obstructions() {
         b.add_edge(5 + i, v.index()).unwrap();
     }
     let subdivided: Graph = b.build();
-    assert!(!is_planar(&subdivided), "K5 subdivision must be non-planar");
+    for (name, check_planarity) in EMBEDDERS {
+        assert!(!check_planarity(&k5).is_planar(), "{name}: K5");
+        assert!(
+            !check_planarity(&nonplanar::complete_bipartite(3, 3).graph).is_planar(),
+            "{name}: K3,3"
+        );
+        assert!(
+            !check_planarity(&subdivided).is_planar(),
+            "{name}: K5 subdivision must be non-planar"
+        );
+    }
 }

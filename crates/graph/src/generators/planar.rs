@@ -146,8 +146,7 @@ pub fn apollonian<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Certified {
 
 /// Like [`apollonian`], but also returns the oriented triangular face list
 /// of the final triangulation — each directed edge appears in exactly one
-/// face, so the list determines a planar rotation system (used as an
-/// embedding hint for large experiments).
+/// face, so the list determines a planar rotation system.
 pub fn apollonian_with_faces<R: Rng + ?Sized>(
     n: usize,
     rng: &mut R,

@@ -661,13 +661,10 @@ impl Service {
             .map(|(_, o)| o.stats().total_rounds())
             .sum::<u64>()
             .max(1);
-        // The paper-faithful Demoucron mode is not one-sided (it can
+        // The paper-faithful `Paper` mode is not one-sided (it can
         // reject planar graphs — the Claim 10 refutation), so its
         // rejects must not become seed-universal certificates.
-        let certifiable = !matches!(
-            group.cfg.embedding,
-            planartest_core::EmbeddingMode::Demoucron
-        );
+        let certifiable = !matches!(group.cfg.embedding, planartest_core::EmbeddingMode::Paper);
         for (seed, outcome) in &by_seed {
             let formed = self.cache.insert(&group.key, *seed, outcome, certifiable);
             // A newly formed certificate is durable before its response
@@ -1337,7 +1334,7 @@ mod tests {
 
     #[test]
     fn paper_mode_rejects_never_become_certificates() {
-        // Demoucron (paper) mode is not one-sided — the Claim 10
+        // Paper mode is not one-sided — the Claim 10
         // refutation shows it can reject planar graphs — so a reject
         // under one seed proves nothing about other seeds and must not
         // be replayed for them.
@@ -1347,7 +1344,7 @@ mod tests {
                 GraphRef::Name("k33".into()),
                 cfg(0.1)
                     .with_seed(seed)
-                    .with_embedding(planartest_core::EmbeddingMode::Demoucron),
+                    .with_embedding(planartest_core::EmbeddingMode::Paper),
             )
         };
         let first = s.query(q(1)).unwrap();

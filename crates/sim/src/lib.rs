@@ -13,7 +13,7 @@
 //!   reported as [`SimError`]s, never silently allowed;
 //! * rounds, messages and words are tallied in [`SimStats`], including
 //!   explicitly *charged* rounds for substituted subroutines (see
-//!   `DESIGN.md` §3).
+//!   "Round / bandwidth budget per protocol" in `docs/ARCHITECTURE.md`).
 //!
 //! On top of the engine, [`tree`] provides broadcast/convergecast over
 //! forests and [`bfs`] grows BFS trees distributedly — the workhorses of

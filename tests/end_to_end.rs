@@ -119,7 +119,7 @@ fn paper_mode_soundness() {
     let far = nonplanar::planar_plus_chords(70, 70, &mut rng);
     let cfg = TesterConfig::new(0.05)
         .with_phases(8)
-        .with_embedding(EmbeddingMode::Demoucron);
+        .with_embedding(EmbeddingMode::Paper);
     let out = PlanarityTester::new(cfg).run(&far.graph).expect("run");
     assert!(!out.accepted());
 }

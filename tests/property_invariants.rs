@@ -8,7 +8,7 @@ use planartest::core::partition::run_partition;
 use planartest::core::stage2::labels::{Label, LabeledEdge};
 use planartest::core::TesterConfig;
 use planartest::embed::demoucron::{check_planarity, is_planar};
-use planartest::embed::RotationSystem;
+use planartest::embed::{PlanarityCheck, RotationSystem};
 use planartest::graph::generators::{nonplanar, planar};
 use planartest::graph::{Graph, NodeId};
 use planartest::sim::{Engine, SimConfig};
@@ -92,10 +92,11 @@ proptest! {
         }
     }
 
-    /// The Euler-formula verifier agrees with Demoucron on random graphs:
-    /// if Demoucron embeds, genus is 0; if it rejects, no rotation we can
-    /// build from adjacency order verifies as planar *and* the graph
-    /// contains K5/K33-ish density or a refuting fragment.
+    /// Both embedders are internally consistent on random graphs: when
+    /// one embeds, the Euler-formula verifier finds genus 0; when it
+    /// rejects, the non-planarity must come from the added chords. The
+    /// left-right embedder agrees with the Demoucron oracle on every
+    /// verdict.
     #[test]
     fn demoucron_internally_consistent(seed in 0u64..2000, n in 6usize..40, extra in 0usize..30) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -104,14 +105,20 @@ proptest! {
         let free = (n * (n - 1) / 2).saturating_sub(3 * n - 6);
         let extra = extra.min(n).min(free);
         let c = nonplanar::planar_plus_chords(n, extra, &mut rng);
-        match check_planarity(&c.graph) {
-            planartest::embed::demoucron::PlanarityCheck::Planar(rot) => {
-                prop_assert!(rot.is_planar_embedding(&c.graph));
-            }
-            planartest::embed::demoucron::PlanarityCheck::NonPlanar => {
-                // Cross-check: deleting the added chords leaves a planar
-                // base, so non-planarity must come from the chords.
-                prop_assert!(extra > 0);
+        let oracle = check_planarity(&c.graph);
+        let subject = planartest::embed::check_planarity(&c.graph);
+        prop_assert_eq!(subject.is_planar(), oracle.is_planar());
+        for check in [oracle, subject] {
+            match check {
+                PlanarityCheck::Planar(rot) => {
+                    prop_assert!(rot.is_planar_embedding(&c.graph));
+                }
+                PlanarityCheck::NonPlanar => {
+                    // Cross-check: deleting the added chords leaves a
+                    // planar base, so non-planarity must come from the
+                    // chords.
+                    prop_assert!(extra > 0);
+                }
             }
         }
     }
