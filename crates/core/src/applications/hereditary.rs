@@ -2,14 +2,11 @@
 //! (Corollary 16).
 
 use planartest_graph::NodeId;
-use planartest_sim::bfs::distributed_bfs;
 use planartest_sim::Engine;
-use planartest_sim::Msg;
 
-use crate::comm;
 use crate::config::TesterConfig;
 use crate::error::CoreError;
-use crate::partition::{run_partition, PartitionState};
+use crate::partition::{part_bfs, run_partition, PartitionState};
 
 /// Outcome of a hereditary-property test.
 #[derive(Debug, Clone)]
@@ -41,9 +38,9 @@ fn run_hereditary(
     let partition = run_partition(engine, cfg)?;
     // Under the minor-free promise Stage I cannot reject; if it does (no
     // promise held), any arboricity evidence also witnesses a cycle.
-    let mut rejecting: Vec<NodeId> = partition.rejected.clone();
     let state = &partition.state;
-    rejecting.extend(detect_in_parts(engine, cfg, state, witness)?);
+    let mut rejecting = detect_in_parts(engine, cfg, state, witness)?;
+    rejecting.extend(&partition.rejected);
     rejecting.sort_unstable();
     rejecting.dedup();
     Ok(HereditaryOutcome {
@@ -59,24 +56,9 @@ fn detect_in_parts(
     witness: Witness,
 ) -> Result<Vec<NodeId>, CoreError> {
     let g = engine.graph();
-    let roots: Vec<NodeId> = g.nodes().filter(|&v| state.root[v.index()] == v).collect();
-    let part_root = state.root.clone();
-    let bfs = distributed_bfs(
-        engine,
-        &roots,
-        move |v, r| part_root[v.index()] == r,
-        cfg.max_rounds,
-    )?;
-    // One exchange round: each node learns neighbour BFS levels.
-    let levels: Vec<u64> = (0..g.n())
-        .map(|v| bfs.level[v].expect("parts connected") as u64)
-        .collect();
-    let lv = levels.clone();
-    let got = comm::exchange(
-        engine,
-        move |v, _| Some(Msg::words(&[lv[v.index()]])),
-        cfg.max_rounds,
-    )?;
+    // Stage II's part BFS: after its level exchange every node knows its
+    // neighbours' BFS levels.
+    let (bfs, levels) = part_bfs(engine, state, &state.roots(), cfg.max_rounds)?;
     let mut rejecting = Vec::new();
     for v in g.nodes() {
         for &(w, _) in g.neighbors(v) {
@@ -87,14 +69,9 @@ fn detect_in_parts(
                 continue;
             }
             // Non-tree edge within the part.
-            let w_level = got[v.index()]
-                .iter()
-                .find(|&&(x, _)| x == w)
-                .map(|(_, m)| m.word(0))
-                .expect("level exchanged");
             let reject = match witness {
                 Witness::AnyNonTreeEdge => true,
-                Witness::OddCycle => (levels[v.index()] % 2) == (w_level % 2),
+                Witness::OddCycle => (levels[v.index()] % 2) == (levels[w.index()] % 2),
             };
             if reject {
                 rejecting.push(v);

@@ -233,6 +233,7 @@ pub fn census(
 
 struct StreamBroadcastLogic<'t> {
     tree: &'t TreeTopology,
+    /// Each root's unsent messages (empty at every other node).
     queue: Vec<VecDeque<Msg>>,
     /// Per-node copies of every delivery, or empty when not recording.
     received: Vec<Vec<Msg>>,
@@ -262,14 +263,23 @@ impl NodeLogic for StreamBroadcastLogic<'_> {
     }
 
     fn round(&mut self, node: NodeId, inbox: &[(NodeId, Msg)], out: &mut Outbox<'_>) {
+        if inbox.is_empty() {
+            // Only a root wakes: it sends the next message of its list.
+            self.pump(node, out);
+            return;
+        }
+        // A member hears at most one message per round, from its parent,
+        // and relays it at once; queueing it would only defer the same
+        // sends to the same round.
         let v = node.index();
         for (_, msg) in inbox {
             if let Some(received) = self.received.get_mut(v) {
                 received.push(msg.clone());
             }
-            self.queue[v].push_back(msg.clone());
+            for &c in self.tree.children(node) {
+                out.send(c, msg.clone());
+            }
         }
-        self.pump(node, out);
     }
 }
 
@@ -509,8 +519,10 @@ mod tests {
             assert_eq!(words, vec![1, 2, 3], "node {v}");
         }
         assert!(got[5].is_empty());
-        // Pipelined: depth 4 + 3 messages - 1 = 6-ish rounds, not 12.
-        assert!(report.rounds <= 8, "rounds {}", report.rounds);
+        // Pipelined: message j reaches depth d in round d + j - 1, so
+        // height 4 + 3 messages - 1 = 6 rounds, not 12; each of the 3
+        // messages crosses the 4 tree edges once.
+        assert_eq!((report.rounds, report.messages, report.words), (6, 12, 12));
         assert_eq!(engine.stats().rounds, report.rounds);
         // Not recording keeps nothing and changes nothing on the wire.
         let (none, unrecorded) =

@@ -149,15 +149,19 @@ pub struct PartitionAudit {
 
 /// Audits a partition: connectivity, cut size and exact part diameters.
 pub fn audit_partition(g: &Graph, p: &Partition) -> PartitionAudit {
-    let members = p.state.members_by_root();
+    // Every distinct root value, rather than `PartitionState::roots`: the
+    // audit must not assume that each root lies in its own part.
+    let mut roots = p.state.root.clone();
+    roots.sort_unstable();
+    roots.dedup();
     let mut connected = true;
     let mut max_diam = 0;
-    for (&root, mem) in &members {
-        let (sub, _) = g.induced_subgraph(|v| p.state.root[v.index()].raw() == root);
+    for &root in &roots {
+        let (sub, _) = g.induced_subgraph(|v| p.state.root[v.index()] == root);
         let cc = planartest_graph::algo::components::Components::build(&sub);
         if !cc.is_connected() {
             connected = false;
-        } else if !mem.is_empty() {
+        } else {
             max_diam = max_diam.max(planartest_graph::algo::bfs::component_diameter(
                 &sub,
                 NodeId::new(0),
@@ -167,7 +171,7 @@ pub fn audit_partition(g: &Graph, p: &Partition) -> PartitionAudit {
     let cut = p.state.cut_weight(g);
     PartitionAudit {
         parts_connected: connected,
-        parts: members.len(),
+        parts: roots.len(),
         cut_edges: cut,
         cut_fraction: if g.m() == 0 {
             0.0

@@ -8,14 +8,14 @@
 //! `2·depth + 2` rounds, charged by the caller (see "Round / bandwidth
 //! budget per protocol" in `docs/ARCHITECTURE.md`).
 
-use std::collections::HashMap;
+use planartest_graph::NodeId;
 
 /// The auxiliary pseudo-forest over parts: each part has at most one
 /// out-edge (its selection), weights on edges, and derived children lists.
 #[derive(Debug, Clone)]
 pub(crate) struct AuxForest {
-    /// Part root raw ids, sorted ascending (dense indices follow).
-    pub nodes: Vec<u32>,
+    /// Part roots, ascending (dense indices follow).
+    pub nodes: Vec<NodeId>,
     /// Out-edge of each part: `(parent index, weight)`.
     pub parent: Vec<Option<(usize, u64)>>,
     /// In-edges (selector children) of each part.
@@ -23,24 +23,25 @@ pub(crate) struct AuxForest {
 }
 
 impl AuxForest {
-    /// Builds the forest from per-part selections `root -> (target, w)`.
-    pub fn new(all_parts: &[u32], selections: &HashMap<u32, (u32, u64)>) -> Self {
-        let mut nodes = all_parts.to_vec();
-        nodes.sort_unstable();
-        nodes.dedup();
-        let idx: HashMap<u32, usize> = nodes.iter().enumerate().map(|(i, &r)| (r, i)).collect();
-        let mut parent = vec![None; nodes.len()];
-        let mut children = vec![Vec::new(); nodes.len()];
-        for (&from, &(to, w)) in selections {
-            let (fi, ti) = (idx[&from], idx[&to]);
-            parent[fi] = Some((ti, w));
-            children[ti].push(fi);
+    /// Builds the forest over the parts named by `roots` (ascending) from
+    /// their selections, indexed by the root: `(target root, w)`.
+    pub fn new(roots: Vec<NodeId>, selection: &[Option<(u32, u64)>]) -> Self {
+        let mut idx = vec![usize::MAX; selection.len()];
+        for (i, r) in roots.iter().enumerate() {
+            idx[r.index()] = i;
         }
-        for c in &mut children {
-            c.sort_unstable();
+        let mut parent = vec![None; roots.len()];
+        let mut children = vec![Vec::new(); roots.len()];
+        for (fi, r) in roots.iter().enumerate() {
+            if let Some((to, w)) = selection[r.index()] {
+                let ti = idx[NodeId::from(to).index()];
+                parent[fi] = Some((ti, w));
+                // Ascending `fi` keeps every children list sorted.
+                children[ti].push(fi);
+            }
         }
         AuxForest {
-            nodes,
+            nodes: roots,
             parent,
             children,
         }
@@ -56,7 +57,7 @@ impl AuxForest {
     /// parent-colour communications to charge.
     pub fn cole_vishkin(&self) -> (Vec<u8>, u64) {
         let n = self.n();
-        let mut color: Vec<u64> = self.nodes.iter().map(|&r| r as u64).collect();
+        let mut color: Vec<u64> = self.nodes.iter().map(|r| r.raw() as u64).collect();
         let mut hops = 0u64;
         // Fictitious parent colour for roots: anything different.
         let parent_color = |color: &[u64], v: usize| -> u64 {
@@ -217,8 +218,8 @@ impl AuxForest {
             }
             *slot = cur;
         }
-        let mut w_even: HashMap<usize, u64> = HashMap::new();
-        let mut w_odd: HashMap<usize, u64> = HashMap::new();
+        let mut w_even = vec![0u64; n];
+        let mut w_odd = vec![0u64; n];
         for v in 0..n {
             if marked[v] {
                 let w = self.parent[v].expect("marked out-edge").1;
@@ -227,7 +228,7 @@ impl AuxForest {
                 } else {
                     &mut w_odd
                 };
-                *bucket.entry(t_root[v]).or_insert(0) += w;
+                bucket[t_root[v]] += w;
             }
         }
         let mut contracts = Vec::new();
@@ -236,11 +237,7 @@ impl AuxForest {
                 continue;
             }
             let root = t_root[v];
-            let (e, o) = (
-                w_even.get(&root).copied().unwrap_or(0),
-                w_odd.get(&root).copied().unwrap_or(0),
-            );
-            let contract_even = e >= o;
+            let contract_even = w_even[root] >= w_odd[root];
             if (level[v] % 2 == 0) == contract_even {
                 contracts.push((v, self.parent[v].expect("marked").0));
             }
@@ -257,8 +254,11 @@ mod tests {
     use super::*;
 
     fn forest(parts: &[u32], sel: &[(u32, u32, u64)]) -> AuxForest {
-        let map: HashMap<u32, (u32, u64)> = sel.iter().map(|&(a, b, w)| (a, (b, w))).collect();
-        AuxForest::new(parts, &map)
+        let mut selection = vec![None; parts.len()];
+        for &(a, b, w) in sel {
+            selection[a as usize] = Some((b, w));
+        }
+        AuxForest::new(parts.iter().map(|&r| NodeId::from(r)).collect(), &selection)
     }
 
     #[test]

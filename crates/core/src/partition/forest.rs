@@ -24,28 +24,34 @@ use crate::partition::PartitionState;
 /// Sentinel for "still active" in status messages.
 const ACTIVE: u64 = u64::MAX;
 
-/// What a part root knows when the step finishes.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PartPeelInfo {
-    /// Super-round at which the part deactivated (kept for audits even
-    /// though the merge step only needs the oriented out-edges).
-    #[allow(dead_code)]
-    pub deact_round: u32,
-    /// Oriented out-edges in the auxiliary graph: `(target root, weight)`,
-    /// at most `3α` of them.
-    pub out_edges: Vec<(u32, u64)>,
-}
-
 /// Outcome of the step for one phase.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct PeelOutcome {
-    /// Root-local info per part (keyed by root raw id); parts that
-    /// rejected are absent.
-    pub parts: HashMap<u32, PartPeelInfo>,
-    /// Roots that remained active after `s` super-rounds (they reject).
+    /// Oriented out-edges of each part in the auxiliary graph, indexed by
+    /// the root: `(target root, weight)`, at most `3α` of them. Empty for
+    /// non-roots and for roots that rejected.
+    pub out_edges: Vec<Vec<(u32, u64)>>,
+    /// Roots that remained active after `s` super-rounds (they reject),
+    /// ascending.
     pub rejected: Vec<NodeId>,
     /// Super-rounds actually simulated before quiescence.
     pub super_rounds_used: u32,
+}
+
+impl PeelOutcome {
+    /// Every part's heaviest out-edge (§2.1.2 sub-step 1, ties to the
+    /// lower target id), indexed by the root: the merge's selection.
+    pub fn heaviest(&self) -> Vec<Option<(u32, u64)>> {
+        self.out_edges
+            .iter()
+            .map(|edges| {
+                edges
+                    .iter()
+                    .copied()
+                    .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
+            })
+            .collect()
+    }
 }
 
 /// Root-local scratch state during the peeling.
@@ -71,13 +77,10 @@ pub(crate) fn run_forest_decomposition(
     let cap = cfg.peel_threshold() + 1; // 3α + 1
     let max_rounds = cfg.max_rounds;
 
-    // Root-local knowledge, keyed by root raw id.
-    let mut scratch: HashMap<u32, RootScratch> = HashMap::new();
-    for v in g.nodes() {
-        if state.root[v.index()] == v {
-            scratch.insert(v.raw(), RootScratch::default());
-        }
-    }
+    // Root-local knowledge, indexed by the root (entries of non-roots stay
+    // unused).
+    let roots = state.roots();
+    let mut scratch = vec![RootScratch::default(); n];
 
     let mut rounds_per_super_round: u64 = 0;
     let mut super_rounds_used = 0u32;
@@ -88,7 +91,9 @@ pub(crate) fn run_forest_decomposition(
         // super-round has resolved same-round candidates, further
         // super-rounds carry no state changes. Charge their cost instead
         // of simulating them.
-        let all_inactive = scratch.values().all(|sc| sc.deact_round.is_some());
+        let all_inactive = roots
+            .iter()
+            .all(|r| scratch[r.index()].deact_round.is_some());
         if let Some(q) = quiesced_at {
             if all_inactive && ell > q + 1 {
                 engine.charge_rounds((s + 1 - ell + 1) as u64 * rounds_per_super_round);
@@ -102,47 +107,29 @@ pub(crate) fn run_forest_decomposition(
         let before = engine.stats().rounds;
 
         // R1: status broadcast down every part tree.
-        let status_of_root: HashMap<u32, u64> = scratch
-            .iter()
-            .map(|(&r, sc)| (r, sc.deact_round.map_or(ACTIVE, u64::from)))
-            .collect();
         let statuses = planartest_sim::tree::broadcast(
             engine,
             tree,
             |r| {
-                Some(Msg::words(&[*status_of_root
-                    .get(&r.raw())
-                    .expect("root known")]))
+                let status = scratch[r.index()].deact_round.map_or(ACTIVE, u64::from);
+                Some(Msg::words(&[status]))
             },
             max_rounds,
         )?;
-        let my_status: Vec<u64> = (0..n)
-            .map(|v| {
-                statuses[v]
-                    .as_ref()
-                    .expect("all nodes are in some part")
-                    .word(0)
-            })
+        let my_status: Vec<u64> = statuses
+            .iter()
+            .map(|m| m.as_ref().expect("all nodes are in some part").word(0))
             .collect();
 
         // R2: boundary exchange of (my root, my part's status).
-        let roots = state.root.clone();
-        let nbr: Vec<Vec<(NodeId, u32)>> = neighbor_roots.to_vec();
-        let my_status_c = my_status.clone();
         let received = comm::exchange(
             engine,
-            move |v, w| {
-                let different = nbr[v.index()]
+            |v, w| {
+                let root = state.root[v.index()].raw();
+                let different = neighbor_roots[v.index()]
                     .iter()
-                    .any(|&(x, r)| x == w && r != roots[v.index()].raw());
-                if different {
-                    Some(Msg::words(&[
-                        roots[v.index()].raw() as u64,
-                        my_status_c[v.index()],
-                    ]))
-                } else {
-                    None
-                }
+                    .any(|&(x, r)| x == w && r != root);
+                different.then(|| Msg::words(&[root as u64, my_status[v.index()]]))
             },
             max_rounds,
         )?;
@@ -174,11 +161,8 @@ pub(crate) fn run_forest_decomposition(
         let newly_census = comm::census(engine, tree, &newly_items, cap, MergeOp::Min, max_rounds)?;
 
         // Root decisions (local computation).
-        for v in g.nodes() {
-            if state.root[v.index()] != v {
-                continue;
-            }
-            let sc = scratch.get_mut(&v.raw()).expect("root known");
+        for &v in &roots {
+            let sc = &mut scratch[v.index()];
             // Record candidate deactivations.
             if let Some(c) = &newly_census[v.index()] {
                 for &(root, round) in &c.items {
@@ -202,21 +186,20 @@ pub(crate) fn run_forest_decomposition(
 
     // Final assembly: orientation of out-edges per §2.1.6.
     let mut outcome = PeelOutcome {
+        out_edges: vec![Vec::new(); n],
+        rejected: Vec::new(),
         super_rounds_used,
-        ..Default::default()
     };
-    for v in g.nodes() {
-        if state.root[v.index()] != v {
-            continue;
-        }
-        let sc = &scratch[&v.raw()];
+    for &v in &roots {
+        let sc = &scratch[v.index()];
         match sc.deact_round {
             None => outcome.rejected.push(v),
             Some(mine) => {
-                let mut out_edges = Vec::new();
-                for &(target, weight) in &sc.candidates {
-                    let their = sc.cand_deact.get(&target).copied();
-                    let outgoing = match their {
+                outcome.out_edges[v.index()] = sc
+                    .candidates
+                    .iter()
+                    .copied()
+                    .filter(|&(target, _)| match sc.cand_deact.get(&target).copied() {
                         // Still active when we deactivated and never seen
                         // deactivating: either it rejects (global reject)
                         // or it deactivated later than us.
@@ -224,22 +207,11 @@ pub(crate) fn run_forest_decomposition(
                         Some(t) if t > mine => true,
                         Some(t) if t == mine => target > v.raw(),
                         Some(_) => false,
-                    };
-                    if outgoing {
-                        out_edges.push((target, weight));
-                    }
-                }
-                outcome.parts.insert(
-                    v.raw(),
-                    PartPeelInfo {
-                        deact_round: mine,
-                        out_edges,
-                    },
-                );
+                    })
+                    .collect();
             }
         }
     }
-    outcome.rejected.sort_unstable();
     Ok(outcome)
 }
 
@@ -271,12 +243,11 @@ mod tests {
         let g = planar::grid(8, 8).graph;
         let out = peel_graph(&g, &TesterConfig::new(0.1));
         assert!(out.rejected.is_empty());
-        assert_eq!(out.parts.len(), 64);
         // Every part has at most 3α out-edges and correct total weight.
         let mut total_weight: u64 = 0;
-        for info in out.parts.values() {
-            assert!(info.out_edges.len() <= 9);
-            total_weight += info.out_edges.iter().map(|&(_, w)| w).sum::<u64>();
+        for edges in &out.out_edges {
+            assert!(edges.len() <= 9);
+            total_weight += edges.iter().map(|&(_, w)| w).sum::<u64>();
         }
         // Every edge of the grid is oriented exactly once.
         assert_eq!(total_weight, g.m() as u64);
@@ -286,11 +257,11 @@ mod tests {
     fn orientation_is_antisymmetric() {
         let g = planar::triangulated_grid(5, 5).graph;
         let out = peel_graph(&g, &TesterConfig::new(0.1));
-        for (&r, info) in &out.parts {
-            for &(target, _) in &info.out_edges {
-                let back = &out.parts[&target];
+        for (r, edges) in out.out_edges.iter().enumerate() {
+            for &(target, _) in edges {
+                let back = &out.out_edges[target as usize];
                 assert!(
-                    back.out_edges.iter().all(|&(t, _)| t != r),
+                    back.iter().all(|&(t, _)| t as usize != r),
                     "edge {r}<->{target} oriented both ways"
                 );
             }
@@ -305,35 +276,25 @@ mod tests {
         let out = peel_graph(&g, &TesterConfig::new(0.1));
         assert!(out.rejected.is_empty());
         // Topological check via repeated sink removal on the aux DAG.
-        let mut outdeg: HashMap<u32, usize> = HashMap::new();
-        let mut incoming: HashMap<u32, Vec<u32>> = HashMap::new();
-        for (&r, info) in &out.parts {
-            outdeg.insert(r, info.out_edges.len());
-            for &(t, _) in &info.out_edges {
-                incoming.entry(t).or_default().push(r);
+        let mut outdeg: Vec<usize> = out.out_edges.iter().map(Vec::len).collect();
+        let mut incoming: Vec<Vec<usize>> = vec![Vec::new(); g.n()];
+        for (r, edges) in out.out_edges.iter().enumerate() {
+            for &(t, _) in edges {
+                incoming[t as usize].push(r);
             }
         }
-        let mut queue: Vec<u32> = outdeg
-            .iter()
-            .filter(|&(_, &d)| d == 0)
-            .map(|(&r, _)| r)
-            .collect();
+        let mut queue: Vec<usize> = (0..g.n()).filter(|&r| outdeg[r] == 0).collect();
         let mut removed = 0;
         while let Some(r) = queue.pop() {
             removed += 1;
-            for &p in incoming.get(&r).map(|v| v.as_slice()).unwrap_or(&[]) {
-                let d = outdeg.get_mut(&p).expect("known part");
-                *d -= 1;
-                if *d == 0 {
+            for &p in &incoming[r] {
+                outdeg[p] -= 1;
+                if outdeg[p] == 0 {
                     queue.push(p);
                 }
             }
         }
-        assert_eq!(
-            removed,
-            out.parts.len(),
-            "out-edge orientation contains a cycle"
-        );
+        assert_eq!(removed, g.n(), "out-edge orientation contains a cycle");
     }
 
     #[test]

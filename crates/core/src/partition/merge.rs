@@ -1,105 +1,79 @@
-//! The merging step (§2.1.2/§2.1.6): out-edge selection, in-charge node
-//! election, CHW marking via the auxiliary forest, and the star
-//! contraction with the Lemma 6 tree surgery.
-
-use std::collections::HashMap;
+//! The merging step (§2.1.2/§2.1.6): in-charge node election, CHW
+//! marking via the auxiliary forest, and the star contraction with the
+//! Lemma 6 tree surgery.
 
 use planartest_graph::NodeId;
-use planartest_sim::tree::{broadcast, convergecast};
+use planartest_sim::tree::{broadcast, convergecast, TreeTopology};
 use planartest_sim::Engine;
 use planartest_sim::Msg;
 
 use crate::comm;
 use crate::config::TesterConfig;
 use crate::error::CoreError;
-use crate::partition::forest::PeelOutcome;
 use crate::partition::{aux::AuxForest, PartitionState};
-
-/// How each part selects its out-edge in the auxiliary graph.
-pub(crate) enum Selection {
-    /// The heaviest out-edge of the forest-decomposition orientation
-    /// (deterministic algorithm, §2.1.2 sub-step 1).
-    Heaviest,
-    /// An explicit selection (used by the randomized §4 variant), mapping
-    /// part root → `(target part root, edge weight)`.
-    Explicit(HashMap<u32, (u32, u64)>),
-}
 
 const NONE_SENTINEL: u64 = u64::MAX;
 
-/// Executes the merging step, updating `state` in place.
+/// Executes the merging step on the phase's `tree`, updating `state` in
+/// place. `sel` is each part's selected out-edge in the auxiliary graph,
+/// indexed by the root: `(target root, edge weight)`.
 pub(crate) fn run_merge(
     engine: &mut Engine<'_>,
     cfg: &TesterConfig,
     state: &mut PartitionState,
-    peel: &PeelOutcome,
+    tree: &TreeTopology,
+    mut sel: Vec<Option<(u32, u64)>>,
     neighbor_roots: &[Vec<(NodeId, u32)>],
-    selection: Selection,
 ) -> Result<(), CoreError> {
-    let g = engine.graph();
-    let n = g.n();
-    let tree = state.tree(g);
+    let n = engine.graph().n();
     let max_rounds = cfg.max_rounds;
+    let roots = state.roots();
 
-    // --- Sub-step 1: out-edge selection (root-local). ---
-    let mut sel: HashMap<u32, (u32, u64)> = match selection {
-        Selection::Explicit(map) => map,
-        Selection::Heaviest => {
-            let mut map = HashMap::new();
-            for (&root, info) in &peel.parts {
-                if let Some(&(target, w)) = info
-                    .out_edges
-                    .iter()
-                    .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-                {
-                    map.insert(root, (target, w));
-                }
-            }
-            map
-        }
-    };
     // Resolve mutual selections (possible in the randomized variant):
-    // the edge becomes the out-edge of the lower id.
-    let mutual: Vec<u32> = sel
-        .iter()
-        .filter(|&(&a, &(b, _))| a > b && sel.get(&b).map(|&(t, _)| t) == Some(a))
-        .map(|(&a, _)| a)
-        .collect();
-    for a in mutual {
-        sel.remove(&a);
+    // the edge becomes the out-edge of the lower id. Clearing in place is
+    // safe: a cleared part targeted a lower id, so it never closes a
+    // mutual pair with a higher part.
+    for &a in &roots {
+        if let Some((b, _)) = sel[a.index()] {
+            if b < a.raw() && sel[NodeId::from(b).index()].map(|(t, _)| t) == Some(a.raw()) {
+                sel[a.index()] = None;
+            }
+        }
     }
 
     // --- Designated in-charge node election (message-level). ---
     // (1) Roots broadcast their selected target down their trees.
-    let sel_c = sel.clone();
     let targets = broadcast(
         engine,
-        &tree,
-        move |r| {
-            Some(Msg::words(&[sel_c
-                .get(&r.raw())
-                .map_or(NONE_SENTINEL, |&(t, _)| t as u64)]))
+        tree,
+        |r| {
+            Some(Msg::words(&[
+                sel[r.index()].map_or(NONE_SENTINEL, |(t, _)| t as u64)
+            ]))
         },
         max_rounds,
     )?;
-    let target_at: Vec<u64> = (0..n)
-        .map(|v| targets[v].as_ref().expect("every part broadcasts").word(0))
+    let target_at: Vec<u64> = targets
+        .iter()
+        .map(|m| m.as_ref().expect("every part broadcasts").word(0))
         .collect();
     // (2) Convergecast the minimum id of a boundary node with an edge to
     // the target part.
-    let nbr = neighbor_roots.to_vec();
-    let target_at_c = target_at.clone();
     let mins = convergecast(
         engine,
-        &tree,
-        move |node, kids: &[(NodeId, Msg)]| {
+        tree,
+        |node, kids: &[(NodeId, Msg)]| {
             let mut best = kids
                 .iter()
                 .map(|(_, m)| m.word(0))
                 .min()
                 .unwrap_or(u64::MAX);
-            let t = target_at_c[node.index()];
-            if t != NONE_SENTINEL && nbr[node.index()].iter().any(|&(_, r)| r as u64 == t) {
+            let t = target_at[node.index()];
+            if t != NONE_SENTINEL
+                && neighbor_roots[node.index()]
+                    .iter()
+                    .any(|&(_, r)| r as u64 == t)
+            {
                 best = best.min(node.raw() as u64);
             }
             Msg::words(&[best])
@@ -107,34 +81,26 @@ pub(crate) fn run_merge(
         max_rounds,
     )?;
     // (3) Roots broadcast the winner id; the winner picks its cross edge.
-    let winner_of_root: HashMap<u32, u64> = sel
-        .keys()
-        .map(|&r| {
-            let w = mins[NodeId::from(r).index()]
-                .as_ref()
-                .expect("selection implies boundary edge exists")
-                .word(0);
-            debug_assert_ne!(w, u64::MAX, "part selected a target with no boundary edge");
-            (r, w)
-        })
-        .collect();
-    let roots_c = state.root.clone();
     let winners = broadcast(
         engine,
-        &tree,
-        move |r| {
-            Some(Msg::words(&[winner_of_root
-                .get(&r.raw())
-                .copied()
-                .unwrap_or(NONE_SENTINEL)]))
+        tree,
+        |r| {
+            let winner = sel[r.index()].map_or(NONE_SENTINEL, |_| {
+                let w = mins[r.index()]
+                    .as_ref()
+                    .expect("selection implies boundary edge exists")
+                    .word(0);
+                debug_assert_ne!(w, u64::MAX, "part selected a target with no boundary edge");
+                w
+            });
+            Some(Msg::words(&[winner]))
         },
         max_rounds,
     )?;
-    // In-charge nodes and their cross endpoints.
-    let mut in_charge: HashMap<u32, (NodeId, NodeId)> = HashMap::new(); // part -> (u, v)
-    for v in 0..n {
-        let w = winners[v].as_ref().expect("broadcast reaches all").word(0);
-        if w == v as u64 {
+    // In-charge node and its cross endpoint, indexed by the part root.
+    let mut in_charge: Vec<Option<(NodeId, NodeId)>> = vec![None; n];
+    for (v, winner) in winners.iter().enumerate() {
+        if winner.as_ref().expect("broadcast reaches all").word(0) == v as u64 {
             let t = target_at[v];
             let cross = neighbor_roots[v]
                 .iter()
@@ -142,33 +108,18 @@ pub(crate) fn run_merge(
                 .map(|&(x, _)| x)
                 .min()
                 .expect("winner has an edge to the target part");
-            in_charge.insert(roots_c[v].raw(), (NodeId::new(v), cross));
+            in_charge[state.root[v].index()] = Some((NodeId::new(v), cross));
         }
     }
     // (4) Adopt notification across the designated edges (one real round).
-    let in_charge_by_node: HashMap<u32, NodeId> =
-        in_charge.values().map(|&(u, v)| (u.raw(), v)).collect();
-    let _ = comm::exchange(
+    comm::exchange(
         engine,
-        move |x, w| {
-            if in_charge_by_node.get(&x.raw()) == Some(&w) {
-                Some(Msg::words(&[1]))
-            } else {
-                None
-            }
-        },
+        |x, w| (in_charge[state.root[x.index()].index()] == Some((x, w))).then(|| Msg::words(&[1])),
         max_rounds,
     )?;
 
     // --- Sub-steps 2-3: colouring, marking, even/odd decision (charged). ---
-    let all_parts: Vec<u32> = state
-        .root
-        .iter()
-        .enumerate()
-        .filter(|&(v, r)| r.index() == v)
-        .map(|(_, r)| r.raw())
-        .collect();
-    let forest = AuxForest::new(&all_parts, &sel);
+    let forest = AuxForest::new(roots, &sel);
     let (colors, cv_hops) = forest.cole_vishkin();
     let marked = forest.marking(&colors);
     let (contracts, _height, mark_hops) = forest.contract_decisions(&marked);
@@ -176,11 +127,12 @@ pub(crate) fn run_merge(
     engine.charge_rounds((cv_hops + mark_hops) * hop_cost);
 
     // --- Sub-step 4: contraction (state surgery + charged rounds). ---
-    let members = state.members_by_root();
+    // The part each contracted part joins, indexed by the contracted root.
+    let mut joins: Vec<Option<NodeId>> = vec![None; n];
     for &(child_idx, parent_idx) in &contracts {
         let child_root = forest.nodes[child_idx];
-        let parent_root = forest.nodes[parent_idx];
-        let (u, v) = in_charge[&child_root];
+        let (u, v) =
+            in_charge[child_root.index()].expect("a contracted part has an in-charge node");
         // Flip the tree path from u up to the old root (Lemma 6).
         let mut path = vec![u];
         let mut cur = u;
@@ -188,18 +140,17 @@ pub(crate) fn run_merge(
             path.push(p);
             cur = p;
         }
-        debug_assert_eq!(
-            cur.raw(),
-            child_root,
-            "in-charge node must be in the child part"
-        );
+        debug_assert_eq!(cur, child_root, "in-charge node must be in the child part");
         for w in path.windows(2) {
             state.parent[w[1].index()] = Some(w[0]);
         }
         state.parent[u.index()] = Some(v);
-        // Everyone in the child part adopts the parent part's root.
-        for &x in &members[&child_root] {
-            state.root[x.index()] = NodeId::from(parent_root);
+        joins[child_root.index()] = Some(forest.nodes[parent_idx]);
+    }
+    // Everyone in a contracted part adopts the parent part's root.
+    for r in &mut state.root {
+        if let Some(p) = joins[r.index()] {
+            *r = p;
         }
     }
     engine.charge_rounds(2 * hop_cost);
@@ -232,15 +183,7 @@ mod tests {
         .unwrap();
         assert!(peel.rejected.is_empty());
         let parts_before = state.part_count();
-        run_merge(
-            &mut engine,
-            &cfg,
-            &mut state,
-            &peel,
-            &nbr,
-            Selection::Heaviest,
-        )
-        .unwrap();
+        run_merge(&mut engine, &cfg, &mut state, &tree, peel.heaviest(), &nbr).unwrap();
         let parts_after = state.part_count();
         assert!(
             parts_after < parts_before,

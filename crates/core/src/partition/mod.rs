@@ -26,6 +26,7 @@ mod merge;
 pub mod randomized;
 
 use planartest_graph::{Graph, NodeId};
+use planartest_sim::bfs::{distributed_bfs, DistBfs};
 use planartest_sim::tree::TreeTopology;
 use planartest_sim::Engine;
 use planartest_sim::Msg;
@@ -36,6 +37,10 @@ use crate::error::CoreError;
 
 /// Per-node partition knowledge (Lemma 6): every node knows its part's
 /// root id and its parent/children within the part's spanning tree.
+///
+/// A part has no name but its root's [`NodeId`], and the root belongs to
+/// its own part, so every per-part table in Stages I and II is a `Vec`
+/// indexed by the root's node index.
 #[derive(Debug, Clone)]
 pub struct PartitionState {
     /// Part root id known at each node.
@@ -64,12 +69,24 @@ impl PartitionState {
             .expect("partition spanning trees must remain a valid forest (Lemma 6)")
     }
 
+    /// The part roots, ascending: the nodes that are their own part's
+    /// root.
+    pub fn roots(&self) -> Vec<NodeId> {
+        self.root
+            .iter()
+            .enumerate()
+            .filter(|&(v, r)| r.index() == v)
+            .map(|(_, &r)| r)
+            .collect()
+    }
+
     /// Number of distinct parts.
     pub fn part_count(&self) -> usize {
-        let mut roots: Vec<u32> = self.root.iter().map(|r| r.raw()).collect();
-        roots.sort_unstable();
-        roots.dedup();
-        roots.len()
+        self.root
+            .iter()
+            .enumerate()
+            .filter(|&(v, r)| r.index() == v)
+            .count()
     }
 
     /// Total weight (edge count) of the cut between parts.
@@ -77,22 +94,6 @@ impl PartitionState {
         g.edges()
             .filter(|&(u, v)| self.root[u.index()] != self.root[v.index()])
             .count() as u64
-    }
-
-    /// Maximum spanning-tree depth over all parts (a proxy for part
-    /// diameter the algorithm itself maintains; the true diameter is at
-    /// most twice this).
-    pub fn max_depth(&self, g: &Graph) -> u32 {
-        self.tree(g).height()
-    }
-
-    /// Members of each part, keyed by root raw id.
-    pub fn members_by_root(&self) -> std::collections::HashMap<u32, Vec<NodeId>> {
-        let mut map: std::collections::HashMap<u32, Vec<NodeId>> = std::collections::HashMap::new();
-        for (v, r) in self.root.iter().enumerate() {
-            map.entry(r.raw()).or_default().push(NodeId::new(v));
-        }
-        map
     }
 }
 
@@ -145,61 +146,51 @@ impl Partition {
 pub fn run_partition(engine: &mut Engine<'_>, cfg: &TesterConfig) -> Result<Partition, CoreError> {
     let g = engine.graph();
     let mut state = PartitionState::singletons(g);
+    let mut tree = state.tree(g);
     let mut rejected: Vec<NodeId> = Vec::new();
     let mut phases = Vec::new();
     let t = cfg.phases(g.n());
 
     for phase in 1..=t {
-        let tree = state.tree(g);
-
         // Every node learns its neighbours' current part roots (1 round).
         let neighbor_roots = exchange_roots(engine, &state, cfg.max_rounds)?;
-        if !has_boundary(&state, &neighbor_roots) {
-            // Every part is already isolated: all remaining phases are
-            // status-only no-ops. Charge their cost and stop.
-            let per_phase = 2 * (tree.height() as u64) + 4;
-            engine.charge_rounds((t - phase + 1) as u64 * per_phase);
+        if charge_if_isolated(engine, &state, &tree, &neighbor_roots, t - phase + 1) {
             break;
         }
 
         // Forest-decomposition step (message-level super-rounds).
         let peel = forest::run_forest_decomposition(engine, cfg, &state, &tree, &neighbor_roots)?;
-        rejected.extend(peel.rejected.iter().copied());
-        if !peel.rejected.is_empty() {
+        let failed = !peel.rejected.is_empty();
+        if failed {
             // Stage I failed (Definition 2): stop partitioning; the
             // rejection verdict stands regardless of the partition.
-            phases.push(PhaseMetrics {
-                phase,
-                cut_weight: state.cut_weight(g),
-                parts: state.part_count(),
-                max_depth: state.max_depth(g),
-                peel_super_rounds: peel.super_rounds_used,
-            });
-            break;
+            rejected = peel.rejected;
+        } else {
+            // Merging step: every part selects its heaviest out-edge of
+            // the orientation, then CHW marking and star contraction.
+            merge::run_merge(
+                engine,
+                cfg,
+                &mut state,
+                &tree,
+                peel.heaviest(),
+                &neighbor_roots,
+            )?;
+            tree = state.tree(g);
         }
-
-        // Merging step: heaviest out-edge selection, CHW marking and star
-        // contraction.
-        merge::run_merge(
-            engine,
-            cfg,
-            &mut state,
-            &peel,
-            &neighbor_roots,
-            merge::Selection::Heaviest,
-        )?;
 
         phases.push(PhaseMetrics {
             phase,
             cut_weight: state.cut_weight(g),
             parts: state.part_count(),
-            max_depth: state.max_depth(g),
+            max_depth: tree.height(),
             peel_super_rounds: peel.super_rounds_used,
         });
+        if failed {
+            break;
+        }
     }
 
-    rejected.sort_unstable();
-    rejected.dedup();
     Ok(Partition {
         state,
         rejected,
@@ -213,10 +204,9 @@ pub(crate) fn exchange_roots(
     state: &PartitionState,
     max_rounds: u64,
 ) -> Result<Vec<Vec<(NodeId, u32)>>, CoreError> {
-    let roots = state.root.clone();
     let received = comm::exchange(
         engine,
-        move |v, _| Some(Msg::words(&[roots[v.index()].raw() as u64])),
+        |v, _| Some(Msg::words(&[state.root[v.index()].raw() as u64])),
         max_rounds,
     )?;
     Ok(received
@@ -229,11 +219,50 @@ pub(crate) fn exchange_roots(
         .collect())
 }
 
-fn has_boundary(state: &PartitionState, neighbor_roots: &[Vec<(NodeId, u32)>]) -> bool {
-    neighbor_roots
+/// Whether every part is already isolated (no edge crosses two parts).
+/// If so, the `phases_left` phases from this one on are status-only
+/// no-ops on `tree`: their rounds are charged to `engine` here, and the
+/// caller stops.
+pub(crate) fn charge_if_isolated(
+    engine: &mut Engine<'_>,
+    state: &PartitionState,
+    tree: &TreeTopology,
+    neighbor_roots: &[Vec<(NodeId, u32)>],
+    phases_left: usize,
+) -> bool {
+    let isolated = neighbor_roots
         .iter()
         .enumerate()
-        .any(|(v, ns)| ns.iter().any(|&(_, r)| r != state.root[v].raw()))
+        .all(|(v, ns)| ns.iter().all(|&(_, r)| r == state.root[v].raw()));
+    if isolated {
+        engine.charge_rounds(phases_left as u64 * (2 * u64::from(tree.height()) + 4));
+    }
+    isolated
+}
+
+/// Stage II's per-part BFS, shared with the Corollary 16 testers: a BFS
+/// tree from every part root (`roots`, as listed by
+/// [`PartitionState::roots`]) that stays inside its part, then one round
+/// in which every node sends its BFS level to each neighbour. Returns the
+/// BFS and every node's level.
+pub(crate) fn part_bfs(
+    engine: &mut Engine<'_>,
+    state: &PartitionState,
+    roots: &[NodeId],
+    max_rounds: u64,
+) -> Result<(DistBfs, Vec<u64>), CoreError> {
+    let bfs = distributed_bfs(engine, roots, |v, r| state.root[v.index()] == r, max_rounds)?;
+    let levels: Vec<u64> = bfs
+        .level
+        .iter()
+        .map(|l| u64::from(l.expect("parts are connected")))
+        .collect();
+    comm::exchange(
+        engine,
+        |v, _| Some(Msg::words(&[levels[v.index()]])),
+        max_rounds,
+    )?;
+    Ok((bfs, levels))
 }
 
 #[cfg(test)]
@@ -248,8 +277,8 @@ mod tests {
         let s = PartitionState::singletons(&g);
         assert_eq!(s.part_count(), 4);
         assert_eq!(s.cut_weight(&g), 3);
-        assert_eq!(s.max_depth(&g), 0);
-        assert_eq!(s.members_by_root().len(), 4);
+        assert_eq!(s.tree(&g).height(), 0);
+        assert_eq!(s.roots(), g.nodes().collect::<Vec<_>>());
     }
 
     #[test]

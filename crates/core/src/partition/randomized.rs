@@ -2,8 +2,6 @@
 //! verification, and the heaviest-out-edge selection is replaced by
 //! `s = Θ(log 1/δ)` rounds of weighted random edge selection (§4.1).
 
-use std::collections::HashMap;
-
 use planartest_graph::NodeId;
 use planartest_sim::tree::{broadcast, convergecast};
 use planartest_sim::Engine;
@@ -13,9 +11,10 @@ use rand::{Rng, SeedableRng};
 
 use crate::config::TesterConfig;
 use crate::error::CoreError;
-use crate::partition::forest::PeelOutcome;
-use crate::partition::merge::{run_merge, Selection};
-use crate::partition::{Partition, PartitionState, PhaseMetrics};
+use crate::partition::merge::run_merge;
+use crate::partition::{
+    charge_if_isolated, exchange_roots, Partition, PartitionState, PhaseMetrics,
+};
 
 /// Configuration for the randomized partition.
 #[derive(Debug, Clone)]
@@ -89,41 +88,34 @@ pub fn run_randomized_partition(
     let g = engine.graph();
     let tester_cfg = TesterConfig::new(cfg.epsilon).with_seed(cfg.seed);
     let mut state = PartitionState::singletons(g);
+    let mut tree = state.tree(g);
     let mut phases = Vec::new();
     let t = cfg.phases();
 
     for phase in 1..=t {
-        let tree = state.tree(g);
-        let neighbor_roots =
-            crate::partition::exchange_roots(engine, &state, tester_cfg.max_rounds)?;
-        let boundary = neighbor_roots
-            .iter()
-            .enumerate()
-            .any(|(v, ns)| ns.iter().any(|&(_, r)| r != state.root[v].raw()));
-        if !boundary {
-            engine.charge_rounds((t - phase + 1) as u64 * (2 * tree.height() as u64 + 4));
+        let neighbor_roots = exchange_roots(engine, &state, tester_cfg.max_rounds)?;
+        if charge_if_isolated(engine, &state, &tree, &neighbor_roots, t - phase + 1) {
             break;
         }
+        let roots = state.roots();
 
         // Weighted-edge selection: `trials` independent uniform draws of a
         // boundary edge per part; keep the heaviest drawn auxiliary edge.
-        let mut best: HashMap<u32, (u32, u64)> = HashMap::new();
+        // Indexed by the part root.
+        let mut best: Vec<Option<(u32, u64)>> = vec![None; g.n()];
         for trial in 0..cfg.trials() {
             // (a) Uniform boundary-edge draw per part, via a weighted
             // reservoir convergecast (each node proposes a uniform pick
             // among its own boundary edges, with multiplicity counts).
-            let roots = state.root.clone();
-            let nbr = neighbor_roots.clone();
-            let seed = cfg.seed;
             let draws = convergecast(
                 engine,
                 &tree,
-                move |node, kids: &[(NodeId, Msg)]| {
+                |node, kids: &[(NodeId, Msg)]| {
                     // Message: (candidate target root, count) or
                     // (MAX, 0) when the subtree has no boundary edge.
-                    let mut rng = node_rng(seed, phase as u64, trial as u64, node);
-                    let my_root = roots[node.index()].raw();
-                    let outs: Vec<u32> = nbr[node.index()]
+                    let mut rng = node_rng(cfg.seed, phase as u64, trial as u64, node);
+                    let my_root = state.root[node.index()].raw();
+                    let outs: Vec<u32> = neighbor_roots[node.index()]
                         .iter()
                         .filter(|&&(_, r)| r != my_root)
                         .map(|&(_, r)| r)
@@ -151,36 +143,30 @@ pub fn run_randomized_partition(
                 tester_cfg.max_rounds,
             )?;
             // (b) Broadcast the drawn target; (c) convergecast its weight.
-            let mut drawn: HashMap<u32, u32> = HashMap::new();
-            for v in g.nodes() {
-                if state.root[v.index()] == v {
-                    if let Some(m) = &draws[v.index()] {
-                        if m.word(1) > 0 {
-                            drawn.insert(v.raw(), m.word(0) as u32);
-                        }
-                    }
-                }
-            }
-            let drawn_c = drawn.clone();
+            // The drawn target of each part, indexed by the root (MAX when
+            // the part has no boundary edge, and at non-roots).
+            let drawn: Vec<u64> = draws
+                .iter()
+                .map(|m| {
+                    m.as_ref()
+                        .filter(|m| m.word(1) > 0)
+                        .map_or(u64::MAX, |m| m.word(0))
+                })
+                .collect();
             let targets = broadcast(
                 engine,
                 &tree,
-                move |r| {
-                    Some(Msg::words(&[drawn_c
-                        .get(&r.raw())
-                        .map_or(u64::MAX, |&t| t as u64)]))
-                },
+                |r| Some(Msg::words(&[drawn[r.index()]])),
                 tester_cfg.max_rounds,
             )?;
-            let nbr2 = neighbor_roots.clone();
             let weights = convergecast(
                 engine,
                 &tree,
-                move |node, kids: &[(NodeId, Msg)]| {
+                |node, kids: &[(NodeId, Msg)]| {
                     let t = targets[node.index()].as_ref().expect("bcast").word(0);
                     let mut w: u64 = kids.iter().map(|(_, m)| m.word(0)).sum();
                     if t != u64::MAX {
-                        w += nbr2[node.index()]
+                        w += neighbor_roots[node.index()]
                             .iter()
                             .filter(|&&(_, r)| r as u64 == t)
                             .count() as u64;
@@ -189,35 +175,34 @@ pub fn run_randomized_partition(
                 },
                 tester_cfg.max_rounds,
             )?;
-            for (&root, &target) in &drawn {
-                let w = weights[NodeId::from(root).index()]
-                    .as_ref()
-                    .expect("root")
-                    .word(0);
-                let entry = best.entry(root).or_insert((target, 0));
+            for &r in &roots {
+                let target = drawn[r.index()];
+                if target == u64::MAX {
+                    continue;
+                }
+                let w = weights[r.index()].as_ref().expect("root").word(0);
+                let entry = best[r.index()].get_or_insert((target as u32, 0));
                 if w > entry.1 {
-                    *entry = (target, w);
+                    *entry = (target as u32, w);
                 }
             }
         }
 
-        // Merge with the explicit selection; a synthetic PeelOutcome
-        // carries no out-edges (they are not used by Explicit selection).
-        let peel = PeelOutcome::default();
         run_merge(
             engine,
             &tester_cfg,
             &mut state,
-            &peel,
+            &tree,
+            best,
             &neighbor_roots,
-            Selection::Explicit(best),
         )?;
+        tree = state.tree(g);
 
         phases.push(PhaseMetrics {
             phase,
             cut_weight: state.cut_weight(g),
             parts: state.part_count(),
-            max_depth: state.max_depth(g),
+            max_depth: tree.height(),
             peel_super_rounds: 0,
         });
     }

@@ -27,7 +27,6 @@ use std::collections::HashMap;
 
 use planartest_embed::{check_planarity, PlanarityCheck, RotationSystem};
 use planartest_graph::{EdgeId, Graph, NodeId};
-use planartest_sim::bfs::distributed_bfs;
 use planartest_sim::tree::{broadcast, convergecast};
 use planartest_sim::Engine;
 use planartest_sim::Msg;
@@ -37,7 +36,7 @@ use rand::{Rng, SeedableRng};
 use self::labels::{Label, LabeledEdge};
 use crate::config::{EmbeddingMode, TesterConfig};
 use crate::error::CoreError;
-use crate::partition::PartitionState;
+use crate::partition::{part_bfs, PartitionState};
 use crate::tester::RejectReason;
 
 use planartest_sim::SimStats;
@@ -141,40 +140,23 @@ pub fn run_stage2_many(
     let max_rounds = cfg.max_rounds;
     let mut rejections: Vec<(NodeId, RejectReason)> = Vec::new();
 
-    // --- 1. BFS trees inside every part. ---
-    let roots: Vec<NodeId> = g.nodes().filter(|&v| state.root[v.index()] == v).collect();
-    let part_root = state.root.clone();
-    let bfs = distributed_bfs(
-        engine,
-        &roots,
-        move |v, r| part_root[v.index()] == r,
-        max_rounds,
-    )?;
+    // --- 1. BFS trees inside every part, then a level exchange. ---
+    let roots = state.roots();
+    let (bfs, levels) = part_bfs(engine, state, &roots, max_rounds)?;
     let tree = bfs.to_tree(g).expect("BFS parents form a forest");
-
     // Non-tree part edges, assigned to the higher (level, id) endpoint.
-    // Each node can compute its assignment after one level exchange.
-    let levels: Vec<u64> = (0..n)
-        .map(|v| bfs.level[v].expect("parts are connected") as u64)
-        .collect();
-    let levels_c = levels.clone();
-    let _ = crate::comm::exchange(
-        engine,
-        move |v, _| Some(Msg::words(&[levels_c[v.index()]])),
-        max_rounds,
-    )?;
+    // Each node can compute its assignment after the level exchange.
     let assigned = assign_non_tree_edges(g, state, &bfs, &levels);
 
     // --- 2. Counting n(Gj), m(Gj), non-tree counts. ---
-    let assigned_count: Vec<u64> = assigned.iter().map(|a| a.len() as u64).collect();
-    let tree_edge_count: Vec<u64> = (0..n).map(|v| u64::from(bfs.parent[v].is_some())).collect();
     let counts = convergecast(
         engine,
         &tree,
-        move |node, kids: &[(NodeId, Msg)]| {
+        |node, kids: &[(NodeId, Msg)]| {
+            let own = assigned[node.index()].len() as u64;
             let mut nn = 1u64;
-            let mut mm = tree_edge_count[node.index()] + assigned_count[node.index()];
-            let mut nt = assigned_count[node.index()];
+            let mut mm = u64::from(bfs.parent[node.index()].is_some()) + own;
+            let mut nt = own;
             for (_, m) in kids {
                 nn += m.word(0);
                 mm += m.word(1);
@@ -184,42 +166,37 @@ pub fn run_stage2_many(
         },
         max_rounds,
     )?;
-    let mut part_counts: HashMap<u32, (u64, u64, u64)> = HashMap::new();
-    for &r in &roots {
-        let m = counts[r.index()].as_ref().expect("root gets counts");
-        part_counts.insert(r.raw(), (m.word(0), m.word(1), m.word(2)));
-    }
     // Broadcast the counts back down (nodes need the non-tree count for
     // the sampling probability).
-    let pc = part_counts.clone();
     let counts_bcast = broadcast(
         engine,
         &tree,
-        move |r| {
-            let &(nn, mm, nt) = pc.get(&r.raw()).expect("every part counted");
-            Some(Msg::words(&[nn, mm, nt]))
-        },
+        |r| Some(counts[r.index()].clone().expect("every part counted")),
         max_rounds,
     )?;
 
     // Euler bound rejection at roots.
     for &r in &roots {
-        let &(nn, mm, _) = &part_counts[&r.raw()];
+        let c = counts[r.index()].as_ref().expect("root gets counts");
+        let (nn, mm) = (c.word(0), c.word(1));
         if nn >= 3 && mm > 3 * nn - 6 {
             rejections.push((r, RejectReason::EulerBound));
         }
     }
 
     // --- 3. Embedding per part (charged substitution). ---
-    let members = state.members_by_root();
+    // Each part's BFS depth, indexed by the root.
+    let mut depth = vec![0u64; n];
+    for (v, &level) in levels.iter().enumerate() {
+        let r = state.root[v].index();
+        depth[r] = depth[r].max(level);
+    }
     let mut reports = Vec::new();
     let mut rotation_at: Vec<Vec<NodeId>> = vec![Vec::new(); n]; // neighbour order per node
     let log_n = (n.max(2) as f64).log2().ceil() as u64;
     for &r in &roots {
-        let part: &[NodeId] = &members[&r.raw()];
         let (sub, orig) = g.induced_subgraph(|v| state.root[v.index()] == r);
-        let depth = part.iter().map(|&v| levels[v.index()]).max().unwrap_or(0);
-        let diameter_bound = 2 * depth + 1;
+        let diameter_bound = 2 * depth[r.index()] + 1;
         engine.charge_rounds(diameter_bound * diameter_bound.min(log_n).max(1));
         let (rot, planar) = embed_part(&sub);
         if !planar && cfg.embedding == EmbeddingMode::Strict {
@@ -235,12 +212,12 @@ pub fn run_stage2_many(
                 .collect();
             rotation_at[orig[v.index()].index()] = order;
         }
-        let &(nn, mm, nt) = &part_counts[&r.raw()];
+        let c = counts[r.index()].as_ref().expect("root gets counts");
         reports.push(PartReport {
             root: r,
-            n: nn as usize,
-            m: mm as usize,
-            non_tree: nt as usize,
+            n: c.word(0) as usize,
+            m: c.word(1) as usize,
+            non_tree: c.word(2) as usize,
             embedded_planar: planar,
             sampled: 0,
         });
@@ -248,15 +225,13 @@ pub fn run_stage2_many(
 
     // --- 4. Edge digits + label distribution (message-level). ---
     // Each node numbers its BFS children by rotation order after the
-    // parent edge.
-    let mut digit_of: Vec<HashMap<u32, u32>> = vec![HashMap::new(); n];
+    // parent edge; a child's digit is indexed by the child (0 = none).
+    let mut digit: Vec<u32> = vec![0; n];
     for v in g.nodes() {
         let order = &rotation_at[v.index()];
         if order.is_empty() {
             continue;
         }
-        let children: std::collections::HashSet<u32> =
-            bfs.children[v.index()].iter().map(|c| c.raw()).collect();
         let start = match bfs.parent[v.index()] {
             Some(p) => order
                 .iter()
@@ -265,16 +240,16 @@ pub fn run_stage2_many(
                 .unwrap_or(0),
             None => 0,
         };
-        let mut digit = 1u32;
+        let mut next = 1u32;
         for k in 0..order.len() {
             let w = order[(start + k) % order.len()];
-            if children.contains(&w.raw()) {
-                digit_of[v.index()].insert(w.raw(), digit);
-                digit += 1;
+            if bfs.parent[w.index()] == Some(v) {
+                digit[w.index()] = next;
+                next += 1;
             }
         }
     }
-    let node_labels = distribute_labels(engine, &tree, &digit_of, max_rounds)?;
+    let node_labels = distribute_labels(engine, &tree, &digit, max_rounds)?;
 
     // --- 5. Label exchange across assigned non-tree edges. ---
     let other_labels = exchange_edge_labels(engine, g, &assigned, &node_labels, max_rounds)?;
@@ -297,16 +272,19 @@ pub fn run_stage2_many(
 
     // --- 6. Sampling and violation detection (per seed). ---
     let s_target = cfg.sample_size(n) as f64;
+    let budget = (4.0 * s_target).ceil() as usize + 8;
     let mut all_sample_items: Vec<Vec<Vec<Msg>>> = Vec::with_capacity(seeds.len());
-    let mut all_sampled_per_part: Vec<HashMap<u32, usize>> = Vec::with_capacity(seeds.len());
-    for &seed in seeds {
+    // Sampled non-tree edges of each part per seed, indexed by the root.
+    let mut sampled_per_part: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for &r in &roots {
+        sampled_per_part[r.index()] = vec![0; seeds.len()];
+    }
+    for (k, &seed) in seeds.iter().enumerate() {
         let mut sample_items: Vec<Vec<Msg>> = vec![Vec::new(); n];
-        let mut sampled_per_part: HashMap<u32, usize> = HashMap::new();
         for v in 0..n {
             if assigned[v].is_empty() {
                 continue;
             }
-            let root = state.root[v].raw();
             let nt = counts_bcast[v].as_ref().expect("counts broadcast").word(2);
             if nt == 0 {
                 continue;
@@ -315,26 +293,22 @@ pub fn run_stage2_many(
             let mut rng = sample_rng(seed, v as u64);
             for iv in &intervals[v] {
                 if rng.random_bool(p) {
-                    *sampled_per_part.entry(root).or_insert(0) += 1;
+                    sampled_per_part[state.root[v].index()][k] += 1;
                     sample_items[v].extend(encode_interval(v as u64, iv));
                 }
             }
         }
         // Overflow guard (1/poly(n) event per instance): the root would
         // abort; we fail the batch fast so callers can rerun with other
-        // seeds.
-        for (&root, &count) in &sampled_per_part {
-            let budget = (4.0 * s_target).ceil() as usize + 8;
-            if count > budget {
-                let _ = root;
-                return Err(CoreError::SampleOverflow {
-                    drawn: count,
-                    budget,
-                });
-            }
+        // seeds. The lowest overflowing root reports.
+        let overflow = roots
+            .iter()
+            .map(|r| sampled_per_part[r.index()][k])
+            .find(|&count| count > budget);
+        if let Some(drawn) = overflow {
+            return Err(CoreError::SampleOverflow { drawn, budget });
         }
         all_sample_items.push(sample_items);
-        all_sampled_per_part.push(sampled_per_part);
     }
 
     // Ship every instance's samples to the roots, then broadcast each
@@ -347,20 +321,19 @@ pub fn run_stage2_many(
         .map(|items| crate::comm::up_stream(engine, &tree, items, max_rounds))
         .collect::<Result<Vec<_>, _>>()?;
     let mut all_down_payloads: Vec<Vec<Vec<Msg>>> = Vec::with_capacity(seeds.len());
-    let mut all_root_samples: Vec<HashMap<u32, Vec<LabeledEdge>>> = Vec::with_capacity(seeds.len());
+    // The decoded sample list of each part per seed, indexed by the root.
+    let mut sampled_intervals_at_root: Vec<Vec<Vec<LabeledEdge>>> = vec![Vec::new(); n];
     for (collected_k, _) in &collected {
         let mut down_payload: Vec<Vec<Msg>> = vec![Vec::new(); n];
-        let mut sampled_intervals_at_root: HashMap<u32, Vec<LabeledEdge>> = HashMap::new();
         for &r in &roots {
             let words = decode_streams(&collected_k[r.index()]);
-            sampled_intervals_at_root.insert(r.raw(), words.clone());
             down_payload[r.index()] = words
                 .iter()
                 .flat_map(|iv| encode_interval(r.raw() as u64, iv))
                 .collect();
+            sampled_intervals_at_root[r.index()].push(words);
         }
         all_down_payloads.push(down_payload);
-        all_root_samples.push(sampled_intervals_at_root);
     }
     let received = all_down_payloads
         .into_iter()
@@ -388,7 +361,7 @@ pub fn run_stage2_many(
             // root — borrow it instead of re-decoding the received
             // stream at all n nodes (which made the local check rival
             // the engine run itself in the batched sweep).
-            let sample: &[LabeledEdge] = &all_root_samples[k][&state.root[v].raw()];
+            let sample: &[LabeledEdge] = &sampled_intervals_at_root[state.root[v].index()][k];
             #[cfg(debug_assertions)]
             if state.root[v].index() != v {
                 let rx: Vec<(NodeId, Msg)> = _received_k[v]
@@ -417,10 +390,7 @@ pub fn run_stage2_many(
         rejections.dedup_by_key(|&mut (v, _)| v);
         let mut parts = reports.clone();
         for rep in &mut parts {
-            rep.sampled = all_sampled_per_part[k]
-                .get(&rep.root.raw())
-                .copied()
-                .unwrap_or(0);
+            rep.sampled = sampled_per_part[rep.root.index()][k];
         }
         let mut instance_stats = shared_stats;
         instance_stats.absorb(*up_report);

@@ -18,19 +18,18 @@ const TAG_END: u64 = 1;
 /// `O(depth + max label length)` rounds.
 struct LabelLogic<'t> {
     tree: &'t TreeTopology,
-    digit_of: &'t [HashMap<u32, u32>],
+    /// Each child's digit, indexed by the child (0 = none).
+    digit: &'t [u32],
     label: Vec<Vec<u32>>,
     end_pending: Vec<bool>,
 }
 
 impl LabelLogic<'_> {
     fn start_children(&mut self, node: NodeId, out: &mut Outbox<'_>) {
-        let digits = &self.digit_of[node.index()];
         let mut any = false;
         for &c in self.tree.children(node) {
-            let d = *digits
-                .get(&c.raw())
-                .unwrap_or_else(|| panic!("child {c:?} of {node:?} has no digit (embedding bug)"));
+            let d = self.digit[c.index()];
+            assert_ne!(d, 0, "child {c:?} of {node:?} has no digit (embedding bug)");
             out.send(c, Msg::words(&[TAG_DIGIT, d as u64]));
             any = true;
         }
@@ -76,18 +75,18 @@ impl NodeLogic for LabelLogic<'_> {
     }
 }
 
-/// Distributes vertex labels down every part tree, given each node's
-/// child-digit assignment (`digit_of[parent][child] = digit`).
+/// Distributes vertex labels down every part tree, given every child's
+/// digit under its parent (`digit[child]`, from 1; 0 for roots).
 pub(crate) fn distribute_labels(
     engine: &mut Engine<'_>,
     tree: &TreeTopology,
-    digit_of: &[HashMap<u32, u32>],
+    digit: &[u32],
     max_rounds: u64,
 ) -> Result<Vec<Label>, SimError> {
     let n = engine.graph().n();
     let mut logic = LabelLogic {
         tree,
-        digit_of,
+        digit,
         label: vec![Vec::new(); n],
         end_pending: vec![false; n],
     };
@@ -211,13 +210,9 @@ mod tests {
             Some(NodeId::new(1)),
         ];
         let tree = TreeTopology::from_parents(&g, parent).unwrap();
-        let mut digit_of: Vec<HashMap<u32, u32>> = vec![HashMap::new(); 5];
-        digit_of[0].insert(1, 1);
-        digit_of[0].insert(2, 2);
-        digit_of[1].insert(3, 2);
-        digit_of[1].insert(4, 1);
+        let digit = [0, 1, 2, 2, 1];
         let mut engine = Engine::new(&g, SimConfig::default());
-        let labels = distribute_labels(&mut engine, &tree, &digit_of, 1000).unwrap();
+        let labels = distribute_labels(&mut engine, &tree, &digit, 1000).unwrap();
         assert_eq!(labels[0], Label(vec![]));
         assert_eq!(labels[1], Label(vec![1]));
         assert_eq!(labels[2], Label(vec![2]));
@@ -235,17 +230,9 @@ mod tests {
             .chain((1..k).map(|i| Some(NodeId::new(i - 1))))
             .collect();
         let tree = TreeTopology::from_parents(&g, parent).unwrap();
-        let digit_of: Vec<HashMap<u32, u32>> = (0..k)
-            .map(|v| {
-                let mut m = HashMap::new();
-                if v + 1 < k {
-                    m.insert((v + 1) as u32, 1);
-                }
-                m
-            })
-            .collect();
+        let digit: Vec<u32> = (0..k).map(|v| u32::from(v > 0)).collect();
         let mut engine = Engine::new(&g, SimConfig::default());
-        let labels = distribute_labels(&mut engine, &tree, &digit_of, 10_000).unwrap();
+        let labels = distribute_labels(&mut engine, &tree, &digit, 10_000).unwrap();
         assert_eq!(labels[k - 1].len(), k - 1);
         let rounds = engine.stats().rounds;
         assert!(rounds <= 3 * k as u64, "rounds {rounds} not pipelined");
@@ -277,24 +264,19 @@ mod tests {
             ],
         )
         .unwrap();
-        let digits = |pairs: &[(usize, usize, u32)]| {
-            let mut d: Vec<HashMap<u32, u32>> = vec![HashMap::new(); 4];
-            for &(p, c, digit) in pairs {
-                d[p].insert(c as u32, digit);
-            }
-            d
-        };
-        let digit_a = digits(&[(0, 1, 1), (0, 3, 2), (1, 2, 1)]);
-        let digit_b = digits(&[(2, 1, 2), (2, 3, 1), (1, 0, 1)]);
+        // Digits indexed by the child: tree A has 0 -> {1: 1, 3: 2} and
+        // 1 -> {2: 1}; tree B has 2 -> {1: 2, 3: 1} and 1 -> {0: 1}.
+        let digit_a = [0, 1, 1, 2];
+        let digit_b = [1, 2, 0, 1];
 
         let mut batch = Engine::new(&g, SimConfig::default());
         let mut total = planartest_sim::SimStats::default();
-        for (tree, digit_of) in [(&tree_a, &digit_a), (&tree_b, &digit_b)] {
+        for (tree, digit) in [(&tree_a, &digit_a), (&tree_b, &digit_b)] {
             let mut fresh = Engine::new(&g, SimConfig::default());
-            let want = distribute_labels(&mut fresh, tree, digit_of, 1000).unwrap();
+            let want = distribute_labels(&mut fresh, tree, digit, 1000).unwrap();
             total.merge(fresh.stats());
             assert_eq!(
-                distribute_labels(&mut batch, tree, digit_of, 1000).unwrap(),
+                distribute_labels(&mut batch, tree, digit, 1000).unwrap(),
                 want
             );
         }

@@ -9,6 +9,5 @@ pub mod bfs;
 pub mod biconnected;
 pub mod bipartite;
 pub mod components;
-pub mod dfs;
 pub mod girth;
 pub mod union_find;

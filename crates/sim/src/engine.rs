@@ -516,7 +516,10 @@ impl<'g> Engine<'g> {
                 return Err(SimError::RoundLimitExceeded { limit: max_rounds });
             }
             // Message-activated nodes, then the woken ones, swept in
-            // ascending node order.
+            // ascending node order. The two lists are disjoint: delivery
+            // skips wake-flagged nodes. When they outnumber the flag
+            // words, one scan of the flags orders them more cheaply than
+            // a sort.
             self.active.clear();
             self.boxes.deliver(
                 &mut self.sends.staged,
@@ -524,12 +527,21 @@ impl<'g> Engine<'g> {
                 &mut self.active,
                 report,
             );
-            self.active.append(&mut self.sends.wake);
-            self.active.sort_unstable();
-            self.active.dedup();
-            for &v in &self.active {
-                self.sends.woken.clear(v.index());
+            if self.active.len() + self.sends.wake.len() > self.sends.woken.word_count() {
+                for &v in &self.active {
+                    self.sends.woken.set(v.index());
+                }
+                self.active.clear();
+                self.sends.wake.clear();
+                self.sends.woken.drain_ascending(&mut self.active);
+            } else {
+                self.active.append(&mut self.sends.wake);
+                self.active.sort_unstable();
+                for &v in &self.active {
+                    self.sends.woken.clear(v.index());
+                }
             }
+            debug_assert!(self.active.windows(2).all(|w| w[0] < w[1]));
             for &v in &self.active {
                 let mut out = Outbox::new(v, g, limit, round, &mut self.sends);
                 logic.round(v, self.boxes.inbox(v), &mut out);
@@ -867,6 +879,79 @@ mod tests {
         }
         // Failed runs are never absorbed: only the four clean runs count.
         assert_eq!(shared.stats().runs, 4);
+    }
+
+    /// Sends pseudo-randomly for four rounds and records, per round, the
+    /// nodes it addressed or woke, next to the nodes the engine called.
+    struct SweepLog {
+        expected: Vec<Vec<NodeId>>,
+        called: Vec<Vec<NodeId>>,
+    }
+    impl SweepLog {
+        fn act(&mut self, node: NodeId, out: &mut Outbox<'_>) {
+            let next = out.round() as usize + 1;
+            if next > 4 {
+                return;
+            }
+            let v = node.index() as u64;
+            for &(w, _) in out.graph().neighbors(node) {
+                if !mix(v * 1_000 + w.index() as u64 + 77 * next as u64).is_multiple_of(3) {
+                    out.send(w, Msg::ping());
+                    self.expected[next].push(w);
+                }
+            }
+            if mix(v + 1_000_003 * next as u64).is_multiple_of(2) {
+                out.wake();
+                self.expected[next].push(node);
+            }
+        }
+    }
+    impl NodeLogic for SweepLog {
+        fn init(&mut self, node: NodeId, out: &mut Outbox<'_>) {
+            // Only node 0 starts, so round 1 sweeps its addressees.
+            if node.index() == 0 {
+                self.act(node, out);
+            }
+        }
+        fn round(&mut self, node: NodeId, _: &[(NodeId, Msg)], out: &mut Outbox<'_>) {
+            self.called[out.round() as usize].push(node);
+            self.act(node, out);
+        }
+    }
+
+    fn mix(mut x: u64) -> u64 {
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    /// Busy rounds (more active nodes than flag words) and quiet ones
+    /// both sweep exactly the addressed and woken nodes, ascending.
+    #[test]
+    fn sweeps_active_nodes_in_ascending_order() {
+        // A 300-node hub-and-path graph: the hub reaches everyone in one
+        // round, the path keeps later rounds sparse.
+        let n = 300;
+        let edges = (1..n).map(|i| (0, i)).chain((1..n - 1).map(|i| (i, i + 1)));
+        for hub_degree in [n - 1, 3] {
+            let g = Graph::from_edges(n, edges.clone().filter(|&(u, v)| u != 0 || v <= hub_degree))
+                .unwrap();
+            let mut engine = Engine::new(&g, SimConfig::default());
+            let mut logic = SweepLog {
+                expected: vec![Vec::new(); 6],
+                called: vec![Vec::new(); 6],
+            };
+            let rep = engine.run(&mut logic, 10).unwrap();
+            assert!(rep.rounds >= 2);
+            // 300 nodes fill 5 flag words: the full hub's round 1 is busy,
+            // the degree-3 hub's is quiet.
+            assert_eq!(logic.called[1].len() > 5, hub_degree == n - 1);
+            for (round, mut want) in logic.expected.into_iter().enumerate() {
+                want.sort_unstable();
+                want.dedup();
+                assert_eq!(logic.called[round], want, "round {round}");
+            }
+        }
     }
 
     #[test]

@@ -149,12 +149,20 @@ impl TreeTopology {
         d
     }
 
-    /// Height of the forest (maximum depth over all nodes).
+    /// Height of the forest (maximum depth over all nodes), in one
+    /// top-down pass from the roots.
     pub fn height(&self) -> u32 {
-        (0..self.parent.len())
-            .map(|v| self.depth(NodeId::new(v)))
-            .max()
-            .unwrap_or(0)
+        let mut height = 0;
+        let mut stack: Vec<(NodeId, u32)> = (0..self.parent.len())
+            .map(NodeId::new)
+            .filter(|&v| self.is_root(v))
+            .map(|v| (v, 0))
+            .collect();
+        while let Some((v, d)) = stack.pop() {
+            height = height.max(d);
+            stack.extend(self.children(v).iter().map(|&c| (c, d + 1)));
+        }
+        height
     }
 }
 
@@ -318,6 +326,16 @@ mod tests {
         assert_eq!(tree.root_of(NodeId::new(4)), NodeId::new(0));
         assert_eq!(tree.depth(NodeId::new(4)), 4);
         assert_eq!(tree.height(), 4);
+
+        // A path rooted at one end: the height takes one pass, not one
+        // walk up to the root per node.
+        let n = 100_000;
+        let g = Graph::from_edges(n, (0..n - 1).map(|i| (i, i + 1))).unwrap();
+        let parent = std::iter::once(None)
+            .chain((1..n).map(|i| Some(NodeId::new(i - 1))))
+            .collect();
+        let deep = TreeTopology::from_parents(&g, parent).unwrap();
+        assert_eq!(deep.height(), 99_999);
     }
 
     #[test]
