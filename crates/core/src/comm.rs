@@ -1,6 +1,6 @@
 //! Reusable message-level protocol building blocks used by both stages.
 //!
-//! Everything here runs on the [`planartest_sim::Engine`] with real
+//! The protocols here run on the [`planartest_sim::Engine`] with real
 //! messages; rounds and bandwidth are accounted by the engine. The three
 //! patterns are:
 //!
@@ -11,6 +11,11 @@
 //! * [`stream_broadcast`] / [`up_stream`] — pipelined multi-message
 //!   movement down/up part trees (used for candidate lists, labels and
 //!   sampled edges, which exceed one message of bandwidth).
+//!
+//! One function runs no engine: [`stream_broadcast_cost`] computes the
+//! exact [`RunReport`] (or first [`SimError`]) of a [`stream_broadcast`]
+//! in closed form. Stage II takes its sample broadcast's cost from it;
+//! the engine run is its oracle in debug builds and tests.
 
 use std::collections::VecDeque;
 
@@ -231,14 +236,18 @@ pub fn census(
     Ok(logic.result)
 }
 
+// The engine broadcast is the closed form's oracle; release builds of the
+// library compute the cost only (see `stream_broadcast_cost`).
+#[cfg(any(debug_assertions, test))]
 struct StreamBroadcastLogic<'t> {
     tree: &'t TreeTopology,
     /// Each root's unsent messages (empty at every other node).
     queue: Vec<VecDeque<Msg>>,
-    /// Per-node copies of every delivery, or empty when not recording.
+    /// Per-node copies of every delivery.
     received: Vec<Vec<Msg>>,
 }
 
+#[cfg(any(debug_assertions, test))]
 impl StreamBroadcastLogic<'_> {
     fn pump(&mut self, node: NodeId, out: &mut Outbox<'_>) {
         let v = node.index();
@@ -253,6 +262,7 @@ impl StreamBroadcastLogic<'_> {
     }
 }
 
+#[cfg(any(debug_assertions, test))]
 impl NodeLogic for StreamBroadcastLogic<'_> {
     fn init(&mut self, node: NodeId, out: &mut Outbox<'_>) {
         if !self.queue[node.index()].is_empty() {
@@ -273,9 +283,7 @@ impl NodeLogic for StreamBroadcastLogic<'_> {
         // sends to the same round.
         let v = node.index();
         for (_, msg) in inbox {
-            if let Some(received) = self.received.get_mut(v) {
-                received.push(msg.clone());
-            }
+            self.received[v].push(msg.clone());
             for &c in self.tree.children(node) {
                 out.send(c, msg.clone());
             }
@@ -286,23 +294,21 @@ impl NodeLogic for StreamBroadcastLogic<'_> {
 /// Pipelined multi-message broadcast: each root's message list flows
 /// down its tree in FIFO order, one message per edge per round; every
 /// node receives its root's list (roots' own payloads are *not* echoed
-/// back to themselves). Returns the run's [`RunReport`] and, if
-/// `record` is set, the messages received per node (otherwise an empty
-/// list: a copy of every delivery at every node roughly doubles the
-/// cost of a long broadcast, and Stage II only reads them in its
-/// debug-build self-check).
+/// back to themselves). Returns the messages received per node and the
+/// run's [`RunReport`], which [`stream_broadcast_cost`] computes without
+/// running the engine.
 ///
-/// Cost: `height + k` rounds for `k` messages.
+/// Cost: `height + k − 1` rounds for `k` messages.
 ///
 /// # Errors
 ///
 /// Propagates engine [`SimError`]s.
+#[cfg(any(debug_assertions, test))]
 pub fn stream_broadcast(
     engine: &mut Engine<'_>,
     tree: &TreeTopology,
     payload: Vec<Vec<Msg>>,
     max_rounds: u64,
-    record: bool,
 ) -> Result<(Vec<Vec<Msg>>, RunReport), SimError> {
     debug_assert!(payload
         .iter()
@@ -312,10 +318,90 @@ pub fn stream_broadcast(
     let mut logic = StreamBroadcastLogic {
         tree,
         queue: payload.into_iter().map(VecDeque::from).collect(),
-        received: vec![Vec::new(); if record { n } else { 0 }],
+        received: vec![Vec::new(); n],
     };
     let report = engine.run(&mut logic, max_rounds)?;
     Ok((logic.received, report))
+}
+
+/// The result [`stream_broadcast`] returns for `payload` on an engine of
+/// `limit` words per message — its [`RunReport`], or the first
+/// [`SimError`] the engine raises — in closed form, walking each payload
+/// root's tree once instead of delivering every message.
+///
+/// A root sends its message `j` (0-based) in round `j`, round 0 being
+/// `init`, and a node at depth `d` relays it in round `j + d`. So a root
+/// `r` with `k_r` messages of `w_r` words in total, on a tree `T_r` of
+/// height `h_r`, keeps the run going until round `h_r + k_r − 1` (a
+/// childless root still wakes once per remaining message) and has each
+/// message delivered once to every other node of `T_r`:
+///
+/// * `rounds` = max over `r` of `h_r + k_r − 1` (0 without payload);
+/// * `messages` = Σ `k_r · (|T_r| − 1)`;
+/// * `words` = Σ `w_r · (|T_r| − 1)`.
+///
+/// # Errors
+///
+/// Exactly those of the engine run. A relay sends a message after its
+/// root did, so the first oversize send is a root's: the smallest `j`
+/// over roots with children whose message `j` exceeds `limit`, the
+/// lowest root winning ties. It raises [`SimError::MessageTooLarge`]
+/// toward the root's first child if round `j` is within `max_rounds`;
+/// otherwise — and whenever `rounds > max_rounds` —
+/// [`SimError::RoundLimitExceeded`]. Childless roots send nothing, and a
+/// validated [`TreeTopology`] rules out the other two errors.
+pub fn stream_broadcast_cost(
+    tree: &TreeTopology,
+    payload: &[Vec<Msg>],
+    limit: usize,
+    max_rounds: u64,
+) -> Result<RunReport, SimError> {
+    let mut report = RunReport::default();
+    // The earliest oversize send: (round, root, first child, words).
+    let mut oversize: Option<(u64, NodeId, NodeId, usize)> = None;
+    let mut stack: Vec<(NodeId, u64)> = Vec::new();
+    for (v, msgs) in payload.iter().enumerate() {
+        if msgs.is_empty() {
+            continue;
+        }
+        let (root, k) = (NodeId::new(v), msgs.len() as u64);
+        let (mut size, mut height) = (0u64, 0u64);
+        stack.push((root, 0));
+        while let Some((x, d)) = stack.pop() {
+            size += 1;
+            height = height.max(d);
+            stack.extend(tree.children(x).iter().map(|&c| (c, d + 1)));
+        }
+        let words: u64 = msgs.iter().map(|m| m.len() as u64).sum();
+        report.rounds = report.rounds.max(height + k - 1);
+        report.messages += k * (size - 1);
+        report.words += words * (size - 1);
+        let first_child = tree.children(root).first();
+        let too_large = msgs.iter().position(|m| m.len() > limit);
+        if let (Some(&to), Some(j)) = (first_child, too_large) {
+            // Roots come in ascending order, so `<` keeps the lowest on ties.
+            if oversize.is_none_or(|(earliest, ..)| (j as u64) < earliest) {
+                oversize = Some((j as u64, root, to, msgs[j].len()));
+            }
+        }
+    }
+    if let Some((round, from, to, words)) = oversize {
+        // A send past the budget is preempted by the round limit, which
+        // the check below raises: this root alone keeps the run going
+        // for at least `j + 1` rounds.
+        if round <= max_rounds {
+            return Err(SimError::MessageTooLarge {
+                from,
+                to,
+                words,
+                limit,
+            });
+        }
+    }
+    if report.rounds > max_rounds {
+        return Err(SimError::RoundLimitExceeded { limit: max_rounds });
+    }
+    Ok(report)
 }
 
 struct UpStreamLogic<'t> {
@@ -404,9 +490,12 @@ mod tests {
     use super::*;
     use planartest_graph::Graph;
     use planartest_sim::SimConfig;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
-    /// Path 0-1-2-3-4 rooted at 0; separate root 5 attached to 4? No — 5
-    /// is isolated.
+    /// Path 0-1-2-3-4 rooted at 0, plus the isolated root 5.
     fn setup() -> (Graph, TreeTopology) {
         let g = Graph::from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
         let parent = vec![
@@ -512,8 +601,7 @@ mod tests {
         let mut engine = Engine::new(&g, SimConfig::default());
         let mut payload = vec![Vec::new(); 6];
         payload[0] = vec![Msg::words(&[1]), Msg::words(&[2]), Msg::words(&[3])];
-        let (got, report) =
-            stream_broadcast(&mut engine, &tree, payload.clone(), 1000, true).unwrap();
+        let (got, report) = stream_broadcast(&mut engine, &tree, payload.clone(), 1000).unwrap();
         for (v, msgs) in got.iter().enumerate().take(5).skip(1) {
             let words: Vec<u64> = msgs.iter().map(|m| m.word(0)).collect();
             assert_eq!(words, vec![1, 2, 3], "node {v}");
@@ -524,11 +612,96 @@ mod tests {
         // messages crosses the 4 tree edges once.
         assert_eq!((report.rounds, report.messages, report.words), (6, 12, 12));
         assert_eq!(engine.stats().rounds, report.rounds);
-        // Not recording keeps nothing and changes nothing on the wire.
-        let (none, unrecorded) =
-            stream_broadcast(&mut engine, &tree, payload, 1000, false).unwrap();
-        assert!(none.is_empty());
-        assert_eq!(unrecorded, report);
+        // The closed form gives the same report without running.
+        assert_eq!(stream_broadcast_cost(&tree, &payload, 4, 1000), Ok(report));
+    }
+
+    /// A random forest on a random graph, with payloads of up to `k_max`
+    /// messages of 1 to `max_words` words at its roots. Each tree is a
+    /// singleton, a path, a star or a random recursive tree; the graph
+    /// adds `n` random edges to the forest's.
+    fn random_broadcast(
+        seed: u64,
+        n: usize,
+        k_max: usize,
+        max_words: usize,
+    ) -> (Graph, TreeTopology, Vec<Vec<Msg>>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut order: Vec<usize> = (0..n).collect();
+        order.shuffle(&mut rng);
+        let mut parent: Vec<Option<NodeId>> = vec![None; n];
+        let (mut tree_nodes, mut shape) = (Vec::new(), 0u8);
+        for &v in &order {
+            let p = match (tree_nodes.last(), shape) {
+                (None, _) | (_, 0) => None,
+                _ if rng.random_range(0..8u8) == 0 => None,
+                (Some(&last), 1) => Some(last),
+                (_, 2) => Some(tree_nodes[0]),
+                _ => Some(tree_nodes[rng.random_range(0..tree_nodes.len())]),
+            };
+            if p.is_none() {
+                tree_nodes.clear();
+                shape = rng.random_range(0..4u8);
+            }
+            parent[v] = p.map(NodeId::new);
+            tree_nodes.push(v);
+        }
+        let mut edges: Vec<(usize, usize)> = (0..n)
+            .filter_map(|v| parent[v].map(|p| (v, p.index())))
+            .collect();
+        for _ in 0..n {
+            let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+            if u != v {
+                edges.push((u, v));
+            }
+        }
+        let g = Graph::from_edges(n, edges).unwrap();
+        let tree = TreeTopology::from_parents(&g, parent).unwrap();
+        let payload = (0..n)
+            .map(|v| {
+                if !tree.is_root(NodeId::new(v)) {
+                    return Vec::new();
+                }
+                let k = rng.random_range(0..k_max + 1);
+                (0..k)
+                    .map(|_| {
+                        let len = rng.random_range(1..max_words + 1);
+                        Msg::from((0..len).map(|_| rng.random::<u64>()).collect::<Vec<_>>())
+                    })
+                    .collect()
+            })
+            .collect();
+        (g, tree, payload)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The closed form is the engine run's report, errors included:
+        /// oversize messages (in half the cases) and round budgets from
+        /// 0 to past the run's length.
+        #[test]
+        fn stream_broadcast_cost_matches_the_engine(
+            seed in 0u64..u64::MAX,
+            n in 1usize..40,
+            k_max in 0usize..7,
+            limit in 1usize..5,
+            oversize in 0usize..2,
+            max_rounds in 0u64..48,
+        ) {
+            let (g, tree, payload) = random_broadcast(seed, n, k_max, limit + oversize);
+            let cost = stream_broadcast_cost(&tree, &payload, limit, max_rounds);
+            let mut engine = Engine::new(&g, SimConfig { max_words_per_message: limit });
+            let run = stream_broadcast(&mut engine, &tree, payload.clone(), max_rounds);
+            prop_assert_eq!(cost, run.clone().map(|(_, report)| report));
+            if let Ok((got, _)) = run {
+                for v in g.nodes() {
+                    let root = tree.root_of(v);
+                    let want: &[Msg] = if root == v { &[] } else { &payload[root.index()] };
+                    prop_assert_eq!(&got[v.index()][..], want, "node {:?}", v);
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,9 +14,11 @@
 //!    words long);
 //! 5. exchange labels across non-tree edges (message-level, pipelined);
 //! 6. sample `Θ(log n/ε)` non-tree edges, ship their label pairs to the
-//!    root and broadcast them back (message-level, pipelined); every node
-//!    checks its assigned non-tree edges against the sample for
-//!    Definition 7 violations and rejects on any hit.
+//!    root (message-level, pipelined) and broadcast them back (pipelined;
+//!    its cost is computed exactly in closed form, and debug builds also
+//!    run it message by message as the oracle); every node checks its
+//!    assigned non-tree edges against the sample for Definition 7
+//!    violations and rejects on any hit.
 
 pub mod labels;
 #[doc(hidden)]
@@ -118,10 +120,13 @@ pub fn run_stage2(
 /// Everything before the sampling step — BFS trees, counting,
 /// embedding, label distribution and label exchange — is
 /// seed-independent and runs **once**, with every instance credited its
-/// full cost. The seed-dependent sample streams (ship sampled intervals
-/// to the roots, broadcast them back down) run per seed, back to back on
-/// the same engine, so each instance's verdict and statistics are
-/// bit-for-bit what a sequential `run_stage2` with that seed produces.
+/// full cost. The seed-dependent sample streams run per seed: shipping
+/// the sampled intervals to the roots is an engine run, back to back on
+/// the same engine; broadcasting them back down is costed in closed form
+/// (`comm::stream_broadcast_cost`, the exact report of the engine run,
+/// which debug builds also execute on a scratch engine and compare). So
+/// each instance's verdict and statistics are bit-for-bit what a
+/// sequential `run_stage2` with that seed produces.
 ///
 /// # Errors
 ///
@@ -311,44 +316,53 @@ pub fn run_stage2_many(
         all_sample_items.push(sample_items);
     }
 
-    // Ship every instance's samples to the roots, then broadcast each
-    // sample set back down — the only seed-dependent engine runs. All
-    // up-streams run before all broadcasts: interleaving them per seed
-    // frees and re-faults each seed's broadcast buffers, which measured
-    // ~8% slower on 16-seed batches served on a 2-vCPU host.
+    // Ship every instance's samples to the roots: the only
+    // seed-dependent engine runs.
     let collected = all_sample_items
         .into_iter()
         .map(|items| crate::comm::up_stream(engine, &tree, items, max_rounds))
         .collect::<Result<Vec<_>, _>>()?;
-    let mut all_down_payloads: Vec<Vec<Vec<Msg>>> = Vec::with_capacity(seeds.len());
+    // The broadcast's report is computed in closed form. Debug builds
+    // also run it message by message as the oracle, on a scratch engine
+    // so that the tester engine's stats match release builds.
+    let limit = engine.config().max_words_per_message;
+    #[cfg(debug_assertions)]
+    let (mut oracle, mut received) = (Engine::new(g, engine.config()), Vec::new());
+    let mut down_reports = Vec::with_capacity(seeds.len());
     // The decoded sample list of each part per seed, indexed by the root.
     let mut sampled_intervals_at_root: Vec<Vec<Vec<LabeledEdge>>> = vec![Vec::new(); n];
     for (collected_k, _) in &collected {
-        let mut down_payload: Vec<Vec<Msg>> = vec![Vec::new(); n];
+        let mut payload: Vec<Vec<Msg>> = vec![Vec::new(); n];
         for &r in &roots {
             let words = decode_streams(&collected_k[r.index()]);
-            down_payload[r.index()] = words
+            payload[r.index()] = words
                 .iter()
                 .flat_map(|iv| encode_interval(r.raw() as u64, iv))
                 .collect();
             sampled_intervals_at_root[r.index()].push(words);
         }
-        all_down_payloads.push(down_payload);
+        let report = crate::comm::stream_broadcast_cost(&tree, &payload, limit, max_rounds);
+        #[cfg(debug_assertions)]
+        {
+            let run = crate::comm::stream_broadcast(&mut oracle, &tree, payload, max_rounds).map(
+                |(received_k, run_report)| {
+                    received.push(received_k);
+                    run_report
+                },
+            );
+            assert_eq!(
+                report, run,
+                "closed-form broadcast cost must equal the engine run"
+            );
+        }
+        down_reports.push(report?);
     }
-    let received = all_down_payloads
-        .into_iter()
-        .map(|p| {
-            crate::comm::stream_broadcast(engine, &tree, p, max_rounds, cfg!(debug_assertions))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
 
     // Local violation checks, per instance.
     let paper_mode = cfg.embedding == EmbeddingMode::Paper;
     let mut outcomes = Vec::with_capacity(seeds.len());
     let mut stats = Vec::with_capacity(seeds.len());
-    for (k, ((_, up_report), (_received_k, down_report))) in
-        collected.iter().zip(&received).enumerate()
-    {
+    for (k, ((_, up_report), down_report)) in collected.iter().zip(&down_reports).enumerate() {
         let mut rejections = shared_rejections.clone();
         let mut violation_witnesses = Vec::new();
         for v in 0..n {
@@ -359,12 +373,12 @@ pub fn run_stage2_many(
             // down its tree verbatim and in FIFO order, so every member
             // checks against exactly the list already decoded at the
             // root — borrow it instead of re-decoding the received
-            // stream at all n nodes (which made the local check rival
-            // the engine run itself in the batched sweep).
+            // stream at all n nodes. Debug builds decode what the oracle
+            // delivered and compare.
             let sample: &[LabeledEdge] = &sampled_intervals_at_root[state.root[v].index()][k];
             #[cfg(debug_assertions)]
             if state.root[v].index() != v {
-                let rx: Vec<(NodeId, Msg)> = _received_k[v]
+                let rx: Vec<(NodeId, Msg)> = received[k][v]
                     .iter()
                     .map(|m| (NodeId::new(0), m.clone()))
                     .collect();

@@ -44,12 +44,17 @@ use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{BTreeMap, HashMap};
 
 use planartest_graph::fingerprint::Fingerprint;
+use planartest_graph::NodeId;
 
 use crate::query::{CacheStatus, Outcome, Property};
 
 /// Default per-seed stripe cap: generous — tens of thousands of
 /// distinct `(slot, seed)` outcomes resident before anything is
 /// evicted — while still bounding a months-long serve loop.
+///
+/// A strict-mode planarity stripe on `tri_grid(24,24)` or `grid(24,24)`
+/// holds about 1.2 KB of heap, 2.8 KB unpacked: its 400–500 violation
+/// witnesses take one byte each, packed, instead of four.
 pub const DEFAULT_ACCEPT_CAPACITY: usize = 1 << 16;
 
 /// Cache key: graph content × configuration (seed excluded) × property.
@@ -67,10 +72,73 @@ pub struct CacheKey {
 /// One stored per-seed outcome plus its LRU recency stamp.
 #[derive(Debug, Clone)]
 struct Stored {
+    /// The outcome, less a planarity outcome's violation witnesses...
     outcome: Outcome,
+    /// ...which are kept packed ([`pack_ids`]): they are most of a
+    /// stripe's heap and only telemetry.
+    witnesses: Box<[u8]>,
     /// The cache-wide logical clock value of the last touch (insert or
     /// warm hit); the key of this entry in the LRU index.
     tick: u64,
+}
+
+impl Stored {
+    fn new(outcome: &Outcome, tick: u64) -> Self {
+        let mut outcome = outcome.clone();
+        let witnesses = match &mut outcome {
+            Outcome::Planarity(o) => pack_ids(&std::mem::take(&mut o.violation_witnesses)),
+            Outcome::Hereditary { .. } => Box::default(),
+        };
+        Stored {
+            outcome,
+            witnesses,
+            tick,
+        }
+    }
+
+    /// The outcome exactly as it was inserted.
+    fn outcome(&self) -> Outcome {
+        let mut outcome = self.outcome.clone();
+        if let Outcome::Planarity(o) = &mut outcome {
+            o.violation_witnesses = unpack_ids(&self.witnesses);
+        }
+        outcome
+    }
+}
+
+/// Packs node ids as LEB128 varints of their zigzag-encoded deltas:
+/// ascending ids less than 64 apart take one byte each. Ids in any
+/// order round-trip through [`unpack_ids`].
+fn pack_ids(ids: &[NodeId]) -> Box<[u8]> {
+    let mut bytes = Vec::with_capacity(ids.len());
+    let mut prev = 0i64;
+    for &id in ids {
+        let delta = i64::from(id.raw()) - prev;
+        prev = i64::from(id.raw());
+        let mut zigzag = ((delta << 1) ^ (delta >> 63)) as u64;
+        while zigzag >= 0x80 {
+            bytes.push(zigzag as u8 | 0x80);
+            zigzag >>= 7;
+        }
+        bytes.push(zigzag as u8);
+    }
+    bytes.into_boxed_slice()
+}
+
+/// The ids [`pack_ids`] packed, in their order.
+fn unpack_ids(bytes: &[u8]) -> Vec<NodeId> {
+    let mut ids = Vec::with_capacity(bytes.len());
+    let (mut prev, mut zigzag, mut shift) = (0i64, 0u64, 0);
+    for &b in bytes {
+        zigzag |= u64::from(b & 0x7f) << shift;
+        shift += 7;
+        if b < 0x80 {
+            prev += (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
+            ids.push(NodeId::new(prev as usize));
+            (zigzag, shift) = (0, 0);
+        }
+    }
+    ids
 }
 
 /// Stored results for one cache key.
@@ -207,7 +275,7 @@ impl ResultCache {
                 self.tick += 1;
                 stored.tick = self.tick;
                 self.lru.insert(self.tick, (slot_key, seed));
-                return Some((stored.outcome.clone(), CacheStatus::Warm, seed));
+                return Some((stored.outcome(), CacheStatus::Warm, seed));
             }
             if let Some((cert_seed, outcome)) = slot.certificate.as_ref() {
                 self.stats.certificate_hits += 1;
@@ -245,10 +313,7 @@ impl ResultCache {
         };
         if let std::collections::btree_map::Entry::Vacant(stripe) = slot.by_seed.entry(seed) {
             self.tick += 1;
-            stripe.insert(Stored {
-                outcome: outcome.clone(),
-                tick: self.tick,
-            });
+            stripe.insert(Stored::new(outcome, self.tick));
             self.lru.insert(self.tick, (slot_key, seed));
         }
         let mut certified = false;
@@ -336,8 +401,8 @@ impl ResultCache {
 mod tests {
     use super::*;
     use planartest_core::applications::HereditaryOutcome;
-    use planartest_graph::NodeId;
     use planartest_sim::SimStats;
+    use proptest::prelude::*;
 
     fn key(property: Property) -> CacheKey {
         CacheKey {
@@ -519,6 +584,30 @@ mod tests {
         let (_, status, seed) = cold.lookup(&k, 42).unwrap();
         assert_eq!(status, CacheStatus::Certificate);
         assert_eq!(seed, 2);
+    }
+
+    proptest! {
+        #[test]
+        fn packed_ids_round_trip(
+            raw in prop::collection::vec(0u64..1 << 32, 0..200),
+            sorted in 0u8..2,
+        ) {
+            let mut ids: Vec<NodeId> = raw.iter().map(|&r| NodeId::new(r as usize)).collect();
+            if sorted == 1 {
+                ids.sort_unstable();
+            }
+            prop_assert_eq!(unpack_ids(&pack_ids(&ids)), ids);
+        }
+    }
+
+    #[test]
+    fn packed_ids_extremes_and_density() {
+        let extremes = [u32::MAX, 0, u32::MAX, u32::MAX, 1].map(|r| NodeId::new(r as usize));
+        assert_eq!(unpack_ids(&pack_ids(&extremes)), extremes);
+        assert!(pack_ids(&[]).is_empty() && unpack_ids(&[]).is_empty());
+        // Ascending ids under 64 apart cost one byte each.
+        let dense: Vec<NodeId> = (0..500).map(|i| NodeId::new(3 * i + 7)).collect();
+        assert_eq!(pack_ids(&dense).len(), dense.len());
     }
 
     #[test]
