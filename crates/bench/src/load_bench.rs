@@ -4,11 +4,16 @@
 //! The **closed loop** section waits for each answer before the next
 //! query, isolating the one-sided cache and the coalescing scheduler
 //! from queueing: cold vs warm replay of a planar / certified-far
-//! corpus (a reject replays as a certificate, with no engine pass), a
-//! 16-seed fan-out served serially vs coalesced into one `run_many`
-//! pass, a [`CONNECTIONS`]-client unix-socket burst coalesced across
-//! clients, and the cold path with vs without the `--trace` writer
-//! (whose log is left behind as the `BENCH_trace.ldjson` artifact).
+//! corpus (a reject replays as a certificate, with no engine pass; the
+//! cold pass is also split into each key's first touch and the fresh
+//! seeds that ride its memoised prepared tester), a 16-seed fan-out
+//! served serially vs coalesced into one pass, a
+//! [`CONNECTIONS`]-client unix-socket burst coalesced across clients,
+//! and the cold path with vs without the `--trace` writer (whose log
+//! is left behind as the `BENCH_trace.ldjson` artifact). The gated
+//! serial baselines clear the cache before every query, so they keep
+//! measuring first-touch passes against one coalesced pass; the
+//! memo-kept serial figure is reported beside them, ungated.
 //!
 //! The **open loop** sweep sends requests on a pre-computed arrival
 //! schedule regardless of responses, exactly the way independent users
@@ -319,10 +324,12 @@ pub struct LoadGate {
     /// Closed loop: cold p50 over warm p50.
     pub warm_p50_speedup: f64,
     /// Closed loop: serial wall over coalesced wall on the same-graph
-    /// fan-out.
+    /// fan-out, the serial queries each a first touch (cache cleared
+    /// before every one).
     pub coalesced_speedup: f64,
     /// Closed loop: per-client-serial wall over cross-client coalesced
-    /// wall on the unix-socket burst.
+    /// wall on the unix-socket burst, the serial queries each a first
+    /// touch.
     pub burst_speedup: f64,
     /// Closed loop: trace-enabled throughput over metrics-only
     /// throughput on the cold serving path (best of three interleaved
@@ -1011,38 +1018,58 @@ mod serving {
         queries
     }
 
+    /// One closed-loop pass: every query's latency, the engine passes
+    /// split into each key's first touch (no memoised prepared tester
+    /// to ride) and fresh seeds (a memo hit, told apart by the
+    /// service's `prefix_hits`), the wall time and the verdicts.
+    struct TimedPass {
+        latency: Histogram,
+        first_touch: Histogram,
+        fresh_seed: Histogram,
+        wall_secs: f64,
+        verdicts: Vec<bool>,
+    }
+
     /// Issues each query alone, timing each one. With `expect` (the
     /// warm replay) every verdict must match and no query may reach
-    /// the engine. Returns the latencies, the wall time and the
-    /// verdicts.
-    fn timed_pass(
-        service: &mut Service,
-        queries: &[Query],
-        expect: Option<&[bool]>,
-    ) -> (Histogram, f64, Vec<bool>) {
-        let mut latency = Histogram::new();
-        let mut verdicts = Vec::with_capacity(queries.len());
+    /// the engine.
+    fn timed_pass(service: &mut Service, queries: &[Query], expect: Option<&[bool]>) -> TimedPass {
+        let mut pass = TimedPass {
+            latency: Histogram::new(),
+            first_touch: Histogram::new(),
+            fresh_seed: Histogram::new(),
+            wall_secs: 0.0,
+            verdicts: Vec::with_capacity(queries.len()),
+        };
         let started = Instant::now();
         for (i, q) in queries.iter().enumerate() {
+            let prefix_hits = service.stats().prefix_hits;
             let one = Instant::now();
             let r = service.query(q.clone()).expect("query");
-            latency.record(u64::try_from(one.elapsed().as_micros()).unwrap_or(u64::MAX));
-            verdicts.push(r.outcome.accepted());
+            let micros = u64::try_from(one.elapsed().as_micros()).unwrap_or(u64::MAX);
+            pass.latency.record(micros);
+            if service.stats().prefix_hits > prefix_hits {
+                pass.fresh_seed.record(micros);
+            } else if r.cache == CacheStatus::Cold {
+                pass.first_touch.record(micros);
+            }
+            pass.verdicts.push(r.outcome.accepted());
             if let Some(expect) = expect {
                 assert_eq!(
-                    verdicts[i], expect[i],
+                    pass.verdicts[i], expect[i],
                     "cache replay changed a verdict (query {i})"
                 );
                 assert_ne!(r.cache, CacheStatus::Cold, "warm pass hit the engine");
             }
         }
-        (latency, started.elapsed().as_secs_f64(), verdicts)
+        pass.wall_secs = started.elapsed().as_secs_f64();
+        pass
     }
 
     fn pass_row(label: &str, latency: &Histogram, wall_secs: f64) -> Json {
         let qps = latency.count() as f64 / wall_secs;
         println!(
-            "{label:<5} {:>5} queries {qps:>10.1} q/s   p50 {:>8}us  p99 {:>8}us",
+            "{label:<11} {:>5} queries {qps:>10.1} q/s   p50 {:>8}us  p99 {:>8}us",
             latency.count(),
             latency.value_at_quantile(0.50),
             latency.value_at_quantile(0.99),
@@ -1054,29 +1081,44 @@ mod serving {
     }
 
     /// Serves `queries` one `Service::query` — one drain, one engine
-    /// pass — each; returns the outcomes and the wall time.
-    fn serial(service: &mut Service, queries: &[Query]) -> (Vec<Outcome>, f64) {
+    /// pass — each from a cleared cache, so every one is a first touch
+    /// (`first_touch`), or from the cache as it goes, so all but the
+    /// first ride the memoised prepared tester; returns the outcomes
+    /// and the wall time.
+    fn serial(service: &mut Service, queries: &[Query], first_touch: bool) -> (Vec<Outcome>, f64) {
+        service.clear_cache();
         let started = Instant::now();
         let outcomes = queries
             .iter()
-            .map(|q| service.query(q.clone()).expect("query").outcome)
+            .map(|q| {
+                if first_touch {
+                    service.clear_cache();
+                }
+                service.query(q.clone()).expect("query").outcome
+            })
             .collect();
         (outcomes, started.elapsed().as_secs_f64())
     }
 
-    /// A serial-vs-coalesced row and its speedup.
+    /// A serial-vs-coalesced row and its gated speedup over the
+    /// first-touch serial sweep; the memo-kept sweep's speedup rides
+    /// along ungated.
     fn speedup_row(
         workload: &str,
         queries: usize,
         serial_secs: f64,
+        memo_serial_secs: f64,
         coalesced_secs: f64,
     ) -> (Json, f64) {
         let serial_qps = queries as f64 / serial_secs;
+        let memo_serial_qps = queries as f64 / memo_serial_secs;
         let coalesced_qps = queries as f64 / coalesced_secs;
         let speedup = serial_secs / coalesced_secs;
+        let memo_speedup = memo_serial_secs / coalesced_secs;
         println!(
             "{workload:<32} {queries:>3} queries  serial {serial_qps:>8.1} q/s   \
-             coalesced {coalesced_qps:>8.1} q/s   speedup {speedup:.2}x",
+             coalesced {coalesced_qps:>8.1} q/s   speedup {speedup:.2}x   \
+             (memo-kept serial {memo_serial_qps:>8.1} q/s, {memo_speedup:.2}x)",
         );
         let row = Json::obj()
             .field("workload", workload)
@@ -1085,7 +1127,10 @@ mod serving {
             .field("serial_qps", serial_qps)
             .field("coalesced_seconds", coalesced_secs)
             .field("coalesced_qps", coalesced_qps)
-            .field("speedup_vs_serial", speedup);
+            .field("speedup_vs_serial", speedup)
+            .field("memo_serial_seconds", memo_serial_secs)
+            .field("memo_serial_qps", memo_serial_qps)
+            .field("speedup_vs_memo_serial", memo_speedup);
         (row, speedup)
     }
 
@@ -1099,8 +1144,8 @@ mod serving {
                 Query::planarity(GraphRef::Name("tri".into()), cfg)
             })
             .collect();
-        service.clear_cache();
-        let (serial, serial_secs) = serial(service, &queries);
+        let (_, memo_serial_secs) = serial(service, &queries, false);
+        let (serial, serial_secs) = serial(service, &queries, true);
 
         service.clear_cache();
         let passes_before = service.engine_passes();
@@ -1128,6 +1173,7 @@ mod serving {
             "same_graph_monte_carlo_fanout",
             queries.len(),
             serial_secs,
+            memo_serial_secs,
             coalesced_secs,
         )
     }
@@ -1136,9 +1182,9 @@ mod serving {
     /// graph's sweep at once, against a server whose cycle fires
     /// exactly when the last query lands (`wake_depth` = all of them,
     /// 30 s linger); the baseline serves the same queries one drain
-    /// each. The server must coalesce across clients into one engine
-    /// pass and answer every query with the baseline's verdict, rounds
-    /// and words.
+    /// each, each a first touch. The server must coalesce across
+    /// clients into one engine pass and answer every query with the
+    /// baseline's verdict, rounds and words.
     fn burst() -> (Json, f64) {
         let per_client = if quick() { 4u64 } else { 8 };
         let total = CONNECTIONS as u64 * per_client;
@@ -1146,7 +1192,8 @@ mod serving {
         let queries: Vec<Query> = (0..total)
             .map(|seed| Query::planarity(GraphRef::Name("tri".into()), cfg.clone().with_seed(seed)))
             .collect();
-        let (serial, serial_secs) = serial(&mut closed_loop_service(), &queries);
+        let (_, memo_serial_secs) = serial(&mut closed_loop_service(), &queries, false);
+        let (serial, serial_secs) = serial(&mut closed_loop_service(), &queries, true);
 
         let arrivals: Vec<Arrival> = (0..total)
             .map(|seed| Arrival {
@@ -1198,6 +1245,7 @@ mod serving {
             "cross_client_unix_socket_fanout",
             queries.len(),
             serial_secs,
+            memo_serial_secs,
             served.wall_secs,
         )
     }
@@ -1258,16 +1306,30 @@ mod serving {
         println!("\n## closed loop (cold vs warm, coalesced fan-out, burst, trace overhead)");
         let mut service = closed_loop_service();
         let queries = closed_loop_queries();
-        let (cold, cold_wall, verdicts) = timed_pass(&mut service, &queries, None);
+        let cold_pass = timed_pass(&mut service, &queries, None);
         let passes_after_cold = service.engine_passes();
-        let (warm, warm_wall, _) = timed_pass(&mut service, &queries, Some(&verdicts));
+        let warm_pass = timed_pass(&mut service, &queries, Some(&cold_pass.verdicts));
         assert_eq!(
             service.engine_passes(),
             passes_after_cold,
             "warm pass must be engine-free"
         );
-        let cold_row = pass_row("cold", &cold, cold_wall);
-        let warm_row = pass_row("warm", &warm, warm_wall);
+        let (cold, warm) = (&cold_pass.latency, &warm_pass.latency);
+        let cold_row = pass_row("cold", cold, cold_pass.wall_secs);
+        // The first touch and fresh-seed rows time only their own
+        // queries, so their rates are per busy second.
+        let busy_secs = |h: &Histogram| h.sum().max(1) as f64 / 1e6;
+        let first_touch_row = pass_row(
+            "first_touch",
+            &cold_pass.first_touch,
+            busy_secs(&cold_pass.first_touch),
+        );
+        let fresh_seed_row = pass_row(
+            "fresh_seed",
+            &cold_pass.fresh_seed,
+            busy_secs(&cold_pass.fresh_seed),
+        );
+        let warm_row = pass_row("warm", warm, warm_pass.wall_secs);
         let stats = service.stats();
 
         let (coalesce_row, coalesced_speedup) = coalesce(&mut service);
@@ -1280,13 +1342,17 @@ mod serving {
         let doc = Json::obj()
             .field("corpus", corpus_rows(closed_loop_corpus()))
             .field("cold", cold_row)
+            .field("first_touch", first_touch_row)
+            .field("fresh_seed", fresh_seed_row)
             .field("warm", warm_row)
             .field(
                 "cache",
                 Json::obj()
                     .field("warm_hits", stats.cache.warm_hits)
                     .field("certificate_hits", stats.cache.certificate_hits)
-                    .field("misses", stats.cache.misses),
+                    .field("misses", stats.cache.misses)
+                    .field("prefix_hits", stats.prefix_hits)
+                    .field("prefix_misses", stats.prefix_misses),
             )
             .field("coalesce", coalesce_row)
             .field("burst", burst_row)

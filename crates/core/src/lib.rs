@@ -55,4 +55,4 @@ mod tester;
 
 pub use crate::config::{EmbeddingMode, TesterConfig};
 pub use crate::error::CoreError;
-pub use crate::tester::{PlanarityTester, RejectReason, TestOutcome};
+pub use crate::tester::{PlanarityTester, Prepared, RejectReason, TestOutcome};

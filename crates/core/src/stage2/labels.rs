@@ -71,10 +71,16 @@ impl LabeledEdge {
     /// Definition 7: `(u,v)` and `(u',v')` *intersect* iff
     /// `ℓ(u) < ℓ(u') < ℓ(v) < ℓ(v')` (in either role order).
     pub fn intersects(&self, other: &LabeledEdge) -> bool {
-        let lt = |a: &Label, b: &Label| a.lex_cmp(b) == Ordering::Less;
-        (lt(&self.lo, &other.lo) && lt(&other.lo, &self.hi) && lt(&self.hi, &other.hi))
-            || (lt(&other.lo, &self.lo) && lt(&self.lo, &other.hi) && lt(&other.hi, &self.hi))
+        intersects(&self.lo.0, &self.hi.0, &other.lo.0, &other.hi.0)
     }
+}
+
+/// [`LabeledEdge::intersects`] on digit slices: the ordered intervals
+/// `(lo, hi)` and `(other_lo, other_hi)` interleave strictly. Slices
+/// compare lexicographically, a prefix first, like [`Label::lex_cmp`].
+pub(crate) fn intersects(lo: &[u32], hi: &[u32], other_lo: &[u32], other_hi: &[u32]) -> bool {
+    (lo < other_lo && other_lo < hi && hi < other_hi)
+        || (other_lo < lo && lo < other_hi && other_hi < hi)
 }
 
 /// Appends the packed wire encoding of a label to `out`: a header word

@@ -1,12 +1,14 @@
 //! The full planarity tester (Theorem 1): Stage I then Stage II.
 
+use std::mem::size_of;
+
 use planartest_graph::{Graph, NodeId};
 use planartest_sim::{Backend, Engine, SimConfig, SimStats};
 
 use crate::config::TesterConfig;
 use crate::error::CoreError;
 use crate::partition::{self, PhaseMetrics};
-use crate::stage2::{self, PartReport};
+use crate::stage2::{PartReport, Stage2Prefix};
 
 /// Why a node output `reject`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,17 +131,17 @@ impl PlanarityTester {
     }
 
     /// Serves a whole batch of Monte-Carlo queries on `g` — one
-    /// independent tester instance per seed — through a single pass on
-    /// one engine.
+    /// independent tester instance per seed — through one pass:
+    /// [`prepare`](Self::prepare), then [`Prepared::sample`].
     ///
     /// The Stage-I partition and the seed-independent Stage-II prefix
     /// (BFS trees, counting, embedding, label distribution/exchange)
     /// run **once**; every instance is credited their full round cost.
-    /// Only the seed-dependent Stage-II sample streams run per seed,
-    /// back to back on the same engine. Each returned [`TestOutcome`] —
-    /// verdict, witnesses *and* statistics — is bit-for-bit identical to
-    /// what [`PlanarityTester::run`] with that seed produces; only the
-    /// wall-clock collapses.
+    /// Only the seed-dependent Stage-II sample streams run per seed.
+    /// Each returned [`TestOutcome`] — verdict, witnesses *and*
+    /// statistics — is bit-for-bit identical to what
+    /// [`PlanarityTester::run`] with that seed produces; only the
+    /// wall-clock collapses. Nothing is memoised across calls.
     ///
     /// # Errors
     ///
@@ -149,9 +151,19 @@ impl PlanarityTester {
         if seeds.is_empty() {
             return Ok(Vec::new());
         }
+        self.prepare(g)?.sample(g, seeds)
+    }
+
+    /// Runs everything of a pass on `g` that does not read the seed:
+    /// Stage I and Stage II's steps 1–5. The result serves any number
+    /// of [`Prepared::sample`] calls on `g`.
+    ///
+    /// # Errors
+    ///
+    /// Infrastructure errors only (model violations).
+    pub fn prepare(&self, g: &Graph) -> Result<Prepared, CoreError> {
         let mut engine = Engine::new(g, self.sim);
-        // Stage I is deterministic and seed-independent: one run serves
-        // the whole batch, each instance paying its cost in full.
+        // Stage I is deterministic and seed-independent.
         let partition = partition::run_partition(&mut engine, &self.cfg)?;
         let stage1_stats = *engine.stats();
         let stage1_rejections: Vec<(NodeId, RejectReason)> = partition
@@ -159,37 +171,109 @@ impl PlanarityTester {
             .iter()
             .map(|&v| (v, RejectReason::ArboricityEvidence))
             .collect();
-        if !stage1_rejections.is_empty() {
-            // Stage II never runs: every instance observes the same
-            // Stage-I evidence.
+        // Stage II never runs after a Stage-I reject.
+        let stage2 = if stage1_rejections.is_empty() {
+            Some(Stage2Prefix::prepare(
+                &mut engine,
+                &self.cfg,
+                &partition.state,
+            )?)
+        } else {
+            None
+        };
+        Ok(Prepared {
+            cfg: self.cfg.clone(),
+            sim: self.sim,
+            n: g.n(),
+            m: g.m(),
+            phases: partition.phases,
+            stage1_stats,
+            stage1_rejections,
+            stage2,
+        })
+    }
+}
+
+/// The seed-independent part of a tester pass on one graph under one
+/// configuration: Stage I (§2.1) and Stage II's steps 1–5 (§2.2). Only
+/// step 6 — the sample of non-tree edges — reads the seed, so one
+/// `Prepared` serves any number of [`sample`](Self::sample) calls, in
+/// any order, each seed credited the full shared cost. It owns its
+/// configuration, borrows no graph and is `Send + Sync`, so a server
+/// can keep it per `(graph, config)`.
+#[derive(Debug)]
+pub struct Prepared {
+    cfg: TesterConfig,
+    sim: SimConfig,
+    /// The prepared graph's size, checked by `sample`.
+    n: usize,
+    m: usize,
+    phases: Vec<PhaseMetrics>,
+    stage1_stats: SimStats,
+    stage1_rejections: Vec<(NodeId, RejectReason)>,
+    /// Stage II's prefix; `None` after a Stage-I reject.
+    stage2: Option<Stage2Prefix>,
+}
+
+impl Prepared {
+    /// Runs Stage II's step 6 for each seed on a fresh engine over `g`,
+    /// the graph this was prepared on. Each outcome is bit-for-bit what
+    /// [`PlanarityTester::run`] with that seed produces. After a
+    /// Stage-I reject every seed gets that reject, with no engine run.
+    ///
+    /// # Errors
+    ///
+    /// Infrastructure errors only; fails fast if any instance errs
+    /// (e.g. a `1/poly(n)` sample overflow — rerun with other seeds).
+    ///
+    /// # Panics
+    ///
+    /// If `g`'s node or edge count differs from the prepared graph's.
+    pub fn sample(&self, g: &Graph, seeds: &[u64]) -> Result<Vec<TestOutcome>, CoreError> {
+        assert_eq!(
+            (g.n(), g.m()),
+            (self.n, self.m),
+            "Prepared::sample needs the graph it was prepared on"
+        );
+        let Some(stage2) = &self.stage2 else {
+            // Every instance observes the same Stage-I evidence.
             return Ok(seeds
                 .iter()
                 .map(|_| TestOutcome {
-                    rejections: stage1_rejections.clone(),
-                    stats: stage1_stats,
-                    phases: partition.phases.clone(),
+                    rejections: self.stage1_rejections.clone(),
+                    stats: self.stage1_stats,
+                    phases: self.phases.clone(),
                     parts: Vec::new(),
                     violation_witnesses: Vec::new(),
                 })
                 .collect());
-        }
-        let batch = stage2::run_stage2_many(&mut engine, &self.cfg, seeds, &partition.state)?;
+        };
+        let mut engine = Engine::new(g, self.sim);
+        let batch = stage2.sample(&mut engine, &self.cfg, seeds)?;
         Ok(batch
             .outcomes
             .into_iter()
             .zip(batch.stats)
             .map(|(s2, s2_stats)| {
-                let mut stats = stage1_stats;
+                let mut stats = self.stage1_stats;
                 stats.merge(&s2_stats);
                 TestOutcome {
                     rejections: s2.rejections,
                     stats,
-                    phases: partition.phases.clone(),
+                    phases: self.phases.clone(),
                     parts: s2.parts,
                     violation_witnesses: s2.violation_witnesses,
                 }
             })
             .collect())
+    }
+
+    /// Heap bytes held: the phase metrics and rejections, the part
+    /// trees and reports, and the labelled non-tree edges.
+    pub fn heap_bytes(&self) -> usize {
+        self.phases.capacity() * size_of::<PhaseMetrics>()
+            + self.stage1_rejections.capacity() * size_of::<(NodeId, RejectReason)>()
+            + self.stage2.as_ref().map_or(0, Stage2Prefix::heap_bytes)
     }
 }
 

@@ -39,10 +39,31 @@
 //! never be needed again. (A certifiable reject's own stripe may be
 //! evicted; its outcome lives on in the certificate, so only its
 //! `warm` vs `certificate` provenance label changes.)
+//!
+//! A planarity stripe keeps only what varies by seed: its rejections,
+//! witnesses, statistics and each part's sample count. The Stage-I
+//! phase metrics and the part reports are the same for every seed of a
+//! key, so its slot keeps them once and a warm hit rebuilds the
+//! identical outcome.
+//!
+//! # The prepared-tester memo
+//!
+//! Beside the outcomes, each planarity slot may keep the key's
+//! [`Prepared`] tester — Stage I and the seed-free Stage-II prefix —
+//! so a fresh seed on a key the server has already run pays only its
+//! sample lane. The memo is an LRU bounded by
+//! [`Prepared::heap_bytes`] (`PREFIX_BUDGET_BYTES`, 64 MiB; an entry
+//! larger than the whole budget is not kept). A slot with a
+//! certificate never keeps a prefix: no query on it reaches the engine
+//! again.
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
+use planartest_core::partition::PhaseMetrics;
+use planartest_core::stage2::PartReport;
+use planartest_core::{Prepared, TestOutcome};
 use planartest_graph::fingerprint::Fingerprint;
 use planartest_graph::NodeId;
 
@@ -53,9 +74,14 @@ use crate::query::{CacheStatus, Outcome, Property};
 /// evicted — while still bounding a months-long serve loop.
 ///
 /// A strict-mode planarity stripe on `tri_grid(24,24)` or `grid(24,24)`
-/// holds about 1.2 KB of heap, 2.8 KB unpacked: its 400–500 violation
-/// witnesses take one byte each, packed, instead of four.
+/// holds 0.4–0.5 KB of heap beside its 176 inline bytes: its 400–500
+/// violation witnesses take one byte each, packed, and the phase
+/// metrics and part reports it shares with every seed of its slot (0.7
+/// KB there) are kept once per slot.
 pub const DEFAULT_ACCEPT_CAPACITY: usize = 1 << 16;
+
+/// The prepared-tester memo's byte budget, in [`Prepared::heap_bytes`].
+const PREFIX_BUDGET_BYTES: usize = 64 << 20;
 
 /// Cache key: graph content × configuration (seed excluded) × property.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,49 +98,99 @@ pub struct CacheKey {
 /// One stored per-seed outcome plus its LRU recency stamp.
 #[derive(Debug, Clone)]
 struct Stored {
-    /// The outcome, less a planarity outcome's violation witnesses...
+    /// The outcome, less a planarity outcome's phase metrics and part
+    /// reports (kept once per slot, in [`CacheSlot::seed_free`]) and its
+    /// violation witnesses...
     outcome: Outcome,
     /// ...which are kept packed ([`pack_ids`]): they are most of a
     /// stripe's heap and only telemetry.
     witnesses: Box<[u8]>,
+    /// Each part's `sampled` count, in part order, packed the same way.
+    sampled: Box<[u8]>,
     /// The cache-wide logical clock value of the last touch (insert or
     /// warm hit); the key of this entry in the LRU index.
     tick: u64,
 }
 
+/// What every planarity outcome of one slot shares: the Stage-I phase
+/// metrics and the part reports, less their per-seed `sampled` counts.
+#[derive(Debug, Clone, PartialEq)]
+struct SeedFree {
+    phases: Vec<PhaseMetrics>,
+    parts: Vec<PartReport>,
+}
+
 impl Stored {
-    fn new(outcome: &Outcome, tick: u64) -> Self {
-        let mut outcome = outcome.clone();
-        let witnesses = match &mut outcome {
-            Outcome::Planarity(o) => pack_ids(&std::mem::take(&mut o.violation_witnesses)),
-            Outcome::Hereditary { .. } => Box::default(),
+    /// Strips `outcome` down to what varies by seed; a planarity
+    /// outcome's seed-free rest goes into `seed_free` if it is empty.
+    fn new(outcome: &Outcome, tick: u64, seed_free: &mut Option<SeedFree>) -> Self {
+        let (outcome, witnesses, sampled) = match outcome {
+            Outcome::Planarity(o) => {
+                let shared = || SeedFree {
+                    phases: o.phases.clone(),
+                    parts: o
+                        .parts
+                        .iter()
+                        .map(|p| PartReport {
+                            sampled: 0,
+                            ..p.clone()
+                        })
+                        .collect(),
+                };
+                match seed_free {
+                    Some(kept) => debug_assert_eq!(*kept, shared(), "seed-free outcome diverged"),
+                    None => *seed_free = Some(shared()),
+                }
+                let stripped = TestOutcome {
+                    rejections: o.rejections.clone(),
+                    stats: o.stats,
+                    phases: Vec::new(),
+                    parts: Vec::new(),
+                    violation_witnesses: Vec::new(),
+                };
+                let sampled = pack_varints(o.parts.iter().map(|p| p.sampled as i64));
+                (
+                    Outcome::Planarity(stripped),
+                    pack_ids(&o.violation_witnesses),
+                    sampled,
+                )
+            }
+            Outcome::Hereditary { .. } => (outcome.clone(), Box::default(), Box::default()),
         };
         Stored {
             outcome,
             witnesses,
+            sampled,
             tick,
         }
     }
 
     /// The outcome exactly as it was inserted.
-    fn outcome(&self) -> Outcome {
+    fn outcome(&self, seed_free: Option<&SeedFree>) -> Outcome {
         let mut outcome = self.outcome.clone();
         if let Outcome::Planarity(o) = &mut outcome {
+            let shared = seed_free.expect("a planarity stripe's slot keeps its seed-free outcome");
+            o.phases = shared.phases.clone();
+            o.parts = shared.parts.clone();
+            for (part, sampled) in o.parts.iter_mut().zip(unpack_varints(&self.sampled)) {
+                part.sampled = sampled as usize;
+            }
             o.violation_witnesses = unpack_ids(&self.witnesses);
         }
         outcome
     }
 }
 
-/// Packs node ids as LEB128 varints of their zigzag-encoded deltas:
-/// ascending ids less than 64 apart take one byte each. Ids in any
-/// order round-trip through [`unpack_ids`].
-fn pack_ids(ids: &[NodeId]) -> Box<[u8]> {
-    let mut bytes = Vec::with_capacity(ids.len());
+/// Packs integers as LEB128 varints of their zigzag-encoded deltas:
+/// ascending values less than 64 apart take one byte each. Values in
+/// any order round-trip through [`unpack_varints`].
+fn pack_varints(values: impl IntoIterator<Item = i64>) -> Box<[u8]> {
+    let values = values.into_iter();
+    let mut bytes = Vec::with_capacity(values.size_hint().0);
     let mut prev = 0i64;
-    for &id in ids {
-        let delta = i64::from(id.raw()) - prev;
-        prev = i64::from(id.raw());
+    for value in values {
+        let delta = value - prev;
+        prev = value;
         let mut zigzag = ((delta << 1) ^ (delta >> 63)) as u64;
         while zigzag >= 0x80 {
             bytes.push(zigzag as u8 | 0x80);
@@ -125,20 +201,31 @@ fn pack_ids(ids: &[NodeId]) -> Box<[u8]> {
     bytes.into_boxed_slice()
 }
 
-/// The ids [`pack_ids`] packed, in their order.
-fn unpack_ids(bytes: &[u8]) -> Vec<NodeId> {
-    let mut ids = Vec::with_capacity(bytes.len());
+/// The values [`pack_varints`] packed, in their order.
+fn unpack_varints(bytes: &[u8]) -> impl Iterator<Item = i64> + '_ {
     let (mut prev, mut zigzag, mut shift) = (0i64, 0u64, 0);
-    for &b in bytes {
+    bytes.iter().filter_map(move |&b| {
         zigzag |= u64::from(b & 0x7f) << shift;
         shift += 7;
-        if b < 0x80 {
-            prev += (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
-            ids.push(NodeId::new(prev as usize));
-            (zigzag, shift) = (0, 0);
+        if b >= 0x80 {
+            return None;
         }
-    }
-    ids
+        prev += (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
+        (zigzag, shift) = (0, 0);
+        Some(prev)
+    })
+}
+
+/// Packs node ids with [`pack_varints`].
+fn pack_ids(ids: &[NodeId]) -> Box<[u8]> {
+    pack_varints(ids.iter().map(|id| i64::from(id.raw())))
+}
+
+/// The ids [`pack_ids`] packed, in their order.
+fn unpack_ids(bytes: &[u8]) -> Vec<NodeId> {
+    unpack_varints(bytes)
+        .map(|id| NodeId::new(id as usize))
+        .collect()
 }
 
 /// Stored results for one cache key.
@@ -148,9 +235,27 @@ struct CacheSlot {
     /// bit-identically for repeat queries. For seed-independent
     /// properties everything lives under seed 0. LRU-bounded.
     by_seed: BTreeMap<u64, Stored>,
+    /// What the planarity stripes share, kept once while any is
+    /// resident.
+    seed_free: Option<SeedFree>,
     /// The permanent reject certificate: `(certifying seed, outcome)`.
     /// Set by the first reject; never evicted (one-sided error).
     certificate: Option<(u64, Outcome)>,
+}
+
+/// The prepared-tester memo's counters and occupancy.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct PrefixStats {
+    /// Planarity groups that found their key's prefix.
+    pub hits: u64,
+    /// Planarity groups that had to prepare one.
+    pub misses: u64,
+    /// Prefixes dropped by the byte budget.
+    pub evictions: u64,
+    /// Prefixes resident.
+    pub entries: usize,
+    /// Their [`Prepared::heap_bytes`] total.
+    pub bytes: usize,
 }
 
 /// Running hit/miss counters (service telemetry).
@@ -175,10 +280,17 @@ pub struct ResultCache {
     /// LRU index over every per-seed stripe: recency tick → its
     /// location. Certificates are deliberately not in here.
     lru: BTreeMap<u64, (SlotKey, u64)>,
-    /// Monotone logical clock driving the LRU order.
+    /// Monotone logical clock driving both LRU orders.
     tick: u64,
     accept_capacity: usize,
     stats: CacheStats,
+    /// The prepared-tester memo: each entry with its recency tick.
+    prefixes: HashMap<SlotKey, (Arc<Prepared>, u64)>,
+    /// LRU index over the memo: recency tick → slot key.
+    prefix_lru: BTreeMap<u64, SlotKey>,
+    /// The memo's byte budget ([`PREFIX_BUDGET_BYTES`]).
+    prefix_budget: usize,
+    prefix_stats: PrefixStats,
 }
 
 impl Default for ResultCache {
@@ -189,6 +301,10 @@ impl Default for ResultCache {
             tick: 0,
             accept_capacity: DEFAULT_ACCEPT_CAPACITY,
             stats: CacheStats::default(),
+            prefixes: HashMap::new(),
+            prefix_lru: BTreeMap::new(),
+            prefix_budget: PREFIX_BUDGET_BYTES,
+            prefix_stats: PrefixStats::default(),
         }
     }
 }
@@ -240,8 +356,11 @@ impl ResultCache {
             if let Some(slot) = self.slots.get_mut(&slot_key) {
                 slot.by_seed.remove(&seed);
                 self.stats.evictions += 1;
-                if slot.by_seed.is_empty() && slot.certificate.is_none() {
-                    self.slots.remove(&slot_key);
+                if slot.by_seed.is_empty() {
+                    slot.seed_free = None;
+                    if slot.certificate.is_none() {
+                        self.slots.remove(&slot_key);
+                    }
                 }
             }
         }
@@ -275,7 +394,8 @@ impl ResultCache {
                 self.tick += 1;
                 stored.tick = self.tick;
                 self.lru.insert(self.tick, (slot_key, seed));
-                return Some((stored.outcome(), CacheStatus::Warm, seed));
+                let outcome = stored.outcome(slot.seed_free.as_ref());
+                return Some((outcome, CacheStatus::Warm, seed));
             }
             if let Some((cert_seed, outcome)) = slot.certificate.as_ref() {
                 self.stats.certificate_hits += 1;
@@ -313,16 +433,77 @@ impl ResultCache {
         };
         if let std::collections::btree_map::Entry::Vacant(stripe) = slot.by_seed.entry(seed) {
             self.tick += 1;
-            stripe.insert(Stored::new(outcome, self.tick));
+            stripe.insert(Stored::new(outcome, self.tick, &mut slot.seed_free));
             self.lru.insert(self.tick, (slot_key, seed));
         }
         let mut certified = false;
         if certifiable && !outcome.accepted() && slot.certificate.is_none() {
             slot.certificate = Some((seed, outcome.clone()));
             certified = true;
+            self.remove_prefix(&slot_key);
         }
         self.evict_over_capacity();
         certified
+    }
+
+    /// Looks up the key's prepared tester when its group forms; counts
+    /// the hit or miss and touches the memo's LRU order.
+    pub(crate) fn lookup_prefix(&mut self, key: &CacheKey) -> Option<Arc<Prepared>> {
+        let slot_key = Self::slot_key(key);
+        let Some((prepared, tick)) = self.prefixes.get_mut(&slot_key) else {
+            self.prefix_stats.misses += 1;
+            return None;
+        };
+        self.prefix_stats.hits += 1;
+        self.prefix_lru.remove(tick);
+        self.tick += 1;
+        *tick = self.tick;
+        self.prefix_lru.insert(self.tick, slot_key);
+        Some(Arc::clone(prepared))
+    }
+
+    /// Keeps a freshly prepared tester for its key, evicting the least
+    /// recently used prefixes past the byte budget. Not kept: one larger
+    /// than the whole budget, and any for a key with a certificate.
+    pub(crate) fn insert_prefix(&mut self, key: &CacheKey, prepared: Arc<Prepared>) {
+        let slot_key = Self::slot_key(key);
+        let bytes = prepared.heap_bytes();
+        let certified = self
+            .slots
+            .get(&slot_key)
+            .is_some_and(|slot| slot.certificate.is_some());
+        if certified || bytes > self.prefix_budget {
+            return;
+        }
+        self.remove_prefix(&slot_key);
+        self.tick += 1;
+        self.prefixes.insert(slot_key, (prepared, self.tick));
+        self.prefix_lru.insert(self.tick, slot_key);
+        self.prefix_stats.bytes += bytes;
+        while self.prefix_stats.bytes > self.prefix_budget {
+            let (_, oldest) = self
+                .prefix_lru
+                .pop_first()
+                .expect("an over-budget memo is non-empty");
+            self.remove_prefix(&oldest);
+            self.prefix_stats.evictions += 1;
+        }
+    }
+
+    fn remove_prefix(&mut self, slot_key: &SlotKey) {
+        if let Some((prepared, tick)) = self.prefixes.remove(slot_key) {
+            self.prefix_lru.remove(&tick);
+            self.prefix_stats.bytes -= prepared.heap_bytes();
+        }
+    }
+
+    /// The memo's counters (since construction or the last
+    /// [`clear`](Self::clear)) and occupancy.
+    pub(crate) fn prefix_stats(&self) -> PrefixStats {
+        PrefixStats {
+            entries: self.prefixes.len(),
+            ..self.prefix_stats
+        }
     }
 
     /// Installs a certificate replayed from the durable log **without**
@@ -341,6 +522,7 @@ impl ResultCache {
             return false;
         }
         slot.certificate = Some((seed, outcome));
+        self.remove_prefix(&Self::slot_key(key));
         true
     }
 
@@ -388,12 +570,16 @@ impl ResultCache {
         self.slots.values().map(|s| s.by_seed.len()).sum()
     }
 
-    /// Drops every entry and resets the counters (used by load drivers
-    /// to re-measure cold paths). The configured capacity is kept.
+    /// Drops every entry, prepared testers included, and resets the
+    /// counters (used by load drivers to re-measure cold paths). The
+    /// configured capacity is kept.
     pub fn clear(&mut self) {
         self.slots.clear();
         self.lru.clear();
         self.stats = CacheStats::default();
+        self.prefixes.clear();
+        self.prefix_lru.clear();
+        self.prefix_stats = PrefixStats::default();
     }
 }
 
@@ -401,6 +587,7 @@ impl ResultCache {
 mod tests {
     use super::*;
     use planartest_core::applications::HereditaryOutcome;
+    use planartest_core::PlanarityTester;
     use planartest_sim::SimStats;
     use proptest::prelude::*;
 
@@ -618,5 +805,130 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), CacheStats::default());
+    }
+
+    fn prepared(spec_text: &str) -> Arc<Prepared> {
+        let graph = planartest_graph::generators::spec::parse(spec_text)
+            .expect("spec")
+            .graph;
+        let cfg = planartest_core::TesterConfig::new(0.1).with_phases(4);
+        Arc::new(PlanarityTester::new(cfg).prepare(&graph).expect("prepare"))
+    }
+
+    fn graph_key(graph: u128) -> CacheKey {
+        CacheKey {
+            graph: Fingerprint(graph),
+            ..key(Property::Planarity)
+        }
+    }
+
+    #[test]
+    fn planarity_stripes_share_phases_and_parts() {
+        let graph = planartest_graph::generators::spec::parse("tri_grid(5,5)")
+            .unwrap()
+            .graph;
+        let cfg = planartest_core::TesterConfig::new(0.1).with_phases(4);
+        let outs = PlanarityTester::new(cfg).run_many(&graph, &[1, 2]).unwrap();
+        let mut cache = ResultCache::new();
+        let k = key(Property::Planarity);
+        for (seed, out) in [1, 2].into_iter().zip(&outs) {
+            cache.insert(&k, seed, &Outcome::Planarity(out.clone()), true);
+        }
+        let slot = &cache.slots[&ResultCache::slot_key(&k)];
+        let kept = slot.seed_free.as_ref().expect("kept once per slot");
+        assert!(!kept.parts.is_empty() && kept.parts.iter().all(|p| p.sampled == 0));
+        for (seed, out) in [1, 2].into_iter().zip(&outs) {
+            let Outcome::Planarity(hit) = cache.lookup(&k, seed).unwrap().0 else {
+                panic!("planarity stripe");
+            };
+            assert_eq!(hit.rejections, out.rejections);
+            assert_eq!(hit.stats, out.stats);
+            assert_eq!(hit.phases, out.phases);
+            assert_eq!(hit.parts, out.parts);
+            assert_eq!(hit.violation_witnesses, out.violation_witnesses);
+        }
+        // The last stripe's eviction drops what the stripes shared.
+        cache.set_accept_capacity(0);
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn prefix_bytes_track_heap_bytes_and_lru_evicts_oldest() {
+        let mut cache = ResultCache::new();
+        let (a, b, c) = (
+            prepared("tri_grid(5,5)"),
+            prepared("grid(4,6)"),
+            prepared("cycle(12)"),
+        );
+        let sizes = [a.heap_bytes(), b.heap_bytes(), c.heap_bytes()];
+        // Room for exactly the two largest.
+        cache.prefix_budget = sizes[0] + sizes[1].max(sizes[2]);
+        assert!(cache.lookup_prefix(&graph_key(1)).is_none());
+        cache.insert_prefix(&graph_key(1), Arc::clone(&a));
+        cache.insert_prefix(&graph_key(2), Arc::clone(&b));
+        assert_eq!(cache.prefix_stats().bytes, sizes[0] + sizes[1]);
+        // Touch the older entry: the newer one is now least recent...
+        assert!(Arc::ptr_eq(
+            &cache.lookup_prefix(&graph_key(1)).unwrap(),
+            &a
+        ));
+        // ...so a third entry evicts it.
+        cache.insert_prefix(&graph_key(3), Arc::clone(&c));
+        assert!(cache.lookup_prefix(&graph_key(2)).is_none());
+        assert!(cache.lookup_prefix(&graph_key(1)).is_some());
+        assert!(cache.lookup_prefix(&graph_key(3)).is_some());
+        assert_eq!(
+            cache.prefix_stats(),
+            PrefixStats {
+                hits: 3,
+                misses: 2,
+                evictions: 1,
+                entries: 2,
+                bytes: sizes[0] + sizes[2],
+            }
+        );
+        let resident: usize = cache.prefixes.values().map(|(p, _)| p.heap_bytes()).sum();
+        assert_eq!(cache.prefix_stats().bytes, resident);
+    }
+
+    #[test]
+    fn oversize_prefix_is_not_kept() {
+        let mut cache = ResultCache::new();
+        let p = prepared("tri_grid(5,5)");
+        cache.prefix_budget = p.heap_bytes() - 1;
+        cache.insert_prefix(&graph_key(1), p);
+        assert_eq!(cache.prefix_stats(), PrefixStats::default());
+        assert!(cache.lookup_prefix(&graph_key(1)).is_none());
+    }
+
+    #[test]
+    fn certificates_block_and_drop_prefixes() {
+        let mut cache = ResultCache::new();
+        let k = key(Property::Planarity);
+        cache.insert_prefix(&k, prepared("tri_grid(5,5)"));
+        assert_eq!(cache.prefix_stats().entries, 1);
+        // Forming a certificate drops the slot's prefix...
+        assert!(cache.insert(&k, 1, &outcome(false), true));
+        assert_eq!(cache.prefix_stats().entries, 0);
+        assert_eq!(cache.prefix_stats().bytes, 0);
+        // ...and a certified slot keeps none.
+        cache.insert_prefix(&k, prepared("tri_grid(5,5)"));
+        assert_eq!(cache.prefix_stats().entries, 0);
+        // So does one whose certificate was replayed from the log.
+        let mut replayed = ResultCache::new();
+        replayed.insert_prefix(&k, prepared("grid(4,6)"));
+        assert!(replayed.load_certificate(&k, 1, outcome(false)));
+        assert_eq!(replayed.prefix_stats().entries, 0);
+    }
+
+    #[test]
+    fn clear_empties_prefixes() {
+        let mut cache = ResultCache::new();
+        cache.insert_prefix(&graph_key(1), prepared("grid(4,6)"));
+        assert!(cache.lookup_prefix(&graph_key(1)).is_some());
+        cache.clear();
+        assert_eq!(cache.prefix_stats(), PrefixStats::default());
+        assert!(cache.prefix_lru.is_empty());
+        assert!(cache.lookup_prefix(&graph_key(1)).is_none());
     }
 }

@@ -2,22 +2,29 @@
 //!
 //! A *group* is the scheduler's unit of engine work — every pending
 //! query that shares a `(graph, config, property)` cache key rides one
-//! batched engine pass. Groups are mutually independent
-//! (distinct keys, disjoint outputs) and [`execute_groups`] fans them
-//! across a [`TrialRunner`] pool: group execution is **pure** — it
-//! reads the resident CSR through an immutable registry borrow and
-//! returns a [`GroupPass`] — so the only ordered state (cache inserts,
-//! the engine-pass counter, response slots) is applied afterwards by
-//! the scheduler, sequentially, in group order. That split is what
-//! makes parallel group drains bit-for-bit equal to sequential ones
-//! (proven by `tests/drain_proptests.rs`) no matter how the pool
-//! schedules the work — and what lets the pipelined server run this
-//! stage on a scoped thread while the drain thread resolves the *next*
-//! cycle's arrivals against the cache: [`execute_groups`] only ever
-//! holds shared borrows of the registry and runner.
+//! batched engine pass. A planarity group arrives carrying its key's
+//! memoised [`Prepared`] tester when the cache has one, and then runs
+//! only its seeds' sample lanes ([`Prepared::sample`]); otherwise it
+//! prepares one ([`PlanarityTester::prepare`]) and hands it back in
+//! its [`GroupPass`] for the scheduler to keep. Groups are mutually
+//! independent (distinct keys, disjoint outputs) and
+//! [`execute_groups`] fans them across a [`TrialRunner`] pool: group
+//! execution is **pure** — it reads the resident CSR through an
+//! immutable registry borrow and returns a [`GroupPass`] — so the only
+//! ordered state (cache and memo inserts, the engine-pass counter,
+//! response slots) is applied afterwards by the scheduler,
+//! sequentially, in group order. That split is what makes parallel
+//! group drains bit-for-bit equal to sequential ones (proven by
+//! `tests/drain_proptests.rs`) no matter how the pool schedules the
+//! work — and what lets the pipelined server run this stage on a
+//! scoped thread while the drain thread resolves the *next* cycle's
+//! arrivals against the cache: [`execute_groups`] only ever holds
+//! shared borrows of the registry and runner.
+
+use std::sync::Arc;
 
 use planartest_core::applications::{test_bipartiteness, test_cycle_freeness, HereditaryOutcome};
-use planartest_core::{CoreError, PlanarityTester, TesterConfig};
+use planartest_core::{CoreError, PlanarityTester, Prepared, TesterConfig};
 use planartest_graph::Graph;
 use planartest_sim::{Engine, SimConfig, SimStats, TrialRunner};
 
@@ -41,6 +48,9 @@ pub(crate) struct Group {
     pub seeds: Vec<u64>,
     /// `(response slot, resolved query)` pairs, submission order.
     pub members: Vec<(usize, Resolved)>,
+    /// The key's memoised prepared tester, looked up when the group
+    /// formed (planarity only).
+    pub prefix: Option<Arc<Prepared>>,
 }
 
 impl Group {
@@ -61,6 +71,9 @@ pub(crate) struct GroupPass {
     pub by_seed: Result<Vec<(u64, Outcome)>, CoreError>,
     /// Wall-clock of the pass (split per member by the scheduler).
     pub engine_micros: u64,
+    /// A tester this pass prepared (the group had none), for the
+    /// scheduler to memoise.
+    pub prepared: Option<Arc<Prepared>>,
 }
 
 /// Runs every group, fanning independent groups across the runner's
@@ -90,17 +103,26 @@ fn run_group_pass(registry: &GraphRegistry, group: &Group, clock: &Clock) -> Gro
         .graph;
 
     let started = clock.now_micros();
+    let mut prepared = None;
     let by_seed: Result<Vec<(u64, Outcome)>, CoreError> = match group.key.property {
-        Property::Planarity => PlanarityTester::new(group.cfg.clone())
-            .run_many(graph, &group.seeds)
-            .map(|outs| {
-                group
-                    .seeds
-                    .iter()
-                    .copied()
-                    .zip(outs.into_iter().map(Outcome::Planarity))
-                    .collect()
-            }),
+        Property::Planarity => {
+            let tester = match &group.prefix {
+                Some(tester) => Ok(Arc::clone(tester)),
+                None => PlanarityTester::new(group.cfg.clone())
+                    .prepare(graph)
+                    .map(|tester| Arc::clone(prepared.insert(Arc::new(tester)))),
+            };
+            tester
+                .and_then(|tester| tester.sample(graph, &group.seeds))
+                .map(|outs| {
+                    group
+                        .seeds
+                        .iter()
+                        .copied()
+                        .zip(outs.into_iter().map(Outcome::Planarity))
+                        .collect()
+                })
+        }
         Property::CycleFreeness | Property::Bipartiteness => {
             run_hereditary(graph, &group.cfg, group.key.property)
                 .map(|(outcome, stats)| vec![(0, Outcome::Hereditary { outcome, stats })])
@@ -109,6 +131,7 @@ fn run_group_pass(registry: &GraphRegistry, group: &Group, clock: &Clock) -> Gro
     GroupPass {
         by_seed,
         engine_micros: clock.now_micros().saturating_sub(started),
+        prepared,
     }
 }
 
@@ -123,7 +146,7 @@ fn run_hereditary(
     let outcome = match property {
         Property::CycleFreeness => test_cycle_freeness(&mut engine, cfg)?,
         Property::Bipartiteness => test_bipartiteness(&mut engine, cfg)?,
-        Property::Planarity => unreachable!("planarity rides run_many"),
+        Property::Planarity => unreachable!("planarity rides a prepared tester"),
     };
     Ok((outcome, *engine.stats()))
 }

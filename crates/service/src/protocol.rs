@@ -18,7 +18,7 @@
 //! | `ingest` | `name`, and `edge_list` *or* `spec`; `to_disk?` | register a graph, build + fingerprint once (`to_disk` streams it straight to the `--state-dir` CSR spill, registered mapped) |
 //! | `query` | `graph` (name) or `fingerprint`, `property?`, `epsilon?`, `seed?`, `phases?`, `backend?` (validated, no effect), `embedding?` | test one property, cache-aware |
 //! | `batch` | `queries`: array of query objects | coalesced drain: same-graph queries share engine passes |
-//! | `stats` | — | registry/cache/scheduler counters, queue depth, outbound shed/loss ledgers, uptime, wake reasons |
+//! | `stats` | — | registry/cache/scheduler counters, the prepared-tester memo's counters, queue depth, outbound shed/loss ledgers, uptime, wake reasons |
 //! | `metrics` | — | full telemetry snapshot: latency histograms per `(property, cache, route)`, stage timings, cycle accounting |
 //! | `metrics-text` | — | the same metrics as Prometheus exposition text (in the `text` field) |
 //! | `families` | — | the spec-addressable generator corpus |
@@ -340,6 +340,11 @@ fn handle_stats(service: &Service) -> Value {
         .field("evictions", s.cache.evictions)
         .field("accept_stripes", s.accept_stripes)
         .field("accept_capacity", s.accept_capacity)
+        .field("prefix_hits", s.prefix_hits)
+        .field("prefix_misses", s.prefix_misses)
+        .field("prefix_entries", s.prefix_entries)
+        .field("prefix_bytes", s.prefix_bytes)
+        .field("prefix_evictions", s.prefix_evictions)
         .field("engine_passes", s.engine_passes)
         .field("queries_served", s.queries_served)
         .field("queue_depth", s.queue_depth)
@@ -378,6 +383,11 @@ fn handle_metrics(service: &Service) -> Value {
         .field("responses_shed", s.responses_shed)
         .field("outbound_depth_hwm", s.outbound_depth_hwm)
         .field("writer_stalls", s.writer_stalls)
+        .field("prefix_hits", s.prefix_hits)
+        .field("prefix_misses", s.prefix_misses)
+        .field("prefix_entries", s.prefix_entries)
+        .field("prefix_bytes", s.prefix_bytes)
+        .field("prefix_evictions", s.prefix_evictions)
         .field("engine_passes", s.engine_passes)
         .field("queries_served", s.queries_served);
     v
@@ -389,8 +399,9 @@ fn handle_metrics(service: &Service) -> Value {
 fn handle_metrics_text(service: &Service) -> Value {
     use std::fmt::Write as _;
     let mut text = service.telemetry().prometheus_text();
-    // Outbound-path counters live on `Connections`, not `Telemetry`,
-    // so the protocol layer appends them to the exposition.
+    // Outbound-path counters live on `Connections` and the memo's on
+    // the cache, not `Telemetry`, so the protocol layer appends them to
+    // the exposition.
     let s = service.stats();
     for (name, kind, v) in [
         ("responses_lost", "counter", s.responses_lost),
@@ -402,6 +413,10 @@ fn handle_metrics_text(service: &Service) -> Value {
         ("responses_shed", "counter", s.responses_shed),
         ("outbound_depth_hwm", "gauge", s.outbound_depth_hwm as u64),
         ("writer_stalls", "counter", s.writer_stalls),
+        ("prefix_hits_total", "counter", s.prefix_hits),
+        ("prefix_misses_total", "counter", s.prefix_misses),
+        ("prefix_evictions_total", "counter", s.prefix_evictions),
+        ("prefix_bytes", "gauge", s.prefix_bytes as u64),
     ] {
         let _ = writeln!(text, "# TYPE planartest_{name} {kind}");
         let _ = writeln!(text, "planartest_{name} {v}");
@@ -511,6 +526,42 @@ mod tests {
         let stats = handle_line(&mut s, "{\"op\":\"stats\"}");
         assert_eq!(stats.get("engine_passes").unwrap().as_u64(), Some(1));
         assert_eq!(stats.get("warm_hits").unwrap().as_u64(), Some(2));
+    }
+
+    #[test]
+    fn memo_counters_on_every_surface() {
+        let mut s = Service::new();
+        ingest(&mut s, "city", "tri_grid(5,5)");
+        for seed in [7u64, 8] {
+            let q = Value::obj()
+                .field("op", "query")
+                .field("graph", "city")
+                .field("phases", 5u64)
+                .field("seed", seed)
+                .to_string();
+            assert_eq!(
+                handle_line(&mut s, &q).get("cache").unwrap().as_str(),
+                Some("cold")
+            );
+        }
+        // The second seed rode the first pass's prepared tester.
+        for op in ["stats", "metrics"] {
+            let v = handle_line(&mut s, &format!("{{\"op\":\"{op}\"}}"));
+            let field = |key| v.get(key).unwrap().as_u64().unwrap();
+            assert_eq!((field("prefix_hits"), field("prefix_misses")), (1, 1));
+            assert_eq!((field("prefix_entries"), field("prefix_evictions")), (1, 0));
+            assert!(field("prefix_bytes") > 0);
+        }
+        let text = handle_line(&mut s, "{\"op\":\"metrics-text\"}");
+        let text = text.get("text").unwrap().as_str().unwrap();
+        for line in [
+            "planartest_prefix_hits_total 1",
+            "planartest_prefix_misses_total 1",
+            "planartest_prefix_evictions_total 0",
+            "# TYPE planartest_prefix_bytes gauge",
+        ] {
+            assert!(text.contains(line), "missing `{line}`");
+        }
     }
 
     #[test]

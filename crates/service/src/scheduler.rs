@@ -8,15 +8,18 @@
 //!    reference, build the cache key, answer warm/certificate hits
 //!    immediately;
 //! 2. **group** — bucket the misses by `(graph, config, property)`
-//!    key, first-seen order;
-//! 3. **execute** — run each group through **one** batched
-//!    [`PlanarityTester::run_many`](planartest_core::PlanarityTester::run_many)
-//!    pass, independent groups fanned across a
-//!    [`TrialRunner`] pool (the `exec` module) — pure, so parallel and
-//!    sequential drains are bit-for-bit identical;
-//! 4. **respond** — apply cache inserts and counters sequentially in
-//!    group order and fill every response slot, submission order
-//!    preserved.
+//!    key, first-seen order, and look each planarity key's memoised
+//!    [`Prepared`](planartest_core::Prepared) tester up in the cache;
+//! 3. **execute** — run each group through **one** batched pass: a
+//!    memo hit samples its seeds' lanes on the memoised tester, a miss
+//!    prepares one first
+//!    ([`PlanarityTester::prepare`](planartest_core::PlanarityTester::prepare)),
+//!    independent groups fanned across a [`TrialRunner`] pool (the
+//!    `exec` module) — pure, so parallel and sequential drains are
+//!    bit-for-bit identical;
+//! 4. **respond** — apply cache inserts, then newly prepared testers,
+//!    and counters sequentially in group order and fill every response
+//!    slot, submission order preserved.
 //!
 //! [`Service::drain`] is the synchronous, caller-driven form of that
 //! pipeline (one cycle, responses returned). [`Server`] is the
@@ -62,7 +65,7 @@ use crate::exec::{execute_groups, Group, GroupPass};
 use crate::persist::{CertificateLog, CertificateRecord};
 use crate::pipeline::{ResponseRouter, Token};
 use crate::protocol;
-use crate::query::{CacheStatus, Outcome, Query, QueryId, QueryResponse};
+use crate::query::{CacheStatus, Outcome, Property, Query, QueryId, QueryResponse};
 use crate::registry::GraphRegistry;
 use crate::telemetry::{Clock, Route, StageTimes, Telemetry, WakeReason, WAKE_REASONS};
 use crate::transport::{
@@ -94,6 +97,18 @@ pub struct ServiceStats {
     pub accept_stripes: usize,
     /// The accept-stripe LRU capacity.
     pub accept_capacity: usize,
+    /// Planarity groups that found their key's prepared tester in the
+    /// memo and ran only their sample lanes.
+    pub prefix_hits: u64,
+    /// Planarity groups that prepared a tester (Stage I and the
+    /// seed-free Stage-II prefix).
+    pub prefix_misses: u64,
+    /// Prepared testers resident in the memo.
+    pub prefix_entries: usize,
+    /// Their heap bytes ([`Prepared::heap_bytes`](planartest_core::Prepared::heap_bytes)).
+    pub prefix_bytes: usize,
+    /// Prepared testers dropped by the memo's byte budget.
+    pub prefix_evictions: u64,
     /// Engine passes executed (each pass may serve many queries).
     pub engine_passes: u64,
     /// Queries answered (from cache or engine).
@@ -505,6 +520,7 @@ impl Service {
     /// Aggregate telemetry.
     #[must_use]
     pub fn stats(&self) -> ServiceStats {
+        let prefix = self.cache.prefix_stats();
         ServiceStats {
             graphs: self.registry.len(),
             resident_graphs: self.registry.resident(),
@@ -514,6 +530,11 @@ impl Service {
             cache: self.cache.stats(),
             accept_stripes: self.cache.accept_stripes(),
             accept_capacity: self.cache.accept_capacity(),
+            prefix_hits: prefix.hits,
+            prefix_misses: prefix.misses,
+            prefix_entries: prefix.entries,
+            prefix_bytes: prefix.bytes,
+            prefix_evictions: prefix.evictions,
             engine_passes: self.engine_passes,
             queries_served: self.queries_served,
             queue_depth: self.bound_queue.as_ref().map_or(0, |q| q.depth()),
@@ -544,8 +565,8 @@ impl Service {
         }
     }
 
-    /// Drops all cached results (cold-path measurement hook for load
-    /// drivers; the registry stays resident).
+    /// Drops all cached results and prepared testers (cold-path
+    /// measurement hook for load drivers; the registry stays resident).
     pub fn clear_cache(&mut self) {
         self.cache.clear();
     }
@@ -602,7 +623,7 @@ impl Service {
         }
 
         // Stage 2: group. Stage 3: execute (pure, possibly parallel).
-        let groups = group_misses(std::mem::take(&mut cycle.misses));
+        let groups = group_misses(std::mem::take(&mut cycle.misses), &mut self.cache);
         let clock = self.telemetry.clock();
         let passes = execute_groups(&self.registry, &groups, &self.runner, &clock);
 
@@ -631,8 +652,8 @@ impl Service {
     }
 
     /// Stage 4 for one group: bump the pass counter, record outcomes in
-    /// the cache, and fill the members' response slots with per-query
-    /// latency attribution.
+    /// the cache, memoise a newly prepared tester, and fill the
+    /// members' response slots with per-query latency attribution.
     fn apply_group(&mut self, group: Group, pass: GroupPass, results: &mut [Option<DrainedQuery>]) {
         self.engine_passes += 1;
         // One stamp closes every member's execute span (resolve end →
@@ -640,7 +661,12 @@ impl Service {
         // inserts, closes the respond span. Reusing the stamps keeps
         // stage sums exactly equal to end-to-end.
         let applied_at = self.telemetry.now_micros();
-        let by_seed = match pass.by_seed {
+        let GroupPass {
+            by_seed,
+            engine_micros,
+            prepared,
+        } = pass;
+        let by_seed = match by_seed {
             Ok(v) => v,
             Err(e) => {
                 for (slot, r) in group.members {
@@ -654,7 +680,6 @@ impl Service {
                 return;
             }
         };
-        let engine_micros = pass.engine_micros;
         let coalesced = group.seeds.len();
         let total_rounds: u64 = by_seed
             .iter()
@@ -682,6 +707,11 @@ impl Service {
                     }
                 }
             }
+        }
+        // After the outcomes: a certificate this pass formed keeps its
+        // key's tester out of the memo.
+        if let Some(prepared) = prepared {
+            self.cache.insert_prefix(&group.key, prepared);
         }
         let mut pass_stats = planartest_sim::SimStats::default();
         for (_, outcome) in &by_seed {
@@ -732,17 +762,23 @@ impl Service {
 
 /// Stage 2: bucket resolve-stage misses into engine groups by cache
 /// key, preserving first-seen order of both groups and members, and
-/// collect each group's distinct seed lanes.
-fn group_misses(misses: Vec<(usize, Resolved)>) -> Vec<Group> {
+/// collect each group's distinct seed lanes. Each planarity group
+/// looks its key's prepared tester up in the memo as it forms.
+fn group_misses(misses: Vec<(usize, Resolved)>, cache: &mut ResultCache) -> Vec<Group> {
     let mut index: HashMap<CacheKey, usize> = HashMap::new();
     let mut groups: Vec<Group> = Vec::new();
     for (slot, resolved) in misses {
         let g = *index.entry(resolved.key).or_insert_with(|| {
+            let prefix = match resolved.key.property {
+                Property::Planarity => cache.lookup_prefix(&resolved.key),
+                Property::CycleFreeness | Property::Bipartiteness => None,
+            };
             groups.push(Group {
                 key: resolved.key,
                 cfg: resolved.query.cfg.clone(),
                 seeds: Vec::new(),
                 members: Vec::new(),
+                prefix,
             });
             groups.len() - 1
         });
@@ -1076,7 +1112,7 @@ fn run_cycle(
     }
 
     // Overlap batches are recorded as `pipeline` wakes when collected.
-    let groups = group_misses(std::mem::take(&mut cycle.misses));
+    let groups = group_misses(std::mem::take(&mut cycle.misses), &mut service.cache);
     service.telemetry.record_cycle(reason, width, groups.len());
     if groups.is_empty() {
         debug_assert!(cycle.owed.is_empty(), "no groups, no owed lines");

@@ -77,6 +77,8 @@ fn assert_outcomes_identical(a: &Outcome, b: &Outcome, context: &str) {
             let xs: Vec<usize> = x.parts.iter().map(|p| p.sampled).collect();
             let ys: Vec<usize> = y.parts.iter().map(|p| p.sampled).collect();
             assert_eq!(xs, ys, "{context}: per-part sample counts");
+            assert_eq!(x.phases, y.phases, "{context}: phase metrics");
+            assert_eq!(x.parts, y.parts, "{context}: part reports");
         }
         (Outcome::Hereditary { outcome: x, .. }, Outcome::Hereditary { outcome: y, .. }) => {
             assert_eq!(x.parts, y.parts, "{context}: part count");
@@ -170,6 +172,53 @@ proptest! {
             assert_outcomes_identical(&warm.outcome, &reference, "warm after batch");
         }
         prop_assert_eq!(service.engine_passes(), 1);
+    }
+
+    /// A second fresh seed on a key rides the first pass's prepared
+    /// tester (a memo hit, unless the first pass formed a certificate)
+    /// and both answer exactly as the uncached path.
+    #[test]
+    fn fresh_seed_rides_the_memo(
+        spec_idx in 0..SPECS.len(),
+        eps_idx in 0..EPSILONS.len(),
+        seed_a in 0u64..500,
+        seed_offset in 1u64..500,
+    ) {
+        let spec_text = SPECS[spec_idx];
+        let mut service = Service::new();
+        service.registry_mut().ingest_spec("g", spec_text).unwrap();
+        let cfg = |seed| cfg(EPSILONS[eps_idx], seed);
+        let query = |seed| Query::planarity(GraphRef::Name("g".into()), cfg(seed));
+
+        let first = service.query(query(seed_a)).unwrap();
+        prop_assert_eq!(first.cache, CacheStatus::Cold);
+        assert_outcomes_identical(
+            &first.outcome,
+            &direct(spec_text, &cfg(seed_a), Property::Planarity),
+            &format!("first touch {spec_text}"),
+        );
+        let stats = service.stats();
+        prop_assert_eq!((stats.prefix_hits, stats.prefix_misses), (0, 1));
+
+        let seed_b = seed_a + seed_offset;
+        let second = service.query(query(seed_b)).unwrap();
+        let stats = service.stats();
+        if first.outcome.accepted() {
+            prop_assert_eq!(second.cache, CacheStatus::Cold);
+            prop_assert_eq!((stats.prefix_hits, stats.prefix_misses), (1, 1));
+            prop_assert_eq!(stats.prefix_entries, 1);
+            assert_outcomes_identical(
+                &second.outcome,
+                &direct(spec_text, &cfg(seed_b), Property::Planarity),
+                &format!("memo hit {spec_text}"),
+            );
+        } else {
+            // A strict reject is a certificate: the key never reaches
+            // the engine again, so it keeps no prefix.
+            prop_assert_eq!(second.cache, CacheStatus::Certificate);
+            prop_assert_eq!(stats.prefix_entries, 0);
+            prop_assert_eq!(service.engine_passes(), 1);
+        }
     }
 
     /// One-sided-error retention: a cached reject replays its witness

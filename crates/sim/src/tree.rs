@@ -124,6 +124,18 @@ impl TreeTopology {
         &self.children[v.index()]
     }
 
+    /// Heap bytes held by the parent and child tables.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.parent.capacity() * size_of::<Option<NodeId>>()
+            + self.children.capacity() * size_of::<Vec<NodeId>>()
+            + self
+                .children
+                .iter()
+                .map(|c| c.capacity() * size_of::<NodeId>())
+                .sum::<usize>()
+    }
+
     /// Whether `v` is a root.
     pub fn is_root(&self, v: NodeId) -> bool {
         self.parent[v.index()].is_none()
