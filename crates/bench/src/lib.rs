@@ -46,6 +46,33 @@ pub fn quick() -> bool {
     std::env::var_os("PLANARTEST_QUICK").is_some()
 }
 
+/// Where a benchmark ran, as the `host` object of every `BENCH_*.json`:
+/// the checked-out commit, the cores this process may use and the CPU
+/// model, each `"unknown"` where it cannot be read (outside a git
+/// checkout, or without `/proc/cpuinfo`). Mirrors perfbench's result
+/// stamp.
+pub fn host() -> json::Json {
+    let commit = std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string());
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo").ok().and_then(|s| {
+        s.lines()
+            .find_map(|l| l.strip_prefix("model name"))
+            .map(|l| l.trim_start_matches([' ', '\t', ':']).to_string())
+    });
+    let unknown = || "unknown".to_string();
+    json::Json::obj()
+        .field("commit", commit.unwrap_or_else(unknown))
+        .field(
+            "cores",
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        )
+        .field("cpu_model", cpu_model.unwrap_or_else(unknown))
+}
+
 fn scale(full: usize, quick_val: usize) -> usize {
     if quick() {
         quick_val
@@ -585,5 +612,15 @@ mod tests {
     fn quick_flag_reads_env() {
         // Just exercise the helper; the value depends on the environment.
         let _ = super::quick();
+    }
+
+    #[test]
+    fn host_names_commit_cores_and_cpu() {
+        let host = super::host();
+        for key in ["commit", "cpu_model"] {
+            let value = host.get(key).and_then(|v| v.as_str()).expect(key);
+            assert!(!value.is_empty(), "{key}");
+        }
+        assert!(host.get("cores").and_then(|v| v.as_u64()) >= Some(1));
     }
 }

@@ -8,8 +8,9 @@
 //! cold pass is also split into each key's first touch and the fresh
 //! seeds that ride its memoised prepared tester), a 16-seed fan-out
 //! served serially vs coalesced into one pass, a
-//! [`CONNECTIONS`]-client unix-socket burst coalesced across clients,
-//! and the cold path with vs without the `--trace` writer (whose log
+//! [`CONNECTIONS`]-client unix-socket burst that prepares one tester
+//! across clients, and the cold path with vs without the `--trace`
+//! writer (whose log
 //! is left behind as the `BENCH_trace.ldjson` artifact). The gated
 //! serial baselines clear the cache before every query, so they keep
 //! measuring first-touch passes against one coalesced pass; the
@@ -32,9 +33,8 @@
 //!   — a few graphs soak most of the traffic, the tail stays warm-ish;
 //! * a **weighted op mix**: warm `query` traffic across all three
 //!   properties, fresh-seed queries that pay engine passes mid-load,
-//!   `batch` fan-outs, `stats` probes and `ingest` ops (the control
-//!   ops wake the drain loop immediately, so the mix exercises both
-//!   wake paths);
+//!   `batch` fan-outs, `stats` probes and `ingest` ops (control ops
+//!   run on the drain thread in arrival order, between the queries);
 //! * latency comes from the service's own telemetry histograms
 //!   (`queue → resolve → execute → respond`, one timebase), windowed
 //!   to the measured run via [`Histogram::subtract`] so cache warmup
@@ -88,7 +88,7 @@ pub enum OpKind {
     Query,
     /// A `batch` op carrying several queries in one frame.
     Batch,
-    /// A `stats` probe (control op: wakes the drain loop).
+    /// A `stats` probe (a control op).
     Stats,
     /// An `ingest` op registering a (content-deduplicated) graph.
     Ingest,
@@ -327,9 +327,9 @@ pub struct LoadGate {
     /// fan-out, the serial queries each a first touch (cache cleared
     /// before every one).
     pub coalesced_speedup: f64,
-    /// Closed loop: per-client-serial wall over cross-client coalesced
-    /// wall on the unix-socket burst, the serial queries each a first
-    /// touch.
+    /// Closed loop: per-client-serial wall over the cross-client
+    /// burst's wall on the unix socket (one prepared tester serves
+    /// every client), the serial queries each a first touch.
     pub burst_speedup: f64,
     /// Closed loop: trace-enabled throughput over metrics-only
     /// throughput on the cold serving path (best of three interleaved
@@ -394,7 +394,7 @@ impl LoadGate {
     /// Every clause as `(name, held)`, named after its field in the
     /// `gate` section of `BENCH_load.json`: warm replay ≥ 10× cheaper
     /// at the median; coalescing and the cross-client burst at least
-    /// even with serial drains (the shared Stage-I pass is the win, so
+    /// even with serial drains (the shared Stage I is the win, so
     /// neither needs a second core); tracing within its 5% budget; a
     /// knee found (with at least one healthy rate below it) at or above
     /// the capacity floor; the sub-knee p99 within the SLO and its
@@ -1179,12 +1179,12 @@ mod serving {
     }
 
     /// [`CONNECTIONS`] clients each send their own seed range of one
-    /// graph's sweep at once, against a server whose cycle fires
-    /// exactly when the last query lands (`wake_depth` = all of them,
-    /// 30 s linger); the baseline serves the same queries one drain
-    /// each, each a first touch. The server must coalesce across
-    /// clients into one engine pass and answer every query with the
-    /// baseline's verdict, rounds and words.
+    /// graph's sweep at once; the baseline serves the same queries one
+    /// drain each, each a first touch. A cycle fires on the first
+    /// arrival, so the queries that land together share its pass and
+    /// the rest, held while it runs, ride the prepared tester it
+    /// memoised: the server must prepare once across clients and answer
+    /// every query with the baseline's verdict, rounds and words.
     fn burst() -> (Json, f64) {
         let per_client = if quick() { 4u64 } else { 8 };
         let total = CONNECTIONS as u64 * per_client;
@@ -1209,22 +1209,17 @@ mod serving {
             .chunks(per_client as usize)
             .map(<[_]>::to_vec)
             .collect();
-        let opts = ServeOptions {
-            linger: Duration::from_secs(30),
-            wake_depth: total as usize,
-            ..ServeOptions::default()
-        };
         let served = serve(
             closed_loop_service().with_group_threads(0),
-            opts,
+            ServeOptions::default(),
             900,
             &per_conn,
             None,
         );
         assert_eq!(
-            served.service.engine_passes(),
+            served.service.stats().prefix_misses,
             1,
-            "cross-client fan-out must ride one engine pass"
+            "cross-client fan-out must ride one prepared tester"
         );
         // Client-major order is seed order, the baseline's order.
         for (v, reference) in served.responses.iter().flatten().zip(&serial) {
@@ -1474,6 +1469,7 @@ mod serving {
         let doc = Json::obj()
             .field("schema", SCHEMA)
             .field("quick_mode", quick())
+            .field("host", crate::host())
             .field("closed_loop", closed_loop)
             .field("seed", LOAD_SEED)
             .field("connections", CONNECTIONS as u64)

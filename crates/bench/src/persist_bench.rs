@@ -327,6 +327,7 @@ pub fn persist_bench_document() -> (Json, PersistGate) {
     let doc = Json::obj()
         .field("schema", "planartest-bench/persist/v1")
         .field("quick_mode", quick())
+        .field("host", crate::host())
         .field("certificate_replay", replay_row)
         .field("streaming_ingest", stream_row)
         .field("tier_parity", parity_row)

@@ -536,6 +536,7 @@ pub fn runtime_bench_document() -> (Json, BenchGate) {
     let doc = Json::obj()
         .field("schema", "planartest-bench/runtime/v4")
         .field("quick_mode", quick())
+        .field("host", crate::host())
         .field("hardware_threads", auto_threads())
         .field("engine_throughput", engine_throughput(side))
         .field("kernel_bench", kernel_rows)

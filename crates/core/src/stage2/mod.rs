@@ -399,7 +399,8 @@ impl Stage2Prefix {
         let max_rounds = cfg.max_rounds;
         let roots = &self.roots;
         let s_target = cfg.sample_size(n) as f64;
-        let budget = (4.0 * s_target).ceil() as usize + 8;
+        // Saturates: a tiny ε drives `s_target` to `usize::MAX`.
+        let budget = ((4.0 * s_target).ceil() as usize).saturating_add(8);
         let mut all_sample_items: Vec<Vec<Vec<Msg>>> = Vec::with_capacity(seeds.len());
         // Sampled non-tree edges of each part per seed, indexed by the root.
         let mut sampled_per_part: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -741,6 +742,29 @@ mod tests {
             .rejections
             .iter()
             .any(|&(_, r)| r == RejectReason::EmbeddingFailed));
+    }
+
+    #[test]
+    fn a_tiny_epsilon_saturates_the_sample_budget() {
+        // ε = 1e-300 passes the wire's `0 < ε < 1` check and sizes the
+        // sample at `usize::MAX`: the budget must saturate, not wrap,
+        // and every non-tree edge is then sampled.
+        let g = planar::triangulated_grid(5, 5).graph;
+        let cfg = TesterConfig::new(1e-300).with_phases(4);
+        let out = crate::PlanarityTester::new(cfg).run(&g).unwrap();
+        assert!(
+            out.accepted(),
+            "planar graph rejected: {:?}",
+            out.rejections
+        );
+        assert!(!out.parts.is_empty());
+        for part in &out.parts {
+            assert_eq!(
+                part.sampled, part.non_tree,
+                "part rooted at {:?}",
+                part.root
+            );
+        }
     }
 
     fn rng() -> StdRng {

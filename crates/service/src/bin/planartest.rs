@@ -11,8 +11,8 @@
 //! default stdio transport), `--no-stdio` (daemon mode), `--state-dir
 //! DIR` (durable tier: CSR spills + certificate WAL, restored on
 //! start), `--resident-graphs N` (heap-tier cap before LRU demotion
-//! to mmap), `--linger-ms N` (coalescing window), `--wake-depth N`,
-//! `--group-threads N`, `--cache-accepts N`, `--max-frame-bytes N`,
+//! to mmap), `--group-threads N`, `--cache-accepts N`,
+//! `--max-frame-bytes N`,
 //! `--outbound-depth N` / `--max-in-flight N` (per-connection
 //! backpressure bounds), `--trace FILE` (per-query LDJSON event log).
 //!
@@ -37,18 +37,17 @@ planartest — query service for distributed planarity testing
 
 USAGE:
   planartest serve [--unix PATH] [--tcp ADDR] [--no-stdio]
-      [--state-dir DIR] [--resident-graphs N]
-      [--linger-ms N] [--wake-depth N] [--group-threads N]
+      [--state-dir DIR] [--resident-graphs N] [--group-threads N]
       [--cache-accepts N] [--max-frame-bytes N]
       [--outbound-depth N] [--max-in-flight N] [--trace FILE]
       Serve one JSON request per line, one JSON response per line
       (ops: ingest, query, batch, stats, metrics, metrics-text,
       families), multiplexing
       stdio plus any configured unix-socket / TCP listeners through
-      one scheduler: same-graph queries from *different* clients
-      coalesce into shared engine passes. --linger-ms (default 0)
-      is the coalescing window lone queries may wait; --wake-depth
-      fires a cycle early once that many requests are pending;
+      one scheduler, which runs a cycle whenever anything is queued:
+      same-graph queries from *different* clients share one engine
+      pass when they arrive together, and one memoised prepared
+      tester (Stage I and the seed-free Stage-II prefix) otherwise;
       --group-threads (default: all cores) fans independent query
       groups across workers; --cache-accepts bounds the per-seed
       result-cache stripes (LRU; reject certificates are permanent);
@@ -156,16 +155,6 @@ fn serve(args: &[String]) -> ExitCode {
         match name.as_str() {
             "unix" => unix_path = Some(value.clone()),
             "tcp" => tcp_addr = Some(value.clone()),
-            "linger-ms" => match parse_u64() {
-                Ok(ms) => opts.linger = Duration::from_millis(ms),
-                Err(code) => return code,
-            },
-            "wake-depth" => match parse_u64() {
-                // 0 = "never by depth", same as the default.
-                Ok(0) => opts.wake_depth = usize::MAX,
-                Ok(d) => opts.wake_depth = d as usize,
-                Err(code) => return code,
-            },
             "group-threads" => match parse_u64() {
                 Ok(t) => group_threads = t as usize,
                 Err(code) => return code,

@@ -36,9 +36,12 @@
 //!   results, and responses attribute per-query latency from the
 //!   per-instance round accounting.
 //! * [`scheduler::Server`] — the concurrent form: a dedicated thread
-//!   owns the service and drains a shared submission queue on
-//!   queue-depth or linger-timer wakeups, so *independent clients'*
-//!   same-graph queries coalesce automatically. One dispatch path runs
+//!   owns the service and runs a drain cycle whenever anything is
+//!   queued on a shared submission queue. *Independent clients'*
+//!   same-key queries share work automatically: one engine pass when
+//!   they land in one cycle, one memoised prepared tester (Stage I and
+//!   the seed-free Stage-II prefix) when they land while a pass on
+//!   their key runs. One dispatch path runs
 //!   at each cycle's start and, behind an overlap gate (in-flight keys,
 //!   connections waiting behind their own control op), while the
 //!   engine runs; hits are answered at resolve time. Per-connection

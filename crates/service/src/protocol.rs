@@ -8,15 +8,16 @@
 //! [`ConnectionId`](crate::transport::ConnectionId) at the framing
 //! layer and the
 //! response is routed back to that connection, in that connection's
-//! submission order; `query`/`batch` ops may linger in the submission
-//! queue to coalesce with other connections' requests (see
-//! [`coalescable`]), while control ops are answered on the next cycle.
-//! Requests are objects with an `"op"` field:
+//! submission order. Every op is taken by the next drain cycle, which
+//! fires whenever anything is queued; `query`/`batch` ops that land in
+//! one cycle share engine passes, and a same-key query that lands
+//! during a pass rides its memoised prepared tester. Requests are
+//! objects with an `"op"` field:
 //!
 //! | op | fields | effect |
 //! |----|--------|--------|
 //! | `ingest` | `name`, and `edge_list` *or* `spec`; `to_disk?` | register a graph, build + fingerprint once (`to_disk` streams it straight to the `--state-dir` CSR spill, registered mapped) |
-//! | `query` | `graph` (name) or `fingerprint`, `property?`, `epsilon?`, `seed?`, `phases?`, `backend?` (validated, no effect), `embedding?` | test one property, cache-aware |
+//! | `query` | `graph` (name) or `fingerprint`, `property?`, `epsilon?`, `seed?`, `phases?` (at most [`MAX_PHASES`]), `backend?` (validated, no effect), `embedding?` | test one property, cache-aware |
 //! | `batch` | `queries`: array of query objects | coalesced drain: same-graph queries share engine passes |
 //! | `stats` | — | registry/cache/scheduler counters, the prepared-tester memo's counters, queue depth, outbound shed/loss ledgers, uptime, wake reasons |
 //! | `metrics` | — | full telemetry snapshot: latency histograms per `(property, cache, route)`, stage timings, cycle accounting |
@@ -33,10 +34,16 @@ use planartest_sim::Backend;
 
 use crate::query::{GraphRef, Outcome, Property, Query, QueryResponse};
 use crate::scheduler::Service;
+use crate::telemetry::wake_value;
 use crate::wire::Value;
 
 /// Default distance parameter when a query names none.
 pub const DEFAULT_EPSILON: f64 = 0.1;
+
+/// The most Stage-I phases a query may ask for. The smallest positive
+/// ε derives about 26,450 ([`TesterConfig::phases`]); a larger count
+/// buys no accuracy and can overflow the round accounting.
+pub const MAX_PHASES: u64 = 1 << 16;
 
 /// The protocol's error-response shape: `{"ok":false,"error":...}`.
 /// Used both for per-request failures and for per-connection framing
@@ -51,17 +58,6 @@ pub fn error_value(message: impl std::fmt::Display) -> Value {
 
 fn error(message: impl std::fmt::Display) -> Value {
     error_value(message)
-}
-
-/// Whether a request benefits from lingering in the submission queue
-/// to coalesce with others (`query`/`batch`). Control ops and
-/// malformed requests wake the drain loop immediately.
-#[must_use]
-pub fn coalescable(req: &Value) -> bool {
-    matches!(
-        req.get("op").and_then(Value::as_str),
-        Some("query" | "batch")
-    )
 }
 
 /// Parses the query-shaped fields of `req` into a [`Query`].
@@ -115,6 +111,9 @@ pub fn parse_query(req: &Value) -> Result<Query, String> {
         let t = phases
             .as_u64()
             .ok_or_else(|| "`phases` must be a non-negative integer".to_string())?;
+        if t > MAX_PHASES {
+            return Err(format!("`phases` must be at most {MAX_PHASES}"));
+        }
         cfg = cfg.with_phases(t as usize);
     }
     match req.get("embedding").map(|v| v.as_str()) {
@@ -356,15 +355,7 @@ fn handle_stats(service: &Service) -> Value {
         .field("writer_stalls", s.writer_stalls)
         .field("uptime_micros", s.uptime_micros)
         .field("drain_cycles", s.drain_cycles)
-        .field(
-            "wake",
-            Value::obj()
-                .field("depth", s.wake[0])
-                .field("linger", s.wake[1])
-                .field("control", s.wake[2])
-                .field("shutdown", s.wake[3])
-                .field("pipeline", s.wake[4]),
-        )
+        .field("wake", wake_value(&s.wake))
 }
 
 /// The `metrics` op: the full telemetry snapshot (histograms, stage
@@ -665,6 +656,29 @@ mod tests {
         assert_eq!(warp.get("ok").unwrap().as_bool(), Some(false));
         assert!(warp.get("error").unwrap().to_string().contains("backend"));
         assert_eq!(s.engine_passes(), 1);
+    }
+
+    #[test]
+    fn phases_are_bounded_at_the_wire() {
+        let mut s = Service::new();
+        ingest(&mut s, "p", "path(6)");
+        let query = |phases: u64| {
+            Value::obj()
+                .field("op", "query")
+                .field("graph", "p")
+                .field("phases", phases)
+        };
+        for phases in [MAX_PHASES + 1, u64::MAX] {
+            let r = handle_request(&mut s, &query(phases));
+            assert_eq!(r.get("ok").unwrap().as_bool(), Some(false), "{r}");
+            assert!(r.get("error").unwrap().to_string().contains("`phases`"));
+        }
+        assert_eq!(s.engine_passes(), 0, "refused before any engine work");
+        // The bound itself is a query like any other, and so is the
+        // next one.
+        assert!(parse_query(&query(MAX_PHASES)).is_ok());
+        let r = handle_request(&mut s, &query(6));
+        assert_eq!(r.get("verdict").unwrap().as_str(), Some("accept"), "{r}");
     }
 
     #[test]

@@ -25,10 +25,13 @@
 //! pipeline (one cycle, responses returned). [`Server`] is the
 //! concurrent form: a dedicated thread owns the service and runs the
 //! same cycle against the shared [`SubmissionQueue`] that every
-//! transport ([`crate::transport`]) feeds, waking on queue depth, a
-//! control op, or a configurable linger timer — so *independent
-//! clients'* same-graph queries coalesce into shared engine passes
-//! without any client knowing about the others.
+//! transport ([`crate::transport`]) feeds. A cycle fires whenever
+//! anything is queued, so no request waits for company. *Independent
+//! clients'* same-key queries still share work without any client
+//! knowing about the others: those that land in one cycle share one
+//! engine pass, and those that land while a pass on their key runs are
+//! held, then ride the prepared tester it memoised — one prepare, one
+//! sample lane per seed.
 //!
 //! Every server request goes through one stage-1 function, `dispatch`,
 //! which resolves a `query` or `batch` submission into a `Cycle` and
@@ -55,7 +58,6 @@ use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use planartest_sim::TrialRunner;
 
@@ -142,8 +144,7 @@ pub struct ServiceStats {
     pub uptime_micros: u64,
     /// Drain-loop cycles executed.
     pub drain_cycles: u64,
-    /// Drain-loop wake reason counts: `[depth, linger, control,
-    /// shutdown, pipeline]`.
+    /// Drain-loop wake reason counts: `[arrival, shutdown, pipeline]`.
     pub wake: [u64; WAKE_REASONS],
 }
 
@@ -792,18 +793,10 @@ fn group_misses(misses: Vec<(usize, Resolved)>, cache: &mut ResultCache) -> Vec<
     groups
 }
 
-/// Tuning for the background drain loop (see [`Server::start`]).
+/// Per-connection transport limits of a [`Server`] (see
+/// [`Server::start`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
-    /// How long the oldest pending query may wait for company before a
-    /// cycle fires anyway. `ZERO` (the default) serves every request
-    /// immediately — the latency end of the linger-vs-latency
-    /// tradeoff; raising it widens the cross-client coalescing window
-    /// at the cost of that much added tail latency for lone queries.
-    pub linger: Duration,
-    /// Queue depth that fires a cycle before the linger expires
-    /// (`usize::MAX` = depth never fires one; `linger` alone governs).
-    pub wake_depth: usize,
     /// Per-frame byte cap on every transport
     /// ([`DEFAULT_MAX_FRAME`]).
     pub max_frame: usize,
@@ -829,8 +822,6 @@ pub const DEFAULT_MAX_IN_FLIGHT: usize = 1024;
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
-            linger: Duration::ZERO,
-            wake_depth: usize::MAX,
             max_frame: DEFAULT_MAX_FRAME,
             outbound_depth: DEFAULT_OUTBOUND_DEPTH,
             max_in_flight: DEFAULT_MAX_IN_FLIGHT,
@@ -870,7 +861,7 @@ impl Server {
             let connections = Arc::clone(&connections);
             thread::Builder::new()
                 .name("planartest-drain".into())
-                .spawn(move || drain_loop(service, &queue, &connections, opts))
+                .spawn(move || drain_loop(service, &queue, &connections))
                 .expect("spawn drain loop")
         };
         Server {
@@ -1043,16 +1034,11 @@ impl Pipeline {
 /// until shutdown, then flushes the per-connection outbound writer
 /// queues. It only waits when nothing is carried: carried work must
 /// reach the engine before anything newer is dispatched.
-fn drain_loop(
-    mut service: Service,
-    queue: &SubmissionQueue,
-    connections: &Connections,
-    opts: ServeOptions,
-) -> Service {
+fn drain_loop(mut service: Service, queue: &SubmissionQueue, connections: &Connections) -> Service {
     let mut pipe = Pipeline::default();
     loop {
         let fresh = if pipe.is_idle() {
-            match queue.wait_cycle(opts.linger, opts.wake_depth) {
+            match queue.wait_cycle() {
                 Some(fresh) => Some(fresh),
                 None => break,
             }
@@ -1215,35 +1201,32 @@ mod tests {
 
     /// Drives `run_cycle` the way `drain_loop` does, on a private queue
     /// and connection table with one in-process sink per connection
-    /// (ids `0..conns`). The first cycle takes `first`, fired by
-    /// `reason`; `queued` is already in the queue when it starts, so it
-    /// arrives in that cycle's overlap window — or, if the pass wins
-    /// the race, in the next cycle. Cycles run until nothing is left.
-    /// Returns each connection's response lines.
+    /// (ids `0..conns`). The first cycle takes `first` as one arrival;
+    /// `queued` is already in the queue when it starts, so it arrives in
+    /// that cycle's overlap window — or, if the pass wins the race, in
+    /// the next cycle. Cycles run until nothing is left. Returns each
+    /// connection's response lines.
     fn serve_cycles(
         service: &mut Service,
         conns: usize,
         first: Vec<Submission>,
-        reason: WakeReason,
         queued: Vec<Submission>,
     ) -> Vec<Vec<Value>> {
         let queue = SubmissionQueue::new();
-        for sub in queued {
-            queue.push(sub);
-        }
+        queue.push_all(queued);
         let connections = Connections::new();
         let sinks: Vec<Sink> = (0..conns).map(|_| Sink::default()).collect();
         for (id, sink) in (0..).zip(&sinks) {
             assert_eq!(connections.register(Box::new(sink.clone())), id);
         }
         let mut pipe = Pipeline::default();
-        let mut fresh = Some((first, reason));
+        let mut fresh = Some((first, WakeReason::Arrival));
         loop {
             run_cycle(service, &queue, &connections, &mut pipe, fresh);
             fresh = if !pipe.is_idle() {
                 None
             } else if queue.depth() > 0 {
-                queue.wait_cycle(Duration::ZERO, usize::MAX)
+                queue.wait_cycle()
             } else {
                 break;
             };
@@ -1556,7 +1539,7 @@ mod tests {
             Submission::new(1, Ok(Value::obj().field("op", "stats"))),
             Submission::new(0, query_op("p", 3)),
         ];
-        let responses = serve_cycles(&mut s, 2, subs, WakeReason::Control, Vec::new());
+        let responses = serve_cycles(&mut s, 2, subs, Vec::new());
         assert_eq!(responses.iter().map(Vec::len).sum::<usize>(), 5);
         let seeds = |conn: usize| -> Vec<Option<u64>> {
             responses[conn]
@@ -1596,7 +1579,7 @@ mod tests {
             ),
             Submission::new(1, query_op("g", 0)),
         ];
-        let responses = serve_cycles(&mut s, 2, subs, WakeReason::Control, Vec::new());
+        let responses = serve_cycles(&mut s, 2, subs, Vec::new());
         assert_eq!(responses[0][0].get("ok").unwrap().as_bool(), Some(true));
         assert_eq!(
             responses[1][0].get("verdict").unwrap().as_str(),
@@ -1618,7 +1601,7 @@ mod tests {
             ),
             Submission::new(1, query_op("p", 3)),
         ];
-        let responses = serve_cycles(&mut s, 2, subs, WakeReason::Depth, Vec::new());
+        let responses = serve_cycles(&mut s, 2, subs, Vec::new());
         // One pass serves the batch *and* the other connection's query.
         assert_eq!(s.engine_passes(), 1);
         let batch = responses[0][0].get("responses").unwrap().as_arr().unwrap();
@@ -1647,7 +1630,7 @@ mod tests {
             ),
             Submission::new(0, query_op("q", 1)),
         ];
-        let responses = serve_cycles(&mut s, 2, first, WakeReason::Depth, queued);
+        let responses = serve_cycles(&mut s, 2, first, queued);
         let field = |conn: usize, line: usize, name: &str| {
             responses[conn][line].get(name).and_then(Value::as_str)
         };
@@ -1664,6 +1647,43 @@ mod tests {
             "the query behind the ingest resolved after it"
         );
         assert_eq!(s.engine_passes(), 2);
+    }
+
+    #[test]
+    fn a_fresh_seed_queued_behind_its_keys_pass_rides_the_prepared_tester() {
+        let spec = "tri_grid(16,16)";
+        let mut s = service_with("p", spec);
+        let first = vec![Submission::new(0, query_op("p", 1))];
+        // Queued while the first touch prepares: the same key under a
+        // fresh seed, held until the pass memoises its tester.
+        let queued = vec![Submission::new(1, query_op("p", 2))];
+        let responses = serve_cycles(&mut s, 2, first, queued);
+        let stats = s.stats();
+        assert_eq!((stats.prefix_misses, stats.prefix_hits), (1, 1));
+        assert_eq!(stats.engine_passes, 2);
+        let graph = planartest_graph::generators::spec::parse(spec)
+            .unwrap()
+            .graph;
+        let solo = PlanarityTester::new(cfg(0.2).with_seed(2))
+            .run(&graph)
+            .unwrap();
+        let response = &responses[1][0];
+        let field = |key| response.get(key).and_then(Value::as_u64);
+        let verdict = if solo.accepted() { "accept" } else { "reject" };
+        assert_eq!(
+            response.get("verdict").and_then(Value::as_str),
+            Some(verdict)
+        );
+        assert_eq!(
+            (field("rounds"), field("messages"), field("words")),
+            (
+                Some(solo.stats.total_rounds()),
+                Some(solo.stats.messages),
+                Some(solo.stats.words)
+            ),
+            "a lane on the memoised tester is the solo run at its seed"
+        );
+        assert_eq!(field("coalesced"), Some(1));
     }
 
     #[test]
@@ -1690,28 +1710,22 @@ mod tests {
             groups.and_then(|g| g.get("sum")).and_then(Value::as_u64),
             Some(1)
         );
-        assert_eq!(s.telemetry().wake_counts(), [0, 0, 0, 0, 1]);
+        assert_eq!(s.telemetry().wake_counts(), [0, 0, 1]);
     }
 
     #[test]
     fn server_drains_in_process_submissions_and_flushes_on_shutdown() {
         let mut service = service_with("p", "tri_grid(4,4)");
         service.set_group_threads(2);
-        let server = Server::start(
-            service,
-            ServeOptions {
-                linger: Duration::from_secs(3600),
-                wake_depth: usize::MAX,
-                ..ServeOptions::default()
-            },
-        );
+        let server = Server::start(service, ServeOptions::default());
         // An in-process transport: a shared Vec sink captures the
         // routed response bytes.
         let sink = Sink::default();
         let conn = server.connections().register(Box::new(sink.clone()));
         let queue = server.submission_queue();
         queue.push(Submission::new(conn, query_op("p", 1)));
-        // The cycle is lingering (1h); shutdown must flush it.
+        // Shutdown right behind the push: whether its arrival cycle is
+        // already running or the flush takes it, the query is answered.
         server.request_shutdown();
         let service = server.join();
         assert_eq!(service.engine_passes(), 1, "pending query was flushed");

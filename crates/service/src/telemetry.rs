@@ -26,7 +26,7 @@
 //!   asymmetry (a reject certificate replays for free; a fresh accept
 //!   pays a full partition).
 //! * **Cycle accounting** — per drain-loop cycle: the wake reason
-//!   ([`WakeReason`]: depth / linger expiry / control / shutdown),
+//!   ([`WakeReason`]: arrival / shutdown / pipeline),
 //!   cycle width, group fan-out, and the coalescing ratio
 //!   (engine-bound queries per engine pass).
 //! * **Engine rollups** — every engine pass's [`SimStats`] are folded
@@ -408,7 +408,8 @@ pub struct StageTimes {
     /// When the query entered the system (clock micros).
     pub submitted_micros: u64,
     /// Submission → this query's resolve walk began (queue wait,
-    /// including the linger window under the background drain loop).
+    /// including any wait behind a running cycle under the background
+    /// drain loop).
     pub queue_micros: u64,
     /// Registry resolution + cache lookup for this query.
     pub resolve_micros: u64,
@@ -435,13 +436,8 @@ impl StageTimes {
 /// [`SubmissionQueue::wait_cycle`](crate::SubmissionQueue)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WakeReason {
-    /// Queue depth reached `--wake-depth`.
-    Depth,
-    /// The oldest pending submission's linger window expired.
-    Linger,
-    /// A non-coalescable submission (control op, malformed frame) was
-    /// pending.
-    Control,
+    /// Submissions were queued: a cycle fires whenever anything is.
+    Arrival,
     /// Shutdown flush.
     Shutdown,
     /// The pipelined drain loop's own work, of two kinds: each batch
@@ -456,30 +452,37 @@ pub enum WakeReason {
 
 /// The number of [`WakeReason`] variants (the length of every wake
 /// counter array).
-pub const WAKE_REASONS: usize = 5;
+pub const WAKE_REASONS: usize = 3;
 
 impl WakeReason {
+    /// Every reason, in counter-slot order.
+    pub(crate) const ALL: [WakeReason; WAKE_REASONS] = [
+        WakeReason::Arrival,
+        WakeReason::Shutdown,
+        WakeReason::Pipeline,
+    ];
+
     /// Wire name.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            WakeReason::Depth => "depth",
-            WakeReason::Linger => "linger",
-            WakeReason::Control => "control",
+            WakeReason::Arrival => "arrival",
             WakeReason::Shutdown => "shutdown",
             WakeReason::Pipeline => "pipeline",
         }
     }
 
     fn slot(self) -> usize {
-        match self {
-            WakeReason::Depth => 0,
-            WakeReason::Linger => 1,
-            WakeReason::Control => 2,
-            WakeReason::Shutdown => 3,
-            WakeReason::Pipeline => 4,
-        }
+        self as usize
     }
+}
+
+/// The wake counters as a JSON object keyed by wire name (the `stats`
+/// and `metrics` ops' `wake` field).
+pub(crate) fn wake_value(wake: &[u64; WAKE_REASONS]) -> Value {
+    WakeReason::ALL
+        .iter()
+        .fold(Value::obj(), |v, r| v.field(r.name(), wake[r.slot()]))
 }
 
 /// Which serving path answered a query: the pipelined fast path
@@ -736,8 +739,7 @@ impl Telemetry {
         m.write.record(micros);
     }
 
-    /// Wake reason counters as `[depth, linger, control, shutdown,
-    /// pipeline]`.
+    /// Wake reason counters as `[arrival, shutdown, pipeline]`.
     #[must_use]
     pub fn wake_counts(&self) -> [u64; WAKE_REASONS] {
         self.inner.lock().expect("telemetry lock").wake
@@ -793,15 +795,7 @@ impl Telemetry {
                 "cycles",
                 Value::obj()
                     .field("count", m.cycles)
-                    .field(
-                        "wake",
-                        Value::obj()
-                            .field("depth", m.wake[0])
-                            .field("linger", m.wake[1])
-                            .field("control", m.wake[2])
-                            .field("shutdown", m.wake[3])
-                            .field("pipeline", m.wake[4]),
-                    )
+                    .field("wake", wake_value(&m.wake))
                     .field("width", m.cycle_width.snapshot_value())
                     .field("groups", m.cycle_groups.snapshot_value()),
             )
@@ -841,13 +835,7 @@ impl Telemetry {
         let _ = writeln!(out, "# TYPE planartest_drain_cycles_total counter");
         let _ = writeln!(out, "planartest_drain_cycles_total {}", m.cycles);
         let _ = writeln!(out, "# TYPE planartest_drain_wake_total counter");
-        for reason in [
-            WakeReason::Depth,
-            WakeReason::Linger,
-            WakeReason::Control,
-            WakeReason::Shutdown,
-            WakeReason::Pipeline,
-        ] {
+        for reason in WakeReason::ALL {
             let _ = writeln!(
                 out,
                 "planartest_drain_wake_total{{reason=\"{}\"}} {}",
@@ -1131,8 +1119,8 @@ mod tests {
         let (clock, handle) = Clock::mock(0);
         let telemetry = Telemetry::new(clock);
         handle.advance(5000);
-        telemetry.record_cycle(WakeReason::Depth, 4, 1);
-        telemetry.record_cycle(WakeReason::Control, 1, 0);
+        telemetry.record_cycle(WakeReason::Arrival, 4, 1);
+        telemetry.record_cycle(WakeReason::Shutdown, 1, 0);
         telemetry.record_query(
             None,
             0,
@@ -1162,9 +1150,8 @@ mod tests {
         let text = telemetry.prometheus_text();
         assert!(text.contains("planartest_uptime_micros 5000"));
         assert!(text.contains("planartest_drain_cycles_total 2"));
-        assert!(text.contains("planartest_drain_wake_total{reason=\"depth\"} 1"));
-        assert!(text.contains("planartest_drain_wake_total{reason=\"control\"} 1"));
-        assert!(text.contains("planartest_drain_wake_total{reason=\"linger\"} 0"));
+        assert!(text.contains("planartest_drain_wake_total{reason=\"arrival\"} 1"));
+        assert!(text.contains("planartest_drain_wake_total{reason=\"shutdown\"} 1"));
         assert!(text.contains("planartest_engine_rounds_total 100"));
         assert!(text.contains("planartest_engine_charged_rounds_total 5"));
         assert!(text.contains("planartest_drain_wake_total{reason=\"pipeline\"} 0"));

@@ -7,9 +7,10 @@
 //! its byte stream into LDJSON requests ([`FrameReader`]) and pushes
 //! them — tagged with a [`ConnectionId`] — into one shared
 //! [`SubmissionQueue`]. The scheduler's background drain loop
-//! (`scheduler::Server`) is the only consumer; it routes each response
-//! back through [`Connections`] to the connection that asked, in that
-//! connection's submission order.
+//! (`scheduler::Server`) is the only consumer: it takes everything
+//! queued whenever anything is, and routes each response back through
+//! [`Connections`] to the connection that asked, in that connection's
+//! submission order.
 //!
 //! Per-connection failures stay per-connection: an oversized or
 //! garbage frame becomes an in-band `{"ok":false,...}` response (the
@@ -56,7 +57,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::protocol;
 use crate::telemetry::{Clock, Telemetry, WakeReason};
 use crate::wire::{FrameError, FrameReader, Value};
 
@@ -90,14 +90,14 @@ pub struct Submission {
     /// The parsed request, or the framing/parse error message.
     pub request: Result<Value, String>,
     /// When this submission entered the queue, on the service clock
-    /// (stamped by [`SubmissionQueue::push`]; the origin of the
+    /// (stamped by [`SubmissionQueue::push_all`]; the origin of the
     /// queue-wait stage span).
     pub at_micros: u64,
 }
 
 impl Submission {
     /// A submission awaiting its arrival stamp (set by
-    /// [`SubmissionQueue::push`]).
+    /// [`SubmissionQueue::push_all`]).
     #[must_use]
     pub fn new(conn: ConnectionId, request: Result<Value, String>) -> Submission {
         Submission {
@@ -106,23 +106,11 @@ impl Submission {
             at_micros: 0,
         }
     }
-
-    /// Whether this submission benefits from waiting in the queue.
-    /// Only `query`/`batch` requests coalesce; control ops (ingest,
-    /// stats, …) and malformed frames wake the drain loop immediately.
-    #[must_use]
-    pub fn coalescable(&self) -> bool {
-        matches!(&self.request, Ok(req) if protocol::coalescable(req))
-    }
 }
 
 #[derive(Debug, Default)]
 struct QueueState {
     items: Vec<Submission>,
-    /// When the oldest pending submission arrived (the linger clock).
-    first_at: Option<Instant>,
-    /// Whether anything pending is non-coalescable.
-    urgent: bool,
     /// Whether the exec pool has finished the overlapped cycle (the
     /// pipelined drain loop's rendezvous; see [`SubmissionQueue::
     /// wait_overlap`]). Lives under the queue mutex so the done signal
@@ -143,9 +131,10 @@ pub struct SubmissionQueue {
     state: Mutex<QueueState>,
     wake: Condvar,
     shutdown: AtomicBool,
-    /// Deepest the queue has ever been (updated by [`push`]
-    /// (SubmissionQueue::push), never reset): the after-the-fact
-    /// overload witness the `stats` op reports as `queue_depth_hwm`.
+    /// Deepest the queue has ever been (updated by
+    /// [`push_all`](SubmissionQueue::push_all), never reset): the
+    /// after-the-fact overload witness the `stats` op reports as
+    /// `queue_depth_hwm`.
     depth_hwm: AtomicUsize,
     /// The clock arrival stamps are taken on. Replaced with the
     /// service's telemetry clock by `Server::start`, so queue-wait
@@ -181,14 +170,18 @@ impl SubmissionQueue {
 
     /// Enqueues one submission — stamping its arrival time — and wakes
     /// the drain loop.
-    pub fn push(&self, mut sub: Submission) {
-        sub.at_micros = self.clock.lock().expect("queue clock lock").now_micros();
+    pub fn push(&self, sub: Submission) {
+        self.push_all([sub]);
+    }
+
+    /// Enqueues submissions atomically — one arrival stamp, one lock,
+    /// one wake — so the drain loop takes all of them in one cycle
+    /// unless a cycle is already running.
+    pub fn push_all(&self, subs: impl IntoIterator<Item = Submission>) {
+        let at_micros = self.clock.lock().expect("queue clock lock").now_micros();
         let mut st = self.state.lock().expect("queue lock");
-        if st.items.is_empty() {
-            st.first_at = Some(Instant::now());
-        }
-        st.urgent |= !sub.coalescable();
-        st.items.push(sub);
+        st.items
+            .extend(subs.into_iter().map(|sub| Submission { at_micros, ..sub }));
         self.depth_hwm.fetch_max(st.items.len(), Ordering::Relaxed);
         self.wake.notify_all();
     }
@@ -222,51 +215,27 @@ impl SubmissionQueue {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Blocks until a cycle is due, then takes the whole pending batch
-    /// along with the [`WakeReason`] that made it due.
-    ///
-    /// A cycle fires when any of: something non-coalescable is pending
-    /// (control ops don't benefit from lingering), the queue depth
-    /// reached `wake_depth`, the oldest pending submission has waited
-    /// `linger`, or shutdown was requested (the flush). When several
-    /// conditions hold at once the reported reason is the
-    /// highest-priority one (shutdown > control > depth > linger).
-    /// Returns `None` when shutting down with an empty queue — the
-    /// drain loop's exit.
-    pub(crate) fn wait_cycle(
-        &self,
-        linger: Duration,
-        wake_depth: usize,
-    ) -> Option<(Vec<Submission>, WakeReason)> {
+    /// Blocks until something is queued, then takes the whole pending
+    /// batch along with the [`WakeReason`] of its cycle: `Shutdown` once
+    /// shutdown was requested (the flush), else `Arrival`. Returns
+    /// `None` when shutting down with an empty queue — the drain loop's
+    /// exit.
+    pub(crate) fn wait_cycle(&self) -> Option<(Vec<Submission>, WakeReason)> {
         let mut st = self.state.lock().expect("queue lock");
         loop {
             let shutting = self.shutting_down();
-            if st.items.is_empty() {
-                if shutting {
-                    return None;
-                }
-                st = self.wake.wait_timeout(st, POLL).expect("queue lock").0;
-                continue;
-            }
-            let waited = st.first_at.map_or(Duration::ZERO, |first| first.elapsed());
-            let reason = if shutting {
-                Some(WakeReason::Shutdown)
-            } else if st.urgent {
-                Some(WakeReason::Control)
-            } else if st.items.len() >= wake_depth {
-                Some(WakeReason::Depth)
-            } else if waited >= linger {
-                Some(WakeReason::Linger)
-            } else {
-                None
-            };
-            if let Some(reason) = reason {
-                st.first_at = None;
-                st.urgent = false;
+            if !st.items.is_empty() {
+                let reason = if shutting {
+                    WakeReason::Shutdown
+                } else {
+                    WakeReason::Arrival
+                };
                 return Some((std::mem::take(&mut st.items), reason));
             }
-            let remaining = (linger - waited).min(POLL.max(Duration::from_millis(1)));
-            st = self.wake.wait_timeout(st, remaining).expect("queue lock").0;
+            if shutting {
+                return None;
+            }
+            st = self.wake.wait_timeout(st, POLL).expect("queue lock").0;
         }
     }
 
@@ -299,8 +268,6 @@ impl SubmissionQueue {
                 return None;
             }
             if !st.items.is_empty() {
-                st.first_at = None;
-                st.urgent = false;
                 return Some(std::mem::take(&mut st.items));
             }
             st = self.wake.wait_timeout(st, POLL).expect("queue lock").0;
@@ -1048,39 +1015,6 @@ mod tests {
     }
 
     #[test]
-    fn coalescable_classification() {
-        assert!(query_sub(0).coalescable());
-        assert!(Submission::new(0, Ok(Value::obj().field("op", "batch"))).coalescable());
-        assert!(!control_sub(0).coalescable());
-        assert!(!Submission::new(0, Err("bad".into())).coalescable());
-    }
-
-    #[test]
-    fn control_ops_fire_a_lingering_cycle_immediately() {
-        let q = SubmissionQueue::new();
-        q.push(query_sub(1));
-        q.push(control_sub(2));
-        // Huge linger + depth, yet the control op makes the cycle due.
-        let (cycle, reason) = q
-            .wait_cycle(Duration::from_secs(3600), usize::MAX)
-            .expect("cycle");
-        assert_eq!(cycle.len(), 2);
-        assert_eq!(cycle[0].conn, 1);
-        assert_eq!(reason, WakeReason::Control);
-        assert_eq!(q.depth(), 0);
-    }
-
-    #[test]
-    fn wake_depth_fires_without_linger_expiry() {
-        let q = SubmissionQueue::new();
-        q.push(query_sub(1));
-        q.push(query_sub(2));
-        let (cycle, reason) = q.wait_cycle(Duration::from_secs(3600), 2).expect("cycle");
-        assert_eq!(cycle.len(), 2);
-        assert_eq!(reason, WakeReason::Depth);
-    }
-
-    #[test]
     fn push_stamps_arrival_on_the_injected_clock() {
         let q = SubmissionQueue::new();
         let (clock, handle) = Clock::mock(0);
@@ -1089,35 +1023,44 @@ mod tests {
         q.push(query_sub(1));
         handle.advance(222);
         q.push(query_sub(2));
-        let (cycle, _) = q.wait_cycle(Duration::ZERO, usize::MAX).expect("cycle");
-        assert_eq!(cycle[0].at_micros, 111);
-        assert_eq!(cycle[1].at_micros, 333);
+        // A batch pushed at once arrives at one instant.
+        handle.advance(5);
+        q.push_all([query_sub(3), query_sub(4)]);
+        let (cycle, _) = q.wait_cycle().expect("cycle");
+        let stamps: Vec<u64> = cycle.iter().map(|s| s.at_micros).collect();
+        assert_eq!(stamps, [111, 333, 338, 338]);
     }
 
     #[test]
-    fn linger_expiry_fires_and_shutdown_flushes() {
-        let q = SubmissionQueue::new();
-        q.push(query_sub(1));
-        let t = Instant::now();
-        let (cycle, reason) = q
-            .wait_cycle(Duration::from_millis(40), usize::MAX)
-            .expect("cycle");
-        assert_eq!(cycle.len(), 1);
-        assert_eq!(reason, WakeReason::Linger);
-        assert!(t.elapsed() >= Duration::from_millis(40));
+    fn arrival_fires_a_cycle_and_shutdown_flushes() {
+        let q = Arc::new(SubmissionQueue::new());
+        // A batch pushed at once is taken whole, by one arrival cycle…
+        q.push_all([query_sub(1), control_sub(2)]);
+        let (cycle, reason) = q.wait_cycle().expect("cycle");
+        assert_eq!(cycle.len(), 2);
+        assert_eq!(cycle[0].conn, 1);
+        assert_eq!(reason, WakeReason::Arrival);
+        assert_eq!(q.depth(), 0);
+        // …and a wait on an empty queue fires on the next arrival.
+        let pusher = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || {
+                thread::sleep(Duration::from_millis(10));
+                q.push(query_sub(3));
+            })
+        };
+        let (cycle, reason) = q.wait_cycle().expect("cycle");
+        assert_eq!((cycle.len(), reason), (1, WakeReason::Arrival));
+        pusher.join().unwrap();
 
         // Shutdown with pending work: the flush cycle fires instantly…
-        q.push(query_sub(3));
+        q.push(query_sub(4));
         q.request_shutdown();
-        let (flush, reason) = q
-            .wait_cycle(Duration::from_secs(3600), usize::MAX)
-            .expect("flush cycle");
+        let (flush, reason) = q.wait_cycle().expect("flush cycle");
         assert_eq!(flush.len(), 1);
         assert_eq!(reason, WakeReason::Shutdown);
         // …and an empty shutdown queue ends the loop.
-        assert!(q
-            .wait_cycle(Duration::from_secs(3600), usize::MAX)
-            .is_none());
+        assert!(q.wait_cycle().is_none());
         assert!(q.shutting_down());
     }
 
@@ -1129,7 +1072,7 @@ mod tests {
         q.push(query_sub(2));
         q.push(query_sub(3));
         assert_eq!(q.depth_hwm(), 3);
-        let (cycle, _) = q.wait_cycle(Duration::ZERO, usize::MAX).expect("cycle");
+        let (cycle, _) = q.wait_cycle().expect("cycle");
         assert_eq!(cycle.len(), 3);
         assert_eq!(q.depth(), 0, "instantaneous depth resets on drain");
         assert_eq!(q.depth_hwm(), 3, "high-water mark does not");
@@ -1158,7 +1101,7 @@ mod tests {
         // Items pushed outside an overlap stay queued for wait_cycle.
         q.push(query_sub(2));
         assert_eq!(q.depth(), 1);
-        let (cycle, _) = q.wait_cycle(Duration::ZERO, usize::MAX).expect("cycle");
+        let (cycle, _) = q.wait_cycle().expect("cycle");
         assert_eq!(cycle.len(), 1);
     }
 
@@ -1353,7 +1296,7 @@ mod tests {
         input.extend_from_slice(b"  \n"); // blank: skipped entirely
         input.extend_from_slice(b"{\"op\":\"families\"}\n");
         pump_frames(&input[..], 9, &queue, &conns, 32);
-        let (subs, _) = queue.wait_cycle(Duration::ZERO, usize::MAX).expect("cycle");
+        let (subs, _) = queue.wait_cycle().expect("cycle");
         assert_eq!(subs.len(), 5);
         assert!(subs.iter().all(|s| s.conn == 9));
         assert!(subs[0].request.is_ok());

@@ -8,13 +8,14 @@
 //! Two properties at two trust levels:
 //!
 //! * `controlled_cycles_equal_synchronous_drain` pins the cycle
-//!   partition (each pushed batch becomes exactly one cycle, no
-//!   overlap) and compares the *full* response essence against a
-//!   reference `Service` fed the same submissions — including
+//!   partition (each batch is pushed atomically once the last one is
+//!   answered, so it becomes exactly one cycle, no overlap) and
+//!   compares the *full* response essence against a reference
+//!   `Service` fed the same submissions — including
 //!   partition-dependent fields like cache provenance and coalescing
 //!   counts.
 //! * `overlap_stress_preserves_per_connection_order` fires everything
-//!   back-to-back at `wake_depth 1` so arrivals land mid-pass and ride
+//!   back-to-back, one push each, so arrivals land mid-pass and ride
 //!   the overlap resolver; the cycle partition is then timing-
 //!   dependent, so it checks the partition-*invariant* contract: every
 //!   submission answered once, in submission order, with the
@@ -245,43 +246,26 @@ fn wait_for_lines(sinks: &[Sink], expected: &[usize]) {
     }
 }
 
-/// Runs `batches` through a pipelined server, one cycle per batch: the
-/// queue lingers (1 h, depth `MAX`) until a trailing control op on a
-/// dedicated connection fires the cycle, and the next batch is pushed
-/// only after every response from the previous one landed. Returns the
-/// per-connection response lists.
+/// Runs `batches` through a pipelined server, one cycle per batch:
+/// each batch is pushed atomically, so the drain loop takes it whole,
+/// and the next batch is pushed only after every response from the
+/// previous one landed. Returns the per-connection response lists.
 fn run_pipelined_controlled(batches: &[Vec<(usize, Op)>], conns: usize) -> Vec<Vec<Value>> {
-    let server = Server::start(
-        ingested_service(),
-        ServeOptions {
-            linger: Duration::from_secs(3600),
-            wake_depth: usize::MAX,
-            ..ServeOptions::default()
-        },
-    );
+    let server = Server::start(ingested_service(), ServeOptions::default());
     let sinks: Vec<Sink> = (0..conns).map(|_| Sink::default()).collect();
     let ids: Vec<ConnectionId> = sinks
         .iter()
         .map(|s| server.connections().register(Box::new(s.clone())))
         .collect();
-    let control = Sink::default();
-    let control_id = server.connections().register(Box::new(control.clone()));
     let queue = server.submission_queue();
 
     let mut expected = vec![0usize; conns];
-    for (b, batch) in batches.iter().enumerate() {
-        for (conn, op) in batch {
-            queue.push(Submission::new(ids[*conn], Ok(render_op(op))));
+    for batch in batches {
+        queue.push_all(batch.iter().map(|(conn, op)| {
             expected[*conn] += 1;
-        }
-        // The cycle trigger: control ops are non-coalescable, so this
-        // fires one cycle draining exactly the batch above.
-        queue.push(Submission::new(
-            control_id,
-            Ok(Value::obj().field("op", "stats")),
-        ));
+            Submission::new(ids[*conn], Ok(render_op(op)))
+        }));
         wait_for_lines(&sinks, &expected);
-        wait_for_lines(std::slice::from_ref(&control), &[b + 1]);
     }
     server.request_shutdown();
     let _ = server.join();
@@ -391,7 +375,7 @@ fn stress_strategy() -> impl Strategy<Value = StressOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Back-to-back arrivals at `wake_depth 1`: every submission rides
+    /// Back-to-back arrivals, one push each: every submission rides
     /// whatever cycle or overlap window it lands in, yet each
     /// connection still gets one response per submission, in
     /// submission order (proven by unique echoed seeds), with the
@@ -401,14 +385,7 @@ proptest! {
         ops in proptest::collection::vec((0..3usize, stress_strategy()), 4..24),
     ) {
         let conns = 3;
-        let server = Server::start(
-            ingested_service(),
-            ServeOptions {
-                linger: Duration::from_secs(3600),
-                wake_depth: 1,
-                ..ServeOptions::default()
-            },
-        );
+        let server = Server::start(ingested_service(), ServeOptions::default());
         let sinks: Vec<Sink> = (0..conns).map(|_| Sink::default()).collect();
         let ids: Vec<ConnectionId> = sinks
             .iter()

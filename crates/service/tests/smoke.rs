@@ -118,6 +118,48 @@ fn serve_answers_a_fully_piped_batch_before_exiting() {
 }
 
 #[test]
+fn serve_refuses_an_out_of_range_phase_count_and_keeps_serving() {
+    let mut child = bin()
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let mut stdin = child.stdin.take().expect("stdin");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout"));
+    let mut ask = |request: &str| -> Value {
+        writeln!(stdin, "{request}").expect("write request");
+        let mut line = String::new();
+        stdout.read_line(&mut line).expect("read response");
+        Value::parse(line.trim()).expect("response parses")
+    };
+
+    let ingested = ask(r#"{"op":"ingest","name":"p","spec":"path(6)"}"#);
+    assert_eq!(ingested.get("ok").unwrap().as_bool(), Some(true));
+    // A phase count past the wire's bound is refused in-band…
+    let bad = ask(r#"{"op":"query","graph":"p","phases":18446744073709551615}"#);
+    assert_eq!(bad.get("ok").unwrap().as_bool(), Some(false), "{bad}");
+    assert!(bad.get("error").unwrap().to_string().contains("`phases`"));
+    // …and the next query on the same connection is answered.
+    let next = ask(r#"{"op":"query","graph":"p","phases":6}"#);
+    assert_eq!(next.get("verdict").unwrap().as_str(), Some("accept"));
+
+    drop(stdin);
+    assert!(child.wait().expect("serve exits").success());
+
+    // The one-shot's `--phases` reaches the same parser.
+    let one_shot = bin()
+        .args(["query", "--spec", "path(6)", "--phases"])
+        .arg(u64::MAX.to_string())
+        .output()
+        .expect("run query");
+    assert_eq!(one_shot.status.code(), Some(2));
+    let printed = Value::parse(String::from_utf8_lossy(&one_shot.stdout).trim())
+        .expect("one-shot response parses");
+    assert_eq!(printed.get("ok").unwrap().as_bool(), Some(false));
+}
+
+#[test]
 fn one_shot_query_accepts_and_rejects_via_exit_codes() {
     let accept = bin()
         .args([

@@ -204,7 +204,7 @@ fn metrics_ops_snapshot_the_histograms() {
         ]
     );
     let cycles = metrics.get("cycles").unwrap();
-    assert!(cycles.get("wake").unwrap().get("depth").is_some());
+    assert!(cycles.get("wake").unwrap().get("arrival").is_some());
     assert!(metrics
         .get("engine")
         .unwrap()
@@ -216,7 +216,7 @@ fn metrics_ops_snapshot_the_histograms() {
     assert_eq!(text_resp.get("ok").unwrap().as_bool(), Some(true));
     let text = text_resp.get("text").unwrap().as_str().expect("text");
     assert!(text.contains("planartest_uptime_micros"));
-    assert!(text.contains("planartest_drain_wake_total{reason=\"depth\"}"));
+    assert!(text.contains("planartest_drain_wake_total{reason=\"arrival\"}"));
     assert!(text.contains("_bucket{"), "histograms expose buckets");
     assert!(
         text.contains("le=\"+Inf\""),
@@ -230,7 +230,7 @@ fn metrics_ops_snapshot_the_histograms() {
     assert!(stats.get("accept_stripes").unwrap().as_u64().is_some());
     assert!(stats.get("accept_capacity").unwrap().as_u64().is_some());
     assert!(stats.get("drain_cycles").unwrap().as_u64().is_some());
-    assert!(stats.get("wake").unwrap().get("linger").is_some());
+    assert!(stats.get("wake").unwrap().get("shutdown").is_some());
 }
 
 #[test]
@@ -330,16 +330,10 @@ fn queue_depth_hwm_ratchets_across_a_load_ramp() {
         .registry_mut()
         .ingest_spec("g", "tri_grid(4,4)")
         .expect("spec");
-    // A long linger with no depth wake parks the drain loop, so each
-    // round's burst accumulates in the queue in full; the trailing
-    // `stats` op is non-coalescable and flushes the round on demand.
-    let server = Server::start(
-        service,
-        ServeOptions {
-            linger: Duration::from_secs(30),
-            ..ServeOptions::default()
-        },
-    );
+    // Each round's burst and its trailing `stats` op are pushed
+    // atomically, once the previous round is answered, so the queue
+    // holds the whole round at once before one cycle takes it.
+    let server = Server::start(service, ServeOptions::default());
     let queue = server.submission_queue();
     let sink = Sink::default();
     let conn = server.connections().register(Box::new(sink.clone()));
@@ -360,14 +354,8 @@ fn queue_depth_hwm_ratchets_across_a_load_ramp() {
     let mut responses_expected = 0;
     let mut hwm_seen = 0;
     for (round, burst) in [2usize, 5, 9].into_iter().enumerate() {
-        for i in 0..burst {
-            queue.push(query(round * 100 + i));
-        }
-        assert_eq!(queue.depth(), burst, "burst parked until the flush op");
-        queue.push(Submission::new(
-            conn,
-            Ok(Value::parse(r#"{"op":"stats"}"#).unwrap()),
-        ));
+        let stats_op = Submission::new(conn, Ok(Value::parse(r#"{"op":"stats"}"#).unwrap()));
+        queue.push_all((0..burst).map(|i| query(round * 100 + i)).chain([stats_op]));
 
         responses_expected += burst + 1;
         let deadline = std::time::Instant::now() + Duration::from_secs(20);
@@ -392,7 +380,7 @@ fn queue_depth_hwm_ratchets_across_a_load_ramp() {
         );
         assert_eq!(stats.get("responses_lost").unwrap().as_u64(), Some(0));
         drop(buf);
-        assert_eq!(queue.depth(), 0, "flush op drains the whole round");
+        assert_eq!(queue.depth(), 0, "one cycle drains the whole round");
     }
 
     server.request_shutdown();

@@ -1,7 +1,7 @@
 //! End-to-end smoke tests of the transport-abstracted server: the real
 //! `planartest` binary serving concurrent unix-socket and TCP clients,
-//! cross-client coalescing, wire-protocol hardening, and graceful
-//! shutdown on EOF and SIGTERM.
+//! cross-client sharing of one prepared tester, wire-protocol
+//! hardening, and graceful shutdown on EOF and SIGTERM.
 #![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -71,27 +71,60 @@ fn connect(path: &std::path::Path) -> (UnixStream, BufReader<UnixStream>) {
     (stream, reader)
 }
 
+/// Sends the same-graph query under seeds 1 and 2 from two clients at
+/// once and reads both responses. A cycle fires on the first arrival:
+/// if the second lands in it too, one engine pass serves both seeds;
+/// if it lands while that pass runs, it is held and then rides the
+/// prepared tester the pass memoised. Either way Stage I and the
+/// seed-free prefix run once, which the returned `stats` shows.
+fn two_client_burst(
+    (a, a_rx): (&mut UnixStream, &mut BufReader<UnixStream>),
+    (b, b_rx): (&mut UnixStream, &mut BufReader<UnixStream>),
+) -> (Vec<Value>, Value) {
+    for (client, seed) in [(&mut *a, 1), (&mut *b, 2)] {
+        writeln!(
+            client,
+            r#"{{"op":"query","graph":"city","epsilon":0.2,"phases":5,"seed":{seed}}}"#
+        )
+        .unwrap();
+    }
+    let responses: Vec<Value> = [&mut *a_rx, &mut *b_rx]
+        .into_iter()
+        .map(|rx| {
+            let mut line = String::new();
+            rx.read_line(&mut line).expect("read response");
+            Value::parse(line.trim()).expect("response parses")
+        })
+        .collect();
+    let stats = ask(a, a_rx, r#"{"op":"stats"}"#);
+    let field = |key: &str| stats.get(key).and_then(Value::as_u64);
+    let passes = field("engine_passes").expect("engine_passes");
+    assert!(passes == 1 || passes == 2, "{passes} engine passes");
+    assert_eq!(field("prefix_misses"), Some(1), "one prepare serves both");
+    assert_eq!(field("prefix_hits"), Some(passes - 1));
+    assert_eq!(field("queries_served"), Some(2));
+    // One pass coalesces both seeds; two passes serve one seed each.
+    for response in &responses {
+        assert_eq!(response.get("ok").unwrap().as_bool(), Some(true));
+        assert_eq!(
+            response.get("coalesced").unwrap().as_u64(),
+            Some(3 - passes),
+            "coalesced must match the {passes} engine passes"
+        );
+    }
+    (responses, stats)
+}
+
 #[test]
 fn two_socket_clients_coalesce_into_one_engine_pass() {
     let path = socket_path("coalesce");
-    // wake-depth 2 + a long linger make the test deterministic: the
-    // cycle fires exactly when both clients' queries are pending.
-    let mut child = spawn_serve(&[
-        "--unix",
-        path.to_str().unwrap(),
-        "--wake-depth",
-        "2",
-        "--linger-ms",
-        "30000",
-    ]);
+    let mut child = spawn_serve(&["--unix", path.to_str().unwrap()]);
     let mut stderr = BufReader::new(child.stderr.take().expect("stderr"));
     await_banner(&mut stderr, "unix");
 
     let (mut a, mut a_rx) = connect(&path);
     let (mut b, mut b_rx) = connect(&path);
 
-    // Ingest is a control op: it wakes the drain loop immediately, no
-    // lingering, so client A gets its answer straight away.
     let ingested = ask(
         &mut a,
         &mut a_rx,
@@ -99,38 +132,11 @@ fn two_socket_clients_coalesce_into_one_engine_pass() {
     );
     assert_eq!(ingested.get("ok").unwrap().as_bool(), Some(true));
 
-    // Both clients query the same graph under different seeds. Neither
-    // alone reaches wake-depth 2; together they fire one cycle — and
-    // one engine pass serves both.
-    writeln!(
-        a,
-        r#"{{"op":"query","graph":"city","epsilon":0.2,"phases":5,"seed":1}}"#
-    )
-    .unwrap();
-    writeln!(
-        b,
-        r#"{{"op":"query","graph":"city","epsilon":0.2,"phases":5,"seed":2}}"#
-    )
-    .unwrap();
-
-    for rx in [&mut a_rx, &mut b_rx] {
-        let mut line = String::new();
-        rx.read_line(&mut line).expect("read response");
-        let response = Value::parse(line.trim()).expect("response parses");
-        assert_eq!(response.get("ok").unwrap().as_bool(), Some(true));
+    let (responses, _) = two_client_burst((&mut a, &mut a_rx), (&mut b, &mut b_rx));
+    for response in &responses {
         assert_eq!(response.get("verdict").unwrap().as_str(), Some("accept"));
         assert_eq!(response.get("cache").unwrap().as_str(), Some("cold"));
-        assert_eq!(
-            response.get("coalesced").unwrap().as_u64(),
-            Some(2),
-            "both clients' seeds must ride one pass"
-        );
     }
-
-    // The server-side proof: one engine pass, two queries served.
-    let stats = ask(&mut a, &mut a_rx, r#"{"op":"stats"}"#);
-    assert_eq!(stats.get("engine_passes").unwrap().as_u64(), Some(1));
-    assert_eq!(stats.get("queries_served").unwrap().as_u64(), Some(2));
 
     drop((a, b, a_rx, b_rx));
     drop(child.stdin.take()); // EOF: graceful shutdown
@@ -191,12 +197,15 @@ fn tcp_survives_garbage_and_oversized_frames() {
     assert!(child.wait().expect("serve exits").success());
 }
 
-#[test]
-fn eof_shutdown_flushes_lingering_queries() {
-    let path = socket_path("eof-flush");
-    // A very long linger and no depth wake: the query below would sit
-    // in the queue for 30s — unless shutdown flushes it.
-    let mut child = spawn_serve(&["--unix", path.to_str().unwrap(), "--linger-ms", "30000"]);
+/// Starts a unix-socket server, sends one query whose pass outlasts
+/// the shutdown trigger — `tri_grid(64,64)` takes about 0.25 s in a
+/// release build and over a second in a debug one — and calls `stop`
+/// once the query has had time to reach the queue. Asserts the query
+/// is still answered, and was still in flight when `stop` ran, and
+/// that the server exits with code 0.
+fn shutdown_flushes_an_in_flight_query(tag: &str, stop: impl FnOnce(&mut Child)) {
+    let path = socket_path(tag);
+    let mut child = spawn_serve(&["--unix", path.to_str().unwrap()]);
     let mut stderr = BufReader::new(child.stderr.take().expect("stderr"));
     await_banner(&mut stderr, "unix");
 
@@ -204,63 +213,53 @@ fn eof_shutdown_flushes_lingering_queries() {
     let ingested = ask(
         &mut client,
         &mut rx,
-        r#"{"op":"ingest","name":"g","spec":"tri_grid(4,4)"}"#,
+        r#"{"op":"ingest","name":"g","spec":"tri_grid(64,64)"}"#,
     );
     assert_eq!(ingested.get("ok").unwrap().as_bool(), Some(true));
 
+    let sent = std::time::Instant::now();
     writeln!(
         client,
         r#"{{"op":"query","graph":"g","epsilon":0.2,"phases":5,"seed":9}}"#
     )
     .unwrap();
-    // Let the query reach the submission queue, then close stdin.
-    std::thread::sleep(Duration::from_millis(300));
-    let started = std::time::Instant::now();
-    drop(child.stdin.take());
+    std::thread::sleep(Duration::from_millis(100));
+    let before_stop = sent.elapsed();
+    stop(&mut child);
 
-    // The lingering query is answered on the way down, well before its
-    // 30-second window.
     let mut line = String::new();
     rx.read_line(&mut line).expect("read flushed response");
     let response = Value::parse(line.trim()).expect("response parses");
     assert_eq!(response.get("verdict").unwrap().as_str(), Some("accept"));
-    assert!(started.elapsed() < Duration::from_secs(20));
-    assert!(child.wait().expect("serve exits").success());
+    // The server answered more than `before_stop` after the query
+    // arrived, so after `stop` ran: the shutdown flushed it.
+    let total_micros = response
+        .get("stages")
+        .and_then(|s| s.get("total_micros"))
+        .and_then(Value::as_u64)
+        .expect("stage total");
+    assert!(
+        u128::from(total_micros) > before_stop.as_micros(),
+        "the query was answered {total_micros}us after arrival, before shutdown"
+    );
+    let status = child.wait().expect("serve exits");
+    assert!(status.success(), "graceful exit, code 0");
 }
 
 #[test]
-fn sigterm_shutdown_flushes_lingering_queries() {
-    let path = socket_path("sigterm-flush");
-    let mut child = spawn_serve(&["--unix", path.to_str().unwrap(), "--linger-ms", "30000"]);
-    let mut stderr = BufReader::new(child.stderr.take().expect("stderr"));
-    await_banner(&mut stderr, "unix");
+fn eof_shutdown_flushes_in_flight_queries() {
+    shutdown_flushes_an_in_flight_query("eof-flush", |child| drop(child.stdin.take()));
+}
 
-    let (mut client, mut rx) = connect(&path);
-    let ingested = ask(
-        &mut client,
-        &mut rx,
-        r#"{"op":"ingest","name":"g","spec":"tri_grid(4,4)"}"#,
-    );
-    assert_eq!(ingested.get("ok").unwrap().as_bool(), Some(true));
-
-    writeln!(
-        client,
-        r#"{{"op":"query","graph":"g","epsilon":0.2,"phases":5,"seed":3}}"#
-    )
-    .unwrap();
-    std::thread::sleep(Duration::from_millis(300));
-    let killed = Command::new("sh")
-        .args(["-c", &format!("kill -TERM {}", child.id())])
-        .status()
-        .expect("run kill");
-    assert!(killed.success(), "kill -TERM must reach the server");
-
-    let mut line = String::new();
-    rx.read_line(&mut line).expect("read flushed response");
-    let response = Value::parse(line.trim()).expect("response parses");
-    assert_eq!(response.get("verdict").unwrap().as_str(), Some("accept"));
-    let status = child.wait().expect("serve exits");
-    assert!(status.success(), "SIGTERM exit is graceful, code 0");
+#[test]
+fn sigterm_shutdown_flushes_in_flight_queries() {
+    shutdown_flushes_an_in_flight_query("sigterm-flush", |child| {
+        let killed = Command::new("sh")
+            .args(["-c", &format!("kill -TERM {}", child.id())])
+            .status()
+            .expect("run kill");
+        assert!(killed.success(), "kill -TERM must reach the server");
+    });
 }
 
 #[test]
@@ -542,10 +541,6 @@ fn trace_flag_logs_a_two_client_coalesced_batch() {
     let mut child = spawn_serve(&[
         "--unix",
         path.to_str().unwrap(),
-        "--wake-depth",
-        "2",
-        "--linger-ms",
-        "30000",
         "--trace",
         trace_path.to_str().unwrap(),
     ]);
@@ -561,32 +556,17 @@ fn trace_flag_logs_a_two_client_coalesced_batch() {
     );
     assert_eq!(ingested.get("ok").unwrap().as_bool(), Some(true));
 
-    // The same two-client coalesced batch as the cross-client test:
-    // wake-depth 2 fires one cycle serving both queries in one pass.
-    writeln!(
-        a,
-        r#"{{"op":"query","graph":"city","epsilon":0.2,"phases":5,"seed":1}}"#
-    )
-    .unwrap();
-    writeln!(
-        b,
-        r#"{{"op":"query","graph":"city","epsilon":0.2,"phases":5,"seed":2}}"#
-    )
-    .unwrap();
-    for rx in [&mut a_rx, &mut b_rx] {
-        let mut line = String::new();
-        rx.read_line(&mut line).expect("read response");
-        let response = Value::parse(line.trim()).expect("response parses");
-        assert_eq!(response.get("ok").unwrap().as_bool(), Some(true));
-        assert_eq!(response.get("coalesced").unwrap().as_u64(), Some(2));
-    }
+    // The same two-client burst as the cross-client test; the `stats`
+    // op it ends with is control traffic, not a traced query.
+    let (_, stats) = two_client_burst((&mut a, &mut a_rx), (&mut b, &mut b_rx));
+    let coalesced = 3 - stats.get("engine_passes").unwrap().as_u64().unwrap();
 
     drop((a, b, a_rx, b_rx));
     drop(child.stdin.take());
     assert!(child.wait().expect("serve exits").success());
 
     // The trace artifact: exactly four LDJSON records per query (the
-    // ingest and shutdown are control traffic, not queries), each
+    // ingest, `stats` and shutdown are control traffic, not queries), each
     // query's chunk contiguous and stage-complete.
     let text = std::fs::read_to_string(&trace_path).expect("trace file");
     let records: Vec<Value> = text
@@ -613,7 +593,7 @@ fn trace_flag_logs_a_two_client_coalesced_batch() {
         }
         conns.push(conn);
         assert_eq!(chunk[1].get("cache").unwrap().as_str(), Some("cold"));
-        assert_eq!(chunk[2].get("coalesced").unwrap().as_u64(), Some(2));
+        assert_eq!(chunk[2].get("coalesced").unwrap().as_u64(), Some(coalesced));
         // Stage stamps are monotone and close exactly: each record is
         // stamped at its stage's start, so the respond record's offset
         // from submit plus its own span is the reported total.
