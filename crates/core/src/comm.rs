@@ -12,10 +12,13 @@
 //!   movement down/up part trees (used for candidate lists, labels and
 //!   sampled edges, which exceed one message of bandwidth).
 //!
-//! One function runs no engine: [`stream_broadcast_cost`] computes the
-//! exact [`RunReport`] (or first [`SimError`]) of a [`stream_broadcast`]
-//! in closed form. Stage II takes its sample broadcast's cost from it;
-//! the engine run is its oracle in debug builds and tests.
+//! Two functions run no engine: [`up_stream_cost`] and
+//! [`stream_broadcast_cost`] compute the exact [`RunReport`] (or first
+//! [`SimError`]) of an [`up_stream`] and a [`stream_broadcast`] in closed
+//! form, from a [`StreamSummary`] of each node's message list. Stage II
+//! takes both of its sample streams' costs from them; the two engine
+//! runs are their oracles in debug builds and tests, and release builds
+//! of the library leave them out.
 
 use std::collections::VecDeque;
 
@@ -77,6 +80,7 @@ fn engine_neighbors(out: &Outbox<'_>, node: NodeId) -> Vec<NodeId> {
 }
 
 /// What an [`up_stream`] collected: per node, `(relay, message)` pairs.
+#[cfg(any(debug_assertions, test))]
 pub type Collected = Vec<Vec<(NodeId, Msg)>>;
 
 /// How [`census`] merges two values of the same key.
@@ -324,10 +328,38 @@ pub fn stream_broadcast(
     Ok((logic.received, report))
 }
 
-/// The result [`stream_broadcast`] returns for `payload` on an engine of
-/// `limit` words per message — its [`RunReport`], or the first
-/// [`SimError`] the engine raises — in closed form, walking each payload
-/// root's tree once instead of delivering every message.
+/// What the closed-form stream costs read of one node's message list:
+/// its messages, its words, and its first message over the engine's
+/// bandwidth limit.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StreamSummary {
+    /// Messages in the list.
+    pub messages: u64,
+    /// Words in all of them.
+    pub words: u64,
+    /// The first message longer than the limit: its position in the
+    /// list and its length.
+    pub oversize: Option<(u64, usize)>,
+}
+
+impl StreamSummary {
+    /// Summarises `msgs` against a limit of `limit` words per message.
+    #[cfg(any(debug_assertions, test))]
+    pub fn of(msgs: &[Msg], limit: usize) -> Self {
+        let oversize = msgs.iter().position(|m| m.len() > limit);
+        StreamSummary {
+            messages: msgs.len() as u64,
+            words: msgs.iter().map(|m| m.len() as u64).sum(),
+            oversize: oversize.map(|j| (j as u64, msgs[j].len())),
+        }
+    }
+}
+
+/// The result [`stream_broadcast`] returns on an engine of `limit` words
+/// per message — its [`RunReport`], or the first [`SimError`] the engine
+/// raises — in closed form, from a summary of each root's payload (empty
+/// at every other node), walking each payload root's tree once instead
+/// of delivering every message.
 ///
 /// A root sends its message `j` (0-based) in round `j`, round 0 being
 /// `init`, and a node at depth `d` relays it in round `j + d`. So a root
@@ -352,19 +384,18 @@ pub fn stream_broadcast(
 /// validated [`TreeTopology`] rules out the other two errors.
 pub fn stream_broadcast_cost(
     tree: &TreeTopology,
-    payload: &[Vec<Msg>],
+    payload: &[StreamSummary],
     limit: usize,
     max_rounds: u64,
 ) -> Result<RunReport, SimError> {
     let mut report = RunReport::default();
-    // The earliest oversize send: (round, root, first child, words).
-    let mut oversize: Option<(u64, NodeId, NodeId, usize)> = None;
+    let mut oversize: Option<Oversize> = None;
     let mut stack: Vec<(NodeId, u64)> = Vec::new();
-    for (v, msgs) in payload.iter().enumerate() {
-        if msgs.is_empty() {
+    for (v, sent) in payload.iter().enumerate() {
+        if sent.messages == 0 {
             continue;
         }
-        let (root, k) = (NodeId::new(v), msgs.len() as u64);
+        let (root, k) = (NodeId::new(v), sent.messages);
         let (mut size, mut height) = (0u64, 0u64);
         stack.push((root, 0));
         while let Some((x, d)) = stack.pop() {
@@ -372,23 +403,34 @@ pub fn stream_broadcast_cost(
             height = height.max(d);
             stack.extend(tree.children(x).iter().map(|&c| (c, d + 1)));
         }
-        let words: u64 = msgs.iter().map(|m| m.len() as u64).sum();
         report.rounds = report.rounds.max(height + k - 1);
         report.messages += k * (size - 1);
-        report.words += words * (size - 1);
-        let first_child = tree.children(root).first();
-        let too_large = msgs.iter().position(|m| m.len() > limit);
-        if let (Some(&to), Some(j)) = (first_child, too_large) {
+        report.words += sent.words * (size - 1);
+        if let (Some(&to), Some((j, words))) = (tree.children(root).first(), sent.oversize) {
             // Roots come in ascending order, so `<` keeps the lowest on ties.
-            if oversize.is_none_or(|(earliest, ..)| (j as u64) < earliest) {
-                oversize = Some((j as u64, root, to, msgs[j].len()));
+            if oversize.is_none_or(|(earliest, ..)| j < earliest) {
+                oversize = Some((j, root, to, words));
             }
         }
     }
+    settle(report, oversize, limit, max_rounds)
+}
+
+/// The earliest oversize send of a run: `(round, from, to, words)`.
+type Oversize = (u64, NodeId, NodeId, usize);
+
+/// A closed form's result: `report`, unless its earliest oversize send
+/// comes within `max_rounds` or the run outlasts them.
+fn settle(
+    report: RunReport,
+    oversize: Option<Oversize>,
+    limit: usize,
+    max_rounds: u64,
+) -> Result<RunReport, SimError> {
     if let Some((round, from, to, words)) = oversize {
         // A send past the budget is preempted by the round limit, which
-        // the check below raises: this root alone keeps the run going
-        // for at least `j + 1` rounds.
+        // the check below raises: its sender alone keeps the run going
+        // for at least `round + 1` rounds.
         if round <= max_rounds {
             return Err(SimError::MessageTooLarge {
                 from,
@@ -404,12 +446,14 @@ pub fn stream_broadcast_cost(
     Ok(report)
 }
 
+#[cfg(any(debug_assertions, test))]
 struct UpStreamLogic<'t> {
     tree: &'t TreeTopology,
     queue: Vec<VecDeque<Msg>>,
     collected: Vec<Vec<(NodeId, Msg)>>,
 }
 
+#[cfg(any(debug_assertions, test))]
 impl UpStreamLogic<'_> {
     fn pump(&mut self, node: NodeId, out: &mut Outbox<'_>) {
         let v = node.index();
@@ -432,6 +476,7 @@ impl UpStreamLogic<'_> {
     }
 }
 
+#[cfg(any(debug_assertions, test))]
 impl NodeLogic for UpStreamLogic<'_> {
     fn init(&mut self, node: NodeId, out: &mut Outbox<'_>) {
         if !self.queue[node.index()].is_empty() {
@@ -459,16 +504,15 @@ impl NodeLogic for UpStreamLogic<'_> {
 /// store-and-forward through internal nodes). Returns the collected
 /// `(origin-or-relay, msg)` list at every root — senders along the path
 /// are the *relaying* children, so protocols that need origins must
-/// encode them in the payload — and the run's [`RunReport`].
-///
-/// This is the Stage-II hot path for Monte-Carlo seeds: the per-seed
-/// sample streams are the only seed-dependent engine runs of the tester.
+/// encode them in the payload — and the run's [`RunReport`], which
+/// [`up_stream_cost`] computes without running the engine.
 ///
 /// Cost: `O(height + total items through the busiest edge)` rounds.
 ///
 /// # Errors
 ///
 /// Propagates engine [`SimError`]s.
+#[cfg(any(debug_assertions, test))]
 pub fn up_stream(
     engine: &mut Engine<'_>,
     tree: &TreeTopology,
@@ -483,6 +527,133 @@ pub fn up_stream(
     };
     let report = engine.run(&mut logic, max_rounds)?;
     Ok((logic.collected, report))
+}
+
+/// The result [`up_stream`] returns on an engine of `limit` words per
+/// message — its [`RunReport`], or the first [`SimError`] the engine
+/// raises — in closed form, from a summary of every node's own list.
+///
+/// A node queues its own messages at round 0 and each relayed message
+/// in the round it arrives, one round after its child sent it. Every
+/// non-root node sends one queued message per round, oldest first, and
+/// a root keeps what reaches it. So each message of a node at depth `d`
+/// is delivered `d` times:
+///
+/// * `messages` = Σ `m_v · depth(v)`, `words` = Σ `w_v · depth(v)`;
+/// * `rounds` = 1 + the last round any node sends in (0 if none does).
+///
+/// A node whose arrivals, sorted, are `a_1 ≤ a_2 ≤ …` sends in rounds
+/// `t_i = max(a_i, t_{i−1} + 1)`. The rounds are computed children
+/// before parents, as maximal runs of consecutive rounds, so the work
+/// grows with the number of runs, not of messages.
+///
+/// # Errors
+///
+/// Exactly those of the engine run. A node's own messages queue ahead
+/// of everything it relays, so it sends its own message `j` in round
+/// `j`; and a message is relayed only after its origin sent it. So the
+/// first oversize send is an origin's: the smallest `j` over non-root
+/// nodes whose own message `j` exceeds `limit`, the lowest node winning
+/// ties. It raises [`SimError::MessageTooLarge`] toward the node's
+/// parent if round `j` is within `max_rounds`; otherwise — and whenever
+/// `rounds > max_rounds` — [`SimError::RoundLimitExceeded`]. Roots send
+/// nothing, and a validated [`TreeTopology`] rules out the other two
+/// errors.
+pub fn up_stream_cost(
+    tree: &TreeTopology,
+    items: &[StreamSummary],
+    limit: usize,
+    max_rounds: u64,
+) -> Result<RunReport, SimError> {
+    let n = items.len();
+    // Every node with its depth, tree by tree in breadth-first order:
+    // reversed, children come before their parents.
+    let mut order: Vec<(NodeId, u64)> = Vec::with_capacity(n);
+    for root in (0..n).map(NodeId::new).filter(|&v| tree.is_root(v)) {
+        let mut next = order.len();
+        order.push((root, 0));
+        while let Some(&(x, d)) = order.get(next) {
+            order.extend(tree.children(x).iter().map(|&c| (c, d + 1)));
+            next += 1;
+        }
+    }
+    let mut report = RunReport::default();
+    let mut oversize: Option<Oversize> = None;
+    // Each node's send rounds as runs `(first, count)`: node `v`'s are
+    // `runs[at[v].0..at[v].1]`.
+    let mut runs: Vec<(u64, u64)> = Vec::new();
+    let mut at = vec![(0usize, 0usize); n];
+    let mut steps: Vec<(u64, i64)> = Vec::new();
+    for &(v, depth) in order.iter().rev() {
+        let own = &items[v.index()];
+        report.messages += own.messages * depth;
+        report.words += own.words * depth;
+        let Some(parent) = tree.parent(v) else {
+            continue;
+        };
+        if let Some((j, words)) = own.oversize {
+            if oversize.is_none_or(|(earliest, from, ..)| (j, v) < (earliest, from)) {
+                oversize = Some((j, v, parent, words));
+            }
+        }
+        // A child's run of sends arrives here one round later, one
+        // message a round: the arrival rate steps up at its first round
+        // and back down after its last.
+        steps.clear();
+        for &c in tree.children(v) {
+            let (lo, hi) = at[c.index()];
+            for &(first, count) in &runs[lo..hi] {
+                steps.extend([(first + 1, 1), (first + 1 + count, -1)]);
+            }
+        }
+        let start = runs.len();
+        send_runs(own.messages, &mut steps, &mut runs);
+        at[v.index()] = (start, runs.len());
+        if let Some(&(first, count)) = runs[start..].last() {
+            report.rounds = report.rounds.max(first + count);
+        }
+    }
+    settle(report, oversize, limit, max_rounds)
+}
+
+/// Appends to `runs` the rounds a non-root node sends in, as maximal
+/// runs `(first round, count)`: it queues `own` messages at round 0, and
+/// one more message in every round while the arrival rate that the
+/// `(round, ±1)` `steps` trace is positive, and sends one queued
+/// message per round.
+fn send_runs(own: u64, steps: &mut [(u64, i64)], runs: &mut Vec<(u64, u64)>) {
+    let start = runs.len();
+    let send = |runs: &mut Vec<(u64, u64)>, first: u64, count: u64| {
+        if count == 0 {
+            return;
+        }
+        match runs[start..].last_mut() {
+            Some((f, k)) if *f + *k == first => *k += count,
+            _ => runs.push((first, count)),
+        }
+    };
+    // Ends sort before starts in one round, so the rate never dips
+    // below zero.
+    steps.sort_unstable();
+    let (mut now, mut queued, mut rate) = (0u64, own, 0u64);
+    for &(round, step) in steps.iter() {
+        let span = round - now;
+        // A message arrives in every round of the span while the rate is
+        // positive, so the node sends in each and its queue grows by
+        // `rate − 1` a round; otherwise it drains its queue.
+        let sends = if rate > 0 {
+            queued += (rate - 1) * span;
+            span
+        } else {
+            let sends = queued.min(span);
+            queued -= sends;
+            sends
+        };
+        send(runs, now, sends);
+        now = round;
+        rate = rate.wrapping_add_signed(step);
+    }
+    send(runs, now, queued);
 }
 
 #[cfg(test)]
@@ -613,7 +784,12 @@ mod tests {
         assert_eq!((report.rounds, report.messages, report.words), (6, 12, 12));
         assert_eq!(engine.stats().rounds, report.rounds);
         // The closed form gives the same report without running.
-        assert_eq!(stream_broadcast_cost(&tree, &payload, 4, 1000), Ok(report));
+        let summaries: Vec<StreamSummary> =
+            payload.iter().map(|p| StreamSummary::of(p, 4)).collect();
+        assert_eq!(
+            stream_broadcast_cost(&tree, &summaries, 4, 1000),
+            Ok(report)
+        );
     }
 
     /// A random forest on a random graph, with payloads of up to `k_max`
@@ -662,16 +838,21 @@ mod tests {
                 if !tree.is_root(NodeId::new(v)) {
                     return Vec::new();
                 }
-                let k = rng.random_range(0..k_max + 1);
-                (0..k)
-                    .map(|_| {
-                        let len = rng.random_range(1..max_words + 1);
-                        Msg::from((0..len).map(|_| rng.random::<u64>()).collect::<Vec<_>>())
-                    })
-                    .collect()
+                random_msgs(&mut rng, k_max, max_words)
             })
             .collect();
         (g, tree, payload)
+    }
+
+    /// Up to `k_max` messages of 1 to `max_words` random words.
+    fn random_msgs(rng: &mut StdRng, k_max: usize, max_words: usize) -> Vec<Msg> {
+        let k = rng.random_range(0..k_max + 1);
+        (0..k)
+            .map(|_| {
+                let len = rng.random_range(1..max_words + 1);
+                Msg::from((0..len).map(|_| rng.random::<u64>()).collect::<Vec<_>>())
+            })
+            .collect()
     }
 
     proptest! {
@@ -690,7 +871,9 @@ mod tests {
             max_rounds in 0u64..48,
         ) {
             let (g, tree, payload) = random_broadcast(seed, n, k_max, limit + oversize);
-            let cost = stream_broadcast_cost(&tree, &payload, limit, max_rounds);
+            let summaries: Vec<StreamSummary> =
+                payload.iter().map(|p| StreamSummary::of(p, limit)).collect();
+            let cost = stream_broadcast_cost(&tree, &summaries, limit, max_rounds);
             let mut engine = Engine::new(&g, SimConfig { max_words_per_message: limit });
             let run = stream_broadcast(&mut engine, &tree, payload.clone(), max_rounds);
             prop_assert_eq!(cost, run.clone().map(|(_, report)| report));
@@ -701,6 +884,40 @@ mod tests {
                     prop_assert_eq!(&got[v.index()][..], want, "node {:?}", v);
                 }
             }
+        }
+
+        /// The closed form is the engine run's report, errors included,
+        /// on `random_broadcast` forests with up to `k_max` messages at
+        /// every node, roots included: oversize messages (in half the
+        /// cases), each list's longest message first or anywhere, and
+        /// round budgets from 0 to past most runs' length.
+        #[test]
+        fn up_stream_cost_matches_the_engine(
+            seed in 0u64..u64::MAX,
+            n in 1usize..60,
+            k_max in 0usize..9,
+            limit in 1usize..5,
+            oversize in 0usize..2,
+            longest_first in 0u8..2,
+            max_rounds in 0u64..120,
+        ) {
+            let (g, tree, _) = random_broadcast(seed, n, 0, 1);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let items: Vec<Vec<Msg>> = (0..n)
+                .map(|_| {
+                    let mut msgs = random_msgs(&mut rng, k_max, limit + oversize);
+                    if longest_first == 1 {
+                        msgs.sort_by_key(|m| std::cmp::Reverse(m.len()));
+                    }
+                    msgs
+                })
+                .collect();
+            let summaries: Vec<StreamSummary> =
+                items.iter().map(|m| StreamSummary::of(m, limit)).collect();
+            let cost = up_stream_cost(&tree, &summaries, limit, max_rounds);
+            let mut engine = Engine::new(&g, SimConfig { max_words_per_message: limit });
+            let run = up_stream(&mut engine, &tree, items, max_rounds);
+            prop_assert_eq!(cost, run.map(|(_, report)| report));
         }
     }
 

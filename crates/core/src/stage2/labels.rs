@@ -75,10 +75,12 @@ impl LabeledEdge {
     }
 }
 
-/// [`LabeledEdge::intersects`] on digit slices: the ordered intervals
-/// `(lo, hi)` and `(other_lo, other_hi)` interleave strictly. Slices
-/// compare lexicographically, a prefix first, like [`Label::lex_cmp`].
-pub(crate) fn intersects(lo: &[u32], hi: &[u32], other_lo: &[u32], other_hi: &[u32]) -> bool {
+/// [`LabeledEdge::intersects`] on any ordered keys: the ordered
+/// intervals `(lo, hi)` and `(other_lo, other_hi)` interleave strictly.
+/// Digit slices compare lexicographically, a prefix first, like
+/// [`Label::lex_cmp`]; Stage II's check compares the labels' ranks
+/// within their part, which order the same way.
+pub(crate) fn intersects<T: Ord + ?Sized>(lo: &T, hi: &T, other_lo: &T, other_hi: &T) -> bool {
     (lo < other_lo && other_lo < hi && hi < other_hi)
         || (other_lo < lo && lo < other_hi && other_hi < hi)
 }

@@ -14,11 +14,14 @@
 //!    words long);
 //! 5. exchange labels across non-tree edges (message-level, pipelined);
 //! 6. sample `Θ(log n/ε)` non-tree edges, ship their label pairs to the
-//!    root (message-level, pipelined) and broadcast them back (pipelined;
-//!    its cost is computed exactly in closed form, and debug builds also
-//!    run it message by message as the oracle); every node checks its
-//!    assigned non-tree edges against the sample for Definition 7
-//!    violations and rejects on any hit.
+//!    root and broadcast them back down (both pipelined); every node
+//!    checks its assigned non-tree edges against the sample for
+//!    Definition 7 violations and rejects on any hit. Both streams'
+//!    costs are computed exactly in closed form
+//!    (`comm::up_stream_cost`, `comm::stream_broadcast_cost`) from each
+//!    interval's wire size, and the check compares the labels' ranks
+//!    within their part; debug builds also run the step message by
+//!    message as the oracle of both.
 //!
 //! Steps 1–5 read the graph and the configuration, never the seed:
 //! `Stage2Prefix::prepare` runs them once and keeps what step 6 reads,
@@ -31,22 +34,27 @@ pub mod pack;
 mod protocols;
 
 use std::cmp::Ordering;
+#[cfg(debug_assertions)]
 use std::collections::HashMap;
 use std::mem::size_of;
 
 use planartest_embed::{check_planarity, PlanarityCheck, RotationSystem};
 use planartest_graph::{EdgeId, Graph, NodeId};
 use planartest_sim::tree::{broadcast, convergecast, TreeTopology};
-use planartest_sim::Engine;
-use planartest_sim::Msg;
+use planartest_sim::{Engine, Msg, SimConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use self::labels::{Label, LabeledEdge};
+use self::labels::Label;
+#[cfg(debug_assertions)]
+use self::labels::LabeledEdge;
+use crate::comm::{self, StreamSummary};
 use crate::config::{EmbeddingMode, TesterConfig};
 use crate::error::CoreError;
 use crate::partition::{part_bfs, PartitionState};
 use crate::tester::RejectReason;
+#[cfg(debug_assertions)]
+use planartest_sim::{RunReport, SimError};
 
 use planartest_sim::SimStats;
 
@@ -128,14 +136,15 @@ pub fn run_stage2(
 /// A thin wrapper over the split that [`crate::PlanarityTester::prepare`]
 /// and [`crate::Prepared::sample`] expose. Steps 1–5 — BFS trees,
 /// counting, embedding, label distribution and label exchange — run
-/// once, with every instance credited their full cost. The sample
-/// streams run per seed: shipping the sampled intervals to the roots is
-/// an engine run, back to back on `engine`; broadcasting them back down
-/// is costed in closed form (`comm::stream_broadcast_cost`, the exact
-/// report of the engine run, which debug builds also execute on a
-/// scratch engine and compare). So each instance's verdict and
-/// statistics are bit-for-bit what a sequential `run_stage2` with that
-/// seed produces.
+/// once on `engine`, with every instance credited their full cost. Step
+/// 6 runs per seed on no engine: shipping the sampled intervals to the
+/// roots and broadcasting them back down are costed in closed form
+/// (`comm::up_stream_cost`, `comm::stream_broadcast_cost`: the exact
+/// reports of the engine runs, which debug builds also execute on a
+/// scratch engine and compare), and each node's Definition-7 check
+/// compares label ranks. So each instance's verdict and statistics are
+/// bit-for-bit what a sequential `run_stage2` with that seed produces,
+/// and `engine`'s own statistics gain steps 1–5 only.
 ///
 /// # Errors
 ///
@@ -148,7 +157,7 @@ pub fn run_stage2_many(
     seeds: &[u64],
     state: &PartitionState,
 ) -> Result<Stage2Batch, CoreError> {
-    Stage2Prefix::prepare(engine, cfg, state)?.sample(engine, cfg, seeds)
+    Stage2Prefix::prepare(engine, cfg, state)?.sample(engine.graph(), engine.config(), cfg, seeds)
 }
 
 /// What Stage II's seed-independent steps 1–5 leave for step 6: the
@@ -176,6 +185,12 @@ pub(crate) struct Stage2Prefix {
     /// `digits[label_at[v]..label_at[v + 1]]`.
     digits: Vec<u32>,
     label_at: Vec<usize>,
+    /// Each node's rank in `(root, label)` order. Within a part that is
+    /// label order, so Definition 7 compares ranks instead of digits.
+    rank: Vec<u32>,
+    /// The words of each node's packed label ([`labels::pack_label`]),
+    /// which size the wire frames of the intervals it ends.
+    packed: Vec<u32>,
     /// Every node's assigned non-tree edges as label intervals, each the
     /// `(lo, hi)` pair of its endpoints in label order: node `v`'s are
     /// `edges[edge_at[v]..edge_at[v + 1]]`.
@@ -346,6 +361,16 @@ impl Stage2Prefix {
             }
             edge_at.push(edges.len());
         }
+        let label = |v: usize| &digits[label_at[v]..label_at[v + 1]];
+        let rank = label_ranks(&state.root, label);
+        let mut words = Vec::new();
+        let packed = (0..n)
+            .map(|v| {
+                words.clear();
+                labels::pack_label(label(v), &mut words);
+                words.len() as u32
+            })
+            .collect();
 
         Ok(Stage2Prefix {
             roots,
@@ -357,12 +382,15 @@ impl Stage2Prefix {
             rejections,
             digits,
             label_at,
+            rank,
+            packed,
             edges,
             edge_at,
         })
     }
 
-    /// Node `v`'s label digits.
+    /// Node `v`'s label digits, which the message-level oracle ships.
+    #[cfg(debug_assertions)]
     fn label(&self, v: NodeId) -> &[u32] {
         &self.digits[self.label_at[v.index()]..self.label_at[v.index() + 1]]
     }
@@ -382,172 +410,309 @@ impl Stage2Prefix {
             + self.rejections.capacity() * size_of::<(NodeId, RejectReason)>()
             + self.digits.capacity() * size_of::<u32>()
             + self.label_at.capacity() * size_of::<usize>()
+            + self.rank.capacity() * size_of::<u32>()
+            + self.packed.capacity() * size_of::<u32>()
             + self.edges.capacity() * size_of::<(NodeId, NodeId)>()
             + self.edge_at.capacity() * size_of::<usize>()
     }
 
-    /// Runs step 6 for every seed on `engine` (any engine over the
-    /// prefix's graph): per seed, draw the sample, ship it to the roots,
-    /// cost the broadcast back down and check Definition 7 locally.
+    /// Runs step 6 for every seed over `g`, the prefix's graph, on an
+    /// engine of bandwidth `sim`: per seed, draw the sample, cost its two
+    /// streams in closed form and check Definition 7 locally. No engine
+    /// runs and no message is built; debug builds also run the step
+    /// message by message (`Oracle`) and assert that it agrees.
     pub(crate) fn sample(
         &self,
-        engine: &mut Engine<'_>,
+        g: &Graph,
+        sim: SimConfig,
         cfg: &TesterConfig,
         seeds: &[u64],
     ) -> Result<Stage2Batch, CoreError> {
         let n = self.root.len();
-        let max_rounds = cfg.max_rounds;
-        let roots = &self.roots;
+        debug_assert_eq!(g.n(), n, "a prefix samples over its own graph");
+        let (limit, max_rounds) = (sim.max_words_per_message, cfg.max_rounds);
         let s_target = cfg.sample_size(n) as f64;
         // Saturates: a tiny ε drives `s_target` to `usize::MAX`.
         let budget = ((4.0 * s_target).ceil() as usize).saturating_add(8);
-        let mut all_sample_items: Vec<Vec<Vec<Msg>>> = Vec::with_capacity(seeds.len());
-        // Sampled non-tree edges of each part per seed, indexed by the root.
-        let mut sampled_per_part: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for &r in roots {
-            sampled_per_part[r.index()] = vec![0; seeds.len()];
-        }
-        for (k, &seed) in seeds.iter().enumerate() {
-            let mut sample_items: Vec<Vec<Msg>> = vec![Vec::new(); n];
-            for v in 0..n {
-                let intervals = self.intervals(v);
-                if intervals.is_empty() {
-                    continue;
-                }
-                let nt = self.non_tree[v];
-                if nt == 0 {
-                    continue;
-                }
-                let p = (s_target / nt as f64).min(1.0);
-                let mut rng = sample_rng(seed, v as u64);
-                for &(lo, hi) in intervals {
-                    if rng.random_bool(p) {
-                        sampled_per_part[self.root[v].index()][k] += 1;
-                        sample_items[v].extend(encode_interval(
-                            v as u64,
-                            self.label(lo),
-                            self.label(hi),
-                        ));
-                    }
-                }
-            }
+        let paper_mode = cfg.embedding == EmbeddingMode::Paper;
+        #[cfg(debug_assertions)]
+        let mut oracle = Oracle::new(g, sim, max_rounds);
+        let mut lane = Lane::new(n);
+        let (mut up_reports, mut down_reports) = (Vec::new(), Vec::new());
+        let mut outcomes = Vec::with_capacity(seeds.len());
+        for &seed in seeds {
+            self.draw(seed, s_target, limit, &mut lane);
             // Overflow guard (1/poly(n) event per instance): the root would
             // abort; we fail the batch fast so callers can rerun with other
             // seeds. The lowest overflowing root reports.
-            let overflow = roots
+            let overflow = self
+                .roots
                 .iter()
-                .map(|r| sampled_per_part[r.index()][k])
-                .find(|&count| count > budget);
+                .map(|r| lane.sample[r.index()].len())
+                .find(|&drawn| drawn > budget);
             if let Some(drawn) = overflow {
                 return Err(CoreError::SampleOverflow { drawn, budget });
             }
-            all_sample_items.push(sample_items);
-        }
+            let up_report = comm::up_stream_cost(&self.tree, &lane.up, limit, max_rounds);
+            let down_report =
+                comm::stream_broadcast_cost(&self.tree, &lane.down, limit, max_rounds);
 
-        // Ship every instance's samples to the roots: the only
-        // seed-dependent engine runs.
-        let tree = &self.tree;
-        let collected = all_sample_items
-            .into_iter()
-            .map(|items| crate::comm::up_stream(engine, tree, items, max_rounds))
-            .collect::<Result<Vec<_>, _>>()?;
-        // The broadcast's report is computed in closed form. Debug builds
-        // also run it message by message as the oracle, on a scratch
-        // engine so that the tester engine's stats match release builds.
-        let limit = engine.config().max_words_per_message;
-        #[cfg(debug_assertions)]
-        let (mut oracle, mut received) = (Engine::new(engine.graph(), engine.config()), Vec::new());
-        let mut down_reports = Vec::with_capacity(seeds.len());
-        // The decoded sample list of each part per seed, indexed by the root.
-        let mut sampled_intervals_at_root: Vec<Vec<Vec<LabeledEdge>>> = vec![Vec::new(); n];
-        for (collected_k, _) in &collected {
-            let mut payload: Vec<Vec<Msg>> = vec![Vec::new(); n];
-            for &r in roots {
-                let words = decode_streams(&collected_k[r.index()]);
-                payload[r.index()] = words
-                    .iter()
-                    .flat_map(|iv| encode_interval(r.raw() as u64, &iv.lo.0, &iv.hi.0))
-                    .collect();
-                sampled_intervals_at_root[r.index()].push(words);
-            }
-            let report = crate::comm::stream_broadcast_cost(tree, &payload, limit, max_rounds);
-            #[cfg(debug_assertions)]
-            {
-                let run = crate::comm::stream_broadcast(&mut oracle, tree, payload, max_rounds)
-                    .map(|(received_k, run_report)| {
-                        received.push(received_k);
-                        run_report
-                    });
-                assert_eq!(
-                    report, run,
-                    "closed-form broadcast cost must equal the engine run"
-                );
-            }
-            down_reports.push(report?);
-        }
-
-        // Local violation checks, per instance.
-        let paper_mode = cfg.embedding == EmbeddingMode::Paper;
-        let mut outcomes = Vec::with_capacity(seeds.len());
-        let mut stats = Vec::with_capacity(seeds.len());
-        for (k, ((_, up_report), down_report)) in collected.iter().zip(&down_reports).enumerate() {
+            // Local violation checks: every node against its part's
+            // sample, any hit marking it once.
             let mut rejections = self.rejections.clone();
             let mut violation_witnesses = Vec::new();
             for v in 0..n {
-                let intervals = self.intervals(v);
-                if intervals.is_empty() {
-                    continue;
-                }
-                // The pipelined broadcast delivers each root's sample list
-                // down its tree verbatim and in FIFO order, so every member
-                // checks against exactly the list already decoded at the
-                // root — borrow it instead of re-decoding the received
-                // stream at all n nodes. Debug builds decode what the
-                // oracle delivered and compare.
-                let sample: &[LabeledEdge] = &sampled_intervals_at_root[self.root[v].index()][k];
-                #[cfg(debug_assertions)]
-                if self.root[v].index() != v {
-                    let rx: Vec<(NodeId, Msg)> = received[k][v]
+                let sample = &lane.sample[self.root[v].index()];
+                let hit = self.intervals(v).iter().any(|&(lo, hi)| {
+                    let (lo, hi) = (self.rank[lo.index()], self.rank[hi.index()]);
+                    sample
                         .iter()
-                        .map(|m| (NodeId::new(0), m.clone()))
-                        .collect();
-                    debug_assert_eq!(
-                        decode_streams(&rx),
-                        sample,
-                        "broadcast must deliver the root's sample list verbatim"
-                    );
-                }
-                'outer: for &(lo, hi) in intervals {
-                    let (lo, hi) = (self.label(lo), self.label(hi));
-                    for s in sample {
-                        if labels::intersects(lo, hi, &s.lo.0, &s.hi.0) {
-                            violation_witnesses.push(NodeId::new(v));
-                            if paper_mode {
-                                rejections.push((NodeId::new(v), RejectReason::ViolatingEdge));
-                            }
-                            break 'outer;
-                        }
+                        .any(|(s_lo, s_hi)| labels::intersects(&lo, &hi, s_lo, s_hi))
+                });
+                if hit {
+                    violation_witnesses.push(NodeId::new(v));
+                    if paper_mode {
+                        rejections.push((NodeId::new(v), RejectReason::ViolatingEdge));
                     }
                 }
             }
+            #[cfg(debug_assertions)]
+            oracle.check(self, &lane, &up_report, &down_report, &violation_witnesses);
             rejections.sort_by_key(|&(v, _)| v);
             rejections.dedup_by_key(|&mut (v, _)| v);
             let mut parts = self.reports.clone();
             for rep in &mut parts {
-                rep.sampled = sampled_per_part[rep.root.index()][k];
+                rep.sampled = lane.sample[rep.root.index()].len();
             }
-            let mut instance_stats = self.stats;
-            instance_stats.absorb(*up_report);
-            instance_stats.absorb(*down_report);
+            up_reports.push(up_report);
+            down_reports.push(down_report);
             outcomes.push(Stage2Outcome {
                 rejections,
                 violation_witnesses,
                 parts,
             });
-            stats.push(instance_stats);
         }
+        // The engine would ship every seed's samples up before it
+        // broadcast any back down: the first error is the first failed
+        // up-stream, else the first failed broadcast.
+        let up_reports = up_reports.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let down_reports = down_reports.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let stats = up_reports
+            .into_iter()
+            .zip(down_reports)
+            .map(|(up_report, down_report)| {
+                let mut stats = self.stats;
+                stats.absorb(up_report);
+                stats.absorb(down_report);
+                stats
+            })
+            .collect();
         Ok(Stage2Batch { outcomes, stats })
     }
+
+    /// Draws `seed`'s sample into `lane`, each node keeping each of its
+    /// assigned non-tree edges with probability `s_target / non_tree`,
+    /// and sums up the wire size of every drawn interval on an engine of
+    /// `limit` words per message.
+    fn draw(&self, seed: u64, s_target: f64, limit: usize, lane: &mut Lane) {
+        lane.up.fill(StreamSummary::default());
+        lane.down.fill(StreamSummary::default());
+        for r in &self.roots {
+            lane.sample[r.index()].clear();
+        }
+        for v in 0..self.root.len() {
+            let intervals = self.intervals(v);
+            #[cfg(debug_assertions)]
+            lane.drawn[v].clear();
+            let nt = self.non_tree[v];
+            if intervals.is_empty() || nt == 0 {
+                continue;
+            }
+            let r = self.root[v].index();
+            let p = (s_target / nt as f64).min(1.0);
+            let mut rng = sample_rng(seed, v as u64);
+            for &(lo, hi) in intervals {
+                if rng.random_bool(p) {
+                    let frame = 1 + u64::from(self.packed[lo.index()] + self.packed[hi.index()]);
+                    push_interval(&mut lane.up[v], frame, limit);
+                    push_interval(&mut lane.down[r], frame, limit);
+                    lane.sample[r].push((self.rank[lo.index()], self.rank[hi.index()]));
+                    #[cfg(debug_assertions)]
+                    lane.drawn[v].push((lo, hi));
+                }
+            }
+        }
+    }
+}
+
+/// One seed's step 6, in buffers reused across seeds.
+struct Lane {
+    /// What each node ships up to its root, summarised.
+    up: Vec<StreamSummary>,
+    /// What each root broadcasts back down, summarised.
+    down: Vec<StreamSummary>,
+    /// Each part's sample as the rank pairs of its intervals, indexed by
+    /// the root.
+    sample: Vec<Vec<(u32, u32)>>,
+    /// Each node's drawn intervals, which the oracle encodes.
+    #[cfg(debug_assertions)]
+    drawn: Vec<Vec<(NodeId, NodeId)>>,
+}
+
+impl Lane {
+    fn new(n: usize) -> Self {
+        Lane {
+            up: vec![StreamSummary::default(); n],
+            down: vec![StreamSummary::default(); n],
+            sample: vec![Vec::new(); n],
+            #[cfg(debug_assertions)]
+            drawn: vec![Vec::new(); n],
+        }
+    }
+}
+
+/// Debug builds' message-level step 6, the oracle of the closed forms
+/// and of the rank check. Per seed it encodes every drawn interval,
+/// ships the lists up on a scratch engine (so the caller's statistics
+/// match release builds), decodes and re-encodes each part's sample at
+/// its root and broadcasts it back down. It asserts that both runs'
+/// results equal the closed forms, errors included, that every member
+/// receives its root's list verbatim, and that Definition 7 on the
+/// label digits finds the same nodes as on the ranks.
+#[cfg(debug_assertions)]
+struct Oracle<'g> {
+    engine: Engine<'g>,
+    max_rounds: u64,
+}
+
+#[cfg(debug_assertions)]
+impl<'g> Oracle<'g> {
+    fn new(g: &'g Graph, sim: SimConfig, max_rounds: u64) -> Self {
+        Oracle {
+            engine: Engine::new(g, sim),
+            max_rounds,
+        }
+    }
+
+    /// Runs the seed drawn into `lane` against its closed-form up-stream
+    /// and broadcast reports, and the nodes the rank check found.
+    fn check(
+        &mut self,
+        prefix: &Stage2Prefix,
+        lane: &Lane,
+        up: &Result<RunReport, SimError>,
+        down: &Result<RunReport, SimError>,
+        witnesses: &[NodeId],
+    ) {
+        let n = prefix.root.len();
+        let limit = self.engine.config().max_words_per_message;
+        let items: Vec<Vec<Msg>> = (0..n)
+            .map(|v| {
+                let drawn = lane.drawn[v].iter();
+                drawn
+                    .flat_map(|&(lo, hi)| {
+                        encode_interval(v as u64, prefix.label(lo), prefix.label(hi))
+                    })
+                    .collect()
+            })
+            .collect();
+        for (v, msgs) in items.iter().enumerate() {
+            assert_eq!(
+                StreamSummary::of(msgs, limit),
+                lane.up[v],
+                "node {v}'s list"
+            );
+        }
+        let run = comm::up_stream(&mut self.engine, &prefix.tree, items, self.max_rounds);
+        assert_eq!(
+            run.as_ref().map(|(_, report)| report),
+            up.as_ref(),
+            "closed-form up-stream cost must equal the engine run"
+        );
+        let Ok((collected, _)) = run else {
+            return;
+        };
+        let mut at_root: Vec<Vec<LabeledEdge>> = vec![Vec::new(); n];
+        let mut payload: Vec<Vec<Msg>> = vec![Vec::new(); n];
+        for r in prefix.roots.iter().map(|r| r.index()) {
+            at_root[r] = decode_streams(collected[r].iter().map(|(_, m)| m));
+            payload[r] = at_root[r]
+                .iter()
+                .flat_map(|iv| encode_interval(r as u64, &iv.lo.0, &iv.hi.0))
+                .collect();
+            assert_eq!(
+                StreamSummary::of(&payload[r], limit),
+                lane.down[r],
+                "root {r}'s payload"
+            );
+        }
+        let run = comm::stream_broadcast(&mut self.engine, &prefix.tree, payload, self.max_rounds);
+        assert_eq!(
+            run.as_ref().map(|(_, report)| report),
+            down.as_ref(),
+            "closed-form broadcast cost must equal the engine run"
+        );
+        if let Ok((received, _)) = run {
+            for (v, got) in received.iter().enumerate() {
+                let r = prefix.root[v].index();
+                if r != v {
+                    assert_eq!(
+                        decode_streams(got),
+                        at_root[r],
+                        "broadcast must deliver the root's sample list verbatim"
+                    );
+                }
+            }
+        }
+        let by_digits: Vec<NodeId> = (0..n)
+            .filter(|&v| {
+                let sample = &at_root[prefix.root[v].index()];
+                prefix.intervals(v).iter().any(|&(lo, hi)| {
+                    let (lo, hi) = (prefix.label(lo), prefix.label(hi));
+                    sample
+                        .iter()
+                        .any(|s| labels::intersects(lo, hi, &s.lo.0[..], &s.hi.0[..]))
+                })
+            })
+            .map(NodeId::new)
+            .collect();
+        assert_eq!(
+            by_digits, witnesses,
+            "the rank check must find what the label check finds"
+        );
+    }
+}
+
+/// Adds one sampled interval, framed in `frame` words, to the summary of
+/// a stream: `encode_interval` sends it as `⌈frame/3⌉` messages of an
+/// origin word and up to three frame words. A frame is at least 3 words
+/// (its length and two label headers), so the interval's first message
+/// is a full 4 words, its longest.
+fn push_interval(stream: &mut StreamSummary, frame: u64, limit: usize) {
+    let chunks = frame.div_ceil(3);
+    if stream.oversize.is_none() && 4 > limit {
+        stream.oversize = Some((stream.messages, 4));
+    }
+    stream.messages += chunks;
+    stream.words += frame + chunks;
+}
+
+/// Each node's rank in `(root, label)` order, from one sort. Within a
+/// part that is label order — the preorder of the part's digit-ordered
+/// BFS tree — so Definition 7 on the ranks is Definition 7 on the labels.
+fn label_ranks<'a>(root: &[NodeId], label: impl Fn(usize) -> &'a [u32]) -> Vec<u32> {
+    let key = |v: usize| (root[v], label(v));
+    let mut by_label: Vec<usize> = (0..root.len()).collect();
+    by_label.sort_unstable_by(|&a, &b| key(a).cmp(&key(b)));
+    debug_assert!(
+        by_label.windows(2).all(|w| key(w[0]) != key(w[1])),
+        "labels within a part are distinct"
+    );
+    let mut rank = vec![0u32; root.len()];
+    for (i, &v) in by_label.iter().enumerate() {
+        rank[v] = i as u32;
+    }
+    rank
 }
 
 /// Assigns each intra-part non-tree edge to its higher `(level, id)`
@@ -590,6 +755,10 @@ fn embed_part(sub: &Graph) -> (RotationSystem, bool) {
 /// one per word), each message is `[origin, w1, w2, w3]`. Packing is
 /// what keeps the sample broadcast — the tester's dominant message
 /// volume — at the model's `O(log n)`-bits-per-message density.
+///
+/// The wire format the closed forms cost (`push_interval`); only the
+/// message-level lane, the debug oracle, builds it.
+#[cfg(debug_assertions)]
 fn encode_interval(origin: u64, lo: &[u32], hi: &[u32]) -> Vec<Msg> {
     let mut words: Vec<u64> = Vec::new();
     labels::pack_label(lo, &mut words);
@@ -609,10 +778,11 @@ fn encode_interval(origin: u64, lo: &[u32], hi: &[u32]) -> Vec<Msg> {
 
 /// Decodes interleaved chunk streams back into intervals (grouping by the
 /// origin word, framing by the length prefix).
-fn decode_streams(msgs: &[(NodeId, Msg)]) -> Vec<LabeledEdge> {
+#[cfg(debug_assertions)]
+fn decode_streams<'m>(msgs: impl IntoIterator<Item = &'m Msg>) -> Vec<LabeledEdge> {
     let mut buffers: HashMap<u64, Vec<u64>> = HashMap::new();
     let mut order: Vec<u64> = Vec::new();
-    for (_, m) in msgs {
+    for m in msgs {
         let w = m.as_words();
         let origin = w[0];
         if !buffers.contains_key(&origin) {
@@ -655,7 +825,7 @@ fn sample_rng(seed: u64, node: u64) -> StdRng {
 mod tests {
     use super::*;
     use planartest_graph::generators::{nonplanar, planar};
-    use planartest_sim::SimConfig;
+    use proptest::prelude::*;
 
     fn stage2_singleton_partition(g: &Graph, cfg: &TesterConfig) -> Stage2Outcome {
         // One part covering the whole (connected) graph: root 0 spanning
@@ -764,6 +934,97 @@ mod tests {
                 "part rooted at {:?}",
                 part.root
             );
+        }
+    }
+
+    #[test]
+    fn up_stream_queues_form_and_the_lane_matches_its_oracle() {
+        // Parts deep and branched enough that samples from sibling
+        // subtrees queue where they meet. `run_many` runs every seed's
+        // lane through the message-level oracle in debug builds; on
+        // every seed the closed form must outlast the queue-free bound
+        // (each node's depth plus its own messages).
+        let seeds: Vec<u64> = (0..16).collect();
+        for g in [
+            planar::triangulated_grid(12, 12).graph,
+            planar::grid(12, 12).graph,
+        ] {
+            for mode in [EmbeddingMode::Strict, EmbeddingMode::Paper] {
+                let cfg = TesterConfig::new(0.1).with_phases(6).with_embedding(mode);
+                let outs = crate::PlanarityTester::new(cfg.clone())
+                    .run_many(&g, &seeds)
+                    .unwrap();
+                assert_eq!(outs.len(), seeds.len());
+                let mut engine = Engine::new(&g, SimConfig::default());
+                let partition = crate::partition::run_partition(&mut engine, &cfg).unwrap();
+                assert!(partition.rejected.is_empty());
+                let prefix = Stage2Prefix::prepare(&mut engine, &cfg, &partition.state).unwrap();
+                let s_target = cfg.sample_size(g.n()) as f64;
+                let mut lane = Lane::new(g.n());
+                let queued = seeds.iter().filter(|&&seed| {
+                    prefix.draw(seed, s_target, 4, &mut lane);
+                    let report = comm::up_stream_cost(&prefix.tree, &lane.up, 4, cfg.max_rounds);
+                    let queue_free = g
+                        .nodes()
+                        .filter(|&v| lane.up[v.index()].messages > 0 && !prefix.tree.is_root(v))
+                        .map(|v| lane.up[v.index()].messages + u64::from(prefix.tree.depth(v)))
+                        .max()
+                        .unwrap_or(0);
+                    report.unwrap().rounds > queue_free
+                });
+                assert_eq!(queued.count(), seeds.len(), "{mode:?}");
+            }
+        }
+    }
+
+    proptest! {
+        /// Over random digit-labelled forests, the ranks order each
+        /// part's labels, so Definition 7 on ranks is Definition 7 on
+        /// the digit slices.
+        #[test]
+        fn rank_interleaving_is_label_interleaving(seed in 0u64..u64::MAX, n in 1usize..80) {
+            // Node `v` hangs below an earlier node or starts a part;
+            // siblings take distinct random digits.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut root, mut labels) = (Vec::with_capacity(n), Vec::<Vec<u32>>::with_capacity(n));
+            let mut child_digits: Vec<Vec<u32>> = vec![Vec::new(); n];
+            for v in 0..n {
+                if v == 0 || rng.random_range(0..6u8) == 0 {
+                    root.push(NodeId::new(v));
+                    labels.push(Vec::new());
+                    continue;
+                }
+                let p = rng.random_range(0..v);
+                let digit = loop {
+                    let bits = rng.random_range(2..20u32);
+                    let d = rng.random_range(1..1u32 << bits);
+                    if !child_digits[p].contains(&d) {
+                        break d;
+                    }
+                };
+                child_digits[p].push(digit);
+                root.push(root[p]);
+                let mut label = labels[p].clone();
+                label.push(digit);
+                labels.push(label);
+            }
+            let rank = label_ranks(&root, |v| &labels[v]);
+            for _ in 0..64 {
+                let part = root[rng.random_range(0..n)];
+                let members: Vec<usize> = (0..n).filter(|&v| root[v] == part).collect();
+                let mut pick = || members[rng.random_range(0..members.len())];
+                let [a, b, c, d] = [pick(), pick(), pick(), pick()];
+                prop_assert_eq!(rank[a].cmp(&rank[b]), labels[a].cmp(&labels[b]));
+                if a == b || c == d {
+                    continue;
+                }
+                let orient = |x: usize, y: usize| if labels[x] < labels[y] { (x, y) } else { (y, x) };
+                let ((lo, hi), (s_lo, s_hi)) = (orient(a, b), orient(c, d));
+                prop_assert_eq!(
+                    labels::intersects(&rank[lo], &rank[hi], &rank[s_lo], &rank[s_hi]),
+                    labels::intersects(&labels[lo][..], &labels[hi][..], &labels[s_lo][..], &labels[s_hi][..])
+                );
+            }
         }
     }
 

@@ -216,10 +216,13 @@ pub struct Prepared {
 }
 
 impl Prepared {
-    /// Runs Stage II's step 6 for each seed on a fresh engine over `g`,
-    /// the graph this was prepared on. Each outcome is bit-for-bit what
-    /// [`PlanarityTester::run`] with that seed produces. After a
-    /// Stage-I reject every seed gets that reject, with no engine run.
+    /// Runs Stage II's step 6 for each seed over `g`, the graph this was
+    /// prepared on. No engine runs: each seed's sample streams are
+    /// costed in closed form and its Definition-7 checks compare label
+    /// ranks (debug builds also run the streams on a scratch engine as
+    /// the oracle). Each outcome is bit-for-bit what
+    /// [`PlanarityTester::run`] with that seed produces. After a Stage-I
+    /// reject every seed gets that reject.
     ///
     /// # Errors
     ///
@@ -248,8 +251,7 @@ impl Prepared {
                 })
                 .collect());
         };
-        let mut engine = Engine::new(g, self.sim);
-        let batch = stage2.sample(&mut engine, &self.cfg, seeds)?;
+        let batch = stage2.sample(g, self.sim, &self.cfg, seeds)?;
         Ok(batch
             .outcomes
             .into_iter()
@@ -269,7 +271,8 @@ impl Prepared {
     }
 
     /// Heap bytes held: the phase metrics and rejections, the part
-    /// trees and reports, and the labelled non-tree edges.
+    /// trees and reports, the labels with their ranks and packed sizes,
+    /// and the labelled non-tree edges.
     pub fn heap_bytes(&self) -> usize {
         self.phases.capacity() * size_of::<PhaseMetrics>()
             + self.stage1_rejections.capacity() * size_of::<(NodeId, RejectReason)>()

@@ -198,9 +198,9 @@ fn tcp_survives_garbage_and_oversized_frames() {
 }
 
 /// Starts a unix-socket server, sends one query whose pass outlasts
-/// the shutdown trigger — `tri_grid(64,64)` takes about 0.25 s in a
-/// release build and over a second in a debug one — and calls `stop`
-/// once the query has had time to reach the queue. Asserts the query
+/// the shutdown trigger — `tri_grid(96,96)` takes about 0.2 s in a
+/// release build and about 4 s in a debug one — and calls `stop` once
+/// the query has had time to reach the queue. Asserts the query
 /// is still answered, and was still in flight when `stop` ran, and
 /// that the server exits with code 0.
 fn shutdown_flushes_an_in_flight_query(tag: &str, stop: impl FnOnce(&mut Child)) {
@@ -213,7 +213,7 @@ fn shutdown_flushes_an_in_flight_query(tag: &str, stop: impl FnOnce(&mut Child))
     let ingested = ask(
         &mut client,
         &mut rx,
-        r#"{"op":"ingest","name":"g","spec":"tri_grid(64,64)"}"#,
+        r#"{"op":"ingest","name":"g","spec":"tri_grid(96,96)"}"#,
     );
     assert_eq!(ingested.get("ok").unwrap().as_bool(), Some(true));
 
