@@ -812,7 +812,7 @@ mod serving {
             .unwrap_or_else(|| horizon_micros_for(rate));
         let workload = build_workload(LOAD_SEED ^ rate.to_bits(), rate, horizon);
 
-        let mut service = Service::new().with_group_threads(0);
+        let mut service = Service::new();
         for (name, spec_text, _) in corpus() {
             service
                 .registry_mut()
@@ -1210,7 +1210,7 @@ mod serving {
             .map(<[_]>::to_vec)
             .collect();
         let served = serve(
-            closed_loop_service().with_group_threads(0),
+            closed_loop_service(),
             ServeOptions::default(),
             900,
             &per_conn,

@@ -1,6 +1,7 @@
 //! Runtime benchmark: serial engine throughput, tester n-sweeps,
 //! trial-parallel sweep scaling, batched-vs-sequential Monte-Carlo
-//! sweeps, the label-pack kernels and the two planar embedders — written
+//! sweeps, the label-pack kernels, the two planar embedders and the
+//! scaling of the tester's seed-free prefix over parts — written
 //! both as a human-readable table and as machine-readable
 //! `BENCH_runtime.json` so the performance trajectory is tracked from PR
 //! to PR.
@@ -445,11 +446,55 @@ fn embed_bench(side: usize, pairs: usize) -> (Json, f64) {
     (row, speedup)
 }
 
+/// [`PlanarityTester::prepare`] at `phases: 0`, where every node is its
+/// own part, on `grid(side, side)` against `grid(2·side, 2·side)`:
+/// paired one-thread medians over `pairs` pairs, every prepared tester
+/// first asserted to accept. Returns the row plus the growth of the
+/// per-node time from the small grid to the large one (gated by
+/// [`BenchGate::PREPARE_GROWTH_CEILING`]): a prepare linear in `n + m`
+/// reads about 1x, one that scans the graph once per part about 4x.
+fn prepare_scaling(side: usize, pairs: usize) -> (Json, f64) {
+    let small = planar::grid(side, side).graph;
+    let large = planar::grid(2 * side, 2 * side).graph;
+    let tester = PlanarityTester::new(crate::practical_cfg(0.1).with_phases(0));
+    for g in [&small, &large] {
+        let prepared = tester.prepare(g).expect("prepare");
+        let verdict = prepared.sample(g, &[0]).expect("sample");
+        assert!(verdict[0].accepted(), "grids are planar");
+    }
+    let (small_secs, large_secs, ratio) = paired_times(
+        pairs,
+        &mut || {
+            black_box(tester.prepare(&small).expect("prepare"));
+        },
+        &mut || {
+            black_box(tester.prepare(&large).expect("prepare"));
+        },
+    );
+    let growth = small.n() as f64 / (large.n() as f64 * ratio);
+    println!(
+        "prepare p=0    n={:<6} {small_secs:>10.6}s  n={:<6} {large_secs:>10.6}s  \
+         per-node growth {growth:.2}x",
+        small.n(),
+        large.n()
+    );
+    let row = Json::obj()
+        .field("workload", "prepare_grid_phases_0")
+        .field("small_n", small.n())
+        .field("large_n", large.n())
+        .field("pairs", pairs)
+        .field("small_seconds", small_secs)
+        .field("large_seconds", large_secs)
+        .field("per_node_growth", growth);
+    (row, growth)
+}
+
 /// The CI regression gate computed alongside the benchmark document:
 /// the batched Monte-Carlo sweep must clear its floor over the
 /// sequential-per-instance path, no SWAR label-pack kernel may lose to
-/// its scalar reference, and the left-right embedder must clear its
-/// floor over Demoucron.
+/// its scalar reference, the left-right embedder must clear its floor
+/// over Demoucron, and the prepare's per-node time must stay under its
+/// growth ceiling.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchGate {
     /// Trials in the gated batched acceptance sweep.
@@ -465,6 +510,9 @@ pub struct BenchGate {
     /// Demoucron wall-clock over left-right wall-clock on the embed
     /// bench's grid (median of paired ratios).
     pub embed_speedup: f64,
+    /// Per-node prepare time on the large grid over the small one at
+    /// `phases: 0` (median of paired ratios).
+    pub prepare_growth: f64,
 }
 
 impl BenchGate {
@@ -496,19 +544,28 @@ impl BenchGate {
     /// embedder has lost its complexity.
     pub const EMBED_SPEEDUP_FLOOR: f64 = 10.0;
 
+    /// Ceiling for the prepare's per-node time growth over a 4x larger
+    /// grid at `phases: 0`. Linear code reads about 1x; building each
+    /// part's subgraph with its own scan of the graph reads about 4x
+    /// there, since every node is a part.
+    pub const PREPARE_GROWTH_CEILING: f64 = 2.0;
+
     /// Whether the gate passes: the batch speedup at or above
     /// [`BATCH_SPEEDUP_FLOOR`](Self::BATCH_SPEEDUP_FLOOR), every
     /// kernel at or above
-    /// [`KERNEL_SPEEDUP_FLOOR`](Self::KERNEL_SPEEDUP_FLOOR) and the
+    /// [`KERNEL_SPEEDUP_FLOOR`](Self::KERNEL_SPEEDUP_FLOOR), the
     /// embedder at or above
-    /// [`EMBED_SPEEDUP_FLOOR`](Self::EMBED_SPEEDUP_FLOOR). Every clause
-    /// is a one-thread measurement, so the gate holds on any core
-    /// count.
+    /// [`EMBED_SPEEDUP_FLOOR`](Self::EMBED_SPEEDUP_FLOOR) and the
+    /// prepare's growth below
+    /// [`PREPARE_GROWTH_CEILING`](Self::PREPARE_GROWTH_CEILING). Every
+    /// clause is a one-thread measurement, so the gate holds on any
+    /// core count.
     #[must_use]
     pub fn pass(&self) -> bool {
         self.batch_speedup >= Self::BATCH_SPEEDUP_FLOOR
             && self.min_kernel_speedup >= Self::KERNEL_SPEEDUP_FLOOR
             && self.embed_speedup >= Self::EMBED_SPEEDUP_FLOOR
+            && self.prepare_growth < Self::PREPARE_GROWTH_CEILING
     }
 }
 
@@ -526,21 +583,24 @@ pub fn runtime_bench_document() -> (Json, BenchGate) {
         kernel_bench(2_000, 9)
     };
     let (embed_row, embed_speedup) = embed_bench(if quick() { 24 } else { 48 }, 7);
+    let (prepare_row, prepare_growth) = prepare_scaling(48, 7);
     let gate = BenchGate {
         batch_trials,
         batch_speedup,
         min_kernel_speedup,
         min_kernel,
         embed_speedup,
+        prepare_growth,
     };
     let doc = Json::obj()
-        .field("schema", "planartest-bench/runtime/v4")
+        .field("schema", "planartest-bench/runtime/v5")
         .field("quick_mode", quick())
         .field("host", crate::host())
         .field("hardware_threads", auto_threads())
         .field("engine_throughput", engine_throughput(side))
         .field("kernel_bench", kernel_rows)
         .field("embed_bench", embed_row)
+        .field("prepare_scaling", prepare_row)
         .field("tester_n_sweep", tester_rows)
         .field("trial_sweep", trial_sweep())
         .field("batch_sweep", batch_row)
@@ -555,6 +615,8 @@ pub fn runtime_bench_document() -> (Json, BenchGate) {
                 .field("kernel_speedup_floor", BenchGate::KERNEL_SPEEDUP_FLOOR)
                 .field("embed_speedup", gate.embed_speedup)
                 .field("embed_speedup_floor", BenchGate::EMBED_SPEEDUP_FLOOR)
+                .field("prepare_growth", gate.prepare_growth)
+                .field("prepare_growth_ceiling", BenchGate::PREPARE_GROWTH_CEILING)
                 .field("pass", gate.pass()),
         );
     (doc, gate)
@@ -595,6 +657,7 @@ mod tests {
             min_kernel_speedup,
             min_kernel: "label_pack_16bit",
             embed_speedup,
+            prepare_growth: 1.0,
         };
         assert!(gate(floor, 1.2, 50.0).pass());
         assert!(gate(floor + 0.5, 1.0, 50.0).pass());
@@ -608,6 +671,32 @@ mod tests {
         assert_eq!(BenchGate::EMBED_SPEEDUP_FLOOR, 10.0);
         assert!(gate(floor, 1.2, 10.0).pass());
         assert!(!gate(floor, 1.2, 9.9).pass());
+        // A prepare that scans the graph once per part fails.
+        assert_eq!(BenchGate::PREPARE_GROWTH_CEILING, 2.0);
+        let growth = |prepare_growth: f64| BenchGate {
+            prepare_growth,
+            ..gate(floor, 1.2, 50.0)
+        };
+        assert!(growth(1.99).pass());
+        assert!(!growth(2.0).pass());
+        assert!(!growth(4.0).pass());
+    }
+
+    #[test]
+    fn prepare_row_has_required_fields() {
+        // A schema check over one pair on tiny grids: the timed workload
+        // runs in `runtime_bench --check` on the release binary.
+        let (row, growth) = prepare_scaling(3, 1);
+        let text = row.pretty();
+        for key in [
+            "prepare_grid_phases_0",
+            "small_seconds",
+            "large_seconds",
+            "per_node_growth",
+        ] {
+            assert!(text.contains(key), "missing {key} in {text}");
+        }
+        assert!(growth.is_finite() && growth > 0.0);
     }
 
     #[test]

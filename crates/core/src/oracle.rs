@@ -149,15 +149,14 @@ pub struct PartitionAudit {
 
 /// Audits a partition: connectivity, cut size and exact part diameters.
 pub fn audit_partition(g: &Graph, p: &Partition) -> PartitionAudit {
-    // Every distinct root value, rather than `PartitionState::roots`: the
-    // audit must not assume that each root lies in its own part.
-    let mut roots = p.state.root.clone();
-    roots.sort_unstable();
-    roots.dedup();
+    // One part per distinct root value, rather than per
+    // `PartitionState::roots`: the audit must not assume that each root
+    // lies in its own part.
+    let mut parts = 0;
     let mut connected = true;
     let mut max_diam = 0;
-    for &root in &roots {
-        let (sub, _) = g.induced_subgraph(|v| p.state.root[v.index()] == root);
+    for (_, sub, _) in g.induced_parts(&p.state.root) {
+        parts += 1;
         let cc = planartest_graph::algo::components::Components::build(&sub);
         if !cc.is_connected() {
             connected = false;
@@ -171,7 +170,7 @@ pub fn audit_partition(g: &Graph, p: &Partition) -> PartitionAudit {
     let cut = p.state.cut_weight(g);
     PartitionAudit {
         parts_connected: connected,
-        parts: roots.len(),
+        parts,
         cut_edges: cut,
         cut_fraction: if g.m() == 0 {
             0.0

@@ -269,8 +269,9 @@ impl Stage2Prefix {
         let mut reports = Vec::new();
         let mut rotation_at: Vec<Vec<NodeId>> = vec![Vec::new(); n]; // neighbour order per node
         let log_n = (n.max(2) as f64).log2().ceil() as u64;
-        for &r in &roots {
-            let (sub, orig) = g.induced_subgraph(|v| state.root[v.index()] == r);
+        let parts = g.induced_parts(&state.root);
+        for ((label, sub, orig), &r) in parts.zip(&roots) {
+            debug_assert_eq!(label, r, "every part is labelled by its root");
             let diameter_bound = 2 * depth[r.index()] + 1;
             engine.charge_rounds(diameter_bound * diameter_bound.min(log_n).max(1));
             let (rot, planar) = embed_part(&sub);

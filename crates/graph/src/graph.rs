@@ -479,6 +479,59 @@ impl Graph {
         }
         (b.build(), orig_of)
     }
+
+    /// The subgraphs a labelling of the nodes induces, bucketed in one
+    /// `O(n + m)` pass: node `v` lies in the part labelled `part_of[v]`,
+    /// and a label need not lie in its own part. Yields
+    /// `(label, subgraph, orig_of)` for every label some node carries,
+    /// in ascending label order, building one subgraph at a time; each
+    /// equals `self.induced_subgraph(|v| part_of[v.index()] == label)`.
+    /// One [`induced_subgraph`](Self::induced_subgraph) call per part
+    /// would cost `O(parts · (n + m))`.
+    ///
+    /// # Panics
+    ///
+    /// If `part_of.len() != self.n()` or a label is not a node.
+    pub fn induced_parts(
+        &self,
+        part_of: &[NodeId],
+    ) -> impl Iterator<Item = (NodeId, Graph, Vec<NodeId>)> {
+        assert_eq!(part_of.len(), self.n, "one part label per node");
+        // `slot[label]`: the label's rank among the labels carried.
+        let mut slot = vec![usize::MAX; self.n];
+        for &label in part_of {
+            slot[label.index()] = 0;
+        }
+        let labels: Vec<NodeId> = self.nodes().filter(|l| slot[l.index()] == 0).collect();
+        for (rank, label) in labels.iter().enumerate() {
+            slot[label.index()] = rank;
+        }
+        // Each part's nodes in ascending id; `local[v]`: v's id in its part.
+        let mut orig_of: Vec<Vec<NodeId>> = vec![Vec::new(); labels.len()];
+        let mut local = vec![0usize; self.n];
+        for v in self.nodes() {
+            let nodes = &mut orig_of[slot[part_of[v.index()].index()]];
+            local[v.index()] = nodes.len();
+            nodes.push(v);
+        }
+        let mut parts: Vec<GraphBuilder> = orig_of
+            .iter()
+            .map(|nodes| GraphBuilder::new(nodes.len()))
+            .collect();
+        for (u, v) in self.edges() {
+            let label = part_of[u.index()];
+            if label == part_of[v.index()] {
+                parts[slot[label.index()]]
+                    .add_edge(local[u.index()], local[v.index()])
+                    .expect("validated");
+            }
+        }
+        labels
+            .into_iter()
+            .zip(parts)
+            .zip(orig_of)
+            .map(|((label, part), orig_of)| (label, part.build(), orig_of))
+    }
 }
 
 /// Incremental, validated construction of a [`Graph`].

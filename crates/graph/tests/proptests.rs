@@ -189,6 +189,33 @@ proptest! {
         let d = component_diameter(&t, NodeId::new(0));
         prop_assert!((d as usize) < n);
     }
+
+    /// The one-pass part split equals one `induced_subgraph` per label,
+    /// graph and id map, in ascending label order. `labels` up to `n`
+    /// makes many singleton parts; a label need not lie in its own part.
+    #[test]
+    fn induced_parts_match_per_part_induced_subgraphs(
+        g in arb_graph(),
+        raw in prop::collection::vec(0usize..40, 40..41),
+        labels in 1usize..41,
+    ) {
+        let labels = labels.min(g.n());
+        let part_of: Vec<NodeId> =
+            g.nodes().map(|v| NodeId::new(raw[v.index()] % labels)).collect();
+        let mut expected: Vec<NodeId> = part_of.clone();
+        expected.sort_unstable();
+        expected.dedup();
+        let parts: Vec<_> = g.induced_parts(&part_of).collect();
+        prop_assert_eq!(parts.iter().map(|p| p.0).collect::<Vec<_>>(), expected);
+        for (label, sub, orig_of) in &parts {
+            let (want, want_orig) = g.induced_subgraph(|v| part_of[v.index()] == *label);
+            prop_assert_eq!(sub, &want);
+            prop_assert_eq!(orig_of, &want_orig);
+            for v in sub.nodes() {
+                prop_assert_eq!(sub.neighbors(v), want.neighbors(v));
+            }
+        }
+    }
 }
 
 /// A scratch `.csr` path unique per proptest case (the proptests run on

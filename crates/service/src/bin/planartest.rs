@@ -11,8 +11,7 @@
 //! default stdio transport), `--no-stdio` (daemon mode), `--state-dir
 //! DIR` (durable tier: CSR spills + certificate WAL, restored on
 //! start), `--resident-graphs N` (heap-tier cap before LRU demotion
-//! to mmap), `--group-threads N`, `--cache-accepts N`,
-//! `--max-frame-bytes N`,
+//! to mmap), `--cache-accepts N`, `--max-frame-bytes N`,
 //! `--outbound-depth N` / `--max-in-flight N` (per-connection
 //! backpressure bounds), `--trace FILE` (per-query LDJSON event log).
 //!
@@ -37,7 +36,7 @@ planartest — query service for distributed planarity testing
 
 USAGE:
   planartest serve [--unix PATH] [--tcp ADDR] [--no-stdio]
-      [--state-dir DIR] [--resident-graphs N] [--group-threads N]
+      [--state-dir DIR] [--resident-graphs N]
       [--cache-accepts N] [--max-frame-bytes N]
       [--outbound-depth N] [--max-in-flight N] [--trace FILE]
       Serve one JSON request per line, one JSON response per line
@@ -48,9 +47,8 @@ USAGE:
       same-graph queries from *different* clients share one engine
       pass when they arrive together, and one memoised prepared
       tester (Stage I and the seed-free Stage-II prefix) otherwise;
-      --group-threads (default: all cores) fans independent query
-      groups across workers; --cache-accepts bounds the per-seed
-      result-cache stripes (LRU; reject certificates are permanent);
+      --cache-accepts bounds the per-seed result-cache stripes
+      (LRU; reject certificates are permanent);
       --max-frame-bytes caps a request line (oversized frames get an
       error response, not a dead server); --outbound-depth (default
       1024, 0 = unbounded) bounds each connection's outbound response
@@ -140,7 +138,6 @@ fn serve(args: &[String]) -> ExitCode {
     let mut opts = ServeOptions::default();
     let mut unix_path: Option<String> = None;
     let mut tcp_addr: Option<String> = None;
-    let mut group_threads = 0usize; // serve default: all cores
     let mut cache_accepts: Option<usize> = None;
     let mut trace_path: Option<String> = None;
     let mut state_dir: Option<String> = None;
@@ -155,10 +152,6 @@ fn serve(args: &[String]) -> ExitCode {
         match name.as_str() {
             "unix" => unix_path = Some(value.clone()),
             "tcp" => tcp_addr = Some(value.clone()),
-            "group-threads" => match parse_u64() {
-                Ok(t) => group_threads = t as usize,
-                Err(code) => return code,
-            },
             "cache-accepts" => match parse_u64() {
                 Ok(c) => cache_accepts = Some(c as usize),
                 Err(code) => return code,
@@ -188,7 +181,7 @@ fn serve(args: &[String]) -> ExitCode {
         }
     }
 
-    let mut service = Service::new().with_group_threads(group_threads);
+    let mut service = Service::new();
     if let Some(capacity) = cache_accepts {
         service.set_cache_accepts(capacity);
     }

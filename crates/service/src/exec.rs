@@ -1,4 +1,4 @@
-//! The execution layer: run coalesced groups, possibly in parallel.
+//! The execution layer: run a cycle's coalesced groups, in order.
 //!
 //! A *group* is the scheduler's unit of engine work — every pending
 //! query that shares a `(graph, config, property)` cache key rides one
@@ -6,27 +6,22 @@
 //! memoised [`Prepared`] tester when the cache has one, and then runs
 //! only its seeds' sample lanes ([`Prepared::sample`]); otherwise it
 //! prepares one ([`PlanarityTester::prepare`]) and hands it back in
-//! its [`GroupPass`] for the scheduler to keep. Groups are mutually
-//! independent (distinct keys, disjoint outputs) and
-//! [`execute_groups`] fans them across a [`TrialRunner`] pool: group
-//! execution is **pure** — it reads the resident CSR through an
-//! immutable registry borrow and returns a [`GroupPass`] — so the only
-//! ordered state (cache and memo inserts, the engine-pass counter,
-//! response slots) is applied afterwards by the scheduler,
-//! sequentially, in group order. That split is what makes parallel
-//! group drains bit-for-bit equal to sequential ones (proven by
-//! `tests/drain_proptests.rs`) no matter how the pool schedules the
-//! work — and what lets the pipelined server run this stage on a
-//! scoped thread while the drain thread resolves the *next* cycle's
-//! arrivals against the cache: [`execute_groups`] only ever holds
-//! shared borrows of the registry and runner.
+//! its [`GroupPass`] for the scheduler to keep. Group execution is
+//! **pure** — it reads the resident CSR through an immutable registry
+//! borrow and returns a [`GroupPass`] — so the only ordered state
+//! (cache and memo inserts, the engine-pass counter, response slots)
+//! is applied afterwards by the scheduler, in group order. That split
+//! is what lets the pipelined server run this stage on a scoped thread
+//! while the drain thread resolves the *next* cycle's arrivals against
+//! the cache: [`execute_groups`] only ever holds a shared borrow of
+//! the registry.
 
 use std::sync::Arc;
 
 use planartest_core::applications::{test_bipartiteness, test_cycle_freeness, HereditaryOutcome};
 use planartest_core::{CoreError, PlanarityTester, Prepared, TesterConfig};
 use planartest_graph::Graph;
-use planartest_sim::{Engine, SimConfig, SimStats, TrialRunner};
+use planartest_sim::{Engine, SimConfig, SimStats};
 
 use crate::cache::CacheKey;
 use crate::query::{GraphRef, Outcome, Property};
@@ -76,17 +71,17 @@ pub(crate) struct GroupPass {
     pub prepared: Option<Arc<Prepared>>,
 }
 
-/// Runs every group, fanning independent groups across the runner's
-/// worker pool (`sim::runtime::trials` machinery; 1 thread = today's
-/// sequential drain). Results come back in group order regardless of
-/// scheduling.
+/// Runs every group, one after another, and returns their passes in
+/// group order.
 pub(crate) fn execute_groups(
     registry: &GraphRegistry,
     groups: &[Group],
-    runner: &TrialRunner,
     clock: &Clock,
 ) -> Vec<GroupPass> {
-    runner.map_ref(groups, |group| run_group_pass(registry, group, clock))
+    groups
+        .iter()
+        .map(|group| run_group_pass(registry, group, clock))
+        .collect()
 }
 
 /// Executes one group through a single engine pass. Pure with respect

@@ -31,10 +31,9 @@
 //!   four decoupled stages: same-key queries ride **one**
 //!   [`PlanarityTester::run_many`](planartest_core::PlanarityTester::run_many)
 //!   pass (independent users share a single Stage-I partition and one
-//!   batched Stage-II), independent groups fan out across a
-//!   `TrialRunner` worker pool with bit-for-bit sequential-equal
-//!   results, and responses attribute per-query latency from the
-//!   per-instance round accounting.
+//!   batched Stage-II), a cycle's groups run one after another, and
+//!   responses attribute per-query latency from the per-instance round
+//!   accounting.
 //! * [`scheduler::Server`] — the concurrent form: a dedicated thread
 //!   owns the service and runs a drain cycle whenever anything is
 //!   queued on a shared submission queue. *Independent clients'*

@@ -14,9 +14,8 @@
 //!    memo hit samples its seeds' lanes on the memoised tester, a miss
 //!    prepares one first
 //!    ([`PlanarityTester::prepare`](planartest_core::PlanarityTester::prepare)),
-//!    independent groups fanned across a [`TrialRunner`] pool (the
-//!    `exec` module) — pure, so parallel and sequential drains are
-//!    bit-for-bit identical;
+//!    groups one after another (the `exec` module) — pure, so it can
+//!    run off the thread that owns the service;
 //! 4. **respond** — apply cache inserts, then newly prepared testers,
 //!    and counters sequentially in group order and fill every response
 //!    slot, submission order preserved.
@@ -38,10 +37,11 @@
 //! hands control ops back to its caller. It runs **at the start of a
 //! cycle with no gate** (control ops answered in place, in arrival
 //! order, so an `ingest` is visible to every query behind it), and
-//! **during the overlap window with an `Overlap` gate**: while the pool
-//! runs the cycle's engine passes, arrivals resolve into the *next*
-//! cycle, except in-flight keys and connections waiting behind their
-//! own control op, which are held and dispatched again next cycle.
+//! **during the overlap window with an `Overlap` gate**: while the
+//! cycle's execute thread runs its engine passes, arrivals resolve
+//! into the *next* cycle, except in-flight keys and connections waiting
+//! behind their own control op, which are held and dispatched again
+//! next cycle.
 //! Hits and errors are answered at once (the fast path), through
 //! bounded per-connection writer queues ([`Connections`]), so one
 //! stalled client cannot block the cycle. Per-connection order is
@@ -58,8 +58,6 @@ use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 use std::thread;
-
-use planartest_sim::TrialRunner;
 
 use crate::cache::{CacheKey, ResultCache};
 use crate::error::ServiceError;
@@ -221,10 +219,9 @@ impl Cycle {
 
 /// Stage 1's split borrow of a [`Service`]: everything resolving a
 /// query touches, borrowed field by field, so the drain thread can keep
-/// resolving while the execute stage holds the registry and runner.
+/// resolving while the execute stage holds the registry.
 struct Resolver<'a> {
     registry: &'a GraphRegistry,
-    runner: &'a TrialRunner,
     cache: &'a mut ResultCache,
     telemetry: &'a Telemetry,
     queries_served: &'a mut u64,
@@ -331,10 +328,6 @@ pub struct Service {
     next_id: QueryId,
     engine_passes: u64,
     queries_served: u64,
-    /// The group-execution pool. One thread (the default) reproduces
-    /// the historical strictly-sequential drain; more threads fan
-    /// independent groups out without changing any result bit.
-    runner: TrialRunner,
     /// The shared telemetry sink (histograms, stage spans, trace log).
     telemetry: Arc<Telemetry>,
     /// The submission queue this service drains, when server-hosted —
@@ -358,7 +351,6 @@ impl Default for Service {
             next_id: 0,
             engine_passes: 0,
             queries_served: 0,
-            runner: TrialRunner::new(1),
             telemetry: Arc::new(Telemetry::default()),
             bound_queue: None,
             bound_connections: None,
@@ -368,7 +360,7 @@ impl Default for Service {
 }
 
 impl Service {
-    /// An empty service (sequential group execution).
+    /// An empty service.
     #[must_use]
     pub fn new() -> Self {
         Service::default()
@@ -402,25 +394,12 @@ impl Service {
         self.bound_connections = Some(connections);
     }
 
-    /// Sets the worker count independent groups fan across during a
-    /// drain (`0` = hardware parallelism, `1` = sequential). Purely a
-    /// wall-clock knob: drained results are bit-for-bit identical for
-    /// every value (see `tests/drain_proptests.rs`).
+    /// A no-op kept for compatibility: a drain runs its groups one
+    /// after another whatever `threads` says. It remains because the
+    /// repo benchmark (`perfbench`) still calls it.
     #[must_use]
-    pub fn with_group_threads(mut self, threads: usize) -> Self {
-        self.set_group_threads(threads);
+    pub fn with_group_threads(self, _threads: usize) -> Self {
         self
-    }
-
-    /// See [`with_group_threads`](Self::with_group_threads).
-    pub fn set_group_threads(&mut self, threads: usize) {
-        self.runner = TrialRunner::new(threads);
-    }
-
-    /// The group-execution worker count.
-    #[must_use]
-    pub fn group_threads(&self) -> usize {
-        self.runner.threads()
     }
 
     /// Bounds the result cache's per-seed accept stripes (LRU; reject
@@ -623,10 +602,10 @@ impl Service {
             resolver.resolve(&mut cycle, id, query, at, None, Route::Cycle);
         }
 
-        // Stage 2: group. Stage 3: execute (pure, possibly parallel).
+        // Stage 2: group. Stage 3: execute (pure).
         let groups = group_misses(std::mem::take(&mut cycle.misses), &mut self.cache);
         let clock = self.telemetry.clock();
-        let passes = execute_groups(&self.registry, &groups, &self.runner, &clock);
+        let passes = execute_groups(&self.registry, &groups, &clock);
 
         // Stage 4: respond (ordered state, sequential in group order).
         for (group, pass) in groups.into_iter().zip(passes) {
@@ -644,7 +623,6 @@ impl Service {
     fn resolver(&mut self) -> Resolver<'_> {
         Resolver {
             registry: &self.registry,
-            runner: &self.runner,
             cache: &mut self.cache,
             telemetry: &self.telemetry,
             queries_served: &mut self.queries_served,
@@ -1064,9 +1042,9 @@ fn drain_loop(mut service: Service, queue: &SubmissionQueue, connections: &Conne
 /// fresh submissions with no gate, into the cycle the last overlap
 /// window began; group its misses; execute the groups on a scoped
 /// thread while this thread dispatches overlap arrivals, gated, into
-/// the next cycle (the execute stage only reads the registry and
-/// runner, the [`Resolver`] writes the cache and counters); then apply
-/// the passes in group order and fulfil the owed lines. Every cycle
+/// the next cycle (the execute stage only reads the registry, the
+/// [`Resolver`] writes the cache and counters); then apply the passes
+/// in group order and fulfil the owed lines. Every cycle
 /// records its group count once; one of carried work alone records as
 /// a `pipeline` wake of width 0, since the overlap window counted its
 /// submissions when it collected them.
@@ -1111,13 +1089,13 @@ fn run_cycle(
     };
     queue.pipeline_begin();
     let mut resolver = service.resolver();
-    let (registry, runner) = (resolver.registry, resolver.runner);
+    let registry = resolver.registry;
     let clock = resolver.telemetry.clock();
     let passes = thread::scope(|scope| {
         let exec = scope.spawn({
             let groups = &groups;
             move || {
-                let passes = execute_groups(registry, groups, runner, &clock);
+                let passes = execute_groups(registry, groups, &clock);
                 queue.pipeline_done();
                 passes
             }
@@ -1433,45 +1411,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_group_drain_matches_sequential() {
-        // The determinism contract in miniature (the proptest suite
-        // does this at scale): mixed properties, two graphs, group
-        // execution fanned across 4 workers vs 1.
-        let build = |threads: usize| {
-            let mut s = Service::new().with_group_threads(threads);
-            s.registry_mut().ingest_spec("p", "tri_grid(4,4)").unwrap();
-            s.registry_mut().ingest_spec("far", "k5_chain(4)").unwrap();
-            for seed in 0..2 {
-                s.submit(Query::planarity(
-                    GraphRef::Name("p".into()),
-                    cfg(0.2).with_seed(seed),
-                ));
-                s.submit(Query::planarity(
-                    GraphRef::Name("far".into()),
-                    cfg(0.05).with_seed(seed),
-                ));
-            }
-            s.submit(
-                Query::planarity(GraphRef::Name("p".into()), cfg(0.2))
-                    .with_property(Property::Bipartiteness),
-            );
-            s.drain()
-        };
-        let sequential = build(1);
-        let parallel = build(4);
-        assert_eq!(sequential.len(), parallel.len());
-        for ((id_a, a), (id_b, b)) in sequential.iter().zip(&parallel) {
-            assert_eq!(id_a, id_b);
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(a.outcome.accepted(), b.outcome.accepted());
-            assert_eq!(a.outcome.stats(), b.outcome.stats());
-            assert_eq!(a.outcome.rejecting_nodes(), b.outcome.rejecting_nodes());
-            assert_eq!(a.coalesced, b.coalesced);
-            assert_eq!(a.seed, b.seed);
-        }
-    }
-
-    #[test]
     fn cold_restart_replays_certificates_without_engine_passes() {
         let dir = std::env::temp_dir().join(format!("pt_sched_restart_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1715,8 +1654,7 @@ mod tests {
 
     #[test]
     fn server_drains_in_process_submissions_and_flushes_on_shutdown() {
-        let mut service = service_with("p", "tri_grid(4,4)");
-        service.set_group_threads(2);
+        let service = service_with("p", "tri_grid(4,4)");
         let server = Server::start(service, ServeOptions::default());
         // An in-process transport: a shared Vec sink captures the
         // routed response bytes.

@@ -27,7 +27,7 @@
 //!   pays a full partition).
 //! * **Cycle accounting** — per drain-loop cycle: the wake reason
 //!   ([`WakeReason`]: arrival / shutdown / pipeline),
-//!   cycle width, group fan-out, and the coalescing ratio
+//!   cycle width, engine groups, and the coalescing ratio
 //!   (engine-bound queries per engine pass).
 //! * **Engine rollups** — every engine pass's [`SimStats`] are folded
 //!   into a [`PassRollup`], so `metrics` exposes cumulative simulated
@@ -414,7 +414,7 @@ pub struct StageTimes {
     /// Registry resolution + cache lookup for this query.
     pub resolve_micros: u64,
     /// Resolve done → this query's group pass applied (engine time
-    /// plus any wait on sibling groups; 0 for cache hits).
+    /// plus any wait on the cycle's other groups; 0 for cache hits).
     pub execute_micros: u64,
     /// Pass applied → response slot filled (cache insert + render).
     pub respond_micros: u64,
@@ -537,8 +537,8 @@ struct Metrics {
     cycles: u64,
     /// Submissions (or pending queries) per cycle.
     cycle_width: Histogram,
-    /// Engine groups per cycle (the fan-out occupancy of the group
-    /// execution pool).
+    /// Engine groups per cycle: the distinct `(graph, config,
+    /// property)` keys whose passes the cycle ran, one after another.
     cycle_groups: Histogram,
     /// Queries that required engine work (the coalescing numerator;
     /// the denominator is the pass count in `engine`).
@@ -716,7 +716,7 @@ impl Telemetry {
     }
 
     /// Records one drain-loop cycle: its wake reason, width
-    /// (submissions taken) and group fan-out.
+    /// (submissions taken) and engine groups.
     pub(crate) fn record_cycle(&self, reason: WakeReason, width: usize, groups: usize) {
         let mut m = self.inner.lock().expect("telemetry lock");
         m.wake[reason.slot()] += 1;

@@ -111,7 +111,7 @@ impl Submission {
 #[derive(Debug, Default)]
 struct QueueState {
     items: Vec<Submission>,
-    /// Whether the exec pool has finished the overlapped cycle (the
+    /// Whether the execute thread has finished the overlapped cycle (the
     /// pipelined drain loop's rendezvous; see [`SubmissionQueue::
     /// wait_overlap`]). Lives under the queue mutex so the done signal
     /// and the new-submission signal share one condvar without lost

@@ -1,7 +1,7 @@
 //! Prepared-tester memo properties: a query answered on a memoised
 //! tester (a memo hit) answers exactly as one that prepared its own (a
 //! miss) and as the uncached path, across interleaved `clear_cache`
-//! calls and any group-thread count.
+//! calls.
 
 use std::collections::HashMap;
 
@@ -44,8 +44,8 @@ fn step_strategy(keys: usize) -> impl Strategy<Value = Step> {
 
 /// Runs the stream on a fresh service; returns every drained response
 /// with the key it queried.
-fn run_stream(steps: &[Step], group_threads: usize) -> (Vec<(usize, DrainedQuery)>, u64) {
-    let mut service = Service::new().with_group_threads(group_threads);
+fn run_stream(steps: &[Step]) -> Vec<(usize, DrainedQuery)> {
+    let mut service = Service::new();
     for (i, (spec_text, ..)) in KEYS.iter().enumerate() {
         service
             .registry_mut()
@@ -72,7 +72,7 @@ fn run_stream(steps: &[Step], group_threads: usize) -> (Vec<(usize, DrainedQuery
         }
     }
     drain(&mut service, &mut pending);
-    (out, service.engine_passes())
+    out
 }
 
 proptest! {
@@ -92,41 +92,26 @@ proptest! {
             })
             .collect();
         let mut direct: HashMap<(usize, u64), Outcome> = HashMap::new();
-        let mut reference: Option<(Vec<(usize, DrainedQuery)>, u64)> = None;
-        for threads in [1, 2, 0] {
-            let (responses, passes) = run_stream(&steps, threads);
-            for (i, (key, (_, result))) in responses.iter().enumerate() {
-                let response = result.as_ref().expect("every key resolves");
-                let context = format!("threads {threads} response {i} key {key}");
-                // A certificate replays its certifying seed's outcome.
-                let expected = direct.entry((*key, response.seed)).or_insert_with(|| {
-                    let graph = spec::parse(KEYS[*key].0).unwrap().graph;
-                    Outcome::Planarity(
-                        PlanarityTester::new(cfg(*key, response.seed)).run(&graph).unwrap(),
-                    )
-                });
-                let (Outcome::Planarity(got), Outcome::Planarity(want)) =
-                    (&response.outcome, &*expected)
-                else {
-                    panic!("{context}: planarity outcomes");
-                };
-                prop_assert_eq!(&got.rejections, &want.rejections, "{}", context);
-                prop_assert_eq!(&got.violation_witnesses, &want.violation_witnesses, "{}", context);
-                prop_assert_eq!(&got.phases, &want.phases, "{}", context);
-                prop_assert_eq!(&got.parts, &want.parts, "{}", context);
-                prop_assert_eq!(&got.stats, &want.stats, "{}", context);
-            }
-            match &reference {
-                None => reference = Some((responses, passes)),
-                Some((first, first_passes)) => {
-                    prop_assert_eq!(passes, *first_passes, "engine passes, threads {}", threads);
-                    for ((_, (_, a)), (_, (_, b))) in responses.iter().zip(first) {
-                        let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-                        prop_assert_eq!(a.cache, b.cache, "provenance, threads {}", threads);
-                        prop_assert_eq!(a.coalesced, b.coalesced, "coalesced, threads {}", threads);
-                    }
-                }
-            }
+        for (i, (key, (_, result))) in run_stream(&steps).iter().enumerate() {
+            let response = result.as_ref().expect("every key resolves");
+            let context = format!("response {i} key {key}");
+            // A certificate replays its certifying seed's outcome.
+            let expected = direct.entry((*key, response.seed)).or_insert_with(|| {
+                let graph = spec::parse(KEYS[*key].0).unwrap().graph;
+                Outcome::Planarity(
+                    PlanarityTester::new(cfg(*key, response.seed)).run(&graph).unwrap(),
+                )
+            });
+            let (Outcome::Planarity(got), Outcome::Planarity(want)) =
+                (&response.outcome, &*expected)
+            else {
+                panic!("{context}: planarity outcomes");
+            };
+            prop_assert_eq!(&got.rejections, &want.rejections, "{}", context);
+            prop_assert_eq!(&got.violation_witnesses, &want.violation_witnesses, "{}", context);
+            prop_assert_eq!(&got.phases, &want.phases, "{}", context);
+            prop_assert_eq!(&got.parts, &want.parts, "{}", context);
+            prop_assert_eq!(&got.stats, &want.stats, "{}", context);
         }
     }
 }

@@ -178,7 +178,7 @@ fn build_query(graph: usize, eps: usize, seed: u64, property: Property) -> Query
 }
 
 fn ingested_service() -> Service {
-    let mut service = Service::new().with_group_threads(2);
+    let mut service = Service::new();
     for (i, spec) in SPECS.iter().enumerate() {
         service
             .registry_mut()

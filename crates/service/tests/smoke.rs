@@ -160,6 +160,20 @@ fn serve_refuses_an_out_of_range_phase_count_and_keeps_serving() {
 }
 
 #[test]
+fn serve_refuses_the_removed_group_threads_flag() {
+    // No serve flag sizes a group pool (a drain runs its groups in
+    // order on one thread), so this one is unknown like any other.
+    let refused = bin()
+        .args(["serve", "--group-threads", "2"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run serve");
+    assert_eq!(refused.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(stderr.contains("--group-threads"), "{stderr}");
+}
+
+#[test]
 fn one_shot_query_accepts_and_rejects_via_exit_codes() {
     let accept = bin()
         .args([

@@ -4,8 +4,8 @@
 //! [`Engine`]: rounds are counted bit-identically however they are
 //! executed, so threads inside one run could only save wall time, and
 //! measured on the benches they lost it. Parallelism lives where the work
-//! is independent: [`TrialRunner`] fans whole seeded simulations (and the
-//! service's engine groups) across cores.
+//! is independent: [`TrialRunner`] fans whole seeded simulations across
+//! cores.
 //!
 //! * [`mailbox`] — the flat-arena inboxes and their stable delivery;
 //! * [`lanes`] — the wake-flag bitset;

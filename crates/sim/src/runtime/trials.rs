@@ -64,22 +64,6 @@ impl TrialRunner {
         self.map((0..trials).collect(), f)
     }
 
-    /// Applies `f` to every item of a *borrowed* slice across the pool,
-    /// returning results in input order.
-    ///
-    /// This is the reuse hook for callers whose work items live in
-    /// longer-lived structures — the query service's scheduler fans its
-    /// coalesced engine groups through here every drain cycle without
-    /// moving them out of the cycle state.
-    pub fn map_ref<'a, I, T, F>(&self, items: &'a [I], f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(&'a I) -> T + Sync,
-    {
-        self.run(items.len(), |i| f(&items[i]))
-    }
-
     /// Applies `f` to every item across the pool, returning results in
     /// input order.
     pub fn map<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
@@ -148,17 +132,6 @@ mod tests {
             let out = runner.run(17, |i| 3 * i + 1);
             assert_eq!(out, (0..17).map(|i| 3 * i + 1).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn map_ref_borrows_items() {
-        let items: Vec<Vec<u32>> = (0..7).map(|i| vec![i; i as usize]).collect();
-        for threads in [1, 3, 8] {
-            let out = TrialRunner::new(threads).map_ref(&items, |v| v.iter().sum::<u32>());
-            assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36]);
-        }
-        // The items are still owned by the caller afterwards.
-        assert_eq!(items.len(), 7);
     }
 
     #[test]
