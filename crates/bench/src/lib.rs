@@ -8,7 +8,8 @@
 //!
 //! Three experiments double as CI performance gates, each writing a
 //! machine-readable artifact: [`runtime_bench`] (`BENCH_runtime.json`,
-//! engine/tester/batching/kernel speedups), [`load_bench`]
+//! engine throughput, tester sweeps, the batching and embedder
+//! speedups and the prepare's scaling over parts), [`load_bench`]
 //! (`BENCH_load.json`, the serving bench: closed-loop cold/warm
 //! latency, coalescing and trace overhead, then an open-loop saturation
 //! sweep) and [`persist_bench`] (`BENCH_persist.json`,

@@ -1,7 +1,7 @@
 //! Runtime benchmark: serial engine throughput, tester n-sweeps,
 //! trial-parallel sweep scaling, batched-vs-sequential Monte-Carlo
-//! sweeps, the label-pack kernels, the two planar embedders and the
-//! scaling of the tester's seed-free prefix over parts — written
+//! sweeps, the two planar embedders and the scaling of the tester's
+//! seed-free prefix over parts — written
 //! both as a human-readable table and as machine-readable
 //! `BENCH_runtime.json` so the performance trajectory is tracked from PR
 //! to PR.
@@ -9,7 +9,6 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use planartest_core::stage2::pack;
 use planartest_core::{PlanarityTester, TestOutcome};
 use planartest_embed::{check_planarity, demoucron};
 use planartest_graph::generators::planar;
@@ -257,34 +256,10 @@ fn batch_sweep() -> (Json, f64, usize) {
     (row, speedup, trials)
 }
 
-/// SplitMix64 — deterministic digit/bit workloads for the kernel
-/// microbenchmarks.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// One before/after kernel row: scalar reference vs SWAR path over the
-/// same workload, both asserted to produce identical results first.
-fn kernel_row(name: &str, scalar_secs: f64, swar_secs: f64, speedup: f64) -> Json {
-    println!(
-        "kernel         {name:<24} scalar {scalar_secs:>10.6}s  swar {swar_secs:>10.6}s  \
-         speedup {speedup:.2}x"
-    );
-    Json::obj()
-        .field("kernel", name)
-        .field("scalar_seconds", scalar_secs)
-        .field("swar_seconds", swar_secs)
-        .field("speedup", speedup)
-}
-
 /// Paired before/after measurement: after a warm-up pair, each of
 /// `pairs` reps times `before` then `after` back to back and the gated
 /// speedup is the **median of the per-pair ratios**. Pairing is what
-/// makes a 1.0 floor holdable: machine-wide drift (thermal ramp,
+/// makes a tight gate holdable: machine-wide drift (thermal ramp,
 /// frequency scaling, a CI neighbour) hits both sides of a pair about
 /// equally and cancels in its ratio, where a ratio of two
 /// independently-taken medians inherits the drift between them as
@@ -319,93 +294,6 @@ fn paired_times(
         after_times[pairs / 2],
         ratios[pairs / 2],
     )
-}
-
-/// Per-kernel before/after microbenchmarks for the stage-2 label digit
-/// pack/unpack at each width class: "before" is the portable scalar
-/// reference (the proptest oracle), "after" the SWAR kernels the label
-/// codec runs on. Each timing is `reps` passes, paired
-/// `pairs` times. Returns the rows plus the worst row's
-/// `(speedup, kernel name)` — the gate's "every SWAR kernel earns its
-/// keep" clause.
-fn kernel_bench(reps: usize, pairs: usize) -> (Json, f64, &'static str) {
-    let mut rows = Vec::new();
-    let mut min_speedup = f64::INFINITY;
-    let mut min_kernel: &'static str = "none";
-    let mut push_row =
-        |rows: &mut Vec<Json>, name: &'static str, scalar: f64, swar: f64, ratio: f64| {
-            rows.push(kernel_row(name, scalar, swar, ratio));
-            if ratio < min_speedup {
-                min_speedup = ratio;
-                min_kernel = name;
-            }
-        };
-
-    // Label digit transpose: 512 labels × 24 digits per width class
-    // (tree-path labels are Θ(depth) digits; 24 covers the deep-part
-    // regime while still exercising ragged tails).
-    for &(name, bits, per, mask) in &[
-        ("label_pack_4bit", 4u32, 16usize, 15u32),
-        ("label_pack_16bit", 16, 4, 65_535),
-        ("label_pack_32bit", 32, 2, u32::MAX),
-    ] {
-        let labels: Vec<Vec<u32>> = (0..512u64)
-            .map(|s| {
-                (0..24u64)
-                    .map(|i| (mix(s << 32 | i) as u32) & mask)
-                    .collect()
-            })
-            .collect();
-        let pass = |words: &mut Vec<u64>, digits: &mut Vec<u32>, swar: bool| {
-            words.clear();
-            digits.clear();
-            for label in &labels {
-                let start = words.len();
-                if swar {
-                    pack::pack_swar(label, bits, per, words);
-                    pack::unpack_swar(&words[start..], label.len(), bits, per, digits);
-                } else {
-                    pack::pack_scalar(label, bits, per, words);
-                    pack::unpack_scalar(&words[start..], label.len(), bits, per, digits);
-                }
-            }
-        };
-        let mut words: Vec<u64> = Vec::new();
-        let mut digits: Vec<u32> = Vec::new();
-        pass(&mut words, &mut digits, false);
-        let reference = digits.clone();
-        pass(&mut words, &mut digits, true);
-        assert_eq!(
-            digits, reference,
-            "{name}: kernels must agree before timing"
-        );
-        // Separate buffers per side: the paired closures live at once.
-        let (mut words_w, mut digits_w) = (Vec::new(), Vec::new());
-        let (scalar_secs, swar_secs, ratio) = paired_times(
-            pairs,
-            &mut || {
-                for _ in 0..reps {
-                    pass(&mut words, &mut digits, false);
-                }
-                black_box((&words, &digits));
-            },
-            &mut || {
-                for _ in 0..reps {
-                    pass(&mut words_w, &mut digits_w, true);
-                }
-                black_box((&words_w, &digits_w));
-            },
-        );
-        push_row(
-            &mut rows,
-            name,
-            scalar_secs / reps as f64,
-            swar_secs / reps as f64,
-            ratio,
-        );
-    }
-
-    (Json::Arr(rows), min_speedup, min_kernel)
 }
 
 /// The quadratic Demoucron oracle against the linear-time left-right
@@ -491,10 +379,9 @@ fn prepare_scaling(side: usize, pairs: usize) -> (Json, f64) {
 
 /// The CI regression gate computed alongside the benchmark document:
 /// the batched Monte-Carlo sweep must clear its floor over the
-/// sequential-per-instance path, no SWAR label-pack kernel may lose to
-/// its scalar reference, the left-right embedder must clear its floor
-/// over Demoucron, and the prepare's per-node time must stay under its
-/// growth ceiling.
+/// sequential-per-instance path, the left-right embedder must clear its
+/// floor over Demoucron, and the prepare's per-node time must stay
+/// under its growth ceiling.
 #[derive(Debug, Clone, Copy)]
 pub struct BenchGate {
     /// Trials in the gated batched acceptance sweep.
@@ -502,11 +389,6 @@ pub struct BenchGate {
     /// Sequential-per-instance wall-clock over batched wall-clock on
     /// the Monte-Carlo acceptance sweep.
     pub batch_speedup: f64,
-    /// The *worst* per-kernel SWAR-vs-scalar speedup across every
-    /// `kernel_bench` row (median of paired ratios).
-    pub min_kernel_speedup: f64,
-    /// Which kernel posted that worst ratio.
-    pub min_kernel: &'static str,
     /// Demoucron wall-clock over left-right wall-clock on the embed
     /// bench's grid (median of paired ratios).
     pub embed_speedup: f64,
@@ -526,17 +408,6 @@ impl BenchGate {
     /// batched layout.
     pub const BATCH_SPEEDUP_FLOOR: f64 = 4.0;
 
-    /// Floor for every per-kernel SWAR-vs-scalar ratio: a SWAR path
-    /// that loses to its own scalar reference is a regression, full
-    /// stop — there is no workload argument for shipping a slower
-    /// dispatch default. Holdable at exactly 1.0 (not 1.0 minus a
-    /// noise allowance) because the measurement is a median of
-    /// *paired* ratios: drift cancels within each pair, and the
-    /// unrolled kernels clear parity with real margin (the old
-    /// pairwise-spread 16-bit pack measured 0.83x and would fail
-    /// here, as it should).
-    pub const KERNEL_SPEEDUP_FLOOR: f64 = 1.0;
-
     /// Floor for the left-right embedder over Demoucron on the embed
     /// bench's grid. Demoucron is quadratic and left-right linear, so
     /// the ratio grows with the grid: already two orders of magnitude
@@ -551,9 +422,7 @@ impl BenchGate {
     pub const PREPARE_GROWTH_CEILING: f64 = 2.0;
 
     /// Whether the gate passes: the batch speedup at or above
-    /// [`BATCH_SPEEDUP_FLOOR`](Self::BATCH_SPEEDUP_FLOOR), every
-    /// kernel at or above
-    /// [`KERNEL_SPEEDUP_FLOOR`](Self::KERNEL_SPEEDUP_FLOOR), the
+    /// [`BATCH_SPEEDUP_FLOOR`](Self::BATCH_SPEEDUP_FLOOR), the
     /// embedder at or above
     /// [`EMBED_SPEEDUP_FLOOR`](Self::EMBED_SPEEDUP_FLOOR) and the
     /// prepare's growth below
@@ -563,7 +432,6 @@ impl BenchGate {
     #[must_use]
     pub fn pass(&self) -> bool {
         self.batch_speedup >= Self::BATCH_SPEEDUP_FLOOR
-            && self.min_kernel_speedup >= Self::KERNEL_SPEEDUP_FLOOR
             && self.embed_speedup >= Self::EMBED_SPEEDUP_FLOOR
             && self.prepare_growth < Self::PREPARE_GROWTH_CEILING
     }
@@ -577,28 +445,20 @@ pub fn runtime_bench_document() -> (Json, BenchGate) {
     let side = if quick() { 24 } else { 64 };
     let tester_rows = tester_n_sweep();
     let (batch_row, batch_speedup, batch_trials) = batch_sweep();
-    let (kernel_rows, min_kernel_speedup, min_kernel) = if quick() {
-        kernel_bench(300, 5)
-    } else {
-        kernel_bench(2_000, 9)
-    };
     let (embed_row, embed_speedup) = embed_bench(if quick() { 24 } else { 48 }, 7);
     let (prepare_row, prepare_growth) = prepare_scaling(48, 7);
     let gate = BenchGate {
         batch_trials,
         batch_speedup,
-        min_kernel_speedup,
-        min_kernel,
         embed_speedup,
         prepare_growth,
     };
     let doc = Json::obj()
-        .field("schema", "planartest-bench/runtime/v5")
+        .field("schema", "planartest-bench/runtime/v6")
         .field("quick_mode", quick())
         .field("host", crate::host())
         .field("hardware_threads", auto_threads())
         .field("engine_throughput", engine_throughput(side))
-        .field("kernel_bench", kernel_rows)
         .field("embed_bench", embed_row)
         .field("prepare_scaling", prepare_row)
         .field("tester_n_sweep", tester_rows)
@@ -610,9 +470,6 @@ pub fn runtime_bench_document() -> (Json, BenchGate) {
                 .field("batch_trials", gate.batch_trials)
                 .field("batch_speedup_vs_sequential", gate.batch_speedup)
                 .field("batch_speedup_floor", BenchGate::BATCH_SPEEDUP_FLOOR)
-                .field("min_kernel_speedup", gate.min_kernel_speedup)
-                .field("min_kernel", gate.min_kernel)
-                .field("kernel_speedup_floor", BenchGate::KERNEL_SPEEDUP_FLOOR)
                 .field("embed_speedup", gate.embed_speedup)
                 .field("embed_speedup_floor", BenchGate::EMBED_SPEEDUP_FLOOR)
                 .field("prepare_growth", gate.prepare_growth)
@@ -651,31 +508,24 @@ mod tests {
     fn gate_thresholds() {
         let floor = BenchGate::BATCH_SPEEDUP_FLOOR;
         assert_eq!(floor, 4.0);
-        let gate = |batch_speedup: f64, min_kernel_speedup: f64, embed_speedup: f64| BenchGate {
+        let gate = |batch_speedup: f64, embed_speedup: f64| BenchGate {
             batch_trials: 8,
             batch_speedup,
-            min_kernel_speedup,
-            min_kernel: "label_pack_16bit",
             embed_speedup,
             prepare_growth: 1.0,
         };
-        assert!(gate(floor, 1.2, 50.0).pass());
-        assert!(gate(floor + 0.5, 1.0, 50.0).pass());
-        assert!(!gate(floor - 0.01, 1.2, 50.0).pass());
-        assert!(!gate(1.0, 1.2, 50.0).pass());
-        // Every SWAR kernel must at least match its scalar reference:
-        // the historical 0.83x pack regression fails the gate.
-        assert!(!gate(floor, 0.83, 50.0).pass());
-        assert_eq!(BenchGate::KERNEL_SPEEDUP_FLOOR, 1.0);
+        assert!(gate(floor, 50.0).pass());
+        assert!(!gate(floor - 0.01, 50.0).pass());
+        assert!(!gate(1.0, 50.0).pass());
         // The linear embedder must stay an order of magnitude ahead.
         assert_eq!(BenchGate::EMBED_SPEEDUP_FLOOR, 10.0);
-        assert!(gate(floor, 1.2, 10.0).pass());
-        assert!(!gate(floor, 1.2, 9.9).pass());
+        assert!(gate(floor, 10.0).pass());
+        assert!(!gate(floor, 9.9).pass());
         // A prepare that scans the graph once per part fails.
         assert_eq!(BenchGate::PREPARE_GROWTH_CEILING, 2.0);
         let growth = |prepare_growth: f64| BenchGate {
             prepare_growth,
-            ..gate(floor, 1.2, 50.0)
+            ..gate(floor, 50.0)
         };
         assert!(growth(1.99).pass());
         assert!(!growth(2.0).pass());
@@ -714,26 +564,5 @@ mod tests {
             assert!(text.contains(key), "missing {key} in {text}");
         }
         assert!(speedup.is_finite() && speedup > 0.0);
-    }
-
-    #[test]
-    fn kernel_rows_have_required_fields() {
-        // A schema check over one pass per side: the timed workload runs
-        // in `runtime_bench --check` on the release binary.
-        let (rows, min_speedup, min_kernel) = kernel_bench(1, 1);
-        let text = rows.pretty();
-        for key in [
-            "label_pack_4bit",
-            "label_pack_16bit",
-            "label_pack_32bit",
-            "scalar_seconds",
-            "swar_seconds",
-            "speedup",
-        ] {
-            assert!(text.contains(key), "missing {key} in {text}");
-        }
-        assert!(!text.contains("lanebits"));
-        assert!(min_speedup.is_finite() && min_speedup > 0.0);
-        assert!(text.contains(min_kernel));
     }
 }

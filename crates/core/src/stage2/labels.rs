@@ -8,8 +8,6 @@
 
 use std::cmp::Ordering;
 
-use super::pack;
-
 /// A node label: digits along the tree path from the root (root = empty).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Label(pub Vec<u32>);
@@ -85,6 +83,19 @@ pub(crate) fn intersects<T: Ord + ?Sized>(lo: &T, hi: &T, other_lo: &T, other_hi
         || (other_lo < lo && lo < other_hi && other_hi < hi)
 }
 
+/// Bits per digit and digits per word of width classes 0, 1 and 2.
+const CLASSES: [(u32, usize); 3] = [(4, 16), (16, 4), (32, 2)];
+
+/// The width class of a digit slice: the narrowest class whose digits
+/// hold its largest digit.
+fn width_class(digits: &[u32]) -> usize {
+    match digits.iter().copied().max().unwrap_or(0) {
+        0..=0xF => 0,
+        0x10..=0xFFFF => 1,
+        _ => 2,
+    }
+}
+
 /// Appends the packed wire encoding of a label to `out`: a header word
 /// `(len << 2) | width_class` followed by the digits packed 16, 4 or 2
 /// per word (width classes 0, 1, 2 = 4-, 16- and 32-bit digits, chosen
@@ -94,35 +105,47 @@ pub(crate) fn intersects<T: Ord + ?Sized>(lo: &T, hi: &T, other_lo: &T, other_hi
 /// one child digit (almost always < 16) per word under-uses every
 /// message by an order of magnitude. The sample-interval streams —
 /// the tester's dominant message volume — ride this encoding.
-///
-/// The digit transpose runs on the SWAR kernels in [`super::pack`]
-/// (pairwise in-register packing).
 pub(crate) fn pack_label(digits: &[u32], out: &mut Vec<u64>) {
-    let (width, bits, per) = pack::width_class_swar(digits);
-    out.push(((digits.len() as u64) << 2) | width);
-    pack::pack_swar(digits, bits, per, out);
+    let class = width_class(digits);
+    let (bits, per) = CLASSES[class];
+    out.push(((digits.len() as u64) << 2) | class as u64);
+    for chunk in digits.chunks(per) {
+        let mut word = 0u64;
+        for (i, &d) in chunk.iter().enumerate() {
+            word |= u64::from(d) << (i as u32 * bits);
+        }
+        out.push(word);
+    }
+}
+
+/// The number of words [`pack_label`] writes for `digits`: the header
+/// plus `⌈len / per⌉` packed words. The closed-form stream costs size
+/// an interval's frame as `1 + P(lo) + P(hi)` from it.
+pub(crate) fn packed_len(digits: &[u32]) -> usize {
+    let (_, per) = CLASSES[width_class(digits)];
+    1 + digits.len().div_ceil(per)
 }
 
 /// Decodes one packed label starting at `words[0]`; returns the digits
 /// and the number of words consumed (header + packed digits). Inverse
-/// of [`pack_label`], on the same kernels.
+/// of [`pack_label`].
 pub(crate) fn unpack_label(words: &[u64]) -> (Vec<u32>, usize) {
     let header = words[0];
     let len = (header >> 2) as usize;
-    let (bits, per): (u32, usize) = match header & 3 {
-        0 => (4, 16),
-        1 => (16, 4),
-        2 => (32, 2),
-        other => unreachable!("unknown label width class {other}"),
-    };
-    let mut digits = Vec::with_capacity(len);
-    pack::unpack_swar(&words[1..], len, bits, per, &mut digits);
+    let class = (header & 3) as usize;
+    assert!(class < CLASSES.len(), "unknown label width class {class}");
+    let (bits, per) = CLASSES[class];
+    let mask = u64::MAX >> (64 - bits);
+    let digits = (0..len)
+        .map(|i| ((words[1 + i / per] >> ((i % per) as u32 * bits)) & mask) as u32)
+        .collect();
     (digits, 1 + len.div_ceil(per))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn l(digits: &[u32]) -> Label {
         Label(digits.to_vec())
@@ -220,6 +243,67 @@ mod tests {
         let (got_b, used_b) = unpack_label(&words[used..]);
         assert_eq!((got_a, got_b), (a, b));
         assert_eq!(used + used_b, words.len());
+    }
+
+    /// Packs `digits`, asserts the size rule and the round trip, and
+    /// returns the words written.
+    fn round_trip(digits: &[u32]) -> Vec<u64> {
+        let mut words = Vec::new();
+        pack_label(digits, &mut words);
+        assert_eq!(packed_len(digits), words.len(), "size of {digits:?}");
+        let (got, used) = unpack_label(&words);
+        assert_eq!(got, digits);
+        assert_eq!(used, words.len(), "words consumed of {digits:?}");
+        words
+    }
+
+    /// Digit vectors confined to the width class of `bits`-bit digits,
+    /// 0–70 digits long: empty, ragged final words and several full
+    /// words in every class.
+    fn digits_in_class(bits: u32) -> impl Strategy<Value = Vec<u32>> {
+        prop::collection::vec((0..1u64 << bits).prop_map(|d| d as u32), 0..71)
+    }
+
+    proptest! {
+        #[test]
+        fn codec_round_trips_and_sizes_4bit(digits in digits_in_class(4)) {
+            round_trip(&digits);
+        }
+
+        #[test]
+        fn codec_round_trips_and_sizes_16bit(digits in digits_in_class(16)) {
+            round_trip(&digits);
+        }
+
+        #[test]
+        fn codec_round_trips_and_sizes_32bit(digits in digits_in_class(32)) {
+            round_trip(&digits);
+        }
+    }
+
+    #[test]
+    fn ragged_tails_across_classes() {
+        // Deterministic pins for every (class, tail) shape: lengths
+        // around word boundaries and odd/even pair splits. The first
+        // digit is the class's largest, which selects the class.
+        for (bits, per) in CLASSES {
+            let top = u32::MAX >> (32 - bits);
+            for len in 0..(2 * per + 3) {
+                let digits: Vec<u32> = (0..len as u32).map(|i| top >> (i % bits)).collect();
+                let words = round_trip(&digits);
+                assert_eq!(words.len(), 1 + len.div_ceil(per));
+            }
+        }
+    }
+
+    #[test]
+    fn width_class_boundaries() {
+        assert_eq!(width_class(&[]), 0);
+        assert_eq!(width_class(&[15]), 0);
+        assert_eq!(width_class(&[16]), 1);
+        assert_eq!(width_class(&[65_535]), 1);
+        assert_eq!(width_class(&[65_536]), 2);
+        assert_eq!(width_class(&[u32::MAX]), 2);
     }
 
     #[test]

@@ -29,8 +29,6 @@
 //! (the split behind [`crate::Prepared`]).
 
 pub mod labels;
-#[doc(hidden)]
-pub mod pack;
 mod protocols;
 
 use std::cmp::Ordering;
@@ -188,7 +186,7 @@ pub(crate) struct Stage2Prefix {
     /// Each node's rank in `(root, label)` order. Within a part that is
     /// label order, so Definition 7 compares ranks instead of digits.
     rank: Vec<u32>,
-    /// The words of each node's packed label ([`labels::pack_label`]),
+    /// The words of each node's packed label ([`labels::packed_len`]),
     /// which size the wire frames of the intervals it ends.
     packed: Vec<u32>,
     /// Every node's assigned non-tree edges as label intervals, each the
@@ -364,13 +362,8 @@ impl Stage2Prefix {
         }
         let label = |v: usize| &digits[label_at[v]..label_at[v + 1]];
         let rank = label_ranks(&state.root, label);
-        let mut words = Vec::new();
         let packed = (0..n)
-            .map(|v| {
-                words.clear();
-                labels::pack_label(label(v), &mut words);
-                words.len() as u32
-            })
+            .map(|v| labels::packed_len(label(v)) as u32)
             .collect();
 
         Ok(Stage2Prefix {

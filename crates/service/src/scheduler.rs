@@ -611,6 +611,7 @@ impl Service {
         for (group, pass) in groups.into_iter().zip(passes) {
             self.apply_group(group, pass, &mut cycle.slots);
         }
+        self.telemetry.flush_trace();
 
         cycle
             .slots
@@ -1080,6 +1081,7 @@ fn run_cycle(
     service.telemetry.record_cycle(reason, width, groups.len());
     if groups.is_empty() {
         debug_assert!(cycle.owed.is_empty(), "no groups, no owed lines");
+        service.telemetry.flush_trace();
         return;
     }
 
@@ -1123,6 +1125,7 @@ fn run_cycle(
     for line in &cycle.owed {
         router.fulfill(line.token, &cycle.render(line), connections);
     }
+    service.telemetry.flush_trace();
 }
 
 #[cfg(test)]
@@ -1280,6 +1283,37 @@ mod tests {
             .sum();
         let pass = drained[0].1.as_ref().unwrap().engine_micros;
         assert!(total <= pass + 4);
+    }
+
+    #[test]
+    fn a_drain_flushes_the_trace_once() {
+        /// A trace sink that keeps its bytes and counts its flushes.
+        #[derive(Clone, Default)]
+        struct Counting(Arc<Mutex<(Vec<u8>, usize)>>);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.lock().unwrap().0.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                self.0.lock().unwrap().1 += 1;
+                Ok(())
+            }
+        }
+        let mut s = service_with("p", "tri_grid(5,5)");
+        let sink = Counting::default();
+        s.telemetry().set_trace_writer(Box::new(sink.clone()));
+        for seed in 0..16 {
+            s.submit(Query::planarity(
+                GraphRef::Name("p".into()),
+                cfg(0.2).with_seed(seed),
+            ));
+        }
+        assert_eq!(s.drain().len(), 16);
+        let (bytes, flushes) = &*sink.0.lock().unwrap();
+        let records = String::from_utf8_lossy(bytes).lines().count();
+        assert_eq!(records, 64, "four trace records per query");
+        assert_eq!(*flushes, 1, "one flush per drain");
     }
 
     #[test]

@@ -35,7 +35,8 @@
 //! * **Trace** — an opt-in LDJSON event log (`planartest serve
 //!   --trace FILE`): per served query, `submit` / `resolve` /
 //!   `execute` / `respond` records with connection id, query id and
-//!   stage durations, suitable for replay into a load harness.
+//!   stage durations, suitable for replay into a load harness. The
+//!   writer is flushed once per drain cycle, not once per query.
 //!
 //! [`Service`]: crate::Service
 //! [`Server`]: crate::Server
@@ -712,7 +713,15 @@ impl Telemetry {
                 return;
             }
         }
-        let _ = writer.flush();
+    }
+
+    /// Flushes the trace writer, if one is attached. The drain paths
+    /// call it once per cycle, after every query the cycle served has
+    /// written its records.
+    pub(crate) fn flush_trace(&self) {
+        if let Some(writer) = self.trace.lock().expect("trace lock").as_mut() {
+            let _ = writer.flush();
+        }
     }
 
     /// Records one drain-loop cycle: its wake reason, width

@@ -197,12 +197,13 @@ fn tcp_survives_garbage_and_oversized_frames() {
     assert!(child.wait().expect("serve exits").success());
 }
 
-/// Starts a unix-socket server, sends one query whose pass outlasts
-/// the shutdown trigger — `tri_grid(96,96)` takes about 0.2 s in a
-/// release build and about 4 s in a debug one — and calls `stop` once
-/// the query has had time to reach the queue. Asserts the query
-/// is still answered, and was still in flight when `stop` ran, and
-/// that the server exits with code 0.
+/// Starts a unix-socket server and calls `stop` while a query's engine
+/// pass runs. A first touch of the graph under another ε calibrates
+/// the pass: it misses the memo like the real query and runs the same
+/// Stage I, so its `engine_micros` T times the real pass, and `stop`
+/// runs T/4 after the real query went out. Asserts the query is still
+/// answered, and was still in flight when `stop` ran, and that the
+/// server exits with code 0.
 fn shutdown_flushes_an_in_flight_query(tag: &str, stop: impl FnOnce(&mut Child)) {
     let path = socket_path(tag);
     let mut child = spawn_serve(&["--unix", path.to_str().unwrap()]);
@@ -213,17 +214,23 @@ fn shutdown_flushes_an_in_flight_query(tag: &str, stop: impl FnOnce(&mut Child))
     let ingested = ask(
         &mut client,
         &mut rx,
-        r#"{"op":"ingest","name":"g","spec":"tri_grid(96,96)"}"#,
+        r#"{"op":"ingest","name":"g","spec":"tri_grid(48,48)"}"#,
     );
     assert_eq!(ingested.get("ok").unwrap().as_bool(), Some(true));
+    let query = |epsilon: f64| {
+        format!(r#"{{"op":"query","graph":"g","epsilon":{epsilon},"phases":5,"seed":9}}"#)
+    };
+    let calibration = ask(&mut client, &mut rx, &query(0.25));
+    assert_eq!(calibration.get("cache").unwrap().as_str(), Some("cold"));
+    let pass = calibration
+        .get("engine_micros")
+        .and_then(Value::as_u64)
+        .map(Duration::from_micros)
+        .expect("engine_micros");
 
     let sent = std::time::Instant::now();
-    writeln!(
-        client,
-        r#"{{"op":"query","graph":"g","epsilon":0.2,"phases":5,"seed":9}}"#
-    )
-    .unwrap();
-    std::thread::sleep(Duration::from_millis(100));
+    writeln!(client, "{}", query(0.2)).unwrap();
+    std::thread::sleep(pass / 4);
     let before_stop = sent.elapsed();
     stop(&mut child);
 
