@@ -30,7 +30,10 @@
 //! [`stream_to_disk`] builds such a file from an [`EdgeSource`] in two
 //! passes (count, then place) using O(n + max bucket) memory: the full
 //! edge vector never exists in RAM, which is what makes out-of-core
-//! ingest of `n ≫ 10^6` generator graphs possible.
+//! ingest of `n ≫ 10^6` generator graphs possible. The two sources are
+//! the ones the in-memory route reads: a closed-form generator spec
+//! ([`crate::generators::spec::StreamableSpec`]) and an edge-list
+//! document, streamed from its text ([`crate::io::EdgeList`]).
 
 use std::fmt;
 use std::fs::File;
@@ -88,7 +91,7 @@ pub enum DiskError {
         /// Which quantity overflowed.
         what: &'static str,
     },
-    /// An edge-list text source failed to parse.
+    /// An edge-list source failed to parse.
     Parse(ParseGraphError),
     /// An edge source produced an invalid edge.
     Graph(crate::GraphError),
@@ -684,103 +687,20 @@ pub trait EdgeSource {
     ) -> Result<(), DiskError>;
 }
 
-/// An edge-list text file (the [`crate::io`] format) as a re-iterable
-/// [`EdgeSource`]: each pass re-opens and re-parses the file with a
-/// line-buffered reader, so the edges never exist in RAM at once.
-pub struct EdgeListSource {
-    path: PathBuf,
-    n: usize,
-    declared_m: usize,
-}
-
-impl EdgeListSource {
-    /// Opens `path` and parses its `n m` header (edges stay on disk).
-    ///
-    /// # Errors
-    ///
-    /// [`DiskError::Io`] on open failure, [`DiskError::Parse`] on a bad
-    /// header line.
-    pub fn open(path: &Path) -> Result<Self, DiskError> {
-        let file = File::open(path)?;
-        let mut lines = io::BufRead::lines(BufReader::new(file));
-        let header = loop {
-            match lines.next() {
-                Some(line) => {
-                    let line = line?;
-                    let t = line.trim();
-                    if !t.is_empty() && !t.starts_with('#') {
-                        break t.to_string();
-                    }
-                }
-                None => return Err(DiskError::Parse(ParseGraphError::BadHeader)),
-            }
-        };
-        let mut it = header.split_whitespace();
-        let (n, m) = match (it.next(), it.next(), it.next()) {
-            (Some(n), Some(m), None) => (
-                n.parse::<usize>()
-                    .map_err(|_| DiskError::Parse(ParseGraphError::BadHeader))?,
-                m.parse::<usize>()
-                    .map_err(|_| DiskError::Parse(ParseGraphError::BadHeader))?,
-            ),
-            _ => return Err(DiskError::Parse(ParseGraphError::BadHeader)),
-        };
-        Ok(EdgeListSource {
-            path: path.to_path_buf(),
-            n,
-            declared_m: m,
-        })
-    }
-}
-
-impl EdgeSource for EdgeListSource {
+/// An edge-list document streams from its text: each pass re-reads the
+/// edge lines (see [`crate::io`] for the format's rules), so the edges
+/// never exist in RAM at once and both ingest routes accept the same
+/// documents.
+impl EdgeSource for crate::io::EdgeList<'_> {
     fn n(&self) -> usize {
-        self.n
+        self.n()
     }
 
     fn stream(
         &mut self,
         emit: &mut dyn FnMut(usize, usize) -> Result<(), DiskError>,
     ) -> Result<(), DiskError> {
-        let file = File::open(&self.path)?;
-        let mut seen_header = false;
-        let mut found = 0usize;
-        for (i, line) in io::BufRead::lines(BufReader::new(file)).enumerate() {
-            let line = line?;
-            let t = line.trim();
-            if t.is_empty() || t.starts_with('#') {
-                continue;
-            }
-            if !seen_header {
-                seen_header = true;
-                continue;
-            }
-            let mut it = t.split_whitespace();
-            let (u, v) = match (it.next(), it.next(), it.next()) {
-                (Some(u), Some(v), None) => (
-                    u.parse::<usize>().map_err(|_| {
-                        DiskError::Parse(ParseGraphError::BadEdgeLine { line: i + 1 })
-                    })?,
-                    v.parse::<usize>().map_err(|_| {
-                        DiskError::Parse(ParseGraphError::BadEdgeLine { line: i + 1 })
-                    })?,
-                ),
-                _ => {
-                    return Err(DiskError::Parse(ParseGraphError::BadEdgeLine {
-                        line: i + 1,
-                    }))
-                }
-            };
-            found += 1;
-            emit(u, v)?;
-        }
-        if found != self.declared_m {
-            return Err(DiskError::Parse(ParseGraphError::MissingEdges {
-                expected: self.declared_m,
-                found,
-            }));
-        }
-        Ok(())
+        self.for_each_edge(emit)
     }
 }
 
@@ -1095,6 +1015,7 @@ pub fn stream_to_disk(source: &mut dyn EdgeSource, path: &Path) -> Result<Stream
 mod tests {
     use super::*;
     use crate::generators::spec;
+    use crate::io::EdgeList;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -1234,9 +1155,7 @@ mod tests {
     fn streaming_build_from_edge_list_dedups() {
         let dir = tmp_dir("edgelist");
         let text = "# comment\n4 5\n0 1\n1 0\n2 3\n1 2\n0 1\n";
-        let list = dir.join("g.txt");
-        std::fs::write(&list, text).unwrap();
-        let mut src = EdgeListSource::open(&list).unwrap();
+        let mut src = EdgeList::parse(text).unwrap();
         let path = dir.join("g.csr");
         let stats = stream_to_disk(&mut src, &path).unwrap();
         assert_eq!(stats.streamed, 5);
@@ -1250,16 +1169,13 @@ mod tests {
     #[test]
     fn invalid_source_edges_are_typed() {
         let dir = tmp_dir("badsrc");
-        let list = dir.join("g.txt");
-        std::fs::write(&list, "3 1\n1 1\n").unwrap();
-        let mut src = EdgeListSource::open(&list).unwrap();
+        let mut src = EdgeList::parse("3 1\n1 1\n").unwrap();
         let err = stream_to_disk(&mut src, &dir.join("g.csr")).unwrap_err();
         assert_eq!(
             err,
             DiskError::Graph(crate::GraphError::SelfLoop { node: 1 })
         );
-        std::fs::write(&list, "3 1\n0 7\n").unwrap();
-        let mut src = EdgeListSource::open(&list).unwrap();
+        let mut src = EdgeList::parse("3 1\n0 7\n").unwrap();
         let err = stream_to_disk(&mut src, &dir.join("g.csr")).unwrap_err();
         assert!(matches!(err, DiskError::Graph(_)));
         let _ = std::fs::remove_dir_all(&dir);

@@ -11,6 +11,7 @@
 //!   edges that must be removed;
 //! * planted families (e.g. disjoint `K5` tiles) get a packing bound.
 
+mod closed;
 pub mod nonplanar;
 pub mod planar;
 pub mod spec;
@@ -76,6 +77,17 @@ pub fn euler_excess(n: usize, m: usize) -> usize {
         0
     } else {
         m.saturating_sub(3 * n - 6)
+    }
+}
+
+/// The status an Euler-excess family certifies: far by the excess when
+/// it is positive, [`PlanarityStatus::Unknown`] otherwise.
+pub(crate) fn euler_status(n: usize, m: usize) -> PlanarityStatus {
+    match euler_excess(n, m) {
+        0 => PlanarityStatus::Unknown,
+        excess => PlanarityStatus::FarFromPlanar {
+            min_removals: excess,
+        },
     }
 }
 

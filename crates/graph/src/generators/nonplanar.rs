@@ -4,21 +4,14 @@
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::generators::{euler_excess, Certified, PlanarityStatus};
+use crate::generators::closed::Family;
+use crate::generators::{euler_status, Certified, PlanarityStatus};
 use crate::{Graph, GraphBuilder};
 
 fn with_euler_bound(graph: Graph, name: String) -> Certified {
-    let excess = euler_excess(graph.n(), graph.m());
-    let status = if excess > 0 {
-        PlanarityStatus::FarFromPlanar {
-            min_removals: excess,
-        }
-    } else {
-        PlanarityStatus::Unknown
-    };
     Certified {
+        status: euler_status(graph.n(), graph.m()),
         graph,
-        status,
         name,
     }
 }
@@ -31,16 +24,10 @@ fn with_euler_bound(graph: Graph, name: String) -> Certified {
 ///
 /// # Panics
 ///
-/// Panics if `n == 0`.
+/// Panics if `n == 0` or the graph overflows `u32` ids and offsets.
 pub fn complete(n: usize) -> Certified {
     assert!(n > 0, "complete requires n > 0");
-    let g = Graph::from_edges(n, (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j))))
-        .expect("complete edges valid");
-    let mut c = with_euler_bound(g, format!("complete(n={n})"));
-    if n < 5 {
-        c.status = PlanarityStatus::Planar;
-    }
-    c
+    Family::Complete(n).materialize()
 }
 
 /// Complete bipartite graph `K_{a,b}`.
@@ -52,17 +39,10 @@ pub fn complete(n: usize) -> Certified {
 ///
 /// # Panics
 ///
-/// Panics if `a == 0` or `b == 0`.
+/// Panics if `a == 0` or `b == 0` or the graph overflows `u32` ids and offsets.
 pub fn complete_bipartite(a: usize, b: usize) -> Certified {
     assert!(a > 0 && b > 0, "bipartite sides must be non-empty");
-    let g = Graph::from_edges(a + b, (0..a).flat_map(|i| (0..b).map(move |j| (i, a + j))))
-        .expect("bipartite edges valid");
-    let planar = a.min(b) < 3;
-    let mut c = with_euler_bound(g, format!("k{a}{b}"));
-    if planar {
-        c.status = PlanarityStatus::Planar;
-    }
-    c
+    Family::CompleteBipartite(a, b).materialize()
 }
 
 /// A chain of `tiles` vertex-disjoint `K5`s, consecutive tiles linked by a
@@ -75,30 +55,10 @@ pub fn complete_bipartite(a: usize, b: usize) -> Certified {
 ///
 /// # Panics
 ///
-/// Panics if `tiles == 0`.
+/// Panics if `tiles == 0` or the graph overflows `u32` ids and offsets.
 pub fn k5_chain(tiles: usize) -> Certified {
     assert!(tiles > 0, "need at least one tile");
-    let n = 5 * tiles;
-    let mut b = GraphBuilder::new(n);
-    for t in 0..tiles {
-        let base = 5 * t;
-        for i in 0..5 {
-            for j in i + 1..5 {
-                b.add_edge(base + i, base + j).expect("in range");
-            }
-        }
-        if t + 1 < tiles {
-            b.add_edge(base + 4, base + 5).expect("in range");
-        }
-    }
-    let graph = b.build();
-    Certified {
-        graph,
-        status: PlanarityStatus::FarFromPlanar {
-            min_removals: tiles,
-        },
-        name: format!("k5_chain(tiles={tiles})"),
-    }
+    Family::K5Chain(tiles).materialize()
 }
 
 /// Erdős–Rényi `G(n, p)`.
@@ -222,24 +182,10 @@ pub fn planar_plus_chords<R: Rng + ?Sized>(n: usize, k: usize, rng: &mut R) -> C
 ///
 /// # Panics
 ///
-/// Panics if either dimension is `< 3`.
+/// Panics if either dimension is `< 3` or the graph overflows `u32` ids and offsets.
 pub fn torus(rows: usize, cols: usize) -> Certified {
     assert!(rows >= 3 && cols >= 3, "torus requires both dims >= 3");
-    let idx = |r: usize, c: usize| r * cols + c;
-    let mut b = GraphBuilder::new(rows * cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            b.add_edge(idx(r, c), idx(r, (c + 1) % cols))
-                .expect("in range");
-            b.add_edge(idx(r, c), idx((r + 1) % rows, c))
-                .expect("in range");
-        }
-    }
-    Certified {
-        graph: b.build(),
-        status: PlanarityStatus::Unknown,
-        name: format!("torus({rows}x{cols})"),
-    }
+    Family::Torus(rows, cols).materialize()
 }
 
 /// `d`-dimensional hypercube `Q_d` (`n = 2^d`); certified far via the
@@ -251,17 +197,7 @@ pub fn torus(rows: usize, cols: usize) -> Certified {
 /// Panics if `d == 0` or `d > 20`.
 pub fn hypercube(d: u32) -> Certified {
     assert!(d > 0 && d <= 20, "dimension out of range");
-    let n = 1usize << d;
-    let mut b = GraphBuilder::new(n);
-    for v in 0..n {
-        for bit in 0..d {
-            let w = v ^ (1usize << bit);
-            if v < w {
-                b.add_edge(v, w).expect("in range");
-            }
-        }
-    }
-    with_euler_bound(b.build(), format!("hypercube(d={d})"))
+    Family::Hypercube(d as usize).materialize()
 }
 
 /// A "social overlay network": planar backbone (geometric-ish grid) plus

@@ -2,6 +2,7 @@
 
 use rand::Rng;
 
+use crate::generators::closed::Family;
 use crate::generators::{Certified, PlanarityStatus};
 use crate::{Graph, GraphBuilder};
 
@@ -20,12 +21,10 @@ fn certified(graph: Graph, name: String) -> Certified {
 ///
 /// # Panics
 ///
-/// Panics if `n == 0`.
+/// Panics if `n == 0` or the graph overflows `u32` ids and offsets.
 pub fn path(n: usize) -> Certified {
     assert!(n > 0, "path requires n > 0");
-    let g = Graph::from_edges(n, (0..n.saturating_sub(1)).map(|i| (i, i + 1)))
-        .expect("path edges valid");
-    certified(g, format!("path(n={n})"))
+    Family::Path(n).materialize()
 }
 
 /// Cycle on `n ≥ 3` nodes.
@@ -35,11 +34,10 @@ pub fn path(n: usize) -> Certified {
 ///
 /// # Panics
 ///
-/// Panics if `n < 3`.
+/// Panics if `n < 3` or the graph overflows `u32` ids and offsets.
 pub fn cycle(n: usize) -> Certified {
     assert!(n >= 3, "cycle requires n >= 3");
-    let g = Graph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n))).expect("cycle edges valid");
-    certified(g, format!("cycle(n={n})"))
+    Family::Cycle(n).materialize()
 }
 
 /// Star with one hub and `n − 1` leaves.
@@ -49,11 +47,10 @@ pub fn cycle(n: usize) -> Certified {
 ///
 /// # Panics
 ///
-/// Panics if `n == 0`.
+/// Panics if `n == 0` or the graph overflows `u32` ids and offsets.
 pub fn star(n: usize) -> Certified {
     assert!(n > 0, "star requires n > 0");
-    let g = Graph::from_edges(n, (1..n).map(|i| (0, i))).expect("star edges valid");
-    certified(g, format!("star(n={n})"))
+    Family::Star(n).materialize()
 }
 
 /// `rows × cols` grid.
@@ -63,22 +60,10 @@ pub fn star(n: usize) -> Certified {
 ///
 /// # Panics
 ///
-/// Panics if either dimension is 0.
+/// Panics if either dimension is 0 or the graph overflows `u32` ids and offsets.
 pub fn grid(rows: usize, cols: usize) -> Certified {
     assert!(rows > 0 && cols > 0, "grid requires positive dimensions");
-    let idx = |r: usize, c: usize| r * cols + c;
-    let mut b = GraphBuilder::new(rows * cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                b.add_edge(idx(r, c), idx(r, c + 1)).expect("in range");
-            }
-            if r + 1 < rows {
-                b.add_edge(idx(r, c), idx(r + 1, c)).expect("in range");
-            }
-        }
-    }
-    certified(b.build(), format!("grid({rows}x{cols})"))
+    Family::Grid(rows, cols).materialize()
 }
 
 /// `rows × cols` grid with one diagonal per cell (still planar, denser,
@@ -89,25 +74,10 @@ pub fn grid(rows: usize, cols: usize) -> Certified {
 ///
 /// # Panics
 ///
-/// Panics if either dimension is 0.
+/// Panics if either dimension is 0 or the graph overflows `u32` ids and offsets.
 pub fn triangulated_grid(rows: usize, cols: usize) -> Certified {
     assert!(rows > 0 && cols > 0, "grid requires positive dimensions");
-    let idx = |r: usize, c: usize| r * cols + c;
-    let mut b = GraphBuilder::new(rows * cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            if c + 1 < cols {
-                b.add_edge(idx(r, c), idx(r, c + 1)).expect("in range");
-            }
-            if r + 1 < rows {
-                b.add_edge(idx(r, c), idx(r + 1, c)).expect("in range");
-            }
-            if r + 1 < rows && c + 1 < cols {
-                b.add_edge(idx(r, c), idx(r + 1, c + 1)).expect("in range");
-            }
-        }
-    }
-    certified(b.build(), format!("tri_grid({rows}x{cols})"))
+    Family::TriGrid(rows, cols).materialize()
 }
 
 /// Random recursive tree: node `i ≥ 1` attaches to a uniform node `< i`.

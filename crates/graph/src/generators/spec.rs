@@ -10,7 +10,8 @@
 //! ```
 //!
 //! with positional numeric arguments per family and an optional trailing
-//! `seed=K` for the randomized families (default seed 0).
+//! `seed=K` for the randomized families (default seed 0). The argument
+//! count comes from the family's signature in [`families`].
 //!
 //! **Determinism contract:** parsing the same spec string always yields
 //! the same graph, bit for bit — randomized families draw from
@@ -18,13 +19,29 @@
 //! a cache identity as the edge list it expands to. The service registry
 //! still fingerprints the *expanded* graph, making the two ingest routes
 //! collide when they describe the same graph.
+//!
+//! **One definition per closed-form family.** The ten non-randomized
+//! families (path, cycle, star, grid, tri_grid, complete,
+//! complete_bipartite, k5_chain, torus, hypercube) are each defined once,
+//! with their validation, `(n, m)`, status, generator name and edge
+//! stream. [`parse`] materializes that definition and [`streamable`]
+//! streams it, so the in-memory and on-disk routes cannot drift apart.
+//! [`parse`] keeps an arm only for the nine randomized families.
+//!
+//! **Size rule.** A family's node count must fit the graph's `u32` node
+//! ids (`n ≤ 2³²`), and a closed-form family's `2m` must fit its `u32`
+//! CSR offsets. Sizes are computed with checked arithmetic before
+//! anything is allocated, and an instance that breaks the rule, or
+//! overflows on the way, is [`SpecError::InvalidParameters`]. This says
+//! what the graph types can represent; it is not an admission limit.
 
 use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::generators::{euler_excess, nonplanar, planar, Certified, PlanarityStatus};
+use crate::generators::closed::{node_count, ClosedForm, Family};
+use crate::generators::{nonplanar, planar, Certified, PlanarityStatus};
 
 /// Error parsing or instantiating a generator spec.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,7 +68,8 @@ pub enum SpecError {
         position: usize,
     },
     /// The family's own validation rejected the parameters (the panic
-    /// message of the underlying generator, caught at parse time).
+    /// message of the underlying generator, caught at parse time), or
+    /// the instance breaks the size rule (see the [module docs](self)).
     InvalidParameters {
         /// The family name.
         name: &'static str,
@@ -92,7 +110,8 @@ pub struct FamilyInfo {
     pub name: &'static str,
     /// Positional signature, e.g. `"n, keep"`.
     pub args: &'static str,
-    /// Whether the family accepts a `seed=` argument (randomized).
+    /// Whether the family accepts a `seed=` argument (randomized). The
+    /// other families are closed-form, and [`streamable`].
     pub randomized: bool,
     /// `true` planar-by-construction, `false` non-planar corpus.
     pub planar: bool,
@@ -287,9 +306,10 @@ fn require(ok: bool, name: &'static str, reason: &'static str) -> Result<(), Spe
     }
 }
 
-/// Splits a spec into `(family name, positional args, seed)` — the
+/// Splits a spec into `(family, positional args, seed)` and checks the
+/// argument count against the family's signature in [`families`] — the
 /// shared grammar behind [`parse`] and [`streamable`].
-fn split_spec(spec: &str) -> Result<(&str, Vec<f64>, u64), SpecError> {
+fn split_spec(spec: &str) -> Result<(&'static FamilyInfo, Vec<f64>, u64), SpecError> {
     let spec = spec.trim();
     let (name, inner) = match spec.find('(') {
         Some(open) => {
@@ -305,11 +325,37 @@ fn split_spec(spec: &str) -> Result<(&str, Vec<f64>, u64), SpecError> {
         return Err(SpecError::Malformed);
     }
     let (args, seed) = parse_args(inner)?;
-    Ok((name, args, seed))
+    let family =
+        families()
+            .iter()
+            .find(|f| f.name == name)
+            .ok_or_else(|| SpecError::UnknownFamily {
+                name: name.to_string(),
+            })?;
+    if args.len() != family.args.split(',').count() {
+        return Err(SpecError::WrongArity {
+            name: family.name,
+            expected: family.args,
+            found: args.len(),
+        });
+    }
+    Ok((family, args, seed))
+}
+
+/// The checked instance of a closed-form (non-randomized) family.
+fn closed_form(family: &FamilyInfo, args: &[f64]) -> Result<ClosedForm, SpecError> {
+    let args = args
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| as_usize(x, i + 1))
+        .collect::<Result<Vec<_>, _>>()?;
+    Family::from_spec(family.name, &args)
+        .expect("every non-randomized family is closed-form")
+        .check()
 }
 
 /// Parses and instantiates a generator spec (see the [module docs](self)
-/// for the grammar and the determinism contract).
+/// for the grammar, the determinism contract and the size rule).
 ///
 /// # Errors
 ///
@@ -331,200 +377,74 @@ fn split_spec(spec: &str) -> Result<(&str, Vec<f64>, u64), SpecError> {
 /// );
 /// ```
 pub fn parse(spec: &str) -> Result<Certified, SpecError> {
-    let (name, args, seed) = split_spec(spec)?;
+    let (family, args, seed) = split_spec(spec)?;
+    if !family.randomized {
+        return Ok(closed_form(family, &args)?.certified());
+    }
+    let name = family.name;
     let mut rng = StdRng::seed_from_u64(seed);
-
-    let arity = |expected: &'static str, want: usize| -> Result<(), SpecError> {
-        if args.len() == want {
-            Ok(())
-        } else {
-            Err(SpecError::WrongArity {
-                name: families()
-                    .iter()
-                    .map(|f| f.name)
-                    .find(|&n| n == name)
-                    .unwrap_or("?"),
-                expected,
-                found: args.len(),
-            })
-        }
-    };
     let u = |i: usize| as_usize(args[i], i + 1);
+    let nodes = |i: usize| node_count(name, Some(u(i)?));
 
     match name {
-        "path" => {
-            arity("n", 1)?;
-            let n = u(0)?;
-            require(n > 0, "path", "n > 0")?;
-            Ok(planar::path(n))
-        }
-        "cycle" => {
-            arity("n", 1)?;
-            let n = u(0)?;
-            require(n >= 3, "cycle", "n >= 3")?;
-            Ok(planar::cycle(n))
-        }
-        "star" => {
-            arity("n", 1)?;
-            let n = u(0)?;
-            require(n > 0, "star", "n > 0")?;
-            Ok(planar::star(n))
-        }
-        "grid" => {
-            arity("rows, cols", 2)?;
-            let (r, c) = (u(0)?, u(1)?);
-            require(r > 0 && c > 0, "grid", "positive dimensions")?;
-            Ok(planar::grid(r, c))
-        }
-        "tri_grid" => {
-            arity("rows, cols", 2)?;
-            let (r, c) = (u(0)?, u(1)?);
-            require(r > 0 && c > 0, "tri_grid", "positive dimensions")?;
-            Ok(planar::triangulated_grid(r, c))
-        }
         "random_tree" => {
-            arity("n", 1)?;
-            let n = u(0)?;
-            require(n > 0, "random_tree", "n > 0")?;
+            let n = nodes(0)?;
+            require(n > 0, name, "n > 0")?;
             Ok(planar::random_tree(n, &mut rng))
         }
         "apollonian" => {
-            arity("n", 1)?;
-            let n = u(0)?;
-            require(n >= 3, "apollonian", "n >= 3")?;
+            let n = nodes(0)?;
+            require(n >= 3, name, "n >= 3")?;
             Ok(planar::apollonian(n, &mut rng))
         }
         "random_planar" => {
-            arity("n, keep", 2)?;
-            let n = u(0)?;
+            let n = nodes(0)?;
             let keep = args[1];
-            require(n >= 3, "random_planar", "n >= 3")?;
-            require(
-                (0.0..=1.0).contains(&keep),
-                "random_planar",
-                "keep in [0, 1]",
-            )?;
+            require(n >= 3, name, "n >= 3")?;
+            require((0.0..=1.0).contains(&keep), name, "keep in [0, 1]")?;
             Ok(planar::random_planar(n, keep, &mut rng))
         }
         "outerplanar" => {
-            arity("n", 1)?;
-            let n = u(0)?;
-            require(n >= 3, "outerplanar", "n >= 3")?;
+            let n = nodes(0)?;
+            require(n >= 3, name, "n >= 3")?;
             Ok(planar::maximal_outerplanar(n, &mut rng))
         }
         "road_network" => {
-            arity("rows, cols", 2)?;
             let (r, c) = (u(0)?, u(1)?);
-            require(r > 1 && c > 1, "road_network", "at least a 2x2 grid")?;
+            require(r > 1 && c > 1, name, "at least a 2x2 grid")?;
+            node_count(name, r.checked_mul(c))?;
             Ok(planar::road_network(r, c, &mut rng))
         }
-        "complete" => {
-            arity("n", 1)?;
-            let n = u(0)?;
-            require(n > 0, "complete", "n > 0")?;
-            Ok(nonplanar::complete(n))
-        }
-        "complete_bipartite" => {
-            arity("a, b", 2)?;
-            let (a, b) = (u(0)?, u(1)?);
-            require(a > 0 && b > 0, "complete_bipartite", "non-empty sides")?;
-            Ok(nonplanar::complete_bipartite(a, b))
-        }
-        "k5_chain" => {
-            arity("tiles", 1)?;
-            let t = u(0)?;
-            require(t > 0, "k5_chain", "at least one tile")?;
-            Ok(nonplanar::k5_chain(t))
-        }
         "gnp" => {
-            arity("n, p", 2)?;
-            let n = u(0)?;
+            let n = nodes(0)?;
             let p = args[1];
-            require((0.0..=1.0).contains(&p), "gnp", "p in [0, 1]")?;
+            require((0.0..=1.0).contains(&p), name, "p in [0, 1]")?;
             Ok(nonplanar::gnp(n, p, &mut rng))
         }
         "near_regular" => {
-            arity("n, d", 2)?;
-            let (n, d) = (u(0)?, u(1)?);
-            require(
-                (n * d) % 2 == 0 && d < n,
-                "near_regular",
-                "n*d even and d < n",
-            )?;
+            let (n, d) = (nodes(0)?, u(1)?);
+            require(d < n && (n * d) % 2 == 0, name, "n*d even and d < n")?;
             Ok(nonplanar::near_regular(n, d, &mut rng))
         }
         "planar_plus_chords" => {
-            arity("n, k", 2)?;
-            let (n, k) = (u(0)?, u(1)?);
-            require(n >= 5, "planar_plus_chords", "n >= 5")?;
+            let (n, k) = (nodes(0)?, u(1)?);
+            require(n >= 5, name, "n >= 5")?;
             require(
                 k <= n * (n - 1) / 2 - (3 * n - 6),
-                "planar_plus_chords",
+                name,
                 "k at most the number of non-edges",
             )?;
             Ok(nonplanar::planar_plus_chords(n, k, &mut rng))
         }
-        "torus" => {
-            arity("rows, cols", 2)?;
-            let (r, c) = (u(0)?, u(1)?);
-            require(r >= 3 && c >= 3, "torus", "both dims >= 3")?;
-            Ok(nonplanar::torus(r, c))
-        }
-        "hypercube" => {
-            arity("d", 1)?;
-            let d = u(0)?;
-            require(d > 0 && d <= 20, "hypercube", "1 <= d <= 20")?;
-            Ok(nonplanar::hypercube(d as u32))
-        }
         "social_overlay" => {
-            arity("n, extra_per_node", 2)?;
-            let n = u(0)?;
+            let n = nodes(0)?;
             let x = args[1];
-            require(n >= 9, "social_overlay", "n >= 9")?;
-            require(x >= 0.0, "social_overlay", "non-negative overlay density")?;
+            require(n >= 9, name, "n >= 9")?;
+            require(x >= 0.0, name, "non-negative overlay density")?;
             Ok(nonplanar::social_overlay(n, x, &mut rng))
         }
-        other => Err(SpecError::UnknownFamily {
-            name: other.to_string(),
-        }),
+        other => unreachable!("randomized family `{other}` has no generator arm"),
     }
-}
-
-/// One family of [`StreamableSpec`]: enough parameters to regenerate
-/// the edge set on demand, any number of times.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StreamFamily {
-    Path {
-        n: usize,
-    },
-    Cycle {
-        n: usize,
-    },
-    Star {
-        n: usize,
-    },
-    Grid {
-        rows: usize,
-        cols: usize,
-        diagonals: bool,
-    },
-    Complete {
-        n: usize,
-    },
-    CompleteBipartite {
-        a: usize,
-        b: usize,
-    },
-    K5Chain {
-        tiles: usize,
-    },
-    Torus {
-        rows: usize,
-        cols: usize,
-    },
-    Hypercube {
-        d: u32,
-    },
 }
 
 /// A spec whose edges can be *streamed* — regenerated edge by edge, any
@@ -535,33 +455,30 @@ enum StreamFamily {
 /// hypercubes): exactly the families whose edge set is a function of
 /// the parameters alone, so `n ≫ 10^6` instances can be ingested
 /// straight to disk by [`crate::disk::stream_to_disk`] in `O(n)` RAM.
-/// The streamed edge set is identical to what [`parse`] materializes,
-/// so fingerprints — and therefore cache identities — collide exactly.
+/// It wraps the same family definition [`parse`] materializes, so the
+/// streamed edge set, `n`, `m` and status are identical to the parsed
+/// graph's, and fingerprints — and therefore cache identities — collide
+/// exactly.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamableSpec {
-    n: usize,
-    m: usize,
-    status: PlanarityStatus,
-    family: StreamFamily,
-}
+pub struct StreamableSpec(ClosedForm);
 
 impl StreamableSpec {
     /// Number of nodes.
     #[must_use]
     pub fn n(&self) -> usize {
-        self.n
+        self.0.n
     }
 
     /// Number of distinct edges (known in closed form).
     #[must_use]
     pub fn m(&self) -> usize {
-        self.m
+        self.0.m
     }
 
     /// The same certified planarity status [`parse`] would attach.
     #[must_use]
     pub fn status(&self) -> PlanarityStatus {
-        self.status
+        self.0.status()
     }
 
     /// Streams every edge once through `emit`, stopping early on error.
@@ -573,267 +490,27 @@ impl StreamableSpec {
         &self,
         emit: &mut dyn FnMut(usize, usize) -> Result<(), E>,
     ) -> Result<(), E> {
-        match self.family {
-            StreamFamily::Path { n } => {
-                for i in 0..n.saturating_sub(1) {
-                    emit(i, i + 1)?;
-                }
-            }
-            StreamFamily::Cycle { n } => {
-                for i in 0..n {
-                    emit(i, (i + 1) % n)?;
-                }
-            }
-            StreamFamily::Star { n } => {
-                for i in 1..n {
-                    emit(0, i)?;
-                }
-            }
-            StreamFamily::Grid {
-                rows,
-                cols,
-                diagonals,
-            } => {
-                let idx = |r: usize, c: usize| r * cols + c;
-                for r in 0..rows {
-                    for c in 0..cols {
-                        if c + 1 < cols {
-                            emit(idx(r, c), idx(r, c + 1))?;
-                        }
-                        if r + 1 < rows {
-                            emit(idx(r, c), idx(r + 1, c))?;
-                        }
-                        if diagonals && r + 1 < rows && c + 1 < cols {
-                            emit(idx(r, c), idx(r + 1, c + 1))?;
-                        }
-                    }
-                }
-            }
-            StreamFamily::Complete { n } => {
-                for i in 0..n {
-                    for j in i + 1..n {
-                        emit(i, j)?;
-                    }
-                }
-            }
-            StreamFamily::CompleteBipartite { a, b } => {
-                for i in 0..a {
-                    for j in 0..b {
-                        emit(i, a + j)?;
-                    }
-                }
-            }
-            StreamFamily::K5Chain { tiles } => {
-                for t in 0..tiles {
-                    let base = 5 * t;
-                    for i in 0..5 {
-                        for j in i + 1..5 {
-                            emit(base + i, base + j)?;
-                        }
-                    }
-                    if t + 1 < tiles {
-                        emit(base + 4, base + 5)?;
-                    }
-                }
-            }
-            StreamFamily::Torus { rows, cols } => {
-                let idx = |r: usize, c: usize| r * cols + c;
-                for r in 0..rows {
-                    for c in 0..cols {
-                        emit(idx(r, c), idx(r, (c + 1) % cols))?;
-                        emit(idx(r, c), idx((r + 1) % rows, c))?;
-                    }
-                }
-            }
-            StreamFamily::Hypercube { d } => {
-                let n = 1usize << d;
-                for v in 0..n {
-                    for bit in 0..d {
-                        let w = v ^ (1usize << bit);
-                        if v < w {
-                            emit(v, w)?;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The status the Euler-excess families certify (mirrors the
-/// generators' `with_euler_bound`).
-fn euler_status(n: usize, m: usize) -> PlanarityStatus {
-    let excess = euler_excess(n, m);
-    if excess > 0 {
-        PlanarityStatus::FarFromPlanar {
-            min_removals: excess,
-        }
-    } else {
-        PlanarityStatus::Unknown
+        self.0.for_each_edge(emit)
     }
 }
 
 /// Parses a spec into its streamable form, if the family supports it.
 ///
-/// `Ok(None)` means the spec is valid but belongs to a randomized or
-/// otherwise non-closed-form family — callers fall back to [`parse`]
-/// and materialize. The parameters are validated exactly as [`parse`]
-/// validates them, so a `Some` here never fails later.
+/// `Ok(None)` means the spec names a randomized family with the right
+/// number of arguments — callers fall back to [`parse`], which checks
+/// the arguments themselves, and materialize. A closed-form spec is
+/// checked exactly as [`parse`] checks it, so a `Some` here never
+/// fails later.
 ///
 /// # Errors
 ///
 /// The same [`SpecError`]s as [`parse`] for the streamable families.
 pub fn streamable(spec: &str) -> Result<Option<StreamableSpec>, SpecError> {
-    let (name, args, _seed) = split_spec(spec)?;
-    let arity = |expected: &'static str, want: usize| -> Result<(), SpecError> {
-        if args.len() == want {
-            Ok(())
-        } else {
-            Err(SpecError::WrongArity {
-                name: families()
-                    .iter()
-                    .map(|f| f.name)
-                    .find(|&n| n == name)
-                    .unwrap_or("?"),
-                expected,
-                found: args.len(),
-            })
-        }
-    };
-    let u = |i: usize| as_usize(args[i], i + 1);
-    let built = match name {
-        "path" => {
-            arity("n", 1)?;
-            let n = u(0)?;
-            require(n > 0, "path", "n > 0")?;
-            StreamableSpec {
-                n,
-                m: n - 1,
-                status: PlanarityStatus::Planar,
-                family: StreamFamily::Path { n },
-            }
-        }
-        "cycle" => {
-            arity("n", 1)?;
-            let n = u(0)?;
-            require(n >= 3, "cycle", "n >= 3")?;
-            StreamableSpec {
-                n,
-                m: n,
-                status: PlanarityStatus::Planar,
-                family: StreamFamily::Cycle { n },
-            }
-        }
-        "star" => {
-            arity("n", 1)?;
-            let n = u(0)?;
-            require(n > 0, "star", "n > 0")?;
-            StreamableSpec {
-                n,
-                m: n - 1,
-                status: PlanarityStatus::Planar,
-                family: StreamFamily::Star { n },
-            }
-        }
-        "grid" | "tri_grid" => {
-            arity("rows, cols", 2)?;
-            let (r, c) = (u(0)?, u(1)?);
-            require(
-                r > 0 && c > 0,
-                if name == "grid" { "grid" } else { "tri_grid" },
-                "positive dimensions",
-            )?;
-            let diagonals = name == "tri_grid";
-            let m = r * (c - 1) + c * (r - 1) + if diagonals { (r - 1) * (c - 1) } else { 0 };
-            StreamableSpec {
-                n: r * c,
-                m,
-                status: PlanarityStatus::Planar,
-                family: StreamFamily::Grid {
-                    rows: r,
-                    cols: c,
-                    diagonals,
-                },
-            }
-        }
-        "complete" => {
-            arity("n", 1)?;
-            let n = u(0)?;
-            require(n > 0, "complete", "n > 0")?;
-            let m = n * (n - 1) / 2;
-            StreamableSpec {
-                n,
-                m,
-                status: if n < 5 {
-                    PlanarityStatus::Planar
-                } else {
-                    euler_status(n, m)
-                },
-                family: StreamFamily::Complete { n },
-            }
-        }
-        "complete_bipartite" => {
-            arity("a, b", 2)?;
-            let (a, b) = (u(0)?, u(1)?);
-            require(a > 0 && b > 0, "complete_bipartite", "non-empty sides")?;
-            StreamableSpec {
-                n: a + b,
-                m: a * b,
-                status: if a.min(b) < 3 {
-                    PlanarityStatus::Planar
-                } else {
-                    euler_status(a + b, a * b)
-                },
-                family: StreamFamily::CompleteBipartite { a, b },
-            }
-        }
-        "k5_chain" => {
-            arity("tiles", 1)?;
-            let t = u(0)?;
-            require(t > 0, "k5_chain", "at least one tile")?;
-            StreamableSpec {
-                n: 5 * t,
-                m: 10 * t + (t - 1),
-                status: PlanarityStatus::FarFromPlanar { min_removals: t },
-                family: StreamFamily::K5Chain { tiles: t },
-            }
-        }
-        "torus" => {
-            arity("rows, cols", 2)?;
-            let (r, c) = (u(0)?, u(1)?);
-            require(r >= 3 && c >= 3, "torus", "both dims >= 3")?;
-            StreamableSpec {
-                n: r * c,
-                m: 2 * r * c,
-                status: PlanarityStatus::Unknown,
-                family: StreamFamily::Torus { rows: r, cols: c },
-            }
-        }
-        "hypercube" => {
-            arity("d", 1)?;
-            let d = u(0)?;
-            require(d > 0 && d <= 20, "hypercube", "1 <= d <= 20")?;
-            let n = 1usize << d;
-            let m = d * (n / 2);
-            StreamableSpec {
-                n,
-                m,
-                status: euler_status(n, m),
-                family: StreamFamily::Hypercube { d: d as u32 },
-            }
-        }
-        // Known-but-randomized (or otherwise non-closed-form) families
-        // decline to stream; the caller materializes via [`parse`],
-        // which performs the full argument validation.
-        other if families().iter().any(|f| f.name == other) => return Ok(None),
-        other => {
-            return Err(SpecError::UnknownFamily {
-                name: other.to_string(),
-            })
-        }
-    };
-    Ok(Some(built))
+    let (family, args, _seed) = split_spec(spec)?;
+    if family.randomized {
+        return Ok(None);
+    }
+    closed_form(family, &args).map(|c| Some(StreamableSpec(c)))
 }
 
 #[cfg(test)]
@@ -920,6 +597,36 @@ mod tests {
         );
         // Error display is human-usable.
         assert!(parse("path()").unwrap_err().to_string().contains("path"));
+    }
+
+    #[test]
+    fn oversized_specs_are_typed_errors_before_allocating() {
+        for s in [
+            "grid(8589934592,8589934592)",
+            "tri_grid(4294967296,4294967297)",
+            "torus(4294967296,4294967296)",
+            "complete(8589934593)",
+            "complete_bipartite(4294967296,4294967296)",
+            "k5_chain(3689348814741910324)",
+            "gnp(4294967297, 0)",
+        ] {
+            let family = &s[..s.find('(').unwrap()];
+            let err = parse(s).unwrap_err();
+            assert!(
+                matches!(err, SpecError::InvalidParameters { name, .. } if name == family),
+                "{s}: {err:?}"
+            );
+            if family != "gnp" {
+                assert_eq!(streamable(s).unwrap_err(), err, "{s}");
+            }
+        }
+        // The offsets bound is exact: 2m = 2³² − 2 fits, 2m = 2³² does not.
+        let star = streamable("star(2147483648)").unwrap().unwrap();
+        assert_eq!((star.n(), star.m()), (1 << 31, (1 << 31) - 1));
+        assert!(matches!(
+            streamable("star(2147483649)"),
+            Err(SpecError::InvalidParameters { name: "star", .. })
+        ));
     }
 
     #[test]

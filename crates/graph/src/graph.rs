@@ -14,6 +14,9 @@ use std::fmt;
 #[repr(transparent)]
 pub struct NodeId(u32);
 
+/// The most nodes a graph can have: its ids are `u32`, so `n ≤ 2³²`.
+pub(crate) const MAX_NODES: u64 = 1 << 32;
+
 impl NodeId {
     /// Creates a node id from a dense index.
     ///

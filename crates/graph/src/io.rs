@@ -1,12 +1,25 @@
 //! Plain-text edge-list serialization.
 //!
-//! Format: first line `n m`, then one `u v` pair per line. Lines starting
-//! with `#` are comments.
+//! Format: a header line `n m`, then one `u v` line per edge.
+//!
+//! - Blank lines, and lines starting with `#`, are skipped.
+//! - The header and each edge line contribute their first two
+//!   integers; further tokens on the line are ignored.
+//! - The header's `n` must fit the `u32` node ids (`n ≤ 2³²`).
+//! - The document needs at least `m` edge lines. Surplus lines are
+//!   edges too, and repeated edges collapse.
+//! - Every edge names two distinct nodes below `n`.
+//!
+//! [`EdgeList`] is the one reader of this format.
+//! [`from_edge_list`] materializes it and
+//! [`crate::disk::stream_to_disk`] streams it, so both ingest routes
+//! accept the same documents, build the same graph and report the same
+//! error.
 
 use std::fmt::Write as _;
 use std::str::FromStr;
 
-use crate::{Graph, GraphError};
+use crate::{Graph, GraphBuilder, GraphError};
 
 /// Error parsing an edge-list document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,45 +80,91 @@ pub fn to_edge_list(g: &Graph) -> String {
     s
 }
 
+/// An edge-list document whose header has been read; its edge lines
+/// are read on each [`for_each_edge`](Self::for_each_edge) pass, straight
+/// from the text.
+#[derive(Debug, Clone, Copy)]
+pub struct EdgeList<'a> {
+    text: &'a str,
+    n: usize,
+    m: usize,
+}
+
+impl<'a> EdgeList<'a> {
+    /// Reads the header of `text` (see the [module docs](self)).
+    ///
+    /// # Errors
+    ///
+    /// [`ParseGraphError::BadHeader`] when the header is missing, lacks
+    /// two integers, or declares more than 2³² nodes.
+    pub fn parse(text: &'a str) -> Result<Self, ParseGraphError> {
+        let (_, header) = content_lines(text)
+            .next()
+            .ok_or(ParseGraphError::BadHeader)?;
+        let (n, m) = leading_pair(header)
+            .filter(|&(n, _)| n as u64 <= crate::graph::MAX_NODES)
+            .ok_or(ParseGraphError::BadHeader)?;
+        Ok(EdgeList { text, n, m })
+    }
+
+    /// Number of nodes the header declares.
+    #[must_use]
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// Passes each edge line's pair to `emit` in document order, then
+    /// checks that there were at least as many as the header declares.
+    /// `emit` checks the endpoints, as [`GraphBuilder::add_edge`] does.
+    ///
+    /// # Errors
+    ///
+    /// [`ParseGraphError::BadEdgeLine`] or
+    /// [`ParseGraphError::MissingEdges`], or the first error of `emit`.
+    pub fn for_each_edge<E: From<ParseGraphError>>(
+        &self,
+        mut emit: impl FnMut(usize, usize) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut found = 0usize;
+        for (line, l) in content_lines(self.text).skip(1) {
+            let (u, v) = leading_pair(l).ok_or(ParseGraphError::BadEdgeLine { line })?;
+            emit(u, v)?;
+            found += 1;
+        }
+        if found < self.m {
+            return Err(ParseGraphError::MissingEdges {
+                expected: self.m,
+                found,
+            }
+            .into());
+        }
+        Ok(())
+    }
+}
+
+/// The header and edge lines, with their 1-based line numbers.
+fn content_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines()
+        .enumerate()
+        .map(|(i, l)| (i + 1, l.trim()))
+        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
+}
+
+/// The first two whitespace-separated tokens of `line`, as integers.
+fn leading_pair(line: &str) -> Option<(usize, usize)> {
+    let mut it = line.split_whitespace().map(usize::from_str);
+    Some((it.next()?.ok()?, it.next()?.ok()?))
+}
+
 /// Parses an edge-list document produced by [`to_edge_list`] (or by hand).
 ///
 /// # Errors
 ///
 /// Returns [`ParseGraphError`] on malformed input.
 pub fn from_edge_list(text: &str) -> Result<Graph, ParseGraphError> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.trim()))
-        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
-    let (_, header) = lines.next().ok_or(ParseGraphError::BadHeader)?;
-    let mut it = header.split_whitespace().map(usize::from_str);
-    let n = it
-        .next()
-        .and_then(Result::ok)
-        .ok_or(ParseGraphError::BadHeader)?;
-    let m = it
-        .next()
-        .and_then(Result::ok)
-        .ok_or(ParseGraphError::BadHeader)?;
-    let mut b = crate::GraphBuilder::new(n);
-    let mut found = 0usize;
-    for (lineno, l) in lines {
-        let mut it = l.split_whitespace().map(usize::from_str);
-        let u = it
-            .next()
-            .and_then(Result::ok)
-            .ok_or(ParseGraphError::BadEdgeLine { line: lineno })?;
-        let v = it
-            .next()
-            .and_then(Result::ok)
-            .ok_or(ParseGraphError::BadEdgeLine { line: lineno })?;
-        b.add_edge(u, v)?;
-        found += 1;
-    }
-    if found < m {
-        return Err(ParseGraphError::MissingEdges { expected: m, found });
-    }
+    let list = EdgeList::parse(text)?;
+    let mut b = GraphBuilder::new(list.n());
+    list.for_each_edge(|u, v| b.add_edge(u, v).map_err(ParseGraphError::Graph))?;
     Ok(b.build())
 }
 

@@ -9,8 +9,9 @@ use planartest_graph::algo::bipartite::check_bipartite;
 use planartest_graph::algo::components::Components;
 use planartest_graph::algo::girth::{break_short_cycles, girth};
 use planartest_graph::disk::{self, DiskError};
-use planartest_graph::generators::{nonplanar, planar};
-use planartest_graph::{io, Graph, NodeId};
+use planartest_graph::generators::{nonplanar, planar, spec};
+use planartest_graph::io::{self, ParseGraphError};
+use planartest_graph::{Graph, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -355,5 +356,122 @@ fn brute_force_bipartite(g: &Graph) -> bool {
             }
         }
         true
+    }
+}
+
+/// A closed-form spec at small parameters: family `f` (one of the ten)
+/// with raw arguments `a`, `b` folded into its valid range.
+fn closed_spec(f: usize, a: usize, b: usize) -> String {
+    match f {
+        0 => format!("path({})", 1 + a),
+        1 => format!("cycle({})", 3 + a),
+        2 => format!("star({})", 1 + a),
+        3 => format!("grid({},{})", 1 + a % 12, 1 + b % 12),
+        4 => format!("tri_grid({},{})", 1 + a % 12, 1 + b % 12),
+        5 => format!("complete({})", 1 + a % 16),
+        6 => format!("complete_bipartite({},{})", 1 + a % 8, 1 + b % 8),
+        7 => format!("k5_chain({})", 1 + a % 8),
+        8 => format!("torus({},{})", 3 + a % 8, 3 + b % 8),
+        _ => format!("hypercube({})", 1 + a % 8),
+    }
+}
+
+/// An edge-list document that mixes well-formed lines with everything
+/// the format tolerates or refuses: comments, blank lines, trailing
+/// tokens, a missing or malformed header, malformed edge lines, surplus
+/// and missing edge lines, self-loops and out-of-range ids. Most edge
+/// lines name two distinct nodes below `n`, so many documents parse.
+fn edge_list_doc(header: u8, n: usize, m: usize, lines: &[(u8, usize, usize)]) -> String {
+    let mut text = String::new();
+    match header {
+        0 => {}
+        1 => text.push_str("x y\n"),
+        2 => text.push_str(&format!("{n} {m} trailing tokens\n")),
+        3 => text.push_str(&format!("# comment\n\n{n} {m}\n")),
+        _ => text.push_str(&format!("{n} {m}\n")),
+    }
+    for &(kind, u, v) in lines {
+        let (a, b) = if n >= 2 {
+            let a = u % n;
+            (a, (a + 1 + v % (n - 1)) % n)
+        } else {
+            (u, v)
+        };
+        let line = match kind {
+            0 => "# comment".to_string(),
+            1 => String::new(),
+            2 => format!("{a} {b} 7 tail"),
+            3 => format!("{u} x"),
+            4 => format!("  {a}\t{b}  "),
+            5 => format!("{} {b}", u + n),
+            6 => format!("{a} {a}"),
+            _ => format!("{a} {b}"),
+        };
+        text.push_str(&line);
+        text.push('\n');
+    }
+    text
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Every closed-form family reads one definition on both ingest
+    /// routes: `parse` materializes it and `streamable` streams it
+    /// through `stream_to_disk`, and the two agree on the graph, the
+    /// fingerprint, `n`, `m` and the status.
+    #[test]
+    fn closed_form_specs_build_the_same_graph_on_both_routes(
+        f in 0usize..10,
+        a in 0usize..40,
+        b in 0usize..40,
+    ) {
+        let text = closed_spec(f, a, b);
+        let parsed = spec::parse(&text).expect("valid spec");
+        let mut streamed = spec::streamable(&text).expect("valid spec").expect("closed form");
+        prop_assert_eq!(streamed.n(), parsed.graph.n(), "{}", text);
+        prop_assert_eq!(streamed.m(), parsed.graph.m(), "{}", text);
+        prop_assert_eq!(streamed.status(), parsed.status, "{}", text);
+        let path = scratch_csr();
+        let stats = disk::stream_to_disk(&mut streamed, &path).expect("stream");
+        prop_assert_eq!(stats.fingerprint, parsed.graph.fingerprint(), "{}", text);
+        let mapped = disk::load_mapped(&path).expect("load");
+        prop_assert_eq!(&mapped, &parsed.graph, "{}", text);
+        for v in mapped.nodes() {
+            prop_assert_eq!(mapped.neighbors(v), parsed.graph.neighbors(v), "{}", text);
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// `from_edge_list` and `stream_to_disk` read an edge-list document
+    /// with one parser: over the same text they build the same graph,
+    /// or fail with the same error.
+    #[test]
+    fn edge_list_routes_accept_the_same_documents(
+        header in 0u8..8,
+        n in 0usize..8,
+        m in 0usize..8,
+        lines in prop::collection::vec((0u8..16, 0usize..9, 0usize..9), 0..14),
+    ) {
+        let text = edge_list_doc(header, n, m, &lines);
+        let in_memory = io::from_edge_list(&text);
+        let path = scratch_csr();
+        let on_disk = io::EdgeList::parse(&text)
+            .map_err(DiskError::from)
+            .and_then(|mut source| disk::stream_to_disk(&mut source, &path))
+            .map_err(|e| match e {
+                DiskError::Parse(e) => e,
+                DiskError::Graph(e) => ParseGraphError::Graph(e),
+                other => panic!("unexpected stream error {other:?} for {text:?}"),
+            });
+        match (in_memory, on_disk) {
+            (Ok(g), Ok(stats)) => {
+                prop_assert_eq!(stats.fingerprint, g.fingerprint(), "{:?}", text);
+                prop_assert_eq!(disk::load_mapped(&path).expect("load"), g, "{:?}", text);
+            }
+            (Err(e), Err(d)) => prop_assert_eq!(e, d, "{:?}", text),
+            (mem, disk) => prop_assert!(false, "routes disagree on {:?}: {:?} vs {:?}", text, mem, disk),
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }

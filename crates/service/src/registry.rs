@@ -32,16 +32,21 @@
 //! [`ingest_edge_list_to_disk`](GraphRegistry::ingest_edge_list_to_disk))
 //! never materialize the heap CSR at all: edges stream through the
 //! two-pass counting-sort builder straight onto disk and the entry is
-//! born mapped.
+//! born mapped. An edge list streams from the request text itself, which
+//! every caller already holds (a wire frame, or the CLI's read of
+//! `--graph-file`), with no staging file. Each route reads the same
+//! format definition as its in-memory twin, so both accept the same
+//! input, build the same graph and report the same error.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use planartest_graph::disk;
+use planartest_graph::disk::{self, DiskError};
 use planartest_graph::fingerprint::Fingerprint;
 use planartest_graph::generators::{spec, PlanarityStatus};
-use planartest_graph::{io, Graph};
+use planartest_graph::io::{self, ParseGraphError};
+use planartest_graph::Graph;
 
 use crate::error::ServiceError;
 use crate::persist::PersistError;
@@ -478,9 +483,11 @@ impl GraphRegistry {
     }
 
     /// Ingests an edge-list document out-of-core (see
-    /// [`ingest_spec_to_disk`](Self::ingest_spec_to_disk)): the text is
-    /// staged to disk and streamed through the counting-sort builder,
-    /// so only O(n) counters — never the edge vector — live in RAM.
+    /// [`ingest_spec_to_disk`](Self::ingest_spec_to_disk)): the
+    /// counting-sort builder streams the text twice, so only O(n)
+    /// counters — never the edge vector — live in RAM. A bad document
+    /// is the same [`ServiceError::EdgeList`] that
+    /// [`ingest_edge_list`](Self::ingest_edge_list) reports.
     ///
     /// # Errors
     ///
@@ -493,18 +500,13 @@ impl GraphRegistry {
         let Some(dir) = self.state_dir.clone() else {
             return Err(ServiceError::Persist(PersistError::NoStateDir));
         };
-        let staged = dir.join("ingest.tmp.edges");
-        std::fs::write(&staged, text).map_err(|e| persist_io("stage edge list", e))?;
-        let result = (|| {
-            let mut source =
-                disk::EdgeListSource::open(&staged).map_err(|e| ServiceError::Persist(e.into()))?;
-            let tmp = dir.join("csr").join("ingest.tmp.csr");
-            let stats = disk::stream_to_disk(&mut source, &tmp)
-                .map_err(|e| ServiceError::Persist(e.into()))?;
-            Ok::<_, ServiceError>((tmp, stats))
-        })();
-        let _ = std::fs::remove_file(&staged);
-        let (tmp, stats) = result?;
+        let mut source = io::EdgeList::parse(text).map_err(ServiceError::EdgeList)?;
+        let tmp = dir.join("csr").join("ingest.tmp.csr");
+        let stats = disk::stream_to_disk(&mut source, &tmp).map_err(|e| match e {
+            DiskError::Parse(e) => ServiceError::EdgeList(e),
+            DiskError::Graph(e) => ServiceError::EdgeList(ParseGraphError::Graph(e)),
+            e => ServiceError::Persist(e.into()),
+        })?;
         self.register_streamed(
             name,
             &dir,

@@ -225,3 +225,92 @@ fn one_shot_query_accepts_and_rejects_via_exit_codes() {
         .unwrap()
         .is_empty());
 }
+
+/// Runs one `serve` session over stdio: writes each request, reads its
+/// response, then closes stdin and returns the responses with the exit
+/// status.
+fn serve_session(extra: &[&str], requests: &[&str]) -> (Vec<Value>, std::process::ExitStatus) {
+    let mut child = bin()
+        .arg("serve")
+        .args(extra)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn serve");
+    let mut stdin = child.stdin.take().expect("stdin");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout"));
+    let mut responses = Vec::new();
+    for request in requests {
+        writeln!(stdin, "{request}").expect("write request");
+        let mut line = String::new();
+        stdout.read_line(&mut line).expect("read response");
+        responses.push(Value::parse(line.trim()).expect("response parses"));
+    }
+    drop(stdin);
+    (responses, child.wait().expect("serve exits"))
+}
+
+#[test]
+fn serve_refuses_an_oversized_spec_alone_on_both_ingest_routes() {
+    // rows * cols overflows u64: a size no graph can represent. The
+    // in-memory route once panicked the drain thread on it, and the
+    // on-disk route wrapped it to a 0-node graph.
+    let state = std::env::temp_dir().join(format!("planartest-smoke-size-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state);
+    let state_arg = state.to_str().expect("utf8 temp dir");
+    for (extra, to_disk) in [
+        (&[][..], ""),
+        (&["--state-dir", state_arg][..], r#","to_disk":true"#),
+    ] {
+        let bad = format!(
+            r#"{{"op":"ingest","name":"huge","spec":"grid(8589934592,8589934592)"{to_disk}}}"#
+        );
+        let (responses, status) = serve_session(
+            extra,
+            &[
+                r#"{"op":"ingest","name":"small","spec":"grid(4,4)"}"#,
+                &bad,
+                r#"{"op":"query","graph":"small","epsilon":0.1,"seed":1}"#,
+            ],
+        );
+        assert_eq!(responses[0].get("ok").unwrap().as_bool(), Some(true));
+        assert_eq!(
+            responses[1].get("ok").unwrap().as_bool(),
+            Some(false),
+            "{bad}"
+        );
+        let error = responses[1].get("error").unwrap().as_str().unwrap();
+        assert!(error.contains("`grid`"), "{error}");
+        assert_eq!(
+            responses[2].get("verdict").unwrap().as_str(),
+            Some("accept"),
+            "the next query is answered"
+        );
+        assert!(status.success(), "serve exits 0 at EOF");
+    }
+
+    // Edge lists: both routes read one format definition, so they accept
+    // the same documents (a surplus edge line included) and report the
+    // same error for a bad one.
+    let (responses, status) = serve_session(
+        &["--state-dir", state_arg],
+        &[
+            r#"{"op":"ingest","name":"mem","edge_list":"3 1\n0 1\n1 2\n"}"#,
+            r#"{"op":"ingest","name":"disk","edge_list":"3 1\n0 1\n1 2\n","to_disk":true}"#,
+            r#"{"op":"ingest","name":"bad","edge_list":"3 1\n1 1\n"}"#,
+            r#"{"op":"ingest","name":"bad","edge_list":"3 1\n1 1\n","to_disk":true}"#,
+        ],
+    );
+    assert!(status.success());
+    assert_eq!(responses[0].get("ok").unwrap().as_bool(), Some(true));
+    assert_eq!(responses[1].get("ok").unwrap().as_bool(), Some(true));
+    assert_eq!(
+        responses[0].get("fingerprint").unwrap().as_str(),
+        responses[1].get("fingerprint").unwrap().as_str()
+    );
+    let in_memory = responses[2].get("error").unwrap().as_str().unwrap();
+    assert!(in_memory.starts_with("edge list: "), "{in_memory}");
+    assert_eq!(responses[3].get("error").unwrap().as_str(), Some(in_memory));
+    let _ = std::fs::remove_dir_all(&state);
+}
