@@ -12,13 +12,19 @@
 //!   movement down/up part trees (used for candidate lists, labels and
 //!   sampled edges, which exceed one message of bandwidth).
 //!
-//! Two functions run no engine: [`up_stream_cost`] and
-//! [`stream_broadcast_cost`] compute the exact [`RunReport`] (or first
-//! [`SimError`]) of an [`up_stream`] and a [`stream_broadcast`] in closed
-//! form, from a [`StreamSummary`] of each node's message list. Stage II
-//! takes both of its sample streams' costs from them; the two engine
-//! runs are their oracles in debug builds and tests, and release builds
-//! of the library leave them out.
+//! Two functions run no engine: [`up_stream_tree_cost`] and
+//! [`stream_broadcast_tree_cost`] compute one tree's share of an
+//! [`up_stream`] and a [`stream_broadcast`] in closed form, from a
+//! [`StreamSummary`] of each node's message list, as a [`RawCost`].
+//! Trees run side by side, so a forest's costs combine
+//! ([`RawCost::add`]) and settle once into the exact [`RunReport`] (or
+//! first [`SimError`]) of the engine run ([`RawCost::settle`]);
+//! [`up_stream_cost`] and [`stream_broadcast_cost`] are that composition
+//! over a whole forest. Stage II takes both of its sample streams' costs
+//! from the per-tree forms, costing a tree whose sample no seed changes
+//! only once. The two engine runs and the whole-forest compositions are
+//! their oracles in debug builds and tests, and release builds of the
+//! library leave them out.
 
 use std::collections::VecDeque;
 
@@ -358,92 +364,148 @@ impl StreamSummary {
 /// The result [`stream_broadcast`] returns on an engine of `limit` words
 /// per message — its [`RunReport`], or the first [`SimError`] the engine
 /// raises — in closed form, from a summary of each root's payload (empty
-/// at every other node), walking each payload root's tree once instead
-/// of delivering every message.
-///
-/// A root sends its message `j` (0-based) in round `j`, round 0 being
-/// `init`, and a node at depth `d` relays it in round `j + d`. So a root
-/// `r` with `k_r` messages of `w_r` words in total, on a tree `T_r` of
-/// height `h_r`, keeps the run going until round `h_r + k_r − 1` (a
-/// childless root still wakes once per remaining message) and has each
-/// message delivered once to every other node of `T_r`:
-///
-/// * `rounds` = max over `r` of `h_r + k_r − 1` (0 without payload);
-/// * `messages` = Σ `k_r · (|T_r| − 1)`;
-/// * `words` = Σ `w_r · (|T_r| − 1)`.
-///
-/// # Errors
-///
-/// Exactly those of the engine run. A relay sends a message after its
-/// root did, so the first oversize send is a root's: the smallest `j`
-/// over roots with children whose message `j` exceeds `limit`, the
-/// lowest root winning ties. It raises [`SimError::MessageTooLarge`]
-/// toward the root's first child if round `j` is within `max_rounds`;
-/// otherwise — and whenever `rounds > max_rounds` —
-/// [`SimError::RoundLimitExceeded`]. Childless roots send nothing, and a
-/// validated [`TreeTopology`] rules out the other two errors.
+/// at every other node): the [`stream_broadcast_tree_cost`]s of the
+/// payload roots, walked once each for their size and height, combined
+/// and settled.
+#[cfg(any(debug_assertions, test))]
 pub fn stream_broadcast_cost(
     tree: &TreeTopology,
     payload: &[StreamSummary],
     limit: usize,
     max_rounds: u64,
 ) -> Result<RunReport, SimError> {
-    let mut report = RunReport::default();
-    let mut oversize: Option<Oversize> = None;
-    let mut stack: Vec<(NodeId, u64)> = Vec::new();
+    let mut cost = RawCost::default();
+    let mut order = Vec::new();
     for (v, sent) in payload.iter().enumerate() {
         if sent.messages == 0 {
             continue;
         }
-        let (root, k) = (NodeId::new(v), sent.messages);
-        let (mut size, mut height) = (0u64, 0u64);
-        stack.push((root, 0));
-        while let Some((x, d)) = stack.pop() {
-            size += 1;
-            height = height.max(d);
-            stack.extend(tree.children(x).iter().map(|&c| (c, d + 1)));
-        }
-        report.rounds = report.rounds.max(height + k - 1);
-        report.messages += k * (size - 1);
-        report.words += sent.words * (size - 1);
-        if let (Some(&to), Some((j, words))) = (tree.children(root).first(), sent.oversize) {
-            // Roots come in ascending order, so `<` keeps the lowest on ties.
-            if oversize.is_none_or(|(earliest, ..)| j < earliest) {
-                oversize = Some((j, root, to, words));
+        let root = NodeId::new(v);
+        order.clear();
+        breadth_first(tree, root, &mut order);
+        let height = order.iter().map(|&(_, d)| d).max().unwrap_or(0);
+        cost.add(&stream_broadcast_tree_cost(
+            tree,
+            root,
+            order.len() as u64,
+            u64::from(height),
+            sent,
+        ));
+    }
+    cost.settle(limit, max_rounds)
+}
+
+/// One tree's share of a [`stream_broadcast`]: the [`RawCost`] of root
+/// `root` sending `sent` down its tree of `size` nodes and height
+/// `height`.
+///
+/// A root sends its message `j` (0-based) in round `j`, round 0 being
+/// `init`, and a node at depth `d` relays it in round `j + d`. So a root
+/// with `k` messages of `w` words in total keeps the run going until
+/// round `height + k − 1` (a childless root still wakes once per
+/// remaining message) and has each message delivered once to every other
+/// node of its tree:
+///
+/// * `rounds` = `height + k − 1` (0 without payload);
+/// * `messages` = `k · (size − 1)`;
+/// * `words` = `w · (size − 1)`.
+///
+/// A relay sends a message after its root did, so the tree's first
+/// oversize send is the root's: its first message over the limit, sent
+/// toward its first child in round `j`. Childless roots send nothing.
+pub fn stream_broadcast_tree_cost(
+    tree: &TreeTopology,
+    root: NodeId,
+    size: u64,
+    height: u64,
+    sent: &StreamSummary,
+) -> RawCost {
+    if sent.messages == 0 {
+        return RawCost::default();
+    }
+    let k = sent.messages;
+    RawCost {
+        report: RunReport {
+            rounds: height + k - 1,
+            messages: k * (size - 1),
+            words: sent.words * (size - 1),
+        },
+        oversize: tree
+            .children(root)
+            .first()
+            .zip(sent.oversize)
+            .map(|(&to, (j, words))| (j, root, to, words)),
+    }
+}
+
+/// A closed form's cost of one tree, or of several combined, before it
+/// is settled against the round budget: the run's report and its
+/// earliest oversize send `(round, from, to, words)`.
+///
+/// Trees run side by side, so the forest's cost is its trees' costs
+/// combined by [`add`](Self::add) — rounds: the maximum; messages and
+/// words: the sums; oversize: the earliest `(round, sender)` — and
+/// [`settle`](Self::settle)d once.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RawCost {
+    /// The run's report, were nothing oversize and no budget exceeded.
+    pub report: RunReport,
+    /// The earliest oversize send: `(round, from, to, words)`.
+    pub oversize: Option<(u64, NodeId, NodeId, usize)>,
+}
+
+impl RawCost {
+    /// Combines `other`, another tree's cost, into this one.
+    pub fn add(&mut self, other: &RawCost) {
+        self.report.rounds = self.report.rounds.max(other.report.rounds);
+        self.report.messages += other.report.messages;
+        self.report.words += other.report.words;
+        if let Some(send @ (round, from, ..)) = other.oversize {
+            if self
+                .oversize
+                .is_none_or(|(earliest, sender, ..)| (round, from) < (earliest, sender))
+            {
+                self.oversize = Some(send);
             }
         }
     }
-    settle(report, oversize, limit, max_rounds)
+
+    /// The engine run's result on `limit` words per message and a budget
+    /// of `max_rounds`: the report, unless the earliest oversize send
+    /// comes within the budget ([`SimError::MessageTooLarge`]) or the
+    /// run outlasts it ([`SimError::RoundLimitExceeded`]). A validated
+    /// [`TreeTopology`] rules out the engine's other errors.
+    pub fn settle(&self, limit: usize, max_rounds: u64) -> Result<RunReport, SimError> {
+        if let Some((round, from, to, words)) = self.oversize {
+            // A send past the budget is preempted by the round limit, which
+            // the check below raises: its sender alone keeps the run going
+            // for at least `round + 1` rounds.
+            if round <= max_rounds {
+                return Err(SimError::MessageTooLarge {
+                    from,
+                    to,
+                    words,
+                    limit,
+                });
+            }
+        }
+        if self.report.rounds > max_rounds {
+            return Err(SimError::RoundLimitExceeded { limit: max_rounds });
+        }
+        Ok(self.report)
+    }
 }
 
-/// The earliest oversize send of a run: `(round, from, to, words)`.
-type Oversize = (u64, NodeId, NodeId, usize);
-
-/// A closed form's result: `report`, unless its earliest oversize send
-/// comes within `max_rounds` or the run outlasts them.
-fn settle(
-    report: RunReport,
-    oversize: Option<Oversize>,
-    limit: usize,
-    max_rounds: u64,
-) -> Result<RunReport, SimError> {
-    if let Some((round, from, to, words)) = oversize {
-        // A send past the budget is preempted by the round limit, which
-        // the check below raises: its sender alone keeps the run going
-        // for at least `round + 1` rounds.
-        if round <= max_rounds {
-            return Err(SimError::MessageTooLarge {
-                from,
-                to,
-                words,
-                limit,
-            });
-        }
+/// Appends `root`'s tree to `order` in breadth-first order, each node
+/// with its depth (the root's is 0). Reversed, children come before
+/// their parents.
+pub fn breadth_first(tree: &TreeTopology, root: NodeId, order: &mut Vec<(NodeId, u32)>) {
+    let mut next = order.len();
+    order.push((root, 0));
+    while let Some(&(x, d)) = order.get(next) {
+        order.extend(tree.children(x).iter().map(|&c| (c, d + 1)));
+        next += 1;
     }
-    if report.rounds > max_rounds {
-        return Err(SimError::RoundLimitExceeded { limit: max_rounds });
-    }
-    Ok(report)
 }
 
 #[cfg(any(debug_assertions, test))]
@@ -531,7 +593,47 @@ pub fn up_stream(
 
 /// The result [`up_stream`] returns on an engine of `limit` words per
 /// message — its [`RunReport`], or the first [`SimError`] the engine
-/// raises — in closed form, from a summary of every node's own list.
+/// raises — in closed form, from a summary of every node's own list: the
+/// [`up_stream_tree_cost`]s of every tree, combined and settled.
+#[cfg(any(debug_assertions, test))]
+pub fn up_stream_cost(
+    tree: &TreeTopology,
+    items: &[StreamSummary],
+    limit: usize,
+    max_rounds: u64,
+) -> Result<RunReport, SimError> {
+    let mut scratch = UpStreamScratch::default();
+    let mut cost = RawCost::default();
+    let (mut order, mut own) = (Vec::new(), Vec::new());
+    for root in (0..items.len())
+        .map(NodeId::new)
+        .filter(|&v| tree.is_root(v))
+    {
+        order.clear();
+        breadth_first(tree, root, &mut order);
+        own.clear();
+        own.extend(order.iter().map(|&(v, _)| items[v.index()]));
+        cost.add(&up_stream_tree_cost(tree, &order, &own, &mut scratch));
+    }
+    cost.settle(limit, max_rounds)
+}
+
+/// The buffers [`up_stream_tree_cost`] works in, reusable across trees
+/// and runs.
+#[derive(Debug, Default)]
+pub struct UpStreamScratch {
+    /// Each node's send rounds as runs `(first, count)`: those of the
+    /// node at position `i` of the tree's order are
+    /// `runs[at[i].0..at[i].1]`.
+    runs: Vec<(u64, u64)>,
+    at: Vec<(usize, usize)>,
+    steps: Vec<(u64, i64)>,
+}
+
+/// One tree's share of an [`up_stream`]: the [`RawCost`] of its nodes
+/// shipping their lists to the root. `order` is the tree in
+/// breadth-first order with depths ([`breadth_first`]), and `own[i]`
+/// summarises the list of the node at `order[i]`.
 ///
 /// A node queues its own messages at round 0 and each relayed message
 /// in the round it arrives, one round after its child sent it. Every
@@ -547,73 +649,60 @@ pub fn up_stream(
 /// before parents, as maximal runs of consecutive rounds, so the work
 /// grows with the number of runs, not of messages.
 ///
-/// # Errors
-///
-/// Exactly those of the engine run. A node's own messages queue ahead
-/// of everything it relays, so it sends its own message `j` in round
-/// `j`; and a message is relayed only after its origin sent it. So the
-/// first oversize send is an origin's: the smallest `j` over non-root
-/// nodes whose own message `j` exceeds `limit`, the lowest node winning
-/// ties. It raises [`SimError::MessageTooLarge`] toward the node's
-/// parent if round `j` is within `max_rounds`; otherwise — and whenever
-/// `rounds > max_rounds` — [`SimError::RoundLimitExceeded`]. Roots send
-/// nothing, and a validated [`TreeTopology`] rules out the other two
-/// errors.
-pub fn up_stream_cost(
+/// A node's own messages queue ahead of everything it relays, so it
+/// sends its own message `j` in round `j`; and a message is relayed only
+/// after its origin sent it. So the tree's first oversize send is an
+/// origin's: the smallest `j` over non-root nodes whose own message `j`
+/// exceeds the limit, the lowest node winning ties, sent toward its
+/// parent. Roots send nothing.
+pub fn up_stream_tree_cost(
     tree: &TreeTopology,
-    items: &[StreamSummary],
-    limit: usize,
-    max_rounds: u64,
-) -> Result<RunReport, SimError> {
-    let n = items.len();
-    // Every node with its depth, tree by tree in breadth-first order:
-    // reversed, children come before their parents.
-    let mut order: Vec<(NodeId, u64)> = Vec::with_capacity(n);
-    for root in (0..n).map(NodeId::new).filter(|&v| tree.is_root(v)) {
-        let mut next = order.len();
-        order.push((root, 0));
-        while let Some(&(x, d)) = order.get(next) {
-            order.extend(tree.children(x).iter().map(|&c| (c, d + 1)));
-            next += 1;
-        }
-    }
-    let mut report = RunReport::default();
-    let mut oversize: Option<Oversize> = None;
-    // Each node's send rounds as runs `(first, count)`: node `v`'s are
-    // `runs[at[v].0..at[v].1]`.
-    let mut runs: Vec<(u64, u64)> = Vec::new();
-    let mut at = vec![(0usize, 0usize); n];
-    let mut steps: Vec<(u64, i64)> = Vec::new();
-    for &(v, depth) in order.iter().rev() {
-        let own = &items[v.index()];
-        report.messages += own.messages * depth;
-        report.words += own.words * depth;
+    order: &[(NodeId, u32)],
+    own: &[StreamSummary],
+    scratch: &mut UpStreamScratch,
+) -> RawCost {
+    let mut cost = RawCost::default();
+    let UpStreamScratch { runs, at, steps } = scratch;
+    runs.clear();
+    at.clear();
+    at.resize(order.len(), (0, 0));
+    // Breadth-first, a node's children follow its predecessors'
+    // children: walking backwards, they are the last of the positions
+    // not yet claimed.
+    let mut unclaimed = order.len();
+    for (i, (&(v, depth), own)) in order.iter().zip(own).enumerate().rev() {
+        cost.report.messages += own.messages * u64::from(depth);
+        cost.report.words += own.words * u64::from(depth);
+        let children = unclaimed - tree.children(v).len()..unclaimed;
+        unclaimed = children.start;
         let Some(parent) = tree.parent(v) else {
             continue;
         };
         if let Some((j, words)) = own.oversize {
-            if oversize.is_none_or(|(earliest, from, ..)| (j, v) < (earliest, from)) {
-                oversize = Some((j, v, parent, words));
+            if cost
+                .oversize
+                .is_none_or(|(earliest, from, ..)| (j, v) < (earliest, from))
+            {
+                cost.oversize = Some((j, v, parent, words));
             }
         }
         // A child's run of sends arrives here one round later, one
         // message a round: the arrival rate steps up at its first round
         // and back down after its last.
         steps.clear();
-        for &c in tree.children(v) {
-            let (lo, hi) = at[c.index()];
+        for &(lo, hi) in &at[children] {
             for &(first, count) in &runs[lo..hi] {
                 steps.extend([(first + 1, 1), (first + 1 + count, -1)]);
             }
         }
         let start = runs.len();
-        send_runs(own.messages, &mut steps, &mut runs);
-        at[v.index()] = (start, runs.len());
+        send_runs(own.messages, steps, runs);
+        at[i] = (start, runs.len());
         if let Some(&(first, count)) = runs[start..].last() {
-            report.rounds = report.rounds.max(first + count);
+            cost.report.rounds = cost.report.rounds.max(first + count);
         }
     }
-    settle(report, oversize, limit, max_rounds)
+    cost
 }
 
 /// Appends to `runs` the rounds a non-root node sends in, as maximal
@@ -918,6 +1007,56 @@ mod tests {
             let mut engine = Engine::new(&g, SimConfig { max_words_per_message: limit });
             let run = up_stream(&mut engine, &tree, items, max_rounds);
             prop_assert_eq!(cost, run.map(|(_, report)| report));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Per-tree raw costs, combined tree by tree in any order and
+        /// settled once, are the whole-forest closed forms, errors
+        /// included: on `random_broadcast` forests with up to `k_max`
+        /// messages at every node (up-stream) and root (broadcast),
+        /// oversize messages in half the cases and round budgets from 0
+        /// to past most runs' length.
+        #[test]
+        fn per_tree_costs_combine_into_the_forests(
+            seed in 0u64..u64::MAX,
+            n in 1usize..60,
+            k_max in 0usize..9,
+            limit in 1usize..5,
+            oversize in 0usize..2,
+            max_rounds in 0u64..120,
+        ) {
+            let (_, tree, payload) = random_broadcast(seed, n, k_max, limit + oversize);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let items: Vec<StreamSummary> = (0..n)
+                .map(|_| StreamSummary::of(&random_msgs(&mut rng, k_max, limit + oversize), limit))
+                .collect();
+            let payload: Vec<StreamSummary> =
+                payload.iter().map(|p| StreamSummary::of(p, limit)).collect();
+            let mut roots: Vec<NodeId> = (0..n).map(NodeId::new).filter(|&v| tree.is_root(v)).collect();
+            roots.shuffle(&mut rng);
+            let (mut up, mut down) = (RawCost::default(), RawCost::default());
+            let (mut scratch, mut order, mut own) = (UpStreamScratch::default(), Vec::new(), Vec::new());
+            for &root in &roots {
+                order.clear();
+                breadth_first(&tree, root, &mut order);
+                own.clear();
+                own.extend(order.iter().map(|&(v, _)| items[v.index()]));
+                up.add(&up_stream_tree_cost(&tree, &order, &own, &mut scratch));
+                let height = order.iter().map(|&(_, d)| u64::from(d)).max().unwrap_or(0);
+                let size = order.len() as u64;
+                down.add(&stream_broadcast_tree_cost(&tree, root, size, height, &payload[root.index()]));
+            }
+            prop_assert_eq!(
+                up.settle(limit, max_rounds),
+                up_stream_cost(&tree, &items, limit, max_rounds)
+            );
+            prop_assert_eq!(
+                down.settle(limit, max_rounds),
+                stream_broadcast_cost(&tree, &payload, limit, max_rounds)
+            );
         }
     }
 

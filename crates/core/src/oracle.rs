@@ -7,7 +7,7 @@ use planartest_graph::algo::bfs::BfsTree;
 use planartest_graph::{Graph, NodeId};
 
 use crate::partition::Partition;
-use crate::stage2::labels::{Label, LabeledEdge};
+use crate::stage2::labels::{CrossingIndex, Label, LabeledEdge};
 
 /// Labels every node of `root`'s component from a BFS tree and the
 /// rotation's child ordering (the Stage II labelling, computed centrally).
@@ -65,62 +65,38 @@ pub fn non_tree_intervals(g: &Graph, rot: &RotationSystem, root: NodeId) -> Vec<
 }
 
 /// Counts the *violating* non-tree edges (Definition 7): intervals that
-/// strictly interleave at least one other interval. `O(k log k)` via rank
-/// compression plus sparse-table range max/min.
+/// strictly interleave at least one other interval. `O(k log k)`: the
+/// endpoint labels are rank-compressed, and every interval is queried
+/// against a crossing index of all of them (an interval never crosses
+/// itself), the index Stage II checks its samples with.
 ///
 /// Claim 10 predicts 0 for a planar graph with a verified embedding;
 /// Corollary 9 predicts `≥ γ·m` for a `γ`-far graph.
 pub fn count_violating_edges(intervals: &[LabeledEdge]) -> usize {
-    let k = intervals.len();
-    if k < 2 {
-        return 0;
-    }
     // Rank-compress endpoint labels (shared endpoints share ranks, which
-    // the strict comparisons below handle correctly).
-    let mut all: Vec<&Label> = Vec::with_capacity(2 * k);
+    // the strict comparisons of the index handle correctly).
+    let mut all: Vec<&Label> = Vec::with_capacity(2 * intervals.len());
     for iv in intervals {
         all.push(&iv.lo);
         all.push(&iv.hi);
     }
     all.sort_by(|a, b| a.lex_cmp(b));
     all.dedup_by(|a, b| a.lex_cmp(b) == std::cmp::Ordering::Equal);
-    let rank = |l: &Label| -> usize {
-        all.binary_search_by(|p| p.lex_cmp(l))
-            .expect("endpoint inserted")
+    let rank = |l: &Label| -> u32 {
+        let at = all
+            .binary_search_by(|p| p.lex_cmp(l))
+            .expect("endpoint inserted");
+        u32::try_from(at).expect("at most 2^32 distinct labels")
     };
-    let m = all.len();
-    let ivs: Vec<(usize, usize)> = intervals
+    let ivs: Vec<(u32, u32)> = intervals
         .iter()
         .map(|iv| (rank(&iv.lo), rank(&iv.hi)))
         .collect();
-
-    // max_b[p] = largest right endpoint among intervals opening at p;
-    // min_a[p] = smallest left endpoint among intervals closing at p.
-    let mut max_b = vec![i64::MIN; m];
-    let mut min_a = vec![i64::MAX; m];
-    for &(a, b) in &ivs {
-        max_b[a] = max_b[a].max(b as i64);
-        min_a[b] = min_a[b].min(a as i64);
-    }
-    let st_max = SparseTable::new(&max_b, true);
-    let st_min = SparseTable::new(&min_a, false);
-
-    // Interval (a, b) is violating iff
-    //   ∃ j: a < a_j < b < b_j  (some interval opens inside and closes
-    //                            after) — range-max of b over (a, b), or
-    //   ∃ j: a_j < a < b_j < b  (symmetric) — range-min of a over (a, b).
-    let mut count = 0;
-    for &(a, b) in &ivs {
-        if b - a < 2 {
-            continue; // nothing strictly inside
-        }
-        let crosses =
-            st_max.query(a + 1, b - 1) > b as i64 || st_min.query(a + 1, b - 1) < a as i64;
-        if crosses {
-            count += 1;
-        }
-    }
-    count
+    let mut index = CrossingIndex::default();
+    index.rebuild(&ivs, all.len());
+    ivs.iter()
+        .filter(|&&(lo, hi)| index.crosses(lo, hi))
+        .count()
 }
 
 /// Quadratic reference implementation of [`count_violating_edges`] (used
@@ -178,47 +154,6 @@ pub fn audit_partition(g: &Graph, p: &Partition) -> PartitionAudit {
             cut as f64 / g.m() as f64
         },
         max_diameter: max_diam,
-    }
-}
-
-struct SparseTable {
-    /// `table[j][i]` = extreme of `data[i..i + 2^j]`.
-    table: Vec<Vec<i64>>,
-    is_max: bool,
-}
-
-impl SparseTable {
-    fn new(data: &[i64], is_max: bool) -> Self {
-        let n = data.len();
-        let levels = (usize::BITS - n.leading_zeros()) as usize;
-        let mut table = vec![data.to_vec()];
-        for j in 1..levels.max(1) {
-            let half = 1usize << (j - 1);
-            let prev = &table[j - 1];
-            let mut row = Vec::with_capacity(n.saturating_sub((1 << j) - 1));
-            for i in 0..=n.saturating_sub(1 << j) {
-                let (x, y) = (prev[i], prev[i + half]);
-                row.push(if is_max { x.max(y) } else { x.min(y) });
-            }
-            table.push(row);
-        }
-        SparseTable { table, is_max }
-    }
-
-    /// Extreme over the inclusive range `[lo, hi]` (identity on empty).
-    fn query(&self, lo: usize, hi: usize) -> i64 {
-        if lo > hi {
-            return if self.is_max { i64::MIN } else { i64::MAX };
-        }
-        let len = hi - lo + 1;
-        let j = (usize::BITS - 1 - len.leading_zeros()) as usize;
-        let x = self.table[j][lo];
-        let y = self.table[j][hi + 1 - (1 << j)];
-        if self.is_max {
-            x.max(y)
-        } else {
-            x.min(y)
-        }
     }
 }
 

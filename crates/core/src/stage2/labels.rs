@@ -83,6 +83,143 @@ pub(crate) fn intersects<T: Ord + ?Sized>(lo: &T, hi: &T, other_lo: &T, other_hi
         || (other_lo < lo && lo < other_hi && other_hi < hi)
 }
 
+/// Definition 7 against a fixed set of intervals over the keys
+/// `0..keys`, a few reads per query instead of a scan of the set.
+///
+/// An interval `(lo, hi)` is crossed iff an indexed interval opens
+/// strictly inside it and closes after `hi`, or closes strictly inside
+/// it and opened before `lo`: among the indexed intervals whose `lo'`
+/// lies in `(lo, hi)` the largest `hi'` exceeds `hi`, or among those
+/// whose `hi'` lies in `(lo, hi)` the smallest `lo'` is below `lo`. A
+/// counting sort lays the set out by `lo'` and by `hi'`, its bucket
+/// ends find each range in two reads, and a [`SparseTable`] over each
+/// layout answers its extreme. A rebuild reuses every buffer.
+#[derive(Debug, Default)]
+pub(crate) struct CrossingIndex {
+    /// `opened[k]`: how many intervals open at a key `≤ k`.
+    opened: Vec<u32>,
+    /// `closed[k]`: how many intervals close at a key `≤ k`.
+    closed: Vec<u32>,
+    /// The intervals' `hi`s in `lo` order, and their `lo`s in `hi`
+    /// order, before each goes into its table.
+    layout: Vec<u32>,
+    /// Range maxima of the `hi`s in `lo` order.
+    max_hi: SparseTable,
+    /// Range minima of the `lo`s in `hi` order.
+    min_lo: SparseTable,
+}
+
+impl CrossingIndex {
+    /// Indexes `intervals`, each an ordered pair `lo < hi < keys`.
+    pub(crate) fn rebuild(&mut self, intervals: &[(u32, u32)], keys: usize) {
+        let Self {
+            opened,
+            closed,
+            layout,
+            max_hi,
+            min_lo,
+        } = self;
+        lay_out(opened, layout, keys, intervals.iter().copied());
+        max_hi.rebuild(layout.iter().copied(), true);
+        lay_out(
+            closed,
+            layout,
+            keys,
+            intervals.iter().map(|&(lo, hi)| (hi, lo)),
+        );
+        min_lo.rebuild(layout.iter().copied(), false);
+    }
+
+    /// Whether an indexed interval interleaves `(lo, hi)`, an ordered
+    /// pair of keys, strictly ([`intersects`]).
+    pub(crate) fn crosses(&self, lo: u32, hi: u32) -> bool {
+        // The positions of a layout whose key is in (lo, hi).
+        let inside = |ends: &[u32]| ends[lo as usize] as usize..ends[hi as usize - 1] as usize;
+        let (opens, closes) = (inside(&self.opened), inside(&self.closed));
+        (!opens.is_empty() && self.max_hi.extreme(opens) > hi)
+            || (!closes.is_empty() && self.min_lo.extreme(closes) < lo)
+    }
+}
+
+/// A counting sort: lays out the value of every `(key, value)` pair, keys
+/// below `keys`, in key order, and leaves `ends[k]` the number of pairs
+/// whose key is at most `k`.
+fn lay_out(
+    ends: &mut Vec<u32>,
+    layout: &mut Vec<u32>,
+    keys: usize,
+    pairs: impl Iterator<Item = (u32, u32)> + Clone,
+) {
+    ends.clear();
+    ends.resize(keys + 1, 0);
+    for (key, _) in pairs.clone() {
+        ends[key as usize + 1] += 1;
+    }
+    // Now each key's bucket starts where the keys below it end ...
+    for k in 1..=keys {
+        ends[k] += ends[k - 1];
+    }
+    layout.clear();
+    layout.resize(ends[keys] as usize, 0);
+    // ... and filling it moves that start to its own end.
+    for (key, value) in pairs {
+        layout[ends[key as usize] as usize] = value;
+        ends[key as usize] += 1;
+    }
+}
+
+/// Range maxima (or minima) of one sequence in constant time: a sparse
+/// table, flat, whose buffer a rebuild reuses.
+#[derive(Debug, Default)]
+struct SparseTable {
+    /// Level `j`'s entry `i` is the extreme of `values[i..i + 2^j]`, at
+    /// `table[j * len + i]` (entries past the end of the sequence are
+    /// padding).
+    table: Vec<u32>,
+    len: usize,
+    max: bool,
+}
+
+impl SparseTable {
+    /// Rebuilds the table over `values`, of maxima if `max` and of
+    /// minima otherwise.
+    fn rebuild(&mut self, values: impl IntoIterator<Item = u32>, max: bool) {
+        self.table.clear();
+        self.table.extend(values);
+        let len = self.table.len();
+        (self.len, self.max) = (len, max);
+        let mut width = 1;
+        while 2 * width <= len {
+            let prev = self.table.len() - len;
+            for i in 0..len {
+                let x = self.table[prev + i];
+                let extreme = if i + 2 * width <= len {
+                    self.pick(x, self.table[prev + i + width])
+                } else {
+                    x
+                };
+                self.table.push(extreme);
+            }
+            width *= 2;
+        }
+    }
+
+    /// The extreme of `values[range]`, a non-empty range.
+    fn extreme(&self, range: std::ops::Range<usize>) -> u32 {
+        let level = (range.end - range.start).ilog2() as usize;
+        let row = &self.table[level * self.len..];
+        self.pick(row[range.start], row[range.end - (1 << level)])
+    }
+
+    fn pick(&self, x: u32, y: u32) -> u32 {
+        if self.max {
+            x.max(y)
+        } else {
+            x.min(y)
+        }
+    }
+}
+
 /// Bits per digit and digits per word of width classes 0, 1 and 2.
 const CLASSES: [(u32, usize); 3] = [(4, 16), (16, 4), (32, 2)];
 

@@ -17,42 +17,45 @@
 //!    root and broadcast them back down (both pipelined); every node
 //!    checks its assigned non-tree edges against the sample for
 //!    Definition 7 violations and rejects on any hit. Both streams'
-//!    costs are computed exactly in closed form
-//!    (`comm::up_stream_cost`, `comm::stream_broadcast_cost`) from each
-//!    interval's wire size, and the check compares the labels' ranks
-//!    within their part; debug builds also run the step message by
-//!    message as the oracle of both.
+//!    costs are computed exactly in closed form, tree by tree
+//!    (`comm::up_stream_tree_cost`, `comm::stream_broadcast_tree_cost`),
+//!    from each interval's wire size, and the check asks an index of the
+//!    sample's label ranks (`labels::CrossingIndex`); debug builds also
+//!    run the step message by message as the oracle of both.
 //!
 //! Steps 1–5 read the graph and the configuration, never the seed:
 //! `Stage2Prefix::prepare` runs them once and keeps what step 6 reads,
 //! and `Stage2Prefix::sample` runs step 6 for any batch of seeds
-//! (the split behind [`crate::Prepared`]).
+//! (the split behind [`crate::Prepared`]). `prepare` also does step 6's
+//! seed-free work: the BFS order of every tree a seed's up-stream walks,
+//! and the whole of step 6 for every part that keeps each of its
+//! non-tree edges with probability 1, which every seed draws alike. A
+//! seed draws, costs and checks only the other parts.
 
 pub mod labels;
 mod protocols;
 
 use std::cmp::Ordering;
-#[cfg(debug_assertions)]
+#[cfg(any(debug_assertions, test))]
 use std::collections::HashMap;
 use std::mem::size_of;
+use std::ops::Range;
 
 use planartest_embed::{check_planarity, PlanarityCheck, RotationSystem};
 use planartest_graph::{EdgeId, Graph, NodeId};
 use planartest_sim::tree::{broadcast, convergecast, TreeTopology};
-use planartest_sim::{Engine, Msg, SimConfig};
+use planartest_sim::{Engine, Msg, RunReport, SimConfig, SimError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use self::labels::Label;
-#[cfg(debug_assertions)]
+#[cfg(any(debug_assertions, test))]
 use self::labels::LabeledEdge;
-use crate::comm::{self, StreamSummary};
+use self::labels::{CrossingIndex, Label};
+use crate::comm::{self, RawCost, StreamSummary, UpStreamScratch};
 use crate::config::{EmbeddingMode, TesterConfig};
 use crate::error::CoreError;
 use crate::partition::{part_bfs, PartitionState};
 use crate::tester::RejectReason;
-#[cfg(debug_assertions)]
-use planartest_sim::{RunReport, SimError};
 
 use planartest_sim::SimStats;
 
@@ -136,11 +139,12 @@ pub fn run_stage2(
 /// counting, embedding, label distribution and label exchange — run
 /// once on `engine`, with every instance credited their full cost. Step
 /// 6 runs per seed on no engine: shipping the sampled intervals to the
-/// roots and broadcasting them back down are costed in closed form
-/// (`comm::up_stream_cost`, `comm::stream_broadcast_cost`: the exact
-/// reports of the engine runs, which debug builds also execute on a
-/// scratch engine and compare), and each node's Definition-7 check
-/// compares label ranks. So each instance's verdict and statistics are
+/// roots and broadcasting them back down are costed in closed form, tree
+/// by tree (`comm::up_stream_tree_cost`,
+/// `comm::stream_broadcast_tree_cost`: combined, the exact reports of
+/// the engine runs, which debug builds also execute on a scratch engine
+/// and compare), and each node's Definition-7 check asks an index of its
+/// part's sample. So each instance's verdict and statistics are
 /// bit-for-bit what a sequential `run_stage2` with that seed produces,
 /// and `engine`'s own statistics gain steps 1–5 only.
 ///
@@ -155,13 +159,13 @@ pub fn run_stage2_many(
     seeds: &[u64],
     state: &PartitionState,
 ) -> Result<Stage2Batch, CoreError> {
-    Stage2Prefix::prepare(engine, cfg, state)?.sample(engine.graph(), engine.config(), cfg, seeds)
+    Stage2Prefix::prepare(engine, cfg, state)?.sample(engine.graph(), seeds)
 }
 
 /// What Stage II's seed-independent steps 1–5 leave for step 6: the
 /// part trees, counts and reports, the shared cost and rejections, and
-/// every node's assigned non-tree edges with their labels. It borrows
-/// no graph.
+/// every node's assigned non-tree edges with their labels; and step 6's
+/// own seed-free work. It borrows no graph.
 #[derive(Debug)]
 pub(crate) struct Stage2Prefix {
     /// The part roots, ascending.
@@ -170,11 +174,10 @@ pub(crate) struct Stage2Prefix {
     root: Vec<NodeId>,
     /// The BFS forest of the parts (step 1).
     tree: TreeTopology,
-    /// One report per part, in root order, with `sampled` = 0.
+    /// One report per part, in root order. A fully sampled part's
+    /// `sampled` is its `non_tree`; every other part's is 0 until a seed
+    /// draws it.
     reports: Vec<PartReport>,
-    /// Each node's copy of its part's non-tree count (step 2's
-    /// broadcast), which sets its sampling probability.
-    non_tree: Vec<u64>,
     /// The cost of steps 1–5, credited in full to every seed.
     stats: SimStats,
     /// Steps 2–3's rejections (Euler bound, strict embedding failure).
@@ -183,8 +186,8 @@ pub(crate) struct Stage2Prefix {
     /// `digits[label_at[v]..label_at[v + 1]]`.
     digits: Vec<u32>,
     label_at: Vec<usize>,
-    /// Each node's rank in `(root, label)` order. Within a part that is
-    /// label order, so Definition 7 compares ranks instead of digits.
+    /// Each node's rank in its part's label order, so Definition 7
+    /// compares ranks instead of digits.
     rank: Vec<u32>,
     /// The words of each node's packed label ([`labels::packed_len`]),
     /// which size the wire frames of the intervals it ends.
@@ -194,10 +197,58 @@ pub(crate) struct Stage2Prefix {
     /// `edges[edge_at[v]..edge_at[v + 1]]`.
     edges: Vec<(NodeId, NodeId)>,
     edge_at: Vec<usize>,
+    /// What step 6 runs with: the sample size, the bandwidth and the
+    /// round budget `prepare` costed the fully sampled parts on, and
+    /// the embedding mode.
+    step6: Step6,
+    /// The parts a seed draws, in root order: those with more non-tree
+    /// edges than the sample size.
+    drawn: Vec<Part>,
+    /// The drawn parts' trees in BFS order with depths, part by part.
+    order: Vec<(NodeId, u32)>,
+    /// The drawn parts' nodes with assigned edges, part by part, each as
+    /// its position in its tree's order.
+    members: Vec<u32>,
+    /// The fully sampled parts' stream costs, combined.
+    full_up: RawCost,
+    full_down: RawCost,
+    /// The fully sampled parts' Definition-7 witnesses, ascending.
+    full_witnesses: Vec<NodeId>,
+}
+
+/// Step 6's parameters, fixed at `prepare`.
+#[derive(Debug, Clone, Copy)]
+struct Step6 {
+    /// The expected sample size `s_target` of a part.
+    s_target: f64,
+    /// The most intervals a part's root accepts before it aborts.
+    budget: usize,
+    sim: SimConfig,
+    max_rounds: u64,
+    paper_mode: bool,
+}
+
+/// One part as step 6 walks it.
+#[derive(Debug, Clone)]
+struct Part {
+    /// Its index in `reports`, and its root.
+    index: usize,
+    root: NodeId,
+    /// The probability `s_target / non_tree`, at most 1, with which each
+    /// member keeps each of its assigned edges.
+    p: f64,
+    /// Its tree's height.
+    height: u32,
+    /// Its tree in BFS order with depths, `order[tree]`, and its nodes
+    /// with assigned edges, `members[members]`.
+    tree: Range<usize>,
+    members: Range<usize>,
 }
 
 impl Stage2Prefix {
-    /// Runs steps 1–5 on `engine` over the Stage-I partition.
+    /// Runs steps 1–5 on `engine` over the Stage-I partition, then step
+    /// 6's seed-free work (`prepare_step6`) for `cfg`'s sample size and
+    /// `engine`'s bandwidth, which `sample` keeps.
     pub(crate) fn prepare(
         engine: &mut Engine<'_>,
         cfg: &TesterConfig,
@@ -243,10 +294,12 @@ impl Stage2Prefix {
             |r| Some(counts[r.index()].clone().expect("every part counted")),
             max_rounds,
         )?;
-        let non_tree: Vec<u64> = counts_bcast
-            .iter()
-            .map(|c| c.as_ref().expect("counts broadcast").word(2))
-            .collect();
+        // Each node's copy of its part's non-tree count sets its sampling
+        // probability; its part's report keeps the count once.
+        debug_assert!(g.nodes().all(|v| {
+            let part = &counts[state.root[v.index()].index()];
+            counts_bcast[v.index()] == *part
+        }));
 
         // Euler bound rejection at roots.
         for &r in &roots {
@@ -365,13 +418,12 @@ impl Stage2Prefix {
         let packed = (0..n)
             .map(|v| labels::packed_len(label(v)) as u32)
             .collect();
-
-        Ok(Stage2Prefix {
+        let s_target = cfg.sample_size(n) as f64;
+        let mut prefix = Stage2Prefix {
             roots,
             root: state.root.clone(),
             tree,
             reports,
-            non_tree,
             stats: engine.stats().delta_since(&baseline),
             rejections,
             digits,
@@ -380,13 +432,64 @@ impl Stage2Prefix {
             packed,
             edges,
             edge_at,
-        })
+            step6: Step6 {
+                s_target,
+                // Saturates: a tiny ε drives `s_target` to `usize::MAX`.
+                budget: ((4.0 * s_target).ceil() as usize).saturating_add(8),
+                sim: engine.config(),
+                max_rounds,
+                paper_mode: cfg.embedding == EmbeddingMode::Paper,
+            },
+            drawn: Vec::new(),
+            order: Vec::new(),
+            members: Vec::new(),
+            full_up: RawCost::default(),
+            full_down: RawCost::default(),
+            full_witnesses: Vec::new(),
+        };
+        prefix.prepare_step6();
+        Ok(prefix)
     }
 
-    /// Node `v`'s label digits, which the message-level oracle ships.
-    #[cfg(debug_assertions)]
-    fn label(&self, v: NodeId) -> &[u32] {
-        &self.digits[self.label_at[v.index()]..self.label_at[v.index() + 1]]
+    /// Step 6's seed-free work. A part with `non_tree ≤ s_target` keeps
+    /// every edge with probability 1, so every seed draws it alike: it
+    /// is drawn, costed and checked here, once. Every other part keeps
+    /// its tree's BFS order and height and its nodes with assigned
+    /// edges, which each seed's lane walks.
+    fn prepare_step6(&mut self) {
+        let mut lane = Lane::default();
+        for (index, &root) in self.roots.iter().enumerate() {
+            let (tree, members) = (self.order.len(), self.members.len());
+            comm::breadth_first(&self.tree, root, &mut self.order);
+            let (order, edge_at) = (&self.order[tree..], &self.edge_at);
+            let owns_edges = |&(v, _): &(NodeId, u32)| edge_at[v.index()] < edge_at[v.index() + 1];
+            self.members
+                .extend((0..order.len() as u32).filter(|&pos| owns_edges(&order[pos as usize])));
+            let part = Part {
+                index,
+                root,
+                p: (self.step6.s_target / self.reports[index].non_tree as f64).min(1.0),
+                height: order.iter().map(|&(_, d)| d).max().unwrap_or(0),
+                tree: tree..self.order.len(),
+                members: members..self.members.len(),
+            };
+            if part.p < 1.0 {
+                self.drawn.push(part);
+                continue;
+            }
+            let cost = self
+                .run_part(&part, 0, &mut lane)
+                .expect("a fully sampled part fits the budget");
+            self.full_up.add(&cost.up);
+            self.full_down.add(&cost.down);
+            self.reports[index].sampled = cost.sampled;
+            self.order.truncate(tree);
+            self.members.truncate(members);
+        }
+        lane.witnesses.sort_unstable();
+        self.full_witnesses = lane.witnesses;
+        self.order.shrink_to_fit();
+        self.members.shrink_to_fit();
     }
 
     /// Node `v`'s assigned non-tree edges, as `(lo, hi)` node pairs.
@@ -400,7 +503,6 @@ impl Stage2Prefix {
             + self.root.capacity() * size_of::<NodeId>()
             + self.tree.heap_bytes()
             + self.reports.capacity() * size_of::<PartReport>()
-            + self.non_tree.capacity() * size_of::<u64>()
             + self.rejections.capacity() * size_of::<(NodeId, RejectReason)>()
             + self.digits.capacity() * size_of::<u32>()
             + self.label_at.capacity() * size_of::<usize>()
@@ -408,83 +510,37 @@ impl Stage2Prefix {
             + self.packed.capacity() * size_of::<u32>()
             + self.edges.capacity() * size_of::<(NodeId, NodeId)>()
             + self.edge_at.capacity() * size_of::<usize>()
+            + self.drawn.capacity() * size_of::<Part>()
+            + self.order.capacity() * size_of::<(NodeId, u32)>()
+            + self.members.capacity() * size_of::<u32>()
+            + self.full_witnesses.capacity() * size_of::<NodeId>()
     }
 
-    /// Runs step 6 for every seed over `g`, the prefix's graph, on an
-    /// engine of bandwidth `sim`: per seed, draw the sample, cost its two
-    /// streams in closed form and check Definition 7 locally. No engine
-    /// runs and no message is built; debug builds also run the step
-    /// message by message (`Oracle`) and assert that it agrees.
-    pub(crate) fn sample(
-        &self,
-        g: &Graph,
-        sim: SimConfig,
-        cfg: &TesterConfig,
-        seeds: &[u64],
-    ) -> Result<Stage2Batch, CoreError> {
-        let n = self.root.len();
-        debug_assert_eq!(g.n(), n, "a prefix samples over its own graph");
-        let (limit, max_rounds) = (sim.max_words_per_message, cfg.max_rounds);
-        let s_target = cfg.sample_size(n) as f64;
-        // Saturates: a tiny ε drives `s_target` to `usize::MAX`.
-        let budget = ((4.0 * s_target).ceil() as usize).saturating_add(8);
-        let paper_mode = cfg.embedding == EmbeddingMode::Paper;
+    /// Runs step 6 for every seed over `g`, the prefix's graph: per seed,
+    /// draw the sample of every part that is not fully sampled, cost its
+    /// two streams in closed form and check Definition 7 locally, and
+    /// merge in what `prepare` found for the fully sampled parts. No
+    /// engine runs and no message is built; debug builds also run the
+    /// whole step message by message (`Oracle`) and assert that it
+    /// agrees.
+    pub(crate) fn sample(&self, g: &Graph, seeds: &[u64]) -> Result<Stage2Batch, CoreError> {
+        debug_assert_eq!(
+            g.n(),
+            self.root.len(),
+            "a prefix samples over its own graph"
+        );
         #[cfg(debug_assertions)]
-        let mut oracle = Oracle::new(g, sim, max_rounds);
-        let mut lane = Lane::new(n);
+        let mut oracle = Oracle::new(g, self.step6.sim, self.step6.max_rounds);
+        let mut lane = Lane::default();
         let (mut up_reports, mut down_reports) = (Vec::new(), Vec::new());
         let mut outcomes = Vec::with_capacity(seeds.len());
         for &seed in seeds {
-            self.draw(seed, s_target, limit, &mut lane);
-            // Overflow guard (1/poly(n) event per instance): the root would
-            // abort; we fail the batch fast so callers can rerun with other
-            // seeds. The lowest overflowing root reports.
-            let overflow = self
-                .roots
-                .iter()
-                .map(|r| lane.sample[r.index()].len())
-                .find(|&drawn| drawn > budget);
-            if let Some(drawn) = overflow {
-                return Err(CoreError::SampleOverflow { drawn, budget });
-            }
-            let up_report = comm::up_stream_cost(&self.tree, &lane.up, limit, max_rounds);
-            let down_report =
-                comm::stream_broadcast_cost(&self.tree, &lane.down, limit, max_rounds);
-
-            // Local violation checks: every node against its part's
-            // sample, any hit marking it once.
-            let mut rejections = self.rejections.clone();
-            let mut violation_witnesses = Vec::new();
-            for v in 0..n {
-                let sample = &lane.sample[self.root[v].index()];
-                let hit = self.intervals(v).iter().any(|&(lo, hi)| {
-                    let (lo, hi) = (self.rank[lo.index()], self.rank[hi.index()]);
-                    sample
-                        .iter()
-                        .any(|(s_lo, s_hi)| labels::intersects(&lo, &hi, s_lo, s_hi))
-                });
-                if hit {
-                    violation_witnesses.push(NodeId::new(v));
-                    if paper_mode {
-                        rejections.push((NodeId::new(v), RejectReason::ViolatingEdge));
-                    }
-                }
-            }
+            let (outcome, up_report, down_report) = self.sample_seed(seed, &mut lane)?;
             #[cfg(debug_assertions)]
-            oracle.check(self, &lane, &up_report, &down_report, &violation_witnesses);
-            rejections.sort_by_key(|&(v, _)| v);
-            rejections.dedup_by_key(|&mut (v, _)| v);
-            let mut parts = self.reports.clone();
-            for rep in &mut parts {
-                rep.sampled = lane.sample[rep.root.index()].len();
-            }
+            oracle.check(self, seed, &up_report, &down_report, &outcome);
             up_reports.push(up_report);
             down_reports.push(down_report);
-            outcomes.push(Stage2Outcome {
-                rejections,
-                violation_witnesses,
-                parts,
-            });
+            outcomes.push(outcome);
         }
         // The engine would ship every seed's samples up before it
         // broadcast any back down: the first error is the first failed
@@ -504,82 +560,156 @@ impl Stage2Prefix {
         Ok(Stage2Batch { outcomes, stats })
     }
 
-    /// Draws `seed`'s sample into `lane`, each node keeping each of its
-    /// assigned non-tree edges with probability `s_target / non_tree`,
-    /// and sums up the wire size of every drawn interval on an engine of
-    /// `limit` words per message.
-    fn draw(&self, seed: u64, s_target: f64, limit: usize, lane: &mut Lane) {
-        lane.up.fill(StreamSummary::default());
-        lane.down.fill(StreamSummary::default());
-        for r in &self.roots {
-            lane.sample[r.index()].clear();
+    /// One seed's step 6: its outcome and its two streams' results.
+    fn sample_seed(&self, seed: u64, lane: &mut Lane) -> Result<SeedResult, CoreError> {
+        let (mut up, mut down) = (self.full_up, self.full_down);
+        let mut parts = self.reports.clone();
+        lane.witnesses.clear();
+        for part in &self.drawn {
+            let cost = self.run_part(part, seed, lane)?;
+            up.add(&cost.up);
+            down.add(&cost.down);
+            parts[part.index].sampled = cost.sampled;
         }
-        for v in 0..self.root.len() {
-            let intervals = self.intervals(v);
-            #[cfg(debug_assertions)]
-            lane.drawn[v].clear();
-            let nt = self.non_tree[v];
-            if intervals.is_empty() || nt == 0 {
-                continue;
-            }
-            let r = self.root[v].index();
-            let p = (s_target / nt as f64).min(1.0);
-            let mut rng = sample_rng(seed, v as u64);
-            for &(lo, hi) in intervals {
-                if rng.random_bool(p) {
+        let mut violation_witnesses = self.full_witnesses.clone();
+        violation_witnesses.extend_from_slice(&lane.witnesses);
+        violation_witnesses.sort_unstable();
+        let mut rejections = self.rejections.clone();
+        if self.step6.paper_mode {
+            rejections.extend(
+                violation_witnesses
+                    .iter()
+                    .map(|&v| (v, RejectReason::ViolatingEdge)),
+            );
+        }
+        rejections.sort_by_key(|&(v, _)| v);
+        rejections.dedup_by_key(|&mut (v, _)| v);
+        let (limit, max_rounds) = (self.step6.sim.max_words_per_message, self.step6.max_rounds);
+        let outcome = Stage2Outcome {
+            rejections,
+            violation_witnesses,
+            parts,
+        };
+        Ok((
+            outcome,
+            up.settle(limit, max_rounds),
+            down.settle(limit, max_rounds),
+        ))
+    }
+
+    /// One part's step 6 under `seed`: each member keeps each of its
+    /// assigned edges with probability `p`, summing up the wire size of
+    /// every drawn interval; then the part's two streams are costed and
+    /// each member checks its edges against the sample's index, the
+    /// witnesses joining `lane.witnesses`.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::SampleOverflow`] if the sample exceeds the root's
+    /// budget (a 1/poly(n) event per instance): the root would abort,
+    /// and the batch fails fast so callers can rerun with other seeds.
+    fn run_part(&self, part: &Part, seed: u64, lane: &mut Lane) -> Result<PartCost, CoreError> {
+        let limit = self.step6.sim.max_words_per_message;
+        let (order, members) = (
+            &self.order[part.tree.clone()],
+            &self.members[part.members.clone()],
+        );
+        let Lane {
+            up,
+            sample,
+            index,
+            scratch,
+            witnesses,
+        } = lane;
+        up.clear();
+        up.resize(order.len(), StreamSummary::default());
+        sample.clear();
+        let mut down = StreamSummary::default();
+        for &pos in members {
+            let v = order[pos as usize].0;
+            let mut rng = sample_rng(seed, v.index() as u64);
+            for &(lo, hi) in self.intervals(v.index()) {
+                if rng.random_bool(part.p) {
                     let frame = 1 + u64::from(self.packed[lo.index()] + self.packed[hi.index()]);
-                    push_interval(&mut lane.up[v], frame, limit);
-                    push_interval(&mut lane.down[r], frame, limit);
-                    lane.sample[r].push((self.rank[lo.index()], self.rank[hi.index()]));
-                    #[cfg(debug_assertions)]
-                    lane.drawn[v].push((lo, hi));
+                    push_interval(&mut up[pos as usize], frame, limit);
+                    push_interval(&mut down, frame, limit);
+                    sample.push((self.rank[lo.index()], self.rank[hi.index()]));
                 }
             }
         }
-    }
-}
-
-/// One seed's step 6, in buffers reused across seeds.
-struct Lane {
-    /// What each node ships up to its root, summarised.
-    up: Vec<StreamSummary>,
-    /// What each root broadcasts back down, summarised.
-    down: Vec<StreamSummary>,
-    /// Each part's sample as the rank pairs of its intervals, indexed by
-    /// the root.
-    sample: Vec<Vec<(u32, u32)>>,
-    /// Each node's drawn intervals, which the oracle encodes.
-    #[cfg(debug_assertions)]
-    drawn: Vec<Vec<(NodeId, NodeId)>>,
-}
-
-impl Lane {
-    fn new(n: usize) -> Self {
-        Lane {
-            up: vec![StreamSummary::default(); n],
-            down: vec![StreamSummary::default(); n],
-            sample: vec![Vec::new(); n],
-            #[cfg(debug_assertions)]
-            drawn: vec![Vec::new(); n],
+        let (drawn, budget) = (sample.len(), self.step6.budget);
+        if drawn > budget {
+            return Err(CoreError::SampleOverflow { drawn, budget });
         }
+        let (size, height) = (order.len() as u64, u64::from(part.height));
+        index.rebuild(sample, order.len());
+        for &pos in members {
+            let v = order[pos as usize].0;
+            let crossed = self
+                .intervals(v.index())
+                .iter()
+                .any(|&(lo, hi)| index.crosses(self.rank[lo.index()], self.rank[hi.index()]));
+            if crossed {
+                witnesses.push(v);
+            }
+        }
+        Ok(PartCost {
+            up: comm::up_stream_tree_cost(&self.tree, order, up, scratch),
+            down: comm::stream_broadcast_tree_cost(&self.tree, part.root, size, height, &down),
+            sampled: drawn,
+        })
     }
 }
 
-/// Debug builds' message-level step 6, the oracle of the closed forms
-/// and of the rank check. Per seed it encodes every drawn interval,
-/// ships the lists up on a scratch engine (so the caller's statistics
-/// match release builds), decodes and re-encodes each part's sample at
-/// its root and broadcasts it back down. It asserts that both runs'
-/// results equal the closed forms, errors included, that every member
-/// receives its root's list verbatim, and that Definition 7 on the
-/// label digits finds the same nodes as on the ranks.
-#[cfg(debug_assertions)]
+/// One seed's step 6: its outcome, and its up-stream's and broadcast's
+/// results.
+type SeedResult = (
+    Stage2Outcome,
+    Result<RunReport, SimError>,
+    Result<RunReport, SimError>,
+);
+
+/// One part's step 6 under one seed: its streams' costs and its sample
+/// size.
+struct PartCost {
+    up: RawCost,
+    down: RawCost,
+    sampled: usize,
+}
+
+/// Step 6's buffers, reused across parts and seeds.
+#[derive(Default)]
+struct Lane {
+    /// What each node of the part ships up to the root, summarised, by
+    /// position in the part's order.
+    up: Vec<StreamSummary>,
+    /// The part's sample as the rank pairs of its intervals.
+    sample: Vec<(u32, u32)>,
+    /// The index of `sample` that the members' checks ask.
+    index: CrossingIndex,
+    scratch: UpStreamScratch,
+    /// The nodes whose check found a crossing, part by part.
+    witnesses: Vec<NodeId>,
+}
+
+/// Debug builds' message-level step 6, the oracle of the closed forms,
+/// of the index and of the fully sampled parts' shortcut. Per seed it
+/// draws every node's sample afresh (`draw_every_node`), encodes every
+/// drawn interval, ships the lists up on a scratch engine (so the
+/// caller's statistics match release builds), decodes and re-encodes
+/// each part's sample at its root and broadcasts it back down. It
+/// asserts that both runs' results equal the lane's and the whole-forest
+/// closed forms, errors included, that every member receives its root's
+/// list verbatim, that each part's sample size is the one reported, and
+/// that Definition 7 scanned on the label digits finds the lane's
+/// witnesses.
+#[cfg(any(debug_assertions, test))]
 struct Oracle<'g> {
     engine: Engine<'g>,
     max_rounds: u64,
 }
 
-#[cfg(debug_assertions)]
+#[cfg(any(debug_assertions, test))]
 impl<'g> Oracle<'g> {
     fn new(g: &'g Graph, sim: SimConfig, max_rounds: u64) -> Self {
         Oracle {
@@ -588,35 +718,37 @@ impl<'g> Oracle<'g> {
         }
     }
 
-    /// Runs the seed drawn into `lane` against its closed-form up-stream
-    /// and broadcast reports, and the nodes the rank check found.
+    /// Runs `seed`'s step 6 against the lane's up-stream and broadcast
+    /// results and its outcome.
     fn check(
         &mut self,
         prefix: &Stage2Prefix,
-        lane: &Lane,
+        seed: u64,
         up: &Result<RunReport, SimError>,
         down: &Result<RunReport, SimError>,
-        witnesses: &[NodeId],
+        outcome: &Stage2Outcome,
     ) {
         let n = prefix.root.len();
         let limit = self.engine.config().max_words_per_message;
-        let items: Vec<Vec<Msg>> = (0..n)
-            .map(|v| {
-                let drawn = lane.drawn[v].iter();
+        let items: Vec<Vec<Msg>> = prefix
+            .draw_every_node(seed)
+            .iter()
+            .enumerate()
+            .map(|(v, drawn)| {
                 drawn
+                    .iter()
                     .flat_map(|&(lo, hi)| {
                         encode_interval(v as u64, prefix.label(lo), prefix.label(hi))
                     })
                     .collect()
             })
             .collect();
-        for (v, msgs) in items.iter().enumerate() {
-            assert_eq!(
-                StreamSummary::of(msgs, limit),
-                lane.up[v],
-                "node {v}'s list"
-            );
-        }
+        let lists: Vec<StreamSummary> = items.iter().map(|m| StreamSummary::of(m, limit)).collect();
+        assert_eq!(
+            &comm::up_stream_cost(&prefix.tree, &lists, limit, self.max_rounds),
+            up,
+            "the lane's up-stream cost must equal the whole forest's"
+        );
         let run = comm::up_stream(&mut self.engine, &prefix.tree, items, self.max_rounds);
         assert_eq!(
             run.as_ref().map(|(_, report)| report),
@@ -628,18 +760,23 @@ impl<'g> Oracle<'g> {
         };
         let mut at_root: Vec<Vec<LabeledEdge>> = vec![Vec::new(); n];
         let mut payload: Vec<Vec<Msg>> = vec![Vec::new(); n];
-        for r in prefix.roots.iter().map(|r| r.index()) {
+        for (r, report) in prefix.roots.iter().map(|r| r.index()).zip(&outcome.parts) {
             at_root[r] = decode_streams(collected[r].iter().map(|(_, m)| m));
+            assert_eq!(at_root[r].len(), report.sampled, "root {r}'s sample");
             payload[r] = at_root[r]
                 .iter()
                 .flat_map(|iv| encode_interval(r as u64, &iv.lo.0, &iv.hi.0))
                 .collect();
-            assert_eq!(
-                StreamSummary::of(&payload[r], limit),
-                lane.down[r],
-                "root {r}'s payload"
-            );
         }
+        let lists: Vec<StreamSummary> = payload
+            .iter()
+            .map(|m| StreamSummary::of(m, limit))
+            .collect();
+        assert_eq!(
+            &comm::stream_broadcast_cost(&prefix.tree, &lists, limit, self.max_rounds),
+            down,
+            "the lane's broadcast cost must equal the whole forest's"
+        );
         let run = comm::stream_broadcast(&mut self.engine, &prefix.tree, payload, self.max_rounds);
         assert_eq!(
             run.as_ref().map(|(_, report)| report),
@@ -671,9 +808,38 @@ impl<'g> Oracle<'g> {
             .map(NodeId::new)
             .collect();
         assert_eq!(
-            by_digits, witnesses,
-            "the rank check must find what the label check finds"
+            by_digits, outcome.violation_witnesses,
+            "the index must find what the label check finds"
         );
+    }
+}
+
+#[cfg(any(debug_assertions, test))]
+impl Stage2Prefix {
+    /// Node `v`'s label digits, which the message-level oracle ships.
+    fn label(&self, v: NodeId) -> &[u32] {
+        &self.digits[self.label_at[v.index()]..self.label_at[v.index() + 1]]
+    }
+
+    /// The reference draw of `seed`'s sample, every node's drawn
+    /// intervals: each node, fully sampled parts' included, keeps each
+    /// of its assigned edges with probability `s_target / non_tree`.
+    fn draw_every_node(&self, seed: u64) -> Vec<Vec<(NodeId, NodeId)>> {
+        (0..self.root.len())
+            .map(|v| {
+                let part = self.roots.binary_search(&self.root[v]).expect("a root");
+                let nt = self.reports[part].non_tree;
+                let intervals = self.intervals(v);
+                if intervals.is_empty() || nt == 0 {
+                    return Vec::new();
+                }
+                let p = (self.step6.s_target / nt as f64).min(1.0);
+                let mut rng = sample_rng(seed, v as u64);
+                let mut drawn = intervals.to_vec();
+                drawn.retain(|_| rng.random_bool(p));
+                drawn
+            })
+            .collect()
     }
 }
 
@@ -691,9 +857,10 @@ fn push_interval(stream: &mut StreamSummary, frame: u64, limit: usize) {
     stream.words += frame + chunks;
 }
 
-/// Each node's rank in `(root, label)` order, from one sort. Within a
-/// part that is label order — the preorder of the part's digit-ordered
-/// BFS tree — so Definition 7 on the ranks is Definition 7 on the labels.
+/// Each node's rank in its part's label order, from one sort in
+/// `(root, label)` order: the part's nodes are `0..n_j` in the preorder
+/// of its digit-ordered BFS tree, the root first. So Definition 7 on the
+/// ranks is Definition 7 on the labels.
 fn label_ranks<'a>(root: &[NodeId], label: impl Fn(usize) -> &'a [u32]) -> Vec<u32> {
     let key = |v: usize| (root[v], label(v));
     let mut by_label: Vec<usize> = (0..root.len()).collect();
@@ -703,8 +870,12 @@ fn label_ranks<'a>(root: &[NodeId], label: impl Fn(usize) -> &'a [u32]) -> Vec<u
         "labels within a part are distinct"
     );
     let mut rank = vec![0u32; root.len()];
+    let mut first = 0;
     for (i, &v) in by_label.iter().enumerate() {
-        rank[v] = i as u32;
+        if root[v] != root[by_label[first]] {
+            first = i;
+        }
+        rank[v] = (i - first) as u32;
     }
     rank
 }
@@ -752,7 +923,7 @@ fn embed_part(sub: &Graph) -> (RotationSystem, bool) {
 ///
 /// The wire format the closed forms cost (`push_interval`); only the
 /// message-level lane, the debug oracle, builds it.
-#[cfg(debug_assertions)]
+#[cfg(any(debug_assertions, test))]
 fn encode_interval(origin: u64, lo: &[u32], hi: &[u32]) -> Vec<Msg> {
     let mut words: Vec<u64> = Vec::new();
     labels::pack_label(lo, &mut words);
@@ -772,7 +943,7 @@ fn encode_interval(origin: u64, lo: &[u32], hi: &[u32]) -> Vec<Msg> {
 
 /// Decodes interleaved chunk streams back into intervals (grouping by the
 /// origin word, framing by the length prefix).
-#[cfg(debug_assertions)]
+#[cfg(any(debug_assertions, test))]
 fn decode_streams<'m>(msgs: impl IntoIterator<Item = &'m Msg>) -> Vec<LabeledEdge> {
     let mut buffers: HashMap<u64, Vec<u64>> = HashMap::new();
     let mut order: Vec<u64> = Vec::new();
@@ -931,6 +1102,14 @@ mod tests {
         }
     }
 
+    /// The prefix of `cfg`'s pass on `g`, which Stage I must accept.
+    fn prefix_of(g: &Graph, cfg: &TesterConfig) -> Stage2Prefix {
+        let mut engine = Engine::new(g, SimConfig::default());
+        let partition = crate::partition::run_partition(&mut engine, cfg).unwrap();
+        assert!(partition.rejected.is_empty());
+        Stage2Prefix::prepare(&mut engine, cfg, &partition.state).unwrap()
+    }
+
     #[test]
     fn up_stream_queues_form_and_the_lane_matches_its_oracle() {
         // Parts deep and branched enough that samples from sibling
@@ -949,24 +1128,74 @@ mod tests {
                     .run_many(&g, &seeds)
                     .unwrap();
                 assert_eq!(outs.len(), seeds.len());
-                let mut engine = Engine::new(&g, SimConfig::default());
-                let partition = crate::partition::run_partition(&mut engine, &cfg).unwrap();
-                assert!(partition.rejected.is_empty());
-                let prefix = Stage2Prefix::prepare(&mut engine, &cfg, &partition.state).unwrap();
-                let s_target = cfg.sample_size(g.n()) as f64;
-                let mut lane = Lane::new(g.n());
+                let prefix = prefix_of(&g, &cfg);
                 let queued = seeds.iter().filter(|&&seed| {
-                    prefix.draw(seed, s_target, 4, &mut lane);
-                    let report = comm::up_stream_cost(&prefix.tree, &lane.up, 4, cfg.max_rounds);
+                    let lists: Vec<StreamSummary> = prefix
+                        .draw_every_node(seed)
+                        .iter()
+                        .map(|drawn| {
+                            let mut list = StreamSummary::default();
+                            for &(lo, hi) in drawn {
+                                let frame = prefix.packed[lo.index()] + prefix.packed[hi.index()];
+                                push_interval(&mut list, 1 + u64::from(frame), 4);
+                            }
+                            list
+                        })
+                        .collect();
+                    let report = comm::up_stream_cost(&prefix.tree, &lists, 4, cfg.max_rounds);
                     let queue_free = g
                         .nodes()
-                        .filter(|&v| lane.up[v.index()].messages > 0 && !prefix.tree.is_root(v))
-                        .map(|v| lane.up[v.index()].messages + u64::from(prefix.tree.depth(v)))
+                        .filter(|&v| lists[v.index()].messages > 0 && !prefix.tree.is_root(v))
+                        .map(|v| lists[v.index()].messages + u64::from(prefix.tree.depth(v)))
                         .max()
                         .unwrap_or(0);
                     report.unwrap().rounds > queue_free
                 });
                 assert_eq!(queued.count(), seeds.len(), "{mode:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_lane_matches_its_oracle_in_every_regime() {
+        // The message-level oracle, run here in every profile, on a pass
+        // whose parts with non-tree edges are all fully sampled (every
+        // seed draws them alike, so `prepare` settles them), one whose
+        // parts with non-tree edges are all drawn per seed, and one with
+        // parts of each kind.
+        use planartest_graph::generators::spec;
+        // `random_planar` at 10 phases is one drawn part and 20
+        // singletons with nothing to sample.
+        let cases = [
+            ("grid(24,24)", 6, (true, false)),
+            ("tri_grid(40,40)", 10, (false, true)),
+            ("random_planar(1500, 0.7, seed=3)", 10, (false, true)),
+            ("tri_grid(24,24)", 6, (true, true)),
+        ];
+        for (spec, phases, (some_full, some_drawn)) in cases {
+            let g = spec::parse(spec).unwrap().graph;
+            // Stage I does not read the embedding mode: one partition
+            // serves both.
+            let mut engine = Engine::new(&g, SimConfig::default());
+            let cfg = TesterConfig::new(0.1).with_phases(phases);
+            let partition = crate::partition::run_partition(&mut engine, &cfg).unwrap();
+            for mode in [EmbeddingMode::Strict, EmbeddingMode::Paper] {
+                let cfg = cfg.clone().with_embedding(mode);
+                let prefix = Stage2Prefix::prepare(&mut engine, &cfg, &partition.state).unwrap();
+                // Parts without non-tree edges have nothing to sample.
+                let parts = prefix.reports.iter().filter(|r| r.non_tree > 0).count();
+                let drawn = prefix.drawn.len();
+                assert_eq!(
+                    (drawn < parts, drawn > 0),
+                    (some_full, some_drawn),
+                    "{spec}: {drawn} of {parts} parts with non-tree edges drawn per seed"
+                );
+                let mut oracle = Oracle::new(&g, prefix.step6.sim, cfg.max_rounds);
+                let mut lane = Lane::default();
+                for seed in 0..2 {
+                    let (outcome, up, down) = prefix.sample_seed(seed, &mut lane).unwrap();
+                    oracle.check(&prefix, seed, &up, &down, &outcome);
+                }
             }
         }
     }
@@ -1018,6 +1247,39 @@ mod tests {
                     labels::intersects(&rank[lo], &rank[hi], &rank[s_lo], &rank[s_hi]),
                     labels::intersects(&labels[lo][..], &labels[hi][..], &labels[s_lo][..], &labels[s_hi][..])
                 );
+            }
+            // The index of a sample of a part's intervals answers what a
+            // scan of the sample's labels answers. Among few members,
+            // intervals share endpoints and nest often; the sample is
+            // empty, a random subset or every interval, and one index
+            // is rebuilt across the rounds.
+            let mut index = labels::CrossingIndex::default();
+            for _ in 0..16 {
+                let part = root[rng.random_range(0..n)];
+                let members: Vec<usize> = (0..n).filter(|&v| root[v] == part).collect();
+                if members.len() < 2 {
+                    continue;
+                }
+                let intervals: Vec<(usize, usize)> = (0..rng.random_range(1..24usize))
+                    .filter_map(|_| {
+                        let a = members[rng.random_range(0..members.len())];
+                        let b = members[rng.random_range(0..members.len())];
+                        (a != b).then(|| if labels[a] < labels[b] { (a, b) } else { (b, a) })
+                    })
+                    .collect();
+                let sample: Vec<(usize, usize)> = match rng.random_range(0..3u8) {
+                    0 => Vec::new(),
+                    1 => intervals.iter().copied().filter(|_| rng.random_bool(0.5)).collect(),
+                    _ => intervals.clone(),
+                };
+                let ranked: Vec<(u32, u32)> = sample.iter().map(|&(lo, hi)| (rank[lo], rank[hi])).collect();
+                index.rebuild(&ranked, members.len());
+                for &(lo, hi) in &intervals {
+                    let scan = sample.iter().any(|&(s_lo, s_hi)| {
+                        labels::intersects(&labels[lo][..], &labels[hi][..], &labels[s_lo][..], &labels[s_hi][..])
+                    });
+                    prop_assert_eq!(index.crosses(rank[lo], rank[hi]), scan, "{:?} against {:?}", (lo, hi), sample);
+                }
             }
         }
     }

@@ -182,8 +182,6 @@ impl PlanarityTester {
             None
         };
         Ok(Prepared {
-            cfg: self.cfg.clone(),
-            sim: self.sim,
             n: g.n(),
             m: g.m(),
             phases: partition.phases,
@@ -198,13 +196,11 @@ impl PlanarityTester {
 /// configuration: Stage I (§2.1) and Stage II's steps 1–5 (§2.2). Only
 /// step 6 — the sample of non-tree edges — reads the seed, so one
 /// `Prepared` serves any number of [`sample`](Self::sample) calls, in
-/// any order, each seed credited the full shared cost. It owns its
-/// configuration, borrows no graph and is `Send + Sync`, so a server
-/// can keep it per `(graph, config)`.
+/// any order, each seed credited the full shared cost. It keeps what
+/// step 6 reads of its configuration, borrows no graph and is
+/// `Send + Sync`, so a server can keep it per `(graph, config)`.
 #[derive(Debug)]
 pub struct Prepared {
-    cfg: TesterConfig,
-    sim: SimConfig,
     /// The prepared graph's size, checked by `sample`.
     n: usize,
     m: usize,
@@ -217,10 +213,13 @@ pub struct Prepared {
 
 impl Prepared {
     /// Runs Stage II's step 6 for each seed over `g`, the graph this was
-    /// prepared on. No engine runs: each seed's sample streams are
-    /// costed in closed form and its Definition-7 checks compare label
-    /// ranks (debug builds also run the streams on a scratch engine as
-    /// the oracle). Each outcome is bit-for-bit what
+    /// prepared on. No engine runs, and a seed pays only for the parts
+    /// whose sample it changes: their sample streams are costed in
+    /// closed form and their Definition-7 checks ask an index of the
+    /// sample's label ranks, while the parts that keep every edge were
+    /// drawn, costed and checked once by [`PlanarityTester::prepare`]
+    /// (debug builds also run the whole step on a scratch engine as the
+    /// oracle). Each outcome is bit-for-bit what
     /// [`PlanarityTester::run`] with that seed produces. After a Stage-I
     /// reject every seed gets that reject.
     ///
@@ -251,7 +250,7 @@ impl Prepared {
                 })
                 .collect());
         };
-        let batch = stage2.sample(g, self.sim, &self.cfg, seeds)?;
+        let batch = stage2.sample(g, seeds)?;
         Ok(batch
             .outcomes
             .into_iter()
@@ -272,7 +271,9 @@ impl Prepared {
 
     /// Heap bytes held: the phase metrics and rejections, the part
     /// trees and reports, the labels with their ranks and packed sizes,
-    /// and the labelled non-tree edges.
+    /// the labelled non-tree edges, and step 6's seed-free tables (the
+    /// drawn parts' BFS orders and members, and the fully sampled
+    /// parts' witnesses).
     pub fn heap_bytes(&self) -> usize {
         self.phases.capacity() * size_of::<PhaseMetrics>()
             + self.stage1_rejections.capacity() * size_of::<(NodeId, RejectReason)>()
@@ -292,6 +293,18 @@ mod tests {
         // Modest phase count keeps unit tests fast; integration tests
         // exercise the derived default.
         TesterConfig::new(eps).with_phases(6)
+    }
+
+    #[test]
+    fn a_prepared_tester_holds_at_most_233_bytes_per_node() {
+        // The memo's entry size: tri_grid(40,40) at 10 phases held 202.8
+        // bytes per node before step 6's seed-free tables, which may add
+        // at most 15%.
+        let g = planar::triangulated_grid(40, 40).graph;
+        let cfg = TesterConfig::new(0.1).with_phases(10);
+        let prepared = PlanarityTester::new(cfg).prepare(&g).unwrap();
+        let per_node = prepared.heap_bytes() as f64 / g.n() as f64;
+        assert!(per_node <= 233.0, "{per_node} bytes per node");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! two routes build the same graph with the same fingerprint.
 //!
 //! Sizes are computed here, with checked arithmetic, before anything is
-//! allocated: see [`node_count`] and [`Family::check`].
+//! allocated: see [`node_count`], [`edge_count`] and [`Family::check`].
 
 use crate::generators::spec::SpecError;
 use crate::generators::{euler_status, Certified, PlanarityStatus};
@@ -26,6 +26,19 @@ pub(super) fn node_count(name: &'static str, n: Option<usize>) -> Result<usize, 
         .ok_or(SpecError::InvalidParameters {
             name,
             reason: "n <= 2^32 (u32 node ids)",
+        })
+}
+
+/// The size rule on edges: `2m` must fit the `u32` CSR offsets
+/// (`2m < 2³²`). `None` is a count that overflowed on the way. Either
+/// failure is the family's `InvalidParameters`. A randomized family is
+/// held to it by the edges it draws before dedup (for `gnp`, their
+/// expected number), since drawing is what allocates.
+pub(super) fn edge_count(name: &'static str, m: Option<usize>) -> Result<usize, SpecError> {
+    m.filter(|&m| m <= u32::MAX as usize / 2)
+        .ok_or(SpecError::InvalidParameters {
+            name,
+            reason: "2m < 2^32 (u32 CSR offsets)",
         })
 }
 
@@ -94,24 +107,22 @@ impl Family {
             Self::Hypercube(d) => Some(1 << d),
         };
         let n = node_count(name, n)?;
-        let m = match self {
-            Self::Path(_) | Self::Star(_) => Some(n - 1),
-            Self::Cycle(_) => Some(n),
-            // Horizontal and vertical edges, then the diagonals: each
-            // term is below n ≤ 2³², so the sum fits a 64-bit usize.
-            Self::Grid(r, c) => Some(r * (c - 1) + c * (r - 1)),
-            Self::TriGrid(r, c) => Some(r * (c - 1) + c * (r - 1) + (r - 1) * (c - 1)),
-            Self::Complete(_) => n.checked_mul(n - 1).map(|pairs| pairs / 2),
-            Self::CompleteBipartite(a, b) => a.checked_mul(b),
-            Self::K5Chain(tiles) => tiles.checked_mul(11).map(|e| e - 1),
-            Self::Torus(..) => n.checked_mul(2),
-            Self::Hypercube(d) => Some(d * (n / 2)),
-        }
-        .filter(|&m| m <= u32::MAX as usize / 2)
-        .ok_or(SpecError::InvalidParameters {
+        let m = edge_count(
             name,
-            reason: "2m < 2^32 (u32 CSR offsets)",
-        })?;
+            match self {
+                Self::Path(_) | Self::Star(_) => Some(n - 1),
+                Self::Cycle(_) => Some(n),
+                // Horizontal and vertical edges, then the diagonals: each
+                // term is below n ≤ 2³², so the sum fits a 64-bit usize.
+                Self::Grid(r, c) => Some(r * (c - 1) + c * (r - 1)),
+                Self::TriGrid(r, c) => Some(r * (c - 1) + c * (r - 1) + (r - 1) * (c - 1)),
+                Self::Complete(_) => n.checked_mul(n - 1).map(|pairs| pairs / 2),
+                Self::CompleteBipartite(a, b) => a.checked_mul(b),
+                Self::K5Chain(tiles) => tiles.checked_mul(11).map(|e| e - 1),
+                Self::Torus(..) => n.checked_mul(2),
+                Self::Hypercube(d) => Some(d * (n / 2)),
+            },
+        )?;
         Ok(ClosedForm { family: self, n, m })
     }
 

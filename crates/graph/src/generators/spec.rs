@@ -40,7 +40,7 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::generators::closed::{node_count, ClosedForm, Family};
+use crate::generators::closed::{edge_count, node_count, ClosedForm, Family};
 use crate::generators::{nonplanar, planar, Certified, PlanarityStatus};
 
 /// Error parsing or instantiating a generator spec.
@@ -390,11 +390,13 @@ pub fn parse(spec: &str) -> Result<Certified, SpecError> {
         "random_tree" => {
             let n = nodes(0)?;
             require(n > 0, name, "n > 0")?;
+            edge_count(name, Some(n - 1))?;
             Ok(planar::random_tree(n, &mut rng))
         }
         "apollonian" => {
             let n = nodes(0)?;
             require(n >= 3, name, "n >= 3")?;
+            edge_count(name, Some(3 * n - 6))?;
             Ok(planar::apollonian(n, &mut rng))
         }
         "random_planar" => {
@@ -402,27 +404,38 @@ pub fn parse(spec: &str) -> Result<Certified, SpecError> {
             let keep = args[1];
             require(n >= 3, name, "n >= 3")?;
             require((0.0..=1.0).contains(&keep), name, "keep in [0, 1]")?;
+            // The triangulation it thins.
+            edge_count(name, Some(3 * n - 6))?;
             Ok(planar::random_planar(n, keep, &mut rng))
         }
         "outerplanar" => {
             let n = nodes(0)?;
             require(n >= 3, name, "n >= 3")?;
+            edge_count(name, Some(2 * n - 3))?;
             Ok(planar::maximal_outerplanar(n, &mut rng))
         }
         "road_network" => {
             let (r, c) = (u(0)?, u(1)?);
             require(r > 1 && c > 1, name, "at least a 2x2 grid")?;
             node_count(name, r.checked_mul(c))?;
+            // At most a grid with one diagonal per cell; each term is
+            // below r·c ≤ 2³².
+            edge_count(name, Some(r * (c - 1) + c * (r - 1) + (r - 1) * (c - 1)))?;
             Ok(planar::road_network(r, c, &mut rng))
         }
         "gnp" => {
             let n = nodes(0)?;
             let p = args[1];
             require((0.0..=1.0).contains(&p), name, "p in [0, 1]")?;
+            // The expected draws: p of the n(n − 1)/2 pairs.
+            let pairs = n as f64 * (n as f64 - 1.0) / 2.0;
+            edge_count(name, Some((p * pairs) as usize))?;
             Ok(nonplanar::gnp(n, p, &mut rng))
         }
         "near_regular" => {
             let (n, d) = (nodes(0)?, u(1)?);
+            // One draw per pair of the n·d stubs.
+            edge_count(name, n.checked_mul(d).map(|stubs| stubs / 2))?;
             require(d < n && (n * d) % 2 == 0, name, "n*d even and d < n")?;
             Ok(nonplanar::near_regular(n, d, &mut rng))
         }
@@ -434,6 +447,7 @@ pub fn parse(spec: &str) -> Result<Certified, SpecError> {
                 name,
                 "k at most the number of non-edges",
             )?;
+            edge_count(name, Some(3 * n - 6 + k))?;
             Ok(nonplanar::planar_plus_chords(n, k, &mut rng))
         }
         "social_overlay" => {
@@ -441,6 +455,13 @@ pub fn parse(spec: &str) -> Result<Certified, SpecError> {
             let x = args[1];
             require(n >= 9, name, "n >= 9")?;
             require(x >= 0.0, name, "non-negative overlay density")?;
+            // The grid's 2·side·(side − 1) draws, then ⌊n·x⌋ random pairs
+            // (an infinite or huge n·x saturates, and the sum overflows).
+            let side = (n as f64).sqrt().ceil() as usize;
+            edge_count(
+                name,
+                (2 * side * (side - 1)).checked_add((n as f64 * x) as usize),
+            )?;
             Ok(nonplanar::social_overlay(n, x, &mut rng))
         }
         other => unreachable!("randomized family `{other}` has no generator arm"),
@@ -609,6 +630,12 @@ mod tests {
             "complete_bipartite(4294967296,4294967296)",
             "k5_chain(3689348814741910324)",
             "gnp(4294967297, 0)",
+            "gnp(100000, 1)",
+            "near_regular(100000, 99998)",
+            "social_overlay(9, 1e10)",
+            "social_overlay(9, inf)",
+            "random_tree(4294967296)",
+            "apollonian(1000000000)",
         ] {
             let family = &s[..s.find('(').unwrap()];
             let err = parse(s).unwrap_err();
@@ -616,7 +643,7 @@ mod tests {
                 matches!(err, SpecError::InvalidParameters { name, .. } if name == family),
                 "{s}: {err:?}"
             );
-            if family != "gnp" {
+            if !families().iter().any(|f| f.name == family && f.randomized) {
                 assert_eq!(streamable(s).unwrap_err(), err, "{s}");
             }
         }

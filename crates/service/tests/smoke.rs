@@ -255,17 +255,19 @@ fn serve_session(extra: &[&str], requests: &[&str]) -> (Vec<Value>, std::process
 fn serve_refuses_an_oversized_spec_alone_on_both_ingest_routes() {
     // rows * cols overflows u64: a size no graph can represent. The
     // in-memory route once panicked the drain thread on it, and the
-    // on-disk route wrapped it to a 0-node graph.
+    // on-disk route wrapped it to a 0-node graph. The overlay has 9
+    // nodes but draws 9·10¹⁰ pairs, which the in-memory route once
+    // allocated until the process aborted.
     let state = std::env::temp_dir().join(format!("planartest-smoke-size-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&state);
     let state_arg = state.to_str().expect("utf8 temp dir");
-    for (extra, to_disk) in [
-        (&[][..], ""),
-        (&["--state-dir", state_arg][..], r#","to_disk":true"#),
+    let grid = "grid(8589934592,8589934592)";
+    for (extra, to_disk, spec) in [
+        (&[][..], "", grid),
+        (&["--state-dir", state_arg][..], r#","to_disk":true"#, grid),
+        (&[][..], "", "social_overlay(9, 1e10)"),
     ] {
-        let bad = format!(
-            r#"{{"op":"ingest","name":"huge","spec":"grid(8589934592,8589934592)"{to_disk}}}"#
-        );
+        let bad = format!(r#"{{"op":"ingest","name":"huge","spec":"{spec}"{to_disk}}}"#);
         let (responses, status) = serve_session(
             extra,
             &[
@@ -281,7 +283,8 @@ fn serve_refuses_an_oversized_spec_alone_on_both_ingest_routes() {
             "{bad}"
         );
         let error = responses[1].get("error").unwrap().as_str().unwrap();
-        assert!(error.contains("`grid`"), "{error}");
+        let family = &spec[..spec.find('(').unwrap()];
+        assert!(error.contains(&format!("`{family}`")), "{error}");
         assert_eq!(
             responses[2].get("verdict").unwrap().as_str(),
             Some("accept"),
