@@ -88,7 +88,6 @@ pub mod cache;
 mod error;
 mod exec;
 pub mod persist;
-mod pipeline;
 pub mod protocol;
 mod query;
 pub mod registry;

@@ -45,7 +45,7 @@
 //! Hits and errors are answered at once (the fast path), through
 //! bounded per-connection writer queues ([`Connections`]), so one
 //! stalled client cannot block the cycle. Per-connection order is
-//! exact (router tokens are assigned at arrival); cross-connection
+//! exact (admission tokens are assigned at arrival); cross-connection
 //! order around a held control op is not replayed — concurrent clients
 //! race those orderings anyway. A shutdown request (stdin EOF, SIGTERM)
 //! flushes everything pending, writer queues included, before the
@@ -63,13 +63,12 @@ use crate::cache::{CacheKey, ResultCache};
 use crate::error::ServiceError;
 use crate::exec::{execute_groups, Group, GroupPass};
 use crate::persist::{CertificateLog, CertificateRecord};
-use crate::pipeline::{ResponseRouter, Token};
 use crate::protocol;
 use crate::query::{CacheStatus, Outcome, Property, Query, QueryId, QueryResponse};
 use crate::registry::GraphRegistry;
 use crate::telemetry::{Clock, Route, StageTimes, Telemetry, WakeReason, WAKE_REASONS};
 use crate::transport::{
-    spawn_stdio, spawn_tcp_listener, ConnectionId, Connections, Submission, SubmissionQueue,
+    spawn_stdio, spawn_tcp_listener, ConnectionId, Connections, Submission, SubmissionQueue, Token,
 };
 use crate::wire::{Value, DEFAULT_MAX_FRAME};
 
@@ -188,7 +187,7 @@ struct Cycle {
     owed: Vec<Owed>,
 }
 
-/// A response line waiting on the execute barrier: its router token
+/// A response line waiting on the execute barrier: its admission token
 /// and the slots it renders — one for a `query` op, one per member for
 /// a `batch` op.
 struct Owed {
@@ -939,7 +938,6 @@ impl Overlap {
 fn dispatch(
     resolver: &mut Resolver<'_>,
     cycle: &mut Cycle,
-    router: &mut ResponseRouter,
     connections: &Connections,
     token: Token,
     sub: Submission,
@@ -964,7 +962,7 @@ fn dispatch(
     let (queries, batch) = match parsed {
         Ok(parsed) => parsed,
         Err(message) => {
-            router.fulfill(token, &protocol::error_value(message), connections);
+            connections.fulfill(token, &protocol::error_value(message));
             return None;
         }
     };
@@ -982,7 +980,7 @@ fn dispatch(
         batch,
     };
     if cycle.slots[start..].iter().all(Option::is_some) {
-        router.fulfill(token, &cycle.render(&line), connections);
+        connections.fulfill(token, &cycle.render(&line));
         cycle.slots.truncate(start);
     } else {
         cycle.owed.push(line);
@@ -993,12 +991,11 @@ fn dispatch(
 /// The drain thread's state from one cycle to the next.
 #[derive(Default)]
 struct Pipeline {
-    router: ResponseRouter,
     /// The next cycle, begun by overlap-window arrivals that resolved
     /// with a cache miss.
     next: Cycle,
-    /// Submissions the overlap gate held back, with the router tokens
-    /// they were given on arrival.
+    /// Submissions the overlap gate held back, with the tokens they
+    /// were admitted with on arrival.
     held: Vec<(Token, Submission)>,
 }
 
@@ -1056,7 +1053,7 @@ fn run_cycle(
     pipe: &mut Pipeline,
     fresh: Option<(Vec<Submission>, WakeReason)>,
 ) {
-    let Pipeline { router, next, held } = pipe;
+    let Pipeline { next, held } = pipe;
     let mut cycle = std::mem::take(next);
     let (reason, width) = fresh
         .as_ref()
@@ -1066,13 +1063,13 @@ fn run_cycle(
     // Held submissions first: their tokens predate every fresh one.
     let mut arrivals = std::mem::take(held);
     for sub in fresh.into_iter().flat_map(|(subs, _)| subs) {
-        arrivals.push((router.admit(sub.conn), sub));
+        arrivals.push((connections.admit(sub.conn), sub));
     }
     for (token, sub) in arrivals {
         let resolver = &mut service.resolver();
-        let control = dispatch(resolver, &mut cycle, router, connections, token, sub, None);
+        let control = dispatch(resolver, &mut cycle, connections, token, sub, None);
         if let Some(req) = control.and_then(|sub| sub.request.ok()) {
-            router.fulfill(token, &protocol::handle_request(service, &req), connections);
+            connections.fulfill(token, &protocol::handle_request(service, &req));
         }
     }
 
@@ -1107,11 +1104,9 @@ fn run_cycle(
                 .telemetry
                 .record_cycle(WakeReason::Pipeline, batch.len(), 0);
             for sub in batch {
-                let token = router.admit(sub.conn);
+                let token = connections.admit(sub.conn);
                 let gate = Some(&mut gate);
-                if let Some(sub) =
-                    dispatch(&mut resolver, next, router, connections, token, sub, gate)
-                {
+                if let Some(sub) = dispatch(&mut resolver, next, connections, token, sub, gate) {
                     held.push((token, sub));
                 }
             }
@@ -1123,7 +1118,7 @@ fn run_cycle(
         service.apply_group(group, pass, &mut cycle.slots);
     }
     for line in &cycle.owed {
-        router.fulfill(line.token, &cycle.render(line), connections);
+        connections.fulfill(line.token, &cycle.render(line));
     }
     service.telemetry.flush_trace();
 }
@@ -1665,7 +1660,7 @@ mod tests {
         let connections = Connections::new();
         let conn = connections.register(Box::new(Sink::default()));
         let mut pipe = Pipeline::default();
-        let token = pipe.router.admit(conn);
+        let token = connections.admit(conn);
         pipe.held
             .push((token, Submission::new(conn, query_op("p", 1))));
         run_cycle(

@@ -30,21 +30,26 @@
 //! unanswered, so a firehose cannot starve the shared submission
 //! queue either.
 //!
-//! End-of-life: read-side EOF never tears down a connection's write
-//! half — a client may close its sending side and still collect its
-//! answers (`printf '…' | nc -U sock`, or the stdio pipe itself). A
-//! connection's outbound queue goes dead when a *write* to it fails
-//! (later responses to it are counted as losses); EOF on *stdin*
-//! additionally requests a graceful shutdown of the whole server (the
-//! drain loop flushes every pending query before exiting), which is
-//! also what the CLI's SIGTERM handler triggers. The shutdown flush
-//! closes every outbound queue, waits a short grace period for the
-//! writers to drain, force-closes sockets whose writers are stuck on a
-//! non-reading peer, and joins the writer threads — responses that
-//! could not be delivered during that window are tallied separately
-//! from mid-flight losses.
+//! Lifetime: everything the server knows about a connection — its
+//! response order, in-flight count, outbound queue and force-close
+//! hook — is one record in [`Connections`]. A connection is done when
+//! its reader has ended and every submission it read has been
+//! answered, or when a write to it fails: its writer then writes what
+//! is queued and exits, and the record leaves the table with the
+//! socket handles it holds. Read-side EOF alone closes nothing, so a
+//! client may close its sending side and still collect its answers
+//! (`printf '…' | nc -U sock`, or the stdio pipe itself), then read
+//! end of stream. Answers to a connection that is done count as
+//! losses. EOF on *stdin* additionally requests a graceful shutdown of
+//! the whole server (the drain loop flushes every pending query before
+//! exiting), which is also what the CLI's SIGTERM handler triggers.
+//! The shutdown flush closes every outbound queue, waits a short grace
+//! period for the writers to drain, force-closes sockets whose writers
+//! are stuck on a non-reading peer, and joins the writer threads —
+//! responses that could not be delivered during that window are
+//! tallied separately from mid-flight losses.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -275,26 +280,47 @@ impl SubmissionQueue {
     }
 }
 
-/// One connection's bounded outbound queue, drained by its dedicated
-/// writer thread.
-#[derive(Default)]
-struct Outbound {
-    state: Mutex<OutboundState>,
-    /// Signals the writer thread: new line queued, or queue closed.
-    ready: Condvar,
-    /// Signals the shutdown flush: queue drained (or writer died).
-    drained: Condvar,
+/// An admission ticket: one response owed to a connection, delivered
+/// in sequence order relative to the connection's other tickets.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Token {
+    conn: ConnectionId,
+    seq: u64,
+}
+
+/// A force-close hook (socket `shutdown(Both)`), used by the shutdown
+/// flush to unstick a writer blocked on a peer that stopped reading.
+type Closer = Box<dyn Fn() + Send + Sync>;
+
+/// Everything the server knows about one connection.
+struct Record {
+    state: Mutex<RecordState>,
+    /// Signals every waiter on the record: the writer (a line queued,
+    /// or the queue closed), the in-flight gate (a slot released) and
+    /// the shutdown flush (the queue drained).
+    wake: Condvar,
+    closer: Option<Closer>,
 }
 
 #[derive(Default)]
-struct OutboundState {
+struct RecordState {
+    /// Next sequence number to hand out at admission.
+    next_assign: u64,
+    /// Next sequence number the wire is waiting on.
+    next_flush: u64,
+    /// Answers fulfilled ahead of `next_flush`.
+    buffered: BTreeMap<u64, String>,
+    /// Submissions read but not yet answered (the inbound gate).
+    in_flight: usize,
+    /// The reader has ended ([`Connections::end_input`]).
+    input_ended: bool,
+    /// Lines waiting for the writer.
     lines: VecDeque<String>,
-    /// No further enqueues; the writer drains what is queued and
-    /// exits.
+    /// No further lines: input ended with nothing in flight, a write
+    /// failed, or the shutdown flush began. The writer drains what is
+    /// queued and exits; later answers are losses.
     closed: bool,
-    /// The writer hit a write failure; the queue is abandoned.
-    dead: bool,
-    /// The writer popped a line and is mid-write (so "drained" is
+    /// The writer took a batch and is mid-write (so "drained" is
     /// `lines.is_empty() && !writing`).
     writing: bool,
 }
@@ -303,8 +329,8 @@ struct OutboundState {
 #[derive(Default)]
 struct OutboundTotals {
     /// Mid-flight losses (server running, response undeliverable),
-    /// keyed by the addressed connection. Entries outlive
-    /// deregistration — that is the point.
+    /// keyed by the addressed connection. Entries outlive the
+    /// connection's record — that is the point.
     lost: Mutex<HashMap<ConnectionId, u64>>,
     /// Sum of every count in `lost`, readable without the map lock.
     lost_total: AtomicU64,
@@ -345,32 +371,32 @@ impl OutboundTotals {
     }
 }
 
-/// The write half of every live connection, keyed by [`ConnectionId`].
+type Records = Mutex<HashMap<ConnectionId, Arc<Record>>>;
+
+/// Every live connection's record, keyed by [`ConnectionId`]: its
+/// response order, in-flight count, outbound queue and force-close
+/// hook.
 ///
-/// Responses are enqueued onto a bounded per-connection outbound
-/// queue and written by that connection's dedicated writer thread, so
-/// one stalled client never blocks the drain loop or its neighbours.
-/// Per-connection response order is exactly submission order (one
-/// queue, one writer). A full queue sheds the newest response for
-/// that connection (`responses_shed`); a failed write (client went
-/// away) marks the connection's queue dead, and every response it
-/// loses is tallied per connection in the response-loss counters, so
+/// Each submission is [`admit`](Connections::admit)ted in arrival order
+/// and handed a [`Token`]; fulfilling a token buffers its response
+/// until the connection's contiguous prefix is complete, so responses
+/// leave in submission order however the scheduler finishes them. The
+/// prefix goes onto a bounded outbound queue written by the
+/// connection's dedicated writer thread, so one stalled client never
+/// blocks the drain loop or its neighbours. A full queue sheds the
+/// newest response for that connection (`responses_shed`); a failed
+/// write (client went away) closes the connection, and every response
+/// it loses is tallied per connection in the response-loss counters, so
 /// "how many answers never reached a client" is answerable from the
 /// `stats` op after the fact — mid-flight losses and shutdown-flush
 /// losses on separate ledgers.
 #[derive(Default)]
 pub struct Connections {
-    outbounds: Mutex<HashMap<ConnectionId, Arc<Outbound>>>,
+    /// Shared with the writer threads, which remove their own record.
+    records: Arc<Records>,
     writer_threads: Mutex<Vec<thread::JoinHandle<()>>>,
-    /// Force-close hooks (socket `shutdown(Both)`) used to unstick
-    /// writers blocked on a non-reading peer during the flush.
-    closers: Mutex<HashMap<ConnectionId, Box<dyn Fn() + Send>>>,
     next: AtomicU64,
     totals: Arc<OutboundTotals>,
-    /// Submissions admitted but not yet answered, per connection (the
-    /// inbound backpressure gate).
-    in_flight: Mutex<HashMap<ConnectionId, usize>>,
-    in_flight_wake: Condvar,
     /// Outbound queue capacity per connection; 0 = unbounded.
     outbound_depth: AtomicUsize,
     /// In-flight submission cap per connection; 0 = unbounded.
@@ -412,51 +438,62 @@ impl Connections {
     /// dedicated writer thread is spawned to drain the connection's
     /// outbound queue.
     pub fn register(&self, writer: Box<dyn Write + Send>) -> ConnectionId {
+        self.open(writer, None)
+    }
+
+    /// [`register`](Connections::register) with a force-close hook
+    /// (socket transports).
+    fn open(&self, writer: Box<dyn Write + Send>, closer: Option<Closer>) -> ConnectionId {
         let conn = self.next.fetch_add(1, Ordering::SeqCst);
-        let outbound = Arc::new(Outbound::default());
-        self.outbounds
+        let record = Arc::new(Record {
+            state: Mutex::default(),
+            wake: Condvar::new(),
+            closer,
+        });
+        self.records
             .lock()
-            .expect("outbounds lock")
-            .insert(conn, Arc::clone(&outbound));
-        let totals = Arc::clone(&self.totals);
+            .expect("records lock")
+            .insert(conn, Arc::clone(&record));
+        let (records, totals) = (Arc::clone(&self.records), Arc::clone(&self.totals));
         let handle = thread::Builder::new()
             .name(format!("planartest-writer-{conn}"))
-            .spawn(move || writer_loop(conn, &outbound, writer, &totals))
+            .spawn(move || {
+                writer_loop(conn, &record, writer, &totals);
+                records.lock().expect("records lock").remove(&conn);
+            })
             .expect("spawn outbound writer");
-        self.writer_threads
-            .lock()
-            .expect("writer threads lock")
-            .push(handle);
+        let mut threads = self.writer_threads.lock().expect("writer threads lock");
+        threads.retain(|t| !t.is_finished());
+        threads.push(handle);
         conn
     }
 
-    /// Installs the force-close hook for a connection (socket
-    /// transports only; used by the shutdown flush to unstick a writer
-    /// blocked on a peer that stopped reading).
-    fn set_closer(&self, conn: ConnectionId, closer: Box<dyn Fn() + Send>) {
-        self.closers
+    fn record(&self, conn: ConnectionId) -> Option<Arc<Record>> {
+        self.records
             .lock()
-            .expect("closers lock")
-            .insert(conn, closer);
+            .expect("records lock")
+            .get(&conn)
+            .cloned()
     }
 
-    /// Drops a connection (its reader saw EOF or an error). Responses
-    /// computed for it afterwards are counted as losses; responses
-    /// already queued outbound are still written by the writer thread
-    /// before it exits.
-    pub fn deregister(&self, conn: ConnectionId) {
-        let outbound = self.outbounds.lock().expect("outbounds lock").remove(&conn);
-        if let Some(outbound) = outbound {
-            outbound.state.lock().expect("outbound lock").closed = true;
-            outbound.ready.notify_all();
+    /// Marks `conn`'s input as ended (its reader saw EOF or an error).
+    /// Once every submission it read is answered, its outbound queue
+    /// closes: the writer writes what is queued and exits, and the
+    /// record leaves the table.
+    pub fn end_input(&self, conn: ConnectionId) {
+        if let Some(record) = self.record(conn) {
+            let mut st = record.state.lock().expect("record lock");
+            st.input_ended = true;
+            st.closed |= st.in_flight == 0;
+            drop(st);
+            record.wake.notify_all();
         }
-        self.closers.lock().expect("closers lock").remove(&conn);
     }
 
     /// Number of live connections.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.outbounds.lock().expect("outbounds lock").len()
+        self.records.lock().expect("records lock").len()
     }
 
     /// Whether no connection is live.
@@ -465,80 +502,81 @@ impl Connections {
         self.len() == 0
     }
 
-    /// Hands one response line to `conn`'s writer thread, releasing
-    /// the submission slot the response answers. Returns `false` when
-    /// the response could not be queued: the connection is gone (a
-    /// loss) or its outbound queue is full (a shed).
-    pub(crate) fn enqueue(&self, conn: ConnectionId, line: &str) -> bool {
-        self.release_submission_slot(conn);
-        let outbound = self
-            .outbounds
-            .lock()
-            .expect("outbounds lock")
-            .get(&conn)
-            .cloned();
-        let Some(outbound) = outbound else {
-            self.totals.record_losses(conn, 1);
+    /// Reserves the next response slot for `conn`, in call order.
+    pub(crate) fn admit(&self, conn: ConnectionId) -> Token {
+        let seq = self.record(conn).map_or(0, |record| {
+            let mut st = record.state.lock().expect("record lock");
+            let seq = st.next_assign;
+            st.next_assign += 1;
+            seq
+        });
+        Token { conn, seq }
+    }
+
+    /// Delivers the response to an admitted token: buffers it, then
+    /// hands the connection's complete prefix to its writer thread,
+    /// releasing one in-flight slot per answer. Returns `false` when
+    /// an answer it passed on could not be queued: the connection is
+    /// gone (a loss) or its outbound queue is full (a shed).
+    pub(crate) fn fulfill(&self, token: Token, response: &impl fmt::Display) -> bool {
+        let Some(record) = self.record(token.conn) else {
+            self.totals.record_losses(token.conn, 1);
             return false;
         };
         let cap = self.outbound_depth.load(Ordering::Relaxed);
-        let mut st = outbound.state.lock().expect("outbound lock");
-        if st.closed || st.dead {
-            drop(st);
-            self.totals.record_losses(conn, 1);
-            return false;
+        let (mut lost, mut shed) = (0, 0);
+        let mut guard = record.state.lock().expect("record lock");
+        let st = &mut *guard;
+        if st.closed {
+            lost += 1;
+        } else {
+            st.buffered.insert(token.seq, response.to_string());
         }
-        if cap > 0 && st.lines.len() >= cap {
-            drop(st);
-            self.totals.shed.fetch_add(1, Ordering::Relaxed);
-            return false;
+        while let Some(line) = st.buffered.remove(&st.next_flush) {
+            st.next_flush += 1;
+            st.in_flight = st.in_flight.saturating_sub(1);
+            if cap > 0 && st.lines.len() >= cap {
+                shed += 1;
+            } else {
+                st.lines.push_back(line);
+                self.totals
+                    .outbound_hwm
+                    .fetch_max(st.lines.len(), Ordering::Relaxed);
+            }
         }
-        st.lines.push_back(line.to_string());
-        self.totals
-            .outbound_hwm
-            .fetch_max(st.lines.len(), Ordering::Relaxed);
-        drop(st);
-        outbound.ready.notify_all();
-        true
+        st.closed |= st.input_ended && st.in_flight == 0;
+        drop(guard);
+        record.wake.notify_all();
+        self.totals.record_losses(token.conn, lost);
+        self.totals.shed.fetch_add(shed, Ordering::Relaxed);
+        lost + shed == 0
     }
 
     /// Blocks until `conn` may have another submission in flight (or
     /// `abort` turns true, e.g. server shutdown). Returns whether the
     /// slot was acquired. Connections under the cap — or an unbounded
-    /// (0) cap — acquire immediately.
+    /// (0) cap, a closed connection or an id without a record —
+    /// acquire immediately.
     pub(crate) fn acquire_submission_slot(
         &self,
         conn: ConnectionId,
         abort: &dyn Fn() -> bool,
     ) -> bool {
+        let Some(record) = self.record(conn) else {
+            return !abort();
+        };
+        let cap = self.max_in_flight.load(Ordering::Relaxed);
+        let mut st = record.state.lock().expect("record lock");
         loop {
             if abort() {
                 return false;
             }
-            let cap = self.max_in_flight.load(Ordering::Relaxed);
-            let mut m = self.in_flight.lock().expect("in-flight lock");
-            let count = m.entry(conn).or_insert(0);
-            if cap == 0 || *count < cap {
-                *count += 1;
+            if cap == 0 || st.in_flight < cap || st.closed {
+                st.in_flight += 1;
                 return true;
             }
-            let _ = self
-                .in_flight_wake
-                .wait_timeout(m, POLL)
-                .expect("in-flight lock");
+            st = record.wake.wait_timeout(st, POLL).expect("record lock").0;
         }
-    }
-
-    /// Releases one in-flight slot for `conn` (its response's fate was
-    /// decided: queued, shed or lost). Saturates at zero so responses
-    /// to submissions that never went through the gate are harmless.
-    fn release_submission_slot(&self, conn: ConnectionId) {
-        let mut m = self.in_flight.lock().expect("in-flight lock");
-        if let Some(count) = m.get_mut(&conn) {
-            *count = count.saturating_sub(1);
-        }
-        drop(m);
-        self.in_flight_wake.notify_all();
     }
 
     /// Flips loss attribution to the shutdown ledger. Called by the
@@ -555,40 +593,35 @@ impl Connections {
     /// returns, every deliverable response has been written.
     pub(crate) fn finish_shutdown_flush(&self) {
         self.begin_shutdown_flush();
-        let outbounds: Vec<(ConnectionId, Arc<Outbound>)> = self
-            .outbounds
+        let records: Vec<Arc<Record>> = self
+            .records
             .lock()
-            .expect("outbounds lock")
-            .iter()
-            .map(|(&c, ob)| (c, Arc::clone(ob)))
+            .expect("records lock")
+            .values()
+            .cloned()
             .collect();
-        for (_, outbound) in &outbounds {
-            outbound.state.lock().expect("outbound lock").closed = true;
-            outbound.ready.notify_all();
+        for record in &records {
+            record.state.lock().expect("record lock").closed = true;
+            record.wake.notify_all();
         }
         let deadline = Instant::now() + FLUSH_GRACE;
-        for (conn, outbound) in &outbounds {
-            let mut st = outbound.state.lock().expect("outbound lock");
+        for record in &records {
+            let mut st = record.state.lock().expect("record lock");
             loop {
-                if st.dead || (st.lines.is_empty() && !st.writing) {
-                    break;
-                }
                 let now = Instant::now();
-                if now >= deadline {
+                if (st.lines.is_empty() && !st.writing) || now >= deadline {
                     break;
                 }
-                st = outbound
-                    .drained
+                st = record
+                    .wake
                     .wait_timeout(st, deadline - now)
-                    .expect("outbound lock")
+                    .expect("record lock")
                     .0;
             }
-            let stuck = !st.dead && (!st.lines.is_empty() || st.writing);
+            let stuck = !st.lines.is_empty() || st.writing;
             drop(st);
-            if stuck {
-                if let Some(closer) = self.closers.lock().expect("closers lock").get(conn) {
-                    closer();
-                }
+            if let (true, Some(closer)) = (stuck, &record.closer) {
+                closer();
             }
         }
         let handles =
@@ -653,34 +686,34 @@ impl Connections {
 }
 
 /// One connection's writer thread: takes *everything* queued on the
-/// outbound in one gulp and writes it with a single flush — queue
-/// depth amortizes straight into fewer syscalls under load — stamping
-/// one write span per line on the service telemetry. A failed write
-/// marks the queue dead and counts the whole unflushed gulp plus
-/// everything still queued as losses (mid-flight or shutdown,
-/// depending on the flush flag).
+/// record in one gulp and writes it with a single flush — queue depth
+/// amortizes straight into fewer syscalls under load — stamping one
+/// write span per line on the service telemetry. It returns once the
+/// record is closed and drained. A failed write closes the record and
+/// counts the whole unflushed gulp plus everything still queued or
+/// buffered as losses (mid-flight or shutdown, depending on the flush
+/// flag).
 fn writer_loop(
     conn: ConnectionId,
-    outbound: &Outbound,
+    record: &Record,
     mut writer: Box<dyn Write + Send>,
     totals: &OutboundTotals,
 ) {
     loop {
         let batch = {
-            let mut st = outbound.state.lock().expect("outbound lock");
+            let mut st = record.state.lock().expect("record lock");
             loop {
                 if !st.lines.is_empty() {
                     st.writing = true;
                     break Some(std::mem::take(&mut st.lines));
                 }
-                if st.closed || st.dead {
+                if st.closed {
                     break None;
                 }
-                st = outbound.ready.wait(st).expect("outbound lock");
+                st = record.wake.wait(st).expect("record lock");
             }
         };
         let Some(batch) = batch else {
-            outbound.drained.notify_all();
             return;
         };
         let telemetry = totals.telemetry.lock().expect("telemetry lock").clone();
@@ -713,30 +746,31 @@ fn writer_loop(
         if took_micros > WRITER_STALL_MICROS {
             totals.stalls.fetch_add(1, Ordering::Relaxed);
         }
-        let mut st = outbound.state.lock().expect("outbound lock");
+        let mut st = record.state.lock().expect("record lock");
         st.writing = false;
         if !ok {
-            st.dead = true;
-            let undelivered = batch.len() as u64 + st.lines.len() as u64;
+            st.closed = true;
+            let undelivered = batch.len() + st.lines.len() + st.buffered.len();
             st.lines.clear();
+            st.buffered.clear();
             drop(st);
-            totals.record_losses(conn, undelivered);
-            outbound.drained.notify_all();
+            record.wake.notify_all();
+            totals.record_losses(conn, undelivered as u64);
             return;
         }
         if st.lines.is_empty() {
-            outbound.drained.notify_all();
+            record.wake.notify_all();
         }
     }
 }
 
 /// Reads frames off `reader` and feeds them into the queue tagged with
-/// `conn`, until EOF or a connection-level I/O error. Per-frame
-/// failures (oversized, bad UTF-8) are pushed as error submissions so
-/// the scheduler answers them in-band, and reading continues. Each
-/// submission first acquires `conn`'s in-flight slot, so a firehose
-/// connection blocks here — in its own reader thread — instead of
-/// flooding the shared queue.
+/// `conn`, until EOF or a connection-level I/O error, then ends `conn`'s
+/// input ([`Connections::end_input`]). Per-frame failures (oversized,
+/// bad UTF-8) are pushed as error submissions so the scheduler answers
+/// them in-band, and reading continues. Each submission first acquires
+/// `conn`'s in-flight slot, so a firehose connection blocks here — in
+/// its own reader thread — instead of flooding the shared queue.
 pub fn pump_frames<R: Read>(
     reader: R,
     conn: ConnectionId,
@@ -768,6 +802,7 @@ pub fn pump_frames<R: Read>(
             }
         }
     }
+    connections.end_input(conn);
 }
 
 /// Attaches the stdio compatibility transport: stdout is registered as
@@ -806,34 +841,25 @@ pub fn spawn_stdio(
 fn adopt_stream<S>(
     stream: S,
     writer: Box<dyn Write + Send>,
-    closer: Option<Box<dyn Fn() + Send>>,
+    closer: Option<Closer>,
     connections: &Arc<Connections>,
     queue: &Arc<SubmissionQueue>,
     max_frame: usize,
 ) where
     S: Read + Send + 'static,
 {
-    let conn = connections.register(writer);
-    if let Some(closer) = closer {
-        connections.set_closer(conn, closer);
-    }
+    let conn = connections.open(writer, closer);
     let queue = Arc::clone(queue);
     let connections = Arc::clone(connections);
     thread::Builder::new()
         .name(format!("planartest-conn-{conn}"))
-        .spawn(move || {
-            pump_frames(stream, conn, &queue, &connections, max_frame);
-            // Read-side EOF is NOT deregistration: a client may close
-            // its write half and still read its answers (`printf … |
-            // nc -U sock`). A fully-gone peer is cleaned up by the
-            // first failing write in the writer thread.
-        })
+        .spawn(move || pump_frames(stream, conn, &queue, &connections, max_frame))
         .expect("spawn connection reader");
 }
 
 /// What a listener's `split` hands to [`adopt_stream`]: the read half,
 /// the boxed write half, and an optional force-close hook.
-type SplitStream<S> = (S, Box<dyn Write + Send>, Option<Box<dyn Fn() + Send>>);
+type SplitStream<S> = (S, Box<dyn Write + Send>, Option<Closer>);
 
 /// Starts a unix-socket listener feeding the queue. Any stale socket
 /// file at `path` is replaced. The accept loop runs until shutdown.
@@ -867,7 +893,7 @@ pub fn spawn_unix_listener(
                 Ok((
                     stream,
                     Box::new(writer) as Box<dyn Write + Send>,
-                    Some(closer as Box<dyn Fn() + Send>),
+                    Some(closer as Closer),
                 ))
             });
         })
@@ -907,7 +933,7 @@ pub fn spawn_tcp_listener(
                 Ok((
                     stream,
                     Box::new(writer) as Box<dyn Write + Send>,
-                    Some(closer as Box<dyn Fn() + Send>),
+                    Some(closer as Closer),
                 ))
             });
         })
@@ -993,6 +1019,11 @@ mod tests {
         }
     }
 
+    /// Admits one response for `conn` and fulfils it at once.
+    fn send(conns: &Connections, conn: ConnectionId, line: &str) -> bool {
+        conns.fulfill(conns.admit(conn), &line)
+    }
+
     fn sink_contents(sink: &Arc<Mutex<Vec<u8>>>) -> String {
         String::from_utf8(sink.lock().unwrap().clone()).unwrap()
     }
@@ -1010,6 +1041,16 @@ mod tests {
                 Instant::now() < deadline,
                 "sink never reached {lines} lines"
             );
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Polls until `conns` holds `live` records (writer threads remove
+    /// their own, asynchronously).
+    fn await_len(conns: &Connections, live: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while conns.len() != live {
+            assert!(Instant::now() < deadline, "never reached {live} records");
             thread::sleep(Duration::from_millis(1));
         }
     }
@@ -1121,8 +1162,8 @@ mod tests {
         let ok = conns.register(Box::new(SharedSink(Arc::clone(&sink))));
         let broken = conns.register(Box::new(FailingWriter));
         assert_eq!(conns.lost_responses(), 0);
-        assert!(conns.enqueue(ok, "delivered"));
-        assert!(conns.enqueue(broken, "the first loss kills the queue"));
+        assert!(send(&conns, ok, "delivered"));
+        assert!(send(&conns, broken, "the first loss kills the queue"));
         // The writer thread fails the write, then marks the queue dead.
         let deadline = Instant::now() + Duration::from_secs(10);
         while conns.lost_responses() == 0 {
@@ -1132,8 +1173,8 @@ mod tests {
             );
             thread::sleep(Duration::from_millis(1));
         }
-        assert!(!conns.enqueue(broken, "the second loss hits a dead queue"));
-        assert!(!conns.enqueue(777, "never-registered target"));
+        assert!(!send(&conns, broken, "the second loss hits a dead queue"));
+        assert!(!send(&conns, 777, "never-registered target"));
         assert_eq!(await_lines(&sink, 1), "delivered\n");
         assert_eq!(conns.lost_responses(), 3);
         assert_eq!(
@@ -1152,17 +1193,63 @@ mod tests {
         let b = conns.register(Box::new(io::sink()));
         assert_ne!(a, b);
         assert_eq!(conns.len(), 2);
-        assert!(conns.enqueue(a, "hello"));
+        assert!(send(&conns, a, "hello"));
         assert_eq!(await_lines(&sink, 1), "hello\n");
-        conns.deregister(b);
+        // Nothing is in flight on `b`, so ending its input closes it:
+        // its writer exits and takes the record along.
+        conns.end_input(b);
         assert!(
-            !conns.enqueue(b, "gone"),
+            !send(&conns, b, "gone"),
             "dropped connections are unreachable"
         );
         assert_eq!(conns.lost_by_connection(), vec![(b, 1)]);
+        await_len(&conns, 1);
         assert_eq!(conns.len(), 1);
         assert!(!conns.is_empty());
         assert!(format!("{conns:?}").contains("live"));
+        conns.finish_shutdown_flush();
+    }
+
+    #[test]
+    fn out_of_order_fulfilment_flushes_in_admission_order() {
+        let conns = Connections::new();
+        let sink: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
+        let conn = conns.register(Box::new(SharedSink(Arc::clone(&sink))));
+        let t0 = conns.admit(conn);
+        let t1 = conns.admit(conn);
+        let t2 = conns.admit(conn);
+        conns.fulfill(t2, &Value::obj().field("i", 2u64));
+        conns.fulfill(t0, &Value::obj().field("i", 0u64));
+        assert_eq!(
+            await_lines(&sink, 1).lines().count(),
+            1,
+            "prefix [0] flushes alone"
+        );
+        conns.fulfill(t1, &Value::obj().field("i", 1u64));
+        let text = await_lines(&sink, 3);
+        let order: Vec<u64> = text
+            .lines()
+            .map(|l| Value::parse(l).unwrap().get("i").unwrap().as_u64().unwrap())
+            .collect();
+        assert_eq!(order, [0, 1, 2]);
+        conns.finish_shutdown_flush();
+    }
+
+    #[test]
+    fn lanes_are_independent_across_connections() {
+        let conns = Connections::new();
+        let a_sink: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
+        let b_sink: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
+        let a = conns.register(Box::new(SharedSink(Arc::clone(&a_sink))));
+        let b = conns.register(Box::new(SharedSink(Arc::clone(&b_sink))));
+        let ta = conns.admit(a);
+        let tb = conns.admit(b);
+        // B's first response is not gated on A's.
+        conns.fulfill(tb, &Value::obj().field("who", "b"));
+        assert_eq!(await_lines(&b_sink, 1).lines().count(), 1);
+        assert!(sink_contents(&a_sink).is_empty());
+        conns.fulfill(ta, &Value::obj().field("who", "a"));
+        assert_eq!(await_lines(&a_sink, 1).lines().count(), 1);
         conns.finish_shutdown_flush();
     }
 
@@ -1171,15 +1258,15 @@ mod tests {
         let conns = Connections::new();
         let sink: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
         let a = conns.register(Box::new(SharedSink(Arc::clone(&sink))));
-        assert!(conns.enqueue(a, "first"));
-        assert!(conns.enqueue(a, "second"));
-        assert!(conns.enqueue(a, "third"));
+        assert!(send(&conns, a, "first"));
+        assert!(send(&conns, a, "second"));
+        assert!(send(&conns, a, "third"));
         assert_eq!(await_lines(&sink, 3), "first\nsecond\nthird\n");
         assert_eq!(conns.lost_responses(), 0);
         assert_eq!(conns.shed_responses(), 0);
         assert!(conns.outbound_depth_hwm() >= 1);
         // Unknown targets are mid-flight losses.
-        assert!(!conns.enqueue(777, "never-registered"));
+        assert!(!send(&conns, 777, "never-registered"));
         assert_eq!(conns.lost_responses(), 1);
     }
 
@@ -1215,7 +1302,7 @@ mod tests {
         let mut queued = 0;
         let mut shed = 0;
         for i in 0..20 {
-            if conns.enqueue(a, &format!("line-{i}")) {
+            if send(&conns, a, &format!("line-{i}")) {
                 queued += 1;
             } else {
                 shed += 1;
@@ -1250,7 +1337,7 @@ mod tests {
         let conns = Connections::new();
         let broken = conns.register(Box::new(FailingWriter));
         conns.begin_shutdown_flush();
-        conns.enqueue(broken, "flushed into a dead peer");
+        send(&conns, broken, "flushed into a dead peer");
         conns.finish_shutdown_flush();
         assert_eq!(conns.lost_responses(), 0, "not a mid-flight loss");
         assert_eq!(conns.lost_shutdown_responses(), 1);
@@ -1276,7 +1363,7 @@ mod tests {
         });
         thread::sleep(Duration::from_millis(60));
         assert!(!acquired.load(Ordering::SeqCst), "cap must hold the gate");
-        assert!(conns.enqueue(a, "answer one"));
+        assert!(send(&conns, a, "answer one"));
         waiter.join().unwrap();
         assert!(acquired.load(Ordering::SeqCst));
         // An aborting gate gives up instead of blocking forever.
