@@ -321,7 +321,8 @@ pub struct LoadGate {
     /// Client-side p99 (µs) of the *same* connections when one peer
     /// connection is throttled to ~1 byte/ms.
     pub slow_reader_healthy_p99_micros: u64,
-    /// Closed loop: cold p50 over warm p50.
+    /// Closed loop: cold p50 over warm p50, each query timed in
+    /// nanoseconds (a warm hit takes 1–2 µs).
     pub warm_p50_speedup: f64,
     /// Closed loop: serial wall over coalesced wall on the same-graph
     /// fan-out, the serial queries each a first touch (cache cleared
@@ -1024,6 +1025,10 @@ mod serving {
     /// service's `prefix_hits`), the wall time and the verdicts.
     struct TimedPass {
         latency: Histogram,
+        /// Every query's latency in nanoseconds, for the warm-over-cold
+        /// ratio: at whole microseconds one microsecond of a 1–2 µs
+        /// warm p50 would halve it.
+        nanos: Vec<u64>,
         first_touch: Histogram,
         fresh_seed: Histogram,
         wall_secs: f64,
@@ -1036,6 +1041,7 @@ mod serving {
     fn timed_pass(service: &mut Service, queries: &[Query], expect: Option<&[bool]>) -> TimedPass {
         let mut pass = TimedPass {
             latency: Histogram::new(),
+            nanos: Vec::with_capacity(queries.len()),
             first_touch: Histogram::new(),
             fresh_seed: Histogram::new(),
             wall_secs: 0.0,
@@ -1046,7 +1052,9 @@ mod serving {
             let prefix_hits = service.stats().prefix_hits;
             let one = Instant::now();
             let r = service.query(q.clone()).expect("query");
-            let micros = u64::try_from(one.elapsed().as_micros()).unwrap_or(u64::MAX);
+            let nanos = u64::try_from(one.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            let micros = nanos / 1_000;
+            pass.nanos.push(nanos);
             pass.latency.record(micros);
             if service.stats().prefix_hits > prefix_hits {
                 pass.fresh_seed.record(micros);
@@ -1064,6 +1072,13 @@ mod serving {
         }
         pass.wall_secs = started.elapsed().as_secs_f64();
         pass
+    }
+
+    /// The median of a pass's nanosecond latencies.
+    fn p50_nanos(pass: &TimedPass) -> u64 {
+        let mut nanos = pass.nanos.clone();
+        let mid = nanos.len() / 2;
+        *nanos.select_nth_unstable(mid).1
     }
 
     fn pass_row(label: &str, latency: &Histogram, wall_secs: f64) -> Json {
@@ -1310,7 +1325,8 @@ mod serving {
             "warm pass must be engine-free"
         );
         let (cold, warm) = (&cold_pass.latency, &warm_pass.latency);
-        let cold_row = pass_row("cold", cold, cold_pass.wall_secs);
+        let (cold_p50, warm_p50) = (p50_nanos(&cold_pass), p50_nanos(&warm_pass));
+        let cold_row = pass_row("cold", cold, cold_pass.wall_secs).field("p50_nanos", cold_p50);
         // The first touch and fresh-seed rows time only their own
         // queries, so their rates are per busy second.
         let busy_secs = |h: &Histogram| h.sum().max(1) as f64 / 1e6;
@@ -1324,16 +1340,15 @@ mod serving {
             &cold_pass.fresh_seed,
             busy_secs(&cold_pass.fresh_seed),
         );
-        let warm_row = pass_row("warm", warm, warm_pass.wall_secs);
+        let warm_row = pass_row("warm", warm, warm_pass.wall_secs).field("p50_nanos", warm_p50);
         let stats = service.stats();
 
         let (coalesce_row, coalesced_speedup) = coalesce(&mut service);
         let (burst_row, burst_speedup) = burst();
         let (trace_row, trace_overhead) = trace_overhead(&queries);
 
-        let (cold_p50, warm_p50) = (cold.value_at_quantile(0.50), warm.value_at_quantile(0.50));
         let warm_p50_speedup = cold_p50 as f64 / warm_p50.max(1) as f64;
-        println!("warm p50 speedup {warm_p50_speedup:.1}x (cold {cold_p50}us / warm {warm_p50}us)");
+        println!("warm p50 speedup {warm_p50_speedup:.1}x (cold {cold_p50}ns / warm {warm_p50}ns)");
         let doc = Json::obj()
             .field("corpus", corpus_rows(closed_loop_corpus()))
             .field("cold", cold_row)

@@ -50,11 +50,13 @@
 //! * [`transport`] — how requests arrive: stdio, unix-socket and TCP
 //!   listeners all frame LDJSON requests
 //!   ([`wire::FrameReader`]) into that one queue, tagged with a
-//!   connection id; responses route back per connection in submission
-//!   order through bounded per-connection outbound queues drained by
-//!   dedicated writer threads (a stalled reader sheds its own
-//!   responses, never anyone else's), and a hostile frame costs its
-//!   sender one error response, never the server.
+//!   connection id. Each connection is one record in
+//!   [`transport::Connections`]: its responses leave in submission
+//!   order through a bounded outbound queue drained by a dedicated
+//!   writer thread (a stalled reader sheds its own responses, never
+//!   anyone else's), and the record is let go once the client has
+//!   stopped sending and every answer is written. A hostile frame
+//!   costs its sender one error response, never the server.
 //! * [`protocol`] / [`wire`] — the line-delimited JSON protocol served
 //!   by the `planartest` binary (`serve` over any transport, `query`
 //!   one-shots).

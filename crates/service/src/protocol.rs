@@ -19,7 +19,7 @@
 //! | `ingest` | `name`, and `edge_list` *or* `spec`; `to_disk?` | register a graph, build + fingerprint once (`to_disk` streams it straight to the `--state-dir` CSR spill, registered mapped) |
 //! | `query` | `graph` (name) or `fingerprint`, `property?`, `epsilon?`, `seed?`, `phases?` (at most [`MAX_PHASES`]), `backend?` (validated, no effect), `embedding?` | test one property, cache-aware |
 //! | `batch` | `queries`: array of query objects | coalesced drain: same-graph queries share engine passes |
-//! | `stats` | — | registry/cache/scheduler counters, the prepared-tester memo's counters, queue depth, outbound shed/loss ledgers, uptime, wake reasons |
+//! | `stats` | — | registry/cache/scheduler counters, the prepared-tester memo's counters, queue depth, live connections, outbound shed/loss ledgers, uptime, wake reasons |
 //! | `metrics` | — | full telemetry snapshot: latency histograms per `(property, cache, route)`, stage timings, cycle accounting |
 //! | `metrics-text` | — | the same metrics as Prometheus exposition text (in the `text` field) |
 //! | `families` | — | the spec-addressable generator corpus |
@@ -348,6 +348,7 @@ fn handle_stats(service: &Service) -> Value {
         .field("queries_served", s.queries_served)
         .field("queue_depth", s.queue_depth)
         .field("queue_depth_hwm", s.queue_depth_hwm)
+        .field("connections", s.connections)
         .field("responses_lost", s.responses_lost)
         .field("responses_lost_shutdown", s.responses_lost_shutdown)
         .field("responses_shed", s.responses_shed)
@@ -369,6 +370,7 @@ fn handle_metrics(service: &Service) -> Value {
         .field("cache_slots", s.cache_slots)
         .field("queue_depth", s.queue_depth)
         .field("queue_depth_hwm", s.queue_depth_hwm)
+        .field("connections", s.connections)
         .field("responses_lost", s.responses_lost)
         .field("responses_lost_shutdown", s.responses_lost_shutdown)
         .field("responses_shed", s.responses_shed)
@@ -390,11 +392,12 @@ fn handle_metrics(service: &Service) -> Value {
 fn handle_metrics_text(service: &Service) -> Value {
     use std::fmt::Write as _;
     let mut text = service.telemetry().prometheus_text();
-    // Outbound-path counters live on `Connections` and the memo's on
-    // the cache, not `Telemetry`, so the protocol layer appends them to
-    // the exposition.
+    // Connection and outbound-path counters live on `Connections` and
+    // the memo's on the cache, not `Telemetry`, so the protocol layer
+    // appends them to the exposition.
     let s = service.stats();
     for (name, kind, v) in [
+        ("connections", "gauge", s.connections as u64),
         ("responses_lost", "counter", s.responses_lost),
         (
             "responses_lost_shutdown",
@@ -550,6 +553,7 @@ mod tests {
             "planartest_prefix_misses_total 1",
             "planartest_prefix_evictions_total 0",
             "# TYPE planartest_prefix_bytes gauge",
+            "# TYPE planartest_connections gauge",
         ] {
             assert!(text.contains(line), "missing `{line}`");
         }

@@ -42,14 +42,14 @@
 //! into the *next* cycle, except in-flight keys and connections waiting
 //! behind their own control op, which are held and dispatched again
 //! next cycle.
-//! Hits and errors are answered at once (the fast path), through
-//! bounded per-connection writer queues ([`Connections`]), so one
-//! stalled client cannot block the cycle. Per-connection order is
-//! exact (admission tokens are assigned at arrival); cross-connection
-//! order around a held control op is not replayed — concurrent clients
-//! race those orderings anyway. A shutdown request (stdin EOF, SIGTERM)
-//! flushes everything pending, writer queues included, before the
-//! loop exits.
+//! Hits and errors are answered at once (the fast path). Every answer
+//! goes to its connection's record in [`Connections`]: each submission
+//! is admitted there on arrival, so per-connection order is exact, and
+//! a bounded writer queue keeps one stalled client from blocking the
+//! cycle. Cross-connection order around a held control op is not
+//! replayed — concurrent clients race those orderings anyway. A
+//! shutdown request (stdin EOF, SIGTERM) flushes everything pending,
+//! writer queues included, before the loop exits.
 
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -119,6 +119,10 @@ pub struct ServiceStats {
     /// bound). Unlike `queue_depth` this survives the drain, so an
     /// overload episode stays diagnosable after the backlog clears.
     pub queue_depth_hwm: usize,
+    /// Live connections: the records in the bound connection table (0
+    /// when none is bound). A connection leaves once its reader has
+    /// ended and its answers are written, or a write to it failed.
+    pub connections: usize,
     /// Responses computed but never delivered *mid-flight* — the
     /// addressed connection was gone, or its writer died on a write
     /// failure — while the server was live (0 when no connection table
@@ -518,6 +522,7 @@ impl Service {
             queries_served: self.queries_served,
             queue_depth: self.bound_queue.as_ref().map_or(0, |q| q.depth()),
             queue_depth_hwm: self.bound_queue.as_ref().map_or(0, |q| q.depth_hwm()),
+            connections: self.bound_connections.as_ref().map_or(0, |c| c.len()),
             responses_lost: self
                 .bound_connections
                 .as_ref()

@@ -52,11 +52,11 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -73,8 +73,9 @@ use crate::wire::{FrameError, FrameReader, Value};
 /// first socket client.
 pub type ConnectionId = u64;
 
-/// How often blocked waits re-check the shutdown flag (accept loops,
-/// the empty-queue wait in the drain loop, and the in-flight gate).
+/// How often blocked waits re-check the shutdown flag (the empty-queue
+/// wait in the drain loop and the in-flight gate), and how long an
+/// accept loop backs off after a failed accept.
 const POLL: Duration = Duration::from_millis(25);
 
 /// A single response write slower than this counts as a writer stall
@@ -136,6 +137,9 @@ pub struct SubmissionQueue {
     state: Mutex<QueueState>,
     wake: Condvar,
     shutdown: AtomicBool,
+    /// Where each listener accepts: the shutdown request connects to
+    /// each once, so accept loops blocked in `accept` see the flag.
+    listeners: Mutex<Vec<ListenAddr>>,
     /// Deepest the queue has ever been (updated by
     /// [`push_all`](SubmissionQueue::push_all), never reset): the
     /// after-the-fact overload witness the `stats` op reports as
@@ -153,6 +157,7 @@ impl Default for SubmissionQueue {
             state: Mutex::default(),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
+            listeners: Mutex::default(),
             depth_hwm: AtomicUsize::new(0),
             clock: Mutex::new(Clock::wall()),
         }
@@ -212,6 +217,21 @@ impl SubmissionQueue {
     pub fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.wake.notify_all();
+        let listeners = std::mem::take(&mut *self.listeners.lock().expect("listeners lock"));
+        for addr in listeners {
+            // The connection only wakes the accept loop, which drops it.
+            let _ = match addr {
+                #[cfg(unix)]
+                ListenAddr::Unix(path) => UnixStream::connect(path).map(drop),
+                ListenAddr::Tcp(addr) => TcpStream::connect(addr).map(drop),
+            };
+        }
+    }
+
+    /// Records where a listener accepts, so that
+    /// [`request_shutdown`](SubmissionQueue::request_shutdown) wakes it.
+    fn wake_on_shutdown(&self, addr: ListenAddr) {
+        self.listeners.lock().expect("listeners lock").push(addr);
     }
 
     /// Whether shutdown has been requested.
@@ -377,13 +397,13 @@ type Records = Mutex<HashMap<ConnectionId, Arc<Record>>>;
 /// response order, in-flight count, outbound queue and force-close
 /// hook.
 ///
-/// Each submission is [`admit`](Connections::admit)ted in arrival order
-/// and handed a [`Token`]; fulfilling a token buffers its response
-/// until the connection's contiguous prefix is complete, so responses
-/// leave in submission order however the scheduler finishes them. The
-/// prefix goes onto a bounded outbound queue written by the
-/// connection's dedicated writer thread, so one stalled client never
-/// blocks the drain loop or its neighbours. A full queue sheds the
+/// Each submission is admitted in arrival order and handed a token;
+/// fulfilling a token buffers its response until the connection's
+/// contiguous prefix is complete, so responses leave in submission
+/// order however the scheduler finishes them. The prefix goes onto a
+/// bounded outbound queue written by the connection's dedicated writer
+/// thread, so one stalled client never blocks the drain loop or its
+/// neighbours. A full queue sheds the
 /// newest response for that connection (`responses_shed`); a failed
 /// write (client went away) closes the connection, and every response
 /// it loses is tallied per connection in the response-loss counters, so
@@ -861,6 +881,14 @@ fn adopt_stream<S>(
 /// the boxed write half, and an optional force-close hook.
 type SplitStream<S> = (S, Box<dyn Write + Send>, Option<Closer>);
 
+/// Where a listener accepts connections.
+#[derive(Debug)]
+enum ListenAddr {
+    #[cfg(unix)]
+    Unix(PathBuf),
+    Tcp(SocketAddr),
+}
+
 /// Starts a unix-socket listener feeding the queue. Any stale socket
 /// file at `path` is replaced. The accept loop runs until shutdown.
 ///
@@ -876,28 +904,8 @@ pub fn spawn_unix_listener(
 ) -> io::Result<()> {
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path)?;
-    listener.set_nonblocking(true)?;
-    let connections = Arc::clone(connections);
-    let queue = Arc::clone(queue);
-    thread::Builder::new()
-        .name("planartest-unix-accept".into())
-        .spawn(move || {
-            accept_loop(&listener, &connections, &queue, max_frame, |stream| {
-                let stream: UnixStream = stream;
-                stream.set_nonblocking(false)?;
-                let writer = stream.try_clone()?;
-                let close_half = stream.try_clone()?;
-                let closer = Box::new(move || {
-                    let _ = close_half.shutdown(Shutdown::Both);
-                });
-                Ok((
-                    stream,
-                    Box::new(writer) as Box<dyn Write + Send>,
-                    Some(closer as Closer),
-                ))
-            });
-        })
-        .expect("spawn unix accept loop");
+    queue.wake_on_shutdown(ListenAddr::Unix(path.to_path_buf()));
+    spawn_accept_loop("unix", listener, connections, queue, max_frame);
     Ok(())
 }
 
@@ -916,66 +924,66 @@ pub fn spawn_tcp_listener(
 ) -> io::Result<SocketAddr> {
     let listener = TcpListener::bind(addr)?;
     let bound = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let connections = Arc::clone(connections);
-    let queue = Arc::clone(queue);
-    thread::Builder::new()
-        .name("planartest-tcp-accept".into())
-        .spawn(move || {
-            accept_loop(&listener, &connections, &queue, max_frame, |stream| {
-                let stream: TcpStream = stream;
-                stream.set_nonblocking(false)?;
-                let writer = stream.try_clone()?;
-                let close_half = stream.try_clone()?;
-                let closer = Box::new(move || {
-                    let _ = close_half.shutdown(Shutdown::Both);
-                });
-                Ok((
-                    stream,
-                    Box::new(writer) as Box<dyn Write + Send>,
-                    Some(closer as Closer),
-                ))
-            });
-        })
-        .expect("spawn tcp accept loop");
+    // A listener on every address is woken through loopback.
+    let mut wake = bound;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    queue.wake_on_shutdown(ListenAddr::Tcp(wake));
+    spawn_accept_loop("tcp", listener, connections, queue, max_frame);
     Ok(bound)
 }
 
-/// Shared accept loop over any nonblocking listener: polls for new
-/// clients, re-checking the shutdown flag between attempts, and adopts
-/// each accepted stream. `split` turns the accepted stream into its
-/// (read half, boxed write half, force-close hook) triple.
-fn accept_loop<L, S, F>(
+fn spawn_accept_loop<L: Accept + Send + 'static>(
+    transport: &str,
+    listener: L,
+    connections: &Arc<Connections>,
+    queue: &Arc<SubmissionQueue>,
+    max_frame: usize,
+) {
+    let connections = Arc::clone(connections);
+    let queue = Arc::clone(queue);
+    thread::Builder::new()
+        .name(format!("planartest-{transport}-accept"))
+        .spawn(move || accept_loop(&listener, &connections, &queue, max_frame))
+        .expect("spawn accept loop");
+}
+
+/// Shared accept loop over any blocking listener: adopts each accepted
+/// stream until shutdown, which wakes the blocked `accept` by
+/// connecting once ([`SubmissionQueue::request_shutdown`]). A failed
+/// accept — `EMFILE`, say — backs off for [`POLL`] and retries.
+fn accept_loop<L: Accept>(
     listener: &L,
     connections: &Arc<Connections>,
     queue: &Arc<SubmissionQueue>,
     max_frame: usize,
-    split: F,
-) where
-    L: Accept<Stream = S>,
-    S: Read + Send + 'static,
-    F: Fn(S) -> io::Result<SplitStream<S>>,
-{
+) {
     while !queue.shutting_down() {
-        match listener.accept_stream() {
-            Ok(stream) => match split(stream) {
-                Ok((reader, writer, closer)) => {
-                    adopt_stream(reader, writer, closer, connections, queue, max_frame);
-                }
-                // A client that vanished between accept and setup.
-                Err(_) => continue,
-            },
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(POLL),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => break,
+        let accepted = listener.accept_stream().and_then(L::split);
+        if queue.shutting_down() {
+            break;
+        }
+        match accepted {
+            Ok((reader, writer, closer)) => {
+                adopt_stream(reader, writer, closer, connections, queue, max_frame);
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => thread::sleep(POLL),
         }
     }
 }
 
 /// The tiny listener abstraction the accept loop is generic over.
 trait Accept {
-    type Stream;
+    type Stream: Read + Send + 'static;
     fn accept_stream(&self) -> io::Result<Self::Stream>;
+    /// Splits an accepted stream into its read half, boxed write half
+    /// and force-close hook.
+    fn split(stream: Self::Stream) -> io::Result<SplitStream<Self::Stream>>;
 }
 
 #[cfg(unix)]
@@ -984,12 +992,26 @@ impl Accept for UnixListener {
     fn accept_stream(&self) -> io::Result<UnixStream> {
         self.accept().map(|(s, _)| s)
     }
+    fn split(stream: UnixStream) -> io::Result<SplitStream<UnixStream>> {
+        let (writer, close_half) = (stream.try_clone()?, stream.try_clone()?);
+        let closer = move || {
+            let _ = close_half.shutdown(Shutdown::Both);
+        };
+        Ok((stream, Box::new(writer), Some(Box::new(closer))))
+    }
 }
 
 impl Accept for TcpListener {
     type Stream = TcpStream;
     fn accept_stream(&self) -> io::Result<TcpStream> {
         self.accept().map(|(s, _)| s)
+    }
+    fn split(stream: TcpStream) -> io::Result<SplitStream<TcpStream>> {
+        let (writer, close_half) = (stream.try_clone()?, stream.try_clone()?);
+        let closer = move || {
+            let _ = close_half.shutdown(Shutdown::Both);
+        };
+        Ok((stream, Box::new(writer), Some(Box::new(closer))))
     }
 }
 
@@ -1368,6 +1390,52 @@ mod tests {
         assert!(acquired.load(Ordering::SeqCst));
         // An aborting gate gives up instead of blocking forever.
         assert!(!conns.acquire_submission_slot(a, &|| true));
+    }
+
+    #[test]
+    fn a_failed_accept_backs_off_and_the_loop_keeps_accepting() {
+        /// Fails once with `EMFILE`, then yields one client, then asks
+        /// for shutdown once that client's request is queued.
+        struct Stub {
+            queue: Arc<SubmissionQueue>,
+            calls: AtomicUsize,
+        }
+        impl Accept for Stub {
+            type Stream = io::Cursor<Vec<u8>>;
+            fn accept_stream(&self) -> io::Result<Self::Stream> {
+                match self.calls.fetch_add(1, Ordering::SeqCst) {
+                    0 => Err(io::Error::from_raw_os_error(24)),
+                    1 => Ok(io::Cursor::new(b"{\"op\":\"stats\"}\n".to_vec())),
+                    _ => {
+                        let deadline = Instant::now() + Duration::from_secs(10);
+                        while self.queue.depth() == 0 {
+                            assert!(Instant::now() < deadline, "request never queued");
+                            thread::sleep(Duration::from_millis(1));
+                        }
+                        self.queue.request_shutdown();
+                        Err(io::ErrorKind::Interrupted.into())
+                    }
+                }
+            }
+            fn split(stream: Self::Stream) -> io::Result<SplitStream<Self::Stream>> {
+                Ok((stream, Box::new(io::sink()), None))
+            }
+        }
+        let queue = Arc::new(SubmissionQueue::new());
+        let conns = Arc::new(Connections::new());
+        let stub = Stub {
+            queue: Arc::clone(&queue),
+            calls: AtomicUsize::new(0),
+        };
+        let started = Instant::now();
+        accept_loop(&stub, &conns, &queue, 1024);
+        assert!(started.elapsed() >= POLL, "the failed accept backed off");
+        assert_eq!(stub.calls.load(Ordering::SeqCst), 3);
+        let (subs, _) = queue.wait_cycle().expect("the request reached the queue");
+        assert_eq!(subs.len(), 1);
+        assert_eq!(subs[0].conn, 0);
+        assert!(subs[0].request.is_ok());
+        conns.finish_shutdown_flush();
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! End-to-end smoke tests of the transport-abstracted server: the real
 //! `planartest` binary serving concurrent unix-socket and TCP clients,
 //! cross-client sharing of one prepared tester, wire-protocol
-//! hardening, and graceful shutdown on EOF and SIGTERM.
+//! hardening, connections let go once answered, and graceful shutdown
+//! on EOF and SIGTERM.
 #![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -616,4 +617,131 @@ fn trace_flag_logs_a_two_client_coalesced_batch() {
     conns.dedup();
     assert_eq!(conns.len(), 2, "the two clients traced as distinct conns");
     let _ = std::fs::remove_file(&trace_path);
+}
+
+/// The server process's thread and open-descriptor counts, read from
+/// `/proc` (Linux only).
+#[cfg(target_os = "linux")]
+fn thread_and_fd_counts(pid: u32) -> (usize, usize) {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("proc status");
+    let threads = status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .and_then(|n| n.trim().parse().ok())
+        .expect("Threads: line");
+    let fds = std::fs::read_dir(format!("/proc/{pid}/fd"))
+        .expect("proc fd")
+        .count();
+    (threads, fds)
+}
+
+#[test]
+fn connect_ask_close_cycles_leave_no_connection_behind() {
+    const CYCLES: usize = 200;
+    let path = socket_path("churn");
+    let mut child = bin()
+        .args(["serve", "--no-stdio", "--unix", path.to_str().unwrap()])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let mut stderr = BufReader::new(child.stderr.take().expect("stderr"));
+    await_banner(&mut stderr, "unix");
+
+    let stats = || {
+        let (mut client, mut rx) = connect(&path);
+        let stats = ask(&mut client, &mut rx, r#"{"op":"stats"}"#);
+        assert_eq!(stats.get("ok").unwrap().as_bool(), Some(true));
+        stats.get("connections").and_then(Value::as_u64)
+    };
+    stats();
+    #[cfg(target_os = "linux")]
+    let (threads, fds) = thread_and_fd_counts(child.id());
+    for _ in 1..CYCLES {
+        stats();
+    }
+    // Writers exit asynchronously once their last answer is written.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    #[cfg(target_os = "linux")]
+    loop {
+        let (now_threads, now_fds) = thread_and_fd_counts(child.id());
+        if now_threads <= threads + 2 && now_fds <= fds + 2 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "after {CYCLES} cycles: {now_threads} threads (from {threads}), \
+             {now_fds} descriptors (from {fds})"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    loop {
+        let live = stats();
+        if live == Some(1) {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "after {CYCLES} cycles `stats` reports {live:?} connections, not 1"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let killed = Command::new("sh")
+        .args(["-c", &format!("kill -TERM {}", child.id())])
+        .status()
+        .expect("run kill");
+    assert!(killed.success());
+    assert!(child.wait().expect("serve exits").success());
+}
+
+#[test]
+fn a_half_closed_client_reads_its_answers_then_end_of_stream() {
+    let path = socket_path("halfclose");
+    let mut child = spawn_serve(&["--unix", path.to_str().unwrap()]);
+    let mut stderr = BufReader::new(child.stderr.take().expect("stderr"));
+    await_banner(&mut stderr, "unix");
+
+    let mut client = UnixStream::connect(&path).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let query = |seed: u64| {
+        format!(r#"{{"op":"query","graph":"g","epsilon":0.2,"phases":5,"seed":{seed}}}"#)
+    };
+    let requests = [
+        r#"{"op":"ingest","name":"g","spec":"tri_grid(8,8)"}"#.to_string(),
+        query(1),
+        format!(r#"{{"op":"batch","queries":[{},{}]}}"#, query(2), query(3)),
+        r#"{"op":"stats"}"#.to_string(),
+    ];
+    for request in &requests {
+        writeln!(client, "{request}").expect("write request");
+    }
+    client
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let started = std::time::Instant::now();
+    let mut text = String::new();
+    let read = client.read_to_string(&mut text);
+    let answers: Vec<Value> = text
+        .lines()
+        .map(|l| Value::parse(l).expect("response parses"))
+        .collect();
+    assert_eq!(answers.len(), 4, "four answers: {text}");
+    assert!(
+        read.is_ok() && started.elapsed() < Duration::from_secs(5),
+        "no end of stream after the answers: {read:?}"
+    );
+    assert_eq!(answers[0].get("ok").unwrap().as_bool(), Some(true));
+    assert_eq!(answers[1].get("verdict").unwrap().as_str(), Some("accept"));
+    assert_eq!(answers[1].get("cache").unwrap().as_str(), Some("cold"));
+    let batch = answers[2].get("responses").unwrap().as_arr().unwrap();
+    assert_eq!(batch.len(), 2);
+    assert_eq!(answers[3].get("queries_served").unwrap().as_u64(), Some(3));
+
+    drop(client);
+    drop(child.stdin.take()); // EOF: graceful shutdown
+    assert!(child.wait().expect("serve exits").success());
 }
