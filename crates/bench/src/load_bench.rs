@@ -322,7 +322,7 @@ pub struct LoadGate {
     /// connection is throttled to ~1 byte/ms.
     pub slow_reader_healthy_p99_micros: u64,
     /// Closed loop: cold p50 over warm p50, each query timed in
-    /// nanoseconds (a warm hit takes 1–2 µs).
+    /// nanoseconds (a warm hit takes 2–3 µs).
     pub warm_p50_speedup: f64,
     /// Closed loop: serial wall over coalesced wall on the same-graph
     /// fan-out, the serial queries each a first touch (cache cleared
@@ -1026,8 +1026,8 @@ mod serving {
     struct TimedPass {
         latency: Histogram,
         /// Every query's latency in nanoseconds, for the warm-over-cold
-        /// ratio: at whole microseconds one microsecond of a 1–2 µs
-        /// warm p50 would halve it.
+        /// ratio: truncated to whole microseconds, a 2–3 µs warm p50
+        /// would move it by a third or more per microsecond.
         nanos: Vec<u64>,
         first_touch: Histogram,
         fresh_seed: Histogram,

@@ -403,13 +403,13 @@ type Records = Mutex<HashMap<ConnectionId, Arc<Record>>>;
 /// order however the scheduler finishes them. The prefix goes onto a
 /// bounded outbound queue written by the connection's dedicated writer
 /// thread, so one stalled client never blocks the drain loop or its
-/// neighbours. A full queue sheds the
-/// newest response for that connection (`responses_shed`); a failed
-/// write (client went away) closes the connection, and every response
-/// it loses is tallied per connection in the response-loss counters, so
-/// "how many answers never reached a client" is answerable from the
-/// `stats` op after the fact — mid-flight losses and shutdown-flush
-/// losses on separate ledgers.
+/// neighbours. A full queue sheds the newest response for that
+/// connection (`responses_shed`); a failed write (client went away)
+/// closes the connection, and every response it loses is tallied per
+/// connection in the response-loss counters, so "how many answers
+/// never reached a client" is answerable from the `stats` op after the
+/// fact — mid-flight losses and shutdown-flush losses on separate
+/// ledgers.
 #[derive(Default)]
 pub struct Connections {
     /// Shared with the writer threads, which remove their own record.

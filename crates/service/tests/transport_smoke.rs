@@ -662,31 +662,25 @@ fn connect_ask_close_cycles_leave_no_connection_behind() {
         stats();
     }
     // Writers exit asynchronously once their last answer is written.
+    // Measure first and assert after the stop, so a failure does not
+    // leave the daemon running.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     #[cfg(target_os = "linux")]
-    loop {
+    let (now_threads, now_fds) = loop {
         let (now_threads, now_fds) = thread_and_fd_counts(child.id());
-        if now_threads <= threads + 2 && now_fds <= fds + 2 {
-            break;
+        let settled = now_threads <= threads + 2 && now_fds <= fds + 2;
+        if settled || std::time::Instant::now() >= deadline {
+            break (now_threads, now_fds);
         }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "after {CYCLES} cycles: {now_threads} threads (from {threads}), \
-             {now_fds} descriptors (from {fds})"
-        );
         std::thread::sleep(Duration::from_millis(10));
-    }
-    loop {
+    };
+    let live = loop {
         let live = stats();
-        if live == Some(1) {
-            break;
+        if live == Some(1) || std::time::Instant::now() >= deadline {
+            break live;
         }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "after {CYCLES} cycles `stats` reports {live:?} connections, not 1"
-        );
         std::thread::sleep(Duration::from_millis(10));
-    }
+    };
 
     let killed = Command::new("sh")
         .args(["-c", &format!("kill -TERM {}", child.id())])
@@ -694,6 +688,17 @@ fn connect_ask_close_cycles_leave_no_connection_behind() {
         .expect("run kill");
     assert!(killed.success());
     assert!(child.wait().expect("serve exits").success());
+    #[cfg(target_os = "linux")]
+    assert!(
+        now_threads <= threads + 2 && now_fds <= fds + 2,
+        "after {CYCLES} cycles: {now_threads} threads (from {threads}), \
+         {now_fds} descriptors (from {fds})"
+    );
+    assert_eq!(
+        live,
+        Some(1),
+        "after {CYCLES} cycles `stats` reports {live:?} connections, not 1"
+    );
 }
 
 #[test]
