@@ -28,6 +28,12 @@ pub enum ServiceError {
     Spec(SpecError),
     /// The underlying engine pass failed (infrastructure, not verdict).
     Engine(CoreError),
+    /// The engine pass panicked. Every query of its group gets this;
+    /// the server keeps serving.
+    PassPanicked {
+        /// The panic's message.
+        message: String,
+    },
     /// The persistence tier failed (CSR spill, certificate log).
     Persist(crate::persist::PersistError),
 }
@@ -44,6 +50,9 @@ impl fmt::Display for ServiceError {
             ServiceError::EdgeList(e) => write!(f, "edge list: {e}"),
             ServiceError::Spec(e) => write!(f, "generator spec: {e}"),
             ServiceError::Engine(e) => write!(f, "engine: {e}"),
+            ServiceError::PassPanicked { message } => {
+                write!(f, "engine pass panicked: {message}")
+            }
             ServiceError::Persist(e) => write!(f, "persistence: {e}"),
         }
     }

@@ -7,15 +7,21 @@
 //! only its seeds' sample lanes ([`Prepared::sample`]); otherwise it
 //! prepares one ([`PlanarityTester::prepare`]) and hands it back in
 //! its [`GroupPass`] for the scheduler to keep. Group execution is
-//! **pure** — it reads the resident CSR through an immutable registry
-//! borrow and returns a [`GroupPass`] — so the only ordered state
-//! (cache and memo inserts, the engine-pass counter, response slots)
-//! is applied afterwards by the scheduler, in group order. That split
-//! is what lets the pipelined server run this stage on a scoped thread
-//! while the drain thread resolves the *next* cycle's arrivals against
-//! the cache: [`execute_groups`] only ever holds a shared borrow of
-//! the registry.
+//! **pure** — each group carries its graph (an [`Arc`] resolved from
+//! the registry when the group formed), so [`execute_groups`] reads no
+//! registry, and it returns a [`GroupPass`] per group — so the only
+//! ordered state (cache and memo inserts, the engine-pass counter,
+//! response slots) is applied afterwards by the scheduler, in group
+//! order. That split is what lets the server hand a cycle's groups to
+//! its one standing execute thread while the drain thread resolves the
+//! *next* cycle's arrivals against the cache and the registry.
+//!
+//! A pass that panics fails its own group alone: [`execute_groups`]
+//! runs each pass under [`catch_unwind`](std::panic::catch_unwind) and
+//! answers the group's members with [`ServiceError::PassPanicked`].
 
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 
 use planartest_core::applications::{test_bipartiteness, test_cycle_freeness, HereditaryOutcome};
@@ -24,20 +30,28 @@ use planartest_graph::Graph;
 use planartest_sim::{Engine, SimConfig, SimStats};
 
 use crate::cache::CacheKey;
-use crate::query::{GraphRef, Outcome, Property};
-use crate::registry::GraphRegistry;
+use crate::error::ServiceError;
+use crate::query::{Outcome, Property};
 use crate::scheduler::Resolved;
 use crate::telemetry::Clock;
 
-/// One coalesced group: the shared key and pass parameters, the batch
-/// lanes (distinct seeds, first-seen order), and the member queries
-/// with their response-slot indices.
+/// A seed whose pass panics, in test builds only: the hook that tests
+/// a panicking pass with, which no client of a shipped build can reach.
+#[cfg(test)]
+pub(crate) const PANIC_SEED: u64 = 0x0BAD_5EED_DEAD_BEEF;
+
+/// One coalesced group: the shared key and pass parameters, the graph,
+/// the batch lanes (distinct seeds, first-seen order), and the member
+/// queries with their response-slot indices.
 #[derive(Debug)]
 pub(crate) struct Group {
     /// The shared cache key (graph fingerprint × config × property).
     pub key: CacheKey,
     /// The first member's full config (fingerprint-equal for all).
     pub cfg: TesterConfig,
+    /// The key's graph, resolved from the registry when the group
+    /// formed.
+    pub graph: Arc<Graph>,
     /// Distinct seed lanes in first-seen order (seed-independent
     /// properties collapse onto lane 0).
     pub seeds: Vec<u64>,
@@ -62,8 +76,9 @@ impl Group {
 /// The result of one group's engine pass, before any state is applied.
 #[derive(Debug)]
 pub(crate) struct GroupPass {
-    /// Per-lane outcomes, or the pass-wide engine failure.
-    pub by_seed: Result<Vec<(u64, Outcome)>, CoreError>,
+    /// Per-lane outcomes, or the pass-wide failure: an engine error or
+    /// a panic.
+    pub by_seed: Result<Vec<(u64, Outcome)>, ServiceError>,
     /// Wall-clock of the pass (split per member by the scheduler).
     pub engine_micros: u64,
     /// A tester this pass prepared (the group had none), for the
@@ -72,31 +87,45 @@ pub(crate) struct GroupPass {
 }
 
 /// Runs every group, one after another, and returns their passes in
-/// group order.
-pub(crate) fn execute_groups(
-    registry: &GraphRegistry,
-    groups: &[Group],
-    clock: &Clock,
-) -> Vec<GroupPass> {
+/// group order. A pass that panics answers
+/// [`ServiceError::PassPanicked`] and keeps nothing it prepared; the
+/// groups after it run as usual.
+pub(crate) fn execute_groups(groups: &[Group], clock: &Clock) -> Vec<GroupPass> {
     groups
         .iter()
-        .map(|group| run_group_pass(registry, group, clock))
+        .map(|group| {
+            panic::catch_unwind(AssertUnwindSafe(|| run_group_pass(group, clock))).unwrap_or_else(
+                |payload| GroupPass {
+                    by_seed: Err(ServiceError::PassPanicked {
+                        message: panic_message(payload.as_ref()),
+                    }),
+                    engine_micros: 0,
+                    prepared: None,
+                },
+            )
+        })
         .collect()
 }
 
-/// Executes one group through a single engine pass. Pure with respect
-/// to the service: reads the resident CSR, touches no cache or
-/// counter state. Pass wall time is stamped on the injected service
-/// clock, so engine timings are deterministic under a mock clock.
-fn run_group_pass(registry: &GraphRegistry, group: &Group, clock: &Clock) -> GroupPass {
-    // Resolution already succeeded during the scheduler's resolve
-    // stage (that is where `key.graph` came from) and the registry is
-    // immutable for the whole cycle, so the lookup cannot fail here.
-    let graph = &registry
-        .resolve(&GraphRef::Fingerprint(group.key.graph))
-        .expect("resolved during the cycle's resolve stage")
-        .graph;
+/// What a panic said, when it said it with a string.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "a non-string panic payload".to_string())
+}
 
+/// Executes one group through a single engine pass over its graph.
+/// Pure with respect to the service: touches no cache or counter
+/// state. Pass wall time is stamped on the injected service clock, so
+/// engine timings are deterministic under a mock clock.
+fn run_group_pass(group: &Group, clock: &Clock) -> GroupPass {
+    #[cfg(test)]
+    if group.seeds.contains(&PANIC_SEED) {
+        panic!("a pass over the test hook's poisoned seed");
+    }
+    let graph = &*group.graph;
     let started = clock.now_micros();
     let mut prepared = None;
     let by_seed: Result<Vec<(u64, Outcome)>, CoreError> = match group.key.property {
@@ -124,7 +153,7 @@ fn run_group_pass(registry: &GraphRegistry, group: &Group, clock: &Clock) -> Gro
         }
     };
     GroupPass {
-        by_seed,
+        by_seed: by_seed.map_err(ServiceError::Engine),
         engine_micros: clock.now_micros().saturating_sub(started),
         prepared,
     }

@@ -19,7 +19,7 @@
 //! | `ingest` | `name`, and `edge_list` *or* `spec`; `to_disk?` | register a graph, build + fingerprint once (`to_disk` streams it straight to the `--state-dir` CSR spill, registered mapped) |
 //! | `query` | `graph` (name) or `fingerprint`, `property?`, `epsilon?`, `seed?`, `phases?` (at most [`MAX_PHASES`]), `backend?` (validated, no effect), `embedding?` | test one property, cache-aware |
 //! | `batch` | `queries`: array of query objects | coalesced drain: same-graph queries share engine passes |
-//! | `stats` | — | registry/cache/scheduler counters, the prepared-tester memo's counters, queue depth, live connections, outbound shed/loss ledgers, uptime, wake reasons |
+//! | `stats` | — | registry/cache/scheduler counters (panicked passes included), the prepared-tester memo's counters, queue depth, live connections, outbound shed/loss ledgers, uptime, wake reasons |
 //! | `metrics` | — | full telemetry snapshot: latency histograms per `(property, cache, route)`, stage timings, cycle accounting |
 //! | `metrics-text` | — | the same metrics as Prometheus exposition text (in the `text` field) |
 //! | `families` | — | the spec-addressable generator corpus |
@@ -345,6 +345,7 @@ fn handle_stats(service: &Service) -> Value {
         .field("prefix_bytes", s.prefix_bytes)
         .field("prefix_evictions", s.prefix_evictions)
         .field("engine_passes", s.engine_passes)
+        .field("pass_panics", s.pass_panics)
         .field("queries_served", s.queries_served)
         .field("queue_depth", s.queue_depth)
         .field("queue_depth_hwm", s.queue_depth_hwm)
@@ -382,6 +383,7 @@ fn handle_metrics(service: &Service) -> Value {
         .field("prefix_bytes", s.prefix_bytes)
         .field("prefix_evictions", s.prefix_evictions)
         .field("engine_passes", s.engine_passes)
+        .field("pass_panics", s.pass_panics)
         .field("queries_served", s.queries_served);
     v
 }
@@ -392,9 +394,9 @@ fn handle_metrics(service: &Service) -> Value {
 fn handle_metrics_text(service: &Service) -> Value {
     use std::fmt::Write as _;
     let mut text = service.telemetry().prometheus_text();
-    // Connection and outbound-path counters live on `Connections` and
-    // the memo's on the cache, not `Telemetry`, so the protocol layer
-    // appends them to the exposition.
+    // Connection and outbound-path counters live on `Connections`, the
+    // memo's on the cache and the panic count on the service, not
+    // `Telemetry`, so the protocol layer appends them to the exposition.
     let s = service.stats();
     for (name, kind, v) in [
         ("connections", "gauge", s.connections as u64),
@@ -411,6 +413,7 @@ fn handle_metrics_text(service: &Service) -> Value {
         ("prefix_misses_total", "counter", s.prefix_misses),
         ("prefix_evictions_total", "counter", s.prefix_evictions),
         ("prefix_bytes", "gauge", s.prefix_bytes as u64),
+        ("pass_panics_total", "counter", s.pass_panics),
     ] {
         let _ = writeln!(text, "# TYPE planartest_{name} {kind}");
         let _ = writeln!(text, "planartest_{name} {v}");

@@ -25,9 +25,11 @@
 //! re-maps every graph by name or fingerprint without re-building
 //! anything. When the resident tier exceeds
 //! [`GraphRegistry::resident_capacity`], the least-recently-resolved
-//! resident entry is **demoted**: its heap CSR is dropped and the
-//! entry re-pointed at the mmap view — `n ≫ 10^6` graphs stay
-//! queryable far past RAM. The streaming ingest routes
+//! resident entry is **demoted**: the entry is re-pointed at the mmap
+//! view and its heap CSR dropped once no running pass holds it (an
+//! entry's graph is an [`Arc`], which the scheduler's groups share) —
+//! `n ≫ 10^6` graphs stay queryable far past RAM. The streaming ingest
+//! routes
 //! ([`ingest_spec_to_disk`](GraphRegistry::ingest_spec_to_disk),
 //! [`ingest_edge_list_to_disk`](GraphRegistry::ingest_edge_list_to_disk))
 //! never materialize the heap CSR at all: edges stream through the
@@ -41,6 +43,7 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use planartest_graph::disk::{self, DiskError};
 use planartest_graph::fingerprint::Fingerprint;
@@ -63,8 +66,9 @@ pub const DEFAULT_RESIDENT_CAPACITY: usize = 64;
 pub struct GraphEntry {
     /// The graph, in CSR form, built once at ingest. May be backed by
     /// a heap `Vec` (resident) or an mmap view (mapped) — see
-    /// [`Graph::is_mapped`].
-    pub graph: Graph,
+    /// [`Graph::is_mapped`]. Shared, so an engine pass holds its graph
+    /// without borrowing the registry.
+    pub graph: Arc<Graph>,
     /// Content fingerprint (the registry key).
     pub fingerprint: Fingerprint,
     /// Aliases this entry was ingested under, in first-seen order.
@@ -239,7 +243,7 @@ impl GraphRegistry {
                             .to_string();
                         let certified = v.get("certified").and_then(certified_from_value);
                         self.push_entry(GraphEntry {
-                            graph,
+                            graph: Arc::new(graph),
                             fingerprint: fp,
                             names: Vec::new(),
                             source,
@@ -338,7 +342,7 @@ impl GraphRegistry {
             let (victim, _) = resident[0];
             let path = csr_path(&dir, self.entries[victim].fingerprint);
             match disk::load_mapped(&path) {
-                Ok(mapped) => self.entries[victim].graph = mapped,
+                Ok(mapped) => self.entries[victim].graph = Arc::new(mapped),
                 // Spill unexpectedly missing: keep the entry resident
                 // rather than losing it.
                 Err(_) => return,
@@ -391,7 +395,7 @@ impl GraphRegistry {
             Some(&i) => i,
             None => {
                 self.push_entry(GraphEntry {
-                    graph,
+                    graph: Arc::new(graph),
                     fingerprint,
                     names: Vec::new(),
                     source,
@@ -676,7 +680,7 @@ mod tests {
         // Demoted entries answer the same queries: content is identical.
         let resident = spec::parse("grid(4,4)").unwrap().graph;
         let b = reg.resolve(&GraphRef::Name("b".into())).unwrap();
-        assert_eq!(b.graph, resident);
+        assert_eq!(*b.graph, resident);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -14,23 +14,26 @@
 //!    memo hit samples its seeds' lanes on the memoised tester, a miss
 //!    prepares one first
 //!    ([`PlanarityTester::prepare`](planartest_core::PlanarityTester::prepare)),
-//!    groups one after another (the `exec` module) — pure, so it can
-//!    run off the thread that owns the service;
+//!    groups one after another (the `exec` module) — pure, since each
+//!    group carries its graph, so it can run off the thread that owns
+//!    the service, and a pass that panics fails its own group alone;
 //! 4. **respond** — apply cache inserts, then newly prepared testers,
 //!    and counters sequentially in group order and fill every response
 //!    slot, submission order preserved.
 //!
 //! [`Service::drain`] is the synchronous, caller-driven form of that
-//! pipeline (one cycle, responses returned). [`Server`] is the
-//! concurrent form: a dedicated thread owns the service and runs the
-//! same cycle against the shared [`SubmissionQueue`] that every
-//! transport ([`crate::transport`]) feeds. A cycle fires whenever
-//! anything is queued, so no request waits for company. *Independent
-//! clients'* same-key queries still share work without any client
-//! knowing about the others: those that land in one cycle share one
-//! engine pass, and those that land while a pass on their key runs are
-//! held, then ride the prepared tester it memoised — one prepare, one
-//! sample lane per seed.
+//! pipeline (one cycle, responses returned, groups executed inline).
+//! [`Server`] is the concurrent form: a dedicated drain thread owns the
+//! service and runs the same cycle against the shared
+//! [`SubmissionQueue`] that every transport ([`crate::transport`])
+//! feeds, and hands each cycle's groups to the server's one standing
+//! execute thread, started with the drain loop and ended with it. A
+//! cycle fires whenever anything is queued, so no request waits for
+//! company. *Independent clients'* same-key queries still share work
+//! without any client knowing about the others: those that land in one
+//! cycle share one engine pass, and those that land while a pass on
+//! their key runs are held, then ride the prepared tester it memoised —
+//! one prepare, one sample lane per seed.
 //!
 //! Every server request goes through one stage-1 function, `dispatch`,
 //! which resolves a `query` or `batch` submission into a `Cycle` and
@@ -38,7 +41,7 @@
 //! cycle with no gate** (control ops answered in place, in arrival
 //! order, so an `ingest` is visible to every query behind it), and
 //! **during the overlap window with an `Overlap` gate**: while the
-//! cycle's execute thread runs its engine passes, arrivals resolve
+//! execute thread runs the cycle's engine passes, arrivals resolve
 //! into the *next* cycle, except in-flight keys and connections waiting
 //! behind their own control op, which are held and dispatched again
 //! next cycle.
@@ -56,7 +59,7 @@ use std::io;
 use std::net::SocketAddr;
 use std::ops::Range;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 
 use crate::cache::{CacheKey, ResultCache};
@@ -64,7 +67,7 @@ use crate::error::ServiceError;
 use crate::exec::{execute_groups, Group, GroupPass};
 use crate::persist::{CertificateLog, CertificateRecord};
 use crate::protocol;
-use crate::query::{CacheStatus, Outcome, Property, Query, QueryId, QueryResponse};
+use crate::query::{CacheStatus, GraphRef, Outcome, Property, Query, QueryId, QueryResponse};
 use crate::registry::GraphRegistry;
 use crate::telemetry::{Clock, Route, StageTimes, Telemetry, WakeReason, WAKE_REASONS};
 use crate::transport::{
@@ -110,6 +113,8 @@ pub struct ServiceStats {
     pub prefix_evictions: u64,
     /// Engine passes executed (each pass may serve many queries).
     pub engine_passes: u64,
+    /// Engine passes that panicked; each failed its own group alone.
+    pub pass_panics: u64,
     /// Queries answered (from cache or engine).
     pub queries_served: u64,
     /// Submissions waiting in the bound queue right now (0 when no
@@ -221,8 +226,7 @@ impl Cycle {
 }
 
 /// Stage 1's split borrow of a [`Service`]: everything resolving a
-/// query touches, borrowed field by field, so the drain thread can keep
-/// resolving while the execute stage holds the registry.
+/// query touches, borrowed field by field.
 struct Resolver<'a> {
     registry: &'a GraphRegistry,
     cache: &'a mut ResultCache,
@@ -330,6 +334,7 @@ pub struct Service {
     queue: Vec<(QueryId, Query, u64)>,
     next_id: QueryId,
     engine_passes: u64,
+    pass_panics: u64,
     queries_served: u64,
     /// The shared telemetry sink (histograms, stage spans, trace log).
     telemetry: Arc<Telemetry>,
@@ -353,6 +358,7 @@ impl Default for Service {
             queue: Vec::new(),
             next_id: 0,
             engine_passes: 0,
+            pass_panics: 0,
             queries_served: 0,
             telemetry: Arc::new(Telemetry::default()),
             bound_queue: None,
@@ -519,6 +525,7 @@ impl Service {
             prefix_bytes: prefix.bytes,
             prefix_evictions: prefix.evictions,
             engine_passes: self.engine_passes,
+            pass_panics: self.pass_panics,
             queries_served: self.queries_served,
             queue_depth: self.bound_queue.as_ref().map_or(0, |q| q.depth()),
             queue_depth_hwm: self.bound_queue.as_ref().map_or(0, |q| q.depth_hwm()),
@@ -594,8 +601,9 @@ impl Service {
     ///
     /// Responses come back in submission order. Per-query failures
     /// (unknown graph, engine error) fail that query alone, not the
-    /// drain; an engine failure fails every query of its group (they
-    /// shared the pass).
+    /// drain; an engine failure or a panicking pass fails every query
+    /// of its group (they shared the pass). The groups run inline, on
+    /// the caller's thread.
     pub fn drain(&mut self) -> Vec<DrainedQuery> {
         let pending = std::mem::take(&mut self.queue);
 
@@ -607,9 +615,9 @@ impl Service {
         }
 
         // Stage 2: group. Stage 3: execute (pure).
-        let groups = group_misses(std::mem::take(&mut cycle.misses), &mut self.cache);
-        let clock = self.telemetry.clock();
-        let passes = execute_groups(&self.registry, &groups, &clock);
+        let misses = std::mem::take(&mut cycle.misses);
+        let groups = group_misses(misses, &self.registry, &mut self.cache);
+        let passes = execute_groups(&groups, &self.telemetry.clock());
 
         // Stage 4: respond (ordered state, sequential in group order).
         for (group, pass) in groups.into_iter().zip(passes) {
@@ -653,13 +661,16 @@ impl Service {
         let by_seed = match by_seed {
             Ok(v) => v,
             Err(e) => {
+                if matches!(e, ServiceError::PassPanicked { .. }) {
+                    self.pass_panics += 1;
+                }
                 for (slot, r) in group.members {
                     let mut stages = r.stages;
                     stages.execute_micros = applied_at.saturating_sub(
                         stages.submitted_micros + stages.queue_micros + stages.resolve_micros,
                     );
                     self.telemetry.record_failed_query(stages);
-                    results[slot] = Some((r.id, Err(ServiceError::Engine(e.clone()))));
+                    results[slot] = Some((r.id, Err(e.clone())));
                 }
                 return;
             }
@@ -746,13 +757,25 @@ impl Service {
 
 /// Stage 2: bucket resolve-stage misses into engine groups by cache
 /// key, preserving first-seen order of both groups and members, and
-/// collect each group's distinct seed lanes. Each planarity group
-/// looks its key's prepared tester up in the memo as it forms.
-fn group_misses(misses: Vec<(usize, Resolved)>, cache: &mut ResultCache) -> Vec<Group> {
+/// collect each group's distinct seed lanes. Each group takes its graph
+/// from the registry as it forms, and each planarity group looks its
+/// key's prepared tester up in the memo.
+fn group_misses(
+    misses: Vec<(usize, Resolved)>,
+    registry: &GraphRegistry,
+    cache: &mut ResultCache,
+) -> Vec<Group> {
     let mut index: HashMap<CacheKey, usize> = HashMap::new();
     let mut groups: Vec<Group> = Vec::new();
     for (slot, resolved) in misses {
         let g = *index.entry(resolved.key).or_insert_with(|| {
+            // The resolve stage found this fingerprint (that is where
+            // `key.graph` came from), and entries are never removed.
+            let graph = registry
+                .resolve(&GraphRef::Fingerprint(resolved.key.graph))
+                .expect("resolved during the resolve stage")
+                .graph
+                .clone();
             let prefix = match resolved.key.property {
                 Property::Planarity => cache.lookup_prefix(&resolved.key),
                 Property::CycleFreeness | Property::Bipartiteness => None,
@@ -760,6 +783,7 @@ fn group_misses(misses: Vec<(usize, Resolved)>, cache: &mut ResultCache) -> Vec<
             groups.push(Group {
                 key: resolved.key,
                 cfg: resolved.query.cfg.clone(),
+                graph,
                 seeds: Vec::new(),
                 members: Vec::new(),
                 prefix,
@@ -813,7 +837,8 @@ impl Default for ServeOptions {
 }
 
 /// The concurrent server: a dedicated thread owns a [`Service`] and
-/// drains the shared submission queue in cycles; transports attach via
+/// drains the shared submission queue in cycles, running their engine
+/// passes on one standing execute thread; transports attach via
 /// [`attach_stdio`](Server::attach_stdio) /
 /// [`listen_unix`](Server::listen_unix) /
 /// [`listen_tcp`](Server::listen_tcp).
@@ -826,7 +851,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts the background drain loop over `service`.
+    /// Starts the background drain loop over `service`, together with
+    /// its standing execute thread.
     #[must_use]
     pub fn start(mut service: Service, opts: ServeOptions) -> Server {
         let queue = Arc::new(SubmissionQueue::new());
@@ -1011,28 +1037,66 @@ impl Pipeline {
     }
 }
 
+/// The drain thread's ends of the channels to the server's standing
+/// execute worker (see [`with_executor`]).
+struct Executor {
+    /// Each cycle's groups, handed over as its overlap window opens.
+    jobs: mpsc::Sender<Vec<Group>>,
+    /// The groups back, with their passes in group order.
+    done: mpsc::Receiver<(Vec<Group>, Vec<GroupPass>)>,
+}
+
+/// Runs `body` beside the standing execute worker: one thread, named
+/// `planartest-exec`, that runs each cycle's groups it is handed
+/// ([`execute_groups`]), hands them back with their passes, then calls
+/// [`SubmissionQueue::pipeline_done`] to end the drain thread's overlap
+/// window. The worker ends when `body` returns.
+fn with_executor<R>(queue: &SubmissionQueue, clock: Clock, body: impl FnOnce(&Executor) -> R) -> R {
+    let (jobs, job_rx) = mpsc::channel::<Vec<Group>>();
+    let (done_tx, done) = mpsc::channel();
+    thread::scope(|scope| {
+        thread::Builder::new()
+            .name("planartest-exec".into())
+            .spawn_scoped(scope, move || {
+                for groups in job_rx {
+                    let passes = execute_groups(&groups, &clock);
+                    if done_tx.send((groups, passes)).is_err() {
+                        break;
+                    }
+                    queue.pipeline_done();
+                }
+            })
+            .expect("spawn execute worker");
+        let exec = Executor { jobs, done };
+        body(&exec)
+    })
+}
+
 /// The background drain loop: waits for a cycle, runs it, and repeats
 /// until shutdown, then flushes the per-connection outbound writer
 /// queues. It only waits when nothing is carried: carried work must
-/// reach the engine before anything newer is dispatched.
+/// reach the engine before anything newer is dispatched. Its execute
+/// worker starts with it and ends with it.
 fn drain_loop(mut service: Service, queue: &SubmissionQueue, connections: &Connections) -> Service {
-    let mut pipe = Pipeline::default();
-    loop {
-        let fresh = if pipe.is_idle() {
-            match queue.wait_cycle() {
-                Some(fresh) => Some(fresh),
-                None => break,
+    with_executor(queue, service.telemetry.clock(), |exec| {
+        let mut pipe = Pipeline::default();
+        loop {
+            let fresh = if pipe.is_idle() {
+                match queue.wait_cycle() {
+                    Some(fresh) => Some(fresh),
+                    None => break,
+                }
+            } else {
+                None
+            };
+            if matches!(fresh, Some((_, WakeReason::Shutdown))) {
+                // From here on, undeliverable responses are
+                // shutdown-flush casualties, not mid-flight losses.
+                connections.begin_shutdown_flush();
             }
-        } else {
-            None
-        };
-        if matches!(fresh, Some((_, WakeReason::Shutdown))) {
-            // From here on, undeliverable responses are shutdown-flush
-            // casualties, not mid-flight losses.
-            connections.begin_shutdown_flush();
+            run_cycle(&mut service, queue, connections, exec, &mut pipe, fresh);
         }
-        run_cycle(&mut service, queue, connections, &mut pipe, fresh);
-    }
+    });
     // Graceful shutdown: every computed response is already enqueued;
     // wait for the writers to put them on the wire (stuck connections
     // are force-closed after a grace period), then join the writers.
@@ -1043,11 +1107,11 @@ fn drain_loop(mut service: Service, queue: &SubmissionQueue, connections: &Conne
 /// One server cycle over the carried work plus a `wait_cycle` batch
 /// (`fresh`, with the reason it fired): dispatch the held, then the
 /// fresh submissions with no gate, into the cycle the last overlap
-/// window began; group its misses; execute the groups on a scoped
-/// thread while this thread dispatches overlap arrivals, gated, into
-/// the next cycle (the execute stage only reads the registry, the
-/// [`Resolver`] writes the cache and counters); then apply the passes
-/// in group order and fulfil the owed lines. Every cycle
+/// window began; group its misses; hand the groups to the execute
+/// worker and, while it runs them, dispatch overlap arrivals, gated,
+/// into the next cycle (the groups own their graphs, the [`Resolver`]
+/// writes the cache and counters); then take the passes back, apply
+/// them in group order and fulfil the owed lines. Every cycle
 /// records its group count once; one of carried work alone records as
 /// a `pipeline` wake of width 0, since the overlap window counted its
 /// submissions when it collected them.
@@ -1055,6 +1119,7 @@ fn run_cycle(
     service: &mut Service,
     queue: &SubmissionQueue,
     connections: &Connections,
+    exec: &Executor,
     pipe: &mut Pipeline,
     fresh: Option<(Vec<Submission>, WakeReason)>,
 ) {
@@ -1079,7 +1144,8 @@ fn run_cycle(
     }
 
     // Overlap batches are recorded as `pipeline` wakes when collected.
-    let groups = group_misses(std::mem::take(&mut cycle.misses), &mut service.cache);
+    let misses = std::mem::take(&mut cycle.misses);
+    let groups = group_misses(misses, &service.registry, &mut service.cache);
     service.telemetry.record_cycle(reason, width, groups.len());
     if groups.is_empty() {
         debug_assert!(cycle.owed.is_empty(), "no groups, no owed lines");
@@ -1092,32 +1158,23 @@ fn run_cycle(
         blocked: HashSet::new(),
     };
     queue.pipeline_begin();
+    exec.jobs
+        .send(groups)
+        .expect("the execute worker lives as long as the drain loop");
     let mut resolver = service.resolver();
-    let registry = resolver.registry;
-    let clock = resolver.telemetry.clock();
-    let passes = thread::scope(|scope| {
-        let exec = scope.spawn({
-            let groups = &groups;
-            move || {
-                let passes = execute_groups(registry, groups, &clock);
-                queue.pipeline_done();
-                passes
-            }
-        });
-        while let Some(batch) = queue.wait_overlap() {
-            resolver
-                .telemetry
-                .record_cycle(WakeReason::Pipeline, batch.len(), 0);
-            for sub in batch {
-                let token = connections.admit(sub.conn);
-                let gate = Some(&mut gate);
-                if let Some(sub) = dispatch(&mut resolver, next, connections, token, sub, gate) {
-                    held.push((token, sub));
-                }
+    while let Some(batch) = queue.wait_overlap() {
+        resolver
+            .telemetry
+            .record_cycle(WakeReason::Pipeline, batch.len(), 0);
+        for sub in batch {
+            let token = connections.admit(sub.conn);
+            let gate = Some(&mut gate);
+            if let Some(sub) = dispatch(&mut resolver, next, connections, token, sub, gate) {
+                held.push((token, sub));
             }
         }
-        exec.join().expect("group execution thread panicked")
-    });
+    }
+    let (groups, passes) = exec.done.recv().expect("the execute worker panicked");
 
     for (group, pass) in groups.into_iter().zip(passes) {
         service.apply_group(group, pass, &mut cycle.slots);
@@ -1200,18 +1257,20 @@ mod tests {
         for (id, sink) in (0..).zip(&sinks) {
             assert_eq!(connections.register(Box::new(sink.clone())), id);
         }
-        let mut pipe = Pipeline::default();
-        let mut fresh = Some((first, WakeReason::Arrival));
-        loop {
-            run_cycle(service, &queue, &connections, &mut pipe, fresh);
-            fresh = if !pipe.is_idle() {
-                None
-            } else if queue.depth() > 0 {
-                queue.wait_cycle()
-            } else {
-                break;
-            };
-        }
+        with_executor(&queue, service.telemetry.clock(), |exec| {
+            let mut pipe = Pipeline::default();
+            let mut fresh = Some((first, WakeReason::Arrival));
+            loop {
+                run_cycle(service, &queue, &connections, exec, &mut pipe, fresh);
+                fresh = if !pipe.is_idle() {
+                    None
+                } else if queue.depth() > 0 {
+                    queue.wait_cycle()
+                } else {
+                    break;
+                };
+            }
+        });
         connections.finish_shutdown_flush();
         sinks.iter().map(Sink::responses).collect()
     }
@@ -1668,13 +1727,10 @@ mod tests {
         let token = connections.admit(conn);
         pipe.held
             .push((token, Submission::new(conn, query_op("p", 1))));
-        run_cycle(
-            &mut s,
-            &SubmissionQueue::new(),
-            &connections,
-            &mut pipe,
-            None,
-        );
+        let queue = SubmissionQueue::new();
+        with_executor(&queue, s.telemetry.clock(), |exec| {
+            run_cycle(&mut s, &queue, &connections, exec, &mut pipe, None);
+        });
         connections.finish_shutdown_flush();
         assert_eq!(s.engine_passes(), 1);
         let metrics = s.telemetry().metrics_value();
@@ -1707,5 +1763,70 @@ mod tests {
         let response = &responses[0];
         assert_eq!(response.get("verdict").unwrap().as_str(), Some("accept"));
         assert_eq!(response.get("cache").unwrap().as_str(), Some("cold"));
+    }
+
+    #[test]
+    fn a_panicking_pass_fails_its_group_alone() {
+        use crate::exec::PANIC_SEED;
+        use std::time::{Duration, Instant};
+
+        let server = Server::start(service_with("p", "tri_grid(4,4)"), ServeOptions::default());
+        let sink = Sink::default();
+        let conn = server.connections().register(Box::new(sink.clone()));
+        let queue = server.submission_queue();
+        // Every answer is awaited against a deadline: a panic that
+        // escaped its pass would stall each later miss, and that must
+        // fail this test, not hang it.
+        let ask = |request: Value, answers: usize| -> Value {
+            queue.push(Submission::new(conn, Ok(request)));
+            let deadline = Instant::now() + Duration::from_secs(20);
+            loop {
+                let responses = sink.responses();
+                if responses.len() >= answers {
+                    return responses[answers - 1].clone();
+                }
+                assert!(Instant::now() < deadline, "no answer {answers} in 20 s");
+                thread::sleep(Duration::from_millis(2));
+            }
+        };
+        let query = |seed| query_op("p", seed).unwrap();
+
+        let poisoned = ask(query(PANIC_SEED), 1);
+        assert_eq!(poisoned.get("ok").and_then(Value::as_bool), Some(false));
+        let error = poisoned.get("error").and_then(Value::as_str).unwrap();
+        assert!(error.contains("engine pass panicked"), "{error}");
+
+        let fresh = ask(query(2), 2);
+        assert_eq!(fresh.get("verdict").and_then(Value::as_str), Some("accept"));
+        assert_eq!(fresh.get("cache").and_then(Value::as_str), Some("cold"));
+        let stats = ask(Value::obj().field("op", "stats"), 3);
+        assert_eq!(stats.get("pass_panics").and_then(Value::as_u64), Some(1));
+        assert_eq!(stats.get("engine_passes").and_then(Value::as_u64), Some(2));
+        let text = ask(Value::obj().field("op", "metrics-text"), 4);
+        let text = text.get("text").and_then(Value::as_str).unwrap();
+        assert!(text.contains("planartest_pass_panics_total 1"), "{text}");
+
+        server.request_shutdown();
+        let service = server.join();
+        assert_eq!(service.stats().pass_panics, 1);
+        assert_eq!(sink.responses().len(), 4);
+    }
+
+    #[test]
+    fn drain_answers_a_panicking_group_with_the_error_and_runs_the_rest() {
+        let mut s = service_with("p", "tri_grid(4,4)");
+        s.registry_mut().ingest_spec("q", "grid(4,4)").unwrap();
+        let q = |graph: &str, seed: u64| {
+            Query::planarity(GraphRef::Name(graph.into()), cfg(0.2).with_seed(seed))
+        };
+        s.submit(q("p", crate::exec::PANIC_SEED));
+        s.submit(q("q", 1));
+        let drained = s.drain();
+        assert!(matches!(
+            drained[0].1,
+            Err(ServiceError::PassPanicked { .. })
+        ));
+        assert!(drained[1].1.as_ref().unwrap().outcome.accepted());
+        assert_eq!((s.stats().pass_panics, s.engine_passes()), (1, 2));
     }
 }

@@ -963,7 +963,7 @@ fn accept_loop<L: Accept>(
     max_frame: usize,
 ) {
     while !queue.shutting_down() {
-        let accepted = listener.accept_stream().and_then(L::split);
+        let accepted = listener.accept_stream().map(L::split);
         if queue.shutting_down() {
             break;
         }
@@ -983,35 +983,69 @@ trait Accept {
     fn accept_stream(&self) -> io::Result<Self::Stream>;
     /// Splits an accepted stream into its read half, boxed write half
     /// and force-close hook.
-    fn split(stream: Self::Stream) -> io::Result<SplitStream<Self::Stream>>;
+    fn split(stream: Self::Stream) -> SplitStream<Self::Stream>;
+}
+
+/// One accepted socket, shared by its reader, its writer and its
+/// force-close hook: `&UnixStream` and `&TcpStream` read and write, and
+/// `shutdown` takes `&self`, so a connection holds one descriptor.
+struct Shared<S>(Arc<S>);
+
+impl<S> Read for Shared<S>
+where
+    for<'a> &'a S: Read,
+{
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        (&*self.0).read(buf)
+    }
+}
+
+impl<S> Write for Shared<S>
+where
+    for<'a> &'a S: Write,
+{
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        (&*self.0).write(buf)
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        (&*self.0).flush()
+    }
+}
+
+impl<S> Shared<S>
+where
+    S: Send + Sync + 'static,
+    for<'a> &'a S: Read + Write,
+{
+    /// The reader, the writer and a force-close hook that calls
+    /// `shutdown(Both)`, all on this one socket.
+    fn into_halves(self, shutdown: fn(&S, Shutdown) -> io::Result<()>) -> SplitStream<Self> {
+        let (reader, socket) = (Shared(Arc::clone(&self.0)), Arc::clone(&self.0));
+        let closer = move || {
+            let _ = shutdown(&socket, Shutdown::Both);
+        };
+        (reader, Box::new(self), Some(Box::new(closer)))
+    }
 }
 
 #[cfg(unix)]
 impl Accept for UnixListener {
-    type Stream = UnixStream;
-    fn accept_stream(&self) -> io::Result<UnixStream> {
-        self.accept().map(|(s, _)| s)
+    type Stream = Shared<UnixStream>;
+    fn accept_stream(&self) -> io::Result<Self::Stream> {
+        self.accept().map(|(s, _)| Shared(Arc::new(s)))
     }
-    fn split(stream: UnixStream) -> io::Result<SplitStream<UnixStream>> {
-        let (writer, close_half) = (stream.try_clone()?, stream.try_clone()?);
-        let closer = move || {
-            let _ = close_half.shutdown(Shutdown::Both);
-        };
-        Ok((stream, Box::new(writer), Some(Box::new(closer))))
+    fn split(stream: Self::Stream) -> SplitStream<Self::Stream> {
+        stream.into_halves(UnixStream::shutdown)
     }
 }
 
 impl Accept for TcpListener {
-    type Stream = TcpStream;
-    fn accept_stream(&self) -> io::Result<TcpStream> {
-        self.accept().map(|(s, _)| s)
+    type Stream = Shared<TcpStream>;
+    fn accept_stream(&self) -> io::Result<Self::Stream> {
+        self.accept().map(|(s, _)| Shared(Arc::new(s)))
     }
-    fn split(stream: TcpStream) -> io::Result<SplitStream<TcpStream>> {
-        let (writer, close_half) = (stream.try_clone()?, stream.try_clone()?);
-        let closer = move || {
-            let _ = close_half.shutdown(Shutdown::Both);
-        };
-        Ok((stream, Box::new(writer), Some(Box::new(closer))))
+    fn split(stream: Self::Stream) -> SplitStream<Self::Stream> {
+        stream.into_halves(TcpStream::shutdown)
     }
 }
 
@@ -1417,8 +1451,8 @@ mod tests {
                     }
                 }
             }
-            fn split(stream: Self::Stream) -> io::Result<SplitStream<Self::Stream>> {
-                Ok((stream, Box::new(io::sink()), None))
+            fn split(stream: Self::Stream) -> SplitStream<Self::Stream> {
+                (stream, Box::new(io::sink()), None)
             }
         }
         let queue = Arc::new(SubmissionQueue::new());

@@ -34,6 +34,34 @@ fn spawn_serve(extra: &[&str]) -> Child {
         .expect("spawn serve")
 }
 
+/// Spawns `planartest serve --no-stdio --unix <path>` with stdin closed
+/// at once (as under a supervisor with /dev/null) and waits for its
+/// banner; [`terminate`] stops it. Keep the returned stderr open while
+/// the server runs.
+fn spawn_daemon(path: &std::path::Path) -> (Child, BufReader<ChildStderr>) {
+    let mut child = bin()
+        .args(["serve", "--no-stdio", "--unix", path.to_str().unwrap()])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn serve");
+    let mut stderr = BufReader::new(child.stderr.take().expect("stderr"));
+    await_banner(&mut stderr, "unix");
+    (child, stderr)
+}
+
+/// Stops a server started by [`spawn_daemon`] with SIGTERM and asserts
+/// a clean exit.
+fn terminate(child: &mut Child) {
+    let killed = Command::new("sh")
+        .args(["-c", &format!("kill -TERM {}", child.id())])
+        .status()
+        .expect("run kill");
+    assert!(killed.success());
+    assert!(child.wait().expect("serve exits").success());
+}
+
 /// Reads stderr lines until the wanted `listening <transport> …`
 /// banner appears; returns its last whitespace-separated field.
 fn await_banner(stderr: &mut BufReader<ChildStderr>, transport: &str) -> String {
@@ -275,15 +303,7 @@ fn no_stdio_daemon_survives_stdin_eof_and_stops_on_sigterm() {
     let path = socket_path("daemon");
     // Daemon mode: stdin is closed immediately (as under a supervisor
     // with /dev/null) — the server must keep serving regardless.
-    let mut child = bin()
-        .args(["serve", "--no-stdio", "--unix", path.to_str().unwrap()])
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn serve");
-    let mut stderr = BufReader::new(child.stderr.take().expect("stderr"));
-    await_banner(&mut stderr, "unix");
+    let (mut child, _stderr) = spawn_daemon(&path);
     std::thread::sleep(Duration::from_millis(200));
     assert!(
         child.try_wait().expect("probe child").is_none(),
@@ -304,12 +324,7 @@ fn no_stdio_daemon_survives_stdin_eof_and_stops_on_sigterm() {
     );
     assert_eq!(queried.get("verdict").unwrap().as_str(), Some("accept"));
 
-    let killed = Command::new("sh")
-        .args(["-c", &format!("kill -TERM {}", child.id())])
-        .status()
-        .expect("run kill");
-    assert!(killed.success());
-    assert!(child.wait().expect("serve exits").success());
+    terminate(&mut child);
 
     // --no-stdio without any listener is rejected up front.
     let refused = bin()
@@ -639,15 +654,7 @@ fn thread_and_fd_counts(pid: u32) -> (usize, usize) {
 fn connect_ask_close_cycles_leave_no_connection_behind() {
     const CYCLES: usize = 200;
     let path = socket_path("churn");
-    let mut child = bin()
-        .args(["serve", "--no-stdio", "--unix", path.to_str().unwrap()])
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn serve");
-    let mut stderr = BufReader::new(child.stderr.take().expect("stderr"));
-    await_banner(&mut stderr, "unix");
+    let (mut child, _stderr) = spawn_daemon(&path);
 
     let stats = || {
         let (mut client, mut rx) = connect(&path);
@@ -682,12 +689,7 @@ fn connect_ask_close_cycles_leave_no_connection_behind() {
         std::thread::sleep(Duration::from_millis(10));
     };
 
-    let killed = Command::new("sh")
-        .args(["-c", &format!("kill -TERM {}", child.id())])
-        .status()
-        .expect("run kill");
-    assert!(killed.success());
-    assert!(child.wait().expect("serve exits").success());
+    terminate(&mut child);
     #[cfg(target_os = "linux")]
     assert!(
         now_threads <= threads + 2 && now_fds <= fds + 2,
@@ -749,4 +751,102 @@ fn a_half_closed_client_reads_its_answers_then_end_of_stream() {
     drop(client);
     drop(child.stdin.take()); // EOF: graceful shutdown
     assert!(child.wait().expect("serve exits").success());
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_connection_holds_one_descriptor() {
+    const IDLE: usize = 10;
+    let path = socket_path("idle-fds");
+    let (mut child, _stderr) = spawn_daemon(&path);
+
+    let (mut probe, mut probe_rx) = connect(&path);
+    let mut connections = || {
+        let stats = ask(&mut probe, &mut probe_rx, r#"{"op":"stats"}"#);
+        stats.get("connections").and_then(Value::as_u64)
+    };
+    let before = connections();
+    let (_, fds) = thread_and_fd_counts(child.id());
+    let idle: Vec<UnixStream> = (0..IDLE)
+        .map(|_| UnixStream::connect(&path).expect("connect"))
+        .collect();
+    // Measure once the server has registered every idle connection,
+    // and assert after the stop, so a failure leaves no daemon behind.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let live = loop {
+        let live = connections();
+        if live == Some(IDLE as u64 + 1) || std::time::Instant::now() >= deadline {
+            break live;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    let (_, now_fds) = thread_and_fd_counts(child.id());
+    drop(idle);
+    terminate(&mut child);
+    assert_eq!((before, live), (Some(1), Some(IDLE as u64 + 1)));
+    assert_eq!(
+        now_fds,
+        fds + IDLE,
+        "{IDLE} idle connections took {} descriptors",
+        now_fds as i64 - fds as i64
+    );
+}
+
+/// The `/proc/<pid>/task/<tid>` paths of the server's threads named
+/// `planartest-exec`.
+#[cfg(target_os = "linux")]
+fn exec_threads(pid: u32) -> Vec<String> {
+    let mut tids = Vec::new();
+    for task in std::fs::read_dir(format!("/proc/{pid}/task")).expect("proc task") {
+        let task = task.expect("task entry").path();
+        // A thread that exited between the listing and this read has no
+        // `comm` left, and is not the standing thread.
+        let comm = std::fs::read_to_string(task.join("comm")).unwrap_or_default();
+        if comm.trim() == "planartest-exec" {
+            tids.push(task.display().to_string());
+        }
+    }
+    tids
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn one_standing_execute_thread_serves_every_fresh_seed() {
+    const SEEDS: u64 = 50;
+    let path = socket_path("exec-thread");
+    let mut child = spawn_serve(&["--unix", path.to_str().unwrap()]);
+    let mut stderr = BufReader::new(child.stderr.take().expect("stderr"));
+    await_banner(&mut stderr, "unix");
+
+    let (mut client, mut rx) = connect(&path);
+    let ingested = ask(
+        &mut client,
+        &mut rx,
+        r#"{"op":"ingest","name":"g","spec":"tri_grid(8,8)"}"#,
+    );
+    assert_eq!(ingested.get("ok").unwrap().as_bool(), Some(true));
+    let mut after_first = Vec::new();
+    for seed in 0..SEEDS {
+        let r = ask(
+            &mut client,
+            &mut rx,
+            &format!(r#"{{"op":"query","graph":"g","epsilon":0.2,"phases":5,"seed":{seed}}}"#),
+        );
+        assert_eq!(r.get("cache").unwrap().as_str(), Some("cold"));
+        if seed == 0 {
+            after_first = exec_threads(child.id());
+        }
+    }
+    let after_last = exec_threads(child.id());
+    let stats = ask(&mut client, &mut rx, r#"{"op":"stats"}"#);
+
+    drop((client, rx));
+    drop(child.stdin.take());
+    assert!(child.wait().expect("serve exits").success());
+    assert_eq!(after_first.len(), 1, "execute threads: {after_first:?}");
+    assert_eq!(after_first, after_last, "the execute thread was replaced");
+    assert_eq!(
+        stats.get("engine_passes").and_then(Value::as_u64),
+        Some(SEEDS)
+    );
 }
