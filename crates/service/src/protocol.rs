@@ -27,6 +27,14 @@
 //! Every response carries `"ok"`; failures also carry `"error"`. A
 //! malformed line never kills the server — it answers
 //! `{"ok":false,...}` and keeps reading.
+//!
+//! The server writes `query` and `batch` response lines directly:
+//! [`write_response`] appends each response's bytes to the line's one
+//! buffer, with no JSON tree in between. [`response_value`] is the tree
+//! form of the same line, for [`handle_request`]'s [`Value`] API, and
+//! the reference the tests hold [`write_response`] to byte for byte.
+
+use std::fmt::Write as _;
 
 use planartest_core::{EmbeddingMode, TesterConfig};
 use planartest_graph::generators::spec;
@@ -35,7 +43,7 @@ use planartest_sim::Backend;
 use crate::query::{GraphRef, Outcome, Property, Query, QueryResponse};
 use crate::scheduler::Service;
 use crate::telemetry::wake_value;
-use crate::wire::Value;
+use crate::wire::{Quoted, Value};
 
 /// Default distance parameter when a query names none.
 pub const DEFAULT_EPSILON: f64 = 0.1;
@@ -137,7 +145,108 @@ pub fn parse_query(req: &Value) -> Result<Query, String> {
     })
 }
 
-/// Serializes a served query for the wire.
+/// Appends a served query's response line to `out`: exactly the bytes
+/// of `response_value(r).to_string()`, written straight into the
+/// buffer. The server renders every query response with it.
+pub fn write_response(out: &mut String, r: &QueryResponse) {
+    let stats = r.outcome.stats();
+    let verdict = if r.outcome.accepted() {
+        "accept"
+    } else {
+        "reject"
+    };
+    let s = &r.stages;
+    // Writing to a `String` cannot fail.
+    let _ = write!(
+        out,
+        "{{\"ok\":true,\"verdict\":{},\"property\":{},\"graph\":{},\"seed\":{},\"cache\":{},\
+         \"rounds\":{},\"messages\":{},\"words\":{},\"coalesced\":{},\"engine_micros\":{},\
+         \"attributed_micros\":{},\"stages\":{{\"queue_micros\":{},\"resolve_micros\":{},\
+         \"execute_micros\":{},\"respond_micros\":{},\"total_micros\":{}}}",
+        Quoted(verdict),
+        Quoted(r.property.name()),
+        Quoted(&r.graph),
+        r.seed,
+        Quoted(r.cache.name()),
+        stats.total_rounds(),
+        stats.messages,
+        stats.words,
+        r.coalesced,
+        r.engine_micros,
+        r.attributed_micros,
+        s.queue_micros,
+        s.resolve_micros,
+        s.execute_micros,
+        s.respond_micros,
+        s.total_micros(),
+    );
+    write_array(
+        out,
+        "rejecting_nodes",
+        r.outcome.rejecting_nodes(),
+        |out, v| {
+            let _ = write!(out, "{}", v.index());
+        },
+    );
+    if let Outcome::Planarity(o) = &r.outcome {
+        write_array(out, "reject_reasons", &o.rejections, |out, (v, reason)| {
+            let _ = write!(
+                out,
+                "{{\"node\":{},\"reason\":{}}}",
+                v.index(),
+                Quoted(reason)
+            );
+        });
+        if !o.violation_witnesses.is_empty() {
+            let _ = write!(
+                out,
+                ",\"violation_witness_count\":{}",
+                o.violation_witnesses.len()
+            );
+            write_array(
+                out,
+                "violation_witness_sample",
+                o.violation_witnesses.iter().take(WITNESS_SAMPLE),
+                |out, w| {
+                    let _ = write!(out, "{}", w.index());
+                },
+            );
+        }
+    }
+    out.push('}');
+}
+
+/// Appends `,"key":[...]`, each item written by `item`, unless there
+/// are no items: a response omits its empty lists.
+fn write_array<I: IntoIterator>(
+    out: &mut String,
+    key: &str,
+    items: I,
+    mut item: impl FnMut(&mut String, I::Item),
+) {
+    let mut items = items.into_iter().peekable();
+    if items.peek().is_none() {
+        return;
+    }
+    let _ = write!(out, ",{}:[", Quoted(key));
+    for (i, x) in items.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(']');
+}
+
+/// How many violation witnesses a response lists. Witness telemetry
+/// can cover most of the graph (the Claim 10 refutation: planar graphs
+/// carry violating labellings), so the wire reports the count plus
+/// this bounded sample, and response lines stay line-sized.
+const WITNESS_SAMPLE: usize = 8;
+
+/// The tree form of [`write_response`]'s line, for callers that want a
+/// [`Value`]: [`handle_request`]'s `query` and `batch` ops, and the
+/// tests that hold the writer to it byte for byte.
 #[must_use]
 pub fn response_value(r: &QueryResponse) -> Value {
     let stats = r.outcome.stats();
@@ -193,10 +302,6 @@ pub fn response_value(r: &QueryResponse) -> Value {
                     .collect::<Vec<Value>>(),
             );
         }
-        // Witness telemetry can cover most of the graph (the Claim 10
-        // refutation: planar graphs carry violating labellings); the
-        // wire reports the count plus a bounded sample so response
-        // lines stay line-sized.
         if !out.violation_witnesses.is_empty() {
             v = v
                 .field("violation_witness_count", out.violation_witnesses.len())
@@ -204,7 +309,7 @@ pub fn response_value(r: &QueryResponse) -> Value {
                     "violation_witness_sample",
                     out.violation_witnesses
                         .iter()
-                        .take(8)
+                        .take(WITNESS_SAMPLE)
                         .map(|w| Value::UInt(w.index() as u64))
                         .collect::<Vec<Value>>(),
                 );
@@ -392,7 +497,6 @@ fn handle_metrics(service: &Service) -> Value {
 /// `text` field of a one-line JSON response (the wire layer escapes
 /// the newlines; `planartest metrics` unescapes and prints it).
 fn handle_metrics_text(service: &Service) -> Value {
-    use std::fmt::Write as _;
     let mut text = service.telemetry().prometheus_text();
     // Connection and outbound-path counters live on `Connections`, the
     // memo's on the cache and the panic count on the service, not

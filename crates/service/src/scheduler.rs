@@ -55,6 +55,7 @@
 //! writer queues included, before the loop exits.
 
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 use std::io;
 use std::net::SocketAddr;
 use std::ops::Range;
@@ -205,23 +206,36 @@ struct Owed {
     batch: bool,
 }
 
+/// Bytes reserved per slot of a rendered line: a planarity accept's
+/// response is about 420 bytes.
+const SLOT_BYTES: usize = 512;
+
 impl Cycle {
-    /// Renders a line from its (answered) slots: one response, or a
-    /// batch re-assembled into a single `{"responses": [...]}` line.
-    fn render(&self, line: &Owed) -> Value {
-        let mut values = self.slots[line.slots.clone()].iter().map(|slot| {
-            match &slot.as_ref().expect("every cycle slot answered").1 {
-                Ok(response) => protocol::response_value(response),
-                Err(e) => protocol::error_value(e),
-            }
-        });
+    /// Renders a line from its (answered) slots into one buffer: one
+    /// response, or a batch re-assembled into a single
+    /// `{"ok":true,"responses":[...]}` line.
+    fn render(&self, line: &Owed) -> String {
+        let slots = &self.slots[line.slots.clone()];
+        debug_assert!(line.batch || slots.len() == 1, "a query line has one slot");
+        let mut out = String::with_capacity(32 + SLOT_BYTES * slots.len());
         if line.batch {
-            Value::obj()
-                .field("ok", true)
-                .field("responses", values.collect::<Vec<Value>>())
-        } else {
-            values.next().expect("a query line has one slot")
+            out.push_str("{\"ok\":true,\"responses\":[");
         }
+        for (i, slot) in slots.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            match &slot.as_ref().expect("every cycle slot answered").1 {
+                Ok(response) => protocol::write_response(&mut out, response),
+                Err(e) => {
+                    let _ = write!(out, "{}", protocol::error_value(e));
+                }
+            }
+        }
+        if line.batch {
+            out.push_str("]}");
+        }
+        out
     }
 }
 
@@ -993,7 +1007,7 @@ fn dispatch(
     let (queries, batch) = match parsed {
         Ok(parsed) => parsed,
         Err(message) => {
-            connections.fulfill(token, &protocol::error_value(message));
+            connections.fulfill(token, protocol::error_value(message).to_string());
             return None;
         }
     };
@@ -1011,7 +1025,7 @@ fn dispatch(
         batch,
     };
     if cycle.slots[start..].iter().all(Option::is_some) {
-        connections.fulfill(token, &cycle.render(&line));
+        connections.fulfill(token, cycle.render(&line));
         cycle.slots.truncate(start);
     } else {
         cycle.owed.push(line);
@@ -1139,7 +1153,7 @@ fn run_cycle(
         let resolver = &mut service.resolver();
         let control = dispatch(resolver, &mut cycle, connections, token, sub, None);
         if let Some(req) = control.and_then(|sub| sub.request.ok()) {
-            connections.fulfill(token, &protocol::handle_request(service, &req));
+            connections.fulfill(token, protocol::handle_request(service, &req).to_string());
         }
     }
 
@@ -1180,7 +1194,7 @@ fn run_cycle(
         service.apply_group(group, pass, &mut cycle.slots);
     }
     for line in &cycle.owed {
-        connections.fulfill(line.token, &cycle.render(line));
+        connections.fulfill(line.token, cycle.render(line));
     }
     service.telemetry.flush_trace();
 }
@@ -1189,7 +1203,7 @@ fn run_cycle(
 mod tests {
     use super::*;
     use crate::query::{GraphRef, Property};
-    use planartest_core::{PlanarityTester, TesterConfig};
+    use planartest_core::{PlanarityTester, TestOutcome, TesterConfig};
     use std::io::Write;
     use std::sync::Mutex;
 
@@ -1487,6 +1501,110 @@ mod tests {
         assert_eq!(stats.queries_served, 2);
         assert_eq!(stats.graphs, 1);
         assert_eq!(stats.engine_passes, 1);
+    }
+
+    /// The server writes each line straight into its buffer; it must be
+    /// the tree form's rendering byte for byte (`response_value` and
+    /// `error_value`, displayed through the same string escaper, which
+    /// `wire`'s proptest holds to the per-character one it replaced).
+    #[test]
+    fn rendered_lines_match_the_tree_form_byte_for_byte() {
+        let mut s = Service::new();
+        for (name, spec) in [
+            ("planar", "apollonian(80, seed=1)"),
+            ("far", "k5_chain(6)"),
+            ("tree", "random_tree(40, seed=2)"),
+            ("tri", "tri_grid(4,4)"),
+            ("grid", "grid(4,4)"),
+        ] {
+            s.registry_mut().ingest_spec(name, spec).unwrap();
+        }
+        let q = |graph: &str, p: Property, eps: f64, seed: u64| {
+            Query::planarity(GraphRef::Name(graph.into()), cfg(eps).with_seed(seed))
+                .with_property(p)
+        };
+        let mut slots: Vec<DrainedQuery> = Vec::new();
+        // Cold passes, then warm hits and a certificate replay of them.
+        for round in [
+            vec![
+                q("planar", Property::Planarity, 0.2, 1),
+                q("planar", Property::Planarity, 0.2, 2),
+                q("far", Property::Planarity, 0.05, 1),
+                q("tree", Property::CycleFreeness, 0.2, 1),
+                q("tri", Property::CycleFreeness, 0.2, 1),
+                q("grid", Property::Bipartiteness, 0.2, 1),
+                q("tri", Property::Bipartiteness, 0.2, 1),
+                q("missing", Property::Planarity, 0.2, 1),
+            ],
+            vec![
+                q("planar", Property::Planarity, 0.2, 1),
+                q("far", Property::Planarity, 0.05, 2),
+                q("tri", Property::Bipartiteness, 0.2, 1),
+            ],
+        ] {
+            for query in round {
+                s.submit(query);
+            }
+            slots.extend(s.drain());
+        }
+        fn planarity(r: &QueryResponse) -> Option<&TestOutcome> {
+            match &r.outcome {
+                Outcome::Planarity(o) => Some(o),
+                Outcome::Hereditary { .. } => None,
+            }
+        }
+        let shows = |what: &str, hit: &dyn Fn(&QueryResponse) -> bool| {
+            let mut responses = slots.iter().filter_map(|(_, r)| r.as_ref().ok());
+            assert!(responses.any(hit), "no response shows {what}");
+        };
+        shows("an accept with a witness sample", &|r| {
+            planarity(r).is_some_and(|o| o.accepted() && !o.violation_witnesses.is_empty())
+        });
+        shows("a cold reject with reasons", &|r| {
+            r.cache == CacheStatus::Cold && planarity(r).is_some_and(|o| !o.rejections.is_empty())
+        });
+        shows("a certificate replay", &|r| {
+            r.cache == CacheStatus::Certificate
+        });
+        shows("a warm hit", &|r| r.cache == CacheStatus::Warm);
+        for p in [Property::CycleFreeness, Property::Bipartiteness] {
+            for accepted in [true, false] {
+                shows(&format!("{p} answering {accepted}"), &|r| {
+                    r.property == p && r.outcome.accepted() == accepted
+                });
+            }
+        }
+        assert!(slots[7].1.is_err(), "the unknown graph fails alone");
+
+        let n = slots.len();
+        let cycle = Cycle {
+            slots: slots.into_iter().map(Some).collect(),
+            ..Cycle::default()
+        };
+        let tree = |i: usize| match &cycle.slots[i].as_ref().unwrap().1 {
+            Ok(r) => protocol::response_value(r),
+            Err(e) => protocol::error_value(e),
+        };
+        let token = Connections::new().admit(0);
+        for i in 0..n {
+            let line = Owed {
+                token,
+                slots: i..i + 1,
+                batch: false,
+            };
+            assert_eq!(cycle.render(&line), tree(i).to_string(), "slot {i}");
+        }
+        // Batch lines: every slot, ok members around the error, and none.
+        for range in [0..n, 6..9, 0..0] {
+            let members: Vec<Value> = range.clone().map(tree).collect();
+            let expected = Value::obj().field("ok", true).field("responses", members);
+            let line = Owed {
+                token,
+                slots: range,
+                batch: true,
+            };
+            assert_eq!(cycle.render(&line), expected.to_string());
+        }
     }
 
     #[test]

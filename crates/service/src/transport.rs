@@ -533,12 +533,14 @@ impl Connections {
         Token { conn, seq }
     }
 
-    /// Delivers the response to an admitted token: buffers it, then
-    /// hands the connection's complete prefix to its writer thread,
-    /// releasing one in-flight slot per answer. Returns `false` when
+    /// Delivers the response line to an admitted token: buffers it,
+    /// then hands the connection's complete prefix to its writer
+    /// thread, releasing one in-flight slot per answer. The caller
+    /// renders the line, so nothing is formatted under the
+    /// connection's lock. Returns `false` when
     /// an answer it passed on could not be queued: the connection is
     /// gone (a loss) or its outbound queue is full (a shed).
-    pub(crate) fn fulfill(&self, token: Token, response: &impl fmt::Display) -> bool {
+    pub(crate) fn fulfill(&self, token: Token, response: String) -> bool {
         let Some(record) = self.record(token.conn) else {
             self.totals.record_losses(token.conn, 1);
             return false;
@@ -550,7 +552,7 @@ impl Connections {
         if st.closed {
             lost += 1;
         } else {
-            st.buffered.insert(token.seq, response.to_string());
+            st.buffered.insert(token.seq, response);
         }
         while let Some(line) = st.buffered.remove(&st.next_flush) {
             st.next_flush += 1;
@@ -1077,7 +1079,7 @@ mod tests {
 
     /// Admits one response for `conn` and fulfils it at once.
     fn send(conns: &Connections, conn: ConnectionId, line: &str) -> bool {
-        conns.fulfill(conns.admit(conn), &line)
+        conns.fulfill(conns.admit(conn), line.to_string())
     }
 
     fn sink_contents(sink: &Arc<Mutex<Vec<u8>>>) -> String {
@@ -1274,14 +1276,14 @@ mod tests {
         let t0 = conns.admit(conn);
         let t1 = conns.admit(conn);
         let t2 = conns.admit(conn);
-        conns.fulfill(t2, &Value::obj().field("i", 2u64));
-        conns.fulfill(t0, &Value::obj().field("i", 0u64));
+        conns.fulfill(t2, Value::obj().field("i", 2u64).to_string());
+        conns.fulfill(t0, Value::obj().field("i", 0u64).to_string());
         assert_eq!(
             await_lines(&sink, 1).lines().count(),
             1,
             "prefix [0] flushes alone"
         );
-        conns.fulfill(t1, &Value::obj().field("i", 1u64));
+        conns.fulfill(t1, Value::obj().field("i", 1u64).to_string());
         let text = await_lines(&sink, 3);
         let order: Vec<u64> = text
             .lines()
@@ -1301,10 +1303,10 @@ mod tests {
         let ta = conns.admit(a);
         let tb = conns.admit(b);
         // B's first response is not gated on A's.
-        conns.fulfill(tb, &Value::obj().field("who", "b"));
+        conns.fulfill(tb, Value::obj().field("who", "b").to_string());
         assert_eq!(await_lines(&b_sink, 1).lines().count(), 1);
         assert!(sink_contents(&a_sink).is_empty());
-        conns.fulfill(ta, &Value::obj().field("who", "a"));
+        conns.fulfill(ta, Value::obj().field("who", "a").to_string());
         assert_eq!(await_lines(&a_sink, 1).lines().count(), 1);
         conns.finish_shutdown_flush();
     }

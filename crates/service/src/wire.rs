@@ -14,7 +14,7 @@
 //! or non-UTF-8 frame is reported as a per-frame [`FrameError`] and the
 //! reader resynchronises on the next newline.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{self, BufRead, BufReader, Read};
 
 /// A JSON value.
@@ -138,7 +138,6 @@ impl Value {
     }
 
     fn write_pretty(&self, out: &mut String, depth: usize) {
-        use fmt::Write as _;
         let pad = "  ".repeat(depth + 1);
         let close = "  ".repeat(depth);
         match self {
@@ -156,7 +155,7 @@ impl Value {
                 out.push_str("{\n");
                 for (i, (k, v)) in fields.iter().enumerate() {
                     out.push_str(&pad);
-                    let _ = write!(out, "{}: ", Value::Str(k.clone()));
+                    let _ = write!(out, "{}: ", Quoted(k));
                     v.write_pretty(out, depth + 1);
                     out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });
                 }
@@ -203,7 +202,7 @@ impl fmt::Display for Value {
             Value::UInt(x) => write!(f, "{x}"),
             Value::Float(x) if x.is_finite() => write!(f, "{x}"),
             Value::Float(_) => f.write_str("null"),
-            Value::Str(s) => write_escaped(f, s),
+            Value::Str(s) => Quoted(s).fmt(f),
             Value::Arr(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -220,8 +219,7 @@ impl fmt::Display for Value {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
+                    write!(f, "{}:{v}", Quoted(k))?;
                 }
                 f.write_str("}")
             }
@@ -229,20 +227,48 @@ impl fmt::Display for Value {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
+/// Displays its value's `Display` form as a JSON string literal: quoted,
+/// and escaped by [`Escaped`]. Every string on the wire, from
+/// [`Value`]'s `Display` and from
+/// [`write_response`](crate::protocol::write_response), is written
+/// through it.
+pub(crate) struct Quoted<T>(pub T);
+
+impl<T: fmt::Display> fmt::Display for Quoted<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("\"")?;
+        write!(Escaped(&mut *f), "{}", self.0)?;
+        f.write_str("\"")
     }
-    f.write_str("\"")
+}
+
+/// A [`fmt::Write`] that JSON-escapes what is written through it: `"`,
+/// `\` and every control character below 0x20 (`\n`, `\r` and `\t` by
+/// name, the rest as `\u00xx`). Runs with nothing to escape are copied
+/// whole.
+struct Escaped<W>(W);
+
+impl<W: fmt::Write> fmt::Write for Escaped<W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if b >= 0x20 && b != b'"' && b != b'\\' {
+                continue;
+            }
+            // Every byte escaped is ASCII, so `i` is a char boundary.
+            self.0.write_str(&s[run..i])?;
+            match b {
+                b'"' => self.0.write_str("\\\"")?,
+                b'\\' => self.0.write_str("\\\\")?,
+                b'\n' => self.0.write_str("\\n")?,
+                b'\r' => self.0.write_str("\\r")?,
+                b'\t' => self.0.write_str("\\t")?,
+                _ => write!(self.0, "\\u{b:04x}")?,
+            }
+            run = i + 1;
+        }
+        self.0.write_str(&s[run..])
+    }
 }
 
 impl From<bool> for Value {
@@ -674,6 +700,81 @@ impl<R: Read> FrameReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-character escaper [`Quoted`] replaced, kept as its
+    /// oracle.
+    struct PerChar<'a>(&'a str);
+
+    impl fmt::Display for PerChar<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            f.write_str("\"")?;
+            for c in self.0.chars() {
+                match c {
+                    '"' => f.write_str("\\\"")?,
+                    '\\' => f.write_str("\\\\")?,
+                    '\n' => f.write_str("\\n")?,
+                    '\r' => f.write_str("\\r")?,
+                    '\t' => f.write_str("\\t")?,
+                    c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                    c => write!(f, "{c}")?,
+                }
+            }
+            f.write_str("\"")
+        }
+    }
+
+    /// Writes its string one character per `write_str`, the way a
+    /// `Display` that writes in pieces reaches the escaper.
+    struct Pieces<'a>(&'a str);
+
+    impl fmt::Display for Pieces<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            self.0.chars().try_for_each(|c| f.write_char(c))
+        }
+    }
+
+    /// `kind` 0 draws any scalar value (a surrogate becomes U+FFFD);
+    /// otherwise `x` picks a control character or one of `"`, `\`,
+    /// DEL, `/`, and 1-, 2-, 3- and 4-byte UTF-8.
+    fn pick_char((kind, x): (u32, u32)) -> char {
+        const SPECIAL: [char; 8] = ['"', '\\', '\u{7f}', '/', 'a', 'é', '€', '😀'];
+        match (kind, x % 40) {
+            (0, _) => char::from_u32(x).unwrap_or('\u{fffd}'),
+            (_, c @ 0..=0x1f) => char::from_u32(c).expect("a control character"),
+            (_, c) => SPECIAL[c as usize - 0x20],
+        }
+    }
+
+    fn assert_escapes_as_before(s: &str) {
+        let quoted = Quoted(s).to_string();
+        assert_eq!(quoted, PerChar(s).to_string(), "{s:?}");
+        assert_eq!(Quoted(Pieces(s)).to_string(), quoted, "{s:?} in pieces");
+        assert_eq!(Value::parse(&quoted), Ok(Value::Str(s.to_string())));
+    }
+
+    #[test]
+    fn every_ascii_character_escapes_as_before() {
+        assert_escapes_as_before("");
+        let all: String = (0u8..=0x7f).map(char::from).collect();
+        assert_escapes_as_before(&all);
+        for c in all.chars() {
+            assert_escapes_as_before(&format!("{c}"));
+            assert_escapes_as_before(&format!("x{c}{c}y"));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn quoted_strings_escape_as_before_and_parse_back(
+            draws in prop::collection::vec((0u32..3, 0u32..0x11_0000), 0..40),
+        ) {
+            let s: String = draws.into_iter().map(pick_char).collect();
+            assert_escapes_as_before(&s);
+        }
+    }
 
     #[test]
     fn roundtrip_document() {
