@@ -5,8 +5,9 @@
 //! query, isolating the one-sided cache and the coalescing scheduler
 //! from queueing: cold vs warm replay of a planar / certified-far
 //! corpus (a reject replays as a certificate, with no engine pass; the
-//! cold pass is also split into each key's first touch and the fresh
-//! seeds that ride its memoised prepared tester), a 16-seed fan-out
+//! cold pass is also split into each key's first touch, the engine pass
+//! the warm-over-cold clause times, and the fresh seeds that ride its
+//! memoised prepared tester, reported beside it), a 16-seed fan-out
 //! served serially vs coalesced into one pass, a
 //! [`CONNECTIONS`]-client unix-socket burst that prepares one tester
 //! across clients, and the cold path with vs without the `--trace`
@@ -74,7 +75,7 @@ pub const LOAD_SEED: u64 = 0x0b5e_55ed;
 pub const CONNECTIONS: usize = 4;
 
 /// The `BENCH_load.json` schema tag.
-const SCHEMA: &str = "planartest-bench/load/v3";
+const SCHEMA: &str = "planartest-bench/load/v4";
 
 /// Knee criterion: the first rate whose achieved throughput drops
 /// below this fraction of the realized offered rate is saturated.
@@ -321,9 +322,17 @@ pub struct LoadGate {
     /// Client-side p99 (µs) of the *same* connections when one peer
     /// connection is throttled to ~1 byte/ms.
     pub slow_reader_healthy_p99_micros: u64,
-    /// Closed loop: cold p50 over warm p50, each query timed in
-    /// nanoseconds (a warm hit takes 2–3 µs).
+    /// Closed loop: the p50 of the cold pass's first touches (each an
+    /// engine pass with no memoised prepared tester to ride) over the
+    /// warm replay's p50, each query timed in nanoseconds (a warm hit
+    /// takes 2–3 µs).
     pub warm_p50_speedup: f64,
+    /// Closed loop: the p50 of the cold pass's fresh seeds (each a
+    /// sample lane on a memoised prepared tester) over the warm
+    /// replay's p50. Reported, not gated: it falls whenever the lane
+    /// gets cheaper, with nothing regressed, and the open loop's
+    /// [`LoadGate::WARM_P99_CEIL_MICROS`] already guards the warm path.
+    pub fresh_seed_p50_speedup: f64,
     /// Closed loop: serial wall over coalesced wall on the same-graph
     /// fan-out, the serial queries each a first touch (cache cleared
     /// before every one).
@@ -376,8 +385,8 @@ impl LoadGate {
     /// runs measured factors 1.0–1.8 against ≈70–140 ms baselines).
     pub const FAIRNESS_SLACK_MICROS: u64 = 25_000;
 
-    /// Minimum cold-p50 / warm-p50 ratio: a cache hit must be at least
-    /// an order of magnitude cheaper than an engine pass.
+    /// Minimum first-touch-p50 / warm-p50 ratio: a cache hit must be at
+    /// least an order of magnitude cheaper than an engine pass.
     pub const WARM_SPEEDUP_FLOOR: f64 = 10.0;
 
     /// Minimum traced/plain throughput ratio: the `--trace` event log
@@ -394,7 +403,7 @@ impl LoadGate {
 
     /// Every clause as `(name, held)`, named after its field in the
     /// `gate` section of `BENCH_load.json`: warm replay ≥ 10× cheaper
-    /// at the median; coalescing and the cross-client burst at least
+    /// than a first touch at the median; coalescing and the cross-client burst at least
     /// even with serial drains (the shared Stage I is the win, so
     /// neither needs a second core); tracing within its 5% budget; a
     /// knee found (with at least one healthy rate below it) at or above
@@ -1025,10 +1034,13 @@ mod serving {
     /// service's `prefix_hits`), the wall time and the verdicts.
     struct TimedPass {
         latency: Histogram,
-        /// Every query's latency in nanoseconds, for the warm-over-cold
-        /// ratio: truncated to whole microseconds, a 2–3 µs warm p50
-        /// would move it by a third or more per microsecond.
+        /// Every query's latency in nanoseconds, and the first touches'
+        /// and fresh seeds' alone, for the warm-over-cold ratios:
+        /// truncated to whole microseconds, a 2–3 µs warm p50 would move
+        /// them by a third or more per microsecond.
         nanos: Vec<u64>,
+        first_touch_nanos: Vec<u64>,
+        fresh_seed_nanos: Vec<u64>,
         first_touch: Histogram,
         fresh_seed: Histogram,
         wall_secs: f64,
@@ -1042,6 +1054,8 @@ mod serving {
         let mut pass = TimedPass {
             latency: Histogram::new(),
             nanos: Vec::with_capacity(queries.len()),
+            first_touch_nanos: Vec::new(),
+            fresh_seed_nanos: Vec::new(),
             first_touch: Histogram::new(),
             fresh_seed: Histogram::new(),
             wall_secs: 0.0,
@@ -1058,8 +1072,10 @@ mod serving {
             pass.latency.record(micros);
             if service.stats().prefix_hits > prefix_hits {
                 pass.fresh_seed.record(micros);
+                pass.fresh_seed_nanos.push(nanos);
             } else if r.cache == CacheStatus::Cold {
                 pass.first_touch.record(micros);
+                pass.first_touch_nanos.push(nanos);
             }
             pass.verdicts.push(r.outcome.accepted());
             if let Some(expect) = expect {
@@ -1074,9 +1090,12 @@ mod serving {
         pass
     }
 
-    /// The median of a pass's nanosecond latencies.
-    fn p50_nanos(pass: &TimedPass) -> u64 {
-        let mut nanos = pass.nanos.clone();
+    /// The median of nanosecond latencies (0 for none).
+    fn p50_nanos(nanos: &[u64]) -> u64 {
+        if nanos.is_empty() {
+            return 0;
+        }
+        let mut nanos = nanos.to_vec();
         let mid = nanos.len() / 2;
         *nanos.select_nth_unstable(mid).1
     }
@@ -1310,9 +1329,10 @@ mod serving {
         (row, ratio)
     }
 
-    /// The closed-loop section and its four gated ratios: warm p50
-    /// speedup, coalesced speedup, burst speedup, trace overhead.
-    fn closed_loop() -> (Json, [f64; 4]) {
+    /// The closed-loop section and its ratios: warm p50 speedup over a
+    /// first touch, coalesced speedup, burst speedup and trace overhead
+    /// (gated), and the fresh seeds' warm p50 speedup (reported).
+    fn closed_loop() -> (Json, [f64; 5]) {
         println!("\n## closed loop (cold vs warm, coalesced fan-out, burst, trace overhead)");
         let mut service = closed_loop_service();
         let queries = closed_loop_queries();
@@ -1325,7 +1345,9 @@ mod serving {
             "warm pass must be engine-free"
         );
         let (cold, warm) = (&cold_pass.latency, &warm_pass.latency);
-        let (cold_p50, warm_p50) = (p50_nanos(&cold_pass), p50_nanos(&warm_pass));
+        let (cold_p50, warm_p50) = (p50_nanos(&cold_pass.nanos), p50_nanos(&warm_pass.nanos));
+        let first_touch_p50 = p50_nanos(&cold_pass.first_touch_nanos);
+        let fresh_seed_p50 = p50_nanos(&cold_pass.fresh_seed_nanos);
         let cold_row = pass_row("cold", cold, cold_pass.wall_secs).field("p50_nanos", cold_p50);
         // The first touch and fresh-seed rows time only their own
         // queries, so their rates are per busy second.
@@ -1334,12 +1356,14 @@ mod serving {
             "first_touch",
             &cold_pass.first_touch,
             busy_secs(&cold_pass.first_touch),
-        );
+        )
+        .field("p50_nanos", first_touch_p50);
         let fresh_seed_row = pass_row(
             "fresh_seed",
             &cold_pass.fresh_seed,
             busy_secs(&cold_pass.fresh_seed),
-        );
+        )
+        .field("p50_nanos", fresh_seed_p50);
         let warm_row = pass_row("warm", warm, warm_pass.wall_secs).field("p50_nanos", warm_p50);
         let stats = service.stats();
 
@@ -1347,14 +1371,20 @@ mod serving {
         let (burst_row, burst_speedup) = burst();
         let (trace_row, trace_overhead) = trace_overhead(&queries);
 
-        let warm_p50_speedup = cold_p50 as f64 / warm_p50.max(1) as f64;
-        println!("warm p50 speedup {warm_p50_speedup:.1}x (cold {cold_p50}ns / warm {warm_p50}ns)");
+        let warm_p50_speedup = first_touch_p50 as f64 / warm_p50.max(1) as f64;
+        let fresh_seed_p50_speedup = fresh_seed_p50 as f64 / warm_p50.max(1) as f64;
+        println!(
+            "warm p50 speedup {warm_p50_speedup:.1}x (first touch {first_touch_p50}ns / warm {warm_p50}ns); \
+             fresh seed over warm {fresh_seed_p50_speedup:.1}x ({fresh_seed_p50}ns), ungated"
+        );
         let doc = Json::obj()
             .field("corpus", corpus_rows(closed_loop_corpus()))
             .field("cold", cold_row)
             .field("first_touch", first_touch_row)
             .field("fresh_seed", fresh_seed_row)
             .field("warm", warm_row)
+            .field("warm_p50_speedup", warm_p50_speedup)
+            .field("fresh_seed_p50_speedup", fresh_seed_p50_speedup)
             .field(
                 "cache",
                 Json::obj()
@@ -1371,6 +1401,7 @@ mod serving {
             doc,
             [
                 warm_p50_speedup,
+                fresh_seed_p50_speedup,
                 coalesced_speedup,
                 burst_speedup,
                 trace_overhead,
@@ -1379,8 +1410,10 @@ mod serving {
     }
 
     pub(super) fn document() -> (Json, LoadGate) {
-        let (closed_loop, [warm_p50_speedup, coalesced_speedup, burst_speedup, trace_overhead]) =
-            closed_loop();
+        let (
+            closed_loop,
+            [warm_p50_speedup, fresh_seed_p50_speedup, coalesced_speedup, burst_speedup, trace_overhead],
+        ) = closed_loop();
         println!("\n## open-loop load sweep (Poisson arrivals, Zipf popularity, mixed ops)");
         let mut rates: Vec<f64> = if quick() {
             vec![400.0, 1_600.0, 6_400.0, 25_600.0]
@@ -1465,6 +1498,7 @@ mod serving {
             all_healthy_p99_micros: fairness.all_healthy_p99_micros,
             slow_reader_healthy_p99_micros: fairness.slow_reader_healthy_p99_micros,
             warm_p50_speedup,
+            fresh_seed_p50_speedup,
             coalesced_speedup,
             burst_speedup,
             trace_overhead,
@@ -1538,6 +1572,7 @@ mod serving {
                 Json::obj()
                     .field("warm_p50_speedup", gate.warm_p50_speedup)
                     .field("warm_p50_speedup_floor", LoadGate::WARM_SPEEDUP_FLOOR)
+                    .field("fresh_seed_p50_speedup", gate.fresh_seed_p50_speedup)
                     .field("coalesced_speedup", gate.coalesced_speedup)
                     .field("coalesced_speedup_floor", 1.0)
                     .field("burst_speedup", gate.burst_speedup)
@@ -1586,6 +1621,7 @@ pub fn load_bench_document() -> (Json, LoadGate) {
             all_healthy_p99_micros: 0,
             slow_reader_healthy_p99_micros: 0,
             warm_p50_speedup: LoadGate::WARM_SPEEDUP_FLOOR,
+            fresh_seed_p50_speedup: 1.0,
             coalesced_speedup: 1.0,
             burst_speedup: 1.0,
             trace_overhead: LoadGate::TRACE_OVERHEAD_FLOOR,
@@ -1661,6 +1697,7 @@ mod tests {
             slow_reader_healthy_p99_micros: LoadGate::FAIRNESS_FACTOR * 1_000
                 + LoadGate::FAIRNESS_SLACK_MICROS,
             warm_p50_speedup: LoadGate::WARM_SPEEDUP_FLOOR,
+            fresh_seed_p50_speedup: 1.0,
             coalesced_speedup: 1.0,
             burst_speedup: 1.0,
             trace_overhead: LoadGate::TRACE_OVERHEAD_FLOOR,
@@ -1714,6 +1751,13 @@ mod tests {
         assert!(base.pass(), "every bound exactly at its limit passes");
         assert!(!LoadGate {
             warm_p50_speedup: 9.9,
+            ..base
+        }
+        .pass());
+        // The fresh seeds' ratio is reported beside the clause, never
+        // gated: a cheaper sample lane lowers it with nothing regressed.
+        assert!(LoadGate {
+            fresh_seed_p50_speedup: 1.0,
             ..base
         }
         .pass());
