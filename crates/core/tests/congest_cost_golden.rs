@@ -11,6 +11,13 @@
 //! The graphs are the tiny corpora of the repo benchmark and the serving
 //! bench's closed-loop corpus; the values were recorded with the
 //! Demoucron embedder.
+//!
+//! `LANE_GOLDEN` pins larger graphs whose parts a seed draws (more
+//! non-tree edges than the sample size), where the sample lane costs
+//! its up-stream in closed form along the sampled paths: a release
+//! build checks that closed form against nothing else. Their degrees
+//! exceed 6, so the embedder could move these rows through the label
+//! width; they were recorded with the left-right embedder.
 
 use planartest_core::{PlanarityTester, TesterConfig};
 use planartest_graph::generators::spec;
@@ -60,4 +67,61 @@ fn tester_cost_is_independent_of_the_embedder() {
             "{spec_str} seed {seed}"
         );
     }
+}
+
+/// `(seed, accepted, total rounds, messages, words, runs)`.
+type Row = (u64, bool, u64, u64, u64, u64);
+
+/// `(spec, rows)` at ε = 0.1 and 10 Stage-I phases, every seed of a
+/// graph served by one `run_many`.
+const LANE_GOLDEN: &[(&str, [Row; 3])] = &[
+    (
+        "tri_grid(40,40)",
+        [
+            (1, true, 81711, 1119597, 3236341, 150),
+            (2, true, 81685, 1100499, 3176009, 150),
+            (3, true, 81734, 1149658, 3367682, 150),
+        ],
+    ),
+    (
+        "random_planar(1500, 0.7, seed=3)",
+        [
+            (1, true, 9706, 690220, 1973666, 140),
+            (2, true, 9717, 691688, 1972126, 140),
+            (3, true, 9708, 672452, 1907027, 140),
+        ],
+    ),
+];
+
+#[test]
+fn drawn_parts_keep_their_cost() {
+    let mut actual = Vec::new();
+    for &(spec_str, _) in LANE_GOLDEN {
+        let g = spec::parse(spec_str).expect("spec").graph;
+        let cfg = TesterConfig::new(0.1).with_phases(10);
+        let outs = PlanarityTester::new(cfg)
+            .run_many(&g, &[1, 2, 3])
+            .expect("run_many");
+        let rows: Vec<_> = [1, 2, 3]
+            .into_iter()
+            .zip(&outs)
+            .map(|(seed, out)| {
+                let stats = out.stats;
+                (
+                    seed,
+                    out.accepted(),
+                    stats.total_rounds(),
+                    stats.messages,
+                    stats.words,
+                    stats.runs,
+                )
+            })
+            .collect();
+        actual.push((spec_str, rows));
+    }
+    let expected: Vec<_> = LANE_GOLDEN
+        .iter()
+        .map(|&(spec_str, rows)| (spec_str, rows.to_vec()))
+        .collect();
+    assert_eq!(actual, expected, "actual table: {actual:#?}");
 }
