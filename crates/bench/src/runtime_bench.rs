@@ -1,17 +1,18 @@
 //! Runtime benchmark: serial engine throughput, tester n-sweeps,
 //! trial-parallel sweep scaling, batched-vs-sequential Monte-Carlo
-//! sweeps, the two planar embedders and the scaling of the tester's
-//! seed-free prefix over parts — written
+//! sweeps, the two planar embedders, the scaling of the tester's
+//! seed-free prefix over parts and the per-seed sample lane — written
 //! both as a human-readable table and as machine-readable
 //! `BENCH_runtime.json` so the performance trajectory is tracked from PR
 //! to PR.
 
+use std::cell::Cell;
 use std::hint::black_box;
 use std::time::Instant;
 
 use planartest_core::{PlanarityTester, TestOutcome};
 use planartest_embed::{check_planarity, demoucron};
-use planartest_graph::generators::planar;
+use planartest_graph::generators::{planar, spec};
 use planartest_graph::{Graph, NodeId};
 use planartest_sim::runtime::{auto_threads, TrialRunner};
 use planartest_sim::{Engine, Msg, NodeLogic, Outbox, SimConfig};
@@ -377,6 +378,58 @@ fn prepare_scaling(side: usize, pairs: usize) -> (Json, f64) {
     (row, growth)
 }
 
+/// The per-seed sample lane on a memoised prepared tester: for each of
+/// `specs` at ε 0.1 and 10 phases, one `prepare`, then the medians over
+/// `calls` paired calls of [`Prepared::sample`](planartest_core::Prepared::sample)
+/// for one fresh seed and for 16, and the prepared tester's heap bytes
+/// per node. Reported, not gated.
+fn sample_lane(specs: &[&str], calls: usize) -> Json {
+    let mut rows = Vec::new();
+    for &spec_text in specs {
+        let g = spec::parse(spec_text).expect("spec").graph;
+        let prepared = PlanarityTester::new(crate::practical_cfg(0.1))
+            .prepare(&g)
+            .expect("prepare");
+        // Every call samples seeds no earlier call drew.
+        let next_seed = Cell::new(1u64);
+        let fresh = |count: u64| {
+            let first = next_seed.replace(next_seed.get() + count);
+            (first..first + count).collect::<Vec<u64>>()
+        };
+        for outcome in prepared.sample(&g, &fresh(16)).expect("sample") {
+            assert!(outcome.accepted(), "{spec_text} is planar");
+        }
+        let (one_secs, sixteen_secs, _) = paired_times(
+            calls,
+            &mut || {
+                black_box(prepared.sample(&g, &fresh(1)).expect("sample"));
+            },
+            &mut || {
+                black_box(prepared.sample(&g, &fresh(16)).expect("sample"));
+            },
+        );
+        let per_node = prepared.heap_bytes() as f64 / g.n() as f64;
+        println!(
+            "sample lane    {spec_text:<34} 1 seed {one_secs:>10.6}s  16 seeds \
+             {sixteen_secs:>10.6}s  {per_node:.1} B/node"
+        );
+        rows.push(
+            Json::obj()
+                .field("graph", spec_text)
+                .field("n", g.n())
+                .field("epsilon", 0.1)
+                .field("phases", 10u64)
+                .field("calls", calls)
+                .field("one_seed_seconds", one_secs)
+                .field("sixteen_seeds_seconds", sixteen_secs)
+                .field("heap_bytes_per_node", per_node),
+        );
+    }
+    Json::obj()
+        .field("workload", "sample_lane")
+        .field("rows", rows)
+}
+
 /// The CI regression gate computed alongside the benchmark document:
 /// the batched Monte-Carlo sweep must clear its floor over the
 /// sequential-per-instance path, the left-right embedder must clear its
@@ -447,6 +500,10 @@ pub fn runtime_bench_document() -> (Json, BenchGate) {
     let (batch_row, batch_speedup, batch_trials) = batch_sweep();
     let (embed_row, embed_speedup) = embed_bench(if quick() { 24 } else { 48 }, 7);
     let (prepare_row, prepare_growth) = prepare_scaling(48, 7);
+    let lane_row = sample_lane(
+        &["tri_grid(40,40)", "random_planar(1500, 0.7, seed=3)"],
+        if quick() { 31 } else { 61 },
+    );
     let gate = BenchGate {
         batch_trials,
         batch_speedup,
@@ -454,13 +511,14 @@ pub fn runtime_bench_document() -> (Json, BenchGate) {
         prepare_growth,
     };
     let doc = Json::obj()
-        .field("schema", "planartest-bench/runtime/v6")
+        .field("schema", "planartest-bench/runtime/v7")
         .field("quick_mode", quick())
         .field("host", crate::host())
         .field("hardware_threads", auto_threads())
         .field("engine_throughput", engine_throughput(side))
         .field("embed_bench", embed_row)
         .field("prepare_scaling", prepare_row)
+        .field("sample_lane", lane_row)
         .field("tester_n_sweep", tester_rows)
         .field("trial_sweep", trial_sweep())
         .field("batch_sweep", batch_row)
@@ -547,6 +605,23 @@ mod tests {
             assert!(text.contains(key), "missing {key} in {text}");
         }
         assert!(growth.is_finite() && growth > 0.0);
+    }
+
+    #[test]
+    fn sample_lane_row_has_required_fields() {
+        // A schema check over one pair of calls on small graphs, one with
+        // a part that each seed draws: the timed workload runs in
+        // `runtime_bench` on the release binary.
+        let text = sample_lane(&["tri_grid(12,12)", "grid(4,4)"], 1).pretty();
+        for key in [
+            "sample_lane",
+            "graph",
+            "one_seed_seconds",
+            "sixteen_seeds_seconds",
+            "heap_bytes_per_node",
+        ] {
+            assert!(text.contains(key), "missing {key} in {text}");
+        }
     }
 
     #[test]

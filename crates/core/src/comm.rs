@@ -15,7 +15,10 @@
 //! Two functions run no engine: [`up_stream_tree_cost`] and
 //! [`stream_broadcast_tree_cost`] compute one tree's share of an
 //! [`up_stream`] and a [`stream_broadcast`] in closed form, from a
-//! [`StreamSummary`] of each node's message list, as a [`RawCost`].
+//! [`StreamSummary`] of the message list of each node that has one
+//! (the up-stream's [`Origin`]s, the broadcast's root), as a
+//! [`RawCost`]. The up-stream's walks only the origins' paths to the
+//! root, so its work follows the messages, not the tree.
 //! Trees run side by side, so a forest's costs combine
 //! ([`RawCost::add`]) and settle once into the exact [`RunReport`] (or
 //! first [`SimError`]) of the engine run ([`RawCost::settle`]);
@@ -375,7 +378,7 @@ pub fn stream_broadcast_cost(
     max_rounds: u64,
 ) -> Result<RunReport, SimError> {
     let mut cost = RawCost::default();
-    let mut order = Vec::new();
+    let (mut order, mut depth) = (Vec::new(), Vec::new());
     for (v, sent) in payload.iter().enumerate() {
         if sent.messages == 0 {
             continue;
@@ -383,10 +386,11 @@ pub fn stream_broadcast_cost(
         let root = NodeId::new(v);
         order.clear();
         breadth_first(tree, root, &mut order);
-        let height = order.iter().map(|&(_, d)| d).max().unwrap_or(0);
+        depths(&order, &mut depth);
+        let height = depth.iter().copied().max().unwrap_or(0);
         cost.add(&stream_broadcast_tree_cost(
-            tree,
             root,
+            order.get(1).map(|&(child, _)| child),
             order.len() as u64,
             u64::from(height),
             sent,
@@ -396,8 +400,8 @@ pub fn stream_broadcast_cost(
 }
 
 /// One tree's share of a [`stream_broadcast`]: the [`RawCost`] of root
-/// `root` sending `sent` down its tree of `size` nodes and height
-/// `height`.
+/// `root`, whose first child is `first_child`, sending `sent` down its
+/// tree of `size` nodes and height `height`.
 ///
 /// A root sends its message `j` (0-based) in round `j`, round 0 being
 /// `init`, and a node at depth `d` relays it in round `j + d`. So a root
@@ -414,8 +418,8 @@ pub fn stream_broadcast_cost(
 /// oversize send is the root's: its first message over the limit, sent
 /// toward its first child in round `j`. Childless roots send nothing.
 pub fn stream_broadcast_tree_cost(
-    tree: &TreeTopology,
     root: NodeId,
+    first_child: Option<NodeId>,
     size: u64,
     height: u64,
     sent: &StreamSummary,
@@ -430,11 +434,9 @@ pub fn stream_broadcast_tree_cost(
             messages: k * (size - 1),
             words: sent.words * (size - 1),
         },
-        oversize: tree
-            .children(root)
-            .first()
+        oversize: first_child
             .zip(sent.oversize)
-            .map(|(&to, (j, words))| (j, root, to, words)),
+            .map(|(to, (j, words))| (j, root, to, words)),
     }
 }
 
@@ -497,14 +499,32 @@ impl RawCost {
 }
 
 /// Appends `root`'s tree to `order` in breadth-first order, each node
-/// with its depth (the root's is 0). Reversed, children come before
-/// their parents.
+/// with its parent's position among the appended entries (the root,
+/// first, with 0). Reversed, children come before their parents; and a
+/// later node's parent never comes before an earlier node's.
 pub fn breadth_first(tree: &TreeTopology, root: NodeId, order: &mut Vec<(NodeId, u32)>) {
-    let mut next = order.len();
+    let start = order.len();
     order.push((root, 0));
-    while let Some(&(x, d)) = order.get(next) {
-        order.extend(tree.children(x).iter().map(|&c| (c, d + 1)));
+    let mut next = start;
+    while let Some(&(x, _)) = order.get(next) {
+        let at = (next - start) as u32;
+        order.extend(tree.children(x).iter().map(|&c| (c, at)));
         next += 1;
+    }
+}
+
+/// The depth of every node of one tree in [`breadth_first`] order,
+/// into `depth` (the root's is 0).
+pub fn depths(order: &[(NodeId, u32)], depth: &mut Vec<u32>) {
+    depth.clear();
+    depth.reserve(order.len());
+    for (i, &(_, parent)) in order.iter().enumerate() {
+        let d = if i == 0 {
+            0
+        } else {
+            depth[parent as usize] + 1
+        };
+        depth.push(d);
     }
 }
 
@@ -604,36 +624,71 @@ pub fn up_stream_cost(
 ) -> Result<RunReport, SimError> {
     let mut scratch = UpStreamScratch::default();
     let mut cost = RawCost::default();
-    let (mut order, mut own) = (Vec::new(), Vec::new());
+    let (mut order, mut depth, mut origins) = (Vec::new(), Vec::new(), Vec::new());
     for root in (0..items.len())
         .map(NodeId::new)
         .filter(|&v| tree.is_root(v))
     {
         order.clear();
         breadth_first(tree, root, &mut order);
-        own.clear();
-        own.extend(order.iter().map(|&(v, _)| items[v.index()]));
-        cost.add(&up_stream_tree_cost(tree, &order, &own, &mut scratch));
+        depths(&order, &mut depth);
+        origins.clear();
+        origins.extend(
+            order
+                .iter()
+                .zip(&depth)
+                .enumerate()
+                .filter(|(_, ((v, _), _))| items[v.index()].messages > 0)
+                .map(|(pos, (&(v, _), &depth))| Origin {
+                    pos: pos as u32,
+                    depth,
+                    own: items[v.index()],
+                }),
+        );
+        cost.add(&up_stream_tree_cost(&order, &origins, &mut scratch));
     }
     cost.settle(limit, max_rounds)
+}
+
+/// A node with messages of its own in an [`up_stream`], as
+/// [`up_stream_tree_cost`] reads it: its position in its tree's
+/// [`breadth_first`] order, its depth and a summary of its list.
+#[derive(Debug, Clone, Copy)]
+pub struct Origin {
+    /// Its position in the tree's order.
+    pub pos: u32,
+    /// Its depth (the root's is 0).
+    pub depth: u32,
+    /// Its own message list.
+    pub own: StreamSummary,
 }
 
 /// The buffers [`up_stream_tree_cost`] works in, reusable across trees
 /// and runs.
 #[derive(Debug, Default)]
 pub struct UpStreamScratch {
-    /// Each node's send rounds as runs `(first, count)`: those of the
-    /// node at position `i` of the tree's order are
-    /// `runs[at[i].0..at[i].1]`.
+    /// Send rounds as runs `(first, count)`, each node's a range of them.
     runs: Vec<(u64, u64)>,
-    at: Vec<(usize, usize)>,
+    /// Every walked node's sends, in the order the walk reaches the
+    /// nodes, each waiting for its parent's turn.
+    walked: Vec<Sends>,
     steps: Vec<(u64, i64)>,
+}
+
+/// A walked node's send rounds: `runs[runs.0..runs.1]`, each run `shift`
+/// rounds later, and the position of the parent they arrive at.
+#[derive(Debug, Clone, Copy)]
+struct Sends {
+    parent: u32,
+    runs: (usize, usize),
+    shift: u64,
 }
 
 /// One tree's share of an [`up_stream`]: the [`RawCost`] of its nodes
 /// shipping their lists to the root. `order` is the tree in
-/// breadth-first order with depths ([`breadth_first`]), and `own[i]`
-/// summarises the list of the node at `order[i]`.
+/// breadth-first order with parent positions ([`breadth_first`]), and
+/// `origins` are the nodes with messages of their own, ascending in
+/// position; every other node has none.
 ///
 /// A node queues its own messages at round 0 and each relayed message
 /// in the round it arrives, one round after its child sent it. Every
@@ -647,7 +702,14 @@ pub struct UpStreamScratch {
 /// A node whose arrivals, sorted, are `a_1 ≤ a_2 ≤ …` sends in rounds
 /// `t_i = max(a_i, t_{i−1} + 1)`. The rounds are computed children
 /// before parents, as maximal runs of consecutive rounds, so the work
-/// grows with the number of runs, not of messages.
+/// grows with the number of runs, not of messages; and only on the
+/// origins' paths to the root, since a subtree without an origin sends
+/// nothing. The walk takes positions in descending order, the larger
+/// of the next origin's and the next parent's that a walked node's sends
+/// wait for: parents of descending positions descend too, so those
+/// wait in the order they are reached. A node with no message of its
+/// own and one child on the paths sends that child's runs one round
+/// later, which the walk records as a shift, copying nothing.
 ///
 /// A node's own messages queue ahead of everything it relays, so it
 /// sends its own message `j` in round `j`; and a message is relayed only
@@ -656,51 +718,85 @@ pub struct UpStreamScratch {
 /// exceeds the limit, the lowest node winning ties, sent toward its
 /// parent. Roots send nothing.
 pub fn up_stream_tree_cost(
-    tree: &TreeTopology,
     order: &[(NodeId, u32)],
-    own: &[StreamSummary],
+    origins: &[Origin],
     scratch: &mut UpStreamScratch,
 ) -> RawCost {
     let mut cost = RawCost::default();
-    let UpStreamScratch { runs, at, steps } = scratch;
-    runs.clear();
-    at.clear();
-    at.resize(order.len(), (0, 0));
-    // Breadth-first, a node's children follow its predecessors'
-    // children: walking backwards, they are the last of the positions
-    // not yet claimed.
-    let mut unclaimed = order.len();
-    for (i, (&(v, depth), own)) in order.iter().zip(own).enumerate().rev() {
+    for &Origin { pos, depth, own } in origins {
         cost.report.messages += own.messages * u64::from(depth);
         cost.report.words += own.words * u64::from(depth);
-        let children = unclaimed - tree.children(v).len()..unclaimed;
-        unclaimed = children.start;
-        let Some(parent) = tree.parent(v) else {
-            continue;
-        };
-        if let Some((j, words)) = own.oversize {
+        // Roots send nothing.
+        if let Some((j, words)) = own.oversize.filter(|_| pos > 0) {
+            let (v, parent) = order[pos as usize];
             if cost
                 .oversize
                 .is_none_or(|(earliest, from, ..)| (j, v) < (earliest, from))
             {
-                cost.oversize = Some((j, v, parent, words));
+                cost.oversize = Some((j, v, order[parent as usize].0, words));
             }
         }
-        // A child's run of sends arrives here one round later, one
-        // message a round: the arrival rate steps up at its first round
-        // and back down after its last.
-        steps.clear();
-        for &(lo, hi) in &at[children] {
-            for &(first, count) in &runs[lo..hi] {
-                steps.extend([(first + 1, 1), (first + 1 + count, -1)]);
+    }
+    let UpStreamScratch {
+        runs,
+        walked,
+        steps,
+    } = scratch;
+    runs.clear();
+    walked.clear();
+    let (mut waiting, mut unwalked) = (0, origins.len());
+    loop {
+        let parent = walked.get(waiting).map(|s| s.parent);
+        let origin = unwalked.checked_sub(1).map(|i| &origins[i]);
+        // The root (position 0) keeps what reaches it and sends nothing.
+        let at = match parent.max(origin.map(|o| o.pos)) {
+            None | Some(0) => break,
+            Some(at) => at,
+        };
+        let own = match origin {
+            Some(o) if o.pos == at => {
+                unwalked -= 1;
+                o.own.messages
             }
+            _ => 0,
+        };
+        let children = waiting
+            ..waiting
+                + walked[waiting..]
+                    .iter()
+                    .take_while(|s| s.parent == at)
+                    .count();
+        waiting = children.end;
+        let sends = match &walked[children.clone()] {
+            &[child] if own == 0 => Sends {
+                parent: order[at as usize].1,
+                shift: child.shift + 1,
+                ..child
+            },
+            children => {
+                // A child's run of sends arrives here one round later, one
+                // message a round: the arrival rate steps up at its first
+                // round and back down after its last.
+                steps.clear();
+                for child in children {
+                    for &(first, count) in &runs[child.runs.0..child.runs.1] {
+                        let first = first + child.shift + 1;
+                        steps.extend([(first, 1), (first + count, -1)]);
+                    }
+                }
+                let start = runs.len();
+                send_runs(own, steps, runs);
+                Sends {
+                    parent: order[at as usize].1,
+                    runs: (start, runs.len()),
+                    shift: 0,
+                }
+            }
+        };
+        if let Some(&(first, count)) = runs[sends.runs.0..sends.runs.1].last() {
+            cost.report.rounds = cost.report.rounds.max(first + sends.shift + count);
         }
-        let start = runs.len();
-        send_runs(own.messages, steps, runs);
-        at[i] = (start, runs.len());
-        if let Some(&(first, count)) = runs[start..].last() {
-            cost.report.rounds = cost.report.rounds.max(first + count);
-        }
+        walked.push(sends);
     }
     cost
 }
@@ -976,10 +1072,13 @@ mod tests {
         }
 
         /// The closed form is the engine run's report, errors included,
-        /// on `random_broadcast` forests with up to `k_max` messages at
-        /// every node, roots included: oversize messages (in half the
-        /// cases), each list's longest message first or anywhere, and
-        /// round budgets from 0 to past most runs' length.
+        /// on `random_broadcast` forests (paths among them, so long
+        /// chains) with up to `k_max` messages at every node, roots
+        /// included, or, in two cases of three, at a sparse few: one
+        /// node in `sparse` (4 to 11), so most nodes have no message and
+        /// most subtrees no origin. Oversize messages (in half the cases),
+        /// each list's longest message first or anywhere, and round
+        /// budgets from 0 to past most runs' length.
         #[test]
         fn up_stream_cost_matches_the_engine(
             seed in 0u64..u64::MAX,
@@ -989,11 +1088,15 @@ mod tests {
             oversize in 0usize..2,
             longest_first in 0u8..2,
             max_rounds in 0u64..120,
+            sparse in 0u32..12,
         ) {
             let (g, tree, _) = random_broadcast(seed, n, 0, 1);
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
             let items: Vec<Vec<Msg>> = (0..n)
                 .map(|_| {
+                    if sparse > 3 && rng.random_range(0..sparse) != 0 {
+                        return Vec::new();
+                    }
                     let mut msgs = random_msgs(&mut rng, k_max, limit + oversize);
                     if longest_first == 1 {
                         msgs.sort_by_key(|m| std::cmp::Reverse(m.len()));
@@ -1038,16 +1141,22 @@ mod tests {
             let mut roots: Vec<NodeId> = (0..n).map(NodeId::new).filter(|&v| tree.is_root(v)).collect();
             roots.shuffle(&mut rng);
             let (mut up, mut down) = (RawCost::default(), RawCost::default());
-            let (mut scratch, mut order, mut own) = (UpStreamScratch::default(), Vec::new(), Vec::new());
+            let mut scratch = UpStreamScratch::default();
+            let (mut order, mut depth, mut origins) = (Vec::new(), Vec::new(), Vec::new());
             for &root in &roots {
                 order.clear();
                 breadth_first(&tree, root, &mut order);
-                own.clear();
-                own.extend(order.iter().map(|&(v, _)| items[v.index()]));
-                up.add(&up_stream_tree_cost(&tree, &order, &own, &mut scratch));
-                let height = order.iter().map(|&(_, d)| u64::from(d)).max().unwrap_or(0);
-                let size = order.len() as u64;
-                down.add(&stream_broadcast_tree_cost(&tree, root, size, height, &payload[root.index()]));
+                depths(&order, &mut depth);
+                origins.clear();
+                for (pos, (&(v, _), &depth)) in order.iter().zip(&depth).enumerate() {
+                    if items[v.index()].messages > 0 {
+                        origins.push(Origin { pos: pos as u32, depth, own: items[v.index()] });
+                    }
+                }
+                up.add(&up_stream_tree_cost(&order, &origins, &mut scratch));
+                let height = depth.iter().copied().max().map_or(0, u64::from);
+                let (size, first_child) = (order.len() as u64, order.get(1).map(|&(c, _)| c));
+                down.add(&stream_broadcast_tree_cost(root, first_child, size, height, &payload[root.index()]));
             }
             prop_assert_eq!(
                 up.settle(limit, max_rounds),

@@ -28,9 +28,12 @@
 //! and `Stage2Prefix::sample` runs step 6 for any batch of seeds
 //! (the split behind [`crate::Prepared`]). `prepare` also does step 6's
 //! seed-free work: the BFS order of every tree a seed's up-stream walks,
-//! and the whole of step 6 for every part that keeps each of its
-//! non-tree edges with probability 1, which every seed draws alike. A
-//! seed draws, costs and checks only the other parts.
+//! each part's intervals as rank pairs and frame sizes in the order a
+//! seed draws them, and the whole of step 6 for every part that keeps
+//! each of its non-tree edges with probability 1, which every seed draws
+//! alike. A seed draws, costs and checks only the other parts, and its
+//! up-stream walks only the paths from the nodes that drew an interval
+//! to their root.
 
 pub mod labels;
 mod protocols;
@@ -51,7 +54,7 @@ use rand::{Rng, SeedableRng};
 #[cfg(any(debug_assertions, test))]
 use self::labels::LabeledEdge;
 use self::labels::{CrossingIndex, Label};
-use crate::comm::{self, RawCost, StreamSummary, UpStreamScratch};
+use crate::comm::{self, Origin, RawCost, StreamSummary, UpStreamScratch};
 use crate::config::{EmbeddingMode, TesterConfig};
 use crate::error::CoreError;
 use crate::partition::{part_bfs, PartitionState};
@@ -163,17 +166,11 @@ pub fn run_stage2_many(
 }
 
 /// What Stage II's seed-independent steps 1–5 leave for step 6: the
-/// part trees, counts and reports, the shared cost and rejections, and
-/// every node's assigned non-tree edges with their labels; and step 6's
-/// own seed-free work. It borrows no graph.
+/// part counts and reports, the shared cost and rejections; and step
+/// 6's own seed-free work: the trees and intervals of the parts a seed
+/// draws, and what the other parts' step 6 found. It borrows no graph.
 #[derive(Debug)]
 pub(crate) struct Stage2Prefix {
-    /// The part roots, ascending.
-    roots: Vec<NodeId>,
-    /// Each node's part root.
-    root: Vec<NodeId>,
-    /// The BFS forest of the parts (step 1).
-    tree: TreeTopology,
     /// One report per part, in root order. A fully sampled part's
     /// `sampled` is its `non_tree`; every other part's is 0 until a seed
     /// draws it.
@@ -182,21 +179,6 @@ pub(crate) struct Stage2Prefix {
     stats: SimStats,
     /// Steps 2–3's rejections (Euler bound, strict embedding failure).
     rejections: Vec<(NodeId, RejectReason)>,
-    /// Every node's label (step 4), stored once: node `v`'s digits are
-    /// `digits[label_at[v]..label_at[v + 1]]`.
-    digits: Vec<u32>,
-    label_at: Vec<usize>,
-    /// Each node's rank in its part's label order, so Definition 7
-    /// compares ranks instead of digits.
-    rank: Vec<u32>,
-    /// The words of each node's packed label ([`labels::packed_len`]),
-    /// which size the wire frames of the intervals it ends.
-    packed: Vec<u32>,
-    /// Every node's assigned non-tree edges as label intervals, each the
-    /// `(lo, hi)` pair of its endpoints in label order: node `v`'s are
-    /// `edges[edge_at[v]..edge_at[v + 1]]`.
-    edges: Vec<(NodeId, NodeId)>,
-    edge_at: Vec<usize>,
     /// What step 6 runs with: the sample size, the bandwidth and the
     /// round budget `prepare` costed the fully sampled parts on, and
     /// the embedding mode.
@@ -204,16 +186,67 @@ pub(crate) struct Stage2Prefix {
     /// The parts a seed draws, in root order: those with more non-tree
     /// edges than the sample size.
     drawn: Vec<Part>,
-    /// The drawn parts' trees in BFS order with depths, part by part.
-    order: Vec<(NodeId, u32)>,
-    /// The drawn parts' nodes with assigned edges, part by part, each as
-    /// its position in its tree's order.
-    members: Vec<u32>,
+    /// The drawn parts' trees in BFS order, part by part, each node with
+    /// its parent's position in its part's order
+    /// ([`comm::breadth_first`]).
+    tree: Vec<(NodeId, u32)>,
+    /// The drawn parts' nodes with assigned edges, part by part, in
+    /// their tree's order.
+    members: Vec<Member>,
+    /// The drawn parts' assigned edges, member by member.
+    intervals: Vec<Interval>,
     /// The fully sampled parts' stream costs, combined.
     full_up: RawCost,
     full_down: RawCost,
     /// The fully sampled parts' Definition-7 witnesses, ascending.
     full_witnesses: Vec<NodeId>,
+    /// What only the message-level oracle reads.
+    #[cfg(any(debug_assertions, test))]
+    oracle: OracleTables,
+}
+
+/// The node-indexed tables of steps 1–5 that only debug builds' oracle
+/// reads: release builds drop them once `prepare` has laid out the drawn
+/// parts' intervals.
+#[cfg(any(debug_assertions, test))]
+#[derive(Debug, Default)]
+struct OracleTables {
+    /// The part roots, ascending, and each node's.
+    roots: Vec<NodeId>,
+    root: Vec<NodeId>,
+    /// The BFS forest of the parts (step 1).
+    tree: TreeTopology,
+    /// Every node's label (step 4), stored once: node `v`'s digits are
+    /// `digits[label_at[v]..label_at[v + 1]]`.
+    digits: Vec<u32>,
+    label_at: Vec<usize>,
+    /// Every node's assigned non-tree edges as label intervals, each the
+    /// `(lo, hi)` pair of its endpoints in label order: node `v`'s are
+    /// `edges[edge_at[v]..edge_at[v + 1]]`.
+    edges: Vec<(NodeId, NodeId)>,
+    edge_at: Vec<usize>,
+}
+
+/// A node with assigned edges of a drawn part.
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    /// Its position in its part's tree order, and its depth.
+    pos: u32,
+    depth: u32,
+    /// Where its intervals end in `intervals`; they start where the
+    /// previous member's end, or at its part's first.
+    end: u32,
+}
+
+/// An assigned non-tree edge as Definition 7 and the streams read it:
+/// its endpoints' ranks in the part's label order, `lo < hi`, and the
+/// words of its wire frame, `1 + P(lo) + P(hi)` for the endpoints'
+/// packed label lengths ([`labels::packed_len`]).
+#[derive(Debug, Clone, Copy)]
+struct Interval {
+    lo: u32,
+    hi: u32,
+    frame: u32,
 }
 
 /// Step 6's parameters, fixed at `prepare`.
@@ -239,10 +272,12 @@ struct Part {
     p: f64,
     /// Its tree's height.
     height: u32,
-    /// Its tree in BFS order with depths, `order[tree]`, and its nodes
-    /// with assigned edges, `members[members]`.
+    /// Its tree in BFS order, `tree[tree]`, its nodes with assigned
+    /// edges, `members[members]`, and where its first member's intervals
+    /// start.
     tree: Range<usize>,
     members: Range<usize>,
+    intervals: usize,
 }
 
 impl Stage2Prefix {
@@ -415,23 +450,24 @@ impl Stage2Prefix {
         }
         let label = |v: usize| &digits[label_at[v]..label_at[v + 1]];
         let rank = label_ranks(&state.root, label);
-        let packed = (0..n)
+        let packed: Vec<u32> = (0..n)
             .map(|v| labels::packed_len(label(v)) as u32)
             .collect();
+        // Each node's intervals as step 6 reads them.
+        let intervals_of = |v: NodeId| {
+            edges[edge_at[v.index()]..edge_at[v.index() + 1]]
+                .iter()
+                .map(|&(lo, hi)| Interval {
+                    lo: rank[lo.index()],
+                    hi: rank[hi.index()],
+                    frame: 1 + packed[lo.index()] + packed[hi.index()],
+                })
+        };
         let s_target = cfg.sample_size(n) as f64;
         let mut prefix = Stage2Prefix {
-            roots,
-            root: state.root.clone(),
-            tree,
             reports,
             stats: engine.stats().delta_since(&baseline),
             rejections,
-            digits,
-            label_at,
-            rank,
-            packed,
-            edges,
-            edge_at,
             step6: Step6 {
                 s_target,
                 // Saturates: a tiny ε drives `s_target` to `usize::MAX`.
@@ -441,37 +477,70 @@ impl Stage2Prefix {
                 paper_mode: cfg.embedding == EmbeddingMode::Paper,
             },
             drawn: Vec::new(),
-            order: Vec::new(),
+            tree: Vec::new(),
             members: Vec::new(),
+            intervals: Vec::new(),
             full_up: RawCost::default(),
             full_down: RawCost::default(),
             full_witnesses: Vec::new(),
+            #[cfg(any(debug_assertions, test))]
+            oracle: OracleTables::default(),
         };
-        prefix.prepare_step6();
+        prefix.prepare_step6(&tree, &roots, intervals_of);
+        #[cfg(any(debug_assertions, test))]
+        {
+            prefix.oracle = OracleTables {
+                roots,
+                root: state.root.clone(),
+                tree,
+                digits,
+                label_at,
+                edges,
+                edge_at,
+            };
+        }
         Ok(prefix)
     }
 
-    /// Step 6's seed-free work. A part with `non_tree ≤ s_target` keeps
-    /// every edge with probability 1, so every seed draws it alike: it
-    /// is drawn, costed and checked here, once. Every other part keeps
-    /// its tree's BFS order and height and its nodes with assigned
-    /// edges, which each seed's lane walks.
-    fn prepare_step6(&mut self) {
+    /// Step 6's seed-free work over the parts of `tree` rooted at `roots`,
+    /// whose nodes' intervals are `intervals_of`. A part with `non_tree ≤
+    /// s_target` keeps every edge with probability 1, so every seed draws
+    /// it alike: it is drawn, costed and checked here, once. Every other
+    /// part keeps its tree's BFS order and height, its nodes with
+    /// assigned edges and their intervals, which each seed's lane walks.
+    fn prepare_step6<I: Iterator<Item = Interval>>(
+        &mut self,
+        tree: &TreeTopology,
+        roots: &[NodeId],
+        intervals_of: impl Fn(NodeId) -> I,
+    ) {
         let mut lane = Lane::default();
-        for (index, &root) in self.roots.iter().enumerate() {
-            let (tree, members) = (self.order.len(), self.members.len());
-            comm::breadth_first(&self.tree, root, &mut self.order);
-            let (order, edge_at) = (&self.order[tree..], &self.edge_at);
-            let owns_edges = |&(v, _): &(NodeId, u32)| edge_at[v.index()] < edge_at[v.index() + 1];
-            self.members
-                .extend((0..order.len() as u32).filter(|&pos| owns_edges(&order[pos as usize])));
+        let mut depth = Vec::new();
+        for (index, &root) in roots.iter().enumerate() {
+            let (start, members, intervals) =
+                (self.tree.len(), self.members.len(), self.intervals.len());
+            comm::breadth_first(tree, root, &mut self.tree);
+            let order = &self.tree[start..];
+            comm::depths(order, &mut depth);
+            for (pos, (&(v, _), &depth)) in order.iter().zip(&depth).enumerate() {
+                let before = self.intervals.len();
+                self.intervals.extend(intervals_of(v));
+                if self.intervals.len() > before {
+                    self.members.push(Member {
+                        pos: pos as u32,
+                        depth,
+                        end: self.intervals.len() as u32,
+                    });
+                }
+            }
             let part = Part {
                 index,
                 root,
                 p: (self.step6.s_target / self.reports[index].non_tree as f64).min(1.0),
-                height: order.iter().map(|&(_, d)| d).max().unwrap_or(0),
-                tree: tree..self.order.len(),
+                height: depth.iter().copied().max().unwrap_or(0),
+                tree: start..self.tree.len(),
                 members: members..self.members.len(),
+                intervals,
             };
             if part.p < 1.0 {
                 self.drawn.push(part);
@@ -483,36 +552,27 @@ impl Stage2Prefix {
             self.full_up.add(&cost.up);
             self.full_down.add(&cost.down);
             self.reports[index].sampled = cost.sampled;
-            self.order.truncate(tree);
+            self.tree.truncate(start);
             self.members.truncate(members);
+            self.intervals.truncate(intervals);
         }
         lane.witnesses.sort_unstable();
         self.full_witnesses = lane.witnesses;
-        self.order.shrink_to_fit();
+        self.tree.shrink_to_fit();
         self.members.shrink_to_fit();
+        self.intervals.shrink_to_fit();
     }
 
-    /// Node `v`'s assigned non-tree edges, as `(lo, hi)` node pairs.
-    fn intervals(&self, v: usize) -> &[(NodeId, NodeId)] {
-        &self.edges[self.edge_at[v]..self.edge_at[v + 1]]
-    }
-
-    /// Heap bytes this prefix holds.
+    /// Heap bytes this prefix holds in a release build. Debug builds
+    /// also keep the oracle's node-indexed tables, which are not
+    /// counted, so every profile reports the same size.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.roots.capacity() * size_of::<NodeId>()
-            + self.root.capacity() * size_of::<NodeId>()
-            + self.tree.heap_bytes()
-            + self.reports.capacity() * size_of::<PartReport>()
+        self.reports.capacity() * size_of::<PartReport>()
             + self.rejections.capacity() * size_of::<(NodeId, RejectReason)>()
-            + self.digits.capacity() * size_of::<u32>()
-            + self.label_at.capacity() * size_of::<usize>()
-            + self.rank.capacity() * size_of::<u32>()
-            + self.packed.capacity() * size_of::<u32>()
-            + self.edges.capacity() * size_of::<(NodeId, NodeId)>()
-            + self.edge_at.capacity() * size_of::<usize>()
             + self.drawn.capacity() * size_of::<Part>()
-            + self.order.capacity() * size_of::<(NodeId, u32)>()
-            + self.members.capacity() * size_of::<u32>()
+            + self.tree.capacity() * size_of::<(NodeId, u32)>()
+            + self.members.capacity() * size_of::<Member>()
+            + self.intervals.capacity() * size_of::<Interval>()
             + self.full_witnesses.capacity() * size_of::<NodeId>()
     }
 
@@ -523,14 +583,20 @@ impl Stage2Prefix {
     /// engine runs and no message is built; debug builds also run the
     /// whole step message by message (`Oracle`) and assert that it
     /// agrees.
+    ///
+    /// Release builds run no oracle, so they read nothing of `g`
+    /// (`Prepared::sample` checked that it is the prepared graph).
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     pub(crate) fn sample(&self, g: &Graph, seeds: &[u64]) -> Result<Stage2Batch, CoreError> {
-        debug_assert_eq!(
-            g.n(),
-            self.root.len(),
-            "a prefix samples over its own graph"
-        );
         #[cfg(debug_assertions)]
-        let mut oracle = Oracle::new(g, self.step6.sim, self.step6.max_rounds);
+        let mut oracle = {
+            assert_eq!(
+                g.n(),
+                self.oracle.root.len(),
+                "a prefix samples over its own graph"
+            );
+            Oracle::new(g, self.step6.sim, self.step6.max_rounds)
+        };
         let mut lane = Lane::default();
         let (mut up_reports, mut down_reports) = (Vec::new(), Vec::new());
         let mut outcomes = Vec::with_capacity(seeds.len());
@@ -571,9 +637,8 @@ impl Stage2Prefix {
             down.add(&cost.down);
             parts[part.index].sampled = cost.sampled;
         }
-        let mut violation_witnesses = self.full_witnesses.clone();
-        violation_witnesses.extend_from_slice(&lane.witnesses);
-        violation_witnesses.sort_unstable();
+        lane.witnesses.sort_unstable();
+        let violation_witnesses = merge_sorted(&self.full_witnesses, &lane.witnesses);
         let mut rejections = self.rejections.clone();
         if self.step6.paper_mode {
             rejections.extend(
@@ -599,7 +664,8 @@ impl Stage2Prefix {
 
     /// One part's step 6 under `seed`: each member keeps each of its
     /// assigned edges with probability `p`, summing up the wire size of
-    /// every drawn interval; then the part's two streams are costed and
+    /// every drawn interval; then the part's two streams are costed, the
+    /// up-stream along the drawing members' paths to the root only, and
     /// each member checks its edges against the sample's index, the
     /// witnesses joining `lane.witnesses`.
     ///
@@ -610,55 +676,82 @@ impl Stage2Prefix {
     /// and the batch fails fast so callers can rerun with other seeds.
     fn run_part(&self, part: &Part, seed: u64, lane: &mut Lane) -> Result<PartCost, CoreError> {
         let limit = self.step6.sim.max_words_per_message;
-        let (order, members) = (
-            &self.order[part.tree.clone()],
+        let (tree, members) = (
+            &self.tree[part.tree.clone()],
             &self.members[part.members.clone()],
         );
+        // Each member with its node and its intervals.
+        let each_member = || {
+            members.iter().scan(part.intervals, |start, m| {
+                let intervals = &self.intervals[*start..m.end as usize];
+                *start = m.end as usize;
+                Some((m, tree[m.pos as usize].0, intervals))
+            })
+        };
         let Lane {
-            up,
+            origins,
             sample,
             index,
             scratch,
             witnesses,
         } = lane;
-        up.clear();
-        up.resize(order.len(), StreamSummary::default());
+        origins.clear();
         sample.clear();
         let mut down = StreamSummary::default();
-        for &pos in members {
-            let v = order[pos as usize].0;
+        for (m, v, intervals) in each_member() {
             let mut rng = sample_rng(seed, v.index() as u64);
-            for &(lo, hi) in self.intervals(v.index()) {
+            let mut own = StreamSummary::default();
+            for iv in intervals {
                 if rng.random_bool(part.p) {
-                    let frame = 1 + u64::from(self.packed[lo.index()] + self.packed[hi.index()]);
-                    push_interval(&mut up[pos as usize], frame, limit);
-                    push_interval(&mut down, frame, limit);
-                    sample.push((self.rank[lo.index()], self.rank[hi.index()]));
+                    push_interval(&mut own, u64::from(iv.frame), limit);
+                    push_interval(&mut down, u64::from(iv.frame), limit);
+                    sample.push((iv.lo, iv.hi));
                 }
+            }
+            if own.messages > 0 {
+                origins.push(Origin {
+                    pos: m.pos,
+                    depth: m.depth,
+                    own,
+                });
             }
         }
         let (drawn, budget) = (sample.len(), self.step6.budget);
         if drawn > budget {
             return Err(CoreError::SampleOverflow { drawn, budget });
         }
-        let (size, height) = (order.len() as u64, u64::from(part.height));
-        index.rebuild(sample, order.len());
-        for &pos in members {
-            let v = order[pos as usize].0;
-            let crossed = self
-                .intervals(v.index())
-                .iter()
-                .any(|&(lo, hi)| index.crosses(self.rank[lo.index()], self.rank[hi.index()]));
-            if crossed {
+        index.rebuild(sample, tree.len());
+        for (_, v, intervals) in each_member() {
+            if intervals.iter().any(|iv| index.crosses(iv.lo, iv.hi)) {
                 witnesses.push(v);
             }
         }
+        let (size, height) = (tree.len() as u64, u64::from(part.height));
+        let first_child = tree.get(1).map(|&(child, _)| child);
         Ok(PartCost {
-            up: comm::up_stream_tree_cost(&self.tree, order, up, scratch),
-            down: comm::stream_broadcast_tree_cost(&self.tree, part.root, size, height, &down),
+            up: comm::up_stream_tree_cost(tree, origins, scratch),
+            down: comm::stream_broadcast_tree_cost(part.root, first_child, size, height, &down),
             sampled: drawn,
         })
     }
+}
+
+/// The union of two ascending lists of distinct nodes, ascending.
+fn merge_sorted(a: &[NodeId], b: &[NodeId]) -> Vec<NodeId> {
+    let mut merged = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if a[i] < b[j] {
+            merged.push(a[i]);
+            i += 1;
+        } else {
+            merged.push(b[j]);
+            j += 1;
+        }
+    }
+    merged.extend_from_slice(&a[i..]);
+    merged.extend_from_slice(&b[j..]);
+    merged
 }
 
 /// One seed's step 6: its outcome, and its up-stream's and broadcast's
@@ -680,9 +773,9 @@ struct PartCost {
 /// Step 6's buffers, reused across parts and seeds.
 #[derive(Default)]
 struct Lane {
-    /// What each node of the part ships up to the root, summarised, by
-    /// position in the part's order.
-    up: Vec<StreamSummary>,
+    /// The members that drew an interval, in the part's order, each with
+    /// what it ships up to the root, summarised.
+    origins: Vec<Origin>,
     /// The part's sample as the rank pairs of its intervals.
     sample: Vec<(u32, u32)>,
     /// The index of `sample` that the members' checks ask.
@@ -728,7 +821,8 @@ impl<'g> Oracle<'g> {
         down: &Result<RunReport, SimError>,
         outcome: &Stage2Outcome,
     ) {
-        let n = prefix.root.len();
+        let tables = &prefix.oracle;
+        let n = tables.root.len();
         let limit = self.engine.config().max_words_per_message;
         let items: Vec<Vec<Msg>> = prefix
             .draw_every_node(seed)
@@ -738,18 +832,18 @@ impl<'g> Oracle<'g> {
                 drawn
                     .iter()
                     .flat_map(|&(lo, hi)| {
-                        encode_interval(v as u64, prefix.label(lo), prefix.label(hi))
+                        encode_interval(v as u64, tables.label(lo), tables.label(hi))
                     })
                     .collect()
             })
             .collect();
         let lists: Vec<StreamSummary> = items.iter().map(|m| StreamSummary::of(m, limit)).collect();
         assert_eq!(
-            &comm::up_stream_cost(&prefix.tree, &lists, limit, self.max_rounds),
+            &comm::up_stream_cost(&tables.tree, &lists, limit, self.max_rounds),
             up,
             "the lane's up-stream cost must equal the whole forest's"
         );
-        let run = comm::up_stream(&mut self.engine, &prefix.tree, items, self.max_rounds);
+        let run = comm::up_stream(&mut self.engine, &tables.tree, items, self.max_rounds);
         assert_eq!(
             run.as_ref().map(|(_, report)| report),
             up.as_ref(),
@@ -760,7 +854,7 @@ impl<'g> Oracle<'g> {
         };
         let mut at_root: Vec<Vec<LabeledEdge>> = vec![Vec::new(); n];
         let mut payload: Vec<Vec<Msg>> = vec![Vec::new(); n];
-        for (r, report) in prefix.roots.iter().map(|r| r.index()).zip(&outcome.parts) {
+        for (r, report) in tables.roots.iter().map(|r| r.index()).zip(&outcome.parts) {
             at_root[r] = decode_streams(collected[r].iter().map(|(_, m)| m));
             assert_eq!(at_root[r].len(), report.sampled, "root {r}'s sample");
             payload[r] = at_root[r]
@@ -773,11 +867,11 @@ impl<'g> Oracle<'g> {
             .map(|m| StreamSummary::of(m, limit))
             .collect();
         assert_eq!(
-            &comm::stream_broadcast_cost(&prefix.tree, &lists, limit, self.max_rounds),
+            &comm::stream_broadcast_cost(&tables.tree, &lists, limit, self.max_rounds),
             down,
             "the lane's broadcast cost must equal the whole forest's"
         );
-        let run = comm::stream_broadcast(&mut self.engine, &prefix.tree, payload, self.max_rounds);
+        let run = comm::stream_broadcast(&mut self.engine, &tables.tree, payload, self.max_rounds);
         assert_eq!(
             run.as_ref().map(|(_, report)| report),
             down.as_ref(),
@@ -785,7 +879,7 @@ impl<'g> Oracle<'g> {
         );
         if let Ok((received, _)) = run {
             for (v, got) in received.iter().enumerate() {
-                let r = prefix.root[v].index();
+                let r = tables.root[v].index();
                 if r != v {
                     assert_eq!(
                         decode_streams(got),
@@ -797,9 +891,9 @@ impl<'g> Oracle<'g> {
         }
         let by_digits: Vec<NodeId> = (0..n)
             .filter(|&v| {
-                let sample = &at_root[prefix.root[v].index()];
-                prefix.intervals(v).iter().any(|&(lo, hi)| {
-                    let (lo, hi) = (prefix.label(lo), prefix.label(hi));
+                let sample = &at_root[tables.root[v].index()];
+                tables.intervals(v).iter().any(|&(lo, hi)| {
+                    let (lo, hi) = (tables.label(lo), tables.label(hi));
                     sample
                         .iter()
                         .any(|s| labels::intersects(lo, hi, &s.lo.0[..], &s.hi.0[..]))
@@ -815,21 +909,30 @@ impl<'g> Oracle<'g> {
 }
 
 #[cfg(any(debug_assertions, test))]
-impl Stage2Prefix {
+impl OracleTables {
     /// Node `v`'s label digits, which the message-level oracle ships.
     fn label(&self, v: NodeId) -> &[u32] {
         &self.digits[self.label_at[v.index()]..self.label_at[v.index() + 1]]
     }
 
+    /// Node `v`'s assigned non-tree edges, as `(lo, hi)` node pairs.
+    fn intervals(&self, v: usize) -> &[(NodeId, NodeId)] {
+        &self.edges[self.edge_at[v]..self.edge_at[v + 1]]
+    }
+}
+
+#[cfg(any(debug_assertions, test))]
+impl Stage2Prefix {
     /// The reference draw of `seed`'s sample, every node's drawn
     /// intervals: each node, fully sampled parts' included, keeps each
     /// of its assigned edges with probability `s_target / non_tree`.
     fn draw_every_node(&self, seed: u64) -> Vec<Vec<(NodeId, NodeId)>> {
-        (0..self.root.len())
+        let tables = &self.oracle;
+        (0..tables.root.len())
             .map(|v| {
-                let part = self.roots.binary_search(&self.root[v]).expect("a root");
+                let part = tables.roots.binary_search(&tables.root[v]).expect("a root");
                 let nt = self.reports[part].non_tree;
-                let intervals = self.intervals(v);
+                let intervals = tables.intervals(v);
                 if intervals.is_empty() || nt == 0 {
                     return Vec::new();
                 }
@@ -1136,17 +1239,18 @@ mod tests {
                         .map(|drawn| {
                             let mut list = StreamSummary::default();
                             for &(lo, hi) in drawn {
-                                let frame = prefix.packed[lo.index()] + prefix.packed[hi.index()];
-                                push_interval(&mut list, 1 + u64::from(frame), 4);
+                                let packed = |v| labels::packed_len(prefix.oracle.label(v)) as u64;
+                                push_interval(&mut list, 1 + packed(lo) + packed(hi), 4);
                             }
                             list
                         })
                         .collect();
-                    let report = comm::up_stream_cost(&prefix.tree, &lists, 4, cfg.max_rounds);
+                    let tree = &prefix.oracle.tree;
+                    let report = comm::up_stream_cost(tree, &lists, 4, cfg.max_rounds);
                     let queue_free = g
                         .nodes()
-                        .filter(|&v| lists[v.index()].messages > 0 && !prefix.tree.is_root(v))
-                        .map(|v| lists[v.index()].messages + u64::from(prefix.tree.depth(v)))
+                        .filter(|&v| lists[v.index()].messages > 0 && !tree.is_root(v))
+                        .map(|v| lists[v.index()].messages + u64::from(tree.depth(v)))
                         .max()
                         .unwrap_or(0);
                     report.unwrap().rounds > queue_free

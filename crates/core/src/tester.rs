@@ -269,11 +269,12 @@ impl Prepared {
             .collect())
     }
 
-    /// Heap bytes held: the phase metrics and rejections, the part
-    /// trees and reports, the labels with their ranks and packed sizes,
-    /// the labelled non-tree edges, and step 6's seed-free tables (the
-    /// drawn parts' BFS orders and members, and the fully sampled
-    /// parts' witnesses).
+    /// Heap bytes held in a release build: the phase metrics and
+    /// rejections, the part reports, and step 6's seed-free tables (the
+    /// drawn parts' BFS orders, members and intervals, and the fully
+    /// sampled parts' witnesses). Debug builds also keep the
+    /// message-level oracle's node-indexed labels, edges and trees,
+    /// which this does not count, so every profile reports the same.
     pub fn heap_bytes(&self) -> usize {
         self.phases.capacity() * size_of::<PhaseMetrics>()
             + self.stage1_rejections.capacity() * size_of::<(NodeId, RejectReason)>()
@@ -299,7 +300,8 @@ mod tests {
     fn a_prepared_tester_holds_at_most_233_bytes_per_node() {
         // The memo's entry size: tri_grid(40,40) at 10 phases held 202.8
         // bytes per node before step 6's seed-free tables, which may add
-        // at most 15%.
+        // at most 15%. `tests/prepared_heap.rs` pins today's, far lower,
+        // sizes on three graphs.
         let g = planar::triangulated_grid(40, 40).graph;
         let cfg = TesterConfig::new(0.1).with_phases(10);
         let prepared = PlanarityTester::new(cfg).prepare(&g).unwrap();

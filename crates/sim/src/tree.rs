@@ -13,8 +13,8 @@ use crate::engine::{Engine, Msg, NodeLogic, Outbox, SimError};
 
 /// A rooted forest over the nodes of a graph, where every parent link is a
 /// graph edge. Nodes with no parent are roots (isolated nodes are trivial
-/// roots).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// roots). The default is the empty forest.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TreeTopology {
     parent: Vec<Option<NodeId>>,
     children: Vec<Vec<NodeId>>,
